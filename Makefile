@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt vet clean
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is its own module (benchmark/go.mod), outside the root
+# `go test ./...`; its tests catch breaks in the bicc, plan and service API
+# it imports.
+test-benchmark:
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -29,7 +35,7 @@ fig3:
 	$(GO) run ./cmd/bccbench -scale $(SCALE) -reps $(REPS) -csv results/fig3.csv | tee results/fig3.txt
 
 fig4:
-	$(GO) run ./cmd/bccbreakdown -scale $(SCALE) -reps $(REPS) -csv results/fig4.csv | tee results/fig4.txt
+	$(GO) run ./cmd/bccbench -fig 4 -scale $(SCALE) -reps $(REPS) -csv results/fig4.csv | tee results/fig4.txt
 
 ablations:
 	$(GO) test -run xxx -bench 'Ablation' -benchtime 3x . | tee results/ablations.txt
@@ -43,7 +49,8 @@ verify:
 test-faults:
 	$(GO) test -race -run 'Fault|Fallback|Panic|Breaker|Drain|AttemptTimeout' . ./internal/par ./internal/faults ./internal/service
 
-# Machine-readable medians for the five algorithms (CI trend tracking).
+# Machine-readable medians for every engine (trend tracking). Run by hand:
+# it rewrites the committed BENCH_*.json files, so ci does not depend on it.
 # BENCH_1.json is the single-p snapshot; BENCH_2.json sweeps every parallel
 # engine (fast-bcc included) at p=1 and p=4 for the TV-vs-FAST-BCC
 # comparison. BENCH_3.json is the planner sweep: p ∈ {1,2,4,8} across all
@@ -85,7 +92,7 @@ fuzz-durable:
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
 
 # Shard suite. test-shard runs the differential harness (shard answers must
-# equal the monolith byte for byte across 3 graph families × 4 algorithms ×
+# equal the monolith byte for byte across 3 graph families × every engine ×
 # 5 query kinds), the block-cut invariant property tests, and the manager's
 # residency/fault tests — race-enabled. fuzz-shard hammers the routing-index
 # and shard payload decoders like fuzz-durable does the durable codecs.
@@ -99,8 +106,8 @@ fuzz-shard:
 
 # Incremental suite. test-incr runs the planner's differential harness
 # (every mutation sequence must leave labels byte-equal to a from-scratch
-# run), the mutation endpoint's differential harness (3 graph families × 4
-# engines, byte-equal JSON answers vs a server that uploaded the final
+# run), the mutation endpoint's differential harness (3 graph families ×
+# every engine, byte-equal JSON answers vs a server that uploaded the final
 # graph), and the incr rows of the fault matrix — all race-enabled.
 # fuzz-incr hammers the WAL delta-record decoder and the planner's Apply
 # with arbitrary delta sequences.
@@ -123,7 +130,7 @@ test-crash:
 # ring-overflow snapshot resync, gap detection, quorum degrade), the router
 # tests (hedging, most-caught-up promotion, mutation refusal), and the
 # service-level differential harness: a warm standby must answer every graph
-# family byte-equal to its primary under all four engines, refuse writes
+# family byte-equal to its primary under every engine, refuse writes
 # read-only, and leave a data directory that is a valid PR 4 recovery image
 # — all race-enabled. The delete-vs-mutation race test rides along.
 test-repl:
@@ -194,8 +201,8 @@ lint-obs:
 # (standby differential harness + multi-process node-kill failover), the
 # self-healing suite (scrubber + bit-rot chaos harness + repl frame
 # fuzzing), the adaptive-planner suite (golden decision table + differential
-# harness + feature fuzzing), and a benchmark snapshot.
-ci: vet lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan bench-json
+# harness + feature fuzzing), and the benchmark module's tests.
+ci: vet lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation (§5) with testing.B.
 // One benchmark family per figure, plus ablations for the design choices
 // DESIGN.md calls out. The paper's full-size instances (n=1M) are scaled to
-// benchmark-friendly sizes here; cmd/bccbench and cmd/bccbreakdown run the
-// same harness at arbitrary scales.
+// benchmark-friendly sizes here; cmd/bccbench runs the same harness at
+// arbitrary scales.
 package bicc
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"bicc/internal/bench"
 	"bicc/internal/core"
+	"bicc/internal/engine"
 	"bicc/internal/eulertour"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
@@ -51,11 +52,11 @@ func BenchmarkFig3(b *testing.B) {
 				core.Sequential(g)
 			}
 		})
-		for _, algo := range bench.Algos()[1:] {
+		for _, algo := range engine.Parallel() {
 			for _, p := range procs {
 				b.Run(fmt.Sprintf("%s/%s/p=%d", density, algo.Name, p), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := algo.Run(p, g); err != nil {
+						if _, err := algo.Run(nil, nil, p, g); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -72,11 +73,11 @@ func BenchmarkFig4(b *testing.B) {
 	p := runtime.GOMAXPROCS(0)
 	for density, m := range densities() {
 		g := benchGraph(m)
-		for _, algo := range bench.Algos()[1:] {
+		for _, algo := range engine.Parallel() {
 			b.Run(fmt.Sprintf("%s/%s", density, algo.Name), func(b *testing.B) {
 				totals := map[string]float64{}
 				for i := 0; i < b.N; i++ {
-					res, err := algo.Run(p, g)
+					res, err := algo.Run(nil, nil, p, g)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -196,14 +197,14 @@ func BenchmarkAblationFilter(b *testing.B) {
 		g := gen.RandomConnected(benchN, mult*benchN, 99)
 		b.Run(fmt.Sprintf("m=%dn/tv-opt", mult), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TVOpt(p, g); err != nil {
+				if _, err := core.Custom(p, g, core.TVOptConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("m=%dn/tv-filter", mult), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TVFilter(p, g); err != nil {
+				if _, err := core.Custom(p, g, core.TVFilterConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -296,7 +297,7 @@ func BenchmarkAblationRepresentation(b *testing.B) {
 	}
 	b.Run("edge-list", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TVOpt(p, g); err != nil {
+			if _, err := core.Custom(p, g, core.TVOptConfig()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -304,7 +305,7 @@ func BenchmarkAblationRepresentation(b *testing.B) {
 	b.Run("adjacency-matrix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			el := mat.ToEdgeList()
-			if _, err := core.TVOpt(p, el); err != nil {
+			if _, err := core.Custom(p, el, core.TVOptConfig()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -320,7 +321,7 @@ func BenchmarkScaling(b *testing.B) {
 		g := gen.RandomConnected(n, 4*n, int64(n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TVFilter(p, g); err != nil {
+				if _, err := core.Custom(p, g, core.TVFilterConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}

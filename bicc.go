@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"bicc/internal/core"
-	"bicc/internal/fastbcc"
+	"bicc/internal/engine"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
@@ -140,26 +140,34 @@ const (
 	FastBCC
 )
 
-// algorithms lists every valid preset, in presentation order.
-var algorithms = []Algorithm{Auto, Sequential, TVSMP, TVOpt, TVFilter, FastBCC}
-
 // String returns the algorithm's name as used in the paper.
 func (a Algorithm) String() string {
-	switch a {
-	case Auto:
+	if a == Auto {
 		return "auto"
-	case Sequential:
-		return "sequential"
-	case TVSMP:
-		return "tv-smp"
-	case TVOpt:
-		return "tv-opt"
-	case TVFilter:
-		return "tv-filter"
-	case FastBCC:
-		return "fast-bcc"
+	}
+	if e, ok := a.engine(); ok {
+		return e.Name
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// Algorithms returns every engine preset — each Algorithm but Auto — in
+// presentation order.
+func Algorithms() []Algorithm {
+	algos := make([]Algorithm, len(engine.All))
+	for i := range algos {
+		algos[i] = Algorithm(i + 1)
+	}
+	return algos
+}
+
+// engine returns a's entry in the engine table, whose order the constants
+// follow one past Auto. Auto and out-of-range values have none.
+func (a Algorithm) engine() (engine.Engine, bool) {
+	if a < 1 || int(a) > len(engine.All) {
+		return engine.Engine{}, false
+	}
+	return engine.All[a-1], true
 }
 
 // ParseAlgorithm is the inverse of Algorithm.String: it maps a preset name
@@ -167,16 +175,15 @@ func (a Algorithm) String() string {
 // valid presets — callers must never fall through to a silent zero-value
 // (Auto) engine on a typo.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range algorithms {
-		if s == a.String() {
-			return a, nil
+	if s == Auto.String() {
+		return Auto, nil
+	}
+	for i, e := range engine.All {
+		if s == e.Name {
+			return Algorithm(i + 1), nil
 		}
 	}
-	names := make([]string, len(algorithms))
-	for i, a := range algorithms {
-		names[i] = a.String()
-	}
-	return 0, fmt.Errorf("bicc: unknown algorithm %q (valid: %s)", s, strings.Join(names, ", "))
+	return 0, fmt.Errorf("bicc: unknown algorithm %q (valid: %v, %s)", s, Auto, strings.Join(engine.Names(), ", "))
 }
 
 // FallbackPolicy selects how BiconnectedComponentsCtx reacts when a
@@ -207,7 +214,7 @@ type Options struct {
 	// Procs is the number of workers; <= 0 means GOMAXPROCS.
 	Procs int
 	// Context, when non-nil, attaches a deadline/cancellation to the run:
-	// all four algorithms poll it cooperatively and return its error
+	// every engine polls it cooperatively and returns its error
 	// (context.Canceled or context.DeadlineExceeded) promptly once it is
 	// done. BiconnectedComponentsCtx overrides this field.
 	Context context.Context
@@ -273,13 +280,6 @@ func SetPlanner(p *plan.Planner) { installedPlanner.Store(p) }
 
 // InstalledPlanner returns the planner installed by SetPlanner, or nil.
 func InstalledPlanner() *plan.Planner { return installedPlanner.Load() }
-
-// PlanFeatures returns g's planner feature vector, computed with p analysis
-// workers. Service and tooling layers use it to plan without reaching into
-// internal packages.
-func PlanFeatures(p int, g *Graph) plan.Features {
-	return plan.Extract(par.Procs(p), g.el)
-}
 
 // FeaturesFor returns pl's cached feature vector for g, extracting it on
 // first sight. The bridge exists because plan.Planner operates on the
@@ -372,9 +372,8 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 		return nil, err
 	}
 	algo, p := PlanAlgorithm(g, o.Algorithm, o.Procs)
-	switch algo {
-	case Sequential, TVSMP, TVOpt, TVFilter, FastBCC:
-	default:
+	eng, ok := algo.engine()
+	if !ok {
 		return nil, fmt.Errorf("bicc: unknown algorithm %v", o.Algorithm)
 	}
 	// Library-planned Auto runs report their clean latencies back to the
@@ -384,8 +383,8 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 	planned := o.Algorithm == Auto
 	start := time.Now()
 
-	if o.Fallback != FallbackSequential || algo == Sequential {
-		res, err := runAttempt(ctx, g.el, algo, p, 0, 0)
+	if o.Fallback != FallbackSequential || !eng.Parallel {
+		res, err := runAttempt(ctx, g.el, eng, p, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +397,7 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 	// cannot share the parallel runtime's failure modes.
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		res, err := runAttempt(ctx, g.el, algo, p, o.AttemptTimeout, attempt)
+		res, err := runAttempt(ctx, g.el, eng, p, o.AttemptTimeout, attempt)
 		if err == nil {
 			// Only first-attempt successes feed the model: a retry's
 			// wall-clock includes the faulted attempt and would teach the
@@ -413,7 +412,8 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 		}
 		lastErr = err
 	}
-	res, err := runAttempt(ctx, g.el, Sequential, 1, 0, 2)
+	seq, _ := Sequential.engine()
+	res, err := runAttempt(ctx, g.el, seq, 1, 0, 2)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -429,10 +429,10 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 // runAttempt executes one engine run under its own cancellation token,
 // watching the caller's context and, when attemptTimeout > 0, a per-attempt
 // deadline that cancels with ErrAttemptTimeout. When the context carries an
-// obs trace, the run becomes one span named after the algorithm (labeled
+// obs trace, the run becomes one span named after the engine (labeled
 // with the attempt number and worker count) with a child span per pipeline
 // phase, so ?trace=1 on bccd shows exactly which attempt ran which phases.
-func runAttempt(ctx context.Context, el *graph.EdgeList, algo Algorithm, p int, attemptTimeout time.Duration, attempt int) (res *core.Result, err error) {
+func runAttempt(ctx context.Context, el *graph.EdgeList, eng engine.Engine, p int, attemptTimeout time.Duration, attempt int) (res *core.Result, err error) {
 	cancel := &par.Canceler{}
 	stop := cancel.Watch(ctx)
 	defer stop()
@@ -440,7 +440,7 @@ func runAttempt(ctx context.Context, el *graph.EdgeList, algo Algorithm, p int, 
 		t := time.AfterFunc(attemptTimeout, func() { cancel.Cancel(ErrAttemptTimeout) })
 		defer t.Stop()
 	}
-	_, sp := obs.StartSpan(ctx, algo.String())
+	_, sp := obs.StartSpan(ctx, eng.Name)
 	sp.SetLabel("attempt", strconv.Itoa(attempt))
 	sp.SetLabel("procs", strconv.Itoa(p))
 	defer func() {
@@ -449,25 +449,7 @@ func runAttempt(ctx context.Context, el *graph.EdgeList, algo Algorithm, p int, 
 		}
 		sp.End()
 	}()
-	switch algo {
-	case Sequential:
-		return core.SequentialT(cancel, sp, el)
-	case FastBCC:
-		return fastbcc.Run(p, el, fastbcc.Config{Cancel: cancel, Span: sp})
-	case TVSMP, TVOpt, TVFilter:
-		var cfg core.Config
-		switch algo {
-		case TVSMP:
-			cfg = core.TVSMPConfig()
-		case TVOpt:
-			cfg = core.TVOptConfig()
-		default:
-			cfg = core.TVFilterConfig()
-		}
-		cfg.Cancel, cfg.Span = cancel, sp
-		return core.Custom(p, el, cfg)
-	}
-	return nil, fmt.Errorf("bicc: unknown algorithm %v", algo)
+	return eng.Run(cancel, sp, p, el)
 }
 
 // observePlan feeds one clean planned-run latency to the installed planner,

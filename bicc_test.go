@@ -132,7 +132,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base *Result
-	for _, a := range []Algorithm{Sequential, TVSMP, TVOpt, TVFilter, FastBCC, Auto} {
+	for _, a := range append(Algorithms(), Auto) {
 		res, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
@@ -268,7 +268,7 @@ func TestQuickAlgorithmsEquivalent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, a := range []Algorithm{TVSMP, TVOpt, TVFilter, FastBCC} {
+		for _, a := range parallelAlgorithms() {
 			got, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: 2})
 			if err != nil {
 				return false

@@ -15,7 +15,17 @@ import (
 	"bicc/internal/faults"
 )
 
-var allEngines = []Algorithm{Sequential, TVSMP, TVOpt, TVFilter, FastBCC}
+// parallelAlgorithms returns the presets the sequential fallback
+// supervises: every engine that runs on the parallel runtime.
+func parallelAlgorithms() []Algorithm {
+	var out []Algorithm
+	for _, a := range Algorithms() {
+		if e, _ := a.engine(); e.Parallel {
+			out = append(out, a)
+		}
+	}
+	return out
+}
 
 // panicSite is a fault site the given parallel engine is guaranteed to
 // cross: the TV family shares the core pipeline, fast-bcc has its own
@@ -60,7 +70,7 @@ func oracleCheck(t *testing.T, g *Graph, algo Algorithm, edgeComp []int32, wantC
 	}
 }
 
-// TestOracleAcceptsEveryEngine runs each of the five engines over a mix of
+// TestOracleAcceptsEveryEngine runs every engine over a mix of
 // graphs and feeds its labeling through the oracle.
 func TestOracleAcceptsEveryEngine(t *testing.T) {
 	graphs := []*Graph{triangleBridge(t)}
@@ -76,7 +86,7 @@ func TestOracleAcceptsEveryEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range allEngines {
+		for _, algo := range Algorithms() {
 			res, err := BiconnectedComponents(g, &Options{Algorithm: algo, Procs: 4})
 			if err != nil {
 				t.Fatalf("%v: %v", algo, err)
@@ -102,7 +112,7 @@ func TestOracleAcceptsDegradedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{TVSMP, TVOpt, TVFilter, FastBCC} {
+	for _, algo := range parallelAlgorithms() {
 		faults.Activate(&faults.Plan{Seed: 1,
 			Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, panicSite(algo))}})
 		res, err := BiconnectedComponentsCtx(context.Background(), g,
@@ -130,7 +140,7 @@ func TestOracleAcceptsDegradedResults(t *testing.T) {
 func TestOracleRejectsTamperedLabelings(t *testing.T) {
 	defer faults.Deactivate()
 	g := triangleBridge(t) // edges 0..2 form the triangle block, edge 3 is the bridge
-	for _, algo := range allEngines {
+	for _, algo := range Algorithms() {
 		res, err := BiconnectedComponents(g, &Options{Algorithm: algo, Procs: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)

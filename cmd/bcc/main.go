@@ -14,6 +14,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"bicc"
@@ -22,7 +23,11 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bcc: ")
-	algoName := flag.String("algo", "auto", "algorithm: auto, sequential, tv-smp, tv-opt, tv-filter, fast-bcc")
+	names := []string{bicc.Auto.String()}
+	for _, a := range bicc.Algorithms() {
+		names = append(names, a.String())
+	}
+	algoName := flag.String("algo", bicc.Auto.String(), "algorithm: "+strings.Join(names, ", "))
 	procs := flag.Int("p", 0, "worker count (0 = GOMAXPROCS)")
 	format := flag.String("format", "text", "input format: text, dimacs, binary")
 	showComps := flag.Bool("components", false, "print every block's edge list")

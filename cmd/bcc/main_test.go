@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bicc"
 )
 
 // buildTool compiles one of the repository's commands into dir and returns
@@ -37,7 +39,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bccgen %s: %v", format, err)
 		}
-		for _, algo := range []string{"auto", "sequential", "tv-smp", "tv-opt", "tv-filter"} {
+		for _, a := range append([]bicc.Algorithm{bicc.Auto}, bicc.Algorithms()...) {
+			algo := a.String()
 			run := exec.Command(bcc, "-format", format, "-algo", algo, "-timing", "-stats")
 			run.Stdin = bytes.NewReader(graphBytes)
 			out, err := run.Output()
@@ -127,15 +130,21 @@ func TestCLIVerifyAndBench(t *testing.T) {
 		t.Errorf("csv header: %s", bytes.SplitN(csvBytes, []byte("\n"), 2)[0])
 	}
 
-	breakdown := buildTool(t, dir, "./cmd/bccbreakdown")
-	out, err = exec.Command(breakdown, "-scale", "0.002", "-p", "2", "-reps", "1").Output()
+	csvPath = filepath.Join(dir, "fig4.csv")
+	out, err = exec.Command(benchBin, "-fig", "4", "-scale", "0.002", "-maxprocs", "2", "-reps", "1", "-csv", csvPath).Output()
 	if err != nil {
-		t.Fatalf("bccbreakdown: %v", err)
+		t.Fatalf("bccbench -fig 4: %v", err)
 	}
 	for _, want := range []string{"spanning-tree", "filtering", "total"} {
 		if !strings.Contains(string(out), want) {
-			t.Errorf("bccbreakdown output missing %q", want)
+			t.Errorf("bccbench -fig 4 output missing %q", want)
 		}
+	}
+	if csvBytes, err = readFile(csvPath); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(csvBytes), "instance,n,m,algorithm,procs,spanning-tree,") {
+		t.Errorf("fig 4 csv header: %s", bytes.SplitN(csvBytes, []byte("\n"), 2)[0])
 	}
 }
 

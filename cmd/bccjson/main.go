@@ -1,4 +1,4 @@
-// Command bccjson times the five algorithms on the scaled random instance
+// Command bccjson times every engine on the scaled random instance
 // and writes the medians as machine-readable JSON, for CI trend tracking
 // and external dashboards.
 //
@@ -45,6 +45,7 @@ import (
 
 	"bicc"
 	"bicc/internal/bench"
+	"bicc/internal/engine"
 	"bicc/internal/httpretry"
 	"bicc/internal/plan"
 )
@@ -135,8 +136,7 @@ func main() {
 func localBench(report *benchReport, instances []bench.Instance, procsList []int, reps int) {
 	for _, in := range instances {
 		g := in.Build()
-		algos := bench.Algos()
-		seq, err := bench.Run(in, g, algos[0], 1, reps)
+		seq, err := bench.Run(in, g, bench.Baseline(), 1, reps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func localBench(report *benchReport, instances []bench.Instance, procsList []int
 			log.Printf("%-8s %-10s p=%-2d median %v", in.Name, m.Algo, ap, m.Time.Round(time.Microsecond))
 		}
 		record(seq, 1)
-		for _, algo := range algos[1:] {
+		for _, algo := range engine.Parallel() {
 			for _, ap := range procsList {
 				m, err := bench.Run(in, g, algo, ap, reps)
 				if err != nil {
@@ -198,9 +198,9 @@ func serviceBench(report *benchReport, addr string, instances []bench.Instance, 
 			log.Fatalf("%s: uploading: %v", in.Name, err)
 		}
 		var seqEngine time.Duration
-		measure := func(algo bench.Algo, ap int) {
+		measure := func(algo engine.Engine, ap int) {
 			var lats []time.Duration
-			var engine time.Duration
+			var elapsed time.Duration
 			for rep := 0; rep < reps; rep++ {
 				body, _ := json.Marshal(map[string]any{
 					"graph": info.Fingerprint, "algorithm": algo.Name, "procs": ap,
@@ -217,15 +217,15 @@ func serviceBench(report *benchReport, addr string, instances []bench.Instance, 
 				if err := decodeBody(resp, &qr); err != nil {
 					log.Fatalf("%s %s: %v", in.Name, algo.Name, err)
 				}
-				engine = time.Duration(qr.ElapsedNs)
+				elapsed = time.Duration(qr.ElapsedNs)
 			}
 			median := medianDuration(lats)
-			if algo.Name == "sequential" {
-				seqEngine = engine
+			if algo.Name == engine.Sequential {
+				seqEngine = elapsed
 			}
 			speedup := 0.0
-			if engine > 0 {
-				speedup = float64(seqEngine) / float64(engine)
+			if elapsed > 0 {
+				speedup = float64(seqEngine) / float64(elapsed)
 			}
 			report.Benchmarks = append(report.Benchmarks, benchRecord{
 				Instance:  in.Name,
@@ -237,11 +237,10 @@ func serviceBench(report *benchReport, addr string, instances []bench.Instance, 
 				Speedup:   speedup,
 			})
 			log.Printf("%-8s %-10s p=%-2d median %v (engine %v)",
-				in.Name, algo.Name, ap, median.Round(time.Microsecond), engine.Round(time.Microsecond))
+				in.Name, algo.Name, ap, median.Round(time.Microsecond), elapsed.Round(time.Microsecond))
 		}
-		algos := bench.Algos()
-		measure(algos[0], 1)
-		for _, algo := range algos[1:] {
+		measure(bench.Baseline(), 1)
+		for _, algo := range engine.Parallel() {
 			for _, ap := range procsList {
 				measure(algo, ap)
 			}
@@ -267,12 +266,12 @@ func appendPlanRows(report *benchReport, instances []bench.Instance, procsList [
 	}
 	// The sequential baseline is measured once at p=1 and ignores the
 	// worker count, so any policy that picks it reuses that row.
-	lookup := func(inst, engine string, p int) (benchRecord, bool) {
-		if r, ok := measured[key{inst, engine, p}]; ok {
+	lookup := func(inst, eng string, p int) (benchRecord, bool) {
+		if r, ok := measured[key{inst, eng, p}]; ok {
 			return r, true
 		}
-		if engine == "sequential" {
-			r, ok := measured[key{inst, engine, 1}]
+		if eng == engine.Sequential {
+			r, ok := measured[key{inst, eng, 1}]
 			return r, ok
 		}
 		return benchRecord{}, false

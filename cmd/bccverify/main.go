@@ -1,8 +1,9 @@
-// Command bccverify cross-validates the five biconnected components
-// implementations against each other on randomized instances — the
-// repository's standing fuzz harness. It generates random graphs across a
-// size/density grid, runs every algorithm at several worker counts, and
-// reports the first divergence in block counts, edge partitions,
+// Command bccverify cross-validates every parallel engine in the engine
+// table, plus TV-SMP with Wyllie list ranking (the ablation that isolates the
+// tree-computation cost), against the sequential oracle on randomized
+// instances — the repository's standing fuzz harness. It generates random
+// graphs across a size/density grid, runs every engine at several worker
+// counts, and reports the first divergence in block counts, edge partitions,
 // articulation points, or bridges.
 //
 // Usage:
@@ -19,9 +20,11 @@ import (
 
 	"bicc/internal/conncomp"
 	"bicc/internal/core"
-	"bicc/internal/fastbcc"
+	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
+	"bicc/internal/obs"
+	"bicc/internal/par"
 )
 
 func main() {
@@ -34,19 +37,10 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	type algo struct {
-		name string
-		run  func(p int, g *graph.EdgeList) (*core.Result, error)
-	}
-	algos := []algo{
-		{"tv-smp", core.TVSMP},
-		{"tv-smp-wyllie", core.TVSMPWyllie},
-		{"tv-opt", core.TVOpt},
-		{"tv-filter", core.TVFilter},
-		{"fast-bcc", func(p int, g *graph.EdgeList) (*core.Result, error) {
-			return fastbcc.Run(p, g, fastbcc.Config{})
-		}},
-	}
+	algos := append(engine.Parallel(), engine.Engine{Name: "tv-smp-wyllie", Parallel: true,
+		Run: func(_ *par.Canceler, _ *obs.Span, p int, g *graph.EdgeList) (*core.Result, error) {
+			return core.Custom(p, g, core.Config{SpanningTree: core.SpanSV, Ranker: core.RankWyllie})
+		}})
 	for trial := 0; trial < *trials; trial++ {
 		n := 2 + rng.Intn(*maxn-1)
 		maxM := n * (n - 1) / 2
@@ -60,23 +54,23 @@ func main() {
 		wantBridges := core.Bridges(g, want.EdgeComp, want.NumComp)
 		for _, a := range algos {
 			for _, p := range []int{1, 2, 4} {
-				got, err := a.run(p, g)
+				got, err := a.Run(nil, nil, p, g)
 				if err != nil {
-					fail(trial, g, a.name, p, fmt.Sprintf("error: %v", err))
+					fail(trial, g, a.Name, p, fmt.Sprintf("error: %v", err))
 				}
 				if got.NumComp != want.NumComp {
-					fail(trial, g, a.name, p, fmt.Sprintf("NumComp %d != %d", got.NumComp, want.NumComp))
+					fail(trial, g, a.Name, p, fmt.Sprintf("NumComp %d != %d", got.NumComp, want.NumComp))
 				}
 				if m > 0 && !conncomp.SamePartition(got.EdgeComp, want.EdgeComp) {
-					fail(trial, g, a.name, p, "edge partition differs")
+					fail(trial, g, a.Name, p, "edge partition differs")
 				}
 				gotCuts := core.Articulation(g, got.EdgeComp)
 				if len(gotCuts) != len(wantCuts) {
-					fail(trial, g, a.name, p, "articulation points differ")
+					fail(trial, g, a.Name, p, "articulation points differ")
 				}
 				gotBridges := core.Bridges(g, got.EdgeComp, got.NumComp)
 				if len(gotBridges) != len(wantBridges) {
-					fail(trial, g, a.name, p, "bridges differ")
+					fail(trial, g, a.Name, p, "bridges differ")
 				}
 			}
 		}

@@ -18,7 +18,7 @@ var ctxTestGraph = func() *Graph {
 	return g
 }()
 
-var ctxAlgos = []Algorithm{Sequential, TVSMP, TVOpt, TVFilter}
+var ctxAlgos = Algorithms()
 
 func TestCtxNilContextStillComputes(t *testing.T) {
 	res, err := BiconnectedComponentsCtx(nil, ctxTestGraph, &Options{Algorithm: TVOpt})

@@ -47,8 +47,8 @@ func main() {
 	const n = 50_000
 	p := runtime.GOMAXPROCS(0)
 	fmt.Printf("n=%d vertices, %d workers; sweeping density (paper §4)\n\n", n, p)
-	fmt.Printf("%8s %10s %12s %12s %8s %14s\n",
-		"m/n", "m", "tv-opt", "tv-filter", "ratio", "edges filtered")
+	fmt.Printf("%8s %10s %12v %12v %8s %14s\n",
+		"m/n", "m", bicc.TVOpt, bicc.TVFilter, "ratio", "edges filtered")
 	for _, mult := range []int{1, 2, 4, 8, 12, 16} {
 		m := mult * n
 		g, err := bicc.RandomConnectedGraph(n, m, int64(mult))

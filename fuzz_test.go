@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzBiconnectedComponents decodes raw bytes into a graph (2 bytes per
-// edge over up to 64 vertices) and cross-checks all five algorithms plus
+// edge over up to 64 vertices) and cross-checks every engine plus
 // the independent verifier. Run with `go test -fuzz FuzzBiconnected` for an
 // open-ended hunt; the seed corpus below runs in normal test mode.
 func FuzzBiconnectedComponents(f *testing.F) {
@@ -37,7 +37,7 @@ func FuzzBiconnectedComponents(f *testing.F) {
 		if err := Verify(g, want); err != nil {
 			t.Fatalf("sequential result fails verification: %v", err)
 		}
-		for _, a := range []Algorithm{TVSMP, TVOpt, TVFilter, FastBCC} {
+		for _, a := range parallelAlgorithms() {
 			got, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: 2})
 			if err != nil {
 				t.Fatalf("%v: %v", a, err)

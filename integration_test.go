@@ -30,7 +30,7 @@ func TestIntegrationFamilies(t *testing.T) {
 		"pref-attach":    PreferentialAttachmentGraph(400, 3, 5),
 		"geometric":      GeometricGraph(300, 0.1, 6),
 	}
-	algos := []Algorithm{TVSMP, TVOpt, TVFilter, FastBCC, Auto}
+	algos := append(parallelAlgorithms(), Auto)
 	for name, g := range families {
 		t.Run(name, func(t *testing.T) {
 			want, err := BiconnectedComponents(g, &Options{Algorithm: Sequential})
@@ -82,7 +82,7 @@ func TestIntegrationLargeSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Algorithm{TVSMP, TVOpt, TVFilter, FastBCC} {
+	for _, a := range parallelAlgorithms() {
 		res, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,7 @@
 // Package bench is the harness that regenerates the paper's evaluation
-// (§5): Fig. 3 (wall-clock time and speedup of Sequential, TV-SMP, TV-opt
-// and TV-filter across processor counts and edge densities on random
-// graphs) and Fig. 4 (per-step execution-time breakdown at maximum
-// processor count).
+// (§5) for every engine in the engine table: Fig. 3 (wall-clock time and
+// speedup across processor counts and edge densities on random graphs) and
+// Fig. 4 (per-step execution-time breakdown at maximum processor count).
 //
 // The Sun E4500's 12 processors are modeled by sweeping GOMAXPROCS-bounded
 // worker counts; absolute times differ from the paper's 400 MHz UltraSPARC
@@ -17,7 +16,7 @@ import (
 	"time"
 
 	"bicc/internal/core"
-	"bicc/internal/fastbcc"
+	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
@@ -68,52 +67,6 @@ func log2(x float64) float64 {
 	return l
 }
 
-// Algo is a named biconnected components implementation bound to its
-// runner. The TV variants all flow through the core pipeline with a
-// different Config; fast-bcc is its own engine, so the harness treats every
-// algorithm as an opaque (p, graph, span) -> result function.
-type Algo struct {
-	Name string
-	run  func(p int, g *graph.EdgeList, sp *obs.Span) (*core.Result, error)
-}
-
-// tvAlgo wraps a core pipeline configuration as an Algo.
-func tvAlgo(name string, cfg core.Config) Algo {
-	return Algo{name, func(p int, g *graph.EdgeList, sp *obs.Span) (*core.Result, error) {
-		c := cfg
-		c.Span = sp
-		return core.Custom(p, g, c)
-	}}
-}
-
-// Algos returns the five implementations in presentation order: the
-// sequential baseline, the paper's three TV variants, and the
-// skeleton-based fast-bcc engine.
-func Algos() []Algo {
-	return []Algo{
-		{"sequential", func(p int, g *graph.EdgeList, sp *obs.Span) (*core.Result, error) {
-			return core.SequentialT(nil, sp, g)
-		}},
-		tvAlgo("tv-smp", core.TVSMPConfig()),
-		tvAlgo("tv-opt", core.TVOptConfig()),
-		tvAlgo("tv-filter", core.TVFilterConfig()),
-		{"fast-bcc", func(p int, g *graph.EdgeList, sp *obs.Span) (*core.Result, error) {
-			return fastbcc.Run(p, g, fastbcc.Config{Span: sp})
-		}},
-	}
-}
-
-// Run executes the algorithm on g with p workers.
-func (a Algo) Run(p int, g *graph.EdgeList) (*core.Result, error) {
-	return a.RunSpan(p, g, nil)
-}
-
-// RunSpan is Run with every pipeline phase mirrored as a completed child
-// span of sp, the instrumentation the breakdown harness reads.
-func (a Algo) RunSpan(p int, g *graph.EdgeList, sp *obs.Span) (*core.Result, error) {
-	return a.run(p, g, sp)
-}
-
 // Measurement is one timed algorithm execution.
 type Measurement struct {
 	Instance Instance
@@ -125,6 +78,12 @@ type Measurement struct {
 	// from the run's obs trace spans — the same spans a bccd ?trace=1 query
 	// returns, so CLI breakdowns and server traces can never disagree.
 	Phases []core.Phase
+}
+
+// Baseline returns the sequential engine every speedup is measured against.
+func Baseline() engine.Engine {
+	e, _ := engine.Lookup(engine.Sequential)
+	return e
 }
 
 // Speedup returns the sequential-time / parallel-time ratio against base.
@@ -159,7 +118,7 @@ func (m Measurement) PhaseTotal() time.Duration {
 // measurement (the paper reports steady-state times; median suppresses GC
 // and scheduler noise). Each repetition runs under its own obs trace; the
 // median repetition's phase spans become Measurement.Phases.
-func Run(in Instance, g *graph.EdgeList, algo Algo, p, reps int) (Measurement, error) {
+func Run(in Instance, g *graph.EdgeList, algo engine.Engine, p, reps int) (Measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -173,7 +132,7 @@ func Run(in Instance, g *graph.EdgeList, algo Algo, p, reps int) (Measurement, e
 		tr := obs.NewTrace()
 		root := tr.Root(algo.Name)
 		start := time.Now()
-		res, err := algo.RunSpan(p, g, root)
+		res, err := algo.Run(nil, root, p, g)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("%s p=%d: %w", algo.Name, p, err)
 		}
@@ -213,14 +172,14 @@ func Fig3(w io.Writer, instances []Instance, procs []int, reps int) ([]Measureme
 		"instance", "n", "m", "algorithm", "p", "time", "speedup")
 	for _, in := range instances {
 		g := in.Build()
-		seq, err := Run(in, g, Algos()[0], 1, reps)
+		seq, err := Run(in, g, Baseline(), 1, reps)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, seq)
 		fmt.Fprintf(w, "%-10s %10d %10d %-12s %5d %12v %8.2f\n",
 			in.Name, in.N, in.M, seq.Algo, 1, seq.Time.Round(time.Microsecond), 1.0)
-		for _, algo := range Algos()[1:] {
+		for _, algo := range engine.Parallel() {
 			for _, p := range procs {
 				m, err := Run(in, g, algo, p, reps)
 				if err != nil {
@@ -236,9 +195,9 @@ func Fig3(w io.Writer, instances []Instance, procs []int, reps int) ([]Measureme
 	return all, nil
 }
 
-// Fig4 regenerates the paper's Figure 4: the per-step breakdown of TV-SMP,
-// TV-opt and TV-filter at p processors across the instances, sourced from
-// the runs' obs trace spans. Steps follow the paper's naming:
+// Fig4 regenerates the paper's Figure 4: the per-step breakdown of every
+// parallel engine at p processors across the instances, sourced from the
+// runs' obs trace spans. Steps follow the paper's naming:
 // Spanning-tree, Euler-tour, root, Low-high, Label-edge,
 // Connected-components, Filtering.
 func Fig4(w io.Writer, instances []Instance, p, reps int) ([]Measurement, error) {
@@ -251,7 +210,7 @@ func Fig4(w io.Writer, instances []Instance, p, reps int) ([]Measurement, error)
 	fmt.Fprintf(w, " %14s\n", "total")
 	for _, in := range instances {
 		g := in.Build()
-		for _, algo := range Algos()[1:] {
+		for _, algo := range engine.Parallel() {
 			m, err := Run(in, g, algo, p, reps)
 			if err != nil {
 				return nil, err

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bicc/internal/engine"
 )
 
 func TestPaperInstancesScaling(t *testing.T) {
@@ -66,18 +68,14 @@ func TestProcsSweep(t *testing.T) {
 func TestRunAndSpeedup(t *testing.T) {
 	in := Instance{Name: "t", N: 200, M: 600, Seed: 2}
 	g := in.Build()
-	algos := Algos()
-	if len(algos) != 5 {
-		t.Fatalf("%d algorithms, want 5", len(algos))
-	}
-	seq, err := Run(in, g, algos[0], 1, 3)
+	seq, err := Run(in, g, Baseline(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Time <= 0 {
 		t.Error("non-positive sequential time")
 	}
-	for _, a := range algos[1:] {
+	for _, a := range engine.Parallel() {
 		m, err := Run(in, g, a, 2, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
@@ -103,7 +101,7 @@ func TestFig3Output(t *testing.T) {
 		t.Errorf("%d measurements, want 9", len(ms))
 	}
 	out := buf.String()
-	for _, want := range []string{"sequential", "tv-smp", "tv-opt", "tv-filter", "fast-bcc", "speedup", "tiny"} {
+	for _, want := range append(engine.Names(), "speedup", "tiny") {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig3 output missing %q:\n%s", want, out)
 		}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"bicc/internal/core"
+	"bicc/internal/engine"
 )
 
 // Fig3CSV writes Fig. 3 measurements as CSV (one row per measurement, with
@@ -20,7 +21,7 @@ func Fig3CSV(w io.Writer, ms []Measurement) error {
 	// Sequential baselines per instance name.
 	base := map[string]Measurement{}
 	for _, m := range ms {
-		if m.Algo == "sequential" {
+		if m.Algo == engine.Sequential {
 			base[m.Instance.Name] = m
 		}
 	}

@@ -1,19 +1,18 @@
 // This test lives in package core_test (not core) so it can pull in the
-// fastbcc engine, which itself imports core.
+// engine table, which itself imports core.
 package core_test
 
 import (
 	"fmt"
 	"testing"
 
-	"bicc/internal/core"
-	"bicc/internal/fastbcc"
+	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 )
 
 // TestCanonicalLabels pins the property the incremental layer builds on: all
-// five engines emit the same EdgeComp byte for byte, because every engine
+// engines emit the same EdgeComp byte for byte, because every engine
 // densifies block ids into first-occurrence order over the edge list. A
 // partial recomputation stitched into that numbering is then
 // indistinguishable from a from-scratch run of any engine.
@@ -25,19 +24,9 @@ func TestCanonicalLabels(t *testing.T) {
 		"dense":       gen.Dense(40, 0.5, 11),
 		"mesh":        gen.Mesh(9, 9),
 	}
-	type engine struct {
-		name string
-		run  func(g *graph.EdgeList) (*core.Result, error)
-	}
-	engines := []engine{
-		{"sequential", func(g *graph.EdgeList) (*core.Result, error) { return core.SequentialC(nil, g) }},
-		{"tv-smp", func(g *graph.EdgeList) (*core.Result, error) { return core.Custom(3, g, core.TVSMPConfig()) }},
-		{"tv-opt", func(g *graph.EdgeList) (*core.Result, error) { return core.Custom(3, g, core.TVOptConfig()) }},
-		{"tv-filter", func(g *graph.EdgeList) (*core.Result, error) { return core.Custom(3, g, core.TVFilterConfig()) }},
-		{"fast-bcc", func(g *graph.EdgeList) (*core.Result, error) { return fastbcc.Run(3, g, fastbcc.Config{}) }},
-	}
+	seq, _ := engine.Lookup(engine.Sequential)
 	for fname, g := range families {
-		want, err := engines[0].run(g)
+		want, err := seq.Run(nil, nil, 1, g)
 		if err != nil {
 			t.Fatalf("%s/sequential: %v", fname, err)
 		}
@@ -53,16 +42,16 @@ func TestCanonicalLabels(t *testing.T) {
 				next++
 			}
 		}
-		for _, e := range engines[1:] {
-			got, err := e.run(g)
+		for _, e := range engine.All {
+			got, err := e.Run(nil, nil, 3, g)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", fname, e.name, err)
+				t.Fatalf("%s/%s: %v", fname, e.Name, err)
 			}
 			if got.NumComp != want.NumComp {
-				t.Fatalf("%s/%s: NumComp=%d, sequential %d", fname, e.name, got.NumComp, want.NumComp)
+				t.Fatalf("%s/%s: NumComp=%d, sequential %d", fname, e.Name, got.NumComp, want.NumComp)
 			}
 			if fmt.Sprint(got.EdgeComp) != fmt.Sprint(want.EdgeComp) {
-				t.Fatalf("%s/%s: EdgeComp differs from sequential", fname, e.name)
+				t.Fatalf("%s/%s: EdgeComp differs from sequential", fname, e.Name)
 			}
 		}
 	}

@@ -48,12 +48,17 @@ type algo struct {
 	run  func(p int, g *graph.EdgeList) (*Result, error)
 }
 
+// preset binds a pipeline configuration as a runner.
+func preset(cfg Config) func(p int, g *graph.EdgeList) (*Result, error) {
+	return func(p int, g *graph.EdgeList) (*Result, error) { return Custom(p, g, cfg) }
+}
+
 func algorithms() []algo {
 	return []algo{
-		{"tv-smp", TVSMP},
-		{"tv-smp-wyllie", TVSMPWyllie},
-		{"tv-opt", TVOpt},
-		{"tv-filter", TVFilter},
+		{"tv-smp", preset(TVSMPConfig())},
+		{"tv-smp-wyllie", preset(Config{SpanningTree: SpanSV, Ranker: RankWyllie})},
+		{"tv-opt", preset(TVOptConfig())},
+		{"tv-filter", preset(TVFilterConfig())},
 	}
 }
 
@@ -231,7 +236,7 @@ func TestEveryEdgeInExactlyOneComponent(t *testing.T) {
 
 func TestPhasesRecorded(t *testing.T) {
 	g := gen.RandomConnected(100, 300, 9)
-	res, err := TVFilter(2, g)
+	res, err := Custom(2, g, TVFilterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +289,7 @@ func TestDenseWooSahniStyle(t *testing.T) {
 	for _, frac := range []float64{0.7, 0.9} {
 		g := gen.Dense(60, frac, 8)
 		want := Sequential(g)
-		got, err := TVFilter(2, g)
+		got, err := Custom(2, g, TVFilterConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // with the TV-filter pipeline (the block labels of the filtered edges never
 // change the count, so step 4 of Alg. 2 is skipped).
 func CountBlocks(p int, g *graph.EdgeList) (int, error) {
-	res, err := TVFilter(p, g)
+	res, err := Custom(p, g, TVFilterConfig())
 	if err != nil {
 		return 0, err
 	}

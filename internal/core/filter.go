@@ -1,12 +1,8 @@
 package core
 
-import (
-	"bicc/internal/graph"
-	"bicc/internal/par"
-)
-
-// TVFilter is the paper's new algorithm (§4, Alg. 2): filter out nontree
-// edges that are non-essential for biconnectivity before running TV.
+// TVFilterConfig returns the Config preset for TV-filter, the paper's new
+// algorithm (§4, Alg. 2): filter out nontree edges that are non-essential
+// for biconnectivity before running TV.
 //
 //  1. Compute a breadth-first-search tree T of G (the BFS property is what
 //     makes the filtering correct — Lemma 1 and Theorem 2).
@@ -18,20 +14,8 @@ import (
 // Asymptotically nothing improves, but step 2 discards at least
 // max(m − 2(n−1), 0) edges, which shrinks the Low-high, Label-edge and
 // Connected-components steps — the Fig. 3/4 win.
-func TVFilter(p int, g *graph.EdgeList) (*Result, error) {
-	return Custom(p, g, TVFilterConfig())
-}
-
-// TVFilterConfig returns the Config preset for TV-filter.
 func TVFilterConfig() Config {
 	return Config{SpanningTree: SpanBFS, Filter: true}
-}
-
-// TVFilterC is TVFilter with cooperative cancellation.
-func TVFilterC(c *par.Canceler, p int, g *graph.EdgeList) (*Result, error) {
-	cfg := TVFilterConfig()
-	cfg.Cancel = c
-	return Custom(p, g, cfg)
 }
 
 // FilteredEdgeCount reports how many edges TV-filter is guaranteed to

@@ -71,14 +71,14 @@ func TestCustomAllConfigurations(t *testing.T) {
 func TestPresetsMatchCustom(t *testing.T) {
 	g := gen.RandomConnected(200, 700, 14)
 	seq := Sequential(g)
-	presets := map[string]func(int, *graph.EdgeList) (*Result, error){
-		"tv-smp":    TVSMP,
-		"tv-wyllie": TVSMPWyllie,
-		"tv-opt":    TVOpt,
-		"tv-filter": TVFilter,
+	presets := map[string]Config{
+		"tv-smp":    TVSMPConfig(),
+		"tv-wyllie": {SpanningTree: SpanSV, Ranker: RankWyllie},
+		"tv-opt":    TVOptConfig(),
+		"tv-filter": TVFilterConfig(),
 	}
-	for name, run := range presets {
-		got, err := run(2, g)
+	for name, cfg := range presets {
+		got, err := Custom(2, g, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

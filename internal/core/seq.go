@@ -20,21 +20,16 @@ var siteSeq = faults.RegisterSite("core.seq", true)
 // explicit DFS stack avoids goroutine-stack limits on deep graphs such as
 // the paper's pathological chain.
 func Sequential(g *graph.EdgeList) *Result {
-	res, _ := SequentialC(nil, g)
+	res, _ := SequentialT(nil, nil, g)
 	return res
 }
 
-// SequentialC is Sequential with cooperative cancellation, polled every few
-// thousand DFS steps; it returns the cancellation cause when c trips
-// mid-run. Like Custom it is a fault boundary: panics are recovered and
-// returned as *par.PanicError.
-func SequentialC(cn *par.Canceler, g *graph.EdgeList) (*Result, error) {
-	return SequentialT(cn, nil, g)
-}
-
-// SequentialT is SequentialC with the run's single timed phase mirrored as
-// a child span of sp (nil sp records nothing), matching Custom's per-phase
-// span emission.
+// SequentialT is Sequential with cooperative cancellation, polled every few
+// thousand DFS steps, and with the run's single timed phase mirrored as a
+// child span of sp (nil sp records nothing), matching Custom's per-phase
+// span emission. It returns the cancellation cause when cn trips mid-run.
+// Like Custom it is a fault boundary: panics are recovered and returned as
+// *par.PanicError.
 func SequentialT(cn *par.Canceler, sp *obs.Span, g *graph.EdgeList) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -140,7 +135,7 @@ func SequentialT(cn *par.Canceler, sp *obs.Span, g *graph.EdgeList) (res *Result
 	// Densify block ids into first-occurrence order over the edge list, the
 	// same canonical numbering the TV engines emit from finishResult. The DFS
 	// pops blocks in completion order, which is a different (if equally
-	// valid) numbering; canonicalizing here makes all four engines produce
+	// valid) numbering; canonicalizing here makes every engine produce
 	// byte-identical EdgeComp for the same edge list, which the incremental
 	// layer relies on to stitch partial recomputations into labelings that
 	// match a from-scratch run of any engine.

@@ -1,12 +1,8 @@
 package core
 
-import (
-	"bicc/internal/graph"
-	"bicc/internal/par"
-)
-
-// TVSMP is the coarse-grained SMP emulation of the original Tarjan–Vishkin
-// algorithm (§3.1). It follows TV's six steps literally:
+// TVSMPConfig returns the Config preset for TV-SMP, the coarse-grained SMP
+// emulation of the original Tarjan–Vishkin algorithm (§3.1). It follows
+// TV's six steps literally:
 //
 //  1. Spanning-tree via the Shiloach–Vishkin-derived algorithm (unrooted).
 //  2. Euler-tour via sample-sorted circular adjacency lists.
@@ -18,48 +14,21 @@ import (
 //
 // It is the baseline whose parallel overheads the paper measures: the sort
 // in step 2 and the list ranking in step 3 are the costs TV-opt removes.
-func TVSMP(p int, g *graph.EdgeList) (*Result, error) {
-	return Custom(p, g, TVSMPConfig())
-}
-
-// TVSMPConfig returns the Config preset for TV-SMP; callers add their own
-// Cancel/Span before passing it to Custom.
+// Callers add their own Cancel/Span before passing it to Custom; setting
+// Ranker to RankWyllie gives the ablation that isolates the tree-computation
+// cost.
 func TVSMPConfig() Config {
 	return Config{SpanningTree: SpanSV, Ranker: RankHelmanJaja}
 }
 
-// TVSMPC is TVSMP with cooperative cancellation.
-func TVSMPC(c *par.Canceler, p int, g *graph.EdgeList) (*Result, error) {
-	cfg := TVSMPConfig()
-	cfg.Cancel = c
-	return Custom(p, g, cfg)
-}
-
-// TVSMPWyllie is TVSMP with Wyllie pointer jumping instead of Helman–JáJá
-// list ranking — the ablation knob isolating the tree-computation cost.
-func TVSMPWyllie(p int, g *graph.EdgeList) (*Result, error) {
-	return Custom(p, g, Config{SpanningTree: SpanSV, Ranker: RankWyllie})
-}
-
-// TVOpt is the optimized SMP adaptation (§3.2): the Spanning-tree and
-// Root-tree steps are merged by the work-stealing traversal that computes a
-// rooted tree directly, the Euler tour is built cache-friendly in DFS order,
-// and the tree computations use prefix sums over arrays instead of list
-// ranking. Steps 4–6 are shared with TV-SMP.
-func TVOpt(p int, g *graph.EdgeList) (*Result, error) {
-	return Custom(p, g, TVOptConfig())
-}
-
-// TVOptConfig returns the Config preset for TV-opt.
+// TVOptConfig returns the Config preset for TV-opt, the optimized SMP
+// adaptation (§3.2): the Spanning-tree and Root-tree steps are merged by the
+// work-stealing traversal that computes a rooted tree directly, the Euler
+// tour is built cache-friendly in DFS order, and the tree computations use
+// prefix sums over arrays instead of list ranking. Steps 4–6 are shared with
+// TV-SMP.
 func TVOptConfig() Config {
 	return Config{SpanningTree: SpanWorkStealing}
-}
-
-// TVOptC is TVOpt with cooperative cancellation.
-func TVOptC(c *par.Canceler, p int, g *graph.EdgeList) (*Result, error) {
-	cfg := TVOptConfig()
-	cfg.Cancel = c
-	return Custom(p, g, cfg)
 }
 
 // rootsFromLabels extracts one representative vertex per component from the

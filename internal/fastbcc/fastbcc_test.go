@@ -17,7 +17,7 @@ import (
 // canonical labeling of g.
 func mustEqual(t *testing.T, name string, g *graph.EdgeList, got *core.Result) {
 	t.Helper()
-	want, err := core.SequentialC(nil, g)
+	want, err := core.SequentialT(nil, nil, g)
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", name, err)
 	}
@@ -190,7 +190,7 @@ func TestPanicContained(t *testing.T) {
 }
 
 // TestPhases asserts the run records the engine's five pipeline phases in
-// execution order, so bicc_phase_seconds and bccbreakdown get real rows.
+// execution order, so bicc_phase_seconds and bccbench -fig 4 get real rows.
 func TestPhases(t *testing.T) {
 	g := gen.RandomConnected(500, 2000, 13)
 	res, err := fastbcc.Run(2, g, fastbcc.Config{})

@@ -61,7 +61,7 @@ func TestFaultMatrix(t *testing.T) {
 		t.Fatalf("clean sequential run failed: %v", err)
 	}
 
-	algos := []bicc.Algorithm{bicc.Sequential, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC}
+	algos := bicc.Algorithms()
 	kinds := []faults.Kind{faults.KindPanic, faults.KindDelay, faults.KindCancel}
 	sites := faults.Sites()
 	if len(sites) < 10 {
@@ -135,7 +135,7 @@ func TestFaultMatrix(t *testing.T) {
 func TestFaultMatrixShardBuild(t *testing.T) {
 	defer faults.Deactivate()
 	g := matrixGraph(t)
-	algos := []bicc.Algorithm{bicc.Sequential, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC}
+	algos := bicc.Algorithms()
 	kinds := []faults.Kind{faults.KindPanic, faults.KindDelay, faults.KindCancel}
 	for _, algo := range algos {
 		res, err := bicc.BiconnectedComponentsCtx(context.Background(), g,
@@ -335,7 +335,10 @@ func TestFaultMatrixWithFallback(t *testing.T) {
 			// persistent fault there is covered by TestFaultMatrix.
 			continue
 		}
-		for _, algo := range []bicc.Algorithm{bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC} {
+		for _, algo := range bicc.Algorithms() {
+			if algo == bicc.Sequential {
+				continue
+			}
 			t.Run(site+"/"+algo.String(), func(t *testing.T) {
 				faults.Activate(&faults.Plan{Seed: 1,
 					Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, site)}})

@@ -32,7 +32,7 @@ func diffFamilies() []diffFamily {
 	}
 }
 
-var diffAlgorithms = []bicc.Algorithm{bicc.Sequential, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC}
+var diffAlgorithms = bicc.Algorithms()
 
 // engineRun returns a Recompute bound to one algorithm.
 func engineRun(algo bicc.Algorithm) Recompute {
@@ -180,7 +180,7 @@ func randomBatch(rng *rand.Rand, st *State, nd int) []Delta {
 }
 
 // TestDifferentialIncrementalEqualsScratch is the core harness: 3 families
-// × 4 engines × randomized mutation sequences, byte-equal answers after
+// × every engine × randomized mutation sequences, byte-equal answers after
 // every batch, with all three apply modes exercised across the run.
 func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 	modes := map[Mode]int{}

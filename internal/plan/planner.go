@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"bicc/internal/engine"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
@@ -257,7 +258,7 @@ func (p *Planner) score(f Features, pinnedProcs int, bucket string) []Candidate 
 			continue
 		}
 		for _, procs := range procsSet {
-			if eng == Sequential && procs > 1 {
+			if eng == engine.Sequential && procs > 1 {
 				continue // the DFS baseline cannot use more workers
 			}
 			cands = append(cands, p.scoreOne(f, eng, procs, bucket))
@@ -270,7 +271,7 @@ func (p *Planner) score(f Features, pinnedProcs int, bucket string) []Candidate 
 		p.mu.Lock()
 		p.fellBack++
 		p.mu.Unlock()
-		cands = append(cands, p.scoreOne(f, Sequential, 1, bucket))
+		cands = append(cands, p.scoreOne(f, engine.Sequential, 1, bucket))
 	}
 	// Stable sort keeps EngineOrder (then ascending procs) as the tie-break.
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].ScoreNs < cands[j].ScoreNs })

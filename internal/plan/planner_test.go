@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bicc/internal/engine"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 )
@@ -36,26 +37,26 @@ func TestDecisionGolden(t *testing.T) {
 		wantProcs  int
 	}{
 		// Tiny graphs: worker startup dominates, DFS baseline wins outright.
-		{"tiny-sparse", feat(100, 150, 8, 2), 0, Sequential, 1},
-		{"tiny-dense", feat(1000, 4000, 4, 3), 0, Sequential, 1},
+		{"tiny-sparse", feat(100, 150, 8, 2), 0, engine.Sequential, 1},
+		{"tiny-dense", feat(1000, 4000, 4, 3), 0, engine.Sequential, 1},
 		// FAST-BCC promotion: large dense graph pinned to p=1 — the
 		// acceptance-criterion cell (m = 4n, no history, planner on).
-		{"promo-dense-p1", feat(100_000, 400_000, 6, 3), 1, FastBCC, 1},
+		{"promo-dense-p1", feat(100_000, 400_000, 6, 3), 1, engine.FastBCC, 1},
 		// Low parallelism, both densities: the skeleton engine still wins.
-		{"promo-dense-p2", feat(100_000, 400_000, 6, 3), 2, FastBCC, 2},
-		{"promo-sparse-p1", feat(100_000, 150_000, 9, 2), 1, FastBCC, 1},
+		{"promo-dense-p2", feat(100_000, 400_000, 6, 3), 2, engine.FastBCC, 2},
+		{"promo-sparse-p1", feat(100_000, 150_000, 9, 2), 1, engine.FastBCC, 1},
 		// Paper §4 region at full parallelism: TV-filter on dense inputs,
 		// TV-opt on sparse ones.
-		{"paper-dense-p8", feat(100_000, 400_000, 6, 3), 8, TVFilter, 8},
-		{"paper-sparse-p8", feat(100_000, 150_000, 9, 2), 8, TVOpt, 8},
+		{"paper-dense-p8", feat(100_000, 400_000, 6, 3), 8, engine.TVFilter, 8},
+		{"paper-sparse-p8", feat(100_000, 150_000, 9, 2), 8, engine.TVOpt, 8},
 		// High-diameter inputs punish the BFS-based engines: chains go to
 		// sequential at p=1 and TV-opt's traversal when parallel.
-		{"chain-p1", feat(100_000, 100_000, 50_000, 1.2), 1, Sequential, 1},
-		{"chain-p8", feat(100_000, 100_000, 50_000, 1.2), 8, TVOpt, 8},
+		{"chain-p1", feat(100_000, 100_000, 50_000, 1.2), 1, engine.Sequential, 1},
+		{"chain-p8", feat(100_000, 100_000, 50_000, 1.2), 8, engine.TVOpt, 8},
 		// Unpinned: the planner picks procs too. Large dense graph on an
 		// 8-way cap should take the full-width TV-filter plan.
-		{"free-dense", feat(100_000, 400_000, 6, 3), 0, TVFilter, 8},
-		{"free-tiny", feat(100, 150, 8, 2), 0, Sequential, 1},
+		{"free-dense", feat(100_000, 400_000, 6, 3), 0, engine.TVFilter, 8},
+		{"free-tiny", feat(100, 150, 8, 2), 0, engine.Sequential, 1},
 	}
 	for _, tc := range cases {
 		d := p.Decide(tc.f, tc.pinned, true)
@@ -115,7 +116,7 @@ func TestBreakerFilterProperty(t *testing.T) {
 				}
 				// A rejected engine may only appear as the all-filtered
 				// sequential fallback.
-				if d.Engine != Sequential || mask != 1<<len(EngineOrder)-1 {
+				if d.Engine != engine.Sequential || mask != 1<<len(EngineOrder)-1 {
 					t.Fatalf("mask %05b: planner chose open-breaker engine %s (pinned=%d, f=%+v)",
 						mask, d.Engine, pinned, f)
 				}
@@ -130,17 +131,17 @@ func TestBreakerFilterProperty(t *testing.T) {
 func TestObserveShiftsChoice(t *testing.T) {
 	p := New(Config{MaxProcs: 1, Registry: obs.NewRegistry(), ExploreEvery: -1})
 	f := feat(100_000, 400_000, 6, 3)
-	if d := p.Decide(f, 1, false); d.Engine != FastBCC {
-		t.Fatalf("before observations: got %s, want %s", d.Engine, FastBCC)
+	if d := p.Decide(f, 1, false); d.Engine != engine.FastBCC {
+		t.Fatalf("before observations: got %s, want %s", d.Engine, engine.FastBCC)
 	}
 	// Report fast-bcc as catastrophically slow and sequential as fast; a
 	// handful of samples should outweigh the prior's pseudo-count.
 	for i := 0; i < 32; i++ {
-		p.Observe(f, FastBCC, 1, 2*time.Second)
-		p.Observe(f, Sequential, 1, 5*time.Millisecond)
+		p.Observe(f, engine.FastBCC, 1, 2*time.Second)
+		p.Observe(f, engine.Sequential, 1, 5*time.Millisecond)
 	}
-	if d := p.Decide(f, 1, true); d.Engine != Sequential {
-		t.Fatalf("after observations: got %s, want %s\ncandidates: %+v", d.Engine, Sequential, d.Candidates)
+	if d := p.Decide(f, 1, true); d.Engine != engine.Sequential {
+		t.Fatalf("after observations: got %s, want %s\ncandidates: %+v", d.Engine, engine.Sequential, d.Candidates)
 	}
 }
 
@@ -163,10 +164,10 @@ func TestExplorationCadence(t *testing.T) {
 	if explored != total/4 {
 		t.Fatalf("explored %d of %d decisions, want %d", explored, total, total/4)
 	}
-	if len(winner[false]) != 1 || winner[false][FastBCC] == 0 {
+	if len(winner[false]) != 1 || winner[false][engine.FastBCC] == 0 {
 		t.Fatalf("non-explored decisions not constant: %v", winner[false])
 	}
-	if winner[true][FastBCC] != 0 {
+	if winner[true][engine.FastBCC] != 0 {
 		t.Fatalf("explorations dispatched the winner: %v", winner[true])
 	}
 }
@@ -175,7 +176,7 @@ func TestExplorationCadence(t *testing.T) {
 // cold buckets and is capped: a huge history sample count must not swamp the
 // prior entirely.
 func TestHistorySeeding(t *testing.T) {
-	hist := map[string]time.Duration{Sequential: 4 * time.Millisecond, FastBCC: 900 * time.Millisecond}
+	hist := map[string]time.Duration{engine.Sequential: 4 * time.Millisecond, engine.FastBCC: 900 * time.Millisecond}
 	p := New(Config{
 		MaxProcs:     1,
 		Registry:     obs.NewRegistry(),
@@ -190,7 +191,7 @@ func TestHistorySeeding(t *testing.T) {
 	})
 	f := feat(100_000, 400_000, 6, 3)
 	d := p.Decide(f, 1, true)
-	if d.Engine != Sequential {
+	if d.Engine != engine.Sequential {
 		t.Fatalf("history says sequential is 200x faster, planner chose %s\ncandidates: %+v", d.Engine, d.Candidates)
 	}
 }
@@ -200,8 +201,8 @@ func TestHistorySeeding(t *testing.T) {
 func TestAllFilteredFallsBackToSequential(t *testing.T) {
 	p := New(Config{MaxProcs: 8, Registry: obs.NewRegistry(), Allow: func(string) bool { return false }})
 	d := p.Decide(feat(100_000, 400_000, 6, 3), 0, false)
-	if d.Engine != Sequential || d.Procs != 1 {
-		t.Fatalf("got (%s, p=%d), want (%s, p=1)", d.Engine, d.Procs, Sequential)
+	if d.Engine != engine.Sequential || d.Procs != 1 {
+		t.Fatalf("got (%s, p=%d), want (%s, p=1)", d.Engine, d.Procs, engine.Sequential)
 	}
 	if s := p.Snapshot(); s.Fallbacks != 1 {
 		t.Fatalf("fallbacks = %d, want 1", s.Fallbacks)

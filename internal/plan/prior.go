@@ -1,22 +1,17 @@
 package plan
 
-import "math"
+import (
+	"math"
 
-// Engine names, identical to the bicc.Algorithm presets. The planner speaks
-// strings so it can sit below the public package (which imports it to
-// resolve Auto runs) without a dependency cycle.
-const (
-	Sequential = "sequential"
-	TVSMP      = "tv-smp"
-	TVOpt      = "tv-opt"
-	TVFilter   = "tv-filter"
-	FastBCC    = "fast-bcc"
+	"bicc/internal/engine"
 )
 
-// EngineOrder lists every engine the planner may choose, in tie-break order:
-// when two candidates score equally, the earlier one wins, so the promoted
-// skeleton engine is preferred over the TV variants at a draw.
-var EngineOrder = []string{Sequential, FastBCC, TVFilter, TVOpt, TVSMP}
+// EngineOrder lists every engine the planner may choose, by its engine-table
+// name, in tie-break order: when two candidates score equally, the earlier
+// one wins, so the promoted skeleton engine is preferred over the TV
+// variants at a draw. The planner speaks names so it can sit below the
+// public package, which imports it to resolve Auto runs.
+var EngineOrder = []string{engine.Sequential, engine.FastBCC, engine.TVFilter, engine.TVOpt, engine.TVSMP}
 
 // The prior cost model: estimated latency = work · scale · factor / eff(p)
 // + p · overhead, with work = n + 2m. The constants are calibrated against
@@ -59,9 +54,9 @@ const (
 	filterSparsePenalty = 1.3
 )
 
-// engineFactor returns the per-work-unit cost factor of engine on a graph
-// with features f — the p=1 shape of the prior.
-func engineFactor(engine string, f Features) float64 {
+// engineFactor returns the per-work-unit cost factor of eng on a graph with
+// features f — the p=1 shape of the prior.
+func engineFactor(eng string, f Features) float64 {
 	diam := 1.0
 	switch f.DiamClass {
 	case DiamHigh:
@@ -69,59 +64,59 @@ func engineFactor(engine string, f Features) float64 {
 	case DiamMid:
 		diam = diamMidPenalty
 	}
-	switch engine {
-	case Sequential:
+	switch eng {
+	case engine.Sequential:
 		if f.work() >= smallWork {
 			return seqScalePenalty
 		}
 		return 1.0
-	case FastBCC:
+	case engine.FastBCC:
 		return 1.4 * diam
-	case TVFilter:
+	case engine.TVFilter:
 		factor := 2.3 * diam
 		if f.DensityClass < 2 {
 			factor *= filterSparsePenalty
 		}
 		return factor
-	case TVOpt:
+	case engine.TVOpt:
 		return 2.65
-	case TVSMP:
+	case engine.TVSMP:
 		return 2.4
 	}
-	// Unknown engines (a future preset scored before the prior learns it)
-	// are costed as the worst known one, so history alone can promote them.
-	return 3.0
+	// Every engine in EngineOrder needs a case above; a made-up default
+	// would let a new engine win or lose on a guess.
+	panic("plan: no prior cost factor for engine " + eng)
 }
 
-// engineEff returns the effective-speedup divisor of engine at p workers.
+// engineEff returns the effective-speedup divisor of eng at p workers.
 // The exponents mirror the paper's Fig. 3 shapes: TV-opt and TV-filter scale
 // best, TV-SMP's sort-based Euler tour worst among the TV family, and
 // FAST-BCC — already cheap at p=1 — gains the least from extra workers
 // (BENCH_2's flat p=1 vs p=4 curve).
-func engineEff(engine string, p int) float64 {
+func engineEff(eng string, p int) float64 {
 	if p <= 1 {
 		return 1
 	}
-	switch engine {
-	case Sequential:
+	switch eng {
+	case engine.Sequential:
 		return 1
-	case TVSMP:
+	case engine.TVSMP:
 		return math.Pow(float64(p), 0.5)
-	case FastBCC:
+	case engine.FastBCC:
 		return math.Pow(float64(p), 0.4)
 	default: // tv-opt, tv-filter, future engines
 		return math.Pow(float64(p), 0.75)
 	}
 }
 
-// priorNs estimates the latency of running engine at p workers on a graph
-// with features f, in nanoseconds.
-func priorNs(engine string, p int, f Features) float64 {
+// priorNs estimates the latency of running eng at p workers on a graph with
+// features f, in nanoseconds.
+func priorNs(eng string, p int, f Features) float64 {
 	if p < 1 {
 		p = 1
 	}
-	est := f.work() * scaleNs * engineFactor(engine, f) / engineEff(engine, p)
-	if engine != Sequential {
+	est := f.work() * scaleNs * engineFactor(eng, f) / engineEff(eng, p)
+	if eng != engine.Sequential {
 		est += float64(p) * overheadNs
 	}
 	return est

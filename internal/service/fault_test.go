@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/engine"
 	"bicc/internal/faults"
 )
 
@@ -371,7 +372,11 @@ func TestFaultHammer(t *testing.T) {
 	rule.Every = 3 // deterministic 1-in-3 of pipeline checkpoints
 	faults.Activate(&faults.Plan{Seed: 99, Rules: []*faults.Rule{rule}})
 
-	algos := []string{"tv-smp", "tv-opt", "tv-filter", "fast-bcc", "auto"}
+	var algos []string
+	for _, e := range engine.Parallel() {
+		algos = append(algos, e.Name)
+	}
+	algos = append(algos, bicc.Auto.String())
 	var wg sync.WaitGroup
 	errs := make(chan string, 256)
 	for w := 0; w < 8; w++ {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bicc"
+	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 	"bicc/internal/incr"
@@ -203,7 +204,7 @@ func applyShadow(t *testing.T, st *incr.State, batch []mutationDelta) {
 // TestMutationEndpointDifferential is the service-level acceptance harness:
 // for three graph families, a randomized mutation sequence streamed through
 // POST /v1/graphs/{fp}/edges must leave the mutated graph answering every
-// query — across all four engines — byte-identically to a second server
+// query — across every engine — byte-identically to a second server
 // that uploaded the final edge list from scratch.
 func TestMutationEndpointDifferential(t *testing.T) {
 	families := []struct {
@@ -214,7 +215,7 @@ func TestMutationEndpointDifferential(t *testing.T) {
 		{"torus", gen.Torus(8, 10)},
 		{"star-chain", gen.Caterpillar(24, 4)},
 	}
-	algos := []string{"sequential", "tv-smp", "tv-opt", "tv-filter", "fast-bcc"}
+	algos := engine.Names()
 
 	sm, tsm := newTestServer(t, Config{}) // mutated server
 	_, tss := newTestServer(t, Config{})  // scratch server

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/engine"
 	"bicc/internal/gen"
 )
 
@@ -68,7 +69,7 @@ func waitCaughtUp(t *testing.T, pri, stb *replica) {
 	t.Fatalf("standby stuck at seq %d, primary at %d", st.AppliedSeq(), want)
 }
 
-var replEngines = []string{"sequential", "tv-smp", "tv-opt", "tv-filter", "fast-bcc"}
+var replEngines = engine.Names()
 
 // TestReplicationDifferential is the replication correctness harness: three
 // graph families (one of them mutated, so a delta record ships) uploaded to

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/engine"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
@@ -193,8 +194,9 @@ func New(cfg Config) *Server {
 	}
 	s.stats = newStats(s.metrics)
 	s.incr = newIncrState(s.metrics, cfg.IncrThreshold)
-	for _, a := range []bicc.Algorithm{bicc.Auto, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC} {
-		s.breakers[a.String()] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	s.breakers[bicc.Auto.String()] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	for _, e := range engine.Parallel() {
+		s.breakers[e.Name] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 	if mode, err := ParsePlanMode(cfg.PlanMode); err == nil && mode != PlanOff {
 		// Planner construction comes after breakers and stats: its candidate

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/engine"
 )
 
 // testGraph is a small fixed decomposition target: a triangle {0,1,2}, a
@@ -425,9 +426,9 @@ func TestHealthzAndStatsz(t *testing.T) {
 	}
 	// Every engine gets its own circuit breaker, present from the first
 	// snapshot on; the fast-bcc query above also leaves a latency row.
-	for _, name := range []string{"tv-smp", "tv-opt", "tv-filter", "fast-bcc"} {
-		if _, ok := snap.Breakers[name]; !ok {
-			t.Errorf("statsz missing breaker entry for %q", name)
+	for _, e := range engine.Parallel() {
+		if _, ok := snap.Breakers[e.Name]; !ok {
+			t.Errorf("statsz missing breaker entry for %q", e.Name)
 		}
 	}
 	if _, ok := snap.Latency["fast-bcc"]; !ok {

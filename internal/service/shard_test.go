@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bicc"
+	"bicc/internal/engine"
 	"bicc/internal/faults"
 	"bicc/internal/gen"
 	"bicc/internal/shard"
@@ -80,7 +81,7 @@ func TestShardHTTPDifferential(t *testing.T) {
 	}
 	up := uploadGraph(t, ts, g, "")
 
-	for _, algoName := range []string{"sequential", "tv-smp", "tv-opt", "tv-filter", "fast-bcc"} {
+	for _, algoName := range engine.Names() {
 		t.Run(algoName, func(t *testing.T) {
 			algo, err := parseAlgorithm(algoName)
 			if err != nil {

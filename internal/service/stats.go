@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bicc"
+	"bicc/internal/engine"
 	"bicc/internal/obs"
 	"bicc/internal/plan"
 )
@@ -55,8 +55,8 @@ func newStats(reg *obs.Registry) Stats {
 	}
 	lat := reg.HistogramVec("bicc_request_seconds",
 		"End-to-end engine computation latency by executing algorithm.", "algorithm")
-	for _, a := range []bicc.Algorithm{bicc.Sequential, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC} {
-		st.perAlgorithm[a.String()] = lat.With(a.String())
+	for _, e := range engine.All {
+		st.perAlgorithm[e.Name] = lat.With(e.Name)
 	}
 	return st
 }

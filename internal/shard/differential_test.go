@@ -36,7 +36,7 @@ func diffFamilies() []diffFamily {
 }
 
 // diffAlgorithms is every engine the service can run.
-var diffAlgorithms = []bicc.Algorithm{bicc.Sequential, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC}
+var diffAlgorithms = bicc.Algorithms()
 
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()

@@ -10,7 +10,7 @@ func TestVerifyAcceptsCorrectResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Algorithm{Sequential, TVSMP, TVOpt, TVFilter, FastBCC} {
+	for _, a := range Algorithms() {
 		res, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestQuickVerifyAll(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, a := range []Algorithm{Sequential, TVOpt, TVFilter, FastBCC} {
+		for _, a := range Algorithms() {
 			res, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: 2})
 			if err != nil {
 				return false
