@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
 
 all: build test
 
@@ -49,18 +49,18 @@ verify:
 test-faults:
 	$(GO) test -race -run 'Fault|Fallback|Panic|Breaker|Drain|AttemptTimeout' . ./internal/par ./internal/faults ./internal/service
 
-# Machine-readable medians for every engine (trend tracking). Run by hand:
-# it rewrites the committed BENCH_*.json files, so ci does not depend on it.
-# BENCH_1.json is the single-p snapshot; BENCH_2.json sweeps every parallel
-# engine (fast-bcc included) at p=1 and p=4 for the TV-vs-FAST-BCC
-# comparison. BENCH_3.json is the planner sweep: p ∈ {1,2,4,8} across all
-# three densities, with -plan adding auto-static vs auto-plan rows derived
-# from the measured medians (which engine each auto policy would have
-# dispatched, and what it actually cost).
+# Machine-readable medians for every engine (trend tracking), run by hand.
+# Each run writes the first unused BENCH_N.json and never touches older
+# snapshots (bccjson refuses to overwrite its -o file). The sweep covers
+# p ∈ {1,2,4,8} across all three densities, so its rows include the
+# instances and worker counts of BENCH_1 (single p) and BENCH_2 (p=1 vs
+# p=4); -plan adds auto-static vs auto-plan rows derived from the measured
+# medians (which engine each auto policy would have dispatched, and what it
+# actually cost).
 bench-json:
-	$(GO) run ./cmd/bccjson -scale $(SCALE) -reps $(REPS) -o BENCH_1.json
-	$(GO) run ./cmd/bccjson -scale $(SCALE) -reps $(REPS) -sweep 1,4 -o BENCH_2.json
-	$(GO) run ./cmd/bccjson -scale $(SCALE) -reps $(REPS) -sweep 1,2,4,8 -all -plan -o BENCH_3.json
+	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
+	echo "bench-json: writing BENCH_$$n.json"; \
+	$(GO) run ./cmd/bccjson -scale $(SCALE) -reps $(REPS) -sweep 1,2,4,8 -all -plan -o BENCH_$$n.json
 
 # FAST-BCC suite: the skeleton engine's differential families (byte-equality
 # vs the sequential oracle), its fault-containment and phase tests, the
@@ -159,17 +159,17 @@ test-scrub:
 	$(GO) test -race -run 'Oracle|ReconstructRejects' . -count=1
 	$(GO) test ./cmd/bccd -run 'BitRot' -count=1 -v
 
-# Adaptive-planner suite. test-plan runs (race-enabled) the plan package's
-# golden decision table and breaker-filter property tests, the library's
-# planner-wiring tests, and the service tests: the fast-bcc-at-p=1
-# acceptance check, ?explain=1 echo-vs-dispatch, open-breaker avoidance,
-# the planner-on vs planner-off differential harness (BCC + incr mutations
-# + shard endpoints, byte-equal answers), and the /statsz plan golden.
-# fuzz-plan hammers feature extraction with arbitrary graph shapes: no
-# panics, every bucket class in range.
+# Planner suite. test-plan runs (race-enabled) the plan package's golden
+# decision table and breaker-filter property tests, and the service tests:
+# the fast-bcc-at-p=1 acceptance check, ?explain=1 echo-vs-dispatch with
+# identical repeats routed identically, open-breaker avoidance, the
+# planner-on vs planner-off differential harness (BCC + incr mutations +
+# shard endpoints, byte-equal answers), the /statsz plan golden, and the
+# rejection of an unknown plan mode. fuzz-plan hammers feature extraction
+# with arbitrary graph shapes: no panics, every class in range.
 test-plan:
 	$(GO) test -race ./internal/plan -count=1
-	$(GO) test -race -run 'Plan' . ./internal/service -count=1
+	$(GO) test -race -run 'Plan' ./internal/service -count=1
 
 fuzz-plan:
 	$(GO) test ./internal/plan -run FuzzNothing -fuzz FuzzFeatures -fuzztime $(FUZZTIME)
@@ -193,19 +193,24 @@ lint-obs:
 		echo "lint-obs: staticcheck not installed, skipped"; \
 	fi
 
-# The gate run before merging: static checks, race-clean tests, the
-# fault-isolation suite, the observability suite, the durability suite
-# (decoder fuzzing, race-enabled service tests, crash harness), the shard
-# suite (differential harness + codec fuzzing), the incremental suite
+# The gate run before merging: static checks (gofmt, go vet), race-clean
+# tests, the fault-isolation suite, the observability suite, the durability
+# suite (decoder fuzzing, race-enabled service tests, crash harness), the
+# shard suite (differential harness + codec fuzzing), the incremental suite
 # (mutation differential harness + delta fuzzing), the replication suite
 # (standby differential harness + multi-process node-kill failover), the
 # self-healing suite (scrubber + bit-rot chaos harness + repl frame
-# fuzzing), the adaptive-planner suite (golden decision table + differential
-# harness + feature fuzzing), and the benchmark module's tests.
-ci: vet lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+# fuzzing), the planner suite (golden decision table + differential harness
+# + feature fuzzing), and the benchmark module's tests.
+ci: fmt-check vet lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .
+
+# Fails, listing the offenders, when any tracked Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bicc/internal/core"
@@ -267,48 +266,11 @@ var ErrNilGraph = errors.New("bicc: nil graph")
 // slow" (retry, then degrade) from "the caller's deadline passed" (give up).
 var ErrAttemptTimeout = errors.New("bicc: parallel attempt exceeded AttemptTimeout")
 
-// installedPlanner, when set, supersedes the static §4 rule for Auto runs:
-// BiconnectedComponentsCtx plans engine and parallelism per graph and feeds
-// clean-run latencies back into its online model.
-var installedPlanner atomic.Pointer[plan.Planner]
-
-// SetPlanner installs (or, with nil, removes) the adaptive query planner for
-// this process's library-level Auto runs. The service layer keeps its own
-// per-server planner and resolves Auto before calling into the library, so
-// it is unaffected by this global.
-func SetPlanner(p *plan.Planner) { installedPlanner.Store(p) }
-
-// InstalledPlanner returns the planner installed by SetPlanner, or nil.
-func InstalledPlanner() *plan.Planner { return installedPlanner.Load() }
-
 // FeaturesFor returns pl's cached feature vector for g, extracting it on
 // first sight. The bridge exists because plan.Planner operates on the
 // internal edge-list type the public Graph wraps.
 func FeaturesFor(pl *plan.Planner, g *Graph) plan.Features {
 	return pl.FeaturesOf(g.el)
-}
-
-// PlanAlgorithm resolves an Auto request to a concrete (engine, procs) pair.
-// With a planner installed it asks the planner — procs > 0 pins the
-// parallelism degree and only the engine is chosen; procs <= 0 lets the
-// planner pick both. Without one it applies ResolveAlgorithm's static rule
-// at par.Procs(procs) workers. Non-Auto algorithms pass through unchanged.
-func PlanAlgorithm(g *Graph, algo Algorithm, procs int) (Algorithm, int) {
-	p := par.Procs(procs)
-	if algo != Auto {
-		return algo, p
-	}
-	if pl := installedPlanner.Load(); pl != nil {
-		pinned := 0
-		if procs > 0 {
-			pinned = p
-		}
-		d := pl.Decide(pl.FeaturesOf(g.el), pinned, false)
-		if a, err := ParseAlgorithm(d.Engine); err == nil && a != Auto {
-			return a, d.Procs
-		}
-	}
-	return ResolveAlgorithm(g, algo, p), p
 }
 
 // ResolveAlgorithm reports the engine Auto selects for g at the given worker
@@ -317,9 +279,7 @@ func PlanAlgorithm(g *Graph, algo Algorithm, procs int) (Algorithm, int) {
 // resolve to themselves, and procs <= 0 means GOMAXPROCS, matching
 // Options.Procs. Callers that serve a decomposition computed elsewhere
 // (result reconstruction, incremental maintenance) use this to label it
-// exactly as a static Auto run would; live Auto runs go through
-// PlanAlgorithm, which defers to the installed adaptive planner when there
-// is one.
+// exactly as an Auto run would.
 func ResolveAlgorithm(g *Graph, algo Algorithm, procs int) Algorithm {
 	if algo != Auto {
 		return algo
@@ -371,24 +331,18 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	algo, p := PlanAlgorithm(g, o.Algorithm, o.Procs)
+	p := par.Procs(o.Procs)
+	algo := ResolveAlgorithm(g, o.Algorithm, p)
 	eng, ok := algo.engine()
 	if !ok {
 		return nil, fmt.Errorf("bicc: unknown algorithm %v", o.Algorithm)
 	}
-	// Library-planned Auto runs report their clean latencies back to the
-	// installed planner's online model. (The service layer plans and
-	// observes with its own planner before calling in here, so the global
-	// stays nil in that process and nothing double-counts.)
-	planned := o.Algorithm == Auto
-	start := time.Now()
 
 	if o.Fallback != FallbackSequential || !eng.Parallel {
 		res, err := runAttempt(ctx, g.el, eng, p, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		observePlan(planned, g.el, algo, p, time.Since(start))
 		return newResult(res, algo, g.el), nil
 	}
 
@@ -399,10 +353,6 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 	for attempt := 0; attempt < 2; attempt++ {
 		res, err := runAttempt(ctx, g.el, eng, p, o.AttemptTimeout, attempt)
 		if err == nil {
-			// Only first-attempt successes feed the model: a retry's
-			// wall-clock includes the faulted attempt and would teach the
-			// planner the wrong engine cost.
-			observePlan(planned && attempt == 0, g.el, algo, p, time.Since(start))
 			return newResult(res, algo, g.el), nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -450,17 +400,6 @@ func runAttempt(ctx context.Context, el *graph.EdgeList, eng engine.Engine, p in
 		sp.End()
 	}()
 	return eng.Run(cancel, sp, p, el)
-}
-
-// observePlan feeds one clean planned-run latency to the installed planner,
-// when both conditions hold.
-func observePlan(planned bool, el *graph.EdgeList, algo Algorithm, p int, d time.Duration) {
-	if !planned {
-		return
-	}
-	if pl := installedPlanner.Load(); pl != nil {
-		pl.Observe(pl.FeaturesOf(el), algo.String(), p, d)
-	}
 }
 
 // newResult converts a core result into the public shape and, when

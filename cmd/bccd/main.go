@@ -16,7 +16,7 @@
 //	     [-repl-listen ADDR] [-repl-follow ADDR] [-repl-quorum N]
 //	     [-repl-ack-timeout D] [-verify-sample N]
 //	     [-scrub-interval D] [-scrub-budget B] [-scrub-cert-sample N]
-//	     [-plan off|adaptive|frozen]
+//	     [-plan off|adaptive]
 //
 // With -data-dir set, the daemon is durable: every acknowledged graph
 // upload is fsync'd to a write-ahead log before the response is sent,
@@ -60,14 +60,13 @@
 // recovery). Both flags require -data-dir.
 //
 // With -plan adaptive (the default), algorithm:"auto" queries are routed by
-// the per-request query planner instead of the paper's static §4 rule: graph
-// features (density, diameter class, degree skew) are scored against a
-// calibrated prior blended with the observed latency history of each
-// (engine, procs, feature-bucket) cell, engines with an open circuit breaker
-// are excluded, and both the engine and the parallelism degree are chosen.
-// ?explain=1 on /v1/bcc echoes the decision; /statsz gains a "plan" section.
-// -plan frozen routes by the prior alone (deterministic); -plan off restores
-// the static rule.
+// the per-request query planner instead of the paper's static §4 rule: every
+// (engine, procs) candidate is scored by a calibrated prior cost model over
+// the graph's features (size, density, diameter class), engines with an
+// open circuit breaker are excluded, and the cheapest candidate picks both
+// the engine and the parallelism degree. Identical queries always route
+// identically. ?explain=1 on /v1/bcc echoes the decision; /statsz gains a
+// "plan" section. -plan off restores the static rule.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: new work is rejected with
 // 503 (health and stats stay readable), in-flight requests get
@@ -184,7 +183,7 @@ func main() {
 	scrubInterval := flag.Duration("scrub-interval", 0, "background scrub cycle cadence (0 = manual cycles via POST /v1/admin/scrub only)")
 	scrubBudget := flag.Int64("scrub-budget", 0, "bytes re-verified per scrub cycle; cursors resume next cycle (0 = unlimited)")
 	scrubCertSample := flag.Int("scrub-cert-sample", 0, "re-verify every Nth spilled result's content via recomputation certificate (0 = 8)")
-	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule), adaptive (plan engine+procs from graph features and observed latency), frozen (prior only, deterministic)")
+	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule) or adaptive (plan engine+procs from graph features)")
 	var loads loadFlags
 	flag.Var(&loads, "load", "preload a graph at startup: name=path or just path (repeatable; format by extension)")
 	flag.Parse()

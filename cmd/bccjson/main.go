@@ -5,18 +5,21 @@
 // Usage:
 //
 //	bccjson [-scale 0.1] [-reps 3] [-p procs] [-sweep 1,4] [-all] [-plan]
-//	        [-o BENCH_1.json] [-addr URL]
+//	        [-o FILE] [-addr URL]
 //
 // By default only the first paper instance (m = 4n) is timed; -all sweeps
 // the full Fig. 3 workload. -sweep replaces the single -p worker count
 // with a comma-separated list: every parallel algorithm is measured at
-// every count (the sequential baseline always runs once at p=1), which is
-// how `make bench-json` produces the BENCH_2.json p=1 vs p=4 comparison.
+// every count (the sequential baseline always runs once at p=1).
 // -plan appends synthetic "auto-static" and "auto-plan" rows per
 // (instance, procs): the engine each auto-routing policy (the paper's
-// static §4 rule vs the history-free adaptive planner) would dispatch,
-// priced at the medians already measured — which is how `make bench-json`
-// produces BENCH_3.json.
+// static §4 rule vs the feature-based planner) would dispatch, priced at
+// the medians already measured. `make bench-json` runs
+// `-sweep 1,2,4,8 -all -plan` into the first unused BENCH_N.json.
+//
+// The report goes to standard output unless -o names a file. bccjson never
+// overwrites: an existing -o file is refused before anything is measured,
+// so committed BENCH_N.json snapshots stay as they were recorded.
 //
 // With -addr, the measurements run through a live bccd instead of
 // in-process: each instance is uploaded once (content-addressed, so reruns
@@ -78,11 +81,17 @@ func main() {
 	procs := flag.Int("p", 0, "worker count for the parallel algorithms (0 = GOMAXPROCS)")
 	sweep := flag.String("sweep", "", "comma-separated worker counts to sweep (overrides -p)")
 	all := flag.Bool("all", false, "time every paper instance, not just m=4n")
-	out := flag.String("o", "BENCH_1.json", "output file (- for stdout)")
+	out := flag.String("o", "-", "output file, which must not exist yet (- for stdout)")
 	addr := flag.String("addr", "", "measure through a running bccd at this base URL instead of in-process")
 	withPlan := flag.Bool("plan", false,
 		"derive auto-static and auto-plan rows per (instance, procs) from the measured medians (no extra engine runs)")
 	flag.Parse()
+	if *out != "-" {
+		// Fail before a long run; the O_EXCL open below is the guarantee.
+		if _, err := os.Stat(*out); err == nil {
+			log.Fatalf("%s already exists; choose a new -o file", *out)
+		}
+	}
 
 	p := *procs
 	if p <= 0 {
@@ -124,7 +133,14 @@ func main() {
 		}
 		return
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d measurements)\n", *out, len(report.Benchmarks))
@@ -250,11 +266,10 @@ func serviceBench(report *benchReport, addr string, instances []bench.Instance, 
 
 // appendPlanRows adds two synthetic algorithms to the report, "auto-static"
 // and "auto-plan": what an algorithm:"auto" query would cost under the
-// static §4 rule versus the history-free (frozen) adaptive planner, at each
-// swept worker count. Both are pure lookups into the medians already
-// measured — the engines are not re-run — so the rows answer "which engine
-// would each policy have dispatched, and what did that engine actually
-// cost here".
+// static §4 rule versus the feature-based planner, at each swept worker
+// count. Both are pure lookups into the medians already measured — the
+// engines are not re-run — so the rows answer "which engine would each
+// policy have dispatched, and what did that engine actually cost here".
 func appendPlanRows(report *benchReport, instances []bench.Instance, procsList []int) {
 	type key struct {
 		inst, algo string
@@ -283,7 +298,7 @@ func appendPlanRows(report *benchReport, instances []bench.Instance, procsList [
 			log.Fatalf("%s: %v", in.Name, err)
 		}
 		for _, p := range procsList {
-			pl := plan.New(plan.Config{Frozen: true, MaxProcs: p})
+			pl := plan.New(plan.Config{MaxProcs: p})
 			d := pl.Decide(pl.FeaturesOf(el), p, false)
 			for _, row := range []struct{ name, engine string }{
 				{"auto-static", bicc.ResolveAlgorithm(g, bicc.Auto, p).String()},

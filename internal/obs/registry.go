@@ -232,39 +232,6 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.HistogramVec(name, help).With()
 }
 
-// Peek returns the histogram for the given label values only if that series
-// already exists. Unlike With it never creates the series, so read-side
-// consumers (the query planner scoring candidate engines, say) can probe for
-// history without polluting the exposition with empty children.
-func (v *HistogramVec) Peek(values ...string) (*Histogram, bool) {
-	f := v.fam
-	if len(values) != len(f.labels) {
-		return nil, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ch, ok := f.children[childKey(values)]
-	if !ok || ch.h == nil {
-		return nil, false
-	}
-	return ch.h, true
-}
-
-// FindHistogram looks up an already-registered histogram series by family
-// name and label values, without creating the family or the series. It is
-// the cross-package read-back hook: components that only know a metric's
-// name (not the *HistogramVec that registered it) can still read its
-// snapshot.
-func (r *Registry) FindHistogram(name string, values ...string) (*Histogram, bool) {
-	r.mu.Lock()
-	f, ok := r.families[name]
-	r.mu.Unlock()
-	if !ok || f.typ != TypeHistogram {
-		return nil, false
-	}
-	return (&HistogramVec{fam: f}).Peek(values...)
-}
-
 // sortedFamilies snapshots the registry's families ordered by name.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.Lock()

@@ -1,25 +1,21 @@
-// Package plan is the adaptive query planner: given a graph's shape it
-// picks which biconnected-components engine to run and at what parallelism
-// degree, replacing the paper's static §4 rule ("TV-filter when m >= 4n,
-// TV-opt otherwise, sequential at p=1") with a per-request decision.
+// Package plan is the query planner: given a graph's shape it picks which
+// biconnected-components engine to run and at what parallelism degree,
+// replacing the paper's static §4 rule ("TV-filter when m >= 4n, TV-opt
+// otherwise, sequential at p=1") with a per-request decision.
 //
-// The planner combines two signals:
-//
-//   - a prior cost model encoding the paper's experimental findings plus the
-//     FAST-BCC promotion gate (the skeleton engine beats every TV variant at
-//     low processor counts on every density, BENCH_2.json), and
-//   - an online per-(engine, procs, feature-bucket) latency model fed by the
-//     observed run times the service already records, so the prior is
-//     corrected by what this machine actually measures.
+// Each (engine, procs) candidate is scored by a prior cost model over cheap
+// graph features — size, density and a diameter class — that encodes the
+// paper's experimental findings plus the FAST-BCC promotion gate (the
+// skeleton engine beats every TV variant at low processor counts on every
+// density, BENCH_2.json). The cheapest candidate wins.
 //
 // Decisions never affect answers — every engine produces the same canonical
-// labeling — only latency, so the planner is free to explore. A Frozen
-// planner scores candidates from the prior alone and never explores, giving
-// the deterministic decisions differential and golden tests need.
+// labeling — only latency. A decision is a pure function of the feature
+// vector, the pinned parallelism degree and the engine filter, so identical
+// requests always dispatch identically.
 package plan
 
 import (
-	"fmt"
 	"math/bits"
 
 	"bicc/internal/graph"
@@ -37,9 +33,8 @@ const (
 )
 
 // Features is the per-graph feature vector the planner decides from. All
-// fields derive from one O(n + m) analysis pass (degree scan plus a
-// two-sweep BFS), cached per graph, so planning adds no per-request
-// asymptotics.
+// fields derive from one O(n + m) two-sweep BFS, cached per graph, so
+// planning adds no per-request asymptotics.
 type Features struct {
 	// N and M are the vertex and edge counts.
 	N int `json:"n"`
@@ -47,30 +42,17 @@ type Features struct {
 	// Density is m/n (0 for an empty graph) — the axis of the paper's §4
 	// rule.
 	Density float64 `json:"density"`
-	// Skew is max degree / mean degree (0 for an edgeless graph): high skew
-	// means hub-dominated inputs where static edge partitioning load-balances
-	// badly.
-	Skew float64 `json:"skew"`
 	// Depth is the two-sweep BFS diameter estimate (exact on trees, a tight
 	// lower bound in practice), measured in the component of the first edge's
 	// endpoint.
 	Depth int32 `json:"depth"`
 
 	// SizeClass buckets total work n + m by powers of 16, DensityClass
-	// buckets Density at the paper's thresholds (< 2, [2, 4), >= 4),
-	// DiamClass compares Depth against log n (DiamLow/Mid/High), and
-	// SkewClass buckets Skew at 4 and 16.
+	// buckets Density at the paper's thresholds (< 2, [2, 4), >= 4), and
+	// DiamClass compares Depth against log n (DiamLow/Mid/High).
 	SizeClass    int `json:"size_class"`
 	DensityClass int `json:"density_class"`
 	DiamClass    int `json:"diam_class"`
-	SkewClass    int `json:"skew_class"`
-}
-
-// Bucket renders the feature classes as the model key (and metric label)
-// "s<size>d<density>D<diam>k<skew>". Graphs sharing a bucket share latency
-// history.
-func (f Features) Bucket() string {
-	return fmt.Sprintf("s%dd%dD%dk%d", f.SizeClass, f.DensityClass, f.DiamClass, f.SkewClass)
 }
 
 // work is the planner's size measure: vertices plus both edge directions,
@@ -88,10 +70,6 @@ func Extract(p int, g *graph.EdgeList) Features {
 		f.Density = float64(f.M) / float64(f.N)
 	}
 	if f.M > 0 {
-		_, ds := graph.Degrees(p, g)
-		if ds.Mean > 0 {
-			f.Skew = float64(ds.Max) / ds.Mean
-		}
 		// Sweep from an endpoint of the first edge, not vertex 0: vertex 0
 		// may be isolated, and an edgeless component says nothing about the
 		// part of the graph the engines will spend their time in.
@@ -100,7 +78,6 @@ func Extract(p int, g *graph.EdgeList) Features {
 	f.SizeClass = sizeClass(f.N + f.M)
 	f.DensityClass = densityClass(f.Density)
 	f.DiamClass = diamClass(f.Depth, f.N)
-	f.SkewClass = skewClass(f.Skew)
 	return f
 }
 
@@ -144,17 +121,5 @@ func diamClass(depth int32, n int) int {
 		return DiamMid
 	default:
 		return DiamLow
-	}
-}
-
-// skewClass buckets max/mean degree at 4 and 16.
-func skewClass(skew float64) int {
-	switch {
-	case skew >= 16:
-		return 2
-	case skew >= 4:
-		return 1
-	default:
-		return 0
 	}
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // checkFeatures asserts the invariants Extract promises on any input: total
-// (no panic, checked by arriving here), all classes in range, and the bucket
-// string well-formed.
+// (no panic, checked by arriving here) and all classes in range.
 func checkFeatures(t *testing.T, g *graph.EdgeList, f Features) {
 	t.Helper()
 	if f.N != int(g.N) || f.M != len(g.Edges) {
@@ -23,17 +22,11 @@ func checkFeatures(t *testing.T, g *graph.EdgeList, f Features) {
 	if f.DiamClass < DiamLow || f.DiamClass > DiamHigh {
 		t.Fatalf("diam class %d out of range", f.DiamClass)
 	}
-	if f.SkewClass < 0 || f.SkewClass > 2 {
-		t.Fatalf("skew class %d out of range", f.SkewClass)
-	}
 	if f.Depth < 0 || (f.N > 0 && int(f.Depth) >= f.N) {
 		t.Fatalf("depth %d impossible for n=%d", f.Depth, f.N)
 	}
-	if f.Density < 0 || f.Skew < 0 {
-		t.Fatalf("negative density %g or skew %g", f.Density, f.Skew)
-	}
-	if b := f.Bucket(); len(b) < len("s0d0D0k0") {
-		t.Fatalf("malformed bucket %q", b)
+	if f.Density < 0 {
+		t.Fatalf("negative density %g", f.Density)
 	}
 }
 
@@ -76,15 +69,12 @@ func TestExtractShapes(t *testing.T) {
 				t.Errorf("chain: diam class %d, want high", f.DiamClass)
 			}
 		case "star":
-			if f.SkewClass != 2 {
-				t.Errorf("star: skew class %d, want 2", f.SkewClass)
-			}
 			if f.DiamClass != DiamLow {
 				t.Errorf("star: diam class %d, want low", f.DiamClass)
 			}
 		case "empty", "single-vertex", "edgeless":
-			if f.Depth != 0 || f.Skew != 0 {
-				t.Errorf("%s: depth=%d skew=%g, want zeros", name, f.Depth, f.Skew)
+			if f.Depth != 0 {
+				t.Errorf("%s: depth=%d, want 0", name, f.Depth)
 			}
 		}
 	}

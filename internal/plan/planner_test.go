@@ -2,7 +2,6 @@ package plan
 
 import (
 	"testing"
-	"time"
 
 	"bicc/internal/engine"
 	"bicc/internal/graph"
@@ -10,25 +9,26 @@ import (
 )
 
 // feat builds a feature vector the way Extract would, from raw measurements.
-func feat(n, m int, depth int32, skew float64) Features {
-	f := Features{N: n, M: m, Depth: depth, Skew: skew}
+// The last argument is the fixture's degree skew (max/mean degree); the
+// prior does not read it, so it only documents each graph's shape.
+func feat(n, m int, depth int32, _ float64) Features {
+	f := Features{N: n, M: m, Depth: depth}
 	if n > 0 {
 		f.Density = float64(m) / float64(n)
 	}
 	f.SizeClass = sizeClass(n + m)
 	f.DensityClass = densityClass(f.Density)
 	f.DiamClass = diamClass(depth, n)
-	f.SkewClass = skewClass(skew)
 	return f
 }
 
-// TestDecisionGolden pins the frozen planner's choices over a synthetic
-// feature grid: the paper-rule region at high parallelism, the FAST-BCC
-// promotion region at low parallelism, and the tiny-graph sequential region.
+// TestDecisionGolden pins the planner's choices over a synthetic feature
+// grid: the paper-rule region at high parallelism, the FAST-BCC promotion
+// region at low parallelism, and the tiny-graph sequential region.
 // These are behavioral contracts — a prior retune that moves one must update
 // this table deliberately.
 func TestDecisionGolden(t *testing.T) {
-	p := New(Config{MaxProcs: 8, Frozen: true, Registry: obs.NewRegistry()})
+	p := New(Config{MaxProcs: 8, Registry: obs.NewRegistry()})
 	cases := []struct {
 		name       string
 		f          Features
@@ -64,20 +64,17 @@ func TestDecisionGolden(t *testing.T) {
 			t.Errorf("%s: got (%s, p=%d), want (%s, p=%d)\ncandidates: %+v",
 				tc.name, d.Engine, d.Procs, tc.wantEngine, tc.wantProcs, d.Candidates)
 		}
-		if d.Explored {
-			t.Errorf("%s: frozen planner explored", tc.name)
-		}
 	}
 }
 
-// TestFrozenDeterministic asserts a frozen planner is a pure function of its
+// TestDecideDeterministic asserts the planner is a pure function of its
 // inputs: identical feature vectors always produce identical decisions.
-func TestFrozenDeterministic(t *testing.T) {
-	p := New(Config{MaxProcs: 8, Frozen: true, Registry: obs.NewRegistry()})
+func TestDecideDeterministic(t *testing.T) {
+	p := New(Config{MaxProcs: 8, Registry: obs.NewRegistry()})
 	f := feat(50_000, 200_000, 7, 3)
 	first := p.Decide(f, 0, false)
 	for i := 0; i < 100; i++ {
-		if d := p.Decide(f, 0, false); d.Engine != first.Engine || d.Procs != first.Procs || d.Explored {
+		if d := p.Decide(f, 0, false); d.Engine != first.Engine || d.Procs != first.Procs {
 			t.Fatalf("decision %d diverged: %+v vs %+v", i, d, first)
 		}
 	}
@@ -125,77 +122,6 @@ func TestBreakerFilterProperty(t *testing.T) {
 	}
 }
 
-// TestObserveShiftsChoice feeds the online model latencies that contradict
-// the prior and checks the decision flips: the adaptive planner must be able
-// to learn its prior wrong.
-func TestObserveShiftsChoice(t *testing.T) {
-	p := New(Config{MaxProcs: 1, Registry: obs.NewRegistry(), ExploreEvery: -1})
-	f := feat(100_000, 400_000, 6, 3)
-	if d := p.Decide(f, 1, false); d.Engine != engine.FastBCC {
-		t.Fatalf("before observations: got %s, want %s", d.Engine, engine.FastBCC)
-	}
-	// Report fast-bcc as catastrophically slow and sequential as fast; a
-	// handful of samples should outweigh the prior's pseudo-count.
-	for i := 0; i < 32; i++ {
-		p.Observe(f, engine.FastBCC, 1, 2*time.Second)
-		p.Observe(f, engine.Sequential, 1, 5*time.Millisecond)
-	}
-	if d := p.Decide(f, 1, true); d.Engine != engine.Sequential {
-		t.Fatalf("after observations: got %s, want %s\ncandidates: %+v", d.Engine, engine.Sequential, d.Candidates)
-	}
-}
-
-// TestExplorationCadence checks the deterministic exploration counter: with
-// ExploreEvery=4 exactly every 4th decision in a bucket is an exploration,
-// and it dispatches the runner-up rather than the winner.
-func TestExplorationCadence(t *testing.T) {
-	p := New(Config{MaxProcs: 1, Registry: obs.NewRegistry(), ExploreEvery: 4})
-	f := feat(100_000, 400_000, 6, 3)
-	var explored, total int
-	winner := map[bool]map[string]int{false: {}, true: {}}
-	for i := 0; i < 40; i++ {
-		d := p.Decide(f, 1, false)
-		total++
-		if d.Explored {
-			explored++
-		}
-		winner[d.Explored][d.Engine]++
-	}
-	if explored != total/4 {
-		t.Fatalf("explored %d of %d decisions, want %d", explored, total, total/4)
-	}
-	if len(winner[false]) != 1 || winner[false][engine.FastBCC] == 0 {
-		t.Fatalf("non-explored decisions not constant: %v", winner[false])
-	}
-	if winner[true][engine.FastBCC] != 0 {
-		t.Fatalf("explorations dispatched the winner: %v", winner[true])
-	}
-}
-
-// TestHistorySeeding checks the coarse per-engine history only matters for
-// cold buckets and is capped: a huge history sample count must not swamp the
-// prior entirely.
-func TestHistorySeeding(t *testing.T) {
-	hist := map[string]time.Duration{engine.Sequential: 4 * time.Millisecond, engine.FastBCC: 900 * time.Millisecond}
-	p := New(Config{
-		MaxProcs:     1,
-		Registry:     obs.NewRegistry(),
-		ExploreEvery: -1,
-		History: func(eng string) (time.Duration, int64) {
-			d, ok := hist[eng]
-			if !ok {
-				return 0, 0
-			}
-			return d, 1_000_000
-		},
-	})
-	f := feat(100_000, 400_000, 6, 3)
-	d := p.Decide(f, 1, true)
-	if d.Engine != engine.Sequential {
-		t.Fatalf("history says sequential is 200x faster, planner chose %s\ncandidates: %+v", d.Engine, d.Candidates)
-	}
-}
-
 // TestAllFilteredFallsBackToSequential pins the path-of-last-resort contract
 // and its metric.
 func TestAllFilteredFallsBackToSequential(t *testing.T) {
@@ -219,9 +145,6 @@ func TestFeaturesOfCaches(t *testing.T) {
 	if f1 != f2 {
 		t.Fatalf("cache returned different vectors: %+v vs %+v", f1, f2)
 	}
-	if got := p.Snapshot(); got.Observations != 0 {
-		t.Fatalf("unexpected observations: %+v", got)
-	}
 	if n := extractionCount(p); n != 1 {
 		t.Fatalf("extractions = %d, want 1", n)
 	}
@@ -236,16 +159,13 @@ func extractionCount(p *Planner) int64 { return p.extractions.Load() }
 
 // TestSnapshotCounts sanity-checks the /statsz section numbers.
 func TestSnapshotCounts(t *testing.T) {
-	p := New(Config{MaxProcs: 4, Registry: obs.NewRegistry(), ExploreEvery: -1})
+	p := New(Config{MaxProcs: 4, Registry: obs.NewRegistry()})
 	f := feat(100_000, 400_000, 6, 3)
 	for i := 0; i < 5; i++ {
-		d := p.Decide(f, 0, false)
-		p.Observe(f, d.Engine, d.Procs, 10*time.Millisecond)
+		p.Decide(f, 0, false)
 	}
 	s := p.Snapshot()
-	if s.Mode != "adaptive" || s.Decisions != 5 || s.Observations != 5 || s.BucketsSeen != 0 {
-		// BucketsSeen counts exploration counters; ExploreEvery<0 never
-		// increments them.
+	if s.MaxProcs != 4 || s.Decisions != 5 || s.Fallbacks != 0 {
 		t.Fatalf("snapshot: %+v", s)
 	}
 	var n int64

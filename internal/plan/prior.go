@@ -22,8 +22,7 @@ var EngineOrder = []string{engine.Sequential, engine.FastBCC, engine.TVFilter, e
 //   - the FAST-BCC promotion (ROADMAP): past smallWork, unannotated queries
 //     get the parallel skeleton engine, not the DFS baseline — sequential
 //     cannot use a second core and pins an admission worker for its whole
-//     run, so its prior carries seqScalePenalty at scale (the online model
-//     corrects this per bucket wherever sequential is truly faster);
+//     run, so its prior carries seqScalePenalty at scale;
 //   - the paper's §4 rule survives at high parallelism: TV-filter's factor
 //     discount on dense graphs and its p^0.75 scaling make it win once
 //     enough workers amortize the tour, TV-opt takes the sparse high-p

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"time"
 
 	"bicc"
 	"bicc/internal/par"
@@ -15,12 +14,8 @@ const (
 	// the pre-planner behavior byte for byte).
 	PlanOff = "off"
 	// PlanAdaptive plans engine and parallelism per request from graph
-	// features, blending the calibrated prior with observed latencies, and
-	// explores the runner-up candidate on a deterministic cadence.
+	// features, scored by the planner's prior cost model.
 	PlanAdaptive = "adaptive"
-	// PlanFrozen plans from the prior alone — deterministic decisions for
-	// differential harnesses and golden tests.
-	PlanFrozen = "frozen"
 )
 
 // ParsePlanMode validates a -plan flag value, normalizing "" to off.
@@ -28,42 +23,24 @@ func ParsePlanMode(s string) (string, error) {
 	switch s {
 	case "", PlanOff:
 		return PlanOff, nil
-	case PlanAdaptive, PlanFrozen:
+	case PlanAdaptive:
 		return s, nil
 	}
-	return "", fmt.Errorf("unknown plan mode %q (valid: %s, %s, %s)", s, PlanOff, PlanAdaptive, PlanFrozen)
+	return "", fmt.Errorf("unknown plan mode %q (valid: %s, %s)", s, PlanOff, PlanAdaptive)
 }
 
-// planState is the server's adaptive-planner subsystem, nil when PlanMode is
-// off — the same zero-cost-off discipline as durability and sharding.
-type planState struct {
-	planner *plan.Planner
-	mode    string
-}
-
-// newPlanState builds the per-server planner: candidates are filtered by the
-// PR 2 circuit breakers (an open breaker removes its engine from the slate —
-// the non-mutating State check, so planning never consumes half-open probe
-// slots), and cold feature buckets are seeded from the per-algorithm request
-// histograms the server already records.
-func (s *Server) newPlanState(mode string) *planState {
-	cfg := plan.Config{
-		Frozen:   mode == PlanFrozen,
+// newPlanner builds the per-server planner. Candidates are filtered by the
+// PR 2 circuit breakers: an open breaker removes its engine from the slate,
+// through the non-mutating State check, so planning never consumes
+// half-open probe slots.
+func (s *Server) newPlanner() *plan.Planner {
+	return plan.New(plan.Config{
 		Registry: s.metrics,
 		Allow: func(engine string) bool {
 			b := s.breakers[engine]
 			return b == nil || b.State() != BreakerOpen
 		},
-		History: func(engine string) (time.Duration, int64) {
-			h := s.stats.perAlgorithm[engine]
-			if h == nil {
-				return 0, 0
-			}
-			hs := h.Snapshot()
-			return time.Duration(hs.MeanN), hs.Count
-		},
-	}
-	return &planState{planner: plan.New(cfg), mode: mode}
+	})
 }
 
 // planExplain is the ?explain=1 response section: the planner's inputs and
@@ -80,9 +57,9 @@ type planExplain struct {
 // planDecide resolves an Auto request through the planner: procs > 0 pins
 // the parallelism degree, 0 lets the planner choose it. explain asks for the
 // scored candidate slate.
-func (ps *planState) planDecide(g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
-	f := bicc.FeaturesFor(ps.planner, g)
-	d := ps.planner.Decide(f, procs, explain)
+func (s *Server) planDecide(g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
+	f := bicc.FeaturesFor(s.planner, g)
+	d := s.planner.Decide(f, procs, explain)
 	a, err := bicc.ParseAlgorithm(d.Engine)
 	if err != nil || a == bicc.Auto {
 		// Unreachable with the current engine set; degrade to the static
@@ -90,18 +67,4 @@ func (ps *planState) planDecide(g *bicc.Graph, procs int, explain bool) (bicc.Al
 		return bicc.ResolveAlgorithm(g, bicc.Auto, procs), par.Procs(procs), f, d
 	}
 	return a, d.Procs, f, d
-}
-
-// planResolve is planDecide for internal callers that need no explanation:
-// the incremental degrade-to-full path and shard builds, which pass Auto
-// down to runEngine.
-func (ps *planState) planResolve(g *bicc.Graph, procs int) (bicc.Algorithm, int) {
-	a, p, _, _ := ps.planDecide(g, procs, false)
-	return a, p
-}
-
-// planObserve feeds one clean engine run into the online model. Callers must
-// filter out degraded and breaker-routed runs first.
-func (ps *planState) planObserve(g *bicc.Graph, engine string, procs int, elapsed time.Duration) {
-	ps.planner.Observe(bicc.FeaturesFor(ps.planner, g), engine, par.Procs(procs), elapsed)
 }

@@ -47,6 +47,7 @@ import (
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
+	"bicc/internal/plan"
 )
 
 // Config tunes a Server. The zero value picks sane defaults for every
@@ -95,9 +96,8 @@ type Config struct {
 	IncrThreshold float64
 	// PlanMode selects how Auto queries resolve: PlanOff ("" or "off", the
 	// default) keeps the static §4 rule, PlanAdaptive plans engine and
-	// parallelism per request from graph features and observed latencies,
-	// PlanFrozen plans from the prior alone (deterministic). See
-	// ParsePlanMode.
+	// parallelism per request from graph features. New panics on any other
+	// value; validate outside input with ParsePlanMode first.
 	PlanMode string
 	// Compute runs one BCC query. Nil means bicc.BiconnectedComponentsCtx;
 	// tests substitute instrumented engines.
@@ -176,13 +176,19 @@ type Server struct {
 	// decompositions fed by POST /v1/graphs/{fp}/edges. Always on — an
 	// unmutated server pays one nil-map lookup per query.
 	incr *incrState
-	// plans is the adaptive query planner when Config.PlanMode enables it,
-	// nil otherwise; the off path costs one atomic load per Auto query.
-	plans atomic.Pointer[planState]
+	// planner routes Auto queries when Config.PlanMode is PlanAdaptive, nil
+	// otherwise. New sets it once, before the server handles anything.
+	planner *plan.Planner
 }
 
 // New returns a Server with the given configuration.
 func New(cfg Config) *Server {
+	mode, err := ParsePlanMode(cfg.PlanMode)
+	if err != nil {
+		// Only a caller bug gets here (bccd validates -plan before calling
+		// New); silently routing auto by the static rule would hide it.
+		panic(fmt.Errorf("service.New: %w", err))
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
@@ -198,10 +204,9 @@ func New(cfg Config) *Server {
 	for _, e := range engine.Parallel() {
 		s.breakers[e.Name] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
-	if mode, err := ParsePlanMode(cfg.PlanMode); err == nil && mode != PlanOff {
-		// Planner construction comes after breakers and stats: its candidate
-		// filter and history seed close over both.
-		s.plans.Store(s.newPlanState(mode))
+	if mode == PlanAdaptive {
+		// After the breakers: the planner's candidate filter closes over them.
+		s.planner = s.newPlanner()
 	}
 	s.registerLiveMetrics()
 	return s
@@ -646,11 +651,11 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	explain := eq == "1" || eq == "true"
 	runAlgo, runProcs := algo, procs
 	var planEcho *planExplain
-	if ps := s.plans.Load(); ps != nil && algo == bicc.Auto {
-		a, p, f, d := ps.planDecide(g, procs, explain)
+	if s.planner != nil && algo == bicc.Auto {
+		a, p, f, d := s.planDecide(g, procs, explain)
 		runAlgo, runProcs = a, p
 		if explain {
-			planEcho = &planExplain{Mode: ps.mode, Engine: a.String(), Procs: p, Features: &f, Decision: &d}
+			planEcho = &planExplain{Mode: PlanAdaptive, Engine: a.String(), Procs: p, Features: &f, Decision: &d}
 		}
 	} else if explain {
 		resolved := bicc.ResolveAlgorithm(g, algo, procs)
@@ -769,10 +774,8 @@ func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorit
 	// Auto still arriving here came from an internal caller — the
 	// incremental degrade-to-full path, shard builds — not /v1/bcc, which
 	// resolves before its cache lookup. Plan it the same way.
-	if algo == bicc.Auto {
-		if ps := s.plans.Load(); ps != nil {
-			algo, procs = ps.planResolve(g, procs)
-		}
+	if algo == bicc.Auto && s.planner != nil {
+		algo, procs, _, _ = s.planDecide(g, procs, false)
 	}
 	_, adm := obs.StartSpan(ctx, "admission")
 	release, err := s.admission.Acquire(ctx)
@@ -827,12 +830,6 @@ func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorit
 	}
 	if h := s.stats.perAlgorithm[res.Algorithm.String()]; h != nil {
 		h.Observe(elapsed)
-	}
-	// Clean, representative runs feed the planner's online model. Degraded
-	// and breaker-routed runs are excluded: their latency reflects the
-	// failure path, not the engine the planner would be scoring.
-	if ps := s.plans.Load(); ps != nil && routedCause == "" && !res.Degraded {
-		ps.planObserve(g, res.Algorithm.String(), procs, elapsed)
 	}
 	return res, elapsed, routedCause, nil
 }
@@ -1024,8 +1021,8 @@ func (s *Server) Snapshot() StatsSnapshot {
 	if sc := s.scrubs.Load(); sc != nil {
 		snap.Scrub = sc.snapshot()
 	}
-	if ps := s.plans.Load(); ps != nil {
-		psnap := ps.planner.Snapshot()
+	if s.planner != nil {
+		psnap := s.planner.Snapshot()
 		snap.Plan = &psnap
 	}
 	return snap
