@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
 
 all: build test
 
@@ -91,18 +91,15 @@ fuzz-durable:
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
 
-# Shard suite. test-shard runs the differential harness (shard answers must
-# equal the monolith byte for byte across 3 graph families × every engine ×
-# 5 query kinds), the block-cut invariant property tests, and the manager's
-# residency/fault tests — race-enabled. fuzz-shard hammers the routing-index
-# and shard payload decoders like fuzz-durable does the durable codecs.
+# Per-block suite. test-shard runs the differential harness (per-block
+# answers must equal the monolith byte for byte across 3 graph families ×
+# every engine × 5 query kinds), the block-cut invariant property tests,
+# the shard.build fault-matrix rows, and the service's per-block tests (the
+# HTTP differential with its spill and mutation legs, index reuse,
+# build-once, budget and fault behaviour) — race-enabled.
 test-shard:
 	$(GO) test -race ./internal/shard -count=1
 	$(GO) test -race -run 'Shard' ./internal/service ./internal/faults -count=1
-
-fuzz-shard:
-	$(GO) test ./internal/shard -run FuzzNothing -fuzz FuzzDecodeIndex -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shard -run FuzzNothing -fuzz FuzzDecodeShard -fuzztime $(FUZZTIME)
 
 # Incremental suite. test-incr runs the planner's differential harness
 # (every mutation sequence must leave labels byte-equal to a from-scratch
@@ -155,7 +152,7 @@ test-failover:
 # never allocate far ahead of the stream.
 test-scrub:
 	$(GO) test -race ./internal/scrub -count=1
-	$(GO) test -race -run 'Corrupt|Scrub|CheckWALImage|CheckSnapshotImage|CheckSpillImage|CheckBlobImage|SpillKeys' ./internal/faults ./internal/durable ./internal/repl ./internal/service -count=1
+	$(GO) test -race -run 'Corrupt|Scrub|CheckWALImage|CheckSnapshotImage|CheckSpillImage|SpillKeys' ./internal/faults ./internal/durable ./internal/repl ./internal/service -count=1
 	$(GO) test -race -run 'Oracle|ReconstructRejects' . -count=1
 	$(GO) test ./cmd/bccd -run 'BitRot' -count=1 -v
 
@@ -164,7 +161,7 @@ test-scrub:
 # the fast-bcc-at-p=1 acceptance check, ?explain=1 echo-vs-dispatch with
 # identical repeats routed identically, open-breaker avoidance, the
 # planner-on vs planner-off differential harness (BCC + incr mutations +
-# shard endpoints, byte-equal answers), the /statsz plan golden, and the
+# per-block endpoints, byte-equal answers), the /statsz plan golden, and the
 # rejection of an unknown plan mode. fuzz-plan hammers feature extraction
 # with arbitrary graph shapes: no panics, every class in range.
 test-plan:
@@ -194,15 +191,16 @@ lint-obs:
 	fi
 
 # The gate run before merging: static checks (gofmt, go vet), race-clean
-# tests, the fault-isolation suite, the observability suite, the durability
-# suite (decoder fuzzing, race-enabled service tests, crash harness), the
-# shard suite (differential harness + codec fuzzing), the incremental suite
-# (mutation differential harness + delta fuzzing), the replication suite
-# (standby differential harness + multi-process node-kill failover), the
+# tests, the all-engines-vs-oracle randomized check (verify), the
+# fault-isolation suite, the observability suite, the durability suite
+# (decoder fuzzing, race-enabled service tests, crash harness), the
+# per-block suite (differential harness), the incremental suite (mutation
+# differential harness + delta fuzzing), the replication suite (standby
+# differential harness + multi-process node-kill failover), the
 # self-healing suite (scrubber + bit-rot chaos harness + repl frame
 # fuzzing), the planner suite (golden decision table + differential harness
 # + feature fuzzing), and the benchmark module's tests.
-ci: fmt-check vet lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

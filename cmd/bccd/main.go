@@ -11,8 +11,7 @@
 //	     [-no-fallback] [-debug-addr :8715]
 //	     [-data-dir DIR] [-wal-sync always|interval|none]
 //	     [-wal-sync-interval D] [-compact-bytes B] [-mem-budget B]
-//	     [-spill-budget B] [-shard] [-shard-budget B] [-shard-spill-budget B]
-//	     [-incr-threshold R] [-replay-log-every N]
+//	     [-spill-budget B] [-incr-threshold R] [-replay-log-every N]
 //	     [-repl-listen ADDR] [-repl-follow ADDR] [-repl-quorum N]
 //	     [-repl-ack-timeout D] [-verify-sample N]
 //	     [-scrub-interval D] [-scrub-budget B] [-scrub-cert-sample N]
@@ -27,21 +26,18 @@
 // and the outcome is reported on /statsz and /metrics. Without -data-dir
 // nothing touches disk and the daemon behaves exactly as before.
 //
-// With -shard, the daemon additionally maintains a shard-by-component query
-// layer: the first per-block query for a (graph, algorithm, procs) triple
-// decomposes once and partitions the result into per-block shards behind a
-// compact vertex-to-shard routing index, so later queries touch one shard
-// instead of the whole payload. Past -shard-budget bytes, least-recently
-// used shards demote to disk under <data-dir>/shards (bounded by
-// -shard-spill-budget) and promote back on demand; without -data-dir the
-// layer is memory-only. If a shard build fails, the query is answered
-// through the monolithic cached path and marked degraded.
+// The per-block endpoints (/v1/block/{id}, /v1/vertex/{v}/...) are always
+// served. They read the same cached decomposition /v1/bcc does; the first
+// per-block query for a cached result partitions it into per-block shards
+// behind a vertex-to-block routing index, kept on the cache entry and
+// counted against -mem-budget, so later queries touch one shard instead of
+// the whole payload.
 //
 // With -scrub-interval, a durable daemon runs a background scrubber: every
 // interval it re-reads the durable tiers — WAL segments, snapshots, spilled
-// results, demoted shard blobs, the replication retention ring — re-verifies
-// their CRC-32C frames (plus a sampled full recomputation check on spilled
-// results), and heals anything damaged from the cheapest healthy source:
+// results, the replication retention ring — re-verifies their CRC-32C
+// frames (plus a sampled full recomputation check on spilled results), and
+// heals anything damaged from the cheapest healthy source:
 // re-demote from the memory cache, recompute from the resident graph,
 // compact a fresh snapshot generation, or (on a standby) resync from the
 // primary. Artifacts nothing can heal are moved to <data-dir>/quarantine and
@@ -93,10 +89,9 @@
 //	POST   /v1/bcc           run a query: {"graph": fp, "algorithm": ...,
 //	                         "procs": N, "timeout_ms": T, "include": [...]}
 //	GET    /v1/block/{id}    one block's vertices, cut vertices, and
-//	                         (?include=subgraph) remapped subgraph
-//	                         (?graph=fp, requires -shard)
-//	GET    /v1/vertex/{v}/blocks        block ids containing v (-shard)
-//	GET    /v1/vertex/{v}/articulation  articulation membership of v (-shard)
+//	                         (?include=subgraph) remapped subgraph (?graph=fp)
+//	GET    /v1/vertex/{v}/blocks        block ids containing v
+//	GET    /v1/vertex/{v}/articulation  articulation membership of v
 //	POST   /v1/admin/promote promote a standby to primary (replication)
 //	POST   /v1/admin/follow  re-point a standby at a new primary's
 //	                         replication listener: {"addr": "host:port"}
@@ -163,16 +158,13 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = 15s)")
 	noFallback := flag.Bool("no-fallback", false, "return engine faults as errors instead of degrading to the sequential engine")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this extra address (empty = disabled)")
-	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap for uploads and queries, 413 past it (0 = 256 MiB)")
+	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap for uploads, queries and mutation batches, 413 past it (0 = 256 MiB)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + snapshots + result spill (empty = diskless)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always (per append), interval, or none")
 	walSyncInterval := flag.Duration("wal-sync-interval", 0, "flush period under -wal-sync interval (0 = 5ms)")
 	compactBytes := flag.Int64("compact-bytes", 0, "WAL size that triggers background snapshot compaction (0 = 64 MiB)")
 	memBudget := flag.Int64("mem-budget", 0, "result cache memory budget; past it results spill to disk (0 = entry count only)")
 	spillBudget := flag.Int64("spill-budget", 0, "disk budget for spilled results (0 = unlimited)")
-	shardOn := flag.Bool("shard", false, "enable the shard-by-component per-block query endpoints")
-	shardBudget := flag.Int64("shard-budget", 0, "resident byte budget for shard state; past it shards demote (0 = unlimited)")
-	shardSpillBudget := flag.Int64("shard-spill-budget", 0, "disk budget for demoted shards under <data-dir>/shards (0 = unlimited)")
 	incrThreshold := flag.Float64("incr-threshold", 0, "dirty-region edge ratio past which a mutation degrades to a full engine run (0 = 0.5)")
 	replayLogEvery := flag.Int("replay-log-every", 5000, "log boot WAL-replay progress every N records (0 = silent)")
 	replListen := flag.String("repl-listen", "", "serve WAL replication to standbys on this address (requires -data-dir)")
@@ -255,28 +247,9 @@ func main() {
 			log.Printf("primary: replicating WAL on %s", srv.ReplAddr())
 		}
 	}
-	if *shardOn {
-		cfg := service.ShardingConfig{
-			MemBudget:   *shardBudget,
-			SpillBudget: *shardSpillBudget,
-		}
-		// Demoted shards only have somewhere to go when the daemon already
-		// has a data directory; diskless sharding stays memory-only.
-		if *dataDir != "" {
-			cfg.SpillDir = filepath.Join(*dataDir, "shards")
-		}
-		if err := srv.EnableSharding(cfg); err != nil {
-			log.Fatalf("-shard: %v", err)
-		}
-		if cfg.SpillDir != "" {
-			log.Printf("sharding enabled (spill dir %s)", cfg.SpillDir)
-		} else {
-			log.Printf("sharding enabled (memory-only)")
-		}
-	}
 	if *dataDir != "" {
-		// Enabled last so every durable tier (including shard spill and the
-		// replication ring) is already visible to the tier adapters. With no
+		// Enabled last so every durable tier (including the replication
+		// ring) is already visible to the tier adapters. With no
 		// -scrub-interval the loop stays off and POST /v1/admin/scrub runs
 		// cycles on demand.
 		if err := srv.EnableScrub(service.ScrubConfig{

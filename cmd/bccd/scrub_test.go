@@ -1,5 +1,5 @@
 // Bit-rot chaos harness: runs bccd as a subprocess, flips real bytes on
-// disk in each durable tier (WAL, snapshot, result spill, shard blobs) or
+// disk in each durable tier (WAL, snapshot, result spill) or
 // corrupts the replication retention ring via fault injection, triggers a
 // scrub cycle over the admin endpoint, and asserts the self-healing
 // contract: damage is detected within one cycle, repaired from the cheapest
@@ -18,9 +18,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bicc"
-	"bicc/internal/gen"
 )
 
 // scrubReport mirrors the admin endpoint's cycle report.
@@ -287,69 +284,6 @@ func TestBitRotSpillTierHeals(t *testing.T) {
 	after := canonicalAnswer(t, p, fp1, "fast-bcc")
 	if string(before) != string(after) {
 		t.Fatalf("answer changed across spill repair:\n%s\n%s", before, after)
-	}
-}
-
-// TestBitRotShardTierHeals demotes shard blobs to disk under a tiny shard
-// budget, rots one, and proves the scrubber rebuilds the set with block
-// queries answering identically.
-func TestBitRotShardTierHeals(t *testing.T) {
-	dir := t.TempDir()
-	p := startBccd(t, dir, "", "-shard", "-shard-budget", "2000")
-	el := gen.Caterpillar(16, 3)
-	g, err := bicc.NewGraph(int(el.N), el.Edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := p.upload(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockAnswers := func() []string {
-		var out []string
-		for b := 0; ; b++ {
-			resp, err := http.Get(p.url(fmt.Sprintf("/v1/block/%d?graph=%s", b, fp)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusNotFound {
-				return out
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("block %d: status %d: %s", b, resp.StatusCode, body)
-			}
-			var m map[string]any
-			if err := json.Unmarshal(body, &m); err != nil {
-				t.Fatal(err)
-			}
-			delete(m, "elapsed_ns")
-			norm, _ := json.Marshal(m)
-			out = append(out, string(norm))
-		}
-	}
-	before := blockAnswers() // also demotes blobs under the tiny budget
-	if paths, _ := filepath.Glob(filepath.Join(dir, "shards", "*.blob")); len(paths) == 0 {
-		t.Fatalf("no shard blobs demoted to disk; cannot exercise the tier")
-	}
-
-	flipOnDisk(t, globOne(t, filepath.Join(dir, "shards", "*.blob")), 10)
-	rep := runScrub(t, p)
-	if tr := rep.tierOf(t, "shard"); tr.Corrupt != 1 || tr.Repaired != 1 {
-		t.Fatalf("shard tier after bit-rot = %+v; stderr:\n%s", tr, p.stderr())
-	}
-	if rep := runScrub(t, p); rep.Corrupt != 0 {
-		t.Fatalf("second cycle still corrupt: %+v", rep)
-	}
-	after := blockAnswers()
-	if len(before) != len(after) {
-		t.Fatalf("block count changed: %d vs %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("block %d answer changed:\n%s\n%s", i, before[i], after[i])
-		}
 	}
 }
 

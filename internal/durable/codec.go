@@ -36,7 +36,6 @@ const (
 	fileKindWAL      = 'W'
 	fileKindSnapshot = 'S'
 	fileKindResult   = 'R'
-	fileKindBlob     = 'B'
 )
 
 var fileMagic = [4]byte{'B', 'C', 'D', 'U'}
@@ -47,8 +46,8 @@ const (
 	recGraphRemove = 2 // payload: fingerprint string
 	recResult      = 3 // payload: result record (key, edge labels, JSON view)
 	recSnapEnd     = 4 // payload: u32 count of graph records; snapshot trailer
-	recBlob        = 5 // payload: blob record (key string, opaque bytes)
 	recGraphDelta  = 6 // payload: delta record (graph id, generation, edge ops)
+	// Kind 5 tagged the retired shard-blob files; it stays unused.
 )
 
 // frameHeaderLen is the per-record frame: kind byte, payload length, and

@@ -21,9 +21,6 @@ var (
 	// SiteSpillVerify covers result-spill image verification. iter = key
 	// index within the scrub pass.
 	SiteSpillVerify = faults.RegisterSite("spill.verify", false)
-	// SiteShardVerify covers shard-blob image verification. iter = key
-	// index within the scrub pass.
-	SiteShardVerify = faults.RegisterSite("shard.verify", false)
 )
 
 // ScrubFile describes one store-owned file for the scrubber.
@@ -121,30 +118,6 @@ func CheckSpillImage(b []byte, key string, iter int) (ResultRecord, error) {
 	return rec, nil
 }
 
-// CheckBlobImage re-validates a shard-blob image for key. iter feeds the
-// shard.verify injection site.
-func CheckBlobImage(b []byte, key string, iter int) error {
-	faults.InjectCorrupt(SiteShardVerify, 0, iter, b)
-	if err := checkFileHeader(b, fileKindBlob); err != nil {
-		return err
-	}
-	kind, rec, n, err := nextRecord(b[fileHeaderLen:])
-	if err != nil {
-		return err
-	}
-	if n == 0 || kind != recBlob || fileHeaderLen+n != len(b) {
-		return fmt.Errorf("%w: blob file framing", ErrCorrupt)
-	}
-	k, _, err := decodeBlob(rec)
-	if err != nil {
-		return err
-	}
-	if k != key {
-		return fmt.Errorf("%w: blob key %q in file named %q", ErrCorrupt, k, key)
-	}
-	return nil
-}
-
 // Keys returns every key occupying the spill tier's directory: tracked
 // entries plus any stray .res files (bit-rotted or hand-planted files the
 // tier no longer indexes still hold disk and must be scrubbed), sorted.
@@ -172,30 +145,3 @@ func (s *Spill) Keys() []string {
 
 // Path returns the file path a key is spilled at.
 func (s *Spill) Path(key string) string { return s.spillFile(key) }
-
-// Keys returns every key occupying the blob tier's directory — tracked
-// entries plus stray .blob files — sorted.
-func (s *BlobSpill) Keys() []string {
-	s.mu.Lock()
-	set := make(map[string]bool, len(s.entries))
-	for k := range s.entries {
-		set[k] = true
-	}
-	s.mu.Unlock()
-	if files, err := os.ReadDir(s.dir); err == nil {
-		for _, f := range files {
-			if !f.IsDir() && strings.HasSuffix(f.Name(), ".blob") {
-				set[strings.TrimSuffix(f.Name(), ".blob")] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Path returns the file path a key is spilled at.
-func (s *BlobSpill) Path(key string) string { return s.blobFile(key) }

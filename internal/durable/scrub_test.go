@@ -140,31 +140,6 @@ func TestCheckSpillImageDetectsBitFlipAndKeyMismatch(t *testing.T) {
 	}
 }
 
-func TestCheckBlobImageDetectsBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	sp, _, err := OpenBlobSpill(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Put("aabbcc-s0", []byte("shard payload bytes")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(sp.Path("aabbcc-s0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckBlobImage(append([]byte(nil), b...), "aabbcc-s0", 0); err != nil {
-		t.Fatalf("clean blob flagged: %v", err)
-	}
-	if err := CheckBlobImage(append([]byte(nil), b...), "wrong", 0); err == nil {
-		t.Fatalf("cross-wired blob (key mismatch) passed verification")
-	}
-	corruptPlan(t, SiteShardVerify)
-	if err := CheckBlobImage(append([]byte(nil), b...), "aabbcc-s0", 0); err == nil {
-		t.Fatalf("bit-flipped blob passed verification")
-	}
-}
-
 // TestSpillKeysIncludesStrays proves the scrub listing unions the index with
 // directory strays: a file the tier no longer tracks still holds disk and
 // must be walked (it is the quarantine path's entry point).

@@ -1,9 +1,9 @@
 // Package scrub is the self-healing loop over bccd's durable tiers. A
 // Scrubber walks every registered Tier — WAL segments and snapshots, result
-// spill files, shard blobs, the replication retention ring — re-verifying
-// each artifact's checksums (and, where the tier chooses, its content
-// against a recomputation), then escalating anything damaged through the
-// tier's own repair ladder before quarantining what nothing can heal.
+// spill files, the replication retention ring — re-verifying each
+// artifact's checksums (and, where the tier chooses, its content against a
+// recomputation), then escalating anything damaged through the tier's own
+// repair ladder before quarantining what nothing can heal.
 //
 // Cycles are budgeted in verified bytes and resumable: each tier keeps a
 // rotating cursor, so a budget too small for one full sweep still covers

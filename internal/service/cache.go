@@ -9,6 +9,7 @@ import (
 
 	"bicc"
 	"bicc/internal/durable"
+	"bicc/internal/shard"
 )
 
 // resultKey identifies a cacheable computation: same graph content, same
@@ -55,6 +56,12 @@ type cacheEntry struct {
 	done    bool
 	elem    *list.Element // LRU position once completed
 	bytes   int64         // estimated resident size, charged while cached
+
+	// blocks is the per-block index of a completed entry, built by the
+	// first per-block query (BlockIndex) and charged to bytes. building is
+	// non-nil while that build runs and is closed when it ends.
+	blocks   *shard.Set
+	building chan struct{}
 }
 
 // ResultCache is a single-flight LRU cache of BCC query results. Concurrent
@@ -126,6 +133,9 @@ func resultBytes(res *queryResult) int64 {
 	n += int64(len(res.ArticulationPoints)+len(res.Bridges)) * 4
 	for _, comp := range res.Components {
 		n += int64(len(comp))*4 + 24
+	}
+	if res.BlockCut != nil {
+		n += int64(len(res.BlockCut.CutVertices)+len(res.BlockCut.LeafBlocks)) * 4
 	}
 	n += int64(len(res.Phases)) * 96
 	if res.Trace != nil {
@@ -268,6 +278,82 @@ func (c *ResultCache) promoteLocked(key resultKey) (*queryResult, bool) {
 		c.enforceBudgetLocked(e)
 	}
 	return res, true
+}
+
+// AddViews replaces the result cached under key with full, a copy of res
+// carrying more include views, so later hits need not derive them again.
+// It does nothing once the entry no longer holds res.
+func (c *ResultCache) AddViews(key resultKey, res, full *queryResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || e.res != res {
+		return
+	}
+	n := resultBytes(full) - resultBytes(res)
+	e.res = full
+	e.bytes += n
+	c.bytes += n
+	c.enforceBudgetLocked(e)
+}
+
+// BlockIndex returns the per-block index of res, the result cached under
+// key, building it with build on first use. Concurrent callers share one
+// build; a failed build is not kept, so the next caller retries. The index
+// lives on the cache entry: its bytes count against the memory budget, and
+// it goes when the entry is evicted, demoted, or dropped. A result the
+// cache does not hold (never retained, or replaced since) gets an index
+// built for this caller alone.
+func (c *ResultCache) BlockIndex(ctx context.Context, key resultKey, res *queryResult,
+	build func(context.Context) (*shard.Set, error)) (*shard.Set, error) {
+	c.mu.Lock()
+	for {
+		e, ok := c.entries[key]
+		if !ok || e.res != res {
+			c.mu.Unlock()
+			return build(ctx)
+		}
+		if e.blocks != nil {
+			c.mu.Unlock()
+			return e.blocks, nil
+		}
+		if e.building == nil {
+			return c.buildBlocksLocked(ctx, key, e, build)
+		}
+		wait := e.building
+		c.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
+	}
+}
+
+// buildBlocksLocked runs build for entry e with c.mu released, then keeps
+// the index on e if e is still the entry cached under key. Caller holds
+// c.mu; it is released on return.
+func (c *ResultCache) buildBlocksLocked(ctx context.Context, key resultKey, e *cacheEntry,
+	build func(context.Context) (*shard.Set, error)) (set *shard.Set, err error) {
+	done := make(chan struct{})
+	e.building = done
+	c.mu.Unlock()
+	defer func() {
+		// Deferred so a panicking build still wakes the waiters.
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		e.building = nil
+		close(done)
+		if err == nil && set != nil && c.entries[key] == e {
+			e.blocks = set
+			n := set.Bytes()
+			e.bytes += n
+			c.bytes += n
+			c.enforceBudgetLocked(e)
+		}
+	}()
+	return build(ctx)
 }
 
 // Respill rewrites key's spill record from a completed entry still resident

@@ -274,4 +274,14 @@ func TestMaxBodyBytes413(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("query over cap: status %d, want 413", resp.StatusCode)
 	}
+	// Oversize mutation batch: the cap is checked before the graph lookup.
+	batch := `{"deltas":[` + strings.Repeat(`{"op":"insert","u":0,"v":1},`, 20) + `{"op":"insert","u":0,"v":1}]}`
+	resp, err = http.Post(ts.URL+"/v1/graphs/"+strings.Repeat("f", 16)+"/edges", "application/json", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("mutation batch over cap: status %d, want 413", resp.StatusCode)
+	}
 }

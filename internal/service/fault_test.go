@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,6 +195,85 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 		if n < 2 || n > 6 {
 			t.Fatalf("Retry-After %q outside jitter bounds [2,6]", v)
 		}
+	}
+}
+
+// TestMutateRunErrorsSetRetryAfter is the regression test for mutation
+// batches rejected by the pre-ack seeding run: a full admission queue
+// answers 429 and an expired deadline 503, both with the jittered
+// Retry-After and counted like /v1/bcc's rejections.
+func TestMutateRunErrorsSetRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		queue int
+		want  int
+	}{
+		{"queue-full", 0, http.StatusTooManyRequests},
+		{"deadline", 1, http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			block := make(chan struct{})
+			started := make(chan struct{}, 4)
+			s, ts := newTestServer(t, Config{
+				Workers:        1,
+				Queue:          tc.queue,
+				RetryAfter:     4 * time.Second,
+				DefaultTimeout: 200 * time.Millisecond,
+				Compute: func(ctx context.Context, g *bicc.Graph, opt *bicc.Options) (*bicc.Result, error) {
+					started <- struct{}{}
+					select {
+					case <-block:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+					return bicc.BiconnectedComponentsCtx(ctx, g, opt)
+				},
+			})
+			up := uploadGraph(t, ts, testGraph(t), "")
+
+			// Hold the only worker with a query that outlives the mutation.
+			held := make(chan int, 1)
+			go func() {
+				body, _ := json.Marshal(bccRequest{Graph: up.Fingerprint, TimeoutMs: 10_000})
+				resp, err := http.Post(ts.URL+"/v1/bcc", "application/json", bytes.NewReader(body))
+				if err != nil {
+					held <- 0
+					return
+				}
+				resp.Body.Close()
+				held <- resp.StatusCode
+			}()
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatal("holding query never reached the engine")
+			}
+
+			body, _ := json.Marshal(mutateRequest{Deltas: []mutationDelta{{Op: "insert", U: 0, V: 4}}})
+			resp, err := http.Post(ts.URL+"/v1/graphs/"+up.Fingerprint+"/edges", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			close(block)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("mutation: status %d, want %d", resp.StatusCode, tc.want)
+			}
+			// RetryAfter 4s: uniform in [2s, 6s], as TestRetryAfterJitterBounds.
+			if n, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || n < 2 || n > 6 {
+				t.Fatalf("mutation %d: Retry-After %q outside jitter bounds [2,6]", resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			if code := <-held; code != http.StatusOK {
+				t.Fatalf("holding query: status %d", code)
+			}
+			snap := s.Snapshot()
+			if tc.want == http.StatusTooManyRequests && snap.Rejected != 1 {
+				t.Fatalf("rejected = %d, want 1", snap.Rejected)
+			}
+			if tc.want == http.StatusServiceUnavailable && snap.Canceled != 1 {
+				t.Fatalf("canceled = %d, want 1", snap.Canceled)
+			}
+		})
 	}
 }
 

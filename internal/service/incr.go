@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -18,7 +17,7 @@ import (
 // This file is the service face of the incremental-BCC subsystem: the
 // mutation endpoint (POST /v1/graphs/{fp}/edges), the per-graph maintained
 // decomposition it feeds, and the serve-from-state fast path that answers
-// /v1/bcc and shard builds from maintained labels without an engine run.
+// queries from maintained labels without an engine run.
 //
 // Identity model: a graph's fingerprint is its STABLE id — the content
 // fingerprint at upload time. Mutations keep the id, advance a generation
@@ -36,7 +35,7 @@ import (
 //     by size threshold); any runtime failure — injected fault, engine
 //     error, cancellation — degrades to a full recompute of the final
 //     graph, and if even that fails the maintained labels are dropped so
-//     queries recompute on demand. The registry swap and cache/shard
+//     queries recompute on demand. The registry swap and cache
 //     invalidation happen regardless.
 type incrState struct {
 	threshold float64
@@ -94,7 +93,7 @@ func newIncrState(reg *obs.Registry, threshold float64) *incrState {
 		dirtied: reg.Counter("bicc_incr_blocks_dirtied_total",
 			"Blocks invalidated by structural deltas."),
 		served: reg.Counter("bicc_incr_served_total",
-			"Queries and shard builds answered from maintained incremental state."),
+			"Queries answered from maintained incremental state."),
 		invalidated: reg.Counter("bicc_incr_invalidated_results_total",
 			"Cached results dropped by mutations."),
 		stateDrops: reg.Counter("bicc_incr_state_drops_total",
@@ -191,43 +190,16 @@ func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm, 
 	return res, true
 }
 
-// incrServe is the /v1/bcc fast path: derive the cacheable query result
-// from maintained labels instead of running an engine.
+// incrServe is the query fast path: derive the cacheable query result from
+// maintained labels instead of running an engine.
 func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, procs int, include map[string]bool) (*queryResult, bool) {
 	start := time.Now()
 	res, ok := s.incrReconstruct(fp, g, algo, procs)
 	if !ok {
 		return nil, false
 	}
-	cuts := res.ArticulationPoints()
-	bridges := res.Bridges()
-	out := &queryResult{
-		Algorithm:       res.Algorithm.String(),
-		NumComponents:   res.NumComponents,
-		NumArticulation: len(cuts),
-		NumBridges:      len(bridges),
-		Incr:            true,
-		edgeComp:        res.EdgeComponent,
-	}
-	if include["articulation"] {
-		out.ArticulationPoints = cuts
-	}
-	if include["bridges"] {
-		out.Bridges = bridges
-	}
-	if include["components"] {
-		out.Components = res.Components()
-	}
-	if include["blockcut"] {
-		t := res.BlockCutTree()
-		out.BlockCut = &blockCutJSON{
-			NumBlocks:   t.NumBlocks(),
-			NumNodes:    t.NumNodes(),
-			NumEdges:    t.NumTreeEdges(),
-			CutVertices: t.CutVertices(),
-			LeafBlocks:  t.LeafBlocks(),
-		}
-	}
+	out := newQueryResult(res, include)
+	out.Incr = true
 	out.ElapsedNs = int64(time.Since(start))
 	out.Phases = []map[string]any{{"name": "incr-serve", "ns": out.ElapsedNs}}
 	return out, true
@@ -278,7 +250,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	fp := r.PathValue("fp")
 	var req mutateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if writeTooLarge(w, err, s.cfg.MaxBodyBytes) {
+			return
+		}
 		writeError(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
@@ -324,7 +300,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if e.st == nil || e.stG != g {
 		res, err := run(ctx, g)
 		if err != nil {
-			writeMutateRunError(w, err)
+			s.writeRunError(w, err, "mutation")
 			return
 		}
 		st, serr := incr.NewState(g, res)
@@ -423,9 +399,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	e.pub.Unlock()
 	dropped := s.cache.DropGraph(fp)
-	if sh := s.shards.Load(); sh != nil {
-		sh.mgr.RemovePrefix(fp)
-	}
 
 	st := s.incr
 	st.batches.Inc()
@@ -464,19 +437,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		DegradedCause: degradedCause,
 		ElapsedNs:     int64(elapsed),
 	})
-}
-
-// writeMutateRunError maps a pre-ack engine failure onto the same statuses
-// /v1/bcc uses.
-func writeMutateRunError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, "admission queue full, retry later")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "mutation did not finish in time: %v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
 }
 
 // --- stats -------------------------------------------------------------------

@@ -522,14 +522,11 @@ func TestMutationsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestMutatedGraphShardQueries checks the shard layer under mutation: sets
-// are keyed by generation, a mutation invalidates them, and rebuilt sets
-// answer from the maintained labels.
+// TestMutatedGraphShardQueries checks per-block queries under mutation:
+// indexes live on generation-keyed cache entries, a mutation invalidates
+// them, and rebuilt indexes answer from the maintained labels.
 func TestMutatedGraphShardQueries(t *testing.T) {
 	s := New(Config{})
-	if err := s.EnableSharding(ShardingConfig{}); err != nil {
-		t.Fatal(err)
-	}
 	ts := newHTTPServer(t, s)
 	up := uploadGraph(t, ts, testGraph(t), "")
 
@@ -561,6 +558,6 @@ func TestMutatedGraphShardQueries(t *testing.T) {
 		t.Fatalf("vertex 2 still reported as cut after the merge: %+v", b)
 	}
 	if snap := s.Snapshot(); snap.Incr == nil || snap.Incr.Served == 0 {
-		t.Fatalf("shard rebuild did not use maintained labels: %+v", snap.Incr)
+		t.Fatalf("per-block query did not use maintained labels: %+v", snap.Incr)
 	}
 }

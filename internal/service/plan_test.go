@@ -217,13 +217,8 @@ func normalizePlanBCC(t *testing.T, data []byte) string {
 // never answers. The mutation leg routes the incremental subsystem's
 // degrade-to-full path through the planner as well.
 func TestPlanDifferentialAutoOnOff(t *testing.T) {
-	sp, planned := newTestServer(t, Config{PlanMode: PlanAdaptive, IncrThreshold: 0.01})
-	ss, static := newTestServer(t, Config{PlanMode: PlanOff, IncrThreshold: 0.01})
-	for _, s := range []*Server{sp, ss} {
-		if err := s.EnableSharding(ShardingConfig{}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, planned := newTestServer(t, Config{PlanMode: PlanAdaptive, IncrThreshold: 0.01})
+	_, static := newTestServer(t, Config{PlanMode: PlanOff, IncrThreshold: 0.01})
 
 	for name, g := range map[string]*bicc.Graph{"small": testGraph(t), "dense": denseGraph()} {
 		upP := uploadGraph(t, planned, g, "")
@@ -253,8 +248,8 @@ func TestPlanDifferentialAutoOnOff(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s after mutation:\nplanned: %s\nstatic:  %s", name, got, want)
 		}
-		// Shard endpoints: block builds run through the planner too (Auto
-		// arrives at runEngine); per-block answers must match the static
+		// Per-block endpoints resolve Auto through the planner before the
+		// cache lookup, like /v1/bcc; their answers must match the static
 		// server's byte for byte.
 		for _, path := range []string{
 			"/v1/block/0?graph=", "/v1/vertex/0/blocks?graph=", "/v1/vertex/0/articulation?graph=",

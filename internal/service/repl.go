@@ -52,7 +52,7 @@ type ReplConfig struct {
 }
 
 // replState is a Server's live replication state, held through an atomic
-// pointer like durability and sharding.
+// pointer like durability.
 type replState struct {
 	cfg ReplConfig
 	d   *durability
@@ -346,15 +346,12 @@ func (s *Server) installReplicated(gr durable.GraphRecord) {
 }
 
 // purgeDerived drops every structure derived from fp's graph: maintained
-// incremental state, cached results (memory + spill, all generations), and
-// shard sets. Replication and deletes both route invalidation through here
-// so the two paths can never diverge.
+// incremental state and cached results (memory + spill, all generations,
+// per-block indexes included). Replication and deletes both route
+// invalidation through here so the two paths can never diverge.
 func (s *Server) purgeDerived(fp string) {
 	s.incr.drop(fp)
 	s.cache.DropGraph(fp)
-	if sh := s.shards.Load(); sh != nil {
-		sh.mgr.RemovePrefix(fp)
-	}
 }
 
 // --- promotion ---------------------------------------------------------------

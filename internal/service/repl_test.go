@@ -438,14 +438,12 @@ func TestPrimaryAloneDegradesQuorum(t *testing.T) {
 // TestDeleteRacesMutation races DELETE /v1/graphs/{fp} against an in-flight
 // mutation on the same fingerprint, repeatedly. Whatever the interleaving,
 // the graph must end up fully absent, and re-uploading the same content must
-// start clean at generation 0 with correct answers — no stale cache, shard,
-// or incremental state resurrected from the raced generation.
+// start clean at generation 0 with correct answers — no stale cache entry,
+// per-block index, or incremental state resurrected from the raced
+// generation.
 func TestDeleteRacesMutation(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableServer(t, Config{CacheEntries: 64}, DurabilityConfig{Dir: dir})
-	if err := s.EnableSharding(ShardingConfig{}); err != nil {
-		t.Fatal(err)
-	}
 	ts := newHTTPServer(t, s)
 
 	base := testGraph(t)
@@ -470,7 +468,7 @@ func TestDeleteRacesMutation(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		uploadGraph(t, ts, base, "name=target")
 		// Advance to generation 1 and warm generation-keyed derived state:
-		// cache entries, shard sets, maintained incremental labels.
+		// cache entries, maintained incremental labels.
 		mustMutate(t, ts, fp, []mutationDelta{{Op: "insert", U: 0, V: 4}})
 		queryAll(t, ts, fp, "tv-opt")
 

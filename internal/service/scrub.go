@@ -16,7 +16,6 @@ import (
 	"bicc"
 	"bicc/internal/durable"
 	"bicc/internal/scrub"
-	"bicc/internal/shard"
 )
 
 // ScrubConfig wires a Server to the background scrubber. Durability must be
@@ -118,7 +117,6 @@ func (s *Server) EnableScrub(cfg ScrubConfig) error {
 	sc.scr = scrub.New(scrub.Config{Interval: cfg.Interval, Budget: cfg.Budget, Logf: cfg.Logf},
 		&walTier{s: s, d: d, sc: sc},
 		&spillTier{s: s, d: d, sc: sc, sample: sample},
-		&shardTier{s: s, sc: sc},
 		&ringTier{s: s},
 	)
 	sc.register(s)
@@ -391,114 +389,6 @@ func parseDurableKey(key string) (resultKey, bool) {
 		return resultKey{}, false
 	}
 	return resultKey{fp: fp, gen: gen, algo: algo, procs: procs}, true
-}
-
-// --- shard-blob tier --------------------------------------------------------
-
-// shardTier scrubs the spilled shard blobs. A blob is a pure derivation of
-// a decomposition, so repair never patches it: drop the whole shard set and
-// rebuild it from the monolithic result through the manager's single-flight
-// build path.
-type shardTier struct {
-	s  *Server
-	sc *scrubState
-}
-
-func (t *shardTier) Name() string { return "shard" }
-
-func (t *shardTier) List() []string {
-	st := t.s.shards.Load()
-	if st == nil || st.spill == nil {
-		return nil
-	}
-	return st.spill.Keys()
-}
-
-func (t *shardTier) Check(key string, iter int) (int64, error) {
-	st := t.s.shards.Load()
-	if st == nil || st.spill == nil {
-		return 0, nil
-	}
-	b, err := scrub.ReadFile(st.spill.Path(key), iter)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil // evicted after List
-		}
-		return 0, err
-	}
-	return int64(len(b)), durable.CheckBlobImage(b, key, iter)
-}
-
-func (t *shardTier) Repair(key string, cause error) (string, error) {
-	st := t.s.shards.Load()
-	if st == nil || st.spill == nil {
-		return "", fmt.Errorf("sharding disabled")
-	}
-	setKey, ok := shardSetKey(key)
-	if !ok {
-		return "", fmt.Errorf("unparseable shard key %q", key)
-	}
-	k, ok := parseDurableKey(setKey)
-	if !ok {
-		return "", fmt.Errorf("unparseable shard set key %q", setKey)
-	}
-	// Drop the set wholesale — resident state and every spilled blob,
-	// including the damaged one — then rebuild from a fresh decomposition.
-	st.spill.Remove(key)
-	st.mgr.RemovePrefix(setKey)
-	g, info, okG := t.s.registry.AcquireInfo(k.fp)
-	if !okG {
-		return "", fmt.Errorf("graph %s not resident", k.fp)
-	}
-	defer t.s.registry.Release(k.fp)
-	if info.Generation != k.gen {
-		return "", fmt.Errorf("graph %s is at generation %d, blob wants %d", k.fp, info.Generation, k.gen)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), scrubRepairTimeout)
-	defer cancel()
-	_, err := st.mgr.Do(ctx, setKey, func(bctx context.Context) (*shard.Set, error) {
-		res, _, routedCause, err := t.s.runEngine(bctx, g, k.algo, k.procs)
-		if err != nil {
-			return nil, err
-		}
-		if res.Degraded || routedCause != "" {
-			return nil, fmt.Errorf("degraded decomposition is not shard-trustworthy")
-		}
-		return shard.BuildSet(bctx, setKey, g, res)
-	})
-	if err != nil {
-		return "", err
-	}
-	return "rebuild", nil
-}
-
-func (t *shardTier) Quarantine(key string, cause error) error {
-	st := t.s.shards.Load()
-	if st == nil || st.spill == nil {
-		return fmt.Errorf("sharding disabled")
-	}
-	if err := t.sc.moveToQuarantine(st.spill.Path(key)); err != nil {
-		return err
-	}
-	st.spill.Remove(key)
-	return nil
-}
-
-// shardSetKey strips a blob key's "-idx" or "-s<block>" suffix back to the
-// manager's set key. Block suffixes are matched from the end so algorithm
-// names containing "-s" cannot confuse the parse.
-func shardSetKey(blobKey string) (string, bool) {
-	if k, ok := strings.CutSuffix(blobKey, "-idx"); ok {
-		return k, true
-	}
-	j := len(blobKey)
-	for j > 0 && blobKey[j-1] >= '0' && blobKey[j-1] <= '9' {
-		j--
-	}
-	if j < len(blobKey) && j >= 2 && blobKey[j-2:j] == "-s" {
-		return blobKey[:j-2], true
-	}
-	return "", false
 }
 
 // --- replication-ring tier --------------------------------------------------

@@ -23,7 +23,9 @@
 // "draining" during graceful shutdown.
 //
 // Endpoints: POST/GET/DELETE /v1/graphs, POST /v1/graphs/{fp}/edges
-// (batched edge mutations), POST /v1/bcc, GET /healthz, GET /statsz.
+// (batched edge mutations), POST /v1/bcc, the per-block queries GET
+// /v1/block/{id}, /v1/vertex/{v}/blocks and /v1/vertex/{v}/articulation,
+// GET /healthz, GET /statsz.
 package service
 
 import (
@@ -63,8 +65,8 @@ type Config struct {
 	CacheEntries int
 	// MaxGraphBytes bounds the registry's resident size; <= 0 means 1 GiB.
 	MaxGraphBytes int64
-	// MaxBodyBytes bounds the request body of a graph upload and of a BCC
-	// query; oversize requests get 413. <= 0 means 256 MiB.
+	// MaxBodyBytes bounds the request body of a graph upload, a BCC query
+	// and a mutation batch; oversize requests get 413. <= 0 means 256 MiB.
 	MaxBodyBytes int64
 	// DefaultTimeout applies to queries that set no timeout_ms; <= 0 means
 	// 60 s.
@@ -163,9 +165,6 @@ type Server struct {
 	// dur is the durable state when EnableDurability has been called, nil
 	// otherwise; the disabled path costs one atomic load per touch point.
 	dur atomic.Pointer[durability]
-	// shards is the shard-by-component query state when EnableSharding has
-	// been called, nil otherwise — the same zero-cost-off discipline as dur.
-	shards atomic.Pointer[shardState]
 	// repls is the replication state when EnableReplication has been
 	// called, nil otherwise.
 	repls atomic.Pointer[replState]
@@ -532,10 +531,11 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no graph %q", fp)
 		return
 	}
-	// Incremental state, cached results, and shard sets all die with the
-	// graph: generations restart at 0 if the same content is re-uploaded,
-	// so anything keyed under a non-zero generation of this id must not
-	// survive to be confused with the next incarnation's generations.
+	// Incremental state and cached results (with their per-block indexes)
+	// all die with the graph: generations restart at 0 if the same content
+	// is re-uploaded, so anything keyed under a non-zero generation of this
+	// id must not survive to be confused with the next incarnation's
+	// generations.
 	s.purgeDerived(fp)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -670,14 +670,36 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	key := resultKey{fp: req.Graph, gen: info.Generation, algo: runAlgo, procs: runProcs}
+	res, outcome, err := s.lookup(ctx, key, g, include)
+	if err != nil {
+		s.writeRunError(w, err, "query")
+		return
+	}
+	full := *res
+	if added, err := s.fillIncludes(&full, g, include); err != nil {
+		writeError(w, http.StatusInternalServerError, "deriving include views: %v", err)
+		return
+	} else if added {
+		s.cache.AddViews(key, res, &full)
+	}
+	resp := bccResponse{queryResult: full, Graph: req.Graph, Cached: outcome == OutcomeHit, Plan: planEcho}
+	if q := r.URL.Query().Get("trace"); q != "1" && q != "true" {
+		// The copy above leaves the cached entry's trace intact.
+		resp.Trace = nil
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// lookup returns the decomposition cached under key, computing it on a
+// miss, and counts how the cache served the call. A mutated graph's
+// maintained labels answer instead of an engine run when they describe
+// exactly g.
+func (s *Server) lookup(ctx context.Context, key resultKey, g *bicc.Graph, include map[string]bool) (*queryResult, Outcome, error) {
 	res, err, outcome := s.cache.Do(ctx, key, func(cctx context.Context) (*queryResult, error) {
-		// Mutated graphs carry maintained labels: derive the answer from
-		// them instead of running an engine when they describe exactly the
-		// acquired graph pointer.
-		if qr, ok := s.incrServe(req.Graph, g, runAlgo, runProcs, include); ok {
+		if qr, ok := s.incrServe(key.fp, g, key.algo, key.procs, include); ok {
 			return qr, nil
 		}
-		return s.compute(cctx, g, runAlgo, runProcs, include)
+		return s.compute(cctx, g, key.algo, key.procs, include)
 	})
 	switch outcome {
 	case OutcomeHit:
@@ -687,61 +709,91 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	case OutcomeCoalesced:
 		s.stats.Coalesced.Add(1)
 	}
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			s.stats.Rejected.Add(1)
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
-			writeError(w, http.StatusTooManyRequests, "admission queue full, retry later")
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			s.stats.Canceled.Add(1)
-			// 503 with Retry-After: the deadline expired before the engine
-			// finished, typically because the box is saturated.
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
-			writeError(w, http.StatusServiceUnavailable, "query did not finish in time: %v", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return
-	}
-	resp := bccResponse{queryResult: *res, Graph: req.Graph, Cached: outcome == OutcomeHit, Plan: planEcho}
-	if err := s.fillIncludes(&resp.queryResult, g, include); err != nil {
-		writeError(w, http.StatusInternalServerError, "deriving include views: %v", err)
-		return
-	}
-	if q := r.URL.Query().Get("trace"); q != "1" && q != "true" {
-		// The copy above leaves the cached entry's trace intact.
-		resp.Trace = nil
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return res, outcome, err
 }
 
-// fillIncludes completes a response copy with any include view the cached
-// entry does not carry. The result cache is keyed by (graph, generation,
-// algorithm, procs) — not by the include set — so a hit may have been
-// created by a query that asked for fewer views, or by a scrub repair,
-// which asks for none. Deriving the missing views from the persisted
-// labeling keeps answers independent of which query populated the cache.
-// Only the copy is written; the shared entry stays untouched.
-func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string]bool) error {
+// writeRunError answers a request whose engine run (or per-block index
+// build) failed. A full admission queue gets 429 and an expired deadline
+// 503, both with a jittered Retry-After and counted; anything else is a
+// 500. what names the request in the 503 message.
+func (s *Server) writeRunError(w http.ResponseWriter, err error, what string) {
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		s.stats.Rejected.Add(1)
+		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		writeError(w, http.StatusTooManyRequests, "admission queue full, retry later")
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		s.stats.Canceled.Add(1)
+		// The deadline expired before the engine finished, typically
+		// because the box is saturated.
+		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		writeError(w, http.StatusServiceUnavailable, "%s did not finish in time: %v", what, err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// fillIncludes completes a copy of a cached result with any include view
+// the entry does not carry, reporting whether it derived any. The result
+// cache is keyed by (graph, generation, algorithm, procs) — not by the
+// include set — so a hit may have been created by a query that asked for
+// fewer views, by a per-block query or a scrub repair, which ask for none.
+// Deriving the missing views from the persisted labeling keeps answers
+// independent of which query populated the cache. Only the copy is
+// written; the caller hands it to ResultCache.AddViews to keep the views.
+func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string]bool) (bool, error) {
 	missing := (include["articulation"] && qr.ArticulationPoints == nil) ||
 		(include["bridges"] && qr.Bridges == nil) ||
 		(include["components"] && qr.Components == nil) ||
 		(include["blockcut"] && qr.BlockCut == nil)
 	if !missing {
-		return nil
+		return false, nil
 	}
+	res, err := qr.decomposition(g)
+	if err != nil {
+		return false, err
+	}
+	addViews(qr, res, include)
+	return true, nil
+}
+
+// decomposition rebuilds the Result qr describes from its edge labeling; g
+// must be the graph qr was computed on.
+func (qr *queryResult) decomposition(g *bicc.Graph) (*bicc.Result, error) {
 	if qr.edgeComp == nil {
-		return fmt.Errorf("result carries no edge labeling")
+		return nil, fmt.Errorf("result carries no edge labeling")
 	}
 	algo, err := bicc.ParseAlgorithm(qr.Algorithm)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res, err := bicc.ReconstructResult(g, algo, qr.edgeComp)
-	if err != nil {
-		return err
+	return bicc.ReconstructResult(g, algo, qr.edgeComp)
+}
+
+// newQueryResult builds the cacheable part of a response from a
+// decomposition: the aggregate counts and every view include asks for.
+func newQueryResult(res *bicc.Result, include map[string]bool) *queryResult {
+	cuts, bridges := res.ArticulationPoints(), res.Bridges()
+	qr := &queryResult{
+		Algorithm:       res.Algorithm.String(),
+		NumComponents:   res.NumComponents,
+		NumArticulation: len(cuts),
+		NumBridges:      len(bridges),
+		edgeComp:        res.EdgeComponent,
 	}
+	if include["articulation"] {
+		qr.ArticulationPoints = cuts
+	}
+	if include["bridges"] {
+		qr.Bridges = bridges
+	}
+	addViews(qr, res, include)
+	return qr
+}
+
+// addViews sets every view include asks for that qr does not carry yet,
+// deriving it from res, the decomposition qr describes.
+func addViews(qr *queryResult, res *bicc.Result, include map[string]bool) {
 	if include["articulation"] && qr.ArticulationPoints == nil {
 		qr.ArticulationPoints = res.ArticulationPoints()
 	}
@@ -761,18 +813,17 @@ func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string
 			LeafBlocks:  t.LeafBlocks(),
 		}
 	}
-	return nil
 }
 
 // runEngine admits and runs one engine computation under the circuit
 // breaker and the sequential-fallback policy, recording the fault-isolation
-// stats. It is the shared trunk of the monolithic /v1/bcc path and the
-// shard-build path: both must see identical breaker, fallback, and
-// accounting behaviour. routedCause is non-empty when an open breaker
-// redirected the request to the sequential engine.
+// stats. It is the shared trunk of query computation and the mutation
+// path: both must see identical breaker, fallback, and accounting
+// behaviour. routedCause is non-empty when an open breaker redirected the
+// request to the sequential engine.
 func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm, procs int) (res *bicc.Result, elapsed time.Duration, routedCause string, err error) {
 	// Auto still arriving here came from an internal caller — the
-	// incremental degrade-to-full path, shard builds — not /v1/bcc, which
+	// incremental seeding and degrade-to-full paths — not a query, which
 	// resolves before its cache lookup. Plan it the same way.
 	if algo == bicc.Auto && s.planner != nil {
 		algo, procs, _, _ = s.planDecide(g, procs, false)
@@ -851,37 +902,10 @@ func (s *Server) compute(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm
 	if err != nil {
 		return nil, err
 	}
-	cuts := res.ArticulationPoints()
-	bridges := res.Bridges()
-	out := &queryResult{
-		Algorithm:       res.Algorithm.String(),
-		NumComponents:   res.NumComponents,
-		NumArticulation: len(cuts),
-		NumBridges:      len(bridges),
-		ElapsedNs:       int64(elapsed),
-		edgeComp:        res.EdgeComponent,
-	}
+	out := newQueryResult(res, include)
+	out.ElapsedNs = int64(elapsed)
 	for _, ph := range res.Phases {
 		out.Phases = append(out.Phases, map[string]any{"name": ph.Name, "ns": int64(ph.Duration)})
-	}
-	if include["articulation"] {
-		out.ArticulationPoints = cuts
-	}
-	if include["bridges"] {
-		out.Bridges = bridges
-	}
-	if include["components"] {
-		out.Components = res.Components()
-	}
-	if include["blockcut"] {
-		t := res.BlockCutTree()
-		out.BlockCut = &blockCutJSON{
-			NumBlocks:   t.NumBlocks(),
-			NumNodes:    t.NumNodes(),
-			NumEdges:    t.NumTreeEdges(),
-			CutVertices: t.CutVertices(),
-			LeafBlocks:  t.LeafBlocks(),
-		}
 	}
 	if res.Degraded {
 		out.Degraded = true
@@ -1008,9 +1032,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 	}
 	if d := s.dur.Load(); d != nil {
 		snap.Durability = d.snapshot(s.cache)
-	}
-	if st := s.shards.Load(); st != nil {
-		snap.Sharding = st.snapshot()
 	}
 	if s.incr.batches.Load() > 0 {
 		snap.Incr = s.incr.snapshot()

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,16 +18,6 @@ import (
 	"bicc/internal/gen"
 	"bicc/internal/shard"
 )
-
-// newShardServer builds a test server with sharding enabled.
-func newShardServer(t *testing.T, cfg Config, scfg ShardingConfig) (*Server, *httptest.Server) {
-	t.Helper()
-	s, ts := newTestServer(t, cfg)
-	if err := s.EnableSharding(scfg); err != nil {
-		t.Fatal(err)
-	}
-	return s, ts
-}
 
 // getJSON fetches url and decodes the body into out, returning the status.
 func getJSON(t *testing.T, url string, out any) int {
@@ -47,39 +39,113 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-func TestShardEndpointsDisabledByDefault(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	up := uploadGraph(t, ts, testGraph(t), "")
-	for _, path := range []string{
-		"/v1/block/0?graph=" + up.Fingerprint,
-		"/v1/vertex/0/blocks?graph=" + up.Fingerprint,
-		"/v1/vertex/0/articulation?graph=" + up.Fingerprint,
-	} {
-		if code := getJSON(t, ts.URL+path, nil); code != http.StatusNotFound {
-			t.Fatalf("%s: status %d, want 404", path, code)
+// blockIndexes counts the cache entries holding a per-block index.
+func blockIndexes(c *ResultCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.entries {
+		if e.blocks != nil {
+			n++
 		}
 	}
-	// /statsz stays byte-compatible: no sharding key at all.
-	b, err := json.Marshal(s.Snapshot())
+	return n
+}
+
+// checkBlockAnswers asserts that every per-block endpoint on ts answers, for
+// every vertex and block of g, byte-for-byte what the monolithic
+// decomposition by algo implies. qs carries graph, algorithm and procs;
+// engine labels do not depend on procs, so the reference runs at procs=2.
+func checkBlockAnswers(t *testing.T, ts *httptest.Server, qs string, g *bicc.Graph, algo bicc.Algorithm) {
+	t.Helper()
+	res, err := bicc.BiconnectedComponents(g, &bicc.Options{Algorithm: algo, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "sharding") {
-		t.Fatalf("statsz leaks sharding when disabled: %s", b)
+	tree := res.BlockCutTree()
+	for v := 0; v < g.NumVertices(); v++ {
+		var vb vertexBlocksResponse
+		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/blocks%s", v, qs), &vb); code != 200 {
+			t.Fatalf("vertex %d blocks: status %d", v, code)
+		}
+		if vb.Degraded {
+			t.Fatalf("vertex %d served degraded: %+v", v, vb)
+		}
+		want := tree.BlocksOfVertex(int32(v))
+		if fmt.Sprint(vb.Blocks) != fmt.Sprint(want) || vb.IsCut != (len(want) >= 2) {
+			t.Fatalf("vertex %d: blocks %v cut=%v, monolith %v", v, vb.Blocks, vb.IsCut, want)
+		}
+		var ar articulationResponse
+		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/articulation%s", v, qs), &ar); code != 200 {
+			t.Fatalf("vertex %d articulation: status %d", v, code)
+		}
+		if ar.Articulation != (len(want) >= 2) || ar.NumBlocksContaining != len(want) {
+			t.Fatalf("vertex %d: articulation %+v, monolith %d blocks", v, ar, len(want))
+		}
+	}
+	for b := 0; b < res.NumComponents; b++ {
+		var br blockResponse
+		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s&include=subgraph", b, qs), &br); code != 200 {
+			t.Fatalf("block %d: status %d", b, code)
+		}
+		if br.NumBlocks != res.NumComponents {
+			t.Fatalf("block %d: numBlocks=%d, monolith %d", b, br.NumBlocks, res.NumComponents)
+		}
+		sub, vm, em := res.ComponentSubgraph(int32(b))
+		if fmt.Sprint(br.Vertices) != fmt.Sprint(tree.VerticesOfBlock(int32(b))) ||
+			fmt.Sprint(br.CutVertices) != fmt.Sprint(tree.CutsOfBlock(int32(b))) {
+			t.Fatalf("block %d: vertices/cuts disagree with monolith", b)
+		}
+		if br.Subgraph == nil || br.Subgraph.N != int32(sub.NumVertices()) ||
+			fmt.Sprint(br.Subgraph.VertexMap) != fmt.Sprint(vm) ||
+			fmt.Sprint(br.Subgraph.EdgeMap) != fmt.Sprint(em) ||
+			len(br.Subgraph.Edges) != sub.NumEdges() {
+			t.Fatalf("block %d: subgraph disagrees with monolith", b)
+		}
+	}
+	// Out-of-range queries.
+	if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s", res.NumComponents, qs), nil); code != http.StatusNotFound {
+		t.Fatalf("out-of-range block: status %d, want 404", code)
+	}
+	if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/blocks%s", g.NumVertices(), qs), nil); code != http.StatusNotFound {
+		t.Fatalf("out-of-range vertex: status %d, want 404", code)
 	}
 }
 
 // TestShardHTTPDifferential is the service-level differential harness: the
 // per-block endpoints must answer byte-for-byte what the monolithic
-// decomposition implies, for every vertex and block, across algorithms.
+// decomposition implies, for every vertex and block, across algorithms —
+// on a fresh entry, on an entry demoted to spill and promoted back, and on
+// a mutated graph served from maintained labels.
 func TestShardHTTPDifferential(t *testing.T) {
-	_, ts := newShardServer(t, Config{}, ShardingConfig{})
 	el := gen.RandomConnected(120, 300, 11)
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := uploadGraph(t, ts, g, "")
+	// The mutation leg inserts one edge the graph does not have yet.
+	has := map[[2]int32]bool{}
+	for _, e := range el.Edges {
+		has[[2]int32{min(e.U, e.V), max(e.U, e.V)}] = true
+	}
+	ins := bicc.Edge{U: 0, V: 1}
+	for has[[2]int32{ins.U, ins.V}] {
+		ins.V++
+	}
+	mutated, err := bicc.NewGraph(g.NumVertices(), append(append([]bicc.Edge(nil), g.Edges()...), ins))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	fp := uploadGraph(t, ts, g, "").Fingerprint
+	// A one-byte budget demotes every entry but the newest to spill.
+	ds, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir(), MemBudget: 1})
+	dts := newHTTPServer(t, ds)
+	uploadGraph(t, dts, g, "")
+	_, mts := newTestServer(t, Config{})
+	uploadGraph(t, mts, g, "")
+	mustMutate(t, mts, fp, []mutationDelta{{Op: "insert", U: ins.U, V: ins.V}})
 
 	for _, algoName := range engine.Names() {
 		t.Run(algoName, func(t *testing.T) {
@@ -87,171 +153,283 @@ func TestShardHTTPDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := bicc.BiconnectedComponents(g, &bicc.Options{Algorithm: algo, Procs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree := res.BlockCutTree()
-			qs := fmt.Sprintf("?graph=%s&algorithm=%s&procs=2", up.Fingerprint, algoName)
+			qs := fmt.Sprintf("?graph=%s&algorithm=%s&procs=2", fp, algoName)
+			checkBlockAnswers(t, ts, qs, g, algo)
 
-			for v := 0; v < g.NumVertices(); v++ {
-				var vb vertexBlocksResponse
-				if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/blocks%s", v, qs), &vb); code != 200 {
-					t.Fatalf("vertex %d blocks: status %d", v, code)
-				}
-				if !vb.Sharded || vb.Degraded {
-					t.Fatalf("vertex %d served sharded=%v degraded=%v", v, vb.Sharded, vb.Degraded)
-				}
-				want := tree.BlocksOfVertex(int32(v))
-				if fmt.Sprint(vb.Blocks) != fmt.Sprint(want) || vb.IsCut != (len(want) >= 2) {
-					t.Fatalf("vertex %d: blocks %v cut=%v, monolith %v", v, vb.Blocks, vb.IsCut, want)
-				}
-				var ar articulationResponse
-				if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/articulation%s", v, qs), &ar); code != 200 {
-					t.Fatalf("vertex %d articulation: status %d", v, code)
-				}
-				if ar.Articulation != (len(want) >= 2) || ar.NumBlocksContaining != len(want) {
-					t.Fatalf("vertex %d: articulation %+v, monolith %d blocks", v, ar, len(want))
-				}
+			// Spill leg: build the entry's index, push the entry out to
+			// spill by inserting another key, then query it back.
+			if code := getJSON(t, dts.URL+"/v1/vertex/0/blocks"+qs, nil); code != http.StatusOK {
+				t.Fatalf("spill leg warm-up: status %d", code)
+			}
+			if r, body := postBCC(t, dts, bccRequest{Graph: fp, Algorithm: algoName, Procs: 1}); r.StatusCode != http.StatusOK {
+				t.Fatalf("spill leg eviction query: status %d: %s", r.StatusCode, body)
+			}
+			hits := ds.Snapshot().Durability.SpillHits
+			checkBlockAnswers(t, dts, qs, g, algo)
+			if ds.Snapshot().Durability.SpillHits == hits {
+				t.Fatal("spill leg: the entry was never promoted back from spill")
 			}
 
-			for b := 0; b < res.NumComponents; b++ {
-				var br blockResponse
-				if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s&include=subgraph", b, qs), &br); code != 200 {
-					t.Fatalf("block %d: status %d", b, code)
-				}
-				if !br.Sharded || br.NumBlocks != res.NumComponents {
-					t.Fatalf("block %d: sharded=%v numBlocks=%d", b, br.Sharded, br.NumBlocks)
-				}
-				sub, vm, em := res.ComponentSubgraph(int32(b))
-				if fmt.Sprint(br.Vertices) != fmt.Sprint(tree.VerticesOfBlock(int32(b))) ||
-					fmt.Sprint(br.CutVertices) != fmt.Sprint(tree.CutsOfBlock(int32(b))) {
-					t.Fatalf("block %d: vertices/cuts disagree with monolith", b)
-				}
-				if br.Subgraph == nil || br.Subgraph.N != int32(sub.NumVertices()) ||
-					fmt.Sprint(br.Subgraph.VertexMap) != fmt.Sprint(vm) ||
-					fmt.Sprint(br.Subgraph.EdgeMap) != fmt.Sprint(em) ||
-					len(br.Subgraph.Edges) != sub.NumEdges() {
-					t.Fatalf("block %d: subgraph disagrees with monolith", b)
-				}
-			}
+			checkBlockAnswers(t, mts, qs, mutated, algo)
+		})
+	}
+}
 
-			// Out-of-range queries.
-			if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s", res.NumComponents, qs), nil); code != http.StatusNotFound {
-				t.Fatalf("out-of-range block: status %d, want 404", code)
+// TestShardQueryReusesCachedDecomposition checks that a per-block query
+// after /v1/bcc on the same graph, engine and procs reads the cached
+// decomposition instead of running the engine again, and that /v1/bcc
+// never builds a per-block index.
+func TestShardQueryReusesCachedDecomposition(t *testing.T) {
+	for _, tc := range []struct {
+		mode, algo string
+		procs      int
+	}{
+		{PlanOff, "tv-opt", 2},
+		{PlanAdaptive, "auto", 0},
+	} {
+		t.Run(tc.mode+"/"+tc.algo, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{PlanMode: tc.mode})
+			up := uploadGraph(t, ts, testGraph(t), "")
+			for i := 0; i < 2; i++ {
+				if r, body := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: tc.algo, Procs: tc.procs}); r.StatusCode != http.StatusOK {
+					t.Fatalf("bcc: status %d: %s", r.StatusCode, body)
+				}
 			}
-			if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/blocks%s", g.NumVertices(), qs), nil); code != http.StatusNotFound {
-				t.Fatalf("out-of-range vertex: status %d, want 404", code)
+			if n := s.stats.ShardBuilds.Load(); n != 0 {
+				t.Fatalf("/v1/bcc built %d per-block indexes", n)
+			}
+			computations := s.Snapshot().Computations
+			qs := fmt.Sprintf("?graph=%s&algorithm=%s&procs=%d", up.Fingerprint, tc.algo, tc.procs)
+			var vb vertexBlocksResponse
+			if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks"+qs, &vb); code != http.StatusOK {
+				t.Fatalf("vertex blocks: status %d", code)
+			}
+			if !vb.IsCut || len(vb.Blocks) != 2 {
+				t.Fatalf("vertex 2: %+v, want a cut vertex in 2 blocks", vb)
+			}
+			if got := s.Snapshot().Computations; got != computations {
+				t.Fatalf("per-block query after /v1/bcc ran the engine: computations %d -> %d", computations, got)
 			}
 		})
 	}
 }
 
-// TestShardBuildFaultFallsBackToMonolith seeds a persistent fault at
-// shard.build: every per-block query must still answer — served by the
-// monolithic path and marked degraded — and nothing may be installed as
-// shard state. Clearing the fault heals the shard path on the next query.
-func TestShardBuildFaultFallsBackToMonolith(t *testing.T) {
-	defer faults.Deactivate()
-	s, ts := newShardServer(t, Config{}, ShardingConfig{})
-	up := uploadGraph(t, ts, testGraph(t), "")
-	qs := "?graph=" + up.Fingerprint
-
-	faults.Activate(&faults.Plan{Seed: 1,
-		Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, shard.SiteBuild)}})
-
-	var br blockResponse
-	if code := getJSON(t, ts.URL+"/v1/block/0"+qs, &br); code != 200 {
-		t.Fatalf("faulted block query: status %d", code)
-	}
-	if br.Sharded || !br.Degraded || br.DegradedCause == "" {
-		t.Fatalf("faulted query served sharded=%v degraded=%v cause=%q", br.Sharded, br.Degraded, br.DegradedCause)
-	}
-	if br.NumBlocks != 3 || len(br.Vertices) == 0 {
-		t.Fatalf("degraded answer wrong: %+v", br)
-	}
-	var vb vertexBlocksResponse
-	if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks"+qs, &vb); code != 200 {
-		t.Fatalf("faulted vertex query: status %d", code)
-	}
-	if vb.Sharded || !vb.Degraded || !vb.IsCut {
-		t.Fatalf("faulted vertex answer: %+v", vb)
-	}
-
-	snap := s.Snapshot()
-	if snap.Sharding == nil {
-		t.Fatal("sharding section missing")
-	}
-	if snap.Sharding.Sets != 0 || snap.Sharding.ResidentShards != 0 {
-		t.Fatalf("faulted builds installed shard state: %+v", snap.Sharding)
-	}
-	if snap.Sharding.BuildFailures == 0 || snap.Sharding.Fallbacks == 0 {
-		t.Fatalf("fault not accounted: %+v", snap.Sharding)
-	}
-
-	// Heal: with the fault gone the same query routes to fresh shard state.
-	faults.Deactivate()
-	var healed blockResponse
-	if code := getJSON(t, ts.URL+"/v1/block/0"+qs, &healed); code != 200 {
-		t.Fatalf("healed block query: status %d", code)
-	}
-	if !healed.Sharded || healed.Degraded {
-		t.Fatalf("healed query not sharded: %+v", healed)
-	}
-	if snap := s.Snapshot(); snap.Sharding.Sets != 1 {
-		t.Fatalf("healed build not installed: %+v", snap.Sharding)
-	}
-}
-
-// TestShardSpillDemotionPromotion runs the layer under a tiny memory budget
-// with a disk tier: shards demote, every block stays servable, and the
-// demotion/promotion counters move.
-func TestShardSpillDemotionPromotion(t *testing.T) {
-	s, ts := newShardServer(t, Config{}, ShardingConfig{
-		MemBudget: 2_000,
-		SpillDir:  t.TempDir(),
-	})
-	el := gen.Caterpillar(16, 3) // one block per edge: many shards
+// TestShardIndexBuiltOncePerEntry sends 50 concurrent per-block queries
+// against one cache entry: the index is built exactly once, and its bytes
+// are charged to the result cache.
+func TestShardIndexBuiltOncePerEntry(t *testing.T) {
+	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir(), MemBudget: 1 << 30})
+	ts := newHTTPServer(t, s)
+	el := gen.Caterpillar(16, 3)
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	up := uploadGraph(t, ts, g, "")
-	res, err := bicc.BiconnectedComponents(g, &bicc.Options{Algorithm: bicc.Auto})
+	if r, body := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "sequential", Procs: 1}); r.StatusCode != http.StatusOK {
+		t.Fatalf("bcc: status %d: %s", r.StatusCode, body)
+	}
+	before := s.cache.Bytes()
+
+	res, err := bicc.BiconnectedComponents(g, &bicc.Options{Algorithm: bicc.Sequential, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := res.BlockCutTree()
+	want, err := shard.BuildSet(context.Background(), "want", g, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	qs := "?graph=" + up.Fingerprint + "&algorithm=sequential&procs=1"
+	var wg sync.WaitGroup
+	for i := 0; i < 50; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			path := []string{"/v1/block/%d", "/v1/vertex/%d/blocks", "/v1/vertex/%d/articulation"}[i%3]
+			if code := getJSON(t, ts.URL+fmt.Sprintf(path, i%16)+qs, nil); code != http.StatusOK {
+				t.Errorf("query %d: status %d", i, code)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	if n := s.stats.ShardBuilds.Load(); n != 1 {
+		t.Fatalf("bicc_shard_builds_total = %d after 50 queries on one entry, want 1", n)
+	}
+	if got := s.cache.Bytes() - before; got != want.Bytes() {
+		t.Fatalf("result cache grew by %d bytes, want the index's %d", got, want.Bytes())
+	}
+	if n := s.stats.ShardQueries.Load(); n != 50 {
+		t.Fatalf("bicc_shard_queries_total = %d, want 50", n)
+	}
+}
+
+// TestShardThenBCCKeepsDerivedViews covers a per-block query followed by
+// /v1/bcc with an include view: the per-block query caches a view-less
+// entry, the first /v1/bcc hit derives the view, and the entry keeps it
+// (and its per-block index) for later hits.
+func TestShardThenBCCKeepsDerivedViews(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	up := uploadGraph(t, ts, testGraph(t), "")
+	if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks?graph="+up.Fingerprint+"&algorithm=tv-opt&procs=2", nil); code != http.StatusOK {
+		t.Fatalf("vertex blocks: status %d", code)
+	}
+	before := s.cache.Bytes()
+	req := bccRequest{Graph: up.Fingerprint, Algorithm: "tv-opt", Procs: 2, Include: []string{"blockcut"}}
+	var bodies []string
+	for i := 0; i < 2; i++ {
+		r, body := postBCC(t, ts, req)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("bcc: status %d: %s", r.StatusCode, body)
+		}
+		var out bccResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.Cached || out.BlockCut == nil || out.BlockCut.NumBlocks != 3 {
+			t.Fatalf("bcc %d: %s", i, body)
+		}
+		out.ElapsedNs = 0
+		b, _ := json.Marshal(out)
+		bodies = append(bodies, string(b))
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("hits disagree:\n%s\n%s", bodies[0], bodies[1])
+	}
+	s.cache.mu.Lock()
+	e := s.cache.entries[resultKey{fp: up.Fingerprint, algo: bicc.TVOpt, procs: 2}]
+	kept := e != nil && e.res.BlockCut != nil && e.blocks != nil
+	s.cache.mu.Unlock()
+	if !kept || s.cache.Bytes() <= before {
+		t.Fatalf("derived view not kept on the entry (kept=%v, bytes %d -> %d)", kept, before, s.cache.Bytes())
+	}
+	if n := s.stats.ShardBuilds.Load(); n != 1 {
+		t.Fatalf("index built %d times, want 1", n)
+	}
+}
+
+// TestShardBuildFaultFailsOnlyPerBlockQueries seeds a persistent panic at
+// shard.build: per-block queries answer 500 and keep no index, while
+// /v1/bcc on the same graph still answers. Clearing the fault heals the
+// per-block path on the next query.
+func TestShardBuildFaultFailsOnlyPerBlockQueries(t *testing.T) {
+	defer faults.Deactivate()
+	s, ts := newTestServer(t, Config{})
+	up := uploadGraph(t, ts, testGraph(t), "")
 	qs := "?graph=" + up.Fingerprint
 
-	for b := 0; b < res.NumComponents; b++ {
-		var br blockResponse
-		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s", b, qs), &br); code != 200 {
-			t.Fatalf("block %d: status %d", b, code)
-		}
-		if !br.Sharded || fmt.Sprint(br.Vertices) != fmt.Sprint(tree.VerticesOfBlock(int32(b))) {
-			t.Fatalf("block %d wrong under budget pressure: %+v", b, br)
+	faults.Activate(&faults.Plan{Seed: 1,
+		Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, shard.SiteBuild)}})
+	for _, path := range []string{"/v1/block/0", "/v1/vertex/2/blocks", "/v1/vertex/2/articulation"} {
+		if code := getJSON(t, ts.URL+path+qs, nil); code != http.StatusInternalServerError {
+			t.Fatalf("faulted %s: status %d, want 500", path, code)
 		}
 	}
-	snap := s.Snapshot()
-	if snap.Sharding.Demotions == 0 {
-		t.Fatalf("tiny budget caused no demotions: %+v", snap.Sharding)
+	if r, body := postBCC(t, ts, bccRequest{Graph: up.Fingerprint}); r.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/bcc under a shard.build fault: status %d: %s", r.StatusCode, body)
 	}
-	if snap.Sharding.Promotions == 0 {
-		t.Fatalf("no promotions while sweeping all blocks: %+v", snap.Sharding)
+	if n := blockIndexes(s.cache); n != 0 {
+		t.Fatalf("faulted builds kept %d indexes", n)
 	}
-	if snap.Sharding.SpillEntries == 0 || snap.Sharding.SpillBytes == 0 {
-		t.Fatalf("spill tier unused: %+v", snap.Sharding)
+	if s.stats.ShardBuilds.Load() != 0 || s.stats.ShardBuildFailures.Load() != 3 {
+		t.Fatalf("builds %d, failures %d; want 0 and 3",
+			s.stats.ShardBuilds.Load(), s.stats.ShardBuildFailures.Load())
 	}
-	if snap.Sharding.Invalidations != 0 {
-		t.Fatalf("healthy demote/promote cycle invalidated sets: %+v", snap.Sharding)
+
+	faults.Deactivate()
+	var healed blockResponse
+	if code := getJSON(t, ts.URL+"/v1/block/0"+qs, &healed); code != http.StatusOK {
+		t.Fatalf("healed block query: status %d", code)
+	}
+	if healed.Degraded || healed.NumBlocks != 3 || len(healed.Vertices) == 0 {
+		t.Fatalf("healed answer: %+v", healed)
+	}
+	if n := blockIndexes(s.cache); n != 1 {
+		t.Fatalf("healed build not kept: %d indexes", n)
+	}
+}
+
+// TestShardDegradedResultAnswersUncached checks a per-block query whose
+// decomposition came from the sequential fallback: it answers, marked
+// degraded, and neither the result nor its index is kept.
+func TestShardDegradedResultAnswersUncached(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Compute: func(ctx context.Context, g *bicc.Graph, opt *bicc.Options) (*bicc.Result, error) {
+			res, err := bicc.BiconnectedComponentsCtx(ctx, g, &bicc.Options{Algorithm: bicc.Sequential})
+			if err != nil {
+				return nil, err
+			}
+			res.Degraded = true
+			res.DegradedCause = errors.New("synthetic fault")
+			return res, nil
+		},
+	})
+	up := uploadGraph(t, ts, testGraph(t), "")
+	for i := 1; i <= 2; i++ {
+		var vb vertexBlocksResponse
+		if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks?graph="+up.Fingerprint, &vb); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+		if !vb.Degraded || vb.DegradedCause == "" || !vb.IsCut {
+			t.Fatalf("query %d: %+v, want a degraded cut-vertex answer", i, vb)
+		}
+		if n := blockIndexes(s.cache); n != 0 {
+			t.Fatalf("query %d: degraded result kept %d indexes", i, n)
+		}
+		if got := s.Snapshot().Computations; got != int64(i) {
+			t.Fatalf("query %d: %d computations, want %d (degraded results are not cached)", i, got, i)
+		}
+	}
+}
+
+// TestShardSpillDemotionPromotion runs per-block queries under a memory
+// budget that holds exactly two results: an index's bytes push the other
+// entry out to spill, a demoted entry loses its index, and the entry
+// promoted back builds it anew — with every answer unchanged.
+func TestShardSpillDemotionPromotion(t *testing.T) {
+	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
+	ts := newHTTPServer(t, s)
+	el := gen.Caterpillar(16, 3) // one block per edge: a sizable index
+	g, err := bicc.NewGraph(int(el.N), el.Edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := uploadGraph(t, ts, g, "")
+	for _, procs := range []int{1, 2} {
+		if r, body := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "sequential", Procs: procs}); r.StatusCode != http.StatusOK {
+			t.Fatalf("bcc: status %d: %s", r.StatusCode, body)
+		}
+	}
+	s.cache.SetDurable(s.dur.Load().spill, s.cache.Bytes())
+
+	qs := func(procs int) string {
+		return fmt.Sprintf("?graph=%s&algorithm=sequential&procs=%d", up.Fingerprint, procs)
+	}
+	step := func(procs int, builds, writes int64) {
+		t.Helper()
+		checkBlockAnswers(t, ts, qs(procs), g, bicc.Sequential)
+		snap := s.Snapshot()
+		if n := s.stats.ShardBuilds.Load(); n != builds {
+			t.Fatalf("procs=%d: %d index builds, want %d", procs, n, builds)
+		}
+		if snap.Durability.SpillWrites != writes || snap.CachedResults != 1 {
+			t.Fatalf("procs=%d: spill writes %d, cached results %d; want %d and 1",
+				procs, snap.Durability.SpillWrites, snap.CachedResults, writes)
+		}
+	}
+	step(2, 1, 1) // the procs=2 index pushes the procs=1 entry out
+	step(1, 2, 2) // promoted back: procs=2 goes out, procs=1 rebuilds its index
+	step(2, 3, 3) // procs=2 lost its index on demotion and rebuilds it
+	if s.Snapshot().Durability.SpillHits != 2 {
+		t.Fatalf("spill hits %d, want 2 promotions", s.Snapshot().Durability.SpillHits)
 	}
 }
 
 // TestShardDeleteGraphDropsShardState proves DELETE /v1/graphs/{fp} removes
-// every algorithm/procs variant of the graph's shard state.
+// every algorithm/procs variant of the graph's per-block indexes.
 func TestShardDeleteGraphDropsShardState(t *testing.T) {
-	s, ts := newShardServer(t, Config{}, ShardingConfig{})
+	s, ts := newTestServer(t, Config{})
 	up := uploadGraph(t, ts, testGraph(t), "")
 	qs := "?graph=" + up.Fingerprint
 	for _, algo := range []string{"sequential", "tv-opt"} {
@@ -259,8 +437,8 @@ func TestShardDeleteGraphDropsShardState(t *testing.T) {
 			t.Fatalf("%s: status %d", algo, code)
 		}
 	}
-	if snap := s.Snapshot(); snap.Sharding.Sets != 2 {
-		t.Fatalf("sets=%d, want 2", snap.Sharding.Sets)
+	if n := blockIndexes(s.cache); n != 2 {
+		t.Fatalf("indexes=%d, want 2", n)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/"+up.Fingerprint, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -271,8 +449,8 @@ func TestShardDeleteGraphDropsShardState(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
-	if snap := s.Snapshot(); snap.Sharding.Sets != 0 {
-		t.Fatalf("shard state survived graph deletion: %+v", snap.Sharding)
+	if n := blockIndexes(s.cache); n != 0 || s.cache.Bytes() != 0 {
+		t.Fatalf("per-block state survived graph deletion: %d indexes, %d bytes", n, s.cache.Bytes())
 	}
 	if code := getJSON(t, ts.URL+"/v1/block/0"+qs, nil); code != http.StatusNotFound {
 		t.Fatalf("query after delete: status %d, want 404", code)
@@ -280,13 +458,13 @@ func TestShardDeleteGraphDropsShardState(t *testing.T) {
 }
 
 // TestShardConcurrentQueriesDuringBuildAndEviction hammers the endpoints
-// concurrently while builds, demotions, and deletions are in flight; run
-// under -race this is the service-level data-race net for the shard path.
+// concurrently across two engines while builds, demotions and promotions
+// are in flight; run under -race this is the service-level data-race net
+// for the per-block path.
 func TestShardConcurrentQueriesDuringBuildAndEviction(t *testing.T) {
-	_, ts := newShardServer(t, Config{}, ShardingConfig{
-		MemBudget: 3_000,
-		SpillDir:  t.TempDir(),
-	})
+	// A queue lets the two engines' first computations wait for the worker.
+	s, _ := durableServer(t, Config{Queue: -1}, DurabilityConfig{Dir: t.TempDir(), MemBudget: 3_000})
+	ts := newHTTPServer(t, s)
 	el := gen.Caterpillar(12, 2)
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
 	if err != nil {
@@ -304,27 +482,20 @@ func TestShardConcurrentQueriesDuringBuildAndEviction(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			algo := []string{"sequential", "tv-opt"}[w%2]
 			for i := 0; i < 30; i++ {
+				var path string
 				switch i % 3 {
 				case 0:
-					var br blockResponse
-					code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d?graph=%s", (w+i)%nb, up.Fingerprint), &br)
-					if code != 200 {
-						t.Errorf("block: status %d", code)
-						return
-					}
+					path = fmt.Sprintf("/v1/block/%d", (w+i)%nb)
 				case 1:
-					code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/blocks?graph=%s", (w*i)%g.NumVertices(), up.Fingerprint), nil)
-					if code != 200 {
-						t.Errorf("vertex blocks: status %d", code)
-						return
-					}
+					path = fmt.Sprintf("/v1/vertex/%d/blocks", (w*i)%g.NumVertices())
 				case 2:
-					code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/articulation?graph=%s", i%g.NumVertices(), up.Fingerprint), nil)
-					if code != 200 {
-						t.Errorf("articulation: status %d", code)
-						return
-					}
+					path = fmt.Sprintf("/v1/vertex/%d/articulation", i%g.NumVertices())
+				}
+				if code := getJSON(t, ts.URL+path+"?graph="+up.Fingerprint+"&algorithm="+algo, nil); code != 200 {
+					t.Errorf("%s: status %d", path, code)
+					return
 				}
 			}
 		}(w)
@@ -332,12 +503,13 @@ func TestShardConcurrentQueriesDuringBuildAndEviction(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardClientCancelLeavesNoPartialState aborts a shard build through
-// the client's deadline on a graph big enough to still be mid-build, then
-// proves no partial shard state survived and the next (patient) query
-// succeeds from a fresh build.
+// TestShardClientCancelLeavesNoPartialState aborts a per-block query
+// through the client's deadline on a graph big enough to still be
+// computing, then proves no index was kept and the next (patient) query
+// succeeds.
 func TestShardClientCancelLeavesNoPartialState(t *testing.T) {
-	s, ts := newShardServer(t, Config{}, ShardingConfig{})
+	// The patient query may queue behind the abandoned run's worker.
+	s, ts := newTestServer(t, Config{Queue: -1})
 	up := uploadGraph(t, ts, bigGraph(), "")
 
 	code := getJSON(t, ts.URL+"/v1/vertex/0/blocks?graph="+up.Fingerprint+"&timeout_ms=1", nil)
@@ -346,24 +518,23 @@ func TestShardClientCancelLeavesNoPartialState(t *testing.T) {
 		// invariant below is unconditional.
 		t.Logf("1ms query returned %d", code)
 	}
-	snap := s.Snapshot()
-	if code != http.StatusOK && (snap.Sharding.Sets != 0 || snap.Sharding.ResidentShards != 0) {
-		t.Fatalf("canceled build left partial state: %+v", snap.Sharding)
+	if code != http.StatusOK && (blockIndexes(s.cache) != 0 || s.stats.ShardBuilds.Load() != 0) {
+		t.Fatalf("canceled query left an index: %d kept, %d built", blockIndexes(s.cache), s.stats.ShardBuilds.Load())
 	}
 
 	var vb vertexBlocksResponse
 	if code := getJSON(t, ts.URL+"/v1/vertex/0/blocks?graph="+up.Fingerprint, &vb); code != 200 {
 		t.Fatalf("patient query: status %d", code)
 	}
-	if !vb.Sharded || vb.Degraded {
+	if vb.Degraded {
 		t.Fatalf("patient query after cancel: %+v", vb)
 	}
 }
 
-// TestShardMetricsExposed checks the shard series appear on /metrics only
-// when sharding is enabled.
+// TestShardMetricsExposed checks the per-block series New registers, and
+// that the shard families of the retired second cache are gone.
 func TestShardMetricsExposed(t *testing.T) {
-	_, ts := newShardServer(t, Config{}, ShardingConfig{})
+	_, ts := newTestServer(t, Config{})
 	up := uploadGraph(t, ts, testGraph(t), "")
 	if code := getJSON(t, ts.URL+"/v1/block/0?graph="+up.Fingerprint, nil); code != 200 {
 		t.Fatalf("block query: status %d", code)
@@ -377,22 +548,16 @@ func TestShardMetricsExposed(t *testing.T) {
 	for _, series := range []string{
 		"bicc_shard_queries_total 1",
 		"bicc_shard_builds_total 1",
-		"bicc_shard_sets 1",
-		"bicc_shard_request_seconds",
+		"bicc_shard_build_failures_total 0",
+		"bicc_shard_request_seconds_count 1",
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Fatalf("metrics missing %q", series)
 		}
 	}
-
-	_, ts2 := newTestServer(t, Config{})
-	resp2, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body2, _ := io.ReadAll(resp2.Body)
-	if strings.Contains(string(body2), "bicc_shard_") {
-		t.Fatal("non-sharded server exposes shard series")
+	for _, gone := range []string{"bicc_shard_sets", "bicc_shard_bytes", "bicc_shard_spill_", "bicc_shard_fallbacks_total"} {
+		if strings.Contains(string(body), gone) {
+			t.Fatalf("metrics still expose %q", gone)
+		}
 	}
 }

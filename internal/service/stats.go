@@ -32,26 +32,35 @@ type Stats struct {
 	Fallbacks     *obs.Counter // results produced by the sequential fallback
 	BreakerRouted *obs.Counter // queries routed to sequential by an open breaker
 	HandlerPanics *obs.Counter // HTTP handler panics recovered by middleware
-	perAlgorithm  map[string]*Histogram
+	// Per-block query counters (/v1/block, /v1/vertex/...).
+	ShardQueries       *obs.Counter // per-block queries received
+	ShardBuilds        *obs.Counter // per-block indexes built
+	ShardBuildFailures *obs.Counter // per-block index builds that failed
+	shardLatency       *Histogram
+	perAlgorithm       map[string]*Histogram
 }
 
 // newStats registers the request counters and per-algorithm latency
 // histograms on reg.
 func newStats(reg *obs.Registry) Stats {
 	st := Stats{
-		Requests:      reg.Counter("bicc_requests_total", "BCC queries received."),
-		CacheHits:     reg.Counter("bicc_cache_hits_total", "Queries served from a completed cache entry."),
-		CacheMisses:   reg.Counter("bicc_cache_misses_total", "Queries that required a new computation."),
-		Coalesced:     reg.Counter("bicc_coalesced_total", "Queries that joined an in-flight identical computation."),
-		Rejected:      reg.Counter("bicc_rejected_total", "Queries rejected with 429 by a full admission queue."),
-		Canceled:      reg.Counter("bicc_canceled_total", "Queries whose context ended before or while computing."),
-		Computations:  reg.Counter("bicc_computations_total", "Engine runs actually started."),
-		GraphUploads:  reg.Counter("bicc_graph_uploads_total", "Graphs ingested via upload or open."),
-		EnginePanics:  reg.Counter("bicc_engine_panics_total", "Engine panics contained by the parallel runtime."),
-		Fallbacks:     reg.Counter("bicc_fallbacks_total", "Results produced by the sequential fallback."),
-		BreakerRouted: reg.Counter("bicc_breaker_routed_total", "Queries routed to sequential by an open circuit breaker."),
-		HandlerPanics: reg.Counter("bicc_handler_panics_total", "HTTP handler panics recovered by middleware."),
-		perAlgorithm:  map[string]*Histogram{},
+		Requests:           reg.Counter("bicc_requests_total", "BCC queries received."),
+		CacheHits:          reg.Counter("bicc_cache_hits_total", "Queries served from a completed cache entry."),
+		CacheMisses:        reg.Counter("bicc_cache_misses_total", "Queries that required a new computation."),
+		Coalesced:          reg.Counter("bicc_coalesced_total", "Queries that joined an in-flight identical computation."),
+		Rejected:           reg.Counter("bicc_rejected_total", "Queries rejected with 429 by a full admission queue."),
+		Canceled:           reg.Counter("bicc_canceled_total", "Queries whose context ended before or while computing."),
+		Computations:       reg.Counter("bicc_computations_total", "Engine runs actually started."),
+		GraphUploads:       reg.Counter("bicc_graph_uploads_total", "Graphs ingested via upload or open."),
+		EnginePanics:       reg.Counter("bicc_engine_panics_total", "Engine panics contained by the parallel runtime."),
+		Fallbacks:          reg.Counter("bicc_fallbacks_total", "Results produced by the sequential fallback."),
+		BreakerRouted:      reg.Counter("bicc_breaker_routed_total", "Queries routed to sequential by an open circuit breaker."),
+		HandlerPanics:      reg.Counter("bicc_handler_panics_total", "HTTP handler panics recovered by middleware."),
+		ShardQueries:       reg.Counter("bicc_shard_queries_total", "Per-block queries received."),
+		ShardBuilds:        reg.Counter("bicc_shard_builds_total", "Per-block indexes built for a cached decomposition."),
+		ShardBuildFailures: reg.Counter("bicc_shard_build_failures_total", "Per-block index builds that failed (fault, cancellation, or panic)."),
+		shardLatency:       reg.Histogram("bicc_shard_request_seconds", "End-to-end latency of per-block queries."),
+		perAlgorithm:       map[string]*Histogram{},
 	}
 	lat := reg.HistogramVec("bicc_request_seconds",
 		"End-to-end engine computation latency by executing algorithm.", "algorithm")
@@ -90,9 +99,6 @@ type StatsSnapshot struct {
 	// Durability is present only when the daemon runs with a data
 	// directory; a diskless bccd's /statsz is unchanged.
 	Durability *DurabilitySnapshot `json:"durability,omitempty"`
-	// Sharding is present only when EnableSharding has been called; a
-	// non-sharded bccd's /statsz is unchanged.
-	Sharding *ShardingSnapshot `json:"sharding,omitempty"`
 	// Incr is present once the first edge mutation has been acknowledged; an
 	// unmutated bccd's /statsz is unchanged.
 	Incr *IncrSnapshot `json:"incr,omitempty"`

@@ -66,8 +66,7 @@ func buildBoth(t *testing.T, fam diffFamily, algo bicc.Algorithm) (*bicc.Graph, 
 }
 
 // assertShardEqualsMonolith runs the five query kinds against both paths.
-// shards indexes the per-block state (a freshly built Set's own Shards, or
-// codec round-tripped copies).
+// shards indexes the per-block state (a freshly built Set's own Shards).
 func assertShardEqualsMonolith(t *testing.T, g *bicc.Graph, res *bicc.Result, set *Set, shards []*Shard) {
 	t.Helper()
 	tree := res.BlockCutTree()
@@ -148,36 +147,5 @@ func TestDifferentialShardEqualsMonolith(t *testing.T) {
 				assertShardEqualsMonolith(t, g, res, set, set.Shards)
 			})
 		}
-	}
-}
-
-// TestDifferentialSurvivesCodecRoundTrip re-runs the full harness against
-// shard state that has been through the spill codecs — what a query served
-// after demotion, restart, and promotion actually reads.
-func TestDifferentialSurvivesCodecRoundTrip(t *testing.T) {
-	for _, fam := range diffFamilies() {
-		t.Run(fam.name, func(t *testing.T) {
-			g, res, set := buildBoth(t, fam, bicc.Sequential)
-
-			decSet, err := DecodeIndex(EncodeIndex(set))
-			if err != nil {
-				t.Fatalf("DecodeIndex: %v", err)
-			}
-			if decSet.BuildHash != set.BuildHash {
-				t.Fatalf("decoded BuildHash %x, want %x", decSet.BuildHash, set.BuildHash)
-			}
-			shards := make([]*Shard, set.NumBlocks)
-			for b, sh := range set.Shards {
-				dec, hash, err := DecodeShard(EncodeShard(sh, set.BuildHash))
-				if err != nil {
-					t.Fatalf("DecodeShard(%d): %v", b, err)
-				}
-				if hash != set.BuildHash {
-					t.Fatalf("shard %d hash %x, want %x", b, hash, set.BuildHash)
-				}
-				shards[b] = dec
-			}
-			assertShardEqualsMonolith(t, g, res, decSet, shards)
-		})
 	}
 }

@@ -6,15 +6,13 @@
 // A Set is the sharded form of one decomposition: a compact vertex→block
 // routing index (CSR over the block-cut incidence) plus one Shard per block
 // holding the block's vertex set, its cut vertices, and the remapped
-// subgraph in exactly the shape Result.ComponentSubgraph produces. Shards
-// are immutable once built; the Manager owns residency (byte-accounted LRU
-// demotion to a spill tier, promotion with integrity checks, single-flight
-// builds).
+// subgraph in exactly the shape Result.ComponentSubgraph produces. Sets are
+// immutable once built; the service keeps one on the result-cache entry of
+// the decomposition it was built from.
 //
 // Construction is instrumented with the shard.build fault site and honors
 // context cancellation between blocks: a canceled or faulted build returns
-// an error and installs nothing, so the registry can never hold partial
-// shard state.
+// an error and no Set, so a cache can never hold partial shard state.
 package shard
 
 import (
@@ -50,19 +48,10 @@ type Shard struct {
 	EdgeMap   []int32
 }
 
-// Bytes estimates the resident size of the shard for budget accounting.
-func (sh *Shard) Bytes() int64 {
-	return 256 +
-		4*int64(len(sh.Vertices)+len(sh.Cuts)+len(sh.VertexMap)+len(sh.EdgeMap)) +
-		8*int64(len(sh.Sub.Edges))
-}
-
-// Set is the sharded form of one decomposition: the routing index plus (for
-// freshly built sets) the shards themselves. A Set decoded from a spilled
-// index carries a nil Shards slice; the Manager promotes individual shards
-// on demand.
+// Set is the sharded form of one decomposition: the routing index plus the
+// shards themselves.
 type Set struct {
-	// FP is the content address of the source graph.
+	// FP is the key the set was built under.
 	FP string
 	// Algorithm names the engine that produced the decomposition; block
 	// numbering is only meaningful relative to it.
@@ -71,11 +60,7 @@ type Set struct {
 	N int32
 	// NumBlocks is the number of biconnected components.
 	NumBlocks int
-	// BuildHash fingerprints the routing index. Spilled shards carry it so
-	// a promoted shard from a stale build is rejected instead of served.
-	BuildHash uint64
-	// Shards holds every block's state after BuildSet; the Manager takes
-	// custody at install time and nils it.
+	// Shards holds every block's state, indexed by block id.
 	Shards []*Shard
 
 	// offsets/blocks are the CSR vertex→block index: the blocks containing
@@ -119,36 +104,15 @@ func (s *Set) CutVertices() []int32 {
 	return out
 }
 
-// IndexBytes estimates the resident size of the routing index alone — the
-// part of a Set that stays in memory even with every shard demoted.
-func (s *Set) IndexBytes() int64 {
-	return 256 + 4*int64(len(s.offsets)+len(s.blocks))
-}
-
-// hashIndex fingerprints the routing index with FNV-1a. Any change to the
-// decomposition (different algorithm run, different graph) changes it, so
-// spilled shards can be matched to the exact build that wrote them.
-func hashIndex(fp string, n int32, numBlocks int, offsets, blocks []int32) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime
-			v >>= 8
-		}
+// Bytes estimates the resident size of the set — routing index plus every
+// shard — for cache budget accounting.
+func (s *Set) Bytes() int64 {
+	n := 256 + 4*int64(len(s.offsets)+len(s.blocks))
+	for _, sh := range s.Shards {
+		n += 256 + 4*int64(len(sh.Vertices)+len(sh.Cuts)+len(sh.VertexMap)+len(sh.EdgeMap)) +
+			8*int64(len(sh.Sub.Edges))
 	}
-	for i := 0; i < len(fp); i++ {
-		h = (h ^ uint64(fp[i])) * prime
-	}
-	mix(uint64(uint32(n)))
-	mix(uint64(numBlocks))
-	for _, o := range offsets {
-		mix(uint64(uint32(o)))
-	}
-	for _, b := range blocks {
-		mix(uint64(uint32(b)))
-	}
-	return h
+	return n
 }
 
 // BuildSet partitions a completed decomposition into per-block shards. g
@@ -248,7 +212,6 @@ func BuildSet(ctx context.Context, fp string, g *bicc.Graph, res *bicc.Result) (
 		Algorithm: res.Algorithm.String(),
 		N:         n,
 		NumBlocks: nb,
-		BuildHash: hashIndex(fp, n, nb, offsets, blocks),
 		Shards:    shards,
 		offsets:   offsets,
 		blocks:    blocks,
