@@ -67,14 +67,6 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
-	seen := make(map[uint64]struct{}, len(edges))
-	for i, e := range el.Edges {
-		k := graph.CanonKey(e.U, e.V)
-		if _, dup := seen[k]; dup {
-			return nil, fmt.Errorf("bicc: duplicate edge %d (%d,%d)", i, e.U, e.V)
-		}
-		seen[k] = struct{}{}
-	}
 	return &Graph{el: el}, nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/durable"
 	"bicc/internal/service"
 )
 
@@ -312,11 +314,12 @@ func TestCrashDuringCompaction(t *testing.T) {
 		{"durable.snap.write", "kill,site=durable.snap.write,iter=0"},
 		{"durable.snap.rename", "kill,site=durable.snap.rename,iter=2"},
 	}
+	compactBytes := compactOnThirdUpload(t)
 	for _, tc := range cases {
 		site := tc.site
 		t.Run(site, func(t *testing.T) {
 			dir := t.TempDir()
-			p := startBccd(t, dir, tc.spec, "-compact-bytes", "2048")
+			p := startBccd(t, dir, tc.spec, "-compact-bytes", compactBytes)
 
 			acked := map[string]bool{}
 			for i := 0; i < 40; i++ {
@@ -355,6 +358,29 @@ func TestCrashDuringCompaction(t *testing.T) {
 			}
 		})
 	}
+}
+
+// compactOnThirdUpload returns a -compact-bytes value that the WAL reaches
+// on the third crashGraph upload and not before, so the first two uploads
+// are acknowledged before the compaction they do not trigger can kill the
+// daemon. It writes the same records bccd does to a throwaway store and
+// takes the midpoint between the two- and three-upload WAL sizes.
+func compactOnThirdUpload(t *testing.T) string {
+	t.Helper()
+	st, _, err := durable.Open(durable.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var size [3]int64
+	for i := range size {
+		g, fp := crashGraph(t, i)
+		if err := st.AppendAdd(fp, "", g); err != nil {
+			t.Fatal(err)
+		}
+		size[i] = st.WALBytes()
+	}
+	return strconv.FormatInt((size[1]+size[2])/2, 10)
 }
 
 // TestCrashAtEngineKillSite SIGKILLs the daemon inside the fast-bcc engine

@@ -188,18 +188,28 @@ func Count(labels []int32) int {
 
 // Normalize renumbers labels in place to the dense range [0, k) in order of
 // first appearance and returns k. Useful for comparing partitions produced
-// by different algorithms.
+// by different algorithms. The remap is an array over [min, max] of the
+// labels, so they should be ids bounded by the input size, as vertex, edge
+// and block ids are.
 func Normalize(labels []int32) int {
-	remap := make(map[int32]int32, 16)
-	for i, l := range labels {
-		nl, ok := remap[l]
-		if !ok {
-			nl = int32(len(remap))
-			remap[l] = nl
-		}
-		labels[i] = nl
+	if len(labels) == 0 {
+		return 0
 	}
-	return len(remap)
+	lo, hi := labels[0], labels[0]
+	for _, l := range labels {
+		lo, hi = min(lo, l), max(hi, l)
+	}
+	remap := make([]int32, int(hi)-int(lo)+1) // new label + 1; 0 = unseen
+	k := int32(0)
+	for i, l := range labels {
+		r := &remap[int(l)-int(lo)]
+		if *r == 0 {
+			k++
+			*r = k
+		}
+		labels[i] = *r - 1
+	}
+	return int(k)
 }
 
 // SamePartition reports whether two labelings induce the same partition of

@@ -759,12 +759,15 @@ func scanWAL(b []byte) (recs []walRec, validLen int, truncated bool, dropped int
 // the edge preserving the order of the remainder, inserts append at the end —
 // the same semantics the service validated before acknowledging the record.
 // An op that no longer matches the edge list is an error; the caller decides
-// what to do with the diverged entry.
+// what to do with the diverged entry. Deletes only mark their edge and one
+// compaction at the end drops the marked ones, which leaves the same order
+// as removing each in turn.
 func applyOps(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) {
 	if g == nil {
 		return nil, fmt.Errorf("durable: delta replay onto nil graph")
 	}
 	edges := append([]graph.Edge(nil), g.Edges()...)
+	dead := make([]bool, len(edges))
 	index := make(map[uint64]int, len(edges))
 	for i, e := range edges {
 		index[graph.CanonKey(e.U, e.V)] = i
@@ -776,20 +779,24 @@ func applyOps(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) {
 			if !present {
 				return nil, fmt.Errorf("durable: delta op %d deletes absent edge (%d,%d)", i, op.U, op.V)
 			}
-			edges = append(edges[:at], edges[at+1:]...)
+			dead[at] = true
 			delete(index, key)
-			for j := at; j < len(edges); j++ {
-				index[graph.CanonKey(edges[j].U, edges[j].V)] = j
-			}
 		} else {
 			if present {
 				return nil, fmt.Errorf("durable: delta op %d inserts duplicate edge (%d,%d)", i, op.U, op.V)
 			}
 			index[key] = len(edges)
 			edges = append(edges, graph.Edge{U: op.U, V: op.V})
+			dead = append(dead, false)
 		}
 	}
-	return bicc.NewGraph(int(rec.NewN), edges)
+	live := edges[:0]
+	for i, e := range edges {
+		if !dead[i] {
+			live = append(live, e)
+		}
+	}
+	return bicc.NewGraph(int(rec.NewN), live)
 }
 
 // scanSnapshot decodes a snapshot image. complete reports that the end

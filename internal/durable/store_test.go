@@ -225,6 +225,59 @@ func TestStoreDeltaReplayAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestApplyOpsDeletesAtFrontOfLargeList replays one record that deletes
+// the first 2000 edges of a 20000-edge path, interleaved with inserts, a
+// delete of an edge inserted earlier in the same record and a re-insert of
+// a deleted edge: the result is the survivors in order, then the surviving
+// inserts in op order.
+func TestApplyOpsDeletesAtFrontOfLargeList(t *testing.T) {
+	const m, k = 20000, 2000
+	edges := make([]bicc.Edge, m)
+	for i := range edges {
+		edges[i] = bicc.Edge{U: int32(i), V: int32(i + 1)}
+	}
+	g, err := bicc.NewGraph(m+1, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []DeltaOp
+	var inserted []bicc.Edge
+	for i := int32(0); i < k; i++ {
+		ops = append(ops, DeltaOp{Del: true, U: i + 1, V: i})
+		if i%100 == 0 {
+			ops = append(ops, DeltaOp{U: i + k, V: i + k + 2})
+			inserted = append(inserted, bicc.Edge{U: i + k, V: i + k + 2})
+		}
+	}
+	ops = append(ops,
+		DeltaOp{Del: true, U: inserted[3].V, V: inserted[3].U},
+		DeltaOp{U: 1, V: 0})
+	want := append(append([]bicc.Edge(nil), edges[k:]...), inserted[:3]...)
+	want = append(append(want, inserted[4:]...), bicc.Edge{U: 1, V: 0})
+
+	got, err := applyOps(g, DeltaRecord{NewN: m + 1, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumVertices() != m+1 || got.NumEdges() != len(want) {
+		t.Fatalf("replayed n=%d m=%d, want n=%d m=%d", got.NumVertices(), got.NumEdges(), m+1, len(want))
+	}
+	for i, e := range got.Edges() {
+		if e != want[i] {
+			t.Fatalf("edge %d = %v, want %v", i, e, want[i])
+		}
+	}
+	// The errors still name the op.
+	if _, err := applyOps(g, DeltaRecord{NewN: m + 1, Ops: []DeltaOp{{Del: true, U: 0, V: 1}, {Del: true, U: 1, V: 0}}}); err == nil ||
+		err.Error() != "durable: delta op 1 deletes absent edge (1,0)" {
+		t.Fatalf("second delete of one edge: %v", err)
+	}
+	if _, err := applyOps(g, DeltaRecord{NewN: m + 1, Ops: []DeltaOp{{U: 5, V: 4}}}); err == nil ||
+		err.Error() != "durable: delta op 0 inserts duplicate edge (5,4)" {
+		t.Fatalf("insert of a present edge: %v", err)
+	}
+}
+
 func TestStoreCompactionPreservesStateAndShrinksWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, Config{Dir: dir})

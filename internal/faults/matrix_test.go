@@ -237,10 +237,14 @@ func TestFaultMatrixIncr(t *testing.T) {
 					r.Count = 3
 					r.Delay = time.Millisecond
 				}
+				prepared, perr := st.Prepare(batch)
+				if perr != nil {
+					t.Fatal(perr)
+				}
 				faults.Activate(&faults.Plan{Seed: 1, Rules: []*faults.Rule{r}})
 				// Threshold 1: never degrade on region size, so the rebuild
 				// path (and its fault site) actually runs for this batch.
-				stats, aerr := st.Apply(context.Background(), batch, incr.Config{Threshold: 1}, seqRun)
+				stats, aerr := st.Apply(context.Background(), prepared, incr.Config{Threshold: 1}, seqRun)
 				faults.Deactivate()
 
 				if kind == faults.KindDelay {
@@ -275,11 +279,7 @@ func TestFaultMatrixIncr(t *testing.T) {
 					}
 					// Degrade to full, exactly as the service does: recompute
 					// the final edge list from scratch and rebuild the state.
-					newN, final, perr := st.Preview(batch)
-					if perr != nil {
-						t.Fatalf("preview after fault: %v", perr)
-					}
-					fg, gerr := bicc.NewGraph(int(newN), final)
+					fg, gerr := bicc.NewGraph(int(prepared.N), prepared.Edges)
 					if gerr != nil {
 						t.Fatal(gerr)
 					}

@@ -26,9 +26,10 @@ type EdgeList struct {
 	Edges []Edge
 }
 
-// Validate checks that all endpoints are in range and that the list has no
-// self loops. It does not reject duplicate edges; call Normalize to remove
-// them.
+// Validate checks that all endpoints are in range, that the list has no
+// self loops, and that no edge repeats an earlier one in either
+// orientation; the error names the first offending edge. Call Normalize to
+// drop loops and duplicates instead.
 func (g *EdgeList) Validate() error {
 	if g.N < 0 {
 		return fmt.Errorf("graph: negative vertex count %d", g.N)
@@ -41,7 +42,54 @@ func (g *EdgeList) Validate() error {
 			return fmt.Errorf("graph: edge %d is a self loop at %d", i, e.U)
 		}
 	}
+	if i := g.firstDuplicate(); i >= 0 {
+		e := g.Edges[i]
+		return fmt.Errorf("graph: duplicate edge %d (%d,%d)", i, e.U, e.V)
+	}
 	return nil
+}
+
+// firstDuplicate returns the index of the first edge that repeats an
+// earlier one, or -1. Endpoints must be in range. It buckets edge ids by
+// their smaller endpoint with a counting sort, so every bucket lists its
+// edges in index order, then stamps each bucket's larger endpoints: the
+// first stamp collision in a bucket is that bucket's first repeat. O(n + m)
+// time and memory, no map.
+func (g *EdgeList) firstDuplicate() int {
+	if len(g.Edges) < 2 {
+		return -1
+	}
+	start := make([]int32, g.N+1)
+	for _, e := range g.Edges {
+		start[min(e.U, e.V)+1]++
+	}
+	for v := int32(0); v < g.N; v++ {
+		start[v+1] += start[v]
+	}
+	ids := make([]int32, len(g.Edges))
+	next := append([]int32(nil), start[:g.N]...)
+	for i, e := range g.Edges {
+		lo := min(e.U, e.V)
+		ids[next[lo]] = int32(i)
+		next[lo]++
+	}
+	stamp := next // reused: lo+1 of the bucket that last listed v
+	clear(stamp)
+	first := -1
+	for lo := int32(0); lo < g.N; lo++ {
+		for _, i := range ids[start[lo]:start[lo+1]] {
+			e := g.Edges[i]
+			hi := max(e.U, e.V)
+			if stamp[hi] == lo+1 {
+				if first < 0 || int(i) < first {
+					first = int(i)
+				}
+				break
+			}
+			stamp[hi] = lo + 1
+		}
+	}
+	return first
 }
 
 // M returns the number of edges.

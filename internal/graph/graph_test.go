@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -25,10 +26,45 @@ func TestValidate(t *testing.T) {
 		{"endpoint too big", &EdgeList{N: 2, Edges: []Edge{{0, 2}}}},
 		{"negative endpoint", &EdgeList{N: 2, Edges: []Edge{{-1, 1}}}},
 		{"self loop", &EdgeList{N: 2, Edges: []Edge{{1, 1}}}},
+		{"duplicate", &EdgeList{N: 3, Edges: []Edge{{0, 1}, {1, 2}, {0, 1}}}},
+		{"reversed duplicate", &EdgeList{N: 3, Edges: []Edge{{0, 1}, {1, 2}, {1, 0}}}},
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid graph", c.name)
+		}
+	}
+}
+
+// TestValidateNamesFirstDuplicate checks the array-based duplicate check
+// against a map over random multigraphs: the error must name the first
+// edge that repeats an earlier one.
+func TestValidateNamesFirstDuplicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := int32(2 + rng.Intn(12))
+		g := &EdgeList{N: n}
+		for m := rng.Intn(30); len(g.Edges) < m; {
+			u, v := rng.Int31n(n), rng.Int31n(n)
+			if u != v {
+				g.Edges = append(g.Edges, Edge{u, v})
+			}
+		}
+		want := ""
+		seen := map[uint64]bool{}
+		for i, e := range g.Edges {
+			if seen[CanonKey(e.U, e.V)] {
+				want = fmt.Sprintf("graph: duplicate edge %d (%d,%d)", i, e.U, e.V)
+				break
+			}
+			seen[CanonKey(e.U, e.V)] = true
+		}
+		got := ""
+		if err := g.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Fatalf("trial %d: Validate(%v) = %q, want %q", trial, g.Edges, got, want)
 		}
 	}
 }

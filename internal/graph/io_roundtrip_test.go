@@ -144,6 +144,33 @@ func TestLenientReadersPreserveDirtyEdges(t *testing.T) {
 	if loops != 1 || dups != 1 || len(norm.Edges) != 2 {
 		t.Fatalf("normalize: loops=%d dups=%d m=%d, want 1/1/2", loops, dups, len(norm.Edges))
 	}
+	// A repeated edge alone, without a self loop, is rejected too.
+	dupOnly := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 1}, {U: 0, V: 1}, {U: 1, V: 2}}}
+	text.Reset()
+	bin.Reset()
+	if err := Write(&text, dupOnly); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, dupOnly); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(text.Bytes())); err == nil {
+		t.Fatal("strict text reader accepted a duplicate edge")
+	}
+	if _, err := ReadBinary(bytes.NewReader(bin.Bytes())); err == nil {
+		t.Fatal("strict binary reader accepted a duplicate edge")
+	}
+	if g, err := ReadLenient(bytes.NewReader(text.Bytes())); err != nil {
+		t.Fatalf("lenient text read: %v", err)
+	} else {
+		equalEdgeLists(t, "lenient-text-dup", dupOnly, g)
+	}
+	if g, err := ReadBinaryLenient(bytes.NewReader(bin.Bytes())); err != nil {
+		t.Fatalf("lenient binary read: %v", err)
+	} else {
+		equalEdgeLists(t, "lenient-binary-dup", dupOnly, g)
+	}
+
 	// Lenient still enforces shape: out-of-range endpoints are not edges,
 	// they are garbage, and Normalize would mask them.
 	if _, err := ReadLenient(bytes.NewReader([]byte("p 2 1\n0\n"))); err == nil {

@@ -3,7 +3,6 @@ package incr
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"bicc"
 	"bicc/internal/conncomp"
@@ -18,19 +17,36 @@ import (
 // serves queries, so breakers and fallbacks apply to incremental work too.
 type Recompute func(ctx context.Context, g *bicc.Graph) (*bicc.Result, error)
 
-// batch is the validated form of one delta sequence.
-type batch struct {
-	newN    int32
+// Batch is a delta sequence that Prepare validated against a State, with
+// the graph it leaves behind. Callers persist mutations (WAL append with
+// the post-state fingerprint) between Prepare and Apply. A Batch is valid
+// only until its State next commits.
+type Batch struct {
+	// N and Edges are the vertex count and edge list after the batch:
+	// surviving edges in their current order, then the inserts in
+	// submission order. This is the edge order a from-scratch upload of the
+	// final graph must use for answers to compare byte-for-byte. Apply
+	// adopts Edges as the State's edge list; callers must not modify it.
+	N     int32
+	Edges []graph.Edge
+
+	deltas  int
 	dels    []int32      // indices into the current edge list, unique
+	del     []bool       // del[i]: current edge i is deleted
 	inserts []graph.Edge // appended edges in batch order
+
+	state   *State
+	commits uint64
 }
 
-// validate checks every delta against the state (with earlier deltas of the
+// Prepare checks every delta against the state (with earlier deltas of the
 // same batch applied, so "delete then re-insert" is legal while duplicates
-// and missing edges are rejected) and resolves deletes to edge indices. It
-// mutates nothing.
-func (s *State) validate(deltas []Delta) (*batch, error) {
-	b := &batch{newN: s.n}
+// and missing edges are rejected), resolves deletes to edge indices through
+// the slot map, and assembles the final edge list. It mutates nothing. A
+// batch that passes Prepare can only fail Apply for runtime reasons
+// (faults, cancellation, engine errors), never validation.
+func (s *State) Prepare(deltas []Delta) (*Batch, error) {
+	b := &Batch{N: s.n, deltas: len(deltas), state: s, commits: s.commits}
 	added := make(map[uint64]struct{})
 	removed := make(map[uint64]struct{})
 	for i, d := range deltas {
@@ -46,24 +62,24 @@ func (s *State) validate(deltas []Delta) (*batch, error) {
 			if _, dup := added[key]; dup {
 				return nil, &DeltaError{i, d, "duplicate of an insert earlier in this batch"}
 			}
-			if _, ok := s.index[key]; ok {
+			if _, ok := s.slot[key]; ok {
 				if _, rem := removed[key]; !rem {
 					return nil, &DeltaError{i, d, "edge already present"}
 				}
 			}
 			added[key] = struct{}{}
 			b.inserts = append(b.inserts, graph.Edge{U: d.U, V: d.V})
-			if d.U >= b.newN {
-				b.newN = d.U + 1
+			if d.U >= b.N {
+				b.N = d.U + 1
 			}
-			if d.V >= b.newN {
-				b.newN = d.V + 1
+			if d.V >= b.N {
+				b.N = d.V + 1
 			}
 		case OpDelete:
 			if _, ok := added[key]; ok {
 				return nil, &DeltaError{i, d, "edge was inserted earlier in this batch"}
 			}
-			idx, ok := s.index[key]
+			sl, ok := s.slot[key]
 			if !ok {
 				return nil, &DeltaError{i, d, "edge not present"}
 			}
@@ -71,77 +87,72 @@ func (s *State) validate(deltas []Delta) (*batch, error) {
 				return nil, &DeltaError{i, d, "edge already deleted in this batch"}
 			}
 			removed[key] = struct{}{}
-			b.dels = append(b.dels, idx)
+			b.dels = append(b.dels, s.slotPos[sl])
 		default:
 			return nil, &DeltaError{i, d, "unknown op"}
 		}
 	}
+	b.del = make([]bool, len(s.edges))
+	for _, i := range b.dels {
+		b.del[i] = true
+	}
+	b.Edges = make([]graph.Edge, 0, len(s.edges)-len(b.dels)+len(b.inserts))
+	for i, e := range s.edges {
+		if !b.del[i] {
+			b.Edges = append(b.Edges, e)
+		}
+	}
+	b.Edges = append(b.Edges, b.inserts...)
 	return b, nil
 }
 
-// assembleFinal builds the post-batch edge list: surviving edges in their
-// current order, then the batch's inserts in submission order. This is the
-// edge order a from-scratch upload of the final graph must use for answers
-// to compare byte-for-byte.
-func assembleFinal(edges []graph.Edge, del []bool, inserts []graph.Edge) []graph.Edge {
-	out := make([]graph.Edge, 0, len(edges)+len(inserts))
-	for i, e := range edges {
-		if del == nil || !del[i] {
-			out = append(out, e)
-		}
-	}
-	return append(out, inserts...)
+// blockSet is a set of block ids, an array over the id range.
+type blockSet struct {
+	in []bool
+	n  int
 }
 
-// Preview validates a batch and returns the vertex count and edge list the
-// graph will have after it. Callers persist mutations (WAL append with the
-// post-state fingerprint) between Preview and Apply; a batch that passes
-// Preview can only fail Apply for runtime reasons (faults, cancellation,
-// engine errors), never validation.
-func (s *State) Preview(deltas []Delta) (newN int32, final []graph.Edge, err error) {
-	b, err := s.validate(deltas)
-	if err != nil {
-		return 0, nil, err
+func (d *blockSet) add(b int32) {
+	if !d.in[b] {
+		d.in[b] = true
+		d.n++
 	}
-	del := make([]bool, len(s.edges))
-	for _, i := range b.dels {
-		del[i] = true
-	}
-	return b.newN, assembleFinal(s.edges, del, b.inserts), nil
 }
 
-// Apply commits a batch. It classifies every delta against the current
-// block-cut structure, absorbs intra-block inserts in place, and recomputes
-// the union of the dirty blocks (or, past the size threshold, the whole
-// graph) via run. On error the State is unchanged — the caller can degrade
-// to a full recompute of the final edge list and rebuild a fresh State.
-func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recompute) (st *ApplyStats, err error) {
+// Apply commits a batch from Prepare. It classifies every delta against the
+// current block-cut structure, absorbs intra-block inserts in place, and
+// recomputes the union of the dirty blocks (or, past the size threshold,
+// the whole graph) via run. Its map work is O(batch + region): the key map
+// moves by one entry per delta and the dirty set is an array by block id.
+// The routing index, which doubles as the block-cut forest, is rebuilt by
+// array passes, without a sort.
+// On error the State is unchanged — every in-place update comes after the
+// engine run, the last step that can fail — so the caller can degrade to a
+// full recompute of b.Edges and rebuild a fresh State.
+func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) (st *ApplyStats, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			st, err = nil, par.AsPanicError(-1, v)
 		}
 	}()
-	b, err := s.validate(deltas)
-	if err != nil {
-		return nil, err
+	if b.state != s || b.commits != s.commits {
+		return nil, fmt.Errorf("incr: batch was prepared against another state")
 	}
 	cancel := &par.Canceler{}
 	stop := cancel.Watch(ctx)
 	defer stop()
 
 	// Classification pass, one fault point per delta.
-	for i := range deltas {
+	for i := 0; i < b.deltas; i++ {
 		faults.Inject(cancel, SiteApply, 0, i)
 		if err := cancel.Err(); err != nil {
 			return nil, err
 		}
 	}
 
-	del := make([]bool, len(s.edges))
-	dirty := make(map[int32]bool)
+	dirty := &blockSet{in: make([]bool, s.numComp)}
 	for _, i := range b.dels {
-		del[i] = true
-		dirty[s.comp[i]] = true
+		dirty.add(s.comp[i])
 	}
 
 	// Classify inserts: an intra-block insert is an absorb candidate; a
@@ -183,7 +194,7 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 	absorbed := 0
 	structural := 0
 	for k := range inserts {
-		if inserts[k].absorb >= 0 && dirty[inserts[k].absorb] {
+		if inserts[k].absorb >= 0 && dirty.in[inserts[k].absorb] {
 			inserts[k].absorb = -1
 		}
 		if inserts[k].absorb >= 0 {
@@ -194,34 +205,32 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 	}
 
 	stats := &ApplyStats{
-		Deltas:      len(deltas),
+		Deltas:      b.deltas,
 		Inserts:     len(b.inserts),
 		Deletes:     len(b.dels),
 		Absorbed:    absorbed,
-		DirtyBlocks: len(dirty),
+		DirtyBlocks: dirty.n,
 	}
 
-	// Pure absorb: nothing structural anywhere in the batch. O(batch)
-	// commit, no engine, routing index untouched (both endpoints were
-	// already in the target block).
-	if len(dirty) == 0 && structural == 0 {
-		touched := make(map[int32]bool, len(inserts))
+	// Pure absorb: nothing structural anywhere in the batch (so no deletes
+	// either). No engine; the labels grow by the inserts' blocks and the
+	// routing index is untouched (both endpoints were already in the
+	// target block).
+	if dirty.n == 0 && structural == 0 {
+		comp := s.comp
 		for _, in := range inserts {
-			s.index[graph.CanonKey(in.e.U, in.e.V)] = int32(len(s.edges))
-			s.edges = append(s.edges, in.e)
-			s.comp = append(s.comp, in.absorb)
-			touched[in.absorb] = true
+			comp = append(comp, in.absorb)
 		}
+		s.commit(b, comp, s.numComp)
 		stats.Mode = ModeAbsorb
 		stats.NumComponents = s.numComp
-		stats.TouchedBlocks = sortedKeys(touched)
 		return stats, nil
 	}
 
-	finalCount := len(s.edges) - len(b.dels) + len(b.inserts)
+	finalCount := len(b.Edges)
 	regionEdges := structural
 	for i, c := range s.comp {
-		if !del[i] && dirty[c] {
+		if !b.del[i] && dirty.in[c] {
 			regionEdges++
 		}
 	}
@@ -236,8 +245,7 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 		if run == nil {
 			return nil, fmt.Errorf("incr: full recompute needed but no engine provided")
 		}
-		final := assembleFinal(s.edges, del, b.inserts)
-		g, err := bicc.NewGraph(int(b.newN), final)
+		g, err := bicc.NewGraph(int(b.N), b.Edges)
 		if err != nil {
 			return nil, fmt.Errorf("incr: final graph: %w", err)
 		}
@@ -249,10 +257,7 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 		if len(comp) != g.NumEdges() {
 			return nil, fmt.Errorf("incr: engine labeled %d of %d edges", len(comp), g.NumEdges())
 		}
-		s.n = b.newN
-		s.edges = final
-		s.numComp = conncomp.Normalize(comp)
-		s.comp = comp
+		s.commit(b, comp, conncomp.Normalize(comp))
 		s.reindex()
 		stats.Mode = ModeFull
 		stats.Absorbed = 0
@@ -265,17 +270,16 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 	}
 
 	// Region assembly, one fault point per dirty block.
-	dirtyIDs := sortedKeys(dirty)
-	for j := range dirtyIDs {
+	for j := 0; j < dirty.n; j++ {
 		faults.Inject(cancel, SiteRebuild, 0, j)
 		if err := cancel.Err(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Build the final edge list and, in the same pass, the compact region
-	// subgraph. src[i] is the final label source of final edge i: an old
-	// block id (>= 0, survives untouched) or -(r+1) for region edge r.
+	// Build the compact region subgraph and, in the same pass over the
+	// final edges, src[i]: the label source of final edge i, an old block id
+	// (>= 0, survives untouched) or -(r+1) for region edge r.
 	local := make(map[int32]int32)
 	var vm []int32
 	var regionSub []graph.Edge
@@ -289,21 +293,18 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 		regionSub = append(regionSub, graph.Edge{U: local[e.U], V: local[e.V]})
 		return int32(len(regionSub) - 1)
 	}
-	finalEdges := make([]graph.Edge, 0, finalCount)
 	src := make([]int32, 0, finalCount)
 	for i, e := range s.edges {
-		if del[i] {
+		if b.del[i] {
 			continue
 		}
-		finalEdges = append(finalEdges, e)
-		if dirty[s.comp[i]] {
+		if c := s.comp[i]; dirty.in[c] {
 			src = append(src, -(addRegion(e) + 1))
 		} else {
-			src = append(src, s.comp[i])
+			src = append(src, c)
 		}
 	}
 	for _, in := range inserts {
-		finalEdges = append(finalEdges, in.e)
 		if in.absorb >= 0 {
 			src = append(src, in.absorb)
 		} else {
@@ -328,7 +329,7 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 	// engine's labels shifted past the old id space, then the whole labeling
 	// is re-densified into first-occurrence order — byte-identical to what
 	// any engine emits for the final edge list.
-	labels := make([]int32, len(finalEdges))
+	labels := make([]int32, finalCount)
 	for i, sc := range src {
 		if sc >= 0 {
 			labels[i] = sc
@@ -337,39 +338,58 @@ func (s *State) Apply(ctx context.Context, deltas []Delta, cfg Config, run Recom
 		}
 	}
 	k := conncomp.Normalize(labels)
-
-	touched := make(map[int32]bool)
-	for i, sc := range src {
-		if sc < 0 {
-			touched[labels[i]] = true
-		}
-	}
-	for i, in := range inserts {
-		if in.absorb >= 0 {
-			// Absorbed edges sit at the end of the final list, after the
-			// survivors: position = len(survivors) + i.
-			touched[labels[len(finalEdges)-len(inserts)+i]] = true
-		}
-	}
-
-	s.n = b.newN
-	s.edges = finalEdges
-	s.comp = labels
-	s.numComp = k
+	s.commit(b, labels, k)
 	s.reindex()
 	stats.Mode = ModeRebuild
 	stats.NumComponents = k
-	stats.TouchedBlocks = sortedKeys(touched)
 	return stats, nil
+}
+
+// commit installs the batch's edge list and labels and moves the key map by
+// one entry per delta. It is the only in-place write of Apply, so it runs
+// after every step that can fail.
+func (s *State) commit(b *Batch, comp []int32, numComp int) {
+	for _, i := range b.dels {
+		e := s.edges[i]
+		key := graph.CanonKey(e.U, e.V)
+		s.slotPos[s.slot[key]] = -1
+		delete(s.slot, key)
+	}
+	for j, e := range b.inserts {
+		s.slot[graph.CanonKey(e.U, e.V)] = int32(len(s.slotPos))
+		s.slotPos = append(s.slotPos, int32(len(b.Edges)-len(b.inserts)+j))
+	}
+	if len(b.dels) > 0 {
+		// Survivors moved down past the deleted edges. Slots are in edge
+		// order, so the i-th live slot holds edge i.
+		live := int32(0)
+		for sl, p := range s.slotPos {
+			if p >= 0 {
+				s.slotPos[sl] = live
+				live++
+			}
+		}
+		if dead := len(s.slotPos) - len(b.Edges); dead > len(b.Edges) {
+			s.slotPos = make([]int32, len(b.Edges))
+			for i, e := range b.Edges {
+				s.slot[graph.CanonKey(e.U, e.V)] = int32(i)
+				s.slotPos[i] = int32(i)
+			}
+		}
+	}
+	s.n, s.edges, s.comp, s.numComp = b.N, b.Edges, comp, numComp
+	s.commits++
 }
 
 // steinerClose marks dirty every block on the minimal block-cut subtree
 // spanning each component's terminal vertices. Tree nodes are blocks
-// [0, numComp) and cut vertices numbered from numComp up.
-func (s *State) steinerClose(termVerts []int32, dirty map[int32]bool) {
+// [0, numComp) and cut vertices, node numComp+v for vertex v.
+func (s *State) steinerClose(termVerts []int32, dirty *blockSet) {
 	if len(termVerts) < 2 {
 		return
 	}
+	k := int32(s.numComp)
+	isCut := func(v int32) bool { return s.offsets[v+1]-s.offsets[v] >= 2 }
 	// A terminal vertex maps to its cut node, or to its only block.
 	// Terminals are deduplicated by VERTEX, not by tree node: two distinct
 	// terminal vertices attached to the same block mean a real path through
@@ -379,8 +399,8 @@ func (s *State) steinerClose(termVerts []int32, dirty map[int32]bool) {
 	// nothing by itself — a cycle can pass through the vertex without
 	// touching any block's edges.)
 	node := func(v int32) int32 {
-		if cn := s.cutIdx[v]; cn >= 0 {
-			return cn
+		if isCut(v) {
+			return k + v
 		}
 		return s.BlocksOfVertex(v)[0]
 	}
@@ -393,14 +413,14 @@ func (s *State) steinerClose(termVerts []int32, dirty map[int32]bool) {
 		}
 	}
 
-	numNodes := len(s.bcOff) - 1
+	numNodes := int(k) + int(s.n)
 	compID := make([]int32, numNodes)
 	parent := make([]int32, numNodes)
 	for i := range compID {
 		compID[i] = -1
 	}
-	// Early-stopping BFS over the materialized forest: each search runs
-	// until every terminal node anywhere has been visited, so a batch whose
+	// Early-stopping BFS over the block-cut forest: each search runs until
+	// every terminal node anywhere has been visited, so a batch whose
 	// terminals cluster in one region explores only the ball around them —
 	// the forest outside the ball is never walked. Terminals a search can't
 	// reach sit in other forest components and seed later searches.
@@ -409,6 +429,14 @@ func (s *State) steinerClose(termVerts []int32, dirty map[int32]bool) {
 		pending[t] = true
 	}
 	var queue []int32
+	visit := func(y, x int32, ci int) {
+		if compID[y] == -1 {
+			compID[y] = int32(ci)
+			parent[y] = x
+			delete(pending, y)
+			queue = append(queue, y)
+		}
+	}
 	for ci, t := range terms {
 		if compID[t] != -1 {
 			continue
@@ -421,12 +449,15 @@ func (s *State) steinerClose(termVerts []int32, dirty map[int32]bool) {
 		for len(queue) > 0 && len(pending) > 0 {
 			x := queue[0]
 			queue = queue[1:]
-			for _, y := range s.bcAdj[s.bcOff[x]:s.bcOff[x+1]] {
-				if compID[y] == -1 {
-					compID[y] = int32(ci)
-					parent[y] = x
-					delete(pending, y)
-					queue = append(queue, y)
+			if x < k { // a block: its cut vertices
+				for _, v := range s.blockVerts[s.blockOff[x]:s.blockOff[x+1]] {
+					if isCut(v) {
+						visit(k+v, x, ci)
+					}
+				}
+			} else { // a cut vertex: its blocks
+				for _, b := range s.BlocksOfVertex(x - k) {
+					visit(b, x, ci)
 				}
 			}
 		}
@@ -451,19 +482,9 @@ func (s *State) steinerClose(termVerts []int32, dirty map[int32]bool) {
 			}
 		}
 	}
-	for id := 0; id < s.numComp; id++ {
+	for id := int32(0); id < k; id++ {
 		if marked[id] {
-			dirty[int32(id)] = true
+			dirty.add(id)
 		}
 	}
-}
-
-// sortedKeys returns the keys of a block set, ascending.
-func sortedKeys(m map[int32]bool) []int32 {
-	out := make([]int32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -50,6 +50,15 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// apply prepares and commits one batch.
+func apply(st *State, deltas []Delta, cfg Config, run Recompute) (*ApplyStats, error) {
+	b, err := st.Prepare(deltas)
+	if err != nil {
+		return nil, err
+	}
+	return st.Apply(context.Background(), b, cfg, run)
+}
+
 // newTestState builds a State for fam using algo.
 func newTestState(t *testing.T, fam diffFamily, algo bicc.Algorithm) (*bicc.Graph, *State) {
 	t.Helper()
@@ -192,7 +201,7 @@ func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 				cfg := Config{Threshold: 0.6}
 				for round := 0; round < 8; round++ {
 					batch := randomBatch(rng, st, 1+rng.Intn(6))
-					stats, err := st.Apply(context.Background(), batch, cfg, engineRun(algo))
+					stats, err := apply(st, batch, cfg, engineRun(algo))
 					if err != nil {
 						t.Fatalf("round %d: Apply: %v", round, err)
 					}
@@ -218,7 +227,7 @@ func TestDifferentialThresholdDegradesToFull(t *testing.T) {
 	fulls := 0
 	for round := 0; round < 5; round++ {
 		batch := randomBatch(rng, st, 4)
-		stats, err := st.Apply(context.Background(), batch, cfg, engineRun(bicc.Sequential))
+		stats, err := apply(st, batch, cfg, engineRun(bicc.Sequential))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -268,7 +277,7 @@ func TestDifferentialHostileBatches(t *testing.T) {
 		{{OpDelete, 2, 3}, {OpInsert, 2, 3}},
 	}
 	for bi, batch := range batches {
-		if _, err := st.Apply(context.Background(), batch, Config{}, engineRun(bicc.Sequential)); err != nil {
+		if _, err := apply(st, batch, Config{}, engineRun(bicc.Sequential)); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
 		assertStateEqualsScratch(t, st, bicc.Sequential)

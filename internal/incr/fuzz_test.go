@@ -70,7 +70,7 @@ func FuzzApplyDeltas(f *testing.F) {
 			}
 			before := st.Labels()
 			edgesBefore := append([]graph.Edge(nil), st.Edges()...)
-			stats, aerr := st.Apply(context.Background(), deltas, Config{}, run)
+			stats, aerr := apply(st, deltas, Config{}, run)
 			if aerr != nil {
 				var de *DeltaError
 				if !errors.As(aerr, &de) {

@@ -3,9 +3,10 @@
 //
 // A State holds the current edge list, the canonical per-edge block labels
 // (first-occurrence dense numbering — exactly what every engine emits for
-// the same edge list), and a CSR vertex→block routing index. Apply runs a
-// batch of deltas through a planner that classifies each one against the
-// current block-cut structure:
+// the same edge list), and a CSR vertex→block routing index. Prepare
+// validates a batch of deltas against it; Apply runs the batch through a
+// planner that classifies each delta against the current block-cut
+// structure:
 //
 //   - An insert whose endpoints already share a block cannot change any
 //     articulation structure — two vertices of one block are already
@@ -34,11 +35,16 @@
 // leaving the State untouched, so a faulted incremental apply can always be
 // retried as a full recompute. The incr.apply and incr.rebuild fault sites
 // cover the classification loop and the per-dirty-block region assembly.
+//
+// A commit's hash-map work is O(batch + region) and it sorts nothing: the
+// edge-key map keeps stable slots across commits, and the routing index,
+// which doubles as the block-cut forest, is rebuilt by counting sorts.
+// What stays linear in the graph is array passes: the final edge list, the
+// label stitch and the index rebuild.
 package incr
 
 import (
 	"fmt"
-	"sort"
 
 	"bicc"
 	"bicc/internal/conncomp"
@@ -168,35 +174,39 @@ type ApplyStats struct {
 	Mode        Mode
 	// NumComponents is the block count after the batch.
 	NumComponents int
-	// TouchedBlocks lists the post-batch ids of blocks that were created or
-	// relabeled by this batch, ascending; the complement survived the
-	// mutation untouched. Nil in ModeFull (everything was recomputed).
-	TouchedBlocks []int32
 }
 
 // State is a maintained decomposition. It is not safe for concurrent use;
-// callers serialize Apply against readers.
+// callers serialize Prepare and Apply against readers.
 type State struct {
 	n       int32
 	edges   []graph.Edge
 	comp    []int32
 	numComp int
+	// commits counts applied batches; a Batch is valid only for the count
+	// it was prepared at.
+	commits uint64
 
 	// CSR vertex→block routing index: blocks containing v are
-	// blocks[offsets[v]:offsets[v+1]], ascending and unique.
-	offsets []int32
-	blocks  []int32
-	// index maps graph.CanonKey(u,v) to the edge's current index.
-	index map[uint64]int32
+	// blocks[offsets[v]:offsets[v+1]], ascending and unique. Its inverse,
+	// block→vertex: the vertices of block b are
+	// blockVerts[blockOff[b]:blockOff[b+1]]. Together they are the
+	// block-cut forest (a vertex in two or more blocks is a cut vertex,
+	// adjacent to each of its blocks), so steinerClose can BFS the ball
+	// around a batch's terminals without a materialized forest.
+	offsets    []int32
+	blocks     []int32
+	blockOff   []int32
+	blockVerts []int32
 
-	// Block-cut forest CSR, rebuilt alongside the routing index: nodes are
-	// blocks [0, numComp) then cut vertices; cutIdx[v] is v's forest node
-	// id, or -1 for non-cut vertices. Keeping the forest materialized lets
-	// steinerClose BFS only the ball around a batch's terminals instead of
-	// reconstructing the whole forest per batch.
-	cutIdx []int32
-	bcOff  []int32
-	bcAdj  []int32
+	// Edge-key map with stable slots, kept across commits: slot[k] is the
+	// slot of the edge with graph.CanonKey k, and slotPos[slot] its index in
+	// edges, or -1 once deleted. Slots are in edge order. A delete
+	// tombstones its slot and an insert appends one, so a commit changes the
+	// map by one entry per delta; the slots are compacted only when dead
+	// ones outnumber live ones.
+	slot    map[uint64]int32
+	slotPos []int32
 }
 
 // NewState captures a decomposition as incremental state. The labels are
@@ -218,100 +228,75 @@ func NewState(g *bicc.Graph, res *bicc.Result) (*State, error) {
 		edges:   append([]graph.Edge(nil), edges...),
 		comp:    comp,
 		numComp: numComp,
+		slot:    make(map[uint64]int32, len(edges)),
+		slotPos: make([]int32, len(edges)),
+	}
+	for i, e := range s.edges {
+		s.slot[graph.CanonKey(e.U, e.V)] = int32(i)
+		s.slotPos[i] = int32(i)
 	}
 	s.reindex()
 	return s, nil
 }
 
-// reindex rebuilds the CSR routing index and the edge-key map from the
-// current edges and labels.
+// reindex rebuilds the block→vertex and vertex→block indexes from the
+// current edges and labels with array passes only. Edge ids are grouped by
+// block with a counting sort; walking the blocks in ascending id order and
+// stamping each endpoint with the last block it was listed under yields
+// every (vertex, block) membership once, grouped by block, and bucketing
+// those by vertex in the same order leaves each vertex's list ascending
+// without a sort.
 func (s *State) reindex() {
-	s.index = make(map[uint64]int32, len(s.edges))
-	for i, e := range s.edges {
-		s.index[graph.CanonKey(e.U, e.V)] = int32(i)
+	k := int32(s.numComp)
+	bstart := make([]int32, k+1)
+	for _, c := range s.comp {
+		bstart[c+1]++
 	}
-	// Vertex→block lists: bucket both endpoints of every edge, then sort
-	// and dedup per vertex.
-	deg := make([]int32, s.n+1)
-	for _, e := range s.edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
+	for b := int32(0); b < k; b++ {
+		bstart[b+1] += bstart[b]
 	}
-	for v := int32(0); v < s.n; v++ {
-		deg[v+1] += deg[v]
+	byBlock := make([]int32, len(s.edges))
+	fill := append([]int32(nil), bstart[:k]...)
+	for i, c := range s.comp {
+		byBlock[fill[c]] = int32(i)
+		fill[c]++
 	}
-	raw := make([]int32, deg[s.n])
-	next := make([]int32, s.n)
-	copy(next, deg[:s.n])
-	for i, e := range s.edges {
-		c := s.comp[i]
-		raw[next[e.U]] = c
-		next[e.U]++
-		raw[next[e.V]] = c
-		next[e.V]++
-	}
-	offsets := make([]int32, s.n+1)
-	blocks := make([]int32, 0, len(raw))
-	for v := int32(0); v < s.n; v++ {
-		lst := raw[deg[v]:deg[v+1]]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		start := len(blocks)
-		for i, c := range lst {
-			if i == 0 || c != lst[i-1] {
-				blocks = append(blocks, c)
+	// A forest with k blocks has at most k-1+cuts block-cut edges, so there
+	// are at most n+k memberships.
+	stamp := make([]int32, s.n) // b+1 of the block v was last listed under
+	blockVerts := make([]int32, 0, int(s.n)+int(k))
+	blockOff := make([]int32, k+1)
+	for b := int32(0); b < k; b++ {
+		blockOff[b] = int32(len(blockVerts))
+		for _, i := range byBlock[bstart[b]:bstart[b+1]] {
+			e := s.edges[i]
+			for _, v := range [2]int32{e.U, e.V} {
+				if stamp[v] != b+1 {
+					stamp[v] = b + 1
+					blockVerts = append(blockVerts, v)
+				}
 			}
 		}
-		offsets[v] = int32(start)
-		offsets[v+1] = int32(len(blocks))
 	}
-	s.offsets = offsets
-	s.blocks = blocks
-
-	// Block-cut forest: a cut vertex (member of >= 2 blocks) links to each
-	// of its blocks. Non-cut vertices are interior to one block and don't
-	// appear as forest nodes.
-	cutIdx := make([]int32, s.n)
-	numNodes := int32(s.numComp)
+	blockOff[k] = int32(len(blockVerts))
+	offsets := make([]int32, s.n+1)
+	for _, v := range blockVerts {
+		offsets[v+1]++
+	}
 	for v := int32(0); v < s.n; v++ {
-		if offsets[v+1]-offsets[v] >= 2 {
-			cutIdx[v] = numNodes
-			numNodes++
-		} else {
-			cutIdx[v] = -1
+		offsets[v+1] += offsets[v]
+	}
+	blocks := make([]int32, len(blockVerts))
+	next := stamp // reused as the per-vertex fill cursor
+	copy(next, offsets[:s.n])
+	for b := int32(0); b < k; b++ {
+		for _, v := range blockVerts[blockOff[b]:blockOff[b+1]] {
+			blocks[next[v]] = b
+			next[v]++
 		}
 	}
-	fdeg := make([]int32, numNodes+1)
-	for v := int32(0); v < s.n; v++ {
-		cn := cutIdx[v]
-		if cn < 0 {
-			continue
-		}
-		fdeg[cn+1] += offsets[v+1] - offsets[v]
-		for _, b := range blocks[offsets[v]:offsets[v+1]] {
-			fdeg[b+1]++
-		}
-	}
-	for i := int32(0); i < numNodes; i++ {
-		fdeg[i+1] += fdeg[i]
-	}
-	bcAdj := make([]int32, fdeg[numNodes])
-	fnext := make([]int32, numNodes)
-	copy(fnext, fdeg[:numNodes])
-	for v := int32(0); v < s.n; v++ {
-		cn := cutIdx[v]
-		if cn < 0 {
-			continue
-		}
-		for _, b := range blocks[offsets[v]:offsets[v+1]] {
-			bcAdj[fnext[cn]] = b
-			fnext[cn]++
-			bcAdj[fnext[b]] = cn
-			fnext[b]++
-		}
-	}
-	s.cutIdx = cutIdx
-	s.bcOff = fdeg
-	s.bcAdj = bcAdj
+	s.offsets, s.blocks = offsets, blocks
+	s.blockOff, s.blockVerts = blockOff, blockVerts
 }
 
 // N returns the current vertex count.

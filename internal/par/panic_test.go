@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // recoverPanicError runs fn and returns the *PanicError it panics with, or
@@ -68,15 +69,29 @@ func TestForAllWorkersJoinBeforeRethrow(t *testing.T) {
 	}
 }
 
+// panicOnFirstChunk returns a ForDynamic body over [0, 1<<20) in chunks of
+// 64 that counts its iterations and panics in chunk 0. Every other chunk
+// waits until chunk 0 has started to panic and then sleeps, so the rest of
+// the range (16383 chunks over 3 workers) takes far longer than any
+// deschedule of the panicking worker: the siblings can only finish it if
+// they ignore the recorded panic.
+func panicOnFirstChunk(iters *atomic.Int64, msg string) func(lo, hi int) {
+	dying := make(chan struct{})
+	return func(lo, hi int) {
+		iters.Add(int64(hi - lo))
+		if lo == 0 {
+			close(dying)
+			panic(msg)
+		}
+		<-dying
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestForDynamicPanicStopsClaimingAndRethrows(t *testing.T) {
 	var iters atomic.Int64
 	pe := recoverPanicError(t, func() {
-		ForDynamic(4, 1<<20, 64, func(lo, hi int) {
-			iters.Add(int64(hi - lo))
-			if lo == 0 {
-				panic("first chunk dies")
-			}
-		})
+		ForDynamic(4, 1<<20, 64, panicOnFirstChunk(&iters, "first chunk dies"))
 	})
 	if pe == nil {
 		t.Fatal("ForDynamic did not re-raise the worker panic")
@@ -146,12 +161,7 @@ func TestForCRecordsPanicInCanceler(t *testing.T) {
 func TestForDynamicCRecordsPanicAndStops(t *testing.T) {
 	c := &Canceler{}
 	var iters atomic.Int64
-	ForDynamicC(c, 4, 1<<20, 64, func(lo, hi int) {
-		iters.Add(int64(hi - lo))
-		if lo == 0 {
-			panic("chunk dies")
-		}
-	})
+	ForDynamicC(c, 4, 1<<20, 64, panicOnFirstChunk(&iters, "chunk dies"))
 	var pe *PanicError
 	if !errors.As(c.Err(), &pe) {
 		t.Fatalf("cancellation cause is %v, want *PanicError", c.Err())

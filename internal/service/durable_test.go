@@ -66,6 +66,34 @@ func TestDurableUploadSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDurableDuplicateEdgeUploadNotLost: a graph with a parallel edge used
+// to be acknowledged without normalize=1 and then dropped by the WAL
+// decoder at the next boot (Graphs 0, DroppedRecords 1). Now it is refused
+// before the WAL, and its normalized upload survives a restart.
+func TestDurableDuplicateEdgeUploadNotLost(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	ts := newHTTPServer(t, s)
+	body := []byte("p 3 3\n0 1\n0 1\n1 2\n")
+	if code, _, msg := postRawGraph(t, ts, "format=text", body); code != http.StatusBadRequest {
+		t.Fatalf("upload with a duplicate edge: %d %s", code, msg)
+	}
+	code, up, msg := postRawGraph(t, ts, "format=text&normalize=1", body)
+	if code != http.StatusOK {
+		t.Fatalf("normalized upload: %d %s", code, msg)
+	}
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rep := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	if rep.Graphs != 1 || rep.DroppedRecords != 0 {
+		t.Fatalf("recovery: %+v", rep)
+	}
+	if _, ok := s2.registry.Get(up.Fingerprint); !ok {
+		t.Fatal("acknowledged graph not recovered")
+	}
+}
+
 // newHTTPServer is newTestServer for a server constructed by the caller.
 func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()

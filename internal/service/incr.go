@@ -236,18 +236,44 @@ type mutateResponse struct {
 	Degraded      bool    `json:"degraded,omitempty"`
 	DegradedCause string  `json:"degraded_cause,omitempty"`
 	ElapsedNs     int64   `json:"elapsed_ns"`
+	// Phases splits ElapsedNs into back-to-back stages; they sum to it.
+	Phases []map[string]any `json:"phases"`
 }
+
+// stageClock splits a request's wall time into back-to-back stages: each
+// lap closes the stage that began at the previous lap, so the stage times
+// sum exactly to the elapsed time.
+type stageClock struct {
+	start, last time.Time
+	phases      []map[string]any
+}
+
+func newStageClock() *stageClock {
+	now := time.Now()
+	return &stageClock{start: now, last: now}
+}
+
+func (c *stageClock) lap(name string) {
+	now := time.Now()
+	c.phases = append(c.phases, map[string]any{"name": name, "ns": int64(now.Sub(c.last))})
+	c.last = now
+}
+
+func (c *stageClock) elapsed() time.Duration { return c.last.Sub(c.start) }
 
 // handleMutate serves POST /v1/graphs/{fp}/edges: a batched edge mutation
 // against a registered graph. Batches are sequential: an insert appends to
 // the edge list, a delete removes an edge preserving the order of the rest,
 // delete-then-reinsert is legal (the edge moves to the end), endpoints past
-// the vertex count grow the graph.
+// the vertex count grow the graph. The response's phases are the stages
+// decode (including the wait for the graph's mutation lock), seed (first
+// mutation of a graph only), validate, build, fingerprint, wal and quorum
+// (durable servers only), apply and publish.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectStandby(w) {
 		return
 	}
-	start := time.Now()
+	clock := newStageClock()
 	fp := r.PathValue("fp")
 	var req mutateRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -285,6 +311,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.registry.Release(fp)
+	clock.lap("decode")
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
@@ -309,10 +336,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		e.st, e.stG = st, g
+		clock.lap("seed")
 	}
 
 	// Validate before writing anything: client errors never reach the WAL.
-	newN, final, err := e.st.Preview(deltas)
+	batch, err := e.st.Prepare(deltas)
 	if err != nil {
 		var de *incr.DeltaError
 		if errors.As(err, &de) {
@@ -322,13 +350,16 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	newGraph, err := bicc.NewGraph(int(newN), final)
+	clock.lap("validate")
+	newGraph, err := bicc.NewGraph(int(batch.N), batch.Edges)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "resulting graph invalid: %v", err)
 		return
 	}
+	clock.lap("build")
 	postFP := Fingerprint(newGraph)
 	newGen := info.Generation + 1
+	clock.lap("fingerprint")
 
 	// Durable-first: fsync the delta record before acknowledging. From here
 	// on the mutation must take effect — runtime failures degrade, they do
@@ -338,15 +369,17 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		for i, dl := range deltas {
 			ops[i] = durable.DeltaOp{Del: dl.Op == incr.OpDelete, U: dl.U, V: dl.V}
 		}
-		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: newN, PostFP: postFP, Ops: ops}
+		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: batch.N, PostFP: postFP, Ops: ops}
 		if err := d.store.AppendDelta(rec, newGraph); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "persisting mutation: %v", err)
 			return
 		}
+		clock.lap("wal")
 		s.replWaitQuorum()
+		clock.lap("quorum")
 	}
 
-	stats, aerr := e.st.Apply(ctx, deltas, incr.Config{Threshold: s.incr.threshold}, run)
+	stats, aerr := e.st.Apply(ctx, batch, incr.Config{Threshold: s.incr.threshold}, run)
 	degradedCause := ""
 	if aerr != nil {
 		// Apply is atomic, so the state still describes the pre-batch graph.
@@ -382,6 +415,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			stats.NumComponents = e.st.NumComponents()
 		}
 	}
+	clock.lap("apply")
 
 	// Commit: swap the registry entry, publish the new label snapshot, then
 	// invalidate every derived result for this id.
@@ -412,7 +446,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if c := st.modes[mode]; c != nil {
 		c.Inc()
 	}
-	elapsed := time.Since(start)
+	clock.lap("publish")
+	elapsed := clock.elapsed()
 	if h := st.latency[mode]; h != nil {
 		h.Observe(elapsed)
 	}
@@ -436,6 +471,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Degraded:      degradedCause != "",
 		DegradedCause: degradedCause,
 		ElapsedNs:     int64(elapsed),
+		Phases:        clock.phases,
 	})
 }
 

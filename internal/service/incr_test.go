@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"bicc"
@@ -196,7 +197,11 @@ func applyShadow(t *testing.T, st *incr.State, batch []mutationDelta) {
 	run := func(ctx context.Context, g *bicc.Graph) (*bicc.Result, error) {
 		return bicc.BiconnectedComponentsCtx(ctx, g, &bicc.Options{Algorithm: bicc.Sequential})
 	}
-	if _, err := st.Apply(context.Background(), deltas, incr.Config{}, run); err != nil {
+	b, err := st.Prepare(deltas)
+	if err != nil {
+		t.Fatalf("shadow prepare: %v", err)
+	}
+	if _, err := st.Apply(context.Background(), b, incr.Config{}, run); err != nil {
 		t.Fatalf("shadow apply: %v", err)
 	}
 }
@@ -519,6 +524,68 @@ func TestMutationsSurviveRestart(t *testing.T) {
 	out3 := mustMutate(t, ts2, up.Fingerprint, []mutationDelta{{Op: "insert", U: 1, V: 4}})
 	if out3.Generation != 3 {
 		t.Fatalf("post-recovery mutation at generation %d, want 3", out3.Generation)
+	}
+}
+
+// TestMutationPhasesSumToElapsed checks the stage breakdown on mutation
+// responses: back-to-back stages in order, summing exactly to elapsed_ns.
+// Only the first mutation of a graph seeds its state, and only a durable
+// server has the wal and quorum stages.
+func TestMutationPhasesSumToElapsed(t *testing.T) {
+	durableSrv, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
+	for _, tc := range []struct {
+		name    string
+		ts      *httptest.Server
+		durable bool
+	}{
+		{"durable", newHTTPServer(t, durableSrv), true},
+		{"memory", newHTTPServer(t, New(Config{})), false},
+	} {
+		up := uploadGraph(t, tc.ts, testGraph(t), "")
+		batches := [][]mutationDelta{
+			{{Op: "delete", U: 2, V: 3}},
+			{{Op: "insert", U: 0, V: 3}, {Op: "insert", U: 4, V: 6}},
+		}
+		for i, batch := range batches {
+			_, code, data := postMutate(t, tc.ts, up.Fingerprint, batch)
+			if code != http.StatusOK {
+				t.Fatalf("%s batch %d: status %d: %s", tc.name, i, code, data)
+			}
+			var out struct {
+				ElapsedNs int64 `json:"elapsed_ns"`
+				Phases    []struct {
+					Name string `json:"name"`
+					Ns   int64  `json:"ns"`
+				} `json:"phases"`
+			}
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"decode"}
+			if i == 0 {
+				want = append(want, "seed")
+			}
+			want = append(want, "validate", "build", "fingerprint")
+			if tc.durable {
+				want = append(want, "wal", "quorum")
+			}
+			want = append(want, "apply", "publish")
+			var names []string
+			var sum int64
+			for _, p := range out.Phases {
+				if p.Ns < 0 {
+					t.Fatalf("%s batch %d: stage %s took %d ns", tc.name, i, p.Name, p.Ns)
+				}
+				names = append(names, p.Name)
+				sum += p.Ns
+			}
+			if strings.Join(names, ",") != strings.Join(want, ",") {
+				t.Fatalf("%s batch %d: stages %v, want %v", tc.name, i, names, want)
+			}
+			if sum != out.ElapsedNs || sum <= 0 {
+				t.Fatalf("%s batch %d: stages sum to %d ns, elapsed_ns %d", tc.name, i, sum, out.ElapsedNs)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"bicc"
 	"bicc/internal/engine"
+	"bicc/internal/graph"
 )
 
 // testGraph is a small fixed decomposition target: a triangle {0,1,2}, a
@@ -169,6 +170,53 @@ func TestUploadDedupAndNormalize(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || out.Edges != 2 || out.Loops != 1 || out.Dups != 1 {
 		t.Fatalf("normalize upload: status %d, %+v", resp.StatusCode, out)
+	}
+}
+
+// postRawGraph uploads body as-is and decodes the answer.
+func postRawGraph(t *testing.T, ts *httptest.Server, query string, body []byte) (int, graphUploadResponse, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/graphs?"+query, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	var out graphUploadResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, out, string(data)
+}
+
+// TestUploadRejectsDuplicateEdges: without normalize=1, text and binary
+// uploads with a parallel edge were accepted, after which every mutation of
+// the graph failed and a durable restart dropped it. They must get a 400
+// naming the repeated edge, and normalize=1 must still clean them.
+func TestUploadRejectsDuplicateEdges(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	dup := &graph.EdgeList{N: 3, Edges: []graph.Edge{{U: 0, V: 1}, {U: 0, V: 1}, {U: 1, V: 2}}}
+	var text, bin bytes.Buffer
+	if err := graph.Write(&text, dup); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteBinary(&bin, dup); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		format string
+		body   []byte
+	}{{"text", text.Bytes()}, {"binary", bin.Bytes()}} {
+		code, _, msg := postRawGraph(t, ts, "format="+tc.format, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "duplicate edge 1 (0,1)") {
+			t.Fatalf("%s upload with a duplicate edge: %d %s", tc.format, code, msg)
+		}
+		code, out, msg := postRawGraph(t, ts, "normalize=1&format="+tc.format, tc.body)
+		if code != http.StatusOK || out.Dups != 1 || out.Edges != 2 {
+			t.Fatalf("%s upload with normalize=1: %d %s", tc.format, code, msg)
+		}
 	}
 }
 
