@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
 
 all: build test
 
@@ -90,6 +90,16 @@ fuzz-durable:
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeWAL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
+
+# Upload decoder suite. fuzz-graph runs the byte decoder of the text and
+# DIMACS readers against the bufio.Scanner + strings.Fields readers it
+# replaced (kept in internal/graph's tests): on any input, including one
+# cut short by a read error, both must return the same edge list or the
+# same error text. The seeds include 1 MiB lines, so minimizing a new
+# input is capped at a few runs rather than a minute.
+fuzz-graph:
+	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadText -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadDIMACS -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # Per-block suite. test-shard runs the differential harness (per-block
 # answers must equal the monolith byte for byte across 3 graph families ×
@@ -193,14 +203,15 @@ lint-obs:
 # The gate run before merging: static checks (gofmt, go vet), race-clean
 # tests, the all-engines-vs-oracle randomized check (verify), the
 # fault-isolation suite, the observability suite, the durability suite
-# (decoder fuzzing, race-enabled service tests, crash harness), the
-# per-block suite (differential harness), the incremental suite (mutation
-# differential harness + delta fuzzing), the replication suite (standby
-# differential harness + multi-process node-kill failover), the
-# self-healing suite (scrubber + bit-rot chaos harness + repl frame
-# fuzzing), the planner suite (golden decision table + differential harness
-# + feature fuzzing), and the benchmark module's tests.
-ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+# (decoder fuzzing, race-enabled service tests, crash harness), the upload
+# decoder's differential fuzzing, the per-block suite (differential
+# harness), the incremental suite (mutation differential harness + delta
+# fuzzing), the replication suite (standby differential harness +
+# multi-process node-kill failover), the self-healing suite (scrubber +
+# bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
+# decision table + differential harness + feature fuzzing), and the
+# benchmark module's tests.
+ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

@@ -135,14 +135,13 @@ func Articulation(g *graph.EdgeList, edgeComp []int32) []int32 {
 }
 
 // Bridges returns the indices of bridge edges: edges whose block contains
-// exactly one edge.
+// exactly one edge. Block sizes are counted in one sequential pass: with
+// an atomic add per edge, the workers would contend on the counter of the
+// graph's big block.
 func Bridges(g *graph.EdgeList, edgeComp []int32, numComp int) []int32 {
-	p := par.Procs(0)
 	count := make([]int32, numComp)
-	par.ForDynamic(p, len(edgeComp), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&count[edgeComp[i]], 1)
-		}
-	})
-	return prefix.Compact(p, len(edgeComp), func(i int) bool { return count[edgeComp[i]] == 1 })
+	for _, c := range edgeComp {
+		count[c]++
+	}
+	return prefix.Compact(par.Procs(0), len(edgeComp), func(i int) bool { return count[edgeComp[i]] == 1 })
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // The on-disk format is a minimal text format compatible with common edge
@@ -15,7 +14,8 @@ import (
 //	p <n> <m>
 //	<u> <v>          (m lines, 0-based endpoints)
 //
-// Write emits it and Read parses it, validating as it goes.
+// Write emits it and Read parses it, validating as it goes. The header's
+// edge count is a hint for the slice, not an allocation.
 
 // Write serializes g to w.
 func Write(w io.Writer, g *EdgeList) error {
@@ -52,45 +52,41 @@ func Read(r io.Reader) (*EdgeList, error) {
 // for callers that Normalize afterwards (self loops and duplicates pass
 // through; the header/shape checks still apply).
 func ReadLenient(r io.Reader) (*EdgeList, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	d := newLineDecoder(r)
 	var g *EdgeList
 	var declared int
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	for d.next() {
+		if d.n == 0 || d.field(0)[0] == '#' {
 			continue
 		}
 		if g == nil {
+			text := d.text()
 			var n, m int
 			if _, err := fmt.Sscanf(text, "p %d %d", &n, &m); err != nil {
-				return nil, fmt.Errorf("graph: line %d: expected header %q, got %q", line, "p <n> <m>", text)
+				return nil, fmt.Errorf("graph: line %d: expected header %q, got %q", d.line, "p <n> <m>", text)
 			}
 			if n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative sizes in header", line)
+				return nil, fmt.Errorf("graph: line %d: negative sizes in header", d.line)
 			}
-			g = &EdgeList{N: int32(n), Edges: make([]Edge, 0, m)}
+			g = &EdgeList{N: int32(n), Edges: make([]Edge, 0, min(m, maxEdgeHint))}
 			declared = m
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: expected %q, got %q", line, "<u> <v>", text)
+		if d.n != 2 {
+			return nil, fmt.Errorf("graph: line %d: expected %q, got %q", d.line, "<u> <v>", d.text())
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
+		u, err := d.int32(0)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			return nil, fmt.Errorf("graph: line %d: %v", d.line, err)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
+		v, err := d.int32(1)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			return nil, fmt.Errorf("graph: line %d: %v", d.line, err)
 		}
-		g.Edges = append(g.Edges, Edge{U: int32(u), V: int32(v)})
+		g.Edges = append(g.Edges, Edge{U: u, V: v})
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	if g == nil {
 		return nil, fmt.Errorf("graph: empty input")

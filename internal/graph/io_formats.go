@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // ReadDIMACS parses the DIMACS edge format used by most public graph
@@ -19,61 +17,58 @@ import (
 // Vertices are converted to 0-based ids. Duplicate "e" lines and self loops
 // are preserved for the caller to Normalize.
 func ReadDIMACS(r io.Reader) (*EdgeList, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	d := newLineDecoder(r)
 	var g *EdgeList
 	var declared int
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == 'c' {
+	for d.next() {
+		if d.n == 0 {
 			continue
 		}
-		switch text[0] {
+		switch d.field(0)[0] {
+		case 'c': // comment
 		case 'p':
 			if g != nil {
-				return nil, fmt.Errorf("graph: line %d: duplicate problem line", line)
+				return nil, fmt.Errorf("graph: line %d: duplicate problem line", d.line)
 			}
+			text := d.text()
 			var kind string
 			var n, m int
 			if _, err := fmt.Sscanf(text, "p %s %d %d", &kind, &n, &m); err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad problem line %q", line, text)
+				return nil, fmt.Errorf("graph: line %d: bad problem line %q", d.line, text)
 			}
 			if kind != "edge" && kind != "col" {
-				return nil, fmt.Errorf("graph: line %d: unsupported DIMACS kind %q", line, kind)
+				return nil, fmt.Errorf("graph: line %d: unsupported DIMACS kind %q", d.line, kind)
 			}
 			if n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative sizes", line)
+				return nil, fmt.Errorf("graph: line %d: negative sizes", d.line)
 			}
-			g = &EdgeList{N: int32(n), Edges: make([]Edge, 0, m)}
+			g = &EdgeList{N: int32(n), Edges: make([]Edge, 0, min(m, maxEdgeHint))}
 			declared = m
 		case 'e':
 			if g == nil {
-				return nil, fmt.Errorf("graph: line %d: edge before problem line", line)
+				return nil, fmt.Errorf("graph: line %d: edge before problem line", d.line)
 			}
-			fields := strings.Fields(text)
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("graph: line %d: expected %q", line, "e <u> <v>")
+			if d.n != 3 {
+				return nil, fmt.Errorf("graph: line %d: expected %q", d.line, "e <u> <v>")
 			}
-			u, err := strconv.ParseInt(fields[1], 10, 32)
+			u, err := d.int32(1)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+				return nil, fmt.Errorf("graph: line %d: %v", d.line, err)
 			}
-			v, err := strconv.ParseInt(fields[2], 10, 32)
+			v, err := d.int32(2)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+				return nil, fmt.Errorf("graph: line %d: %v", d.line, err)
 			}
-			if u < 1 || v < 1 || u > int64(g.N) || v > int64(g.N) {
-				return nil, fmt.Errorf("graph: line %d: endpoint out of range [1,%d]", line, g.N)
+			if u < 1 || v < 1 || u > g.N || v > g.N {
+				return nil, fmt.Errorf("graph: line %d: endpoint out of range [1,%d]", d.line, g.N)
 			}
-			g.Edges = append(g.Edges, Edge{U: int32(u - 1), V: int32(v - 1)})
+			g.Edges = append(g.Edges, Edge{U: u - 1, V: v - 1})
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", line, text)
+			return nil, fmt.Errorf("graph: line %d: unknown record %q", d.line, d.text())
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	if g == nil {
 		return nil, fmt.Errorf("graph: no problem line")
@@ -158,16 +153,18 @@ func ReadBinaryLenient(r io.Reader) (*EdgeList, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative sizes n=%d m=%d", n, m)
 	}
-	g := &EdgeList{N: n, Edges: make([]Edge, m)}
+	// m is a hint, as in the text formats: the slice grows with the records
+	// read, so a short body declaring 2^31 edges fails at its end.
+	g := &EdgeList{N: n, Edges: make([]Edge, 0, min(m, maxEdgeHint))}
 	var rec [8]byte
 	for i := int32(0); i < m; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("graph: edge %d: %w", i, err)
 		}
-		g.Edges[i] = Edge{
+		g.Edges = append(g.Edges, Edge{
 			U: int32(binary.LittleEndian.Uint32(rec[0:])),
 			V: int32(binary.LittleEndian.Uint32(rec[4:])),
-		}
+		})
 	}
 	return g, nil
 }

@@ -132,7 +132,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		if gr.Gen > 0 {
 			s.registry.AddAt(gr.FP, gr.Name, gr.Graph, gr.Gen, gr.CFP)
 		} else {
-			s.registry.Add(gr.Name, gr.Graph)
+			s.registry.Add(gr.FP, gr.Name, gr.Graph) // content hashes to gr.FP, checked above
 		}
 		report.Graphs++
 	}

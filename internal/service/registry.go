@@ -14,7 +14,9 @@ import (
 // Fingerprint returns the content fingerprint of a graph: a 64-bit FNV-1a
 // hash over the vertex count and the edge list in order, rendered as 16 hex
 // digits. Identical uploads always map to the same registry entry, so
-// clients can address graphs by content instead of by upload id.
+// clients can address graphs by content instead of by upload id. The values
+// are graph ids in the WAL, snapshots and replication, so they must never
+// change (TestFingerprintGolden).
 func Fingerprint(g *bicc.Graph) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -96,12 +98,11 @@ func graphBytes(g *bicc.Graph) int64 {
 	return int64(g.NumEdges())*8 + 64
 }
 
-// Add registers g under its content fingerprint and returns the fingerprint.
-// Re-adding an identical graph is an idempotent no-op that refreshes the
-// entry's recency (existed=true). Name is a client-supplied label kept for
-// listings only.
-func (r *Registry) Add(name string, g *bicc.Graph) (fp string, existed bool) {
-	fp = Fingerprint(g)
+// Add registers g under fp, its content fingerprint, which the caller has
+// computed with Fingerprint. Re-adding an identical graph is an idempotent
+// no-op that refreshes the entry's recency (existed=true). Name is a
+// client-supplied label kept for listings only.
+func (r *Registry) Add(fp, name string, g *bicc.Graph) (existed bool) {
 	r.mu.Lock()
 	if e, ok := r.entries[fp]; ok && !e.dead {
 		e.lastUse = time.Now()
@@ -109,7 +110,7 @@ func (r *Registry) Add(name string, g *bicc.Graph) (fp string, existed bool) {
 			e.info.Name = name
 		}
 		r.mu.Unlock()
-		return fp, true
+		return true
 	}
 	e := &regEntry{
 		info: GraphInfo{
@@ -132,7 +133,7 @@ func (r *Registry) Add(name string, g *bicc.Graph) (fp string, existed bool) {
 			cb(v)
 		}
 	}
-	return fp, false
+	return false
 }
 
 // Acquire pins the graph with the given fingerprint and returns it. The

@@ -39,14 +39,43 @@ func TestFingerprintContentAddressed(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins Fingerprint's values: they are graph ids in
+// the WAL, snapshots, recovery's re-check and replication, so a change
+// would orphan every stored graph.
+func TestFingerprintGolden(t *testing.T) {
+	// A 70000-ring with a chord from every third vertex: ids need three
+	// bytes, and some chords are stored with the larger endpoint first.
+	const n = 70000
+	var edges []bicc.Edge
+	for i := 0; i < n; i++ {
+		edges = append(edges, bicc.Edge{U: int32(i), V: int32((i + 1) % n)})
+		if i%3 == 0 {
+			edges = append(edges, bicc.Edge{U: int32((i + 257) % n), V: int32(i)})
+		}
+	}
+	ring := mkGraph(t, n, edges)
+	for _, tc := range []struct {
+		name string
+		g    *bicc.Graph
+		want string
+	}{
+		{"testGraph", testGraph(t), "9a864f971efb1963"},
+		{"ring", ring, "60cf4cbecfdea1e7"},
+	} {
+		if got := Fingerprint(tc.g); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRegistryAddAcquireRemove(t *testing.T) {
 	r := NewRegistry(0)
 	g := mkGraph(t, 3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	fp, existed := r.Add("a", g)
-	if existed {
+	fp := Fingerprint(g)
+	if r.Add(fp, "a", g) {
 		t.Fatal("fresh add reported existing")
 	}
-	if _, existed = r.Add("a", g); !existed {
+	if !r.Add(fp, "a", g) {
 		t.Fatal("re-add not reported existing")
 	}
 	got, ok := r.Acquire(fp)
@@ -91,13 +120,18 @@ func TestRegistryEvictionRespectsRefsAndLRU(t *testing.T) {
 	}
 	budget := 2*graphBytes(mk(0)) + 10 // room for two graphs
 	r := NewRegistry(budget)
-	fp1, _ := r.Add("g1", mk(1))
-	fp2, _ := r.Add("g2", mk(2))
+	add := func(name string, g *bicc.Graph) string {
+		fp := Fingerprint(g)
+		r.Add(fp, name, g)
+		return fp
+	}
+	fp1 := add("g1", mk(1))
+	fp2 := add("g2", mk(2))
 	if _, ok := r.Acquire(fp1); !ok { // pin g1
 		t.Fatal("acquire g1")
 	}
 	time.Sleep(2 * time.Millisecond) // make lastUse ordering unambiguous
-	fp3, _ := r.Add("g3", mk(3))
+	fp3 := add("g3", mk(3))
 	// g2 is the only unpinned entry: it must be the victim even though g1 is
 	// older.
 	if _, ok := r.Get(fp2); ok {

@@ -341,7 +341,7 @@ func (s *Server) installReplicated(gr durable.GraphRecord) {
 	if gr.Gen > 0 {
 		s.registry.AddAt(gr.FP, gr.Name, gr.Graph, gr.Gen, gr.CFP)
 	} else {
-		s.registry.Add(gr.Name, gr.Graph)
+		s.registry.Add(Fingerprint(gr.Graph), gr.Name, gr.Graph)
 	}
 }
 

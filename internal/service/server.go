@@ -363,16 +363,22 @@ type graphUploadResponse struct {
 	Existed bool `json:"existed"`
 	Loops   int  `json:"loops_removed,omitempty"`
 	Dups    int  `json:"duplicates_removed,omitempty"`
+	// Phases splits ElapsedNs into back-to-back stages; they sum to it.
+	ElapsedNs int64            `json:"elapsed_ns"`
+	Phases    []map[string]any `json:"phases"`
 }
 
 // handleUpload ingests a graph from the request body.
 // Query parameters: format=text|dimacs|binary (default text),
 // normalize=1 to drop self loops / duplicate edges instead of rejecting
-// them, name=<label>.
+// them, name=<label>. The response's phases are the stages decode (body
+// read, parse and validation), fingerprint, wal and quorum (when a durable
+// server appends the graph) and register.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if s.rejectStandby(w) {
 		return
 	}
+	clock := newStageClock()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	q := r.URL.Query().Get("normalize")
 	g, loops, dups, err := readGraph(body, r.URL.Query().Get("format"), q == "1" || q == "true")
@@ -390,7 +396,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing graph: %v", err)
 		return
 	}
-	s.registerGraph(w, g, r.URL.Query().Get("name"), loops, dups)
+	clock.lap("decode")
+	s.registerGraph(w, clock, g, r.URL.Query().Get("name"), loops, dups)
 }
 
 // writeTooLarge answers 413 if err came from the MaxBytesReader body cap,
@@ -423,6 +430,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusForbidden, "local file loading is disabled (start bccd with -allow-local-files)")
 		return
 	}
+	clock := newStageClock()
 	var req openRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "parsing request: %v", err)
@@ -450,16 +458,18 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing %s: %v", req.Path, err)
 		return
 	}
+	clock.lap("decode")
 	name := req.Name
 	if name == "" {
 		name = path.Base(req.Path)
 	}
-	s.registerGraph(w, g, name, loops, dups)
+	s.registerGraph(w, clock, g, name, loops, dups)
 }
 
-// registerGraph registers g and answers with the entry's info.
-func (s *Server) registerGraph(w http.ResponseWriter, g *bicc.Graph, name string, loops, dups int) {
-	fp, existed, err := s.AddGraph(name, g)
+// registerGraph registers g and answers with the entry's info and the
+// stages clock has timed.
+func (s *Server) registerGraph(w http.ResponseWriter, clock *stageClock, g *bicc.Graph, name string, loops, dups int) {
+	fp, existed, err := s.addGraph(clock, name, g)
 	if err != nil {
 		// Not persisted means not acknowledged: the client must not
 		// believe in a graph that a restart would forget.
@@ -468,7 +478,10 @@ func (s *Server) registerGraph(w http.ResponseWriter, g *bicc.Graph, name string
 	}
 	s.stats.GraphUploads.Add(1)
 	info, _ := s.registry.Get(fp)
-	writeJSON(w, http.StatusOK, graphUploadResponse{GraphInfo: info, Existed: existed, Loops: loops, Dups: dups})
+	writeJSON(w, http.StatusOK, graphUploadResponse{
+		GraphInfo: info, Existed: existed, Loops: loops, Dups: dups,
+		ElapsedNs: int64(clock.elapsed()), Phases: clock.phases,
+	})
 }
 
 // AddGraph registers g in the registry, first appending it to the WAL when
@@ -477,19 +490,29 @@ func (s *Server) registerGraph(w http.ResponseWriter, g *bicc.Graph, name string
 // next boot — at-least-once, never lost-after-ack. Used by the upload
 // handlers and by the daemon's -load preloading.
 func (s *Server) AddGraph(name string, g *bicc.Graph) (fp string, existed bool, err error) {
+	return s.addGraph(newStageClock(), name, g)
+}
+
+// addGraph is AddGraph timing its stages on clock: fingerprint, wal and
+// quorum (only when a durable server appends the graph) and register.
+func (s *Server) addGraph(clock *stageClock, name string, g *bicc.Graph) (fp string, existed bool, err error) {
 	fp = Fingerprint(g)
+	clock.lap("fingerprint")
 	if d := s.dur.Load(); d != nil {
 		if _, ok := s.registry.Get(fp); !ok {
 			if err := d.store.AppendAdd(fp, name, g); err != nil {
 				return "", false, err
 			}
+			clock.lap("wal")
 			// Replication quorum: wait (bounded) for a standby to have the
 			// record before acking the client. Degrades, never fails — the
 			// record is already durable here.
 			s.replWaitQuorum()
+			clock.lap("quorum")
 		}
 	}
-	fp, existed = s.registry.Add(name, g)
+	existed = s.registry.Add(fp, name, g)
+	clock.lap("register")
 	return fp, existed, nil
 }
 

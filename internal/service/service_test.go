@@ -220,6 +220,69 @@ func TestUploadRejectsDuplicateEdges(t *testing.T) {
 	}
 }
 
+// TestUploadHugeHeaderCount: a 15-byte text body declaring 2·10⁹ edges
+// used to make the reader allocate 16 GB and kill the daemon. It must get
+// a 400, and the daemon must go on serving uploads.
+func TestUploadHugeHeaderCount(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := []byte("p 1 2000000000\n")
+	code, _, msg := postRawGraph(t, ts, "format=text", body)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "header declares 2000000000 edges, found 0") {
+		t.Fatalf("huge header count: %d %s", code, msg)
+	}
+	var text bytes.Buffer
+	if err := bicc.WriteGraph(&text, testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, msg := postRawGraph(t, ts, "format=text", text.Bytes()); code != http.StatusOK {
+		t.Fatalf("upload after the huge header: %d %s", code, msg)
+	}
+}
+
+// TestUploadPhasesSumToElapsed checks the stage breakdown on upload
+// responses: back-to-back stages in order, summing exactly to elapsed_ns.
+// Only a durable server appending a new graph has the wal and quorum
+// stages; a repeated upload finds the graph registered and skips them.
+func TestUploadPhasesSumToElapsed(t *testing.T) {
+	durableSrv, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
+	var text bytes.Buffer
+	if err := bicc.WriteGraph(&text, testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	repeat := []string{"decode", "fingerprint", "register"}
+	for _, tc := range []struct {
+		name  string
+		ts    *httptest.Server
+		first []string
+	}{
+		{"durable", newHTTPServer(t, durableSrv), []string{"decode", "fingerprint", "wal", "quorum", "register"}},
+		{"memory", newHTTPServer(t, New(Config{})), repeat},
+	} {
+		for i, want := range [][]string{tc.first, repeat} {
+			code, out, msg := postRawGraph(t, tc.ts, "format=text", text.Bytes())
+			if code != http.StatusOK || out.Existed != (i == 1) {
+				t.Fatalf("%s upload %d: %d %s", tc.name, i, code, msg)
+			}
+			var names []string
+			var sum int64
+			for _, p := range out.Phases {
+				ns, _ := p["ns"].(float64)
+				if ns < 0 {
+					t.Fatalf("%s upload %d: stage %v took %v ns", tc.name, i, p["name"], ns)
+				}
+				names = append(names, fmt.Sprint(p["name"]))
+				sum += int64(ns)
+			}
+			if strings.Join(names, ",") != strings.Join(want, ",") {
+				t.Fatalf("%s upload %d: stages %v, want %v", tc.name, i, names, want)
+			}
+			if sum != out.ElapsedNs || sum <= 0 {
+				t.Fatalf("%s upload %d: stages sum to %d ns, elapsed_ns %d", tc.name, i, sum, out.ElapsedNs)
+			}
+		}
+	}
+}
+
 func TestGraphLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	up := uploadGraph(t, ts, testGraph(t), "name=x")
