@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
 
 all: build test
 
@@ -101,15 +101,22 @@ fuzz-graph:
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadText -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadDIMACS -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
-# Per-block suite. test-shard runs the differential harness (per-block
-# answers must equal the monolith byte for byte across 3 graph families ×
-# every engine × 5 query kinds), the block-cut invariant property tests,
-# the shard.build fault-matrix rows, and the service's per-block tests (the
-# HTTP differential with its spill and mutation legs, index reuse,
-# build-once, budget and fault behaviour) — race-enabled.
+# Per-block suite. test-shard runs the block index's differential harness
+# (the index, BlockCutTree and ComponentSubgraph must equal the
+# slice-of-slices reference kept in internal/core's tests byte for byte,
+# across 3 graph families × every engine), its block-cut invariant property
+# tests, the shard.build fault-matrix rows, and the service's per-block
+# tests (the HTTP differential with its spill and mutation legs, index
+# reuse, build-once, budget and fault behaviour) — race-enabled.
+# fuzz-blockindex checks the index against the same reference on arbitrary
+# vertex counts, edge multisets and labelings; like fuzz-graph it caps
+# minimizing a new input at a few runs.
 test-shard:
-	$(GO) test -race ./internal/shard -count=1
+	$(GO) test -race -run 'BlockCut|BlockIndex|IndexEqualsReference|Invariants' ./internal/core -count=1
 	$(GO) test -race -run 'Shard' ./internal/service ./internal/faults -count=1
+
+fuzz-blockindex:
+	$(GO) test ./internal/core -run FuzzNothing -fuzz FuzzBlockIndex -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # Incremental suite. test-incr runs the planner's differential harness
 # (every mutation sequence must leave labels byte-equal to a from-scratch
@@ -205,13 +212,13 @@ lint-obs:
 # fault-isolation suite, the observability suite, the durability suite
 # (decoder fuzzing, race-enabled service tests, crash harness), the upload
 # decoder's differential fuzzing, the per-block suite (differential
-# harness), the incremental suite (mutation differential harness + delta
+# harness + block index fuzzing), the incremental suite (mutation differential harness + delta
 # fuzzing), the replication suite (standby differential harness +
 # multi-process node-kill failover), the self-healing suite (scrubber +
 # bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
 # decision table + differential harness + feature fuzzing), and the
 # benchmark module's tests.
-ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

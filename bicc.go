@@ -258,9 +258,9 @@ var ErrNilGraph = errors.New("bicc: nil graph")
 // slow" (retry, then degrade) from "the caller's deadline passed" (give up).
 var ErrAttemptTimeout = errors.New("bicc: parallel attempt exceeded AttemptTimeout")
 
-// FeaturesFor returns pl's cached feature vector for g, extracting it on
-// first sight. The bridge exists because plan.Planner operates on the
-// internal edge-list type the public Graph wraps.
+// FeaturesFor extracts g's feature vector with pl. The bridge exists
+// because plan.Planner operates on the internal edge-list type the public
+// Graph wraps.
 func FeaturesFor(pl *plan.Planner, g *Graph) plan.Features {
 	return pl.FeaturesOf(g.el)
 }

@@ -1,38 +1,36 @@
 package bicc
 
-import (
-	"bicc/internal/core"
-	"bicc/internal/graph"
-)
+import "bicc/internal/core"
 
 // BlockCutTree is the bipartite forest over the blocks and cut vertices of
 // a graph: each cut vertex is linked to every block containing it. It is
 // the standard structure for fault-tolerance analysis and augmentation
-// planning.
+// planning. Accessors return nil for out-of-range ids, and their slices
+// must not be modified.
 type BlockCutTree struct {
-	t *core.BlockCutTree
+	t *core.BlockIndex
 }
 
 // BlockCutTree assembles the block-cut tree of the decomposition.
 func (r *Result) BlockCutTree() *BlockCutTree {
-	return &BlockCutTree{t: core.NewBlockCutTree(r.g, r.EdgeComponent, r.NumComponents)}
+	return &BlockCutTree{t: core.NewBlockIndex(r.g.N, r.g.Edges, r.EdgeComponent, r.NumComponents)}
 }
 
 // NumBlocks returns the number of block nodes.
-func (t *BlockCutTree) NumBlocks() int { return t.t.NumBlocks }
+func (t *BlockCutTree) NumBlocks() int { return t.t.NumBlocks() }
 
 // CutVertices returns the cut vertices, ascending.
-func (t *BlockCutTree) CutVertices() []int32 { return t.t.Cuts }
+func (t *BlockCutTree) CutVertices() []int32 { return t.t.CutVertices() }
 
 // BlocksOfVertex returns the block ids containing v, ascending (more than
 // one exactly when v is a cut vertex; empty for isolated vertices).
-func (t *BlockCutTree) BlocksOfVertex(v int32) []int32 { return t.t.VertexBlocks[v] }
+func (t *BlockCutTree) BlocksOfVertex(v int32) []int32 { return t.t.BlocksOfVertex(v) }
 
 // VerticesOfBlock returns all vertices of block b, ascending.
-func (t *BlockCutTree) VerticesOfBlock(b int32) []int32 { return t.t.BlockVertices[b] }
+func (t *BlockCutTree) VerticesOfBlock(b int32) []int32 { return t.t.VerticesOfBlock(b) }
 
 // CutsOfBlock returns the cut vertices on block b's boundary, ascending.
-func (t *BlockCutTree) CutsOfBlock(b int32) []int32 { return t.t.BlockCuts[b] }
+func (t *BlockCutTree) CutsOfBlock(b int32) []int32 { return t.t.CutsOfBlock(b) }
 
 // LeafBlocks returns blocks incident to at most one cut vertex — the
 // periphery of the tree, the natural endpoints for augmentation links.
@@ -63,22 +61,11 @@ func CountBlocks(g *Graph, opt *Options) (int, error) {
 // i, and edgeMap[j] the original index of its edge j. Planarity testers and
 // per-block analyses consume blocks in this form.
 func (r *Result) ComponentSubgraph(k int32) (sub *Graph, vertexMap, edgeMap []int32) {
-	local := map[int32]int32{}
-	var edges []Edge
 	for i, c := range r.EdgeComponent {
-		if c != k {
-			continue
+		if c == k {
+			edgeMap = append(edgeMap, int32(i))
 		}
-		e := r.g.Edges[i]
-		for _, v := range [2]int32{e.U, e.V} {
-			if _, ok := local[v]; !ok {
-				local[v] = int32(len(vertexMap))
-				vertexMap = append(vertexMap, v)
-			}
-		}
-		edges = append(edges, Edge{U: local[e.U], V: local[e.V]})
-		edgeMap = append(edgeMap, int32(i))
 	}
-	el := &graph.EdgeList{N: int32(len(vertexMap)), Edges: edges}
+	el, vertexMap := core.Subgraph(r.g.Edges, edgeMap)
 	return &Graph{el: el}, vertexMap, edgeMap
 }

@@ -48,6 +48,20 @@ func TestBlockCutTreePublic(t *testing.T) {
 	if len(leaves) != 2 {
 		t.Errorf("leaves=%v, want 2", leaves)
 	}
+	// Out-of-range ids answer nil instead of panicking.
+	for _, v := range []int32{-1, 9} {
+		if got := bct.BlocksOfVertex(v); got != nil {
+			t.Errorf("BlocksOfVertex(%d) = %v, want nil", v, got)
+		}
+	}
+	for _, b := range []int32{-1, 4} {
+		if got := bct.VerticesOfBlock(b); got != nil {
+			t.Errorf("VerticesOfBlock(%d) = %v, want nil", b, got)
+		}
+		if got := bct.CutsOfBlock(b); got != nil {
+			t.Errorf("CutsOfBlock(%d) = %v, want nil", b, got)
+		}
+	}
 }
 
 func TestCountBlocksPublic(t *testing.T) {

@@ -28,10 +28,11 @@
 //
 // The per-block endpoints (/v1/block/{id}, /v1/vertex/{v}/...) are always
 // served. They read the same cached decomposition /v1/bcc does; the first
-// per-block query for a cached result partitions it into per-block shards
-// behind a vertex-to-block routing index, kept on the cache entry and
-// counted against -mem-budget, so later queries touch one shard instead of
-// the whole payload.
+// per-block query for a cached result builds its block index (the blocks
+// of each vertex, the vertices and edge ids of each block), kept on the
+// cache entry and counted against -mem-budget, so later queries read one
+// list instead of the whole payload, and a block's subgraph is remapped on
+// request.
 //
 // With -scrub-interval, a durable daemon runs a background scrubber: every
 // interval it re-reads the durable tiers — WAL segments, snapshots, spilled

@@ -12,15 +12,15 @@ import (
 func TestBlockCutTreeBowtie(t *testing.T) {
 	g := gen.BlockChain(2, 3) // two triangles sharing vertex 2
 	res := Sequential(g)
-	bct := NewBlockCutTree(g, res.EdgeComp, res.NumComp)
-	if bct.NumBlocks != 2 {
-		t.Fatalf("blocks=%d, want 2", bct.NumBlocks)
+	bct := NewBlockIndex(g.N, g.Edges, res.EdgeComp, res.NumComp)
+	if bct.NumBlocks() != 2 {
+		t.Fatalf("blocks=%d, want 2", bct.NumBlocks())
 	}
-	if len(bct.Cuts) != 1 || bct.Cuts[0] != 2 {
-		t.Fatalf("cuts=%v, want [2]", bct.Cuts)
+	if cuts := bct.CutVertices(); len(cuts) != 1 || cuts[0] != 2 {
+		t.Fatalf("cuts=%v, want [2]", cuts)
 	}
-	if len(bct.CutBlocks[0]) != 2 {
-		t.Errorf("cut vertex in %d blocks, want 2", len(bct.CutBlocks[0]))
+	if len(bct.BlocksOfVertex(2)) != 2 {
+		t.Errorf("cut vertex in %d blocks, want 2", len(bct.BlocksOfVertex(2)))
 	}
 	if got := bct.NumTreeEdges(); got != 2 {
 		t.Errorf("tree edges=%d, want 2", got)
@@ -28,9 +28,12 @@ func TestBlockCutTreeBowtie(t *testing.T) {
 	if leaves := bct.LeafBlocks(); len(leaves) != 2 {
 		t.Errorf("leaf blocks=%v, want both", leaves)
 	}
-	for b := 0; b < 2; b++ {
-		if len(bct.BlockVertices[b]) != 3 {
-			t.Errorf("block %d has %d vertices, want 3", b, len(bct.BlockVertices[b]))
+	for b := int32(0); b < 2; b++ {
+		if len(bct.VerticesOfBlock(b)) != 3 {
+			t.Errorf("block %d has %d vertices, want 3", b, len(bct.VerticesOfBlock(b)))
+		}
+		if len(bct.EdgesOfBlock(b)) != 3 {
+			t.Errorf("block %d has %d edges, want 3", b, len(bct.EdgesOfBlock(b)))
 		}
 	}
 }
@@ -38,12 +41,12 @@ func TestBlockCutTreeBowtie(t *testing.T) {
 func TestBlockCutTreeChain(t *testing.T) {
 	g := gen.Chain(5) // 4 bridge blocks, 3 interior cut vertices
 	res := Sequential(g)
-	bct := NewBlockCutTree(g, res.EdgeComp, res.NumComp)
-	if bct.NumBlocks != 4 {
-		t.Fatalf("blocks=%d, want 4", bct.NumBlocks)
+	bct := NewBlockIndex(g.N, g.Edges, res.EdgeComp, res.NumComp)
+	if bct.NumBlocks() != 4 {
+		t.Fatalf("blocks=%d, want 4", bct.NumBlocks())
 	}
-	if len(bct.Cuts) != 3 {
-		t.Fatalf("cuts=%v, want 3 interior vertices", bct.Cuts)
+	if cuts := bct.CutVertices(); len(cuts) != 3 {
+		t.Fatalf("cuts=%v, want 3 interior vertices", cuts)
 	}
 	// Path of blocks: 2 leaves, 2 interior.
 	if leaves := bct.LeafBlocks(); len(leaves) != 2 {
@@ -58,25 +61,25 @@ func TestBlockCutTreeChain(t *testing.T) {
 func TestBlockCutTreeBiconnected(t *testing.T) {
 	g := gen.Mesh(4, 4)
 	res := Sequential(g)
-	bct := NewBlockCutTree(g, res.EdgeComp, res.NumComp)
-	if bct.NumBlocks != 1 || len(bct.Cuts) != 0 {
-		t.Errorf("mesh: blocks=%d cuts=%d, want 1,0", bct.NumBlocks, len(bct.Cuts))
+	bct := NewBlockIndex(g.N, g.Edges, res.EdgeComp, res.NumComp)
+	if bct.NumBlocks() != 1 || len(bct.CutVertices()) != 0 {
+		t.Errorf("mesh: blocks=%d cuts=%d, want 1,0", bct.NumBlocks(), len(bct.CutVertices()))
 	}
-	if len(bct.BlockVertices[0]) != 16 {
-		t.Errorf("block covers %d vertices, want 16", len(bct.BlockVertices[0]))
+	if len(bct.VerticesOfBlock(0)) != 16 {
+		t.Errorf("block covers %d vertices, want 16", len(bct.VerticesOfBlock(0)))
 	}
 }
 
 func TestBlockCutTreeIsolatedVertices(t *testing.T) {
 	g := gen.Disconnected(gen.Cycle(3), &graph.EdgeList{N: 2})
 	res := Sequential(g)
-	bct := NewBlockCutTree(g, res.EdgeComp, res.NumComp)
-	if bct.NumBlocks != 1 || len(bct.Cuts) != 0 {
-		t.Errorf("blocks=%d cuts=%d, want 1,0", bct.NumBlocks, len(bct.Cuts))
+	bct := NewBlockIndex(g.N, g.Edges, res.EdgeComp, res.NumComp)
+	if bct.NumBlocks() != 1 || len(bct.CutVertices()) != 0 {
+		t.Errorf("blocks=%d cuts=%d, want 1,0", bct.NumBlocks(), len(bct.CutVertices()))
 	}
 	for v := int32(3); v < 5; v++ {
-		if len(bct.VertexBlocks[v]) != 0 {
-			t.Errorf("isolated vertex %d in blocks %v", v, bct.VertexBlocks[v])
+		if bct.BlocksOfVertex(v) != nil {
+			t.Errorf("isolated vertex %d in blocks %v", v, bct.BlocksOfVertex(v))
 		}
 	}
 }
@@ -91,14 +94,14 @@ func TestQuickBlockCutTreeInvariants(t *testing.T) {
 		m := int(mm) % (maxM + 1)
 		g := gen.Random(n, m, seed)
 		res := Sequential(g)
-		bct := NewBlockCutTree(g, res.EdgeComp, res.NumComp)
+		bct := NewBlockIndex(g.N, g.Edges, res.EdgeComp, res.NumComp)
 		// Cut vertices must equal Articulation's output.
-		arts := Articulation(g, res.EdgeComp)
-		if len(arts) != len(bct.Cuts) {
+		arts, cuts := Articulation(g, res.EdgeComp), bct.CutVertices()
+		if len(arts) != len(cuts) {
 			return false
 		}
 		for i := range arts {
-			if arts[i] != bct.Cuts[i] {
+			if arts[i] != cuts[i] {
 				return false
 			}
 		}
@@ -119,7 +122,7 @@ func TestQuickBlockCutTreeInvariants(t *testing.T) {
 			deg[e.V]++
 		}
 		for v := 0; v < n; v++ {
-			if (deg[v] > 0) != (len(bct.VertexBlocks[v]) > 0) {
+			if (deg[v] > 0) != (len(bct.BlocksOfVertex(int32(v))) > 0) {
 				return false
 			}
 		}

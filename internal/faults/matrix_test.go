@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"bicc"
+	"bicc/internal/core"
 	"bicc/internal/faults"
 	"bicc/internal/incr"
 	"bicc/internal/par"
-	"bicc/internal/shard"
 )
 
 // matrixGraph is a deterministic ~400-vertex graph with several blocks:
@@ -126,12 +127,11 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // TestFaultMatrixShardBuild extends the matrix past the engines to the
-// shard layer's build site: for every fault kind and every algorithm's
-// decomposition, a faulted BuildSet must return a typed error and no
-// partial state, and an absorbed fault (pure delay) must still produce
-// shard state that answers identically to the monolithic block-cut tree.
-// Importing the shard package also adds shard.build to Sites(), so the
-// engine matrices above cover it (vacuously — engines never shard).
+// block index's build site, shard.build: for every fault kind and every
+// algorithm's decomposition, a faulted BuildBlockIndex must return a typed
+// error and no partial index, and an absorbed fault (pure delay) must still
+// produce an index identical to an unfaulted build. The engine matrices
+// above cover the site too (vacuously — engines never build an index).
 func TestFaultMatrixShardBuild(t *testing.T) {
 	defer faults.Deactivate()
 	g := matrixGraph(t)
@@ -145,10 +145,10 @@ func TestFaultMatrixShardBuild(t *testing.T) {
 		}
 		for _, kind := range kinds {
 			t.Run(kind.String()+"/"+algo.String(), func(t *testing.T) {
-				r := faults.NewRule(kind, shard.SiteBuild)
+				r := faults.NewRule(kind, core.SiteBlockIndex)
 				switch kind {
 				case faults.KindPanic, faults.KindCancel:
-					// Fire mid-build so half-built shards exist to discard.
+					// Fire mid-build so a half-built index exists to discard.
 					r.Iter = res.NumComponents / 2
 					r.Count = 1
 				case faults.KindDelay:
@@ -158,12 +158,13 @@ func TestFaultMatrixShardBuild(t *testing.T) {
 				faults.Activate(&faults.Plan{Seed: 1, Rules: []*faults.Rule{r}})
 				defer faults.Deactivate()
 
-				set, err := shard.BuildSet(context.Background(), "matrix-fp", g, res)
+				n := int32(g.NumVertices())
+				idx, err := core.BuildBlockIndex(context.Background(), n, g.Edges(), res.EdgeComponent, res.NumComponents)
 				faults.Deactivate()
 				switch kind {
 				case faults.KindPanic:
-					if set != nil || err == nil {
-						t.Fatalf("faulted build returned set=%v err=%v, want nil set + typed error", set, err)
+					if idx != nil || err == nil {
+						t.Fatalf("faulted build returned idx=%v err=%v, want nil index + typed error", idx, err)
 					}
 					var pe *par.PanicError
 					var ip *faults.InjectedPanic
@@ -171,21 +172,16 @@ func TestFaultMatrixShardBuild(t *testing.T) {
 						t.Fatalf("panic not contained as typed error: %T: %v", err, err)
 					}
 				case faults.KindCancel:
-					if set != nil || !errors.Is(err, faults.ErrInjected) {
-						t.Fatalf("canceled build returned set=%v err=%v, want nil set + ErrInjected", set, err)
+					if idx != nil || !errors.Is(err, faults.ErrInjected) {
+						t.Fatalf("canceled build returned idx=%v err=%v, want nil index + ErrInjected", idx, err)
 					}
 				case faults.KindDelay:
 					if err != nil {
 						t.Fatalf("a pure delay must not fail the build: %v", err)
 					}
-					tree := res.BlockCutTree()
-					if got, want := len(set.CutVertices()), len(tree.CutVertices()); got != want {
-						t.Fatalf("delayed build corrupted state: %d cuts, want %d", got, want)
-					}
-					for b := int32(0); b < int32(set.NumBlocks); b++ {
-						if len(set.Shards[b].Vertices) != len(tree.VerticesOfBlock(b)) {
-							t.Fatalf("delayed build corrupted block %d", b)
-						}
+					want := core.NewBlockIndex(n, g.Edges(), res.EdgeComponent, res.NumComponents)
+					if !reflect.DeepEqual(idx, want) {
+						t.Fatal("delayed build differs from an unfaulted one")
 					}
 				}
 			})

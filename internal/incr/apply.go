@@ -6,6 +6,7 @@ import (
 
 	"bicc"
 	"bicc/internal/conncomp"
+	"bicc/internal/core"
 	"bicc/internal/faults"
 	"bicc/internal/graph"
 	"bicc/internal/par"
@@ -124,7 +125,7 @@ func (d *blockSet) add(b int32) {
 // recomputes the union of the dirty blocks (or, past the size threshold,
 // the whole graph) via run. Its map work is O(batch + region): the key map
 // moves by one entry per delta and the dirty set is an array by block id.
-// The routing index, which doubles as the block-cut forest, is rebuilt by
+// The block index, which doubles as the block-cut forest, is rebuilt by
 // array passes, without a sort.
 // On error the State is unchanged — every in-place update comes after the
 // engine run, the last step that can fail — so the caller can degrade to a
@@ -157,19 +158,16 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 
 	// Classify inserts: an intra-block insert is an absorb candidate; a
 	// structural insert makes each endpoint that lives in some block a
-	// terminal of the Steiner closure below.
-	type ins struct {
-		e      graph.Edge
-		absorb int32 // block to absorb into, or -1
-	}
-	inserts := make([]ins, len(b.inserts))
+	// terminal of the Steiner closure below. absorb[k] is the block insert k
+	// is absorbed into, or -1.
+	absorb := make([]int32, len(b.inserts))
 	var termVerts []int32
 	for k, e := range b.inserts {
 		sb := int32(-1)
 		if e.U < s.n && e.V < s.n {
 			sb = s.sharedBlock(e.U, e.V)
 		}
-		inserts[k] = ins{e: e, absorb: sb}
+		absorb[k] = sb
 		if sb < 0 {
 			for _, v := range [2]int32{e.U, e.V} {
 				if v < s.n && len(s.BlocksOfVertex(v)) > 0 {
@@ -193,11 +191,11 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 	// whose terminals already dirty every block such a cycle can touch.)
 	absorbed := 0
 	structural := 0
-	for k := range inserts {
-		if inserts[k].absorb >= 0 && dirty.in[inserts[k].absorb] {
-			inserts[k].absorb = -1
+	for k, a := range absorb {
+		if a >= 0 && dirty.in[a] {
+			absorb[k] = -1
 		}
-		if inserts[k].absorb >= 0 {
+		if absorb[k] >= 0 {
 			absorbed++
 		} else {
 			structural++
@@ -214,14 +212,10 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 
 	// Pure absorb: nothing structural anywhere in the batch (so no deletes
 	// either). No engine; the labels grow by the inserts' blocks and the
-	// routing index is untouched (both endpoints were already in the
-	// target block).
+	// block index is kept (both endpoints were already in the target
+	// block).
 	if dirty.n == 0 && structural == 0 {
-		comp := s.comp
-		for _, in := range inserts {
-			comp = append(comp, in.absorb)
-		}
-		s.commit(b, comp, s.numComp)
+		s.commit(b, append(s.comp, absorb...), s.numComp)
 		stats.Mode = ModeAbsorb
 		stats.NumComponents = s.numComp
 		return stats, nil
@@ -277,42 +271,36 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 		}
 	}
 
-	// Build the compact region subgraph and, in the same pass over the
-	// final edges, src[i]: the label source of final edge i, an old block id
-	// (>= 0, survives untouched) or -(r+1) for region edge r.
-	local := make(map[int32]int32)
-	var vm []int32
-	var regionSub []graph.Edge
-	addRegion := func(e graph.Edge) int32 {
-		for _, v := range [2]int32{e.U, e.V} {
-			if _, ok := local[v]; !ok {
-				local[v] = int32(len(vm))
-				vm = append(vm, v)
-			}
-		}
-		regionSub = append(regionSub, graph.Edge{U: local[e.U], V: local[e.V]})
-		return int32(len(regionSub) - 1)
-	}
+	// In one pass over the final edges, src[i]: the label source of final
+	// edge i, an old block id (>= 0, survives untouched) or -(r+1) for
+	// region edge r, the final edge region[r]. The region is remapped to a
+	// compact subgraph like any block.
 	src := make([]int32, 0, finalCount)
-	for i, e := range s.edges {
+	var region []int32
+	toRegion := func() {
+		region = append(region, int32(len(src)))
+		src = append(src, -int32(len(region)))
+	}
+	for i := range s.edges {
 		if b.del[i] {
 			continue
 		}
 		if c := s.comp[i]; dirty.in[c] {
-			src = append(src, -(addRegion(e) + 1))
+			toRegion()
 		} else {
 			src = append(src, c)
 		}
 	}
-	for _, in := range inserts {
-		if in.absorb >= 0 {
-			src = append(src, in.absorb)
+	for _, a := range absorb {
+		if a >= 0 {
+			src = append(src, a)
 		} else {
-			src = append(src, -(addRegion(in.e) + 1))
+			toRegion()
 		}
 	}
 
-	rg, err := bicc.NewGraph(len(vm), regionSub)
+	sub, _ := core.Subgraph(b.Edges, region)
+	rg, err := bicc.NewGraph(int(sub.N), sub.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("incr: region subgraph: %w", err)
 	}
@@ -320,9 +308,9 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 	if err != nil {
 		return nil, err
 	}
-	if len(rres.EdgeComponent) != len(regionSub) {
+	if len(rres.EdgeComponent) != len(region) {
 		return nil, fmt.Errorf("incr: engine labeled %d of %d region edges",
-			len(rres.EdgeComponent), len(regionSub))
+			len(rres.EdgeComponent), len(region))
 	}
 
 	// Stitch: untouched blocks keep their identity, region edges take the
@@ -389,7 +377,7 @@ func (s *State) steinerClose(termVerts []int32, dirty *blockSet) {
 		return
 	}
 	k := int32(s.numComp)
-	isCut := func(v int32) bool { return s.offsets[v+1]-s.offsets[v] >= 2 }
+	isCut := s.idx.IsCut
 	// A terminal vertex maps to its cut node, or to its only block.
 	// Terminals are deduplicated by VERTEX, not by tree node: two distinct
 	// terminal vertices attached to the same block mean a real path through
@@ -450,7 +438,7 @@ func (s *State) steinerClose(termVerts []int32, dirty *blockSet) {
 			x := queue[0]
 			queue = queue[1:]
 			if x < k { // a block: its cut vertices
-				for _, v := range s.blockVerts[s.blockOff[x]:s.blockOff[x+1]] {
+				for _, v := range s.idx.VerticesOfBlock(x) {
 					if isCut(v) {
 						visit(k+v, x, ci)
 					}

@@ -3,7 +3,7 @@
 //
 // A State holds the current edge list, the canonical per-edge block labels
 // (first-occurrence dense numbering — exactly what every engine emits for
-// the same edge list), and a CSR vertex→block routing index. Prepare
+// the same edge list), and their block index (core.BlockIndex). Prepare
 // validates a batch of deltas against it; Apply runs the batch through a
 // planner that classifies each delta against the current block-cut
 // structure:
@@ -37,7 +37,7 @@
 // cover the classification loop and the per-dirty-block region assembly.
 //
 // A commit's hash-map work is O(batch + region) and it sorts nothing: the
-// edge-key map keeps stable slots across commits, and the routing index,
+// edge-key map keeps stable slots across commits, and the block index,
 // which doubles as the block-cut forest, is rebuilt by counting sorts.
 // What stays linear in the graph is array passes: the final edge list, the
 // label stitch and the index rebuild.
@@ -48,6 +48,7 @@ import (
 
 	"bicc"
 	"bicc/internal/conncomp"
+	"bicc/internal/core"
 	"bicc/internal/faults"
 	"bicc/internal/graph"
 )
@@ -187,17 +188,12 @@ type State struct {
 	// it was prepared at.
 	commits uint64
 
-	// CSR vertex→block routing index: blocks containing v are
-	// blocks[offsets[v]:offsets[v+1]], ascending and unique. Its inverse,
-	// block→vertex: the vertices of block b are
-	// blockVerts[blockOff[b]:blockOff[b+1]]. Together they are the
-	// block-cut forest (a vertex in two or more blocks is a cut vertex,
-	// adjacent to each of its blocks), so steinerClose can BFS the ball
-	// around a batch's terminals without a materialized forest.
-	offsets    []int32
-	blocks     []int32
-	blockOff   []int32
-	blockVerts []int32
+	// idx is the block index of edges and comp: the block-cut forest, so
+	// steinerClose can BFS the ball around a batch's terminals without a
+	// materialized forest. An absorb commit keeps it, since its vertex and
+	// block lists cannot change; only its block→edge lists, which nothing
+	// here reads, then miss the absorbed edges.
+	idx *core.BlockIndex
 
 	// Edge-key map with stable slots, kept across commits: slot[k] is the
 	// slot of the edge with graph.CanonKey k, and slotPos[slot] its index in
@@ -239,64 +235,9 @@ func NewState(g *bicc.Graph, res *bicc.Result) (*State, error) {
 	return s, nil
 }
 
-// reindex rebuilds the block→vertex and vertex→block indexes from the
-// current edges and labels with array passes only. Edge ids are grouped by
-// block with a counting sort; walking the blocks in ascending id order and
-// stamping each endpoint with the last block it was listed under yields
-// every (vertex, block) membership once, grouped by block, and bucketing
-// those by vertex in the same order leaves each vertex's list ascending
-// without a sort.
+// reindex rebuilds the block index from the current edges and labels.
 func (s *State) reindex() {
-	k := int32(s.numComp)
-	bstart := make([]int32, k+1)
-	for _, c := range s.comp {
-		bstart[c+1]++
-	}
-	for b := int32(0); b < k; b++ {
-		bstart[b+1] += bstart[b]
-	}
-	byBlock := make([]int32, len(s.edges))
-	fill := append([]int32(nil), bstart[:k]...)
-	for i, c := range s.comp {
-		byBlock[fill[c]] = int32(i)
-		fill[c]++
-	}
-	// A forest with k blocks has at most k-1+cuts block-cut edges, so there
-	// are at most n+k memberships.
-	stamp := make([]int32, s.n) // b+1 of the block v was last listed under
-	blockVerts := make([]int32, 0, int(s.n)+int(k))
-	blockOff := make([]int32, k+1)
-	for b := int32(0); b < k; b++ {
-		blockOff[b] = int32(len(blockVerts))
-		for _, i := range byBlock[bstart[b]:bstart[b+1]] {
-			e := s.edges[i]
-			for _, v := range [2]int32{e.U, e.V} {
-				if stamp[v] != b+1 {
-					stamp[v] = b + 1
-					blockVerts = append(blockVerts, v)
-				}
-			}
-		}
-	}
-	blockOff[k] = int32(len(blockVerts))
-	offsets := make([]int32, s.n+1)
-	for _, v := range blockVerts {
-		offsets[v+1]++
-	}
-	for v := int32(0); v < s.n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	blocks := make([]int32, len(blockVerts))
-	next := stamp // reused as the per-vertex fill cursor
-	copy(next, offsets[:s.n])
-	for b := int32(0); b < k; b++ {
-		for _, v := range blockVerts[blockOff[b]:blockOff[b+1]] {
-			blocks[next[v]] = b
-			next[v]++
-		}
-	}
-	s.offsets, s.blocks = offsets, blocks
-	s.blockOff, s.blockVerts = blockOff, blockVerts
+	s.idx = core.NewBlockIndex(s.n, s.edges, s.comp, s.numComp)
 }
 
 // N returns the current vertex count.
@@ -317,16 +258,7 @@ func (s *State) Labels() []int32 { return append([]int32(nil), s.comp...) }
 
 // BlocksOfVertex returns the ids of the blocks containing v, ascending;
 // nil for isolated or out-of-range vertices. The slice aliases the index.
-func (s *State) BlocksOfVertex(v int32) []int32 {
-	if v < 0 || v >= s.n {
-		return nil
-	}
-	lo, hi := s.offsets[v], s.offsets[v+1]
-	if lo == hi {
-		return nil
-	}
-	return s.blocks[lo:hi:hi]
-}
+func (s *State) BlocksOfVertex(v int32) []int32 { return s.idx.BlocksOfVertex(v) }
 
 // sharedBlock returns the block containing both u and v, or -1. Two
 // vertices share at most one block (two blocks intersect in at most one

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -27,10 +26,6 @@ type Config struct {
 	// Registry receives the bicc_plan_* metrics; nil means obs.Default().
 	Registry *obs.Registry
 }
-
-// featCacheCap bounds the feature cache (FIFO eviction). Entries are a few
-// dozen bytes; the registry holds far fewer live graphs than this.
-const featCacheCap = 512
 
 // Candidate is one scored (engine, procs) option, echoed by ?explain=1.
 type Candidate struct {
@@ -62,13 +57,11 @@ type Planner struct {
 	extractions  *obs.Counter
 	fallbacks    *obs.Counter
 
-	mu        sync.Mutex
-	feats     map[string]Features
-	featOrder []string
-	byEngine  map[string]int64
-	byProcs   map[string]int64
-	total     int64
-	fellBack  int64
+	mu       sync.Mutex
+	byEngine map[string]int64
+	byProcs  map[string]int64
+	total    int64
+	fellBack int64
 }
 
 // New builds a Planner and registers its bicc_plan_* metric families.
@@ -89,47 +82,20 @@ func New(c Config) *Planner {
 		procsCounter: reg.CounterVec("bicc_plan_procs_total",
 			"Planner decisions by chosen parallelism degree.", "procs"),
 		extractions: reg.Counter("bicc_plan_feature_extractions_total",
-			"Feature-vector computations (cache misses)."),
+			"Feature-vector computations."),
 		fallbacks: reg.Counter("bicc_plan_fallbacks_total",
 			"Decisions where every candidate engine was filtered out and the planner fell back to sequential."),
-		feats:    map[string]Features{},
 		byEngine: map[string]int64{},
 		byProcs:  map[string]int64{},
 	}
 }
 
-// FeaturesOf returns g's feature vector, computing it on first sight and
-// caching by identity afterwards. The key includes the graph's dimensions so
-// a recycled allocation at the same address with different contents misses;
-// a stale hit after an in-place append is harmless — the plan may be
-// slightly off, the answer is still exact.
+// FeaturesOf extracts g's feature vector with the planner's analysis
+// workers. It keeps nothing: a caller planning one graph repeatedly keeps
+// the vector with the graph's identity.
 func (p *Planner) FeaturesOf(g *graph.EdgeList) Features {
-	key := featKey(g)
-	p.mu.Lock()
-	if f, ok := p.feats[key]; ok {
-		p.mu.Unlock()
-		return f
-	}
-	p.mu.Unlock()
-
-	f := Extract(p.maxProcs, g)
 	p.extractions.Inc()
-
-	p.mu.Lock()
-	if _, ok := p.feats[key]; !ok {
-		if len(p.featOrder) >= featCacheCap {
-			delete(p.feats, p.featOrder[0])
-			p.featOrder = p.featOrder[1:]
-		}
-		p.feats[key] = f
-		p.featOrder = append(p.featOrder, key)
-	}
-	p.mu.Unlock()
-	return f
-}
-
-func featKey(g *graph.EdgeList) string {
-	return fmt.Sprintf("%p:%d:%d", g, g.N, len(g.Edges))
+	return Extract(p.maxProcs, g)
 }
 
 // Decide picks the engine and parallelism for a request with feature vector

@@ -135,23 +135,27 @@ func TestAllFilteredFallsBackToSequential(t *testing.T) {
 	}
 }
 
-// TestFeaturesOfCaches checks identity-keyed caching: the same *EdgeList is
-// extracted once, a different graph is extracted separately.
-func TestFeaturesOfCaches(t *testing.T) {
+// TestFeaturesOfFollowsContent checks that FeaturesOf keys nothing by a
+// graph's address: an edge list rewritten in place to a graph of equal n
+// and m but another diameter class — what a new graph allocated at a
+// collected one's address looks like — gets its own features.
+func TestFeaturesOfFollowsContent(t *testing.T) {
 	p := New(Config{MaxProcs: 2, Registry: obs.NewRegistry()})
-	g := &graph.EdgeList{N: 5, Edges: []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}}
-	f1 := p.FeaturesOf(g)
-	f2 := p.FeaturesOf(g)
-	if f1 != f2 {
-		t.Fatalf("cache returned different vectors: %+v vs %+v", f1, f2)
+	const n = 256
+	g := &graph.EdgeList{N: n}
+	for v := int32(1); v < n; v++ {
+		g.Edges = append(g.Edges, graph.Edge{U: v - 1, V: v}) // a path
 	}
-	if n := extractionCount(p); n != 1 {
-		t.Fatalf("extractions = %d, want 1", n)
+	path := p.FeaturesOf(g)
+	for v := int32(1); v < n; v++ {
+		g.Edges[v-1] = graph.Edge{U: 0, V: v} // a star
 	}
-	h := &graph.EdgeList{N: 3, Edges: []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}}
-	_ = p.FeaturesOf(h)
+	star := p.FeaturesOf(g)
+	if path.DiamClass != DiamHigh || star.DiamClass != DiamLow {
+		t.Fatalf("diameter classes path %d, star %d; want %d and %d", path.DiamClass, star.DiamClass, DiamHigh, DiamLow)
+	}
 	if n := extractionCount(p); n != 2 {
-		t.Fatalf("extractions after second graph = %d, want 2", n)
+		t.Fatalf("extractions = %d, want 2", n)
 	}
 }
 

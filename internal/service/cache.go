@@ -8,8 +8,8 @@ import (
 	"sync"
 
 	"bicc"
+	"bicc/internal/core"
 	"bicc/internal/durable"
-	"bicc/internal/shard"
 )
 
 // resultKey identifies a cacheable computation: same graph content, same
@@ -60,7 +60,7 @@ type cacheEntry struct {
 	// blocks is the per-block index of a completed entry, built by the
 	// first per-block query (BlockIndex) and charged to bytes. building is
 	// non-nil while that build runs and is closed when it ends.
-	blocks   *shard.Set
+	blocks   *core.BlockIndex
 	building chan struct{}
 }
 
@@ -305,7 +305,7 @@ func (c *ResultCache) AddViews(key resultKey, res, full *queryResult) {
 // cache does not hold (never retained, or replaced since) gets an index
 // built for this caller alone.
 func (c *ResultCache) BlockIndex(ctx context.Context, key resultKey, res *queryResult,
-	build func(context.Context) (*shard.Set, error)) (*shard.Set, error) {
+	build func(context.Context) (*core.BlockIndex, error)) (*core.BlockIndex, error) {
 	c.mu.Lock()
 	for {
 		e, ok := c.entries[key]
@@ -335,7 +335,7 @@ func (c *ResultCache) BlockIndex(ctx context.Context, key resultKey, res *queryR
 // the index on e if e is still the entry cached under key. Caller holds
 // c.mu; it is released on return.
 func (c *ResultCache) buildBlocksLocked(ctx context.Context, key resultKey, e *cacheEntry,
-	build func(context.Context) (*shard.Set, error)) (set *shard.Set, err error) {
+	build func(context.Context) (*core.BlockIndex, error)) (idx *core.BlockIndex, err error) {
 	done := make(chan struct{})
 	e.building = done
 	c.mu.Unlock()
@@ -345,9 +345,9 @@ func (c *ResultCache) buildBlocksLocked(ctx context.Context, key resultKey, e *c
 		defer c.mu.Unlock()
 		e.building = nil
 		close(done)
-		if err == nil && set != nil && c.entries[key] == e {
-			e.blocks = set
-			n := set.Bytes()
+		if err == nil && idx != nil && c.entries[key] == e {
+			e.blocks = idx
+			n := idx.Bytes()
 			e.bytes += n
 			c.bytes += n
 			c.enforceBudgetLocked(e)

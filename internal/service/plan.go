@@ -56,9 +56,10 @@ type planExplain struct {
 
 // planDecide resolves an Auto request through the planner: procs > 0 pins
 // the parallelism degree, 0 lets the planner choose it. explain asks for the
-// scored candidate slate.
-func (s *Server) planDecide(g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
-	f := bicc.FeaturesFor(s.planner, g)
+// scored candidate slate. g is the pinned graph registered under fp, whose
+// entry keeps its features; an fp of "" extracts them afresh.
+func (s *Server) planDecide(fp string, g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
+	f := s.registry.Features(fp, g, func() plan.Features { return bicc.FeaturesFor(s.planner, g) })
 	d := s.planner.Decide(f, procs, explain)
 	a, err := bicc.ParseAlgorithm(d.Engine)
 	if err != nil || a == bicc.Auto {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bicc"
+	"bicc/internal/plan"
 )
 
 // denseGraph is an m = 4n random connected graph big enough to clear the
@@ -329,5 +330,61 @@ func TestNewRejectsUnknownPlanMode(t *testing.T) {
 			}()
 			New(Config{PlanMode: mode})
 		})
+	}
+}
+
+// TestPlanFeaturesFollowGraphIdentity registers a path, deletes it, and
+// registers a star of equal n and m in the same allocation — what a new
+// upload at a collected graph's address looks like. Each is planned from
+// its own features: they live with the registry entry, not the address.
+func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
+	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
+	const n = 256
+	edges := make([]bicc.Edge, 0, n-1)
+	for v := int32(1); v < n; v++ {
+		edges = append(edges, bicc.Edge{U: v - 1, V: v})
+	}
+	g, err := bicc.NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diamClass := func(fp string) int {
+		t.Helper()
+		resp, data := postBCCExplain(t, ts, bccRequest{Graph: fp, Algorithm: "auto"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var out bccResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Plan == nil || out.Plan.Features == nil {
+			t.Fatalf("no features echo: %s", data)
+		}
+		return out.Plan.Features.DiamClass
+	}
+
+	pathFP := Fingerprint(g)
+	s.registry.Add(pathFP, "path", g)
+	if d := diamClass(pathFP); d != plan.DiamHigh {
+		t.Fatalf("path planned with diameter class %d, want %d", d, plan.DiamHigh)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/"+pathFP, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: status %d", resp.StatusCode)
+	}
+
+	for v := int32(1); v < n; v++ {
+		g.Edges()[v-1] = bicc.Edge{U: 0, V: v}
+	}
+	starFP := Fingerprint(g)
+	s.registry.Add(starFP, "star", g)
+	if d := diamClass(starFP); d != plan.DiamLow {
+		t.Fatalf("star planned with diameter class %d, want %d", d, plan.DiamLow)
 	}
 }

@@ -347,8 +347,10 @@ func (s *Server) installReplicated(gr durable.GraphRecord) {
 
 // purgeDerived drops every structure derived from fp's graph: maintained
 // incremental state and cached results (memory + spill, all generations,
-// per-block indexes included). Replication and deletes both route
-// invalidation through here so the two paths can never diverge.
+// block indexes included). Replication and deletes both route invalidation
+// through here so the two paths can never diverge. Planner features live
+// on the registry entry and go with the Remove or Replace that precedes
+// every call.
 func (s *Server) purgeDerived(fp string) {
 	s.incr.drop(fp)
 	s.cache.DropGraph(fp)

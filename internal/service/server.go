@@ -675,7 +675,7 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	runAlgo, runProcs := algo, procs
 	var planEcho *planExplain
 	if s.planner != nil && algo == bicc.Auto {
-		a, p, f, d := s.planDecide(g, procs, explain)
+		a, p, f, d := s.planDecide(req.Graph, g, procs, explain)
 		runAlgo, runProcs = a, p
 		if explain {
 			planEcho = &planExplain{Mode: PlanAdaptive, Engine: a.String(), Procs: p, Features: &f, Decision: &d}
@@ -847,9 +847,11 @@ func addViews(qr *queryResult, res *bicc.Result, include map[string]bool) {
 func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm, procs int) (res *bicc.Result, elapsed time.Duration, routedCause string, err error) {
 	// Auto still arriving here came from an internal caller — the
 	// incremental seeding and degrade-to-full paths — not a query, which
-	// resolves before its cache lookup. Plan it the same way.
+	// resolves before its cache lookup. Plan it the same way, from features
+	// extracted afresh: a region graph is no registry entry, and a seed or
+	// full run happens once per generation.
 	if algo == bicc.Auto && s.planner != nil {
-		algo, procs, _, _ = s.planDecide(g, procs, false)
+		algo, procs, _, _ = s.planDecide("", g, procs, false)
 	}
 	_, adm := obs.StartSpan(ctx, "admission")
 	release, err := s.admission.Acquire(ctx)

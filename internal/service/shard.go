@@ -7,21 +7,22 @@ import (
 	"time"
 
 	"bicc"
-	"bicc/internal/shard"
+	"bicc/internal/core"
 )
 
 // This file serves the per-block queries: GET /v1/block/{id},
 // /v1/vertex/{v}/blocks and /v1/vertex/{v}/articulation. They look the
 // decomposition up exactly as /v1/bcc does (planner first, then the result
 // cache), so a decomposition /v1/bcc already holds is never computed again.
-// The first per-block query for a cache entry builds its per-block index
-// (shard.Set: a vertex→block routing index plus one shard per block), which
-// the cache keeps on the entry; /v1/bcc never builds one.
+// The first per-block query for a cache entry builds its block index
+// (core.BlockIndex: vertex→blocks, block→vertices and block→edge ids),
+// which the cache keeps on the entry; /v1/bcc never builds one. A block's
+// subgraph is remapped from the index on request.
 
 // blockQuery is one resolved per-block request.
 type blockQuery struct {
 	g    *bicc.Graph
-	set  *shard.Set
+	idx  *core.BlockIndex
 	meta shardMeta
 }
 
@@ -34,7 +35,7 @@ type shardMeta struct {
 }
 
 // resolveBlocks parses the common query parameters (graph, algorithm,
-// procs, timeout_ms), looks the decomposition up, and returns its per-block
+// procs, timeout_ms), looks the decomposition up, and returns its block
 // index. It reports ok=false after writing the error response itself; done
 // must be called exactly once when ok.
 func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *blockQuery, done func(), ok bool) {
@@ -59,16 +60,22 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 			return nil, nil, false
 		}
 	}
+	// As on /v1/bcc, a timeout_ms <= 0 means the default.
+	timeout := s.cfg.DefaultTimeout
+	if ts := params.Get("timeout_ms"); ts != "" {
+		ms, err := strconv.ParseInt(ts, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad timeout_ms %q", ts)
+			return nil, nil, false
+		}
+		if ms > 0 {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
+	}
 	g, info, okG := s.registry.AcquireInfo(fp)
 	if !okG {
 		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", fp)
 		return nil, nil, false
-	}
-	timeout := s.cfg.DefaultTimeout
-	if ts := params.Get("timeout_ms"); ts != "" {
-		if ms, err := strconv.ParseInt(ts, 10, 64); err == nil && ms > 0 {
-			timeout = time.Duration(ms) * time.Millisecond
-		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	done = func() {
@@ -78,20 +85,20 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 	}
 
 	if s.planner != nil && algo == bicc.Auto {
-		algo, procs, _, _ = s.planDecide(g, procs, false)
+		algo, procs, _, _ = s.planDecide(fp, g, procs, false)
 	}
 	key := resultKey{fp: fp, gen: info.Generation, algo: algo, procs: procs}
 	res, _, err := s.lookup(ctx, key, g, nil)
-	var set *shard.Set
+	var idx *core.BlockIndex
 	if err == nil {
-		set, err = s.cache.BlockIndex(ctx, key, res, func(bctx context.Context) (*shard.Set, error) {
-			set, err := buildBlockIndex(bctx, key, g, res)
+		idx, err = s.cache.BlockIndex(ctx, key, res, func(bctx context.Context) (*core.BlockIndex, error) {
+			idx, err := buildBlockIndex(bctx, g, res)
 			if err != nil {
 				s.stats.ShardBuildFailures.Add(1)
 				return nil, err
 			}
 			s.stats.ShardBuilds.Add(1)
-			return set, nil
+			return idx, nil
 		})
 	}
 	if err != nil {
@@ -99,7 +106,7 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 		s.writeRunError(w, err, "query")
 		return nil, nil, false
 	}
-	return &blockQuery{g: g, set: set, meta: shardMeta{
+	return &blockQuery{g: g, idx: idx, meta: shardMeta{
 		Graph:         fp,
 		Algorithm:     res.Algorithm,
 		Degraded:      res.Degraded,
@@ -107,14 +114,13 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 	}}, done, true
 }
 
-// buildBlockIndex partitions the decomposition res describes into its
-// per-block index.
-func buildBlockIndex(ctx context.Context, key resultKey, g *bicc.Graph, res *queryResult) (*shard.Set, error) {
+// buildBlockIndex indexes the decomposition res describes.
+func buildBlockIndex(ctx context.Context, g *bicc.Graph, res *queryResult) (*core.BlockIndex, error) {
 	dec, err := res.decomposition(g)
 	if err != nil {
 		return nil, err
 	}
-	return shard.BuildSet(ctx, key.durableKey(), g, dec)
+	return core.BuildBlockIndex(ctx, int32(g.NumVertices()), g.Edges(), dec.EdgeComponent, dec.NumComponents)
 }
 
 // --- endpoints -------------------------------------------------------------
@@ -127,8 +133,7 @@ type vertexBlocksResponse struct {
 }
 
 // handleVertexBlocks serves GET /v1/vertex/{v}/blocks?graph=fp: the ids of
-// the biconnected components containing v, answered from the routing index
-// without touching any per-block payload.
+// the biconnected components containing v, read off the block index.
 func (s *Server) handleVertexBlocks(w http.ResponseWriter, r *http.Request) {
 	q, done, ok := s.resolveBlocks(w, r)
 	if !ok {
@@ -139,7 +144,7 @@ func (s *Server) handleVertexBlocks(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	blocks := q.set.BlocksOfVertex(v)
+	blocks := q.idx.BlocksOfVertex(v)
 	writeJSON(w, http.StatusOK, vertexBlocksResponse{
 		shardMeta: q.meta,
 		Vertex:    v,
@@ -158,7 +163,7 @@ type articulationResponse struct {
 }
 
 // handleVertexArticulation serves GET /v1/vertex/{v}/articulation?graph=fp:
-// articulation membership read straight off the routing index.
+// articulation membership read off the block index.
 func (s *Server) handleVertexArticulation(w http.ResponseWriter, r *http.Request) {
 	q, done, ok := s.resolveBlocks(w, r)
 	if !ok {
@@ -169,7 +174,7 @@ func (s *Server) handleVertexArticulation(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	nb := len(q.set.BlocksOfVertex(v))
+	nb := len(q.idx.BlocksOfVertex(v))
 	writeJSON(w, http.StatusOK, articulationResponse{
 		shardMeta:           q.meta,
 		Vertex:              v,
@@ -198,7 +203,7 @@ type blockResponse struct {
 
 // handleBlock serves GET /v1/block/{id}?graph=fp[&include=subgraph]: one
 // block's vertex set, boundary cut vertices, and (on request) its remapped
-// standalone subgraph — exactly one shard's payload.
+// standalone subgraph, byte for byte what Result.ComponentSubgraph returns.
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	q, done, ok := s.resolveBlocks(w, r)
 	if !ok {
@@ -211,24 +216,25 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := int32(id64)
-	if int(id) >= q.set.NumBlocks {
-		writeError(w, http.StatusNotFound, "no block %d (graph has %d)", id, q.set.NumBlocks)
+	if int(id) >= q.idx.NumBlocks() {
+		writeError(w, http.StatusNotFound, "no block %d (graph has %d)", id, q.idx.NumBlocks())
 		return
 	}
-	sh := q.set.Shards[id]
+	vertices, edges := q.idx.VerticesOfBlock(id), q.idx.EdgesOfBlock(id)
 	resp := blockResponse{
 		shardMeta:   q.meta,
 		Block:       id,
-		NumBlocks:   q.set.NumBlocks,
-		NumVertices: len(sh.Vertices),
-		NumEdges:    len(sh.EdgeMap),
-		Vertices:    sh.Vertices,
-		CutVertices: sh.Cuts,
+		NumBlocks:   q.idx.NumBlocks(),
+		NumVertices: len(vertices),
+		NumEdges:    len(edges),
+		Vertices:    vertices,
+		CutVertices: q.idx.CutsOfBlock(id),
 	}
 	if r.URL.Query().Get("include") == "subgraph" {
-		sub := &subgraphJSON{N: sh.Sub.N, VertexMap: sh.VertexMap, EdgeMap: sh.EdgeMap}
-		sub.Edges = make([][2]int32, len(sh.Sub.Edges))
-		for i, e := range sh.Sub.Edges {
+		el, vm := core.Subgraph(q.g.Edges(), edges)
+		sub := &subgraphJSON{N: el.N, VertexMap: vm, EdgeMap: edges}
+		sub.Edges = make([][2]int32, len(el.Edges))
+		for i, e := range el.Edges {
 			sub.Edges[i] = [2]int32{e.U, e.V}
 		}
 		resp.Subgraph = sub

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,10 +14,10 @@ import (
 	"testing"
 
 	"bicc"
+	"bicc/internal/core"
 	"bicc/internal/engine"
 	"bicc/internal/faults"
 	"bicc/internal/gen"
-	"bicc/internal/shard"
 )
 
 // getJSON fetches url and decodes the body into out, returning the status.
@@ -54,16 +55,33 @@ func blockIndexes(c *ResultCache) int {
 
 // checkBlockAnswers asserts that every per-block endpoint on ts answers, for
 // every vertex and block of g, byte-for-byte what the monolithic
-// decomposition by algo implies. qs carries graph, algorithm and procs;
-// engine labels do not depend on procs, so the reference runs at procs=2.
+// decomposition by algo implies. Answers are decoded and re-encoded, which
+// keeps a null list apart from an empty one, and compared as JSON with the
+// response the decomposition implies. qs carries graph, algorithm and
+// procs; engine labels do not depend on procs, so the reference runs at
+// procs=2.
 func checkBlockAnswers(t *testing.T, ts *httptest.Server, qs string, g *bicc.Graph, algo bicc.Algorithm) {
 	t.Helper()
 	res, err := bicc.BiconnectedComponents(g, &bicc.Options{Algorithm: algo, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(what string, got, want any) {
+		t.Helper()
+		a, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s:\n served   %s\n monolith %s", what, a, b)
+		}
+	}
 	tree := res.BlockCutTree()
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
 		var vb vertexBlocksResponse
 		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/blocks%s", v, qs), &vb); code != 200 {
 			t.Fatalf("vertex %d blocks: status %d", v, code)
@@ -71,37 +89,36 @@ func checkBlockAnswers(t *testing.T, ts *httptest.Server, qs string, g *bicc.Gra
 		if vb.Degraded {
 			t.Fatalf("vertex %d served degraded: %+v", v, vb)
 		}
-		want := tree.BlocksOfVertex(int32(v))
-		if fmt.Sprint(vb.Blocks) != fmt.Sprint(want) || vb.IsCut != (len(want) >= 2) {
-			t.Fatalf("vertex %d: blocks %v cut=%v, monolith %v", v, vb.Blocks, vb.IsCut, want)
-		}
+		want := tree.BlocksOfVertex(v)
+		same(fmt.Sprintf("vertex %d blocks", v), vb, vertexBlocksResponse{
+			shardMeta: vb.shardMeta, Vertex: v, Blocks: want, IsCut: len(want) >= 2})
 		var ar articulationResponse
 		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/vertex/%d/articulation%s", v, qs), &ar); code != 200 {
 			t.Fatalf("vertex %d articulation: status %d", v, code)
 		}
-		if ar.Articulation != (len(want) >= 2) || ar.NumBlocksContaining != len(want) {
-			t.Fatalf("vertex %d: articulation %+v, monolith %d blocks", v, ar, len(want))
-		}
+		same(fmt.Sprintf("vertex %d articulation", v), ar, articulationResponse{
+			shardMeta: ar.shardMeta, Vertex: v, Articulation: len(want) >= 2, NumBlocksContaining: len(want)})
 	}
-	for b := 0; b < res.NumComponents; b++ {
+	for b := int32(0); b < int32(res.NumComponents); b++ {
 		var br blockResponse
 		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s&include=subgraph", b, qs), &br); code != 200 {
 			t.Fatalf("block %d: status %d", b, code)
 		}
-		if br.NumBlocks != res.NumComponents {
-			t.Fatalf("block %d: numBlocks=%d, monolith %d", b, br.NumBlocks, res.NumComponents)
+		sub, vm, em := res.ComponentSubgraph(b)
+		wantSub := &subgraphJSON{N: int32(sub.NumVertices()), Edges: make([][2]int32, sub.NumEdges()), VertexMap: vm, EdgeMap: em}
+		for i, e := range sub.Edges() {
+			wantSub.Edges[i] = [2]int32{e.U, e.V}
 		}
-		sub, vm, em := res.ComponentSubgraph(int32(b))
-		if fmt.Sprint(br.Vertices) != fmt.Sprint(tree.VerticesOfBlock(int32(b))) ||
-			fmt.Sprint(br.CutVertices) != fmt.Sprint(tree.CutsOfBlock(int32(b))) {
-			t.Fatalf("block %d: vertices/cuts disagree with monolith", b)
-		}
-		if br.Subgraph == nil || br.Subgraph.N != int32(sub.NumVertices()) ||
-			fmt.Sprint(br.Subgraph.VertexMap) != fmt.Sprint(vm) ||
-			fmt.Sprint(br.Subgraph.EdgeMap) != fmt.Sprint(em) ||
-			len(br.Subgraph.Edges) != sub.NumEdges() {
-			t.Fatalf("block %d: subgraph disagrees with monolith", b)
-		}
+		same(fmt.Sprintf("block %d", b), br, blockResponse{
+			shardMeta:   br.shardMeta,
+			Block:       b,
+			NumBlocks:   res.NumComponents,
+			NumVertices: len(tree.VerticesOfBlock(b)),
+			NumEdges:    sub.NumEdges(),
+			Vertices:    tree.VerticesOfBlock(b),
+			CutVertices: tree.CutsOfBlock(b),
+			Subgraph:    wantSub,
+		})
 	}
 	// Out-of-range queries.
 	if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/block/%d%s", res.NumComponents, qs), nil); code != http.StatusNotFound {
@@ -235,10 +252,7 @@ func TestShardIndexBuiltOncePerEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := shard.BuildSet(context.Background(), "want", g, res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := core.NewBlockIndex(int32(g.NumVertices()), g.Edges(), res.EdgeComponent, res.NumComponents)
 
 	qs := "?graph=" + up.Fingerprint + "&algorithm=sequential&procs=1"
 	var wg sync.WaitGroup
@@ -320,7 +334,7 @@ func TestShardBuildFaultFailsOnlyPerBlockQueries(t *testing.T) {
 	qs := "?graph=" + up.Fingerprint
 
 	faults.Activate(&faults.Plan{Seed: 1,
-		Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, shard.SiteBuild)}})
+		Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, core.SiteBlockIndex)}})
 	for _, path := range []string{"/v1/block/0", "/v1/vertex/2/blocks", "/v1/vertex/2/articulation"} {
 		if code := getJSON(t, ts.URL+path+qs, nil); code != http.StatusInternalServerError {
 			t.Fatalf("faulted %s: status %d, want 500", path, code)
@@ -558,6 +572,26 @@ func TestShardMetricsExposed(t *testing.T) {
 	for _, gone := range []string{"bicc_shard_sets", "bicc_shard_bytes", "bicc_shard_spill_", "bicc_shard_fallbacks_total"} {
 		if strings.Contains(string(body), gone) {
 			t.Fatalf("metrics still expose %q", gone)
+		}
+	}
+}
+
+// TestShardTimeoutParam checks timeout_ms on the per-block endpoints: a
+// non-integer answers 400, as a malformed procs does, while a value <= 0
+// means the default timeout, as on /v1/bcc.
+func TestShardTimeoutParam(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	up := uploadGraph(t, ts, testGraph(t), "")
+	qs := "/v1/vertex/2/blocks?graph=" + up.Fingerprint + "&timeout_ms="
+	for _, bad := range []string{"abc", "1.5", "99999999999999999999"} {
+		if code := getJSON(t, ts.URL+qs+bad, nil); code != http.StatusBadRequest {
+			t.Fatalf("timeout_ms=%s: status %d, want 400", bad, code)
+		}
+	}
+	for _, dflt := range []string{"0", "-5"} {
+		var vb vertexBlocksResponse
+		if code := getJSON(t, ts.URL+qs+dflt, &vb); code != http.StatusOK || !vb.IsCut {
+			t.Fatalf("timeout_ms=%s: status %d, %+v", dflt, code, vb)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package bicc
 
 import (
 	"fmt"
+
+	"bicc/internal/core"
 )
 
 // Verify checks a Result against the definition of biconnected components,
@@ -55,23 +57,12 @@ func verifyBlock(edges []Edge, ids []int32) error {
 	if len(ids) == 1 {
 		return nil // a bridge block is trivially valid
 	}
-	// Compact the vertex ids.
-	local := map[int32]int32{}
-	var verts []int32
-	for _, id := range ids {
-		for _, v := range [2]int32{edges[id].U, edges[id].V} {
-			if _, ok := local[v]; !ok {
-				local[v] = int32(len(verts))
-				verts = append(verts, v)
-			}
-		}
-	}
-	nv := len(verts)
+	sub, verts := core.Subgraph(edges, ids)
+	nv := int(sub.N)
 	adj := make([][]int32, nv)
-	for _, id := range ids {
-		u, v := local[edges[id].U], local[edges[id].V]
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+	for _, e := range sub.Edges {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
 	}
 	// Connectivity with every single vertex removed (index nv means
 	// "remove nothing" — plain connectivity).
