@@ -78,18 +78,19 @@ test-obs:
 	$(GO) test -race ./internal/obs -run . -count=1
 	$(GO) test -race -run 'Trace|Metrics' ./internal/service -count=1
 
-# Durability suite. fuzz-durable hammers the WAL/snapshot/result decoders
-# with ~10s of coverage-guided input per target: recovery code must never
-# panic or over-read on arbitrary bytes. race-service runs the whole
-# service package (durable wiring included) under the race detector.
-# test-crash is the kill-and-restart chaos harness: bccd as a subprocess,
-# SIGKILLed at each durable.* fault site, recovered, verified.
+# Durability suite. Graphs are the only durable state: the WAL and its
+# snapshots. fuzz-durable hammers the WAL and snapshot decoders with ~10s
+# of coverage-guided input per target: recovery code must never panic or
+# over-read on arbitrary bytes. race-service runs the whole service package
+# (durable wiring included) under the race detector. test-crash is the
+# kill-and-restart chaos harness: bccd as a subprocess, SIGKILLed at each
+# durable.* fault site (WAL append and snapshot write and rename) and at an
+# engine site, recovered, verified.
 FUZZTIME ?= 10s
 
 fuzz-durable:
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeWAL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
 
 # Upload decoder suite. fuzz-graph runs the byte decoder of the text and
 # DIMACS readers against the bufio.Scanner + strings.Fields readers it
@@ -106,7 +107,7 @@ fuzz-graph:
 # slice-of-slices reference kept in internal/core's tests byte for byte,
 # across 3 graph families × every engine), its block-cut invariant property
 # tests, the shard.build fault-matrix rows, and the service's per-block
-# tests (the HTTP differential with its spill and mutation legs, index
+# tests (the HTTP differential with its eviction and mutation legs, index
 # reuse, build-once, budget and fault behaviour) — race-enabled.
 # fuzz-blockindex checks the index against the same reference on arbitrary
 # vertex counts, edge multisets and labelings; like fuzz-graph it caps
@@ -160,16 +161,17 @@ test-failover:
 	$(GO) test ./cmd/bccd -run 'NodeKill' -count=1 -v
 
 # Self-healing storage suite. test-scrub runs (race-enabled) the scrubber
-# core, the KindCorrupt injection matrix rows (faults + per-tier image
-# checks + ring scrub), the service-level repair-ladder/quarantine tests,
-# and the bit-rot chaos harness: bccd subprocesses with real bytes flipped
-# on disk per tier, scrubbed, and proven byte-identical afterward.
+# core, the KindCorrupt injection matrix rows (faults + WAL and snapshot
+# image checks + ring scrub), the service-level repair and quarantine
+# tests of the wal and ring tiers, and the bit-rot chaos harness: bccd
+# subprocesses with real bytes flipped in WAL segments and snapshots,
+# scrubbed, and proven byte-identical afterward.
 # fuzz-repl hammers the replication frame decoders like fuzz-durable does
 # the durable codecs: arbitrary wire bytes must error, never panic, and
 # never allocate far ahead of the stream.
 test-scrub:
 	$(GO) test -race ./internal/scrub -count=1
-	$(GO) test -race -run 'Corrupt|Scrub|CheckWALImage|CheckSnapshotImage|CheckSpillImage|SpillKeys' ./internal/faults ./internal/durable ./internal/repl ./internal/service -count=1
+	$(GO) test -race -run 'Corrupt|Scrub|CheckWALImage|CheckSnapshotImage' ./internal/faults ./internal/durable ./internal/repl ./internal/service -count=1
 	$(GO) test -race -run 'Oracle|ReconstructRejects' . -count=1
 	$(GO) test ./cmd/bccd -run 'BitRot' -count=1 -v
 
@@ -210,14 +212,14 @@ lint-obs:
 # The gate run before merging: static checks (gofmt, go vet), race-clean
 # tests, the all-engines-vs-oracle randomized check (verify), the
 # fault-isolation suite, the observability suite, the durability suite
-# (decoder fuzzing, race-enabled service tests, crash harness), the upload
-# decoder's differential fuzzing, the per-block suite (differential
-# harness + block index fuzzing), the incremental suite (mutation differential harness + delta
-# fuzzing), the replication suite (standby differential harness +
-# multi-process node-kill failover), the self-healing suite (scrubber +
-# bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
-# decision table + differential harness + feature fuzzing), and the
-# benchmark module's tests.
+# (WAL and snapshot decoder fuzzing, race-enabled service tests, crash
+# harness), the upload decoder's differential fuzzing, the per-block suite
+# (differential harness + block index fuzzing), the incremental suite
+# (mutation differential harness + delta fuzzing), the replication suite
+# (standby differential harness + multi-process node-kill failover), the
+# self-healing suite (scrubber + WAL/snapshot bit-rot chaos harness + repl
+# frame fuzzing), the planner suite (golden decision table + differential
+# harness + feature fuzzing), and the benchmark module's tests.
 ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:

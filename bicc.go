@@ -60,10 +60,17 @@ type Graph struct {
 // out-of-range endpoints, self loops, and duplicate edges; use
 // NewGraphNormalized to clean such inputs instead.
 func NewGraph(n int, edges []Edge) (*Graph, error) {
+	return AdoptGraph(n, append([]Edge(nil), edges...))
+}
+
+// AdoptGraph is NewGraph without the copy: the graph keeps edges as its
+// edge list, so the caller must not modify the slice afterwards. It suits
+// a caller that built the slice only to hand it over, such as a reader.
+func AdoptGraph(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("bicc: negative vertex count %d", n)
 	}
-	el := &graph.EdgeList{N: int32(n), Edges: append([]Edge(nil), edges...)}
+	el := &graph.EdgeList{N: int32(n), Edges: edges}
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}

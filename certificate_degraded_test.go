@@ -1,12 +1,10 @@
 package bicc
 
-// The scrubber's content sampling (internal/service) trusts Verify,
-// ReconstructResult, and SparseCertificate as its oracle for spilled
-// results — including results that were produced by the degraded fallback
-// path, since those are persisted-adjacent too (the daemon never spills
-// them, but the oracle must not care how a labeling was produced). These
-// tests pin that trust: for every engine, degraded or not, a correct
-// labeling passes the oracle and a tampered one fails it.
+// Verify, ReconstructResult, and SparseCertificate form an oracle for any
+// edge labeling, including one produced by the degraded fallback path: the
+// oracle must not care how a labeling was produced. These tests pin that:
+// for every engine, degraded or not, a correct labeling passes the oracle
+// and a tampered one fails it.
 
 import (
 	"context"

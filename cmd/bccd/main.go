@@ -4,27 +4,35 @@
 //
 // Usage:
 //
-//	bccd [-addr :8714] [-workers N] [-queue N] [-cache N]
+//	bccd [-addr :8714] [-workers N] [-queue N] [-cache N] [-mem-budget B]
 //	     [-max-graph-bytes B] [-max-body-bytes B] [-timeout D]
 //	     [-allow-local-files] [-load name=path ...] [-drain-timeout D]
 //	     [-attempt-timeout D] [-breaker-threshold N] [-breaker-cooldown D]
 //	     [-no-fallback] [-debug-addr :8715]
 //	     [-data-dir DIR] [-wal-sync always|interval|none]
-//	     [-wal-sync-interval D] [-compact-bytes B] [-mem-budget B]
-//	     [-spill-budget B] [-incr-threshold R] [-replay-log-every N]
+//	     [-wal-sync-interval D] [-compact-bytes B]
+//	     [-incr-threshold R] [-replay-log-every N]
 //	     [-repl-listen ADDR] [-repl-follow ADDR] [-repl-quorum N]
-//	     [-repl-ack-timeout D] [-verify-sample N]
-//	     [-scrub-interval D] [-scrub-budget B] [-scrub-cert-sample N]
+//	     [-repl-ack-timeout D]
+//	     [-scrub-interval D] [-scrub-budget B]
 //	     [-plan off|adaptive]
 //
+// The result cache keeps at most -cache results, and with -mem-budget at
+// most that many estimated bytes of results and per-block indexes; an
+// evicted result is dropped, and the next query for it recomputes.
+// -max-graph-bytes also bounds the vertex count of an upload or a mutation
+// at 4 bytes per vertex (past it: 400), and a query's procs is capped at
+// 1024.
+//
 // With -data-dir set, the daemon is durable: every acknowledged graph
-// upload is fsync'd to a write-ahead log before the response is sent,
-// snapshots compact the log in the background, and results evicted from
-// the memory cache under -mem-budget spill to disk instead of vanishing.
-// On boot the directory is recovered — torn tails truncated, graphs
-// replayed into the registry, a sample of spilled results re-verified —
-// and the outcome is reported on /statsz and /metrics. Without -data-dir
-// nothing touches disk and the daemon behaves exactly as before.
+// upload and mutation is fsync'd to a write-ahead log before the response
+// is sent, and snapshots compact the log in the background. Graphs are the
+// only durable state; results are recomputed after a restart. On boot the
+// directory is recovered — torn tails truncated, graphs replayed into the
+// registry with their fingerprints re-checked — and the outcome is
+// reported on /statsz and /metrics. A spill/ directory left by older
+// builds is ignored and can be deleted. Without -data-dir nothing touches
+// disk.
 //
 // The per-block endpoints (/v1/block/{id}, /v1/vertex/{v}/...) are always
 // served. They read the same cached decomposition /v1/bcc does; the first
@@ -35,14 +43,13 @@
 // request.
 //
 // With -scrub-interval, a durable daemon runs a background scrubber: every
-// interval it re-reads the durable tiers — WAL segments, snapshots, spilled
-// results, the replication retention ring — re-verifies their CRC-32C
-// frames (plus a sampled full recomputation check on spilled results), and
-// heals anything damaged from the cheapest healthy source:
-// re-demote from the memory cache, recompute from the resident graph,
-// compact a fresh snapshot generation, or (on a standby) resync from the
-// primary. Artifacts nothing can heal are moved to <data-dir>/quarantine and
-// flip /healthz to 503 until an operator clears them. -scrub-budget bounds
+// interval it re-reads the durable tiers — WAL segments and snapshots (the
+// wal tier), the replication retention ring (the ring tier) — re-verifies
+// their CRC-32C frames, and heals anything damaged from the in-memory
+// state: compact a fresh snapshot generation, or (on a standby) resync
+// from the primary; a damaged ring range is truncated out of retention.
+// Artifacts nothing can heal are moved to <data-dir>/quarantine and flip
+// /healthz to 503 until an operator clears them. -scrub-budget bounds
 // the bytes re-verified per cycle (rotating cursors keep coverage complete
 // across cycles); POST /v1/admin/scrub runs one cycle on demand, with or
 // without the background loop.
@@ -160,22 +167,19 @@ func main() {
 	noFallback := flag.Bool("no-fallback", false, "return engine faults as errors instead of degrading to the sequential engine")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this extra address (empty = disabled)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap for uploads, queries and mutation batches, 413 past it (0 = 256 MiB)")
-	dataDir := flag.String("data-dir", "", "durable data directory: WAL + snapshots + result spill (empty = diskless)")
+	dataDir := flag.String("data-dir", "", "durable data directory: WAL + snapshots (empty = diskless)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always (per append), interval, or none")
 	walSyncInterval := flag.Duration("wal-sync-interval", 0, "flush period under -wal-sync interval (0 = 5ms)")
 	compactBytes := flag.Int64("compact-bytes", 0, "WAL size that triggers background snapshot compaction (0 = 64 MiB)")
-	memBudget := flag.Int64("mem-budget", 0, "result cache memory budget; past it results spill to disk (0 = entry count only)")
-	spillBudget := flag.Int64("spill-budget", 0, "disk budget for spilled results (0 = unlimited)")
+	memBudget := flag.Int64("mem-budget", 0, "result cache byte budget for results and per-block indexes; past it LRU results are dropped (0 = entry count only)")
 	incrThreshold := flag.Float64("incr-threshold", 0, "dirty-region edge ratio past which a mutation degrades to a full engine run (0 = 0.5)")
 	replayLogEvery := flag.Int("replay-log-every", 5000, "log boot WAL-replay progress every N records (0 = silent)")
 	replListen := flag.String("repl-listen", "", "serve WAL replication to standbys on this address (requires -data-dir)")
 	replFollow := flag.String("repl-follow", "", "run as a warm standby following the primary's -repl-listen address (requires -data-dir)")
 	replQuorum := flag.Int("repl-quorum", 0, "standby acks to wait for per write before answering the client (0 = 1; degrades on timeout)")
 	replAckTimeout := flag.Duration("repl-ack-timeout", 0, "bound on the per-write standby-ack wait (0 = 2s)")
-	verifySample := flag.Int("verify-sample", 0, "spilled results re-verified end to end at boot (0 = 3)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background scrub cycle cadence (0 = manual cycles via POST /v1/admin/scrub only)")
 	scrubBudget := flag.Int64("scrub-budget", 0, "bytes re-verified per scrub cycle; cursors resume next cycle (0 = unlimited)")
-	scrubCertSample := flag.Int("scrub-cert-sample", 0, "re-verify every Nth spilled result's content via recomputation certificate (0 = 8)")
 	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule) or adaptive (plan engine+procs from graph features)")
 	var loads loadFlags
 	flag.Var(&loads, "load", "preload a graph at startup: name=path or just path (repeatable; format by extension)")
@@ -194,6 +198,7 @@ func main() {
 		Workers:          *workers,
 		Queue:            *queue,
 		CacheEntries:     *cacheEntries,
+		MemBudget:        *memBudget,
 		MaxGraphBytes:    *maxGraphBytes,
 		MaxBodyBytes:     *maxBodyBytes,
 		DefaultTimeout:   *timeout,
@@ -215,19 +220,15 @@ func main() {
 			Sync:           mode,
 			SyncInterval:   *walSyncInterval,
 			CompactBytes:   *compactBytes,
-			SpillBudget:    *spillBudget,
-			MemBudget:      *memBudget,
-			VerifySample:   *verifySample,
 			ReplayLogEvery: *replayLogEvery,
 			Logf:           log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("-data-dir %s: %v", *dataDir, err)
 		}
-		log.Printf("recovered %d graphs from %s in %v (truncations %d, dropped %d, wal records %d, snapshot records %d, spilled results %d, verified %d, verify failures %d)",
+		log.Printf("recovered %d graphs from %s in %v (truncations %d, dropped %d, wal records %d, snapshot records %d)",
 			rep.Graphs, *dataDir, rep.Duration.Round(time.Millisecond), rep.Truncations,
-			rep.DroppedGraphs+rep.DroppedRecords, rep.WALRecords, rep.SnapshotRecords,
-			rep.SpilledResults, rep.VerifiedResults, rep.VerifyFailures)
+			rep.DroppedGraphs+rep.DroppedRecords, rep.WALRecords, rep.SnapshotRecords)
 	}
 	if *replListen != "" || *replFollow != "" {
 		if *dataDir == "" {
@@ -254,10 +255,9 @@ func main() {
 		// -scrub-interval the loop stays off and POST /v1/admin/scrub runs
 		// cycles on demand.
 		if err := srv.EnableScrub(service.ScrubConfig{
-			Interval:   *scrubInterval,
-			Budget:     *scrubBudget,
-			CertSample: *scrubCertSample,
-			Logf:       log.Printf,
+			Interval: *scrubInterval,
+			Budget:   *scrubBudget,
+			Logf:     log.Printf,
 		}); err != nil {
 			log.Fatalf("scrub: %v", err)
 		}
@@ -340,8 +340,8 @@ func main() {
 	// acknowledged write is already on disk (or in the sync loop's hands),
 	// and closing last guarantees a clean stop leaves files the next boot
 	// recovers with zero truncations. Replication stops first — no more
-	// records will be published — and the scrubber before that: its repair
-	// ladder reaches into both subsystems.
+	// records will be published — and the scrubber before that: its
+	// repairs reach into both subsystems.
 	srv.CloseScrub()
 	srv.CloseReplication()
 	if derr := srv.CloseDurability(); derr != nil {

@@ -1,11 +1,10 @@
 // Bit-rot chaos harness: runs bccd as a subprocess, flips real bytes on
-// disk in each durable tier (WAL, snapshot, result spill) or
-// corrupts the replication retention ring via fault injection, triggers a
-// scrub cycle over the admin endpoint, and asserts the self-healing
-// contract: damage is detected within one cycle, repaired from the cheapest
-// healthy source, and query answers afterward are byte-identical to the
-// answers before the damage. What cannot be repaired must land in
-// quarantine and flip /healthz.
+// disk in the durable files (WAL segments, snapshots) or corrupts the
+// replication retention ring via fault injection, triggers a scrub cycle
+// over the admin endpoint, and asserts the self-healing contract: damage is
+// detected within one cycle, repaired from a healthy source, and query
+// answers afterward are byte-identical to the answers before the damage.
+// What cannot be repaired must land in quarantine and flip /healthz.
 package main
 
 import (
@@ -253,40 +252,6 @@ func TestBitRotSnapshotTierHeals(t *testing.T) {
 	}
 }
 
-// TestBitRotSpillTierHeals demotes a result to the disk spill, rots the
-// spill file, and proves the scrubber recomputes it — the re-queried answer
-// is byte-identical to the pre-damage one.
-func TestBitRotSpillTierHeals(t *testing.T) {
-	dir := t.TempDir()
-	// One cache entry: the second query demotes the first result to disk.
-	p := startBccd(t, dir, "", "-cache", "1")
-	g1, _ := crashGraph(t, 4)
-	g2, _ := crashGraph(t, 5)
-	fp1, err := p.upload(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := p.upload(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := canonicalAnswer(t, p, fp1, "fast-bcc")
-	canonicalAnswer(t, p, fp2, "fast-bcc") // evicts fp1's entry → spill file
-
-	flipOnDisk(t, globOne(t, filepath.Join(dir, "spill", "*.res")), 20)
-	rep := runScrub(t, p)
-	if tr := rep.tierOf(t, "spill"); tr.Corrupt != 1 || tr.Repaired != 1 {
-		t.Fatalf("spill tier after bit-rot = %+v; stderr:\n%s", tr, p.stderr())
-	}
-	if rep := runScrub(t, p); rep.Corrupt != 0 {
-		t.Fatalf("second cycle still corrupt: %+v", rep)
-	}
-	after := canonicalAnswer(t, p, fp1, "fast-bcc")
-	if string(before) != string(after) {
-		t.Fatalf("answer changed across spill repair:\n%s\n%s", before, after)
-	}
-}
-
 // TestBitRotRingTierTruncatesAndResyncs corrupts the primary's retention
 // ring via the repl.ring injection site: the scrub must truncate retention,
 // and a standby that then connects behind the new floor must converge via
@@ -332,10 +297,11 @@ func TestBitRotRingTierTruncatesAndResyncs(t *testing.T) {
 	}
 }
 
-// TestBitRotUnrepairableQuarantines plants an artifact no source can
-// rebuild (a stray spill file for a graph the daemon never saw): the scrub
-// must quarantine it and /healthz must go unhealthy until an operator
-// clears the quarantine directory.
+// TestBitRotUnrepairableQuarantines rots the WAL while the compaction that
+// would repair it cannot write its snapshot (a directory blocks the
+// snapshot's tmp path, as a full disk would): nothing can heal the segment,
+// so the scrub must quarantine it, and /healthz must stay unhealthy across
+// a restart until an operator clears the quarantine directory.
 func TestBitRotUnrepairableQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	p := startBccd(t, dir, "")
@@ -343,23 +309,26 @@ func TestBitRotUnrepairableQuarantines(t *testing.T) {
 	if _, err := p.upload(g1); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "spill"), 0o755); err != nil {
+	ds, err := p.durStats()
+	if err != nil {
 		t.Fatal(err)
 	}
-	stray := filepath.Join(dir, "spill", "stray-key.res")
-	if err := os.WriteFile(stray, []byte("rotten beyond recognition"), 0o644); err != nil {
+	gen := int(ds["wal_generation"])
+	wal := globOne(t, filepath.Join(dir, "wal-*.log"))
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snap-%08d.bin.tmp", gen+1)), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	flipOnDisk(t, wal, 10)
 
 	rep := runScrub(t, p)
-	if tr := rep.tierOf(t, "spill"); tr.Corrupt != 1 || tr.Quarantined != 1 {
-		t.Fatalf("spill tier = %+v, want the stray quarantined; stderr:\n%s", tr, p.stderr())
+	if tr := rep.tierOf(t, "wal"); tr.Corrupt != 1 || tr.Quarantined != 1 {
+		t.Fatalf("wal tier = %+v, want the damaged segment quarantined; stderr:\n%s", tr, p.stderr())
 	}
-	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatal("stray still in the spill directory")
+	if _, err := os.Stat(wal); !os.IsNotExist(err) {
+		t.Fatal("damaged segment still in the data directory")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", "stray-key.res")); err != nil {
-		t.Fatalf("stray not moved to quarantine: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(wal))); err != nil {
+		t.Fatalf("segment not moved to quarantine: %v", err)
 	}
 	code, body := healthz(t, p)
 	if code != http.StatusServiceUnavailable || body["status"] != "unhealthy" {
@@ -369,16 +338,26 @@ func TestBitRotUnrepairableQuarantines(t *testing.T) {
 		t.Fatalf("healthz quarantined = %v", body["quarantined"])
 	}
 
-	// Operator clears the quarantine; a restart comes back healthy.
+	// The quarantine outlives a restart...
 	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
 	p.waitExit()
+	p2 := startBccd(t, dir, "")
+	if code, _ := healthz(t, p2); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz after restart: %d, want 503 (quarantine persisted)", code)
+	}
+
+	// ...until the operator clears it; the next restart comes back healthy.
+	if err := p2.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	p2.waitExit()
 	if err := os.RemoveAll(filepath.Join(dir, "quarantine")); err != nil {
 		t.Fatal(err)
 	}
-	p2 := startBccd(t, dir, "")
-	if code, _ := healthz(t, p2); code != http.StatusOK {
+	p3 := startBccd(t, dir, "")
+	if code, _ := healthz(t, p3); code != http.StatusOK {
 		t.Fatalf("healthz after operator clear: %d", code)
 	}
 }

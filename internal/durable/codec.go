@@ -1,8 +1,9 @@
 // Package durable is the persistence layer under the bccd query service:
-// a checksummed, versioned binary codec for graphs and decomposition
-// results, a write-ahead log with periodic compacted snapshots for the
-// graph registry, and a disk-spill tier that lets the result cache demote
-// entries to disk under memory pressure instead of dropping them.
+// a checksummed, versioned binary codec for graphs and their mutation
+// deltas, and a write-ahead log with periodic compacted snapshots for the
+// graph registry. Graphs are the only durable state: a decomposition is a
+// deterministic function of its graph, so results are recomputed, never
+// persisted.
 //
 // Every on-disk byte is covered by a CRC-32C frame, and every decoder in
 // this package is written to survive arbitrary input: torn tail records
@@ -35,7 +36,9 @@ const (
 
 	fileKindWAL      = 'W'
 	fileKindSnapshot = 'S'
-	fileKindResult   = 'R'
+	// fileKindResult tagged the retired result-spill files (spill/*.res);
+	// it must not be reused for another file kind.
+	fileKindResult = 'R'
 )
 
 var fileMagic = [4]byte{'B', 'C', 'D', 'U'}
@@ -44,10 +47,12 @@ var fileMagic = [4]byte{'B', 'C', 'D', 'U'}
 const (
 	recGraphAdd    = 1 // payload: graph record (fingerprint, name, edges)
 	recGraphRemove = 2 // payload: fingerprint string
-	recResult      = 3 // payload: result record (key, edge labels, JSON view)
 	recSnapEnd     = 4 // payload: u32 count of graph records; snapshot trailer
 	recGraphDelta  = 6 // payload: delta record (graph id, generation, edge ops)
-	// Kind 5 tagged the retired shard-blob files; it stays unused.
+	// recResult framed the retired result-spill records; it must not be
+	// reused for another record kind. Kind 5 tagged the retired shard-blob
+	// files; it stays unused too.
+	recResult = 3
 )
 
 // frameHeaderLen is the per-record frame: kind byte, payload length, and
@@ -376,106 +381,6 @@ func DecodeDelta(b []byte) (DeltaRecord, error) {
 	rec.NewN = int32(newN)
 	rec.PostFP = string(post)
 	rec.Ops = ops
-	return rec, nil
-}
-
-// --- result payload ---------------------------------------------------------
-
-// ResultRecord is one persisted (spilled) decomposition result. The View is
-// the service's serialized response object, stored opaquely; EdgeComponent
-// is kept alongside it so a recovered result can be re-verified against its
-// graph with bicc.Verify.
-type ResultRecord struct {
-	FP            string // graph fingerprint
-	Algorithm     string // executing algorithm name
-	Procs         int
-	EdgeComponent []int32
-	View          []byte // service-level JSON of the cached result
-}
-
-// Key renders the cache key this record answers for.
-func (r ResultRecord) Key() string {
-	return fmt.Sprintf("%s-%s-%d", r.FP, r.Algorithm, r.Procs)
-}
-
-// EncodeResult renders a result record payload:
-//
-//	[ver:1][fpLen:u8][fp][algoLen:u8][algo][procs:u32]
-//	[mcLen:u32][edge labels int32...][viewLen:u32][view]
-func EncodeResult(rec ResultRecord) []byte {
-	fp, algo := rec.FP, rec.Algorithm
-	if len(fp) > 255 {
-		fp = fp[:255]
-	}
-	if len(algo) > 255 {
-		algo = algo[:255]
-	}
-	buf := make([]byte, 0, 1+2+len(fp)+len(algo)+12+4*len(rec.EdgeComponent)+len(rec.View))
-	buf = append(buf, 1)
-	buf = append(buf, byte(len(fp)))
-	buf = append(buf, fp...)
-	buf = append(buf, byte(len(algo)))
-	buf = append(buf, algo...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.Procs))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.EdgeComponent)))
-	for _, c := range rec.EdgeComponent {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.View)))
-	buf = append(buf, rec.View...)
-	return buf
-}
-
-// DecodeResult parses a result record payload.
-func DecodeResult(b []byte) (ResultRecord, error) {
-	var rec ResultRecord
-	r := byteReader{b: b}
-	ver, ok := r.u8()
-	if !ok || ver != 1 {
-		return rec, fmt.Errorf("%w: result payload version", ErrCorrupt)
-	}
-	fpLen, ok := r.u8()
-	if !ok {
-		return rec, fmt.Errorf("%w: result fp length", ErrCorrupt)
-	}
-	fp, ok := r.bytes(int(fpLen))
-	if !ok {
-		return rec, fmt.Errorf("%w: result fp", ErrCorrupt)
-	}
-	algoLen, ok := r.u8()
-	if !ok {
-		return rec, fmt.Errorf("%w: result algo length", ErrCorrupt)
-	}
-	algo, ok := r.bytes(int(algoLen))
-	if !ok {
-		return rec, fmt.Errorf("%w: result algo", ErrCorrupt)
-	}
-	procs, ok := r.u32()
-	if !ok || procs > 1<<20 {
-		return rec, fmt.Errorf("%w: result procs", ErrCorrupt)
-	}
-	mc, ok := r.u32()
-	if !ok || uint64(len(r.b)-r.off) < 4*uint64(mc) {
-		return rec, fmt.Errorf("%w: edge label section short for m=%d", ErrCorrupt, mc)
-	}
-	labels := make([]int32, mc)
-	for i := range labels {
-		v, _ := r.u32()
-		labels[i] = int32(v)
-	}
-	viewLen, ok := r.u32()
-	if !ok || uint64(len(r.b)-r.off) < uint64(viewLen) {
-		return rec, fmt.Errorf("%w: view section short", ErrCorrupt)
-	}
-	view, _ := r.bytes(int(viewLen))
-	if r.off != len(r.b) {
-		return rec, fmt.Errorf("%w: %d trailing bytes in result payload", ErrCorrupt, len(r.b)-r.off)
-	}
-	rec.FP = string(fp)
-	rec.Algorithm = string(algo)
-	rec.Procs = int(procs)
-	rec.EdgeComponent = labels
-	rec.View = append([]byte(nil), view...)
 	return rec, nil
 }
 

@@ -129,34 +129,6 @@ func TestDeltaRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultRecordRoundTrip(t *testing.T) {
-	in := ResultRecord{
-		FP:            "00deadbeef00",
-		Algorithm:     "tv-filter",
-		Procs:         8,
-		EdgeComponent: []int32{0, 1, 1, 2, 0},
-		View:          []byte(`{"num_components":3}`),
-	}
-	out, err := DecodeResult(EncodeResult(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.FP != in.FP || out.Algorithm != in.Algorithm || out.Procs != in.Procs {
-		t.Fatalf("key fields: %+v", out)
-	}
-	if !bytes.Equal(out.View, in.View) {
-		t.Fatalf("view: %q", out.View)
-	}
-	for i, c := range in.EdgeComponent {
-		if out.EdgeComponent[i] != c {
-			t.Fatalf("label %d: %d != %d", i, out.EdgeComponent[i], c)
-		}
-	}
-	if in.Key() != "00deadbeef00-tv-filter-8" {
-		t.Fatalf("key: %q", in.Key())
-	}
-}
-
 func TestFrameDetectsCorruption(t *testing.T) {
 	payload := []byte("hello, durable world")
 	frame := append(frameHeader(7, payload), payload...)

@@ -143,21 +143,3 @@ func FuzzDecodeDelta(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeResult drives the spill-record decoder.
-func FuzzDecodeResult(f *testing.F) {
-	f.Add(EncodeResult(ResultRecord{FP: "fp", Algorithm: "tv-smp", Procs: 2,
-		EdgeComponent: []int32{0, 1, 0}, View: []byte(`{"ok":true}`)}))
-	f.Add([]byte{1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		rec, err := DecodeResult(b)
-		if err != nil {
-			return
-		}
-		// A successful decode must re-encode to exactly the input.
-		if !bytes.Equal(EncodeResult(rec), b) {
-			t.Fatal("decode/encode not a fixed point")
-		}
-	})
-}

@@ -5,23 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"bicc/internal/faults"
 )
 
-// Bit-rot injection sites on the verify paths. Unlike the durable.* write
-// sites, these fire on the in-memory image about to be validated: a
-// KindCorrupt rule flips one deterministic bit there, so scrub tests can
-// exercise detection and repair without scribbling on real files.
-var (
-	// SiteWALVerify covers WAL segment and snapshot image verification.
-	// iter = file index within the scrub pass.
-	SiteWALVerify = faults.RegisterSite("wal.verify", false)
-	// SiteSpillVerify covers result-spill image verification. iter = key
-	// index within the scrub pass.
-	SiteSpillVerify = faults.RegisterSite("spill.verify", false)
-)
+// SiteWALVerify is the bit-rot injection site on the verify path of WAL
+// segment and snapshot images; iter = file index within the scrub pass.
+// Unlike the durable.* write sites, it fires on the in-memory image about
+// to be validated: a KindCorrupt rule flips one deterministic bit there, so
+// scrub tests can exercise detection and repair without scribbling on real
+// files.
+var SiteWALVerify = faults.RegisterSite("wal.verify", false)
 
 // ScrubFile describes one store-owned file for the scrubber.
 type ScrubFile struct {
@@ -92,56 +86,3 @@ func CheckSnapshotImage(b []byte, iter int) error {
 	}
 	return nil
 }
-
-// CheckSpillImage re-validates a result-spill image for key and returns the
-// decoded record so callers can sample-verify its content against the live
-// graph. iter feeds the spill.verify injection site.
-func CheckSpillImage(b []byte, key string, iter int) (ResultRecord, error) {
-	faults.InjectCorrupt(SiteSpillVerify, 0, iter, b)
-	if err := checkFileHeader(b, fileKindResult); err != nil {
-		return ResultRecord{}, err
-	}
-	kind, payload, n, err := nextRecord(b[fileHeaderLen:])
-	if err != nil {
-		return ResultRecord{}, err
-	}
-	if n == 0 || kind != recResult || fileHeaderLen+n != len(b) {
-		return ResultRecord{}, fmt.Errorf("%w: spill file framing", ErrCorrupt)
-	}
-	rec, err := DecodeResult(payload)
-	if err != nil {
-		return ResultRecord{}, err
-	}
-	if rec.Key() != key {
-		return ResultRecord{}, fmt.Errorf("%w: spill key %q in file named %q", ErrCorrupt, rec.Key(), key)
-	}
-	return rec, nil
-}
-
-// Keys returns every key occupying the spill tier's directory: tracked
-// entries plus any stray .res files (bit-rotted or hand-planted files the
-// tier no longer indexes still hold disk and must be scrubbed), sorted.
-func (s *Spill) Keys() []string {
-	s.mu.Lock()
-	set := make(map[string]bool, len(s.entries))
-	for k := range s.entries {
-		set[k] = true
-	}
-	s.mu.Unlock()
-	if files, err := os.ReadDir(s.dir); err == nil {
-		for _, f := range files {
-			if !f.IsDir() && strings.HasSuffix(f.Name(), ".res") {
-				set[strings.TrimSuffix(f.Name(), ".res")] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Path returns the file path a key is spilled at.
-func (s *Spill) Path(key string) string { return s.spillFile(key) }

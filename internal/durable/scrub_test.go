@@ -2,7 +2,6 @@ package durable
 
 import (
 	"os"
-	"strings"
 	"testing"
 
 	"bicc/internal/faults"
@@ -105,71 +104,5 @@ func TestCheckSnapshotImageDetectsBitFlip(t *testing.T) {
 	corruptPlan(t, SiteWALVerify)
 	if err := CheckSnapshotImage(append([]byte(nil), b...), 0); err == nil {
 		t.Fatalf("bit-flipped snapshot passed verification")
-	}
-}
-
-func TestCheckSpillImageDetectsBitFlipAndKeyMismatch(t *testing.T) {
-	dir := t.TempDir()
-	sp, _, err := OpenSpill(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := ResultRecord{FP: "aabbcc", Algorithm: "tv-smp", Procs: 4,
-		EdgeComponent: []int32{0, 0, 1}, View: []byte(`{"x":1}`)}
-	if err := sp.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	key := rec.Key()
-	b, err := os.ReadFile(sp.Path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CheckSpillImage(append([]byte(nil), b...), key, 0)
-	if err != nil {
-		t.Fatalf("clean spill image flagged: %v", err)
-	}
-	if got.Key() != key {
-		t.Fatalf("decoded key %q, want %q", got.Key(), key)
-	}
-	if _, err := CheckSpillImage(append([]byte(nil), b...), "otherkey", 0); err == nil {
-		t.Fatalf("cross-wired spill file (key mismatch) passed verification")
-	}
-	corruptPlan(t, SiteSpillVerify)
-	if _, err := CheckSpillImage(append([]byte(nil), b...), key, 0); err == nil {
-		t.Fatalf("bit-flipped spill image passed verification")
-	}
-}
-
-// TestSpillKeysIncludesStrays proves the scrub listing unions the index with
-// directory strays: a file the tier no longer tracks still holds disk and
-// must be walked (it is the quarantine path's entry point).
-func TestSpillKeysIncludesStrays(t *testing.T) {
-	dir := t.TempDir()
-	sp, _, err := OpenSpill(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Put(ResultRecord{FP: "aa", Algorithm: "sequential", Procs: 1,
-		EdgeComponent: []int32{0}, View: []byte(`{}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(sp.Path("stray-key"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keys := sp.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("Keys() = %v, want tracked + stray", keys)
-	}
-	found := false
-	for _, k := range keys {
-		if k == "stray-key" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("stray file missing from Keys(): %v", keys)
-	}
-	if !strings.HasSuffix(sp.Path("stray-key"), ".res") {
-		t.Fatalf("Path() = %q", sp.Path("stray-key"))
 	}
 }

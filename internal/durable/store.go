@@ -35,9 +35,6 @@ var (
 	// siteSnapRename fires after the snapshot tmp is fully synced but
 	// before the atomic rename installs it. iter = generation.
 	siteSnapRename = faults.RegisterSite("durable.snap.rename", false)
-	// siteSpillWrite fires after a spill file's frame header is written but
-	// before its payload. iter = spill write sequence.
-	siteSpillWrite = faults.RegisterSite("durable.spill.write", false)
 )
 
 // SyncMode selects when WAL appends are forced to stable storage.
@@ -496,7 +493,7 @@ func (s *Store) maybeCompactLocked() {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.writeSnapshot(old, oldGen, state)
+		_ = s.writeSnapshot(old, oldGen, state) // counted in compactErrors
 		s.mu.Lock()
 		s.compacting = false
 		s.mu.Unlock()
@@ -524,56 +521,55 @@ func (s *Store) rotateLocked() (old *os.File, oldGen uint64, state []GraphRecord
 }
 
 // writeSnapshot persists state as snap-<gen> (gen = the new WAL generation)
-// via the tmp+fsync+rename dance, then retires every older generation.
-func (s *Store) writeSnapshot(old *os.File, oldGen uint64, state []GraphRecord) {
+// via the tmp+fsync+rename dance, then retires every older generation. On
+// error every older generation stays, so replay still covers the state.
+func (s *Store) writeSnapshot(old *os.File, oldGen uint64, state []GraphRecord) error {
 	_ = old.Sync()
 	_ = old.Close()
 	gen := oldGen + 1
 	tmp := snapPath(s.cfg.Dir, gen) + ".tmp"
-	ok := func() bool {
+	err := func() error {
 		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
-			return false
+			return err
 		}
 		defer f.Close()
 		if _, err := f.Write(fileHeader(fileKindSnapshot)); err != nil {
-			return false
+			return err
 		}
 		for i, gr := range state {
 			payload := encodeGraph(gr)
 			if _, err := f.Write(frameHeader(recGraphAdd, payload)); err != nil {
-				return false
+				return err
 			}
 			faults.Inject(nil, siteSnapWrite, 0, i)
 			if _, err := f.Write(payload); err != nil {
-				return false
+				return err
 			}
 		}
 		var count [4]byte
 		putU32(count[:], uint32(len(state)))
 		end := frameHeader(recSnapEnd, count[:])
 		if _, err := f.Write(append(end, count[:]...)); err != nil {
-			return false
+			return err
 		}
-		return f.Sync() == nil
+		return f.Sync()
 	}()
-	if !ok {
-		s.compactErrors.Add(1)
-		_ = os.Remove(tmp)
-		return
+	if err == nil {
+		faults.Inject(nil, siteSnapRename, 0, int(gen))
+		err = os.Rename(tmp, snapPath(s.cfg.Dir, gen))
 	}
-	faults.Inject(nil, siteSnapRename, 0, int(gen))
-	if err := os.Rename(tmp, snapPath(s.cfg.Dir, gen)); err != nil {
+	if err != nil {
 		s.compactErrors.Add(1)
 		_ = os.Remove(tmp)
-		return
+		return fmt.Errorf("durable: snapshot: %w", err)
 	}
 	syncDir(s.cfg.Dir)
 	s.compactions.Add(1)
 	// Older generations are now fully contained in the new snapshot.
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
-		return
+		return nil
 	}
 	for _, e := range entries {
 		if g, ok := parseGen(e.Name(), "wal", ".log"); ok && g < gen {
@@ -583,10 +579,13 @@ func (s *Store) writeSnapshot(old *os.File, oldGen uint64, state []GraphRecord) 
 			_ = os.Remove(filepath.Join(s.cfg.Dir, e.Name()))
 		}
 	}
+	return nil
 }
 
-// Compact forces a synchronous compaction cycle (tests and operators; the
-// production trigger is the byte threshold).
+// Compact forces a synchronous compaction cycle (the scrubber's WAL repair,
+// tests and operators; the production trigger is the byte threshold). It
+// returns an error when no snapshot was installed, in which case every
+// older generation is still on disk.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	if s.closed {
@@ -604,8 +603,7 @@ func (s *Store) Compact() error {
 		return err
 	}
 	s.mu.Unlock()
-	s.writeSnapshot(old, oldGen, state)
-	return nil
+	return s.writeSnapshot(old, oldGen, state)
 }
 
 // syncLoop is the SyncInterval ticker: group-commit fsyncs off the append

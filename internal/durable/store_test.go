@@ -318,6 +318,32 @@ func TestStoreCompactionPreservesStateAndShrinksWAL(t *testing.T) {
 	}
 }
 
+// TestStoreCompactReportsSnapshotFailure blocks the snapshot's tmp path
+// with a directory: Compact must return the error (the scrubber's WAL
+// repair relies on it before it deletes a damaged segment), and the
+// generations it could not retire still recover every graph.
+func TestStoreCompactReportsSnapshotFailure(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, Config{Dir: dir})
+	want := addGraphs(t, s, 3)
+	if err := os.Mkdir(snapPath(dir, 2)+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err == nil {
+		t.Fatal("Compact reported success without installing a snapshot")
+	}
+	if s.Compactions() != 0 || s.CompactErrors() != 1 {
+		t.Fatalf("compactions %d, errors %d; want 0 and 1", s.Compactions(), s.CompactErrors())
+	}
+	if _, err := os.Stat(walPath(dir, 1)); err != nil {
+		t.Fatalf("wal-1 retired by a failed compaction: %v", err)
+	}
+	s.Close()
+	s2, rec := openT(t, Config{Dir: dir})
+	defer s2.Close()
+	sameGraphs(t, rec, want)
+}
+
 func TestStoreAutoCompactsPastThreshold(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, Config{Dir: dir, CompactBytes: 2048})

@@ -1,9 +1,8 @@
 // Package scrub is the self-healing loop over bccd's durable tiers. A
-// Scrubber walks every registered Tier — WAL segments and snapshots, result
-// spill files, the replication retention ring — re-verifying each
-// artifact's checksums (and, where the tier chooses, its content against a
-// recomputation), then escalating anything damaged through the tier's own
-// repair ladder before quarantining what nothing can heal.
+// Scrubber walks every registered Tier — WAL segments and snapshots, the
+// replication retention ring — re-verifying each artifact's checksums,
+// then repairing anything damaged from the tier's healthy source before
+// quarantining what nothing can heal.
 //
 // Cycles are budgeted in verified bytes and resumable: each tier keeps a
 // rotating cursor, so a budget too small for one full sweep still covers
@@ -41,7 +40,7 @@ func ReadFile(path string, iter int) ([]byte, error) {
 // live next to the subsystems that own the artifacts (internal/service
 // wires them up); the scrubber only sequences, budgets, and counts.
 type Tier interface {
-	// Name labels the tier in reports and metrics ("wal", "spill", ...).
+	// Name labels the tier in reports and metrics ("wal", "ring").
 	Name() string
 	// List enumerates the tier's artifact names for one pass.
 	List() []string
@@ -49,9 +48,9 @@ type Tier interface {
 	// examined. An artifact that legitimately vanished between List and
 	// Check (rotation, eviction) returns (0, nil) — absence is not damage.
 	Check(name string, iter int) (bytes int64, err error)
-	// Repair heals a corrupt artifact from the cheapest healthy source
-	// available, returning a label for the source used ("cache",
-	// "recompute", "compact", "resync", ...).
+	// Repair heals a corrupt artifact from a healthy source, returning a
+	// label for the source used ("compact", "resync",
+	// "retention-truncate", ...).
 	Repair(name string, cause error) (source string, err error)
 	// Quarantine moves an unrepairable artifact aside so it cannot be
 	// served, and records why.

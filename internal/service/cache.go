@@ -3,13 +3,10 @@ package service
 import (
 	"container/list"
 	"context"
-	"encoding/json"
-	"fmt"
 	"sync"
 
 	"bicc"
 	"bicc/internal/core"
-	"bicc/internal/durable"
 )
 
 // resultKey identifies a cacheable computation: same graph content, same
@@ -23,22 +20,6 @@ type resultKey struct {
 	gen   uint64
 	algo  bicc.Algorithm
 	procs int
-}
-
-// spillFP renders the graph-identity part of the durable key: the bare
-// fingerprint at generation 0 (byte-compatible with records spilled by
-// older builds) and fp@gen once mutated.
-func (k resultKey) spillFP() string {
-	if k.gen == 0 {
-		return k.fp
-	}
-	return fmt.Sprintf("%s@%d", k.fp, k.gen)
-}
-
-// durableKey renders the key in the spill tier's naming scheme, matching
-// durable.ResultRecord.Key.
-func (k resultKey) durableKey() string {
-	return fmt.Sprintf("%s-%s-%d", k.spillFP(), k.algo.String(), k.procs)
 }
 
 // cacheEntry is one computation, either in flight or completed. ready is
@@ -66,8 +47,9 @@ type cacheEntry struct {
 
 // ResultCache is a single-flight LRU cache of BCC query results. Concurrent
 // queries for the same (graph, algorithm, procs) coalesce onto one engine
-// computation; completed results are kept for maxEntries keys and evicted
-// least recently used.
+// computation; completed results are kept for maxEntries keys, and within
+// memBudget estimated bytes when that is set, and evicted least recently
+// used. An evicted result is dropped: the next query for it recomputes.
 //
 // Errors and degraded results are never cached: a failed, canceled, or
 // fallback-produced computation is forgotten so the next identical query
@@ -79,24 +61,22 @@ type ResultCache struct {
 	entries    map[resultKey]*cacheEntry
 	lru        *list.List // of resultKey, front = most recent
 	maxEntries int
-
-	// Disk tier. When spill is set, memory-pressure eviction demotes the
-	// LRU entry's record to disk instead of dropping it, and a miss checks
-	// the disk tier before starting a computation. memBudget bounds the
-	// estimated resident bytes of completed entries; <= 0 leaves only the
-	// entry-count bound.
-	spill     *durable.Spill
+	// memBudget bounds the estimated resident bytes of completed entries,
+	// per-block indexes included; <= 0 leaves only the entry-count bound.
 	memBudget int64
 	bytes     int64
 }
 
-// NewResultCache returns a cache holding up to maxEntries completed results;
-// maxEntries <= 0 disables retention (single-flight coalescing still works).
-func NewResultCache(maxEntries int) *ResultCache {
+// NewResultCache returns a cache holding up to maxEntries completed results
+// of at most memBudget estimated bytes in total. maxEntries <= 0 disables
+// retention (single-flight coalescing still works); memBudget <= 0 leaves
+// only the entry-count bound.
+func NewResultCache(maxEntries int, memBudget int64) *ResultCache {
 	return &ResultCache{
 		entries:    map[resultKey]*cacheEntry{},
 		lru:        list.New(),
 		maxEntries: maxEntries,
+		memBudget:  memBudget,
 	}
 }
 
@@ -112,16 +92,6 @@ func (c *ResultCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// SetDurable attaches (or, with nil, detaches) the disk tier and the
-// memory byte budget. Entries already resident keep their place; the
-// budget applies from the next insertion.
-func (c *ResultCache) SetDurable(spill *durable.Spill, memBudget int64) {
-	c.mu.Lock()
-	c.spill = spill
-	c.memBudget = memBudget
-	c.mu.Unlock()
 }
 
 // resultBytes estimates the resident size of a cached result: the label
@@ -177,12 +147,6 @@ func (c *ResultCache) Do(ctx context.Context, key resultKey,
 		e.waiters++
 		c.mu.Unlock()
 		return c.wait(ctx, key, e, OutcomeCoalesced)
-	}
-	if c.spill != nil {
-		if res, ok := c.promoteLocked(key); ok {
-			c.mu.Unlock()
-			return res, nil, OutcomeHit
-		}
 	}
 
 	base := context.Background()
@@ -253,33 +217,6 @@ func (c *ResultCache) wait(ctx context.Context, key resultKey, e *cacheEntry, oc
 	}
 }
 
-// promoteLocked serves a miss from the disk tier: read, decode, and (when
-// retention is on) re-insert the record as a completed memory entry. A
-// record that fails to decode is deleted — recompute beats serving it.
-// Caller holds c.mu.
-func (c *ResultCache) promoteLocked(key resultKey) (*queryResult, bool) {
-	rec, ok := c.spill.Get(key.durableKey())
-	if !ok {
-		return nil, false
-	}
-	res := new(queryResult)
-	if err := json.Unmarshal(rec.View, res); err != nil {
-		c.spill.Remove(key.durableKey())
-		return nil, false
-	}
-	res.edgeComp = rec.EdgeComponent
-	if c.maxEntries > 0 {
-		ready := make(chan struct{})
-		close(ready)
-		e := &cacheEntry{ready: ready, res: res, done: true, bytes: resultBytes(res)}
-		e.elem = c.lru.PushFront(key)
-		c.entries[key] = e
-		c.bytes += e.bytes
-		c.enforceBudgetLocked(e)
-	}
-	return res, true
-}
-
 // AddViews replaces the result cached under key with full, a copy of res
 // carrying more include views, so later hits need not derive them again.
 // It does nothing once the entry no longer holds res.
@@ -301,7 +238,7 @@ func (c *ResultCache) AddViews(key resultKey, res, full *queryResult) {
 // key, building it with build on first use. Concurrent callers share one
 // build; a failed build is not kept, so the next caller retries. The index
 // lives on the cache entry: its bytes count against the memory budget, and
-// it goes when the entry is evicted, demoted, or dropped. A result the
+// it goes when the entry is evicted or dropped. A result the
 // cache does not hold (never retained, or replaced since) gets an index
 // built for this caller alone.
 func (c *ResultCache) BlockIndex(ctx context.Context, key resultKey, res *queryResult,
@@ -356,35 +293,11 @@ func (c *ResultCache) buildBlocksLocked(ctx context.Context, key resultKey, e *c
 	return build(ctx)
 }
 
-// Respill rewrites key's spill record from a completed entry still resident
-// in memory, reporting whether one was available. The scrubber's repair
-// ladder starts here: promotion leaves the disk record in place, so a
-// bit-rotted spill file often has a pristine in-memory twin — re-demoting
-// it is free compared to recomputing.
-func (c *ResultCache) Respill(key resultKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.done || e.res == nil || e.res.edgeComp == nil || e.res.Degraded || c.spill == nil {
-		return false
-	}
-	view, err := json.Marshal(e.res)
-	if err != nil {
-		return false
-	}
-	return c.spill.Put(durable.ResultRecord{
-		FP: key.spillFP(), Algorithm: key.algo.String(), Procs: key.procs,
-		EdgeComponent: e.res.edgeComp, View: view,
-	}) == nil
-}
-
 // DropGraph invalidates every result computed for a graph id, across all
-// generations, algorithms, and proc counts — in memory and in the spill
-// tier. Nothing is demoted to disk on the way out: the graph changed, so
-// the results are wrong, not cold. In-flight computations are unhooked from
-// the map (their waiters still get the answer they asked for against the
-// snapshot they pinned, but the entry is never cached). Returns how many
-// completed or in-flight entries were dropped.
+// generations, algorithms, and proc counts. In-flight computations are
+// unhooked from the map (their waiters still get the answer they asked for
+// against the snapshot they pinned, but the entry is never cached). Returns
+// how many completed or in-flight entries were dropped.
 func (c *ResultCache) DropGraph(fp string) int {
 	c.mu.Lock()
 	dropped := 0
@@ -401,21 +314,14 @@ func (c *ResultCache) DropGraph(fp string) int {
 		delete(c.entries, key)
 		dropped++
 	}
-	sp := c.spill
 	c.mu.Unlock()
-	if sp != nil {
-		// Spilled keys are "<fp>-algo-procs" (gen 0) or "<fp>@gen-algo-procs";
-		// fingerprints are fixed-width hex, so the prefix cannot collide with
-		// another graph's keys.
-		sp.RemovePrefix(fp)
-	}
 	return dropped
 }
 
-// enforceBudgetLocked demotes (or, with no disk tier, drops) completed
-// entries LRU-first until both the entry-count and byte budgets hold.
-// keep, the entry being inserted, is exempt: an oversized result must
-// survive its own insertion. Caller holds c.mu.
+// enforceBudgetLocked drops completed entries LRU-first until both the
+// entry-count and byte budgets hold. keep, the entry being inserted, is
+// exempt: an oversized result must survive its own insertion. Caller holds
+// c.mu.
 func (c *ResultCache) enforceBudgetLocked(keep *cacheEntry) {
 	for c.lru.Len() > c.maxEntries || (c.memBudget > 0 && c.bytes > c.memBudget) {
 		back := c.lru.Back()
@@ -427,27 +333,8 @@ func (c *ResultCache) enforceBudgetLocked(keep *cacheEntry) {
 		if e == keep {
 			return
 		}
-		c.demoteLocked(key, e)
+		c.lru.Remove(back)
+		delete(c.entries, key)
+		c.bytes -= e.bytes
 	}
-}
-
-// demoteLocked removes a completed entry from the memory tier, writing it
-// to the disk tier first when one is attached. Results recovered without
-// their labels (or degraded ones, which are never cached) cannot be
-// re-verified after a crash, so only label-bearing entries are spilled.
-func (c *ResultCache) demoteLocked(key resultKey, e *cacheEntry) {
-	if c.spill != nil && e.res != nil && e.res.edgeComp != nil {
-		if view, err := json.Marshal(e.res); err == nil {
-			_ = c.spill.Put(durable.ResultRecord{
-				FP:            key.spillFP(),
-				Algorithm:     key.algo.String(),
-				Procs:         key.procs,
-				EdgeComponent: e.res.edgeComp,
-				View:          view,
-			})
-		}
-	}
-	c.lru.Remove(e.elem)
-	delete(c.entries, key)
-	c.bytes -= e.bytes
 }

@@ -2,19 +2,19 @@ package service
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync/atomic"
 	"time"
 
-	"bicc"
 	"bicc/internal/durable"
 )
 
 // DurabilityConfig wires a Server to an on-disk data directory. The zero
 // value of every field but Dir picks the durable package's defaults.
+// Graphs are the only durable state: results are recomputed after an
+// eviction or a restart, never read back from disk.
 type DurabilityConfig struct {
 	// Dir is the data directory: WAL and snapshot generations at the top
-	// level, spilled results under spill/.
+	// level, quarantined artifacts under quarantine/. A spill/ directory
+	// left by older builds is ignored.
 	Dir string
 	// Sync is the WAL fsync policy; the zero value fsyncs every append
 	// before it is acknowledged.
@@ -24,16 +24,6 @@ type DurabilityConfig struct {
 	// CompactBytes triggers background snapshot compaction once the active
 	// WAL generation passes this size; <= 0 means 64 MiB.
 	CompactBytes int64
-	// SpillBudget bounds the disk bytes held by spilled results; <= 0
-	// means unlimited.
-	SpillBudget int64
-	// MemBudget bounds the result cache's resident bytes; once exceeded,
-	// LRU results are demoted to the spill tier instead of dropped. <= 0
-	// leaves only the entry-count bound.
-	MemBudget int64
-	// VerifySample is how many recovered results are re-verified end to
-	// end (ReconstructResult + Verify) at boot; <= 0 means 3.
-	VerifySample int
 	// ReplayLogEvery makes boot-time WAL replay log a progress line every N
 	// records (through Logf); <= 0 disables progress lines.
 	ReplayLogEvery int
@@ -50,9 +40,6 @@ type RecoveryReport struct {
 	DroppedRecords  int           // framed records whose payload failed to decode
 	WALRecords      int           // WAL records replayed at boot
 	SnapshotRecords int           // snapshot records replayed at boot
-	SpilledResults  int           // results found in the spill tier
-	VerifiedResults int           // spilled results re-verified clean at boot
-	VerifyFailures  int           // spilled results that failed re-verification (deleted)
 	Duration        time.Duration // total recovery wall time
 }
 
@@ -60,7 +47,6 @@ type RecoveryReport struct {
 // an atomic pointer so the disabled path costs one nil check.
 type durability struct {
 	store *durable.Store
-	spill *durable.Spill
 	dir   string // the data directory (quarantine lives under it)
 
 	recoveredGraphs int64
@@ -68,14 +54,12 @@ type durability struct {
 	truncations     int64
 	walRecords      int64
 	snapRecords     int64
-	verifiedResults int64
-	verifyFailures  atomic.Int64
 }
 
 // EnableDurability opens (or creates) the data directory, replays the
-// newest snapshot plus WAL into the graph registry, adopts the spill tier
-// as the result cache's disk level, and registers the durable metrics.
-// Call before serving requests; a second call is an error.
+// newest snapshot plus WAL into the graph registry, and registers the
+// durable metrics. Call before serving requests; a second call is an
+// error.
 func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error) {
 	if s.dur.Load() != nil {
 		return nil, fmt.Errorf("service: durability already enabled")
@@ -138,53 +122,6 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 	}
 	d.recoveredGraphs = int64(report.Graphs)
 
-	spill, keys, err := durable.OpenSpill(filepath.Join(cfg.Dir, "spill"), cfg.SpillBudget)
-	if err != nil {
-		_ = store.Close()
-		s.registry.SetEvictObserver(nil)
-		return nil, err
-	}
-	d.spill = spill
-	report.SpilledResults = len(keys)
-
-	// Re-verify a sample of recovered results end to end: rebuild the
-	// Result from the persisted labels and run the independent checker.
-	// CRC guards against torn bytes; this guards against a stale or
-	// cross-wired record that is internally consistent but wrong.
-	sample := cfg.VerifySample
-	if sample <= 0 {
-		sample = 3
-	}
-	for _, key := range keys {
-		if report.VerifiedResults+report.VerifyFailures >= sample {
-			break
-		}
-		rr, ok := spill.Get(key)
-		if !ok {
-			continue
-		}
-		g, ok := s.registry.Acquire(rr.FP)
-		if !ok {
-			continue // graph not resident; nothing to check against
-		}
-		algo, aerr := parseAlgorithm(rr.Algorithm)
-		clean := aerr == nil
-		if clean {
-			res, rerr := bicc.ReconstructResult(g, algo, rr.EdgeComponent)
-			clean = rerr == nil && bicc.Verify(g, res) == nil
-		}
-		s.registry.Release(rr.FP)
-		if clean {
-			report.VerifiedResults++
-		} else {
-			spill.Remove(key)
-			report.VerifyFailures++
-		}
-	}
-	d.verifiedResults = int64(report.VerifiedResults)
-	d.verifyFailures.Store(int64(report.VerifyFailures))
-
-	s.cache.SetDurable(spill, cfg.MemBudget)
 	report.Duration = time.Since(start)
 	d.recoverySeconds = report.Duration.Seconds()
 	d.register(s)
@@ -197,7 +134,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 // /metrics output is unchanged.
 func (d *durability) register(s *Server) {
 	reg := s.metrics
-	st, sp := d.store, d.spill
+	st := d.store
 	reg.GaugeFunc("bicc_wal_bytes",
 		"Bytes in the active WAL generation.",
 		func() float64 { return float64(st.WALBytes()) })
@@ -218,45 +155,22 @@ func (d *durability) register(s *Server) {
 	reg.GaugeFunc("bicc_recovery_seconds",
 		"Wall time of crash recovery at boot.",
 		func() float64 { return d.recoverySeconds })
-	reg.CounterVec("bicc_recovery_verify_failures_total",
-		"Spilled results that failed boot-time re-verification and were dropped.").Func(d.verifyFailures.Load)
-	reg.GaugeFunc("bicc_spill_bytes",
-		"Disk bytes held by spilled results.",
-		func() float64 { return float64(sp.Bytes()) })
-	reg.GaugeFunc("bicc_spill_entries",
-		"Results resident in the spill tier.",
-		func() float64 { return float64(sp.Len()) })
-	reg.CounterVec("bicc_spill_writes_total",
-		"Results demoted to the spill tier.").Func(sp.Writes)
-	reg.CounterVec("bicc_spill_hits_total",
-		"Queries promoted from the spill tier.").Func(sp.Hits)
-	reg.CounterVec("bicc_spill_misses_total",
-		"Spill lookups that found nothing.").Func(sp.Misses)
-	reg.CounterVec("bicc_spill_evictions_total",
-		"Spilled results evicted for disk budget.").Func(sp.Evictions)
-	reg.CounterVec("bicc_spill_corrupt_total",
-		"Spilled results dropped on CRC or decode failure.").Func(sp.Corrupt)
-	reg.GaugeFunc("bicc_result_cache_mem_bytes",
-		"Estimated resident bytes of the in-memory result cache.",
-		func() float64 { return float64(s.cache.Bytes()) })
 }
 
-// CloseDurability flushes and closes the WAL and detaches the spill tier.
-// Call it after the HTTP server has fully stopped: a clean shutdown must
-// leave files that the next boot recovers with zero truncations.
+// CloseDurability flushes and closes the WAL. Call it after the HTTP server
+// has fully stopped: a clean shutdown must leave files that the next boot
+// recovers with zero truncations.
 func (s *Server) CloseDurability() error {
 	d := s.dur.Swap(nil)
 	if d == nil {
 		return nil
 	}
 	s.registry.SetEvictObserver(nil)
-	s.cache.SetDurable(nil, 0)
 	return d.store.Close()
 }
 
-// DurabilitySnapshot is the /statsz durability section. It is present only
-// when a data directory is configured, so a diskless bccd's /statsz output
-// is byte-identical to older builds.
+// DurabilitySnapshot is the /statsz durability section, present only when a
+// data directory is configured.
 type DurabilitySnapshot struct {
 	RecoveredGraphs int64   `json:"recovered_graphs"`
 	RecoverySeconds float64 `json:"recovery_seconds"`
@@ -268,19 +182,9 @@ type DurabilitySnapshot struct {
 	WALAppends      int64   `json:"wal_appends"`
 	WALErrors       int64   `json:"wal_errors"`
 	Compactions     int64   `json:"wal_compactions"`
-	SpillEntries    int     `json:"spill_entries"`
-	SpillBytes      int64   `json:"spill_bytes"`
-	SpillWrites     int64   `json:"spill_writes"`
-	SpillHits       int64   `json:"spill_hits"`
-	SpillMisses     int64   `json:"spill_misses"`
-	SpillEvictions  int64   `json:"spill_evictions"`
-	SpillCorrupt    int64   `json:"spill_corrupt"`
-	CacheMemBytes   int64   `json:"result_cache_mem_bytes"`
-	VerifiedResults int64   `json:"verified_results"`
-	VerifyFailures  int64   `json:"verify_failures"`
 }
 
-func (d *durability) snapshot(c *ResultCache) *DurabilitySnapshot {
+func (d *durability) snapshot() *DurabilitySnapshot {
 	return &DurabilitySnapshot{
 		RecoveredGraphs: d.recoveredGraphs,
 		RecoverySeconds: d.recoverySeconds,
@@ -292,15 +196,5 @@ func (d *durability) snapshot(c *ResultCache) *DurabilitySnapshot {
 		WALAppends:      d.store.Appends(),
 		WALErrors:       d.store.WALErrors(),
 		Compactions:     d.store.Compactions(),
-		SpillEntries:    d.spill.Len(),
-		SpillBytes:      d.spill.Bytes(),
-		SpillWrites:     d.spill.Writes(),
-		SpillHits:       d.spill.Hits(),
-		SpillMisses:     d.spill.Misses(),
-		SpillEvictions:  d.spill.Evictions(),
-		SpillCorrupt:    d.spill.Corrupt(),
-		CacheMemBytes:   c.Bytes(),
-		VerifiedResults: d.verifiedResults,
-		VerifyFailures:  d.verifyFailures.Load(),
 	}
 }

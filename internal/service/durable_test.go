@@ -2,14 +2,16 @@ package service
 
 import (
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bicc"
-	"bicc/internal/durable"
 )
 
 // durableServer builds a server wired to dir, failing the test on error.
@@ -115,121 +117,130 @@ func TestDurabilityOffIsInvisible(t *testing.T) {
 	}
 }
 
-func TestDurableCacheSpillsAndPromotes(t *testing.T) {
+// restartVolatile are the response fields a restart may change: the cache
+// flag and the timings of the run that produced the answer.
+var restartVolatile = []string{"cached", "elapsed_ns", "phases", "trace"}
+
+// TestDurableRestartRecomputesResults: graphs are the only durable state.
+// A result computed before a restart costs the new server one engine run,
+// and its answer is byte-identical apart from the cache and timing fields.
+func TestDurableRestartRecomputesResults(t *testing.T) {
 	dir := t.TempDir()
-	// One-entry cache: the second distinct query demotes the first result
-	// to disk; re-querying the first must come back from the spill tier
-	// without a new computation.
-	s, _ := durableServer(t, Config{CacheEntries: 1}, DurabilityConfig{Dir: dir})
+	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
 	ts := newHTTPServer(t, s)
 	up := uploadGraph(t, ts, testGraph(t), "")
-	g2, _ := bicc.RandomConnectedGraph(40, 80, 9)
-	up2 := uploadGraph(t, ts, g2, "")
-
-	postOK := func(fp, algo string) bccResponse {
+	req := bccRequest{Graph: up.Fingerprint, Algorithm: "tv-opt",
+		Include: []string{"articulation", "bridges", "components", "blockcut"}}
+	answer := func(ts *httptest.Server) string {
 		t.Helper()
-		resp, data := postBCC(t, ts, bccRequest{Graph: fp, Algorithm: algo})
+		resp, data := postBCC(t, ts, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, data)
 		}
-		var out bccResponse
-		if err := json.Unmarshal(data, &out); err != nil {
+		return dropKeys(t, data, restartVolatile...)
+	}
+	before := answer(ts)
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	if after := answer(newHTTPServer(t, s2)); after != before {
+		t.Fatalf("answer changed across restart:\n%s\n%s", before, after)
+	}
+	if n := s2.Snapshot().Computations; n != 1 {
+		t.Fatalf("computations after restart = %d, want 1", n)
+	}
+}
+
+// TestDurableBootIgnoresSpillDirectory boots on a data directory written
+// by a build that still spilled results: testdata/spill-era-datadir holds
+// its WAL (three graphs, one mutated once) and the spill/ records of nine
+// results, and spill-era-answers.json the answers that build served. Every
+// graph must be recovered, every answer must be byte-identical apart from
+// the cache, timing and serving-path fields, and spill/ must be left as it
+// was.
+func TestDurableBootIgnoresSpillDirectory(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "spill-era-datadir")
+	if err := filepath.WalkDir(src, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if e.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), b, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spill := filepath.Join(dir, "spill")
+	snapshotDir := func() map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(spill)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	first := postOK(up.Fingerprint, "tv-opt")
-	postOK(up2.Fingerprint, "tv-opt") // evicts → demotes the first result
-	d := s.dur.Load()
-	if d.spill.Writes() == 0 {
-		t.Fatal("eviction did not demote to the spill tier")
-	}
-	again := postOK(up.Fingerprint, "tv-opt")
-	if d.spill.Hits() == 0 {
-		t.Fatal("re-query did not promote from the spill tier")
-	}
-	if !again.Cached {
-		t.Fatal("promoted result not reported as cached")
-	}
-	if again.NumComponents != first.NumComponents || again.NumArticulation != first.NumArticulation {
-		t.Fatalf("promoted result differs: %+v vs %+v", again, first)
-	}
-	if comps := s.Snapshot().Computations; comps != 2 {
-		t.Fatalf("computations = %d, want 2 (promotion must not recompute)", comps)
-	}
-
-	// Spilled results survive restart and are re-verified at boot.
-	if err := s.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-	s2, rep := durableServer(t, Config{CacheEntries: 1}, DurabilityConfig{Dir: dir})
-	if rep.SpilledResults == 0 {
-		t.Fatalf("no spilled results recovered: %+v", rep)
-	}
-	if rep.VerifiedResults == 0 || rep.VerifyFailures != 0 {
-		t.Fatalf("boot verification: %+v", rep)
-	}
-	_ = s2
-}
-
-func TestDurableBootDropsCorruptSpill(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := durableServer(t, Config{CacheEntries: 1}, DurabilityConfig{Dir: dir})
-	ts := newHTTPServer(t, s)
-	up := uploadGraph(t, ts, testGraph(t), "")
-	g2, _ := bicc.RandomConnectedGraph(40, 80, 9)
-	up2 := uploadGraph(t, ts, g2, "")
-	for _, fp := range []string{up.Fingerprint, up2.Fingerprint} {
-		if resp, data := postBCC(t, ts, bccRequest{Graph: fp, Algorithm: "tv-opt"}); resp.StatusCode != 200 {
-			t.Fatalf("%s", data)
+		files := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(spill, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
 		}
+		return files
 	}
-	if err := s.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-	if n := corruptSpillDir(t, filepath.Join(dir, "spill")); n == 0 {
-		t.Fatal("no spilled record with multiple components to corrupt")
+	spillBefore := snapshotDir()
+	if len(spillBefore) != 9 {
+		t.Fatalf("fixture holds %d spill records, want 9", len(spillBefore))
 	}
 
-	_, rep := durableServer(t, Config{}, DurabilityConfig{Dir: dir, VerifySample: 10})
-	if rep.VerifyFailures == 0 {
-		t.Fatalf("boot verification missed corrupted labels: %+v", rep)
+	s, rep := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	if rep.Graphs != 3 || rep.DroppedGraphs != 0 || rep.DroppedRecords != 0 || rep.Truncations != 0 {
+		t.Fatalf("recovery: %+v, want 3 graphs and no repair", rep)
 	}
-}
-
-// corruptSpillDir swaps two differing labels inside every spilled record
-// that has them, rewriting through the codec so the CRC is computed over
-// the damaged bytes too — only semantic re-verification can catch it.
-// Returns how many records were corrupted.
-func corruptSpillDir(t *testing.T, dir string) int {
-	t.Helper()
-	sp, keys, err := durable.OpenSpill(dir, 0)
+	ts := newHTTPServer(t, s)
+	raw, err := os.ReadFile(filepath.Join("testdata", "spill-era-answers.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, key := range keys {
-		rec, ok := sp.Get(key)
-		if !ok {
-			continue
-		}
-		swapped := false
-		for i := 1; i < len(rec.EdgeComponent); i++ {
-			if rec.EdgeComponent[i] != rec.EdgeComponent[0] {
-				rec.EdgeComponent[0], rec.EdgeComponent[i] = rec.EdgeComponent[i], rec.EdgeComponent[0]
-				swapped = true
-				break
-			}
-		}
-		if !swapped {
-			continue
-		}
-		if err := sp.Put(rec); err != nil {
-			t.Fatal(err)
-		}
-		n++
+	var want []struct {
+		Request bccRequest      `json:"request"`
+		Answer  json.RawMessage `json:"answer"`
 	}
-	return n
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 9 {
+		t.Fatalf("fixture holds %d answers, want 9", len(want))
+	}
+	// The old build served the mutated graph from its maintained labels,
+	// which the "incr" flag reports; a fresh boot has none and runs the
+	// engine for the same bytes.
+	volatile := append([]string{"incr"}, restartVolatile...)
+	for _, w := range want {
+		resp, data := postBCC(t, ts, w.Request)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s/%s: status %d: %s", w.Request.Graph, w.Request.Algorithm, resp.StatusCode, data)
+		}
+		got, exp := dropKeys(t, data, volatile...), dropKeys(t, w.Answer, volatile...)
+		if got != exp {
+			t.Fatalf("%s/%s: answer differs from the one served before the upgrade:\n got  %s\n want %s",
+				w.Request.Graph, w.Request.Algorithm, got, exp)
+		}
+	}
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snapshotDir(), spillBefore) {
+		t.Fatal("spill/ changed under a build that no longer reads it")
+	}
 }
 
 func TestDurableRegistryEvictionIsLogged(t *testing.T) {

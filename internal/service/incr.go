@@ -295,6 +295,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "delta %d: %v", i, err)
 			return
 		}
+		if op == incr.OpInsert {
+			// An insert past the last vertex grows the graph to its endpoint.
+			if err := s.checkVertices(int64(max(d.U, d.V)) + 1); err != nil {
+				writeError(w, http.StatusBadRequest, "delta %d: %v", i, err)
+				return
+			}
+		}
 		deltas[i] = incr.Delta{Op: op, U: d.U, V: d.V}
 	}
 

@@ -55,18 +55,16 @@ func mustMutate(t *testing.T, ts *httptest.Server, fp string, deltas []mutationD
 	return out
 }
 
-// normalizeBCC strips the per-request fields (timings, identity, serving
-// path) from a /v1/bcc response so answers from a mutated graph and from a
-// from-scratch upload of the same final edge list can be compared
-// byte-for-byte. json.Marshal of a map emits sorted keys, so equal maps
-// render equal bytes.
-func normalizeBCC(t *testing.T, data []byte) string {
+// dropKeys renders a /v1/bcc response without the named fields.
+// json.Marshal of a map emits sorted keys, so equal maps render equal
+// bytes.
+func dropKeys(t *testing.T, data []byte, keys ...string) string {
 	t.Helper()
 	var m map[string]any
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("normalize: %v: %s", err, data)
 	}
-	for _, k := range []string{"elapsed_ns", "phases", "cached", "incr", "graph", "trace"} {
+	for _, k := range keys {
 		delete(m, k)
 	}
 	b, err := json.Marshal(m)
@@ -74,6 +72,15 @@ func normalizeBCC(t *testing.T, data []byte) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// normalizeBCC strips the per-request fields (timings, identity, serving
+// path) from a /v1/bcc response so answers from a mutated graph and from a
+// from-scratch upload of the same final edge list can be compared
+// byte-for-byte.
+func normalizeBCC(t *testing.T, data []byte) string {
+	t.Helper()
+	return dropKeys(t, data, "elapsed_ns", "phases", "cached", "incr", "graph", "trace")
 }
 
 // queryAll asks ts for the full view set of fp under algo, requiring 200.
@@ -327,6 +334,33 @@ func TestMutationValidationAndIdentity(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("singular alias: status %d", resp.StatusCode)
+	}
+}
+
+// TestMutationHugeVertexCount: one insert naming vertex 1999999999 used to
+// grow a 3-vertex graph to two billion vertices, whose duplicate-edge check
+// allocated 8 GB and killed bccd. It now answers 400 naming the count
+// before the batch is prepared, and the next batch is served.
+func TestMutationHugeVertexCount(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	path, err := bicc.NewGraph(3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := uploadGraph(t, ts, path, "").Fingerprint
+	var code int
+	var data []byte
+	alloc := allocatedDuring(func() {
+		_, code, data = postMutate(t, ts, fp, []mutationDelta{{Op: "insert", U: 0, V: 1999999999}})
+	})
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "2000000000 vertices") {
+		t.Fatalf("huge insert: %d %s, want 400 naming the vertex count", code, data)
+	}
+	if alloc >= 64<<20 {
+		t.Fatalf("the refused batch allocated %d bytes", alloc)
+	}
+	if out := mustMutate(t, ts, fp, []mutationDelta{{Op: "insert", U: 0, V: 2}}); out.Generation != 1 {
+		t.Fatalf("batch after the refused one: %+v", out)
 	}
 }
 

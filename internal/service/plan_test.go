@@ -198,18 +198,7 @@ func TestPlanAvoidsOpenBreaker(t *testing.T) {
 // canonical labeling.
 func normalizePlanBCC(t *testing.T, data []byte) string {
 	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("normalize: %v: %s", err, data)
-	}
-	for _, k := range []string{"elapsed_ns", "phases", "cached", "incr", "graph", "trace", "algorithm", "plan"} {
-		delete(m, k)
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return dropKeys(t, data, "elapsed_ns", "phases", "cached", "incr", "graph", "trace", "algorithm", "plan")
 }
 
 // TestPlanDifferentialAutoOnOff runs the same query and mutation workload

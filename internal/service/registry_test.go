@@ -149,7 +149,7 @@ func TestRegistryEvictionRespectsRefsAndLRU(t *testing.T) {
 }
 
 func TestResultCacheSingleFlightAndLRU(t *testing.T) {
-	c := NewResultCache(2)
+	c := NewResultCache(2, 0)
 	var runs atomic.Int64
 	slow := func(ctx context.Context) (*queryResult, error) {
 		runs.Add(1)
@@ -193,7 +193,7 @@ func TestResultCacheSingleFlightAndLRU(t *testing.T) {
 }
 
 func TestResultCacheDoesNotCacheErrors(t *testing.T) {
-	c := NewResultCache(8)
+	c := NewResultCache(8, 0)
 	boom := errors.New("boom")
 	key := resultKey{fp: "x"}
 	fail := func(ctx context.Context) (*queryResult, error) { return nil, boom }
@@ -208,7 +208,7 @@ func TestResultCacheDoesNotCacheErrors(t *testing.T) {
 }
 
 func TestResultCacheAbandonedComputationIsCanceled(t *testing.T) {
-	c := NewResultCache(8)
+	c := NewResultCache(8, 0)
 	computeCanceled := make(chan error, 1)
 	entered := make(chan struct{})
 	compute := func(cctx context.Context) (*queryResult, error) {

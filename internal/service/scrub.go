@@ -1,19 +1,14 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"bicc"
 	"bicc/internal/durable"
 	"bicc/internal/scrub"
 )
@@ -29,17 +24,9 @@ type ScrubConfig struct {
 	// Tiers keep rotating cursors, so a budget smaller than the data set
 	// still covers everything across consecutive cycles.
 	Budget int64
-	// CertSample picks every Nth spilled result for full content
-	// re-verification (ReconstructResult + Verify + a sparse-certificate
-	// cross-check) on top of the frame checks; <= 0 means 8.
-	CertSample int
 	// Logf receives detection/repair/quarantine lines; nil disables them.
 	Logf func(format string, args ...any)
 }
-
-// scrubRepairTimeout bounds one recompute-from-graph repair so a wedged
-// engine cannot stall the scrub loop forever.
-const scrubRepairTimeout = time.Minute
 
 // scrubState is a Server's live scrubbing machinery, held through an atomic
 // pointer like the other optional subsystems.
@@ -110,13 +97,8 @@ func (s *Server) EnableScrub(cfg ScrubConfig) error {
 			}
 		}
 	}
-	sample := cfg.CertSample
-	if sample <= 0 {
-		sample = 8
-	}
 	sc.scr = scrub.New(scrub.Config{Interval: cfg.Interval, Budget: cfg.Budget, Logf: cfg.Logf},
 		&walTier{s: s, d: d, sc: sc},
-		&spillTier{s: s, d: d, sc: sc, sample: sample},
 		&ringTier{s: s},
 	)
 	sc.register(s)
@@ -227,168 +209,6 @@ func (t *walTier) Repair(name string, cause error) (string, error) {
 
 func (t *walTier) Quarantine(name string, cause error) error {
 	return t.sc.moveToQuarantine(name)
-}
-
-// --- result-spill tier ------------------------------------------------------
-
-// spillTier scrubs the result spill. Beyond the frame checks, every
-// sample-th record gets the full certificate treatment: rebuild the Result
-// from the persisted labels, run the independent checker, and cross-check
-// the aggregate counts against a decomposition of the graph's sparse
-// certificate. Repair re-derives the record from the cheapest healthy
-// source: the resident cache entry if one exists, else a recompute through
-// the normal engine trunk (admission, breaker, fallback).
-type spillTier struct {
-	s      *Server
-	d      *durability
-	sc     *scrubState
-	sample int
-}
-
-func (t *spillTier) Name() string { return "spill" }
-
-func (t *spillTier) List() []string { return t.d.spill.Keys() }
-
-func (t *spillTier) Check(key string, iter int) (int64, error) {
-	b, err := scrub.ReadFile(t.d.spill.Path(key), iter)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil // evicted after List
-		}
-		return 0, err
-	}
-	rec, err := durable.CheckSpillImage(b, key, iter)
-	if err != nil {
-		return int64(len(b)), err
-	}
-	if t.sample > 0 && iter%t.sample == 0 {
-		if err := t.s.verifySpilledContent(rec); err != nil {
-			return int64(len(b)), err
-		}
-	}
-	return int64(len(b)), nil
-}
-
-// verifySpilledContent re-verifies a frame-clean spill record end to end
-// against the live graph: frames can be pristine around labels that are
-// simply wrong. Records for non-resident graphs or superseded generations
-// have nothing to be checked against and pass.
-func (s *Server) verifySpilledContent(rec durable.ResultRecord) error {
-	key, ok := parseDurableKey(rec.Key())
-	if !ok {
-		return fmt.Errorf("unparseable spill record key %q", rec.Key())
-	}
-	g, info, okG := s.registry.AcquireInfo(key.fp)
-	if !okG {
-		return nil
-	}
-	defer s.registry.Release(key.fp)
-	if info.Generation != key.gen {
-		return nil
-	}
-	res, err := bicc.ReconstructResult(g, key.algo, rec.EdgeComponent)
-	if err != nil {
-		return fmt.Errorf("content: reconstruct: %w", err)
-	}
-	if err := bicc.Verify(g, res); err != nil {
-		return fmt.Errorf("content: %w", err)
-	}
-	// Biconnectivity is preserved by the sparse certificate, so a
-	// decomposition of the (much smaller) certificate must agree on every
-	// aggregate the record claims.
-	cert, _, err := bicc.SparseCertificate(g, nil)
-	if err != nil {
-		return nil // certificate construction unavailable says nothing about the record
-	}
-	cres, err := bicc.BiconnectedComponents(cert, &bicc.Options{Algorithm: bicc.Sequential})
-	if err != nil {
-		return nil
-	}
-	if cres.NumComponents != res.NumComponents ||
-		len(cres.ArticulationPoints()) != len(res.ArticulationPoints()) {
-		return fmt.Errorf("content: certificate decomposition disagrees: %d/%d components, %d/%d cuts",
-			cres.NumComponents, res.NumComponents,
-			len(cres.ArticulationPoints()), len(res.ArticulationPoints()))
-	}
-	return nil
-}
-
-func (t *spillTier) Repair(key string, cause error) (string, error) {
-	k, ok := parseDurableKey(key)
-	if !ok {
-		return "", fmt.Errorf("unparseable spill key %q", key)
-	}
-	// Cheapest source: the same result still resident in the memory tier
-	// (promotion leaves the disk record in place, so both can coexist).
-	if t.s.cache.Respill(k) {
-		return "cache", nil
-	}
-	g, info, okG := t.s.registry.AcquireInfo(k.fp)
-	if !okG {
-		return "", fmt.Errorf("graph %s not resident", k.fp)
-	}
-	defer t.s.registry.Release(k.fp)
-	if info.Generation != k.gen {
-		return "", fmt.Errorf("graph %s is at generation %d, record wants %d", k.fp, info.Generation, k.gen)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), scrubRepairTimeout)
-	defer cancel()
-	qr, err := t.s.compute(ctx, g, k.algo, k.procs, nil)
-	if err != nil {
-		return "", err
-	}
-	if qr.Degraded {
-		// The same no-degraded-results-persisted rule the cache applies.
-		return "", fmt.Errorf("recompute degraded: %s", qr.DegradedCause)
-	}
-	view, err := json.Marshal(qr)
-	if err != nil {
-		return "", err
-	}
-	if err := t.d.spill.Put(durable.ResultRecord{
-		FP: k.spillFP(), Algorithm: k.algo.String(), Procs: k.procs,
-		EdgeComponent: qr.edgeComp, View: view,
-	}); err != nil {
-		return "", err
-	}
-	return "recompute", nil
-}
-
-func (t *spillTier) Quarantine(key string, cause error) error {
-	if err := t.sc.moveToQuarantine(t.d.spill.Path(key)); err != nil {
-		return err
-	}
-	t.d.spill.Remove(key) // drop the index entry; the file is already gone
-	return nil
-}
-
-// parseDurableKey inverts resultKey.durableKey() ("fp[@gen]-algo-procs"):
-// fingerprints are fixed-width hex with no dashes, so the first dash ends
-// the fp[@gen] part and the last one starts procs.
-func parseDurableKey(key string) (resultKey, bool) {
-	i := strings.IndexByte(key, '-')
-	j := strings.LastIndexByte(key, '-')
-	if i <= 0 || j <= i || j+1 >= len(key) {
-		return resultKey{}, false
-	}
-	procs, err := strconv.Atoi(key[j+1:])
-	if err != nil || procs < 0 {
-		return resultKey{}, false
-	}
-	fp := key[:i]
-	var gen uint64
-	if at := strings.IndexByte(fp, '@'); at >= 0 {
-		gen, err = strconv.ParseUint(fp[at+1:], 10, 64)
-		if err != nil {
-			return resultKey{}, false
-		}
-		fp = fp[:at]
-	}
-	algo, err := parseAlgorithm(key[i+1 : j])
-	if err != nil {
-		return resultKey{}, false
-	}
-	return resultKey{fp: fp, gen: gen, algo: algo, procs: procs}, true
 }
 
 // --- replication-ring tier --------------------------------------------------

@@ -54,26 +54,6 @@ func flipByte(t *testing.T, path string, off int) {
 	}
 }
 
-func TestParseDurableKey(t *testing.T) {
-	for _, k := range []resultKey{
-		{fp: "aabbccdd", algo: bicc.TVSMP, procs: 4},
-		{fp: "aabbccdd", gen: 3, algo: bicc.TVOpt, procs: 16},
-		{fp: "ff00", gen: 12, algo: bicc.FastBCC, procs: 1},
-		{fp: "ee", algo: bicc.Sequential, procs: 0},
-	} {
-		got, ok := parseDurableKey(k.durableKey())
-		if !ok || got != k {
-			t.Errorf("parseDurableKey(%q) = %+v, %v; want %+v", k.durableKey(), got, ok, k)
-		}
-	}
-	for _, bad := range []string{"", "nodash", "stray-key", "fp-", "-tv-smp-4",
-		"fp-bogus-4", "fp-tv-smp-x", "fp@x-tv-smp-4", "fp-tv-smp--1"} {
-		if k, ok := parseDurableKey(bad); ok {
-			t.Errorf("parseDurableKey(%q) accepted as %+v", bad, k)
-		}
-	}
-}
-
 func TestScrubRequiresDurability(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if err := s.EnableScrub(ScrubConfig{}); err == nil {
@@ -100,150 +80,6 @@ func TestScrubRequiresDurability(t *testing.T) {
 	if err := s2.EnableScrub(ScrubConfig{}); err == nil {
 		t.Fatal("second EnableScrub must fail")
 	}
-}
-
-// TestScrubSpillRepairLadder damages two spilled results — one whose entry
-// is still resident in the memory cache, one that only lives on disk — and
-// proves the scrubber heals the first from the cache and the second by
-// recomputing through the engine trunk, leaving both queryable with the
-// original answers.
-func TestScrubSpillRepairLadder(t *testing.T) {
-	dir := t.TempDir()
-	lg := &scrubLog{}
-	s, _ := durableServer(t, Config{CacheEntries: 1}, DurabilityConfig{Dir: dir})
-	if err := s.EnableScrub(ScrubConfig{Logf: lg.logf}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.CloseScrub)
-	ts := newHTTPServer(t, s)
-
-	up1 := uploadGraph(t, ts, testGraph(t), "")
-	g2, _ := bicc.RandomConnectedGraph(40, 80, 9)
-	up2 := uploadGraph(t, ts, g2, "")
-	postOK := func(fp string) bccResponse {
-		t.Helper()
-		resp, data := postBCC(t, ts, bccRequest{Graph: fp, Algorithm: "tv-opt"})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, data)
-		}
-		var out bccResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	want1 := postOK(up1.Fingerprint) // resident
-	want2 := postOK(up2.Fingerprint) // demotes 1 to disk
-	postOK(up1.Fingerprint)          // promotes 1 back; demotes 2 to disk
-	// Now: both spilled on disk; graph 1 also resident in the memory cache.
-
-	d := s.dur.Load()
-	keys := d.spill.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("spill keys = %v, want 2", keys)
-	}
-	for _, k := range keys {
-		flipByte(t, d.spill.Path(k), 20)
-	}
-
-	rep, err := s.RunScrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := scrubTier(t, rep, "spill")
-	if tr.Corrupt != 2 || tr.Repaired != 2 || tr.Quarantined != 0 {
-		t.Fatalf("spill tier after damage = %+v, want 2 corrupt, 2 repaired", tr)
-	}
-	if !lg.contains("repaired from cache") {
-		t.Fatalf("resident record not healed from the cache rung; log: %v", lg.lines)
-	}
-	if !lg.contains("repaired from recompute") {
-		t.Fatalf("disk-only record not healed by recompute; log: %v", lg.lines)
-	}
-
-	// The healed files verify clean on the next cycle...
-	rep, _ = s.RunScrub()
-	if rep.Corrupt != 0 {
-		t.Fatalf("second cycle still corrupt: %+v", rep)
-	}
-	// ...and both results serve the original answers.
-	got1, got2 := postOK(up1.Fingerprint), postOK(up2.Fingerprint)
-	if got1.NumComponents != want1.NumComponents || got1.NumArticulation != want1.NumArticulation {
-		t.Fatalf("graph 1 answer changed: %+v vs %+v", got1, want1)
-	}
-	if got2.NumComponents != want2.NumComponents || got2.NumArticulation != want2.NumArticulation {
-		t.Fatalf("graph 2 answer changed: %+v vs %+v", got2, want2)
-	}
-}
-
-// TestIncludeViewsDerivedOnCacheHit pins that the include views a query
-// asks for never depend on which query populated the cache: the result
-// cache is keyed without the include set, so a hit created by an
-// include-free query (or by a scrub recompute, which asks for nothing) must
-// still serve articulation/bridges/blockcut lists, derived on the fly from
-// the persisted labeling.
-func TestIncludeViewsDerivedOnCacheHit(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := durableServer(t, Config{CacheEntries: 1}, DurabilityConfig{Dir: dir})
-	if err := s.EnableScrub(ScrubConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.CloseScrub)
-	ts := newHTTPServer(t, s)
-
-	up := uploadGraph(t, ts, testGraph(t), "")
-	full := bccRequest{Graph: up.Fingerprint, Algorithm: "tv-opt",
-		Include: []string{"articulation", "bridges", "components", "blockcut"}}
-	ask := func(req bccRequest) bccResponse {
-		t.Helper()
-		resp, data := postBCC(t, ts, req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, data)
-		}
-		var out bccResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	want := ask(full) // miss: views computed alongside the engine run
-	if want.Cached || len(want.ArticulationPoints) == 0 || want.BlockCut == nil {
-		t.Fatalf("baseline response unusable: %+v", want)
-	}
-	assertViews := func(got bccResponse, when string) {
-		t.Helper()
-		if fmt.Sprint(got.ArticulationPoints) != fmt.Sprint(want.ArticulationPoints) ||
-			fmt.Sprint(got.Bridges) != fmt.Sprint(want.Bridges) ||
-			len(got.Components) != len(want.Components) ||
-			got.BlockCut == nil || got.BlockCut.NumBlocks != want.BlockCut.NumBlocks {
-			t.Fatalf("%s: derived views differ from computed ones: %+v vs %+v", when, got, want)
-		}
-	}
-
-	// Hit on the entry the include-ful miss created.
-	assertViews(ask(full), "plain cache hit")
-
-	// Replace the entry with one created by a scrub recompute: corrupt the
-	// spilled record, evict the resident entry by querying another graph,
-	// and let the repair ladder rebuild it include-free.
-	g2, _ := bicc.RandomConnectedGraph(40, 80, 9)
-	up2 := uploadGraph(t, ts, g2, "")
-	ask(bccRequest{Graph: up2.Fingerprint, Algorithm: "tv-opt"}) // demotes graph 1
-	d := s.dur.Load()
-	for _, k := range d.spill.Keys() {
-		if strings.HasPrefix(k, up.Fingerprint) {
-			flipByte(t, d.spill.Path(k), 20)
-		}
-	}
-	rep, err := s.RunScrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := scrubTier(t, rep, "spill"); tr.Repaired != 1 {
-		t.Fatalf("spill tier = %+v, want 1 repaired", tr)
-	}
-	assertViews(ask(full), "after scrub recompute")
 }
 
 // scrubTier plucks one tier's report out of a cycle report.
@@ -312,10 +148,20 @@ func TestScrubWALRepairByCompaction(t *testing.T) {
 	}
 }
 
-// TestScrubQuarantineAndHealthz drops an unparseable garbage artifact into
-// the spill directory: nothing can repair it, so the scrubber must move it
-// to quarantine, flip /healthz to 503, surface it on /statsz, and keep
-// reporting it after a restart.
+// blockSnapshot puts a directory where the next compaction of the store at
+// generation gen writes its snapshot, so that compaction fails as it would
+// on a full disk.
+func blockSnapshot(t *testing.T, dir string, gen uint64) {
+	t.Helper()
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snap-%08d.bin.tmp", gen+1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScrubQuarantineAndHealthz damages the WAL while the compaction that
+// would repair it cannot write its snapshot: nothing can heal the segment,
+// so the scrubber must move it to quarantine, flip /healthz to 503,
+// surface it on /statsz, and keep reporting it after a restart.
 func TestScrubQuarantineAndHealthz(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
@@ -330,23 +176,26 @@ func TestScrubQuarantineAndHealthz(t *testing.T) {
 	}
 
 	d := s.dur.Load()
-	stray := d.spill.Path("stray-key")
-	if err := os.WriteFile(stray, []byte("not a result frame"), 0o644); err != nil {
-		t.Fatal(err)
+	files := d.store.ScrubFiles()
+	if len(files) != 1 || files[0].Snapshot {
+		t.Fatalf("scrub files = %+v, want the one WAL segment", files)
 	}
+	wal := files[0].Path
+	flipByte(t, wal, 10)
+	blockSnapshot(t, dir, d.store.Generation())
 	rep, err := s.RunScrub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := scrubTier(t, rep, "spill")
+	tr := scrubTier(t, rep, "wal")
 	if tr.Corrupt != 1 || tr.Repaired != 0 || tr.Quarantined != 1 {
-		t.Fatalf("spill tier = %+v, want 1 corrupt quarantined", tr)
+		t.Fatalf("wal tier = %+v, want 1 corrupt quarantined", tr)
 	}
-	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatal("quarantined artifact still in the spill directory")
+	if _, err := os.Stat(wal); !os.IsNotExist(err) {
+		t.Fatal("quarantined segment still in the data directory")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(stray))); err != nil {
-		t.Fatalf("artifact not in the quarantine directory: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(wal))); err != nil {
+		t.Fatalf("segment not in the quarantine directory: %v", err)
 	}
 
 	var hz struct {
@@ -389,34 +238,6 @@ func TestScrubQuarantineAndHealthz(t *testing.T) {
 	}
 }
 
-// TestHealthzVerifyFailures pins the boot-verification readiness contract:
-// any spilled result dropped by re-verification at recovery flips /healthz
-// until the operator (or a scrub repair) resolves it.
-func TestHealthzVerifyFailures(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
-	ts := newHTTPServer(t, s)
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz clean: %d", code)
-	}
-	s.dur.Load().verifyFailures.Store(2)
-	var hz struct {
-		Status         string `json:"status"`
-		VerifyFailures int64  `json:"verify_failures"`
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || hz.VerifyFailures != 2 {
-		t.Fatalf("healthz with verify failures: %d %+v, want 503 with the count", resp.StatusCode, hz)
-	}
-}
-
 // TestAdminScrubEndpoint runs a cycle through POST /v1/admin/scrub and
 // checks the report shape on the wire.
 func TestAdminScrubEndpoint(t *testing.T) {
@@ -446,7 +267,7 @@ func TestAdminScrubEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Checked == 0 || fmt.Sprint(rep.Tiers) != "[{wal} {spill} {ring}]" {
-		t.Fatalf("wire report = %+v, want the wal, spill and ring tiers with at least the WAL checked", rep)
+	if rep.Checked == 0 || fmt.Sprint(rep.Tiers) != "[{wal} {ring}]" {
+		t.Fatalf("wire report = %+v, want the wal and ring tiers with at least the WAL checked", rep)
 	}
 }

@@ -63,7 +63,14 @@ type Config struct {
 	Queue int
 	// CacheEntries bounds retained query results; <= 0 means 256.
 	CacheEntries int
+	// MemBudget bounds the estimated resident bytes of retained query
+	// results and their per-block indexes; past it the least recently used
+	// results are dropped. <= 0 leaves only the CacheEntries bound.
+	MemBudget int64
 	// MaxGraphBytes bounds the registry's resident size; <= 0 means 1 GiB.
+	// It also bounds the vertex count of an upload or a mutation, at 4
+	// bytes per vertex: past it the request gets 400 before anything is
+	// sized by that count.
 	MaxGraphBytes int64
 	// MaxBodyBytes bounds the request body of a graph upload, a BCC query
 	// and a mutation batch; oversize requests get 413. <= 0 means 256 MiB.
@@ -192,7 +199,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		registry:  NewRegistry(cfg.MaxGraphBytes),
-		cache:     NewResultCache(cfg.CacheEntries),
+		cache:     NewResultCache(cfg.CacheEntries, cfg.MemBudget),
 		admission: NewAdmission(cfg.Workers, cfg.Queue),
 		metrics:   obs.NewRegistry(),
 		breakers:  map[string]*Breaker{},
@@ -228,6 +235,9 @@ func (s *Server) registerLiveMetrics() {
 	reg.GaugeFunc("bicc_cached_results",
 		"Completed query results retained by the cache.",
 		func() float64 { return float64(s.cache.Len()) })
+	reg.GaugeFunc("bicc_result_cache_mem_bytes",
+		"Estimated resident bytes of the in-memory result cache.",
+		func() float64 { return float64(s.cache.Bytes()) })
 	reg.GaugeFunc("bicc_graphs",
 		"Graphs resident in the registry.",
 		func() float64 { return float64(s.registry.Len()) })
@@ -323,22 +333,22 @@ func parseAlgorithm(s string) (bicc.Algorithm, error) {
 	return bicc.ParseAlgorithm(s)
 }
 
-// readGraph parses a graph from r. With normalize set, self loops and
-// duplicate edges are dropped (and counted) instead of rejected.
-func readGraph(r io.Reader, format string, normalize bool) (g *bicc.Graph, loops, dups int, err error) {
-	if !normalize {
-		switch format {
-		case "", "text":
-			g, err = bicc.ReadGraph(r)
-		case "dimacs":
-			g, err = bicc.ReadGraphDIMACS(r)
-		case "binary":
-			g, err = bicc.ReadGraphBinary(r)
-		default:
-			err = fmt.Errorf("unknown format %q", format)
-		}
-		return g, 0, 0, err
+// checkVertices refuses a vertex count past MaxGraphBytes at 4 bytes per
+// vertex, the least any engine array over the vertices costs. Callers check
+// before anything is sized by n.
+func (s *Server) checkVertices(n int64) error {
+	if limit := s.cfg.MaxGraphBytes / 4; n > limit {
+		return fmt.Errorf("%d vertices exceed the %d that -max-graph-bytes %d allows at 4 bytes per vertex",
+			n, limit, s.cfg.MaxGraphBytes)
 	}
+	return nil
+}
+
+// readGraph parses a graph from r and checks its vertex count before
+// validating it. With normalize set, self loops and duplicate edges are
+// dropped (and counted) instead of rejected; DIMACS input is always
+// normalized, uncounted unless normalize is set.
+func (s *Server) readGraph(r io.Reader, format string, normalize bool) (g *bicc.Graph, loops, dups int, err error) {
 	var el *graph.EdgeList
 	switch format {
 	case "", "text":
@@ -350,10 +360,21 @@ func readGraph(r io.Reader, format string, normalize bool) (g *bicc.Graph, loops
 	default:
 		err = fmt.Errorf("unknown format %q", format)
 	}
+	if err == nil {
+		err = s.checkVertices(int64(el.N))
+	}
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return bicc.NewGraphNormalized(int(el.N), el.Edges)
+	switch {
+	case normalize:
+		return bicc.NewGraphNormalized(int(el.N), el.Edges)
+	case format == "dimacs":
+		g, _, _, err = bicc.NewGraphNormalized(int(el.N), el.Edges)
+	default:
+		g, err = bicc.AdoptGraph(int(el.N), el.Edges)
+	}
+	return g, 0, 0, err
 }
 
 // --- graph endpoints -------------------------------------------------------
@@ -381,7 +402,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	clock := newStageClock()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	q := r.URL.Query().Get("normalize")
-	g, loops, dups, err := readGraph(body, r.URL.Query().Get("format"), q == "1" || q == "true")
+	g, loops, dups, err := s.readGraph(body, r.URL.Query().Get("format"), q == "1" || q == "true")
 	if err != nil {
 		// A body truncated at the cap mid-record surfaces as a parse error
 		// before the reader reports the cap; probing the remaining body
@@ -453,7 +474,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
-	g, loops, dups, err := readGraph(f, format, req.Normalize)
+	g, loops, dups, err := s.readGraph(f, format, req.Normalize)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parsing %s: %v", req.Path, err)
 		return
@@ -565,6 +586,12 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 
 // --- query endpoint --------------------------------------------------------
 
+// maxProcs caps the procs a query may ask for; more answers 400. An engine
+// starts its workers up front without polling for cancellation, so an
+// absurd value would hold an admission worker long after its client left.
+// At 1024, sample sort's procs × procs bucket counts stay at 4 MiB.
+const maxProcs = 1024
+
 type bccRequest struct {
 	Graph     string   `json:"graph"` // fingerprint from /v1/graphs
 	Algorithm string   `json:"algorithm,omitempty"`
@@ -601,9 +628,8 @@ type queryResult struct {
 	// the cache entry but is only serialized for requests asking ?trace=1.
 	Trace *obs.TraceExport `json:"trace,omitempty"`
 	// edgeComp is the raw per-edge component labeling the views above were
-	// derived from. Unexported so it never serializes in responses; the
-	// durability layer persists it alongside the JSON view so recovered
-	// results can be re-checked with bicc.Verify.
+	// derived from. Unexported so it never serializes in responses; views
+	// a later query asks for are derived from it.
 	edgeComp []int32
 }
 
@@ -654,6 +680,10 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	procs := req.Procs
 	if procs < 0 {
 		procs = 0
+	}
+	if procs > maxProcs {
+		writeError(w, http.StatusBadRequest, "procs %d exceeds the limit of %d", procs, maxProcs)
+		return
 	}
 	// Graph pointer and generation come from one registry transaction: a
 	// concurrent mutation must never pair the old edge list with the new
@@ -760,10 +790,10 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error, what string) {
 // the entry does not carry, reporting whether it derived any. The result
 // cache is keyed by (graph, generation, algorithm, procs) — not by the
 // include set — so a hit may have been created by a query that asked for
-// fewer views, by a per-block query or a scrub repair, which ask for none.
-// Deriving the missing views from the persisted labeling keeps answers
-// independent of which query populated the cache. Only the copy is
-// written; the caller hands it to ResultCache.AddViews to keep the views.
+// fewer views, or by a per-block query, which asks for none. Deriving the
+// missing views from the entry's edge labeling keeps answers independent
+// of which query populated the cache. Only the copy is written; the caller
+// hands it to ResultCache.AddViews to keep the views.
 func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string]bool) (bool, error) {
 	missing := (include["articulation"] && qr.ArticulationPoints == nil) ||
 		(include["bridges"] && qr.Bridges == nil) ||
@@ -990,16 +1020,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"breakers": breakers,
 	}
 	// Integrity failures are the one thing that flips readiness to 503:
-	// results that failed boot-time re-verification, or artifacts the
-	// scrubber had to quarantine, mean local durable state cannot be fully
-	// trusted and an operator (or the router) should look at this node.
+	// artifacts the scrubber had to quarantine mean local durable state
+	// cannot be fully trusted and an operator (or the router) should look
+	// at this node.
 	code := http.StatusOK
-	if d := s.dur.Load(); d != nil {
-		if n := d.verifyFailures.Load(); n > 0 {
-			status, code = "unhealthy", http.StatusServiceUnavailable
-			body["verify_failures"] = n
-		}
-	}
 	if sc := s.scrubs.Load(); sc != nil {
 		if q := sc.quarantineList(); len(q) > 0 {
 			status, code = "unhealthy", http.StatusServiceUnavailable
@@ -1035,6 +1059,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 		QueueDepth:    s.admission.QueueDepth(),
 		Inflight:      s.admission.Inflight(),
 		CachedResults: s.cache.Len(),
+		CacheMemBytes: s.cache.Bytes(),
 		Graphs:        s.registry.Len(),
 		GraphBytes:    s.registry.Bytes(),
 		EnginePanics:  s.stats.EnginePanics.Load(),
@@ -1056,7 +1081,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 		}
 	}
 	if d := s.dur.Load(); d != nil {
-		snap.Durability = d.snapshot(s.cache)
+		snap.Durability = d.snapshot()
 	}
 	if s.incr.batches.Load() > 0 {
 		snap.Incr = s.incr.snapshot()

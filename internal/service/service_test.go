@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -236,6 +238,92 @@ func TestUploadHugeHeaderCount(t *testing.T) {
 	}
 	if code, _, msg := postRawGraph(t, ts, "format=text", text.Bytes()); code != http.StatusOK {
 		t.Fatalf("upload after the huge header: %d %s", code, msg)
+	}
+}
+
+// allocatedDuring returns how many bytes the process allocated while f ran.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestUploadHugeVertexCount: a header declaring two billion vertices used
+// to reach the duplicate-edge check, which allocated 8 GB for them and
+// killed bccd. Every format, with and without normalize, now answers 400
+// naming the count before anything is sized by it, and the server keeps
+// serving.
+func TestUploadHugeVertexCount(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var bin bytes.Buffer
+	if err := bicc.WriteGraphBinary(&bin, testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(bin.Bytes()[4:], 2_000_000_000)
+	for _, body := range []struct{ format, data string }{
+		{"text", "p 2000000000 2\n0 1\n1 2\n"},
+		{"dimacs", "p edge 2000000000 2\ne 1 2\ne 2 3\n"},
+		{"binary", bin.String()},
+	} {
+		for _, norm := range []string{"", "&normalize=1"} {
+			var code int
+			var msg string
+			alloc := allocatedDuring(func() {
+				code, _, msg = postRawGraph(t, ts, "format="+body.format+norm, []byte(body.data))
+			})
+			if code != http.StatusBadRequest || !strings.Contains(msg, "2000000000 vertices") {
+				t.Fatalf("%s%s: %d %s, want 400 naming the vertex count", body.format, norm, code, msg)
+			}
+			if alloc >= 64<<20 {
+				t.Fatalf("%s%s: the refused upload allocated %d bytes", body.format, norm, alloc)
+			}
+		}
+	}
+	var text bytes.Buffer
+	if err := bicc.WriteGraph(&text, testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, msg := postRawGraph(t, ts, "format=text", text.Bytes()); code != http.StatusOK {
+		t.Fatalf("upload after the huge vertex counts: %d %s", code, msg)
+	}
+}
+
+// TestQueryProcsCapped: a query asking for two billion workers used to
+// start a goroutine per worker on the only admission worker and never
+// answer, starving every later query. /v1/bcc and the per-block endpoints
+// now answer 400 past maxProcs, at once, and the next query is served.
+func TestQueryProcsCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cycle, err := bicc.NewGraph(4, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := uploadGraph(t, ts, cycle, "").Fingerprint
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/bcc", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	code, msg := post(fmt.Sprintf(`{"graph": %q, "algorithm": "tv-smp", "procs": 2000000000}`, fp))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "procs 2000000000 exceeds the limit of 1024") {
+		t.Fatalf("procs 2000000000: %d %s, want 400", code, msg)
+	}
+	if code := getJSON(t, ts.URL+"/v1/vertex/0/blocks?graph="+fp+"&procs=2000000000", nil); code != http.StatusBadRequest {
+		t.Fatalf("per-block procs 2000000000: status %d, want 400", code)
+	}
+	if code, msg := post(fmt.Sprintf(`{"graph": %q, "algorithm": "sequential"}`, fp)); code != http.StatusOK {
+		t.Fatalf("sequential query after the refused one: %d %s", code, msg)
+	}
+	if code, msg := post(fmt.Sprintf(`{"graph": %q, "algorithm": "sequential", "procs": %d}`, fp, maxProcs)); code != http.StatusOK {
+		t.Fatalf("procs at the cap: %d %s", code, msg)
 	}
 }
 

@@ -59,6 +59,10 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 			writeError(w, http.StatusBadRequest, "bad procs %q", ps)
 			return nil, nil, false
 		}
+		if procs > maxProcs {
+			writeError(w, http.StatusBadRequest, "procs %d exceeds the limit of %d", procs, maxProcs)
+			return nil, nil, false
+		}
 	}
 	// As on /v1/bcc, a timeout_ms <= 0 means the default.
 	timeout := s.cfg.DefaultTimeout

@@ -132,8 +132,8 @@ func checkBlockAnswers(t *testing.T, ts *httptest.Server, qs string, g *bicc.Gra
 // TestShardHTTPDifferential is the service-level differential harness: the
 // per-block endpoints must answer byte-for-byte what the monolithic
 // decomposition implies, for every vertex and block, across algorithms —
-// on a fresh entry, on an entry demoted to spill and promoted back, and on
-// a mutated graph served from maintained labels.
+// on a fresh entry, on an entry evicted and recomputed, and on a mutated
+// graph served from maintained labels.
 func TestShardHTTPDifferential(t *testing.T) {
 	el := gen.RandomConnected(120, 300, 11)
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
@@ -156,10 +156,9 @@ func TestShardHTTPDifferential(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{})
 	fp := uploadGraph(t, ts, g, "").Fingerprint
-	// A one-byte budget demotes every entry but the newest to spill.
-	ds, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir(), MemBudget: 1})
-	dts := newHTTPServer(t, ds)
-	uploadGraph(t, dts, g, "")
+	// A one-byte budget evicts every entry but the newest.
+	es, ets := newTestServer(t, Config{MemBudget: 1})
+	uploadGraph(t, ets, g, "")
 	_, mts := newTestServer(t, Config{})
 	uploadGraph(t, mts, g, "")
 	mustMutate(t, mts, fp, []mutationDelta{{Op: "insert", U: ins.U, V: ins.V}})
@@ -173,18 +172,18 @@ func TestShardHTTPDifferential(t *testing.T) {
 			qs := fmt.Sprintf("?graph=%s&algorithm=%s&procs=2", fp, algoName)
 			checkBlockAnswers(t, ts, qs, g, algo)
 
-			// Spill leg: build the entry's index, push the entry out to
-			// spill by inserting another key, then query it back.
-			if code := getJSON(t, dts.URL+"/v1/vertex/0/blocks"+qs, nil); code != http.StatusOK {
-				t.Fatalf("spill leg warm-up: status %d", code)
+			// Eviction leg: build the entry's index, evict the entry by
+			// inserting another key, then query it back.
+			if code := getJSON(t, ets.URL+"/v1/vertex/0/blocks"+qs, nil); code != http.StatusOK {
+				t.Fatalf("eviction leg warm-up: status %d", code)
 			}
-			if r, body := postBCC(t, dts, bccRequest{Graph: fp, Algorithm: algoName, Procs: 1}); r.StatusCode != http.StatusOK {
-				t.Fatalf("spill leg eviction query: status %d: %s", r.StatusCode, body)
+			if r, body := postBCC(t, ets, bccRequest{Graph: fp, Algorithm: algoName, Procs: 1}); r.StatusCode != http.StatusOK {
+				t.Fatalf("eviction leg eviction query: status %d: %s", r.StatusCode, body)
 			}
-			hits := ds.Snapshot().Durability.SpillHits
-			checkBlockAnswers(t, dts, qs, g, algo)
-			if ds.Snapshot().Durability.SpillHits == hits {
-				t.Fatal("spill leg: the entry was never promoted back from spill")
+			computations := es.Snapshot().Computations
+			checkBlockAnswers(t, ets, qs, g, algo)
+			if es.Snapshot().Computations != computations+1 {
+				t.Fatal("eviction leg: the evicted entry was not recomputed exactly once")
 			}
 
 			checkBlockAnswers(t, mts, qs, mutated, algo)
@@ -235,8 +234,7 @@ func TestShardQueryReusesCachedDecomposition(t *testing.T) {
 // against one cache entry: the index is built exactly once, and its bytes
 // are charged to the result cache.
 func TestShardIndexBuiltOncePerEntry(t *testing.T) {
-	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir(), MemBudget: 1 << 30})
-	ts := newHTTPServer(t, s)
+	s, ts := newTestServer(t, Config{MemBudget: 1 << 30})
 	el := gen.Caterpillar(16, 3)
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
 	if err != nil {
@@ -397,13 +395,13 @@ func TestShardDegradedResultAnswersUncached(t *testing.T) {
 	}
 }
 
-// TestShardSpillDemotionPromotion runs per-block queries under a memory
+// TestShardEvictionRebuildsIndex runs per-block queries under a memory
 // budget that holds exactly two results: an index's bytes push the other
-// entry out to spill, a demoted entry loses its index, and the entry
-// promoted back builds it anew — with every answer unchanged.
-func TestShardSpillDemotionPromotion(t *testing.T) {
-	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
-	ts := newHTTPServer(t, s)
+// entry out, an evicted entry loses its index, and the next per-block
+// query recomputes the entry and builds its index anew — with every answer
+// unchanged.
+func TestShardEvictionRebuildsIndex(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
 	el := gen.Caterpillar(16, 3) // one block per edge: a sizable index
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
 	if err != nil {
@@ -415,29 +413,28 @@ func TestShardSpillDemotionPromotion(t *testing.T) {
 			t.Fatalf("bcc: status %d: %s", r.StatusCode, body)
 		}
 	}
-	s.cache.SetDurable(s.dur.Load().spill, s.cache.Bytes())
+	s.cache.mu.Lock()
+	s.cache.memBudget = s.cache.bytes
+	s.cache.mu.Unlock()
 
 	qs := func(procs int) string {
 		return fmt.Sprintf("?graph=%s&algorithm=sequential&procs=%d", up.Fingerprint, procs)
 	}
-	step := func(procs int, builds, writes int64) {
+	step := func(procs int, builds, computations int64) {
 		t.Helper()
 		checkBlockAnswers(t, ts, qs(procs), g, bicc.Sequential)
 		snap := s.Snapshot()
 		if n := s.stats.ShardBuilds.Load(); n != builds {
 			t.Fatalf("procs=%d: %d index builds, want %d", procs, n, builds)
 		}
-		if snap.Durability.SpillWrites != writes || snap.CachedResults != 1 {
-			t.Fatalf("procs=%d: spill writes %d, cached results %d; want %d and 1",
-				procs, snap.Durability.SpillWrites, snap.CachedResults, writes)
+		if snap.Computations != computations || snap.CachedResults != 1 {
+			t.Fatalf("procs=%d: %d computations, %d cached results; want %d and 1",
+				procs, snap.Computations, snap.CachedResults, computations)
 		}
 	}
-	step(2, 1, 1) // the procs=2 index pushes the procs=1 entry out
-	step(1, 2, 2) // promoted back: procs=2 goes out, procs=1 rebuilds its index
-	step(2, 3, 3) // procs=2 lost its index on demotion and rebuilds it
-	if s.Snapshot().Durability.SpillHits != 2 {
-		t.Fatalf("spill hits %d, want 2 promotions", s.Snapshot().Durability.SpillHits)
-	}
+	step(2, 1, 2) // the procs=2 index pushes the procs=1 entry out
+	step(1, 2, 3) // recomputed: procs=2 goes out, procs=1 rebuilds its index
+	step(2, 3, 4) // procs=2 lost its index on eviction and rebuilds it
 }
 
 // TestShardDeleteGraphDropsShardState proves DELETE /v1/graphs/{fp} removes
@@ -472,13 +469,12 @@ func TestShardDeleteGraphDropsShardState(t *testing.T) {
 }
 
 // TestShardConcurrentQueriesDuringBuildAndEviction hammers the endpoints
-// concurrently across two engines while builds, demotions and promotions
-// are in flight; run under -race this is the service-level data-race net
-// for the per-block path.
+// concurrently across two engines while builds, evictions and
+// recomputations are in flight; run under -race this is the service-level
+// data-race net for the per-block path.
 func TestShardConcurrentQueriesDuringBuildAndEviction(t *testing.T) {
 	// A queue lets the two engines' first computations wait for the worker.
-	s, _ := durableServer(t, Config{Queue: -1}, DurabilityConfig{Dir: t.TempDir(), MemBudget: 3_000})
-	ts := newHTTPServer(t, s)
+	_, ts := newTestServer(t, Config{Queue: -1, MemBudget: 3_000})
 	el := gen.Caterpillar(12, 2)
 	g, err := bicc.NewGraph(int(el.N), el.Edges)
 	if err != nil {
@@ -594,4 +590,62 @@ func TestShardTimeoutParam(t *testing.T) {
 			t.Fatalf("timeout_ms=%s: status %d, %+v", dflt, code, vb)
 		}
 	}
+}
+
+// TestIncludeViewsDerivedOnCacheHit pins that the include views a query
+// asks for never depend on which query populated the cache: the result
+// cache is keyed without the include set, so a hit on an entry a per-block
+// query created (it asks for no views) must still serve the articulation,
+// bridges, components and blockcut views, derived on the fly from the
+// entry's edge labeling.
+func TestIncludeViewsDerivedOnCacheHit(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: 1})
+	up := uploadGraph(t, ts, testGraph(t), "")
+	full := bccRequest{Graph: up.Fingerprint, Algorithm: "tv-opt",
+		Include: []string{"articulation", "bridges", "components", "blockcut"}}
+	ask := func(req bccRequest) bccResponse {
+		t.Helper()
+		resp, data := postBCC(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var out bccResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	want := ask(full) // miss: views computed alongside the engine run
+	if want.Cached || len(want.ArticulationPoints) == 0 || want.BlockCut == nil {
+		t.Fatalf("baseline response unusable: %+v", want)
+	}
+	assertViews := func(got bccResponse, when string) {
+		t.Helper()
+		if !got.Cached {
+			t.Fatalf("%s: not served from the cache", when)
+		}
+		if fmt.Sprint(got.ArticulationPoints) != fmt.Sprint(want.ArticulationPoints) ||
+			fmt.Sprint(got.Bridges) != fmt.Sprint(want.Bridges) ||
+			fmt.Sprint(got.Components) != fmt.Sprint(want.Components) ||
+			got.BlockCut == nil || fmt.Sprint(*got.BlockCut) != fmt.Sprint(*want.BlockCut) {
+			t.Fatalf("%s: derived views differ from computed ones: %+v vs %+v", when, got, want)
+		}
+	}
+
+	// Hit on the entry the include-ful miss created.
+	assertViews(ask(full), "plain cache hit")
+
+	// Replace the entry with one a per-block query creates: evict it by
+	// querying another graph, then ask a per-block question about the first.
+	g2, _ := bicc.RandomConnectedGraph(40, 80, 9)
+	up2 := uploadGraph(t, ts, g2, "")
+	ask(bccRequest{Graph: up2.Fingerprint, Algorithm: "tv-opt"})
+	if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks?graph="+up.Fingerprint+"&algorithm=tv-opt", nil); code != http.StatusOK {
+		t.Fatalf("vertex blocks: status %d", code)
+	}
+	if n := s.Snapshot().Computations; n != 3 {
+		t.Fatalf("%d computations, want 3: the per-block query must recompute the evicted entry", n)
+	}
+	assertViews(ask(full), "hit on the per-block query's entry")
 }

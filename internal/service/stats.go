@@ -87,6 +87,7 @@ type StatsSnapshot struct {
 	QueueDepth    int     `json:"queue_depth"`
 	Inflight      int     `json:"inflight"`
 	CachedResults int     `json:"cached_results"`
+	CacheMemBytes int64   `json:"result_cache_mem_bytes"`
 	Graphs        int     `json:"graphs"`
 	GraphBytes    int64   `json:"graph_bytes"`
 	// Fault-isolation telemetry.
