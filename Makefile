@@ -177,18 +177,21 @@ test-scrub:
 
 # Planner suite. test-plan runs (race-enabled) the plan package's golden
 # decision table and breaker-filter property tests, and the service tests:
-# the fast-bcc-at-p=1 acceptance check, ?explain=1 echo-vs-dispatch with
-# identical repeats routed identically, open-breaker avoidance, the
-# planner-on vs planner-off differential harness (BCC + incr mutations +
-# per-block endpoints, byte-equal answers), the /statsz plan golden, and the
-# rejection of an unknown plan mode. fuzz-plan hammers feature extraction
-# with arbitrary graph shapes: no panics, every class in range.
+# sequential at a pinned p=1, ?explain=1 echo-vs-dispatch with identical
+# repeats routed identically, open-breaker avoidance, the planner-on vs
+# planner-off differential harness (BCC + incr mutations + per-block
+# endpoints, byte-equal answers), the /statsz plan golden, features that
+# follow mutations and re-uploads, a plan step that allocates nothing, and
+# the rejection of an unknown plan mode. fuzz-plan drives Decide with
+# arbitrary counts, pinned procs, MaxProcs and breaker masks: every decision
+# total, deterministic, allowed, within its procs range and at the head of
+# a score-sorted explain slate.
 test-plan:
 	$(GO) test -race ./internal/plan -count=1
 	$(GO) test -race -run 'Plan' ./internal/service -count=1
 
 fuzz-plan:
-	$(GO) test ./internal/plan -run FuzzNothing -fuzz FuzzFeatures -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/plan -run FuzzNothing -fuzz FuzzDecide -fuzztime $(FUZZTIME)
 
 fuzz-repl:
 	$(GO) test ./internal/repl -run FuzzNothing -fuzz FuzzReadMsg$$ -fuzztime $(FUZZTIME)
@@ -219,7 +222,7 @@ lint-obs:
 # (standby differential harness + multi-process node-kill failover), the
 # self-healing suite (scrubber + WAL/snapshot bit-rot chaos harness + repl
 # frame fuzzing), the planner suite (golden decision table + differential
-# harness + feature fuzzing), and the benchmark module's tests.
+# harness + decision fuzzing), and the benchmark module's tests.
 ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:

@@ -38,7 +38,6 @@ import (
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
-	"bicc/internal/plan"
 )
 
 // phaseSeconds is the live per-phase breakdown of every engine run — the
@@ -264,13 +263,6 @@ var ErrNilGraph = errors.New("bicc: nil graph")
 // context.DeadlineExceeded so the supervisor can tell "this attempt was too
 // slow" (retry, then degrade) from "the caller's deadline passed" (give up).
 var ErrAttemptTimeout = errors.New("bicc: parallel attempt exceeded AttemptTimeout")
-
-// FeaturesFor extracts g's feature vector with pl. The bridge exists
-// because plan.Planner operates on the internal edge-list type the public
-// Graph wraps.
-func FeaturesFor(pl *plan.Planner, g *Graph) plan.Features {
-	return pl.FeaturesOf(g.el)
-}
 
 // ResolveAlgorithm reports the engine Auto selects for g at the given worker
 // count under the static rule (the paper's density rule: Sequential for one

@@ -65,10 +65,10 @@
 //
 // With -plan adaptive (the default), algorithm:"auto" queries are routed by
 // the per-request query planner instead of the paper's static §4 rule: every
-// (engine, procs) candidate is scored by a calibrated prior cost model over
-// the graph's features (size, density, diameter class), engines with an
-// open circuit breaker are excluded, and the cheapest candidate picks both
-// the engine and the parallelism degree. Identical queries always route
+// (engine, procs) candidate is scored by a cost model fitted to timed engine
+// runs, from the graph's vertex and edge counts alone, engines with an open
+// circuit breaker are excluded, and the cheapest candidate picks both the
+// engine and the parallelism degree. Identical queries always route
 // identically. ?explain=1 on /v1/bcc echoes the decision; /statsz gains a
 // "plan" section. -plan off restores the static rule.
 //
@@ -180,7 +180,7 @@ func main() {
 	replAckTimeout := flag.Duration("repl-ack-timeout", 0, "bound on the per-write standby-ack wait (0 = 2s)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background scrub cycle cadence (0 = manual cycles via POST /v1/admin/scrub only)")
 	scrubBudget := flag.Int64("scrub-budget", 0, "bytes re-verified per scrub cycle; cursors resume next cycle (0 = unlimited)")
-	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule) or adaptive (plan engine+procs from graph features)")
+	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule) or adaptive (plan engine+procs from the graph's vertex and edge counts)")
 	var loads loadFlags
 	flag.Var(&loads, "load", "preload a graph at startup: name=path or just path (repeatable; format by extension)")
 	flag.Parse()

@@ -299,7 +299,7 @@ func appendPlanRows(report *benchReport, instances []bench.Instance, procsList [
 		}
 		for _, p := range procsList {
 			pl := plan.New(plan.Config{MaxProcs: p})
-			d := pl.Decide(pl.FeaturesOf(el), p, false)
+			d := pl.Decide(plan.Extract(p, el), p, false)
 			for _, row := range []struct{ name, engine string }{
 				{"auto-static", bicc.ResolveAlgorithm(g, bicc.Auto, p).String()},
 				{"auto-plan", d.Engine},

@@ -163,11 +163,12 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 }
 
 // With returns the counter for the given label values, creating it on first
-// use.
+// use. Once the series exists it allocates nothing: the panic message joins
+// values rather than boxing them, so they stay on the caller's stack.
 func (v *CounterVec) With(values ...string) *Counter {
 	ch := v.fam.get(values, func() *child { return &child{c: &Counter{}} })
 	if ch.c == nil {
-		panic(fmt.Sprintf("obs: metric %q series %v is callback-backed", v.fam.name, values))
+		panic(fmt.Sprintf("obs: metric %q series [%s] is callback-backed", v.fam.name, strings.Join(values, " ")))
 	}
 	return ch.c
 }

@@ -1,13 +1,18 @@
 package plan
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
+	"bicc/internal/engine"
 	"bicc/internal/graph"
+	"bicc/internal/obs"
 )
 
 // checkFeatures asserts the invariants Extract promises on any input: total
-// (no panic, checked by arriving here) and all classes in range.
+// (no panic, checked by arriving here), the counts echoed and every class
+// in range.
 func checkFeatures(t *testing.T, g *graph.EdgeList, f Features) {
 	t.Helper()
 	if f.N != int(g.N) || f.M != len(g.Edges) {
@@ -19,19 +24,15 @@ func checkFeatures(t *testing.T, g *graph.EdgeList, f Features) {
 	if f.DensityClass < 0 || f.DensityClass > 2 {
 		t.Fatalf("density class %d out of range", f.DensityClass)
 	}
-	if f.DiamClass < DiamLow || f.DiamClass > DiamHigh {
-		t.Fatalf("diam class %d out of range", f.DiamClass)
-	}
-	if f.Depth < 0 || (f.N > 0 && int(f.Depth) >= f.N) {
-		t.Fatalf("depth %d impossible for n=%d", f.Depth, f.N)
+	if f.DiamClass != 0 {
+		t.Fatalf("diam class %d, want 0", f.DiamClass)
 	}
 	if f.Density < 0 {
 		t.Fatalf("negative density %g", f.Density)
 	}
 }
 
-// TestExtractShapes covers the named degenerate shapes directly, so the
-// invariants hold even when the fuzzer only runs its seed corpus.
+// TestExtractShapes covers the named degenerate shapes directly.
 func TestExtractShapes(t *testing.T) {
 	star := func(n int32) *graph.EdgeList {
 		g := &graph.EdgeList{N: n}
@@ -60,52 +61,50 @@ func TestExtractShapes(t *testing.T) {
 		}},
 		"isolated-zero": {N: 5, Edges: []graph.Edge{{U: 3, V: 4}}},
 	}
-	for name, g := range cases {
-		f := Extract(2, g)
-		checkFeatures(t, g, f)
-		switch name {
-		case "chain":
-			if f.DiamClass != DiamHigh {
-				t.Errorf("chain: diam class %d, want high", f.DiamClass)
-			}
-		case "star":
-			if f.DiamClass != DiamLow {
-				t.Errorf("star: diam class %d, want low", f.DiamClass)
-			}
-		case "empty", "single-vertex", "edgeless":
-			if f.Depth != 0 {
-				t.Errorf("%s: depth=%d, want 0", name, f.Depth)
-			}
-		}
+	for _, g := range cases {
+		checkFeatures(t, g, Extract(2, g))
 	}
 }
 
-// FuzzFeatures decodes arbitrary bytes into a graph and asserts Extract's
-// invariants. The encoding: first two bytes pick n in [0, 512), the rest
-// pair up into edges with endpoints reduced mod n — every byte string is a
-// valid graph, including multi-edges, self-loops, and isolated vertices.
-func FuzzFeatures(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 1})
-	f.Add([]byte{1, 0, 0, 0})                         // single vertex, self-loop
-	f.Add([]byte{0, 16, 0, 1, 1, 2, 2, 3})            // short chain
-	f.Add([]byte{2, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // star-ish
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := &graph.EdgeList{}
-		if len(data) >= 2 {
-			g.N = int32(data[0])<<1 | int32(data[1])>>7
-			data = data[2:]
+// FuzzDecide drives the planner with arbitrary counts, pinned procs,
+// MaxProcs and open-breaker mask (bit i blocks EngineOrder[i]) and asserts
+// that every decision is total and deterministic, names an allowed engine
+// (sequential when none is allowed), runs at the pin or within
+// [1, MaxProcs], and heads an explain slate sorted by score.
+func FuzzDecide(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint16(0), uint8(0), uint8(0))
+	f.Add(uint32(16000), uint32(96000), uint16(0), uint8(2), uint8(0))
+	f.Add(uint32(100000), uint32(1000000), uint16(2), uint8(8), uint8(1<<1)) // fast-bcc blocked
+	f.Add(uint32(35001), uint32(140000), uint16(1), uint8(1), uint8(1))      // sequential blocked
+	f.Add(uint32(1), uint32(4_000_000_000), uint16(1024), uint8(255), uint8(0x1f))
+	f.Fuzz(func(t *testing.T, n, m uint32, pinned uint16, maxProcs, mask uint8) {
+		allow := func(eng string) bool { return mask&(1<<slices.Index(EngineOrder, eng)) == 0 }
+		p := New(Config{MaxProcs: int(maxProcs), Registry: obs.NewRegistry(), Allow: allow})
+		feat := Of(int(n), int(m))
+		pin := int(pinned % 2048)
+		d := p.Decide(feat, pin, false)
+		if again := p.Decide(feat, pin, false); again.Engine != d.Engine || again.Procs != d.Procs {
+			t.Fatalf("decisions diverged: %+v then %+v", d, again)
 		}
-		if g.N > 0 {
-			for i := 0; i+1 < len(data); i += 2 {
-				g.Edges = append(g.Edges, graph.Edge{
-					U: int32(data[i]) % g.N,
-					V: int32(data[i+1]) % g.N,
-				})
-			}
+		noneAllowed := true
+		for _, eng := range EngineOrder {
+			noneAllowed = noneAllowed && !allow(eng)
 		}
-		for _, p := range []int{1, 2, 4} {
-			checkFeatures(t, g, Extract(p, g))
+		if !allow(d.Engine) && (!noneAllowed || d.Engine != engine.Sequential) {
+			t.Fatalf("mask %05b: chose blocked engine %s", mask, d.Engine)
+		}
+		if d.Procs != pin && (d.Procs < 1 || d.Procs > p.maxProcs) {
+			t.Fatalf("procs %d: pin %d, max %d", d.Procs, pin, p.maxProcs)
+		}
+		x := p.Decide(feat, pin, true)
+		if len(x.Candidates) == 0 || x.Engine != d.Engine || x.Procs != d.Procs {
+			t.Fatalf("explained decision %+v, plain %+v", x, d)
+		}
+		if head := x.Candidates[0]; head.Engine != d.Engine || head.Procs != d.Procs {
+			t.Fatalf("slate head %+v, decision %+v", head, d)
+		}
+		if !slices.IsSortedFunc(x.Candidates, func(a, b Candidate) int { return cmp.Compare(a.ScoreNs, b.ScoreNs) }) {
+			t.Fatalf("slate not sorted by score: %+v", x.Candidates)
 		}
 	})
 }

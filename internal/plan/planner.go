@@ -1,12 +1,12 @@
 package plan
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"sync"
 
 	"bicc/internal/engine"
-	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
 )
@@ -31,7 +31,7 @@ type Config struct {
 type Candidate struct {
 	Engine string `json:"engine"`
 	Procs  int    `json:"procs"`
-	// ScoreNs is the prior cost model's latency estimate the decision ranks
+	// ScoreNs is the fitted cost model's latency estimate the decision ranks
 	// by (lower wins).
 	ScoreNs int64 `json:"score_ns"`
 }
@@ -50,11 +50,13 @@ type Decision struct {
 // filter. Safe for concurrent use.
 type Planner struct {
 	maxProcs int
-	allow    func(engine string) bool
+	// procs are the unpinned parallelism choices: powers of two below
+	// maxProcs, then maxProcs.
+	procs []int
+	allow func(engine string) bool
 
 	decisions    *obs.CounterVec
 	procsCounter *obs.CounterVec
-	extractions  *obs.Counter
 	fallbacks    *obs.Counter
 
 	mu       sync.Mutex
@@ -74,15 +76,18 @@ func New(c Config) *Planner {
 	if reg == nil {
 		reg = obs.Default()
 	}
+	var procs []int
+	for q := 1; q < maxProcs; q *= 2 {
+		procs = append(procs, q)
+	}
 	return &Planner{
 		maxProcs: maxProcs,
+		procs:    append(procs, maxProcs),
 		allow:    c.Allow,
 		decisions: reg.CounterVec("bicc_plan_decisions_total",
 			"Planner decisions by chosen engine.", "engine"),
 		procsCounter: reg.CounterVec("bicc_plan_procs_total",
 			"Planner decisions by chosen parallelism degree.", "procs"),
-		extractions: reg.Counter("bicc_plan_feature_extractions_total",
-			"Feature-vector computations."),
 		fallbacks: reg.Counter("bicc_plan_fallbacks_total",
 			"Decisions where every candidate engine was filtered out and the planner fell back to sequential."),
 		byEngine: map[string]int64{},
@@ -90,82 +95,73 @@ func New(c Config) *Planner {
 	}
 }
 
-// FeaturesOf extracts g's feature vector with the planner's analysis
-// workers. It keeps nothing: a caller planning one graph repeatedly keeps
-// the vector with the graph's identity.
-func (p *Planner) FeaturesOf(g *graph.EdgeList) Features {
-	p.extractions.Inc()
-	return Extract(p.maxProcs, g)
-}
-
 // Decide picks the engine and parallelism for a request with feature vector
 // f. pinnedProcs > 0 means the caller fixed the parallelism degree (the
 // request named procs explicitly) and the planner only chooses the engine;
 // 0 lets the planner choose both. When explain is true the returned Decision
-// carries the full scored candidate slate.
+// carries the full scored candidate slate, best first; otherwise Decide
+// allocates nothing.
 func (p *Planner) Decide(f Features, pinnedProcs int, explain bool) Decision {
-	cands := p.score(f, pinnedProcs)
-	d := Decision{Engine: cands[0].Engine, Procs: cands[0].Procs}
-	if explain {
-		d.Candidates = cands
+	procs := p.procs
+	if pinnedProcs > 0 {
+		one := [1]int{pinnedProcs}
+		procs = one[:]
 	}
-
-	procs := strconv.Itoa(d.Procs)
-	p.decisions.With(d.Engine).Inc()
-	p.procsCounter.With(procs).Inc()
-	p.mu.Lock()
-	p.total++
-	p.byEngine[d.Engine]++
-	p.byProcs[procs]++
-	p.mu.Unlock()
-	return d
-}
-
-// score builds and ranks the candidate slate, best first.
-func (p *Planner) score(f Features, pinnedProcs int) []Candidate {
-	procsSet := p.procsChoices(pinnedProcs)
-	cands := make([]Candidate, 0, len(EngineOrder)*len(procsSet))
+	var best Candidate
+	var slate []Candidate
+	found := false
 	for _, eng := range EngineOrder {
 		if p.allow != nil && !p.allow(eng) {
 			continue
 		}
-		for _, procs := range procsSet {
-			if eng == engine.Sequential && procs > 1 {
+		for _, q := range procs {
+			if eng == engine.Sequential && q > 1 {
 				continue // the DFS baseline cannot use more workers
 			}
-			cands = append(cands, candidate(f, eng, procs))
+			c := candidate(f, eng, q)
+			// Strictly cheaper only: EngineOrder, then ascending procs, is
+			// the tie-break.
+			if !found || c.ScoreNs < best.ScoreNs {
+				best, found = c, true
+			}
+			if explain {
+				slate = append(slate, c)
+			}
 		}
 	}
-	if len(cands) == 0 {
+	if !found {
 		// Every engine filtered out (all breakers open): sequential is the
 		// supervisor's own last resort, so degrade to it rather than fail.
+		best = candidate(f, engine.Sequential, 1)
+		if explain {
+			slate = append(slate, best)
+		}
 		p.fallbacks.Inc()
-		p.mu.Lock()
-		p.fellBack++
-		p.mu.Unlock()
-		cands = append(cands, candidate(f, engine.Sequential, 1))
 	}
-	// Stable sort keeps EngineOrder (then ascending procs) as the tie-break.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].ScoreNs < cands[j].ScoreNs })
-	return cands
+	d := Decision{Engine: best.Engine, Procs: best.Procs}
+	if explain {
+		// Stable, so the slate's head is the decision.
+		slices.SortStableFunc(slate, func(a, b Candidate) int { return cmp.Compare(a.ScoreNs, b.ScoreNs) })
+		d.Candidates = slate
+	}
+
+	procsLabel := strconv.Itoa(d.Procs)
+	p.decisions.With(d.Engine).Inc()
+	p.procsCounter.With(procsLabel).Inc()
+	p.mu.Lock()
+	p.total++
+	p.byEngine[d.Engine]++
+	p.byProcs[procsLabel]++
+	if !found {
+		p.fellBack++
+	}
+	p.mu.Unlock()
+	return d
 }
 
 // candidate scores eng at procs workers by the prior cost model.
 func candidate(f Features, eng string, procs int) Candidate {
 	return Candidate{Engine: eng, Procs: procs, ScoreNs: int64(priorNs(eng, procs, f))}
-}
-
-// procsChoices returns the parallelism degrees to consider: the pinned value
-// alone, or powers of two up to (and including) the cap.
-func (p *Planner) procsChoices(pinned int) []int {
-	if pinned > 0 {
-		return []int{pinned}
-	}
-	var out []int
-	for q := 1; q < p.maxProcs; q *= 2 {
-		out = append(out, q)
-	}
-	return append(out, p.maxProcs)
 }
 
 // Snapshot is the /statsz plan section.

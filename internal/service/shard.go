@@ -89,7 +89,7 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 	}
 
 	if s.planner != nil && algo == bicc.Auto {
-		algo, procs, _, _ = s.planDecide(fp, g, procs, false)
+		algo, procs, _, _ = s.planDecide(g, procs, false)
 	}
 	key := resultKey{fp: fp, gen: info.Generation, algo: algo, procs: procs}
 	res, _, err := s.lookup(ctx, key, g, nil)
