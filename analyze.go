@@ -22,10 +22,11 @@ type Stats struct {
 }
 
 // Analyze computes summary statistics with the given worker count
-// (0 = GOMAXPROCS).
+// (0 = GOMAXPROCS). Its BFS runs read the graph's CSR.
 func Analyze(g *Graph, procs int) Stats {
 	p := par.Procs(procs)
-	_, ds := graph.Degrees(p, g.el)
+	c, _ := g.gr.CSR(p)
+	_, ds := graph.Degrees(p, g.gr.EdgeList)
 	st := Stats{
 		Vertices:  g.NumVertices(),
 		Edges:     g.NumEdges(),
@@ -33,10 +34,10 @@ func Analyze(g *Graph, procs int) Stats {
 		MaxDegree: int(ds.Max),
 		MeanDeg:   ds.Mean,
 		Isolated:  ds.Isolated,
-		Connected: graph.IsConnected(p, g.el),
+		Connected: graph.IsConnected(c),
 	}
 	if g.NumVertices() > 0 {
-		st.DiameterLB = int(graph.DiameterTwoSweep(p, g.el, 0))
+		st.DiameterLB = int(graph.DiameterTwoSweep(c, 0))
 	}
 	return st
 }
@@ -45,5 +46,7 @@ func Analyze(g *Graph, procs int) Stats {
 // analysis-sized graphs; Analyze's two-sweep bound scales to paper-sized
 // instances).
 func Diameter(g *Graph, procs int) int {
-	return int(graph.Diameter(par.Procs(procs), g.el))
+	p := par.Procs(procs)
+	c, _ := g.gr.CSR(p)
+	return int(graph.Diameter(p, c))
 }

@@ -56,7 +56,7 @@ func BenchmarkFig3(b *testing.B) {
 			for _, p := range procs {
 				b.Run(fmt.Sprintf("%s/%s/p=%d", density, algo.Name, p), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := algo.Run(nil, nil, p, g); err != nil {
+						if _, err := algo.Run(nil, nil, p, graph.Wrap(g)); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -77,7 +77,7 @@ func BenchmarkFig4(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", density, algo.Name), func(b *testing.B) {
 				totals := map[string]float64{}
 				for i := 0; i < b.N; i++ {
-					res, err := algo.Run(nil, nil, p, g)
+					res, err := algo.Run(nil, nil, p, graph.Wrap(g))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -197,14 +197,14 @@ func BenchmarkAblationFilter(b *testing.B) {
 		g := gen.RandomConnected(benchN, mult*benchN, 99)
 		b.Run(fmt.Sprintf("m=%dn/tv-opt", mult), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Custom(p, g, core.TVOptConfig()); err != nil {
+				if _, err := core.Custom(p, graph.Wrap(g), core.TVOptConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("m=%dn/tv-filter", mult), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Custom(p, g, core.TVFilterConfig()); err != nil {
+				if _, err := core.Custom(p, graph.Wrap(g), core.TVFilterConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -297,7 +297,7 @@ func BenchmarkAblationRepresentation(b *testing.B) {
 	}
 	b.Run("edge-list", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Custom(p, g, core.TVOptConfig()); err != nil {
+			if _, err := core.Custom(p, graph.Wrap(g), core.TVOptConfig()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -305,7 +305,7 @@ func BenchmarkAblationRepresentation(b *testing.B) {
 	b.Run("adjacency-matrix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			el := mat.ToEdgeList()
-			if _, err := core.Custom(p, el, core.TVOptConfig()); err != nil {
+			if _, err := core.Custom(p, graph.Wrap(el), core.TVOptConfig()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -321,7 +321,7 @@ func BenchmarkScaling(b *testing.B) {
 		g := gen.RandomConnected(n, 4*n, int64(n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Custom(p, g, core.TVFilterConfig()); err != nil {
+				if _, err := core.Custom(p, graph.Wrap(g), core.TVFilterConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -336,14 +336,14 @@ func BenchmarkAblationTourConstruction(b *testing.B) {
 	g := benchGraph(4 * benchN)
 	b.Run("sequential-emission", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Custom(p, g, core.Config{SpanningTree: core.SpanWorkStealing}); err != nil {
+			if _, err := core.Custom(p, graph.Wrap(g), core.Config{SpanningTree: core.SpanWorkStealing}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("computed-level-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Custom(p, g, core.Config{SpanningTree: core.SpanWorkStealing, ParallelTour: true}); err != nil {
+			if _, err := core.Custom(p, graph.Wrap(g), core.Config{SpanningTree: core.SpanWorkStealing, ParallelTour: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -50,9 +50,13 @@ var phaseSeconds = obs.Default().HistogramVec("bicc_phase_seconds",
 // Edge is one undirected edge between vertices U and V.
 type Edge = graph.Edge
 
-// Graph is an undirected simple graph on vertices [0, N).
+// Graph is an undirected simple graph on vertices [0, N). It is immutable.
+// The first call that needs adjacency (any engine but TVSMP, or
+// SparseCertificate, CountBlocks, Analyze or Diameter) builds the graph's
+// CSR, 16m + 4(n+1) bytes, and the graph keeps it for every later call,
+// whatever the engine or worker count.
 type Graph struct {
-	el *graph.EdgeList
+	gr *graph.Graph
 }
 
 // NewGraph builds a graph from n vertices and an edge list. It rejects
@@ -73,8 +77,11 @@ func AdoptGraph(n int, edges []Edge) (*Graph, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
-	return &Graph{el: el}, nil
+	return wrap(el), nil
 }
+
+// wrap returns el as a Graph with no CSR yet.
+func wrap(el *graph.EdgeList) *Graph { return &Graph{gr: graph.Wrap(el)} }
 
 // NewGraphNormalized builds a graph after dropping self loops and
 // deduplicating parallel edges. It reports how many of each were removed.
@@ -93,18 +100,18 @@ func NewGraphNormalized(n int, edges []Edge) (g *Graph, loops, dups int, err err
 		}
 	}
 	norm, loops, dups := el.Normalize()
-	return &Graph{el: norm}, loops, dups, nil
+	return wrap(norm), loops, dups, nil
 }
 
 // NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return int(g.el.N) }
+func (g *Graph) NumVertices() int { return int(g.gr.N) }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.el.Edges) }
+func (g *Graph) NumEdges() int { return len(g.gr.Edges) }
 
 // Edges returns the graph's edges; index i in results refers to this slice.
 // The caller must not modify the returned slice.
-func (g *Graph) Edges() []Edge { return g.el.Edges }
+func (g *Graph) Edges() []Edge { return g.gr.Edges }
 
 // Algorithm selects the biconnected components implementation.
 type Algorithm int
@@ -279,7 +286,7 @@ func ResolveAlgorithm(g *Graph, algo Algorithm, procs int) Algorithm {
 	switch {
 	case p == 1:
 		return Sequential
-	case len(g.el.Edges) >= 4*int(g.el.N):
+	case len(g.gr.Edges) >= 4*int(g.gr.N):
 		return TVFilter
 	default:
 		return TVOpt
@@ -330,11 +337,11 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 	}
 
 	if o.Fallback != FallbackSequential || !eng.Parallel {
-		res, err := runAttempt(ctx, g.el, eng, p, 0, 0)
+		res, err := runAttempt(ctx, g.gr, eng, p, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		return newResult(res, algo, g.el), nil
+		return newResult(res, algo, g.gr.EdgeList), nil
 	}
 
 	// Supervised path: one retry for transient faults (a lost race, an
@@ -342,9 +349,9 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 	// cannot share the parallel runtime's failure modes.
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		res, err := runAttempt(ctx, g.el, eng, p, o.AttemptTimeout, attempt)
+		res, err := runAttempt(ctx, g.gr, eng, p, o.AttemptTimeout, attempt)
 		if err == nil {
-			return newResult(res, algo, g.el), nil
+			return newResult(res, algo, g.gr.EdgeList), nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The caller's context ended — possibly mid-attempt, in which
@@ -354,14 +361,14 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 		lastErr = err
 	}
 	seq, _ := Sequential.engine()
-	res, err := runAttempt(ctx, g.el, seq, 1, 0, 2)
+	res, err := runAttempt(ctx, g.gr, seq, 1, 0, 2)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
 		return nil, fmt.Errorf("bicc: sequential fallback (after %v) failed: %w", lastErr, err)
 	}
-	out := newResult(res, Sequential, g.el)
+	out := newResult(res, Sequential, g.gr.EdgeList)
 	out.Degraded = true
 	out.DegradedCause = lastErr
 	return out, nil
@@ -373,7 +380,7 @@ func BiconnectedComponentsCtx(ctx context.Context, g *Graph, opt *Options) (*Res
 // obs trace, the run becomes one span named after the engine (labeled
 // with the attempt number and worker count) with a child span per pipeline
 // phase, so ?trace=1 on bccd shows exactly which attempt ran which phases.
-func runAttempt(ctx context.Context, el *graph.EdgeList, eng engine.Engine, p int, attemptTimeout time.Duration, attempt int) (res *core.Result, err error) {
+func runAttempt(ctx context.Context, g *graph.Graph, eng engine.Engine, p int, attemptTimeout time.Duration, attempt int) (res *core.Result, err error) {
 	cancel := &par.Canceler{}
 	stop := cancel.Watch(ctx)
 	defer stop()
@@ -390,7 +397,7 @@ func runAttempt(ctx context.Context, el *graph.EdgeList, eng engine.Engine, p in
 		}
 		sp.End()
 	}()
-	return eng.Run(cancel, sp, p, el)
+	return eng.Run(cancel, sp, p, g)
 }
 
 // newResult converts a core result into the public shape and, when

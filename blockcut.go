@@ -53,7 +53,7 @@ func CountBlocks(g *Graph, opt *Options) (int, error) {
 	if opt != nil {
 		procs = opt.Procs
 	}
-	return core.CountBlocks(procs, g.el)
+	return core.CountBlocks(procs, g.gr)
 }
 
 // ComponentSubgraph extracts block k as a standalone graph with compact
@@ -67,5 +67,5 @@ func (r *Result) ComponentSubgraph(k int32) (sub *Graph, vertexMap, edgeMap []in
 		}
 	}
 	el, vertexMap := core.Subgraph(r.g.Edges, edgeMap)
-	return &Graph{el: el}, vertexMap, edgeMap
+	return wrap(el), vertexMap, edgeMap
 }

@@ -19,7 +19,8 @@ import (
 // downstream biconnectivity computation, shrinking dense inputs to linear
 // size first.
 //
-// edgeMap[j] gives the index in g of the certificate's edge j.
+// edgeMap[j] gives the index in g of the certificate's edge j. The BFS
+// reads g's CSR.
 func SparseCertificate(g *Graph, opt *Options) (cert *Graph, edgeMap []int32, err error) {
 	if g == nil {
 		return nil, nil, ErrNilGraph
@@ -30,17 +31,17 @@ func SparseCertificate(g *Graph, opt *Options) (cert *Graph, edgeMap []int32, er
 	}
 	p := par.Procs(procs)
 	m := g.NumEdges()
-	c := graph.ToCSR(p, g.el)
+	c, _ := g.gr.CSR(p)
 	t := spantree.BFS(p, c)
 	inT := t.TreeEdgeMark(p, m)
 	nontreeIDs := prefix.Compact(p, m, func(i int) bool { return !inT[i] })
 	nontreeEdges := make([]Edge, len(nontreeIDs))
 	par.For(p, len(nontreeIDs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			nontreeEdges[i] = g.el.Edges[nontreeIDs[i]]
+			nontreeEdges[i] = g.gr.Edges[nontreeIDs[i]]
 		}
 	})
-	ff := spantree.SV(p, g.el.N, nontreeEdges)
+	ff := spantree.SV(p, g.gr.N, nontreeEdges)
 	keep := make([]bool, m)
 	par.For(p, m, func(lo, hi int) {
 		copy(keep[lo:hi], inT[lo:hi])
@@ -54,8 +55,8 @@ func SparseCertificate(g *Graph, opt *Options) (cert *Graph, edgeMap []int32, er
 	edges := make([]Edge, len(edgeMap))
 	par.For(p, len(edgeMap), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			edges[i] = g.el.Edges[edgeMap[i]]
+			edges[i] = g.gr.Edges[edgeMap[i]]
 		}
 	})
-	return &Graph{el: &graph.EdgeList{N: g.el.N, Edges: edges}}, edgeMap, nil
+	return wrap(&graph.EdgeList{N: g.gr.N, Edges: edges}), edgeMap, nil
 }

@@ -19,7 +19,7 @@ func RandomGraph(n, m int, seed int64) (g *Graph, err error) {
 			err = errString("bicc: " + r.(string))
 		}
 	}()
-	return &Graph{el: gen.Random(n, m, seed)}, nil
+	return wrap(gen.Random(n, m, seed)), nil
 }
 
 // RandomConnectedGraph returns a connected random graph: a random spanning
@@ -31,23 +31,23 @@ func RandomConnectedGraph(n, m int, seed int64) (g *Graph, err error) {
 			err = errString("bicc: " + r.(string))
 		}
 	}()
-	return &Graph{el: gen.RandomConnected(n, m, seed)}, nil
+	return wrap(gen.RandomConnected(n, m, seed)), nil
 }
 
 // MeshGraph returns an r x c grid graph, vertex ids row-major.
-func MeshGraph(r, c int) *Graph { return &Graph{el: gen.Mesh(r, c)} }
+func MeshGraph(r, c int) *Graph { return wrap(gen.Mesh(r, c)) }
 
 // TorusGraph returns an r x c torus.
-func TorusGraph(r, c int) *Graph { return &Graph{el: gen.Torus(r, c)} }
+func TorusGraph(r, c int) *Graph { return wrap(gen.Torus(r, c)) }
 
 // ChainGraph returns a path on n vertices — the paper's pathological
 // large-diameter case.
-func ChainGraph(n int) *Graph { return &Graph{el: gen.Chain(n)} }
+func ChainGraph(n int) *Graph { return wrap(gen.Chain(n)) }
 
 // DenseGraph returns a graph retaining the given fraction of all possible
 // edges (the Woo–Sahni experimental regime).
 func DenseGraph(n int, frac float64, seed int64) *Graph {
-	return &Graph{el: gen.Dense(n, frac, seed)}
+	return wrap(gen.Dense(n, frac, seed))
 }
 
 // ReadGraph parses the textual edge-list format ("p <n> <m>" header then
@@ -57,12 +57,12 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{el: el}, nil
+	return wrap(el), nil
 }
 
 // WriteGraph serializes g in the textual edge-list format.
 func WriteGraph(w io.Writer, g *Graph) error {
-	return graph.Write(w, g.el)
+	return graph.Write(w, g.gr.EdgeList)
 }
 
 type errString string
@@ -80,12 +80,12 @@ func ReadGraphDIMACS(r io.Reader) (*Graph, error) {
 	if err := norm.Validate(); err != nil {
 		return nil, err
 	}
-	return &Graph{el: norm}, nil
+	return wrap(norm), nil
 }
 
 // WriteGraphDIMACS serializes g in the DIMACS edge format.
 func WriteGraphDIMACS(w io.Writer, g *Graph) error {
-	return graph.WriteDIMACS(w, g.el)
+	return graph.WriteDIMACS(w, g.gr.EdgeList)
 }
 
 // ReadGraphBinary parses the compact binary edge-list format.
@@ -94,24 +94,24 @@ func ReadGraphBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{el: el}, nil
+	return wrap(el), nil
 }
 
 // WriteGraphBinary serializes g in the compact binary edge-list format
 // (about 10x faster to parse than the text format at paper scale).
 func WriteGraphBinary(w io.Writer, g *Graph) error {
-	return graph.WriteBinary(w, g.el)
+	return graph.WriteBinary(w, g.gr.EdgeList)
 }
 
 // PreferentialAttachmentGraph returns a scale-free graph (Barabási–Albert
 // style): each new vertex attaches ~k edges to earlier vertices with
 // degree-biased choice.
 func PreferentialAttachmentGraph(n, k int, seed int64) *Graph {
-	return &Graph{el: gen.PreferentialAttachment(n, k, seed)}
+	return wrap(gen.PreferentialAttachment(n, k, seed))
 }
 
 // GeometricGraph returns a random geometric graph: n points in the unit
 // square, edges between pairs within distance r.
 func GeometricGraph(n int, r float64, seed int64) *Graph {
-	return &Graph{el: gen.Geometric(n, r, seed)}
+	return wrap(gen.Geometric(n, r, seed))
 }

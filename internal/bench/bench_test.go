@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bicc/internal/core"
 	"bicc/internal/engine"
 )
 
@@ -152,6 +153,12 @@ func TestFig4Output(t *testing.T) {
 		if m.Algo != "fast-bcc" && skel != 0 {
 			t.Errorf("%s reports skeleton time %v", m.Algo, skel)
 		}
+		// Every repetition solves a fresh graph, so each engine that reads
+		// the CSR converts it first; TV-SMP never needs it.
+		converted := len(m.Phases) > 0 && m.Phases[0].Name == core.PhaseToCSR
+		if converted != (m.Algo != "tv-smp") {
+			t.Errorf("%s: phases %v, to-csr first = %v", m.Algo, m.Phases, converted)
+		}
 	}
 }
 
@@ -209,8 +216,8 @@ func TestFig4CSV(t *testing.T) {
 	if len(rows) != len(ms)+1 {
 		t.Fatalf("%d CSV rows, want %d", len(rows), len(ms)+1)
 	}
-	if len(rows[0]) != 5+9 {
-		t.Errorf("header has %d columns, want 14: %v", len(rows[0]), rows[0])
+	if len(rows[0]) != 5+10 {
+		t.Errorf("header has %d columns, want 15: %v", len(rows[0]), rows[0])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bicc/internal/conncomp"
 	"bicc/internal/graph"
 	"bicc/internal/par"
-	"bicc/internal/prefix"
 	"bicc/internal/treecomp"
 )
 
@@ -20,10 +19,14 @@ type auxGraph struct {
 	condCount [3]int
 }
 
-// buildAux implements Algorithm 1: number the nontree edges with a prefix
-// sum, test the three R'c conditions in parallel into a 3m-slot staging
-// area (slots [0,m) for condition 1, [m,2m) for condition 2, [2m,3m) for
-// condition 3), and compact the staged edges with a prefix sum.
+// buildAux implements Algorithm 1, writing G' at its exact size. A first
+// pass over each worker's block of edges counts the pairs each of the
+// three R'c conditions contributes; a scan over the 3×p counts gives every
+// block its output offset per condition; a second pass over the same
+// blocks writes each pair at its final place. E' lists the condition-1
+// pairs, then condition 2, then condition 3, each in edge order. Every
+// nontree edge yields exactly one condition-1 pair, so its condition-1
+// offset is also its number among the nontree edges (the paper's N array).
 //
 // Conditions (preorder comparisons, per §2):
 //  1. nontree g=(u,v) with pre(v) < pre(u) pairs g with tree edge (u,p(u)).
@@ -33,55 +36,76 @@ type auxGraph struct {
 func buildAux(p int, edges []graph.Edge, isTree []bool, td *treecomp.TreeData, low, high []int32) *auxGraph {
 	n := td.N
 	m := len(edges)
-	// Number nontree edges by prefix sum (the paper's N array).
-	ntIdx := make([]int32, m)
-	par.For(p, m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !isTree[i] {
-				ntIdx[i] = 1
-			}
-		}
-	})
-	numNontree := prefix.ExclusiveSum32(p, ntIdx)
-	aux := &auxGraph{n: n + numNontree, ntIdx: ntIdx}
-	// Staging area L' of 3m slots.
-	staged := make([]graph.Edge, 3*m)
-	valid := make([]bool, 3*m)
-	par.For(p, m, func(lo, hi int) {
+	p = par.Procs(p)
+	// next[w][k] counts block w's condition-(k+1) pairs, then holds the
+	// offset of its next one.
+	next := make([][3]int, p)
+	par.ForWorker(p, m, func(w, lo, hi int) {
+		var c [3]int
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			if isTree[i] {
-				// Condition 3: child side u, parent side v = p(u).
-				u, v := e.U, e.V
-				if td.Parent[u] != v {
-					u, v = v, u
+				if _, _, ok := cond3(td, low, high, e); ok {
+					c[2]++
 				}
-				if !td.IsRoot(v) && (low[u] < td.Pre[v] || high[u] >= td.Pre[v]+td.Size[v]) {
-					staged[2*m+i] = graph.Edge{U: u, V: v}
-					valid[2*m+i] = true
+				continue
+			}
+			c[0]++
+			if !td.Related(e.U, e.V) {
+				c[1]++
+			}
+		}
+		next[w] = c
+	})
+	aux := &auxGraph{}
+	total := 0
+	for k := range aux.condCount {
+		start := total
+		for w := range next {
+			c := next[w][k]
+			next[w][k] = total
+			total += c
+		}
+		aux.condCount[k] = total - start
+	}
+	out := make([]graph.Edge, total)
+	ntIdx := make([]int32, m)
+	par.ForWorker(p, m, func(w, lo, hi int) {
+		at := next[w]
+		for i := lo; i < hi; i++ {
+			e := edges[i]
+			if isTree[i] {
+				if u, v, ok := cond3(td, low, high, e); ok {
+					out[at[2]] = graph.Edge{U: u, V: v}
+					at[2]++
 				}
 				continue
 			}
 			u, v := e.U, e.V
 			if td.Pre[u] < td.Pre[v] {
-				u, v = v, u // ensure pre(v) < pre(u)
+				u, v = v, u
 			}
-			// Condition 1: nontree edge joins the tree edge above its
-			// higher-preorder endpoint.
-			staged[i] = graph.Edge{U: u, V: n + ntIdx[i]}
-			valid[i] = true
-			// Condition 2: unrelated endpoints join their two tree edges.
+			ntIdx[i] = int32(at[0])
+			out[at[0]] = graph.Edge{U: u, V: n + int32(at[0])}
+			at[0]++
 			if !td.Related(u, v) {
-				staged[m+i] = graph.Edge{U: u, V: v}
-				valid[m+i] = true
+				out[at[1]] = graph.Edge{U: u, V: v}
+				at[1]++
 			}
 		}
 	})
-	aux.edges = prefix.CompactInto(p, staged, func(i int) bool { return valid[i] }, make([]graph.Edge, 3*m))
-	for k := 0; k < 3; k++ {
-		aux.condCount[k] = par.CountTrue(p, m, func(i int) bool { return valid[k*m+i] })
-	}
+	aux.n, aux.edges, aux.ntIdx = n+int32(aux.condCount[0]), out, ntIdx
 	return aux
+}
+
+// cond3 orders tree edge e as (child u, parent v) and reports whether it
+// meets condition 3.
+func cond3(td *treecomp.TreeData, low, high []int32, e graph.Edge) (u, v int32, ok bool) {
+	u, v = e.U, e.V
+	if td.Parent[u] != v {
+		u, v = v, u
+	}
+	return u, v, !td.IsRoot(v) && (low[u] < td.Pre[v] || high[u] >= td.Pre[v]+td.Size[v])
 }
 
 // tvTail finishes any TV variant: build G' (Label-edge step), run

@@ -50,7 +50,7 @@ type algo struct {
 
 // preset binds a pipeline configuration as a runner.
 func preset(cfg Config) func(p int, g *graph.EdgeList) (*Result, error) {
-	return func(p int, g *graph.EdgeList) (*Result, error) { return Custom(p, g, cfg) }
+	return func(p int, g *graph.EdgeList) (*Result, error) { return Custom(p, graph.Wrap(g), cfg) }
 }
 
 func algorithms() []algo {
@@ -236,7 +236,7 @@ func TestEveryEdgeInExactlyOneComponent(t *testing.T) {
 
 func TestPhasesRecorded(t *testing.T) {
 	g := gen.RandomConnected(100, 300, 9)
-	res, err := Custom(2, g, TVFilterConfig())
+	res, err := Custom(2, graph.Wrap(g), TVFilterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDenseWooSahniStyle(t *testing.T) {
 	for _, frac := range []float64{0.7, 0.9} {
 		g := gen.Dense(60, frac, 8)
 		want := Sequential(g)
-		got, err := Custom(2, g, TVFilterConfig())
+		got, err := Custom(2, graph.Wrap(g), TVFilterConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

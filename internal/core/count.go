@@ -13,7 +13,7 @@ import (
 // CountBlocks returns the exact number of biconnected components, computed
 // with the TV-filter pipeline (the block labels of the filtered edges never
 // change the count, so step 4 of Alg. 2 is skipped).
-func CountBlocks(p int, g *graph.EdgeList) (int, error) {
+func CountBlocks(p int, g *graph.Graph) (int, error) {
 	res, err := Custom(p, g, TVFilterConfig())
 	if err != nil {
 		return 0, err
@@ -38,10 +38,10 @@ func CountBlocks(p int, g *graph.EdgeList) (int, error) {
 // nontree edges {4,2} and {1,3} in two disjoint components of G−T, so the
 // rule reports 2. TestTwoBFSBlockCountIsUpperBound documents the bound;
 // use CountBlocks for the exact value.
-func TwoBFSBlockCount(p int, g *graph.EdgeList) (int, error) {
+func TwoBFSBlockCount(p int, g *graph.Graph) (int, error) {
 	p = par.Procs(p)
 	m := len(g.Edges)
-	c := graph.ToCSR(p, g)
+	c, _ := g.CSR(p)
 	t := spantree.BFS(p, c)
 	inT := t.TreeEdgeMark(p, m)
 	// Non-trivial blocks (upper bound): components of G−T containing at

@@ -12,7 +12,7 @@ import (
 func TestCountBlocksKnown(t *testing.T) {
 	for name, fx := range fixtures() {
 		want := Sequential(fx.g).NumComp
-		got, err := CountBlocks(2, fx.g)
+		got, err := CountBlocks(2, graph.Wrap(fx.g))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -30,7 +30,7 @@ func TestQuickCountBlocksMatchesFull(t *testing.T) {
 		m := int(mm) % (maxM + 1)
 		g := gen.Random(n, m, seed)
 		want := Sequential(g).NumComp
-		got, err := CountBlocks(2, g)
+		got, err := CountBlocks(2, graph.Wrap(g))
 		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -49,7 +49,7 @@ func TestTwoBFSBlockCountIsUpperBound(t *testing.T) {
 		m := int(mm) % (maxM + 1)
 		g := gen.Random(n, m, seed)
 		exact := Sequential(g).NumComp
-		bound, err := TwoBFSBlockCount(2, g)
+		bound, err := TwoBFSBlockCount(2, graph.Wrap(g))
 		return err == nil && bound >= exact
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -70,7 +70,7 @@ func TestTwoBFSBlockCountCounterexample(t *testing.T) {
 	if exact != 1 {
 		t.Fatalf("fixture is expected to be biconnected, got %d blocks", exact)
 	}
-	bound, err := TwoBFSBlockCount(1, g)
+	bound, err := TwoBFSBlockCount(1, graph.Wrap(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTwoBFSBlockCountExactCases(t *testing.T) {
 		"binarytree": {gen.BinaryTree(15), 14},
 	}
 	for name, c := range cases {
-		got, err := TwoBFSBlockCount(2, c.g)
+		got, err := TwoBFSBlockCount(2, graph.Wrap(c.g))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -109,14 +109,14 @@ func TestCountBlocksLargeRandom(t *testing.T) {
 		m := n + rng.Intn(4*n)
 		g := gen.RandomConnected(n, m, int64(trial))
 		want := Sequential(g).NumComp
-		got, err := CountBlocks(4, g)
+		got, err := CountBlocks(4, graph.Wrap(g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Errorf("trial %d (n=%d m=%d): CountBlocks=%d, want %d", trial, n, m, got, want)
 		}
-		bound, err := TwoBFSBlockCount(4, g)
+		bound, err := TwoBFSBlockCount(4, graph.Wrap(g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestPaperFigure1(t *testing.T) {
 			t.Errorf("%s: aux graph has %d edges, paper says %d", name, len(aux.edges), wantAuxE)
 		}
 		// Both graphs are biconnected: the pipeline must report one block.
-		res, err := Custom(1, g, TVOptConfig())
+		res, err := Custom(1, graph.Wrap(g), TVOptConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

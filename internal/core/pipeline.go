@@ -81,14 +81,16 @@ type Config struct {
 	ParallelTour bool
 }
 
-// Custom runs the TV pipeline described by cfg with p workers.
+// Custom runs the TV pipeline described by cfg with p workers. The rooted
+// spanning trees read g's CSR, converting it with p workers (a PhaseToCSR
+// lap) when no earlier call has; SpanSV works on the edge list alone.
 //
 // Custom is a fault boundary: a panic anywhere in the pipeline — in a phase
 // running on this goroutine or re-raised by the par runtime after containing
 // a worker panic — is recovered and returned as a *par.PanicError instead of
 // propagating. Callers therefore see engine bugs as errors, never as
 // crashes.
-func Custom(p int, g *graph.EdgeList, cfg Config) (res *Result, err error) {
+func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, par.AsPanicError(-1, v)
@@ -124,7 +126,10 @@ func Custom(p int, g *graph.EdgeList, cfg Config) (res *Result, err error) {
 		}
 		sw.Lap(PhaseEulerTour)
 	case SpanWorkStealing, SpanBFS:
-		c := graph.ToCSR(p, g)
+		c, fresh := g.CSR(p)
+		if fresh {
+			sw.Lap(PhaseToCSR)
+		}
 		if cfg.SpanningTree == SpanWorkStealing {
 			rooted = spantree.WorkStealingC(cfg.Cancel, p, c)
 		} else {
@@ -150,7 +155,7 @@ func Custom(p int, g *graph.EdgeList, cfg Config) (res *Result, err error) {
 	var origID []int32 // reduced -> global edge ids
 	var keep []bool
 	if cfg.Filter {
-		edges, edgeIsTree, origID, keep = filterNonEssential(cfg.Cancel, p, g, rooted, isTree)
+		edges, edgeIsTree, origID, keep = filterNonEssential(cfg.Cancel, p, g.EdgeList, rooted, isTree)
 		if err := cfg.Cancel.Err(); err != nil {
 			return nil, err
 		}

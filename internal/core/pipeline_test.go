@@ -11,14 +11,14 @@ import (
 func TestCustomRejectsFilterWithoutBFS(t *testing.T) {
 	g := gen.Cycle(5)
 	for _, span := range []SpanningTreeKind{SpanSV, SpanWorkStealing} {
-		if _, err := Custom(2, g, Config{SpanningTree: span, Filter: true}); err == nil {
+		if _, err := Custom(2, graph.Wrap(g), Config{SpanningTree: span, Filter: true}); err == nil {
 			t.Errorf("filter with spanning tree kind %d accepted (Lemma 1 requires BFS)", span)
 		}
 	}
 }
 
 func TestCustomRejectsUnknownKind(t *testing.T) {
-	if _, err := Custom(2, gen.Cycle(4), Config{SpanningTree: SpanningTreeKind(99)}); err == nil {
+	if _, err := Custom(2, graph.Wrap(gen.Cycle(4)), Config{SpanningTree: SpanningTreeKind(99)}); err == nil {
 		t.Error("unknown spanning tree kind accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestCustomAllConfigurations(t *testing.T) {
 	for _, tc := range configs {
 		for gname, g := range inputs {
 			want := Sequential(g)
-			got, err := Custom(2, g, tc.cfg)
+			got, err := Custom(2, graph.Wrap(g), tc.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, gname, err)
 			}
@@ -78,7 +78,7 @@ func TestPresetsMatchCustom(t *testing.T) {
 		"tv-filter": TVFilterConfig(),
 	}
 	for name, cfg := range presets {
-		got, err := Custom(2, g, cfg)
+		got, err := Custom(2, graph.Wrap(g), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

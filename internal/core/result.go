@@ -18,6 +18,11 @@ import (
 
 // Phase names matching the Fig. 4 breakdown.
 const (
+	// PhaseToCSR is the edge-list to CSR conversion, recorded only by the
+	// engine run that builds a graph's CSR (or waits for a concurrent run
+	// building it); later runs on the same graph reuse it and record no
+	// such phase. TV-SMP never needs the CSR.
+	PhaseToCSR        = "to-csr"
 	PhaseSpanningTree = "spanning-tree"
 	PhaseEulerTour    = "euler-tour"
 	PhaseRoot         = "root"
@@ -33,7 +38,7 @@ const (
 
 // PhaseOrder is the canonical ordering of phases for breakdown reports.
 var PhaseOrder = []string{
-	PhaseSpanningTree, PhaseEulerTour, PhaseRoot,
+	PhaseToCSR, PhaseSpanningTree, PhaseEulerTour, PhaseRoot,
 	PhaseLowHigh, PhaseLabelEdge, PhaseConnComp, PhaseFiltering,
 	PhaseSkeleton,
 }

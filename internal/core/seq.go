@@ -20,7 +20,7 @@ var siteSeq = faults.RegisterSite("core.seq", true)
 // explicit DFS stack avoids goroutine-stack limits on deep graphs such as
 // the paper's pathological chain.
 func Sequential(g *graph.EdgeList) *Result {
-	res, _ := SequentialT(nil, nil, g)
+	res, _ := SequentialT(nil, nil, graph.Wrap(g))
 	return res
 }
 
@@ -29,8 +29,9 @@ func Sequential(g *graph.EdgeList) *Result {
 // child span of sp (nil sp records nothing), matching Custom's per-phase
 // span emission. It returns the cancellation cause when cn trips mid-run.
 // Like Custom it is a fault boundary: panics are recovered and returned as
-// *par.PanicError.
-func SequentialT(cn *par.Canceler, sp *obs.Span, g *graph.EdgeList) (res *Result, err error) {
+// *par.PanicError. It reads g's CSR, converting it with one worker (a
+// PhaseToCSR lap) when no earlier call has.
+func SequentialT(cn *par.Canceler, sp *obs.Span, g *graph.Graph) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, par.AsPanicError(-1, v)
@@ -38,7 +39,10 @@ func SequentialT(cn *par.Canceler, sp *obs.Span, g *graph.EdgeList) (res *Result
 	}()
 	faults.Inject(cn, siteSeq, 0, 0)
 	sw := NewStopwatch(sp)
-	c := graph.ToCSR(1, g)
+	c, fresh := g.CSR(1)
+	if fresh {
+		sw.Lap(PhaseToCSR)
+	}
 	n := int(g.N)
 	m := len(g.Edges)
 	edgeComp := make([]int32, m)

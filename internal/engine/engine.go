@@ -26,8 +26,10 @@ const (
 // Runner computes the block decomposition of g with p workers. It polls c
 // (nil means never canceled), mirrors each timed phase as a child span of
 // sp (nil records nothing), and returns contained panics as
-// *par.PanicError values.
-type Runner func(c *par.Canceler, sp *obs.Span, p int, g *graph.EdgeList) (*core.Result, error)
+// *par.PanicError values. Every engine but TV-SMP reads g's CSR, and the
+// run that converts it records a core.PhaseToCSR lap first; no engine
+// writes to it.
+type Runner func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error)
 
 // Engine is one entry of the table.
 type Engine struct {
@@ -41,20 +43,20 @@ type Engine struct {
 // All lists every engine in presentation order. The public bicc.Algorithm
 // constants follow the same order, one past Auto.
 var All = []Engine{
-	{Sequential, false, func(c *par.Canceler, sp *obs.Span, _ int, g *graph.EdgeList) (*core.Result, error) {
+	{Sequential, false, func(c *par.Canceler, sp *obs.Span, _ int, g *graph.Graph) (*core.Result, error) {
 		return core.SequentialT(c, sp, g)
 	}},
 	tv(TVSMP, core.TVSMPConfig()),
 	tv(TVOpt, core.TVOptConfig()),
 	tv(TVFilter, core.TVFilterConfig()),
-	{FastBCC, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.EdgeList) (*core.Result, error) {
+	{FastBCC, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
 		return fastbcc.Run(p, g, fastbcc.Config{Cancel: c, Span: sp})
 	}},
 }
 
 // tv binds a TV pipeline preset to its name.
 func tv(name string, cfg core.Config) Engine {
-	return Engine{name, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.EdgeList) (*core.Result, error) {
+	return Engine{name, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
 		cfg := cfg
 		cfg.Cancel, cfg.Span = c, sp
 		return core.Custom(p, g, cfg)

@@ -71,11 +71,13 @@ type Config struct {
 	Span *obs.Span
 }
 
-// Run computes the biconnected components of g with p workers.
+// Run computes the biconnected components of g with p workers. It reads
+// g's CSR, converting it with p workers (a core.PhaseToCSR lap) when no
+// earlier call has.
 //
 // Like core.Custom it is a fault boundary: a panic anywhere in the pipeline
 // is recovered and returned as a *par.PanicError instead of propagating.
-func Run(p int, g *graph.EdgeList, cfg Config) (res *core.Result, err error) {
+func Run(p int, g *graph.Graph, cfg Config) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, par.AsPanicError(-1, v)
@@ -86,7 +88,10 @@ func Run(p int, g *graph.EdgeList, cfg Config) (res *core.Result, err error) {
 	sw := core.NewStopwatch(cfg.Span)
 
 	// Phase 1: BFS spanning forest.
-	c := graph.ToCSR(p, g)
+	c, fresh := g.CSR(p)
+	if fresh {
+		sw.Lap(core.PhaseToCSR)
+	}
 	f := spantree.BFSC(cfg.Cancel, p, c)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
@@ -107,7 +112,7 @@ func Run(p int, g *graph.EdgeList, cfg Config) (res *core.Result, err error) {
 	sw.Lap(core.PhaseRoot)
 
 	// Phase 3: low/high — seed from non-tree edges, fold bottom-up.
-	low, high := lowHigh(cfg.Cancel, p, g, f, lv, first)
+	low, high := lowHigh(cfg.Cancel, p, g.EdgeList, f, lv, first)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 // canonical labeling of g.
 func mustEqual(t *testing.T, name string, g *graph.EdgeList, got *core.Result) {
 	t.Helper()
-	want, err := core.SequentialT(nil, nil, g)
+	want, err := core.SequentialT(nil, nil, graph.Wrap(g))
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", name, err)
 	}
@@ -59,7 +59,7 @@ func TestFamilies(t *testing.T) {
 	}
 	for name, g := range families {
 		for _, p := range []int{1, 2, 4} {
-			res, err := fastbcc.Run(p, g, fastbcc.Config{})
+			res, err := fastbcc.Run(p, graph.Wrap(g), fastbcc.Config{})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
@@ -95,7 +95,7 @@ func TestRandomDifferential(t *testing.T) {
 		}
 		g := &graph.EdgeList{N: int32(n), Edges: edges}
 		p := 1 + rng.Intn(4)
-		res, err := fastbcc.Run(p, g, fastbcc.Config{})
+		res, err := fastbcc.Run(p, graph.Wrap(g), fastbcc.Config{})
 		if err != nil {
 			t.Fatalf("trial %d (n=%d m=%d p=%d): %v", trial, n, m, p, err)
 		}
@@ -133,7 +133,7 @@ func TestBridgeHeavy(t *testing.T) {
 			edges = append(edges, graph.Edge{U: u, V: v})
 		}
 		g := &graph.EdgeList{N: int32(n), Edges: edges}
-		res, err := fastbcc.Run(2, g, fastbcc.Config{})
+		res, err := fastbcc.Run(2, graph.Wrap(g), fastbcc.Config{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -146,12 +146,12 @@ func TestBridgeHeavy(t *testing.T) {
 // produce, the densified EdgeComp is identical run to run.
 func TestDeterministicAcrossProcs(t *testing.T) {
 	g := gen.RandomConnected(300, 1200, 21)
-	base, err := fastbcc.Run(1, g, fastbcc.Config{})
+	base, err := fastbcc.Run(1, graph.Wrap(g), fastbcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 10; rep++ {
-		res, err := fastbcc.Run(4, g, fastbcc.Config{})
+		res, err := fastbcc.Run(4, graph.Wrap(g), fastbcc.Config{})
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -170,7 +170,7 @@ func TestCancellation(t *testing.T) {
 	cn := &par.Canceler{}
 	cause := fmt.Errorf("stop now")
 	cn.Cancel(cause)
-	if _, err := fastbcc.Run(2, g, fastbcc.Config{Cancel: cn}); err != cause {
+	if _, err := fastbcc.Run(2, graph.Wrap(g), fastbcc.Config{Cancel: cn}); err != cause {
 		t.Fatalf("err = %v, want the cancellation cause", err)
 	}
 }
@@ -180,7 +180,7 @@ func TestCancellation(t *testing.T) {
 func TestPanicContained(t *testing.T) {
 	// An out-of-range edge makes the CSR conversion index out of bounds.
 	g := &graph.EdgeList{N: 2, Edges: []graph.Edge{{U: 0, V: 5}}}
-	res, err := fastbcc.Run(1, g, fastbcc.Config{})
+	res, err := fastbcc.Run(1, graph.Wrap(g), fastbcc.Config{})
 	if res != nil || err == nil {
 		t.Fatalf("res=%v err=%v, want nil + contained panic", res, err)
 	}
@@ -189,24 +189,27 @@ func TestPanicContained(t *testing.T) {
 	}
 }
 
-// TestPhases asserts the run records the engine's five pipeline phases in
-// execution order, so bicc_phase_seconds and bccbench -fig 4 get real rows.
+// TestPhases asserts the run records the engine's six pipeline phases in
+// execution order, so bicc_phase_seconds and bccbench -fig 4 get real rows,
+// preceded by the CSR conversion on the graph's first run only.
 func TestPhases(t *testing.T) {
-	g := gen.RandomConnected(500, 2000, 13)
-	res, err := fastbcc.Run(2, g, fastbcc.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.Wrap(gen.RandomConnected(500, 2000, 13))
 	want := []string{
 		core.PhaseSpanningTree, core.PhaseRoot, core.PhaseLowHigh,
 		core.PhaseSkeleton, core.PhaseConnComp, core.PhaseLabelEdge,
 	}
-	if len(res.Phases) != len(want) {
-		t.Fatalf("recorded %d phases, want %d: %v", len(res.Phases), len(want), res.Phases)
-	}
-	for i, ph := range res.Phases {
-		if ph.Name != want[i] {
-			t.Fatalf("phase %d is %q, want %q", i, ph.Name, want[i])
+	for run, want := range [][]string{append([]string{core.PhaseToCSR}, want...), want} {
+		res, err := fastbcc.Run(2, g, fastbcc.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Phases) != len(want) {
+			t.Fatalf("run %d recorded %d phases, want %d: %v", run, len(res.Phases), len(want), res.Phases)
+		}
+		for i, ph := range res.Phases {
+			if ph.Name != want[i] {
+				t.Fatalf("run %d: phase %d is %q, want %q", run, i, ph.Name, want[i])
+			}
 		}
 	}
 }
@@ -215,11 +218,11 @@ func TestPhases(t *testing.T) {
 // just the DFS oracle): the partitions must agree edge for edge.
 func TestPartitionAgainstTV(t *testing.T) {
 	g := gen.RandomConnected(400, 1600, 17)
-	a, err := fastbcc.Run(3, g, fastbcc.Config{})
+	a, err := fastbcc.Run(3, graph.Wrap(g), fastbcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Custom(3, g, core.TVFilterConfig())
+	b, err := core.Custom(3, graph.Wrap(g), core.TVFilterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,13 +79,12 @@ func bfsDistances(c *CSR, src int32, dist []int32, queue []int32) (ecc int32, re
 // all vertices, taken per connected component (infinite distances between
 // components are ignored; an edgeless graph has diameter 0). Cost is one
 // BFS per vertex — O(n(n+m)) — so use it for analysis-sized graphs and
-// DiameterTwoSweep for large ones.
-func Diameter(p int, g *EdgeList) int32 {
-	n := int(g.N)
+// DiameterTwoSweep for large ones. The BFS runs use p workers.
+func Diameter(p int, c *CSR) int32 {
+	n := int(c.N)
 	if n == 0 {
 		return 0
 	}
-	c := ToCSR(p, g)
 	p = par.Procs(p)
 	if p > n {
 		p = n
@@ -108,16 +107,15 @@ func Diameter(p int, g *EdgeList) int32 {
 // DiameterTwoSweep returns a lower bound on the diameter using the classic
 // double-sweep heuristic: BFS from a start vertex, then BFS from the
 // farthest vertex found. Exact on trees; a tight estimate in practice.
-func DiameterTwoSweep(p int, g *EdgeList, start int32) int32 {
-	if g.N == 0 {
+func DiameterTwoSweep(c *CSR, start int32) int32 {
+	if c.N == 0 {
 		return 0
 	}
-	c := ToCSR(p, g)
-	dist := make([]int32, g.N)
-	queue := make([]int32, 0, g.N)
+	dist := make([]int32, c.N)
+	queue := make([]int32, 0, c.N)
 	bfsDistances(c, start, dist, queue)
 	far := start
-	for v := int32(0); v < g.N; v++ {
+	for v := int32(0); v < c.N; v++ {
 		if dist[v] > dist[far] {
 			far = v
 		}
@@ -126,14 +124,14 @@ func DiameterTwoSweep(p int, g *EdgeList, start int32) int32 {
 	return ecc
 }
 
-// IsConnected reports whether g is connected (vacuously true for n <= 1).
-func IsConnected(p int, g *EdgeList) bool {
-	if g.N <= 1 {
+// IsConnected reports whether the graph is connected (vacuously true for
+// n <= 1).
+func IsConnected(c *CSR) bool {
+	if c.N <= 1 {
 		return true
 	}
-	c := ToCSR(p, g)
-	dist := make([]int32, g.N)
-	queue := make([]int32, 0, g.N)
+	dist := make([]int32, c.N)
+	queue := make([]int32, 0, c.N)
 	_, reached := bfsDistances(c, 0, dist, queue)
-	return reached == int(g.N)
+	return reached == int(c.N)
 }

@@ -33,7 +33,7 @@ func TestDegrees(t *testing.T) {
 
 func TestDiameterChain(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		if d := Diameter(p, chainEL(10)); d != 9 {
+		if d := Diameter(p, ToCSR(p, chainEL(10))); d != 9 {
 			t.Errorf("p=%d: chain diameter=%d, want 9", p, d)
 		}
 	}
@@ -48,16 +48,16 @@ func TestDiameterDisconnected(t *testing.T) {
 	for i := 4; i < 9; i++ {
 		g.Edges = append(g.Edges, Edge{U: int32(i), V: int32(i + 1)})
 	}
-	if d := Diameter(2, g); d != 5 {
+	if d := Diameter(2, ToCSR(2, g)); d != 5 {
 		t.Errorf("diameter=%d, want 5", d)
 	}
 }
 
 func TestDiameterEdgeless(t *testing.T) {
-	if d := Diameter(2, &EdgeList{N: 7}); d != 0 {
+	if d := Diameter(2, ToCSR(2, &EdgeList{N: 7})); d != 0 {
 		t.Errorf("edgeless diameter=%d", d)
 	}
-	if d := Diameter(2, &EdgeList{N: 0}); d != 0 {
+	if d := Diameter(2, ToCSR(2, &EdgeList{N: 0})); d != 0 {
 		t.Errorf("empty diameter=%d", d)
 	}
 }
@@ -66,15 +66,15 @@ func TestTwoSweepLowerBoundAndTreeExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 40, 70)
-		exact := Diameter(1, g)
-		est := DiameterTwoSweep(1, g, 0)
+		exact := Diameter(1, ToCSR(1, g))
+		est := DiameterTwoSweep(ToCSR(1, g), 0)
 		if est > exact {
 			t.Fatalf("two-sweep %d exceeds exact %d", est, exact)
 		}
 	}
 	// Exact on trees (here: a chain).
 	g := chainEL(50)
-	if est := DiameterTwoSweep(1, g, 25); est != 49 {
+	if est := DiameterTwoSweep(ToCSR(1, g), 25); est != 49 {
 		t.Errorf("two-sweep on chain=%d, want 49", est)
 	}
 }
@@ -86,22 +86,22 @@ func TestPalmerDiameterTwo(t *testing.T) {
 	m := n * n / 8 // p = 1/4: diameter 2 whp at this size
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, n, m)
-	if d := Diameter(4, g); d != 2 {
+	if d := Diameter(4, ToCSR(4, g)); d != 2 {
 		t.Errorf("dense random graph diameter=%d, want 2 (Palmer)", d)
 	}
 }
 
 func TestIsConnected(t *testing.T) {
-	if !IsConnected(1, chainEL(10)) {
+	if !IsConnected(ToCSR(1, chainEL(10))) {
 		t.Error("chain reported disconnected")
 	}
-	if IsConnected(1, &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 1}}}) {
+	if IsConnected(ToCSR(1, &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 1}}})) {
 		t.Error("graph with isolated vertex reported connected")
 	}
-	if !IsConnected(1, &EdgeList{N: 1}) {
+	if !IsConnected(ToCSR(1, &EdgeList{N: 1})) {
 		t.Error("singleton reported disconnected")
 	}
-	if !IsConnected(1, &EdgeList{N: 0}) {
+	if !IsConnected(ToCSR(1, &EdgeList{N: 0})) {
 		t.Error("empty reported disconnected")
 	}
 }

@@ -8,7 +8,10 @@ package graph
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
+	"bicc/internal/obs"
 	"bicc/internal/par"
 	"bicc/internal/prefix"
 )
@@ -152,11 +155,51 @@ func (c *CSR) M() int { return len(c.Adj) / 2 }
 // Neighbors returns the adjacency slice of v (do not modify).
 func (c *CSR) Neighbors(v int32) []int32 { return c.Adj[c.Off[v]:c.Off[v+1]] }
 
+// conversions counts ToCSR calls. A resident graph converts once, on the
+// first call that needs its adjacency (Graph.CSR).
+var conversions = obs.Default().Counter("bicc_csr_conversions_total",
+	"Edge-list to CSR conversions. A graph converts once, on the first engine run or query that needs its adjacency.")
+
+// Graph is an immutable edge list together with its CSR, which the first
+// consumer that needs adjacency builds and every later one shares: the
+// engines, the sparse certificate and the analysis helpers all read it, so
+// a resident graph pays the paper's representation conversion (§1) once
+// instead of on every call. Neither the edge list nor the CSR may be
+// modified.
+type Graph struct {
+	*EdgeList
+	mu  sync.Mutex
+	csr atomic.Pointer[CSR]
+}
+
+// Wrap returns el as a Graph whose CSR is not built yet. The caller must
+// not modify el afterwards.
+func Wrap(el *EdgeList) *Graph { return &Graph{EdgeList: el} }
+
+// CSR returns the graph's CSR, converting with p workers if no call has
+// yet. fresh reports that the CSR did not exist when the call began, so
+// the call paid for it: it converted, or waited while a concurrent first
+// call did. Concurrent first calls convert once; a conversion that panics
+// caches nothing, and the next call converts again.
+func (g *Graph) CSR(p int) (c *CSR, fresh bool) {
+	if c = g.csr.Load(); c != nil {
+		return c, false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c = g.csr.Load(); c == nil {
+		c = ToCSR(p, g.EdgeList)
+		g.csr.Store(c)
+	}
+	return c, true
+}
+
 // ToCSR converts an edge list to CSR using p workers: a parallel degree
 // count (atomic-free, per-worker histograms), a prefix sum over offsets, and
 // a parallel scatter. This is the conversion cost the paper charges to
 // algorithms whose primitives disagree on representation.
 func ToCSR(p int, g *EdgeList) *CSR {
+	conversions.Inc()
 	n := int(g.N)
 	m := len(g.Edges)
 	p = par.Procs(p)

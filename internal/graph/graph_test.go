@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -277,5 +278,73 @@ func TestCSRM(t *testing.T) {
 	g := triangle()
 	if got := ToCSR(1, g).M(); got != 3 {
 		t.Errorf("M=%d, want 3", got)
+	}
+}
+
+// TestGraphCSROnce checks the shared CSR: the first call converts and
+// reports it, later calls at any worker count get the same CSR without
+// converting, and eight goroutines racing on a fresh graph convert once.
+func TestGraphCSROnce(t *testing.T) {
+	el := randomGraph(rand.New(rand.NewSource(7)), 500, 3000)
+	g := Wrap(el)
+	before := conversions.Load()
+	c, fresh := g.CSR(2)
+	if !fresh {
+		t.Fatal("first call did not report its conversion")
+	}
+	csrInvariants(t, el, c)
+	for _, p := range []int{1, 2, 4} {
+		if again, fresh := g.CSR(p); fresh || again != c {
+			t.Fatalf("p=%d: fresh=%v, same CSR=%v; want the first call's CSR, not fresh", p, fresh, again == c)
+		}
+	}
+	if n := conversions.Load() - before; n != 1 {
+		t.Fatalf("%d conversions, want 1", n)
+	}
+
+	g = Wrap(el)
+	before = conversions.Load()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	got := make([]*CSR, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], _ = g.CSR(1 + i%4)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] {
+			t.Fatalf("goroutine %d got CSR %p, goroutine 0 got %p", i, c, got[0])
+		}
+	}
+	if n := conversions.Load() - before; n != 1 {
+		t.Fatalf("eight racing first calls made %d conversions, want 1", n)
+	}
+}
+
+// TestGraphCSRPanicCachesNothing checks that a conversion that panics
+// leaves no CSR behind: the next call converts again.
+func TestGraphCSRPanicCachesNothing(t *testing.T) {
+	el := &EdgeList{N: 2, Edges: []Edge{{U: 0, V: 5}}} // out of range: ToCSR panics
+	g := Wrap(el)
+	for k := 0; k < 2; k++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("call %d: conversion of an out-of-range edge did not panic", k)
+				}
+			}()
+			g.CSR(1)
+		}()
+	}
+	el.Edges[0] = Edge{U: 0, V: 1}
+	c, fresh := g.CSR(1)
+	if !fresh || c == nil || c.M() != 1 {
+		t.Fatalf("after two panics: fresh=%v CSR=%+v, want a fresh one-edge CSR", fresh, c)
 	}
 }

@@ -240,31 +240,3 @@ func Compact(p, n int, keep func(i int) bool) []int32 {
 	})
 	return out
 }
-
-// CompactInto scatters src[i] to out[rank of i among kept] for kept indices
-// and returns the number kept. out must have capacity for all kept items;
-// it is sliced to the kept length and returned.
-func CompactInto[T any](p int, src []T, keep func(i int) bool, out []T) []T {
-	n := len(src)
-	if n == 0 {
-		return out[:0]
-	}
-	flags := make([]int32, n)
-	par.For(p, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				flags[i] = 1
-			}
-		}
-	})
-	total := ExclusiveSum32(p, flags)
-	out = out[:total]
-	par.For(p, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[flags[i]] = src[i]
-			}
-		}
-	})
-	return out
-}

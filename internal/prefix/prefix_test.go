@@ -161,21 +161,6 @@ func TestCompactEmpty(t *testing.T) {
 	}
 }
 
-func TestCompactInto(t *testing.T) {
-	src := []string{"a", "b", "c", "d", "e", "f"}
-	out := make([]string, 0, len(src))
-	got := CompactInto(3, src, func(i int) bool { return i%2 == 1 }, out[:cap(out)])
-	want := []string{"b", "d", "f"}
-	if len(got) != len(want) {
-		t.Fatalf("CompactInto len=%d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("CompactInto[%d]=%q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
 // Property: parallel inclusive scan equals sequential scan for arbitrary
 // inputs and processor counts.
 func TestQuickInclusiveSum(t *testing.T) {

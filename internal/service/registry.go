@@ -91,11 +91,12 @@ func NewRegistry(maxBytes int64) *Registry {
 	return &Registry{entries: map[string]*regEntry{}, maxBytes: maxBytes}
 }
 
-// graphBytes estimates the resident size of a graph: 8 bytes per edge plus
-// slice headers; CSR conversions made during queries are transient and not
-// charged.
+// graphBytes estimates the resident size of a graph: its edge list (8 bytes
+// per edge), the CSR it keeps after its first full solve (16 bytes per edge
+// plus 4(n+1) offsets), and slice headers. The CSR is charged up front
+// because every engine but TV-SMP builds it on the graph's first solve.
 func graphBytes(g *bicc.Graph) int64 {
-	return int64(g.NumEdges())*8 + 64
+	return int64(g.NumEdges())*24 + int64(g.NumVertices()+1)*4 + 64
 }
 
 // Add registers g under fp, its content fingerprint, which the caller has

@@ -107,7 +107,8 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 
 func TestRegistryEvictionRespectsRefsAndLRU(t *testing.T) {
 	mk := func(seed int32) *bicc.Graph {
-		// ~50 edges ≈ 464 bytes per graph under graphBytes.
+		// 50 edges on 200 vertices: 24·50 + 4·201 + 64 = 2068 bytes per
+		// graph under graphBytes.
 		edges := make([]bicc.Edge, 50)
 		for i := range edges {
 			edges[i] = bicc.Edge{U: seed, V: int32(100 + i)}

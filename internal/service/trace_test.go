@@ -215,3 +215,68 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestToCSRPhase checks that the query whose engine converts a graph's CSR
+// shows the conversion as its own phase, span and bicc_phase_seconds
+// series, that later queries on the graph reuse the CSR and show none, that
+// TV-SMP never converts, and that a query's phases stay within its
+// elapsed_ns.
+func TestToCSRPhase(t *testing.T) {
+	old := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(old)
+	_, ts := newTestServer(t, Config{})
+	up := uploadGraph(t, ts, testGraph(t), "")
+	for _, c := range []struct {
+		algo  string
+		procs int
+		toCSR bool
+	}{
+		{"tv-smp", 2, false},
+		{"tv-opt", 2, true},
+		{"fast-bcc", 2, false},
+		{"tv-filter", 1, false},
+		{"sequential", 1, false},
+	} {
+		resp, body := postBCCQuery(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: c.algo, Procs: c.procs}, "trace=1")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.algo, resp.StatusCode, body)
+		}
+		var out bccResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Cached || len(out.Phases) == 0 || out.Trace == nil {
+			t.Fatalf("%s: want a fresh traced computation with phases: %s", c.algo, body)
+		}
+		var sum int64
+		for _, ph := range out.Phases {
+			sum += int64(ph["ns"].(float64))
+		}
+		if sum > out.ElapsedNs {
+			t.Errorf("%s: phases sum to %d ns, past elapsed_ns %d", c.algo, sum, out.ElapsedNs)
+		}
+		first := out.Phases[0]["name"] == "to-csr"
+		spans := len(out.Trace.SpansNamed("to-csr"))
+		if first != c.toCSR || spans != map[bool]int{false: 0, true: 1}[c.toCSR] {
+			t.Errorf("%s: to-csr first = %v with %d spans, want %v: %s", c.algo, first, spans, c.toCSR, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`bicc_phase_seconds_count{algorithm="tv-opt",phase="to-csr"}`,
+		"# TYPE bicc_csr_conversions_total counter",
+	} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

@@ -30,6 +30,6 @@ func ReconstructResult(g *Graph, algo Algorithm, edgeComponent []int32) (*Result
 		NumComponents: numComponents,
 		EdgeComponent: append([]int32(nil), edgeComponent...),
 		Algorithm:     algo,
-		g:             g.el,
+		g:             g.gr.EdgeList,
 	}, nil
 }
