@@ -160,18 +160,21 @@ test-repl:
 test-failover:
 	$(GO) test ./cmd/bccd -run 'NodeKill' -count=1 -v
 
-# Self-healing storage suite. test-scrub runs (race-enabled) the scrubber
-# core, the KindCorrupt injection matrix rows (faults + WAL and snapshot
-# image checks + ring scrub), the service-level repair and quarantine
-# tests of the wal and ring tiers, and the bit-rot chaos harness: bccd
-# subprocesses with real bytes flipped in WAL segments and snapshots,
-# scrubbed, and proven byte-identical afterward.
+# Self-healing storage suite. test-scrub runs (race-enabled) the KindCorrupt
+# injection rows (faults, WAL and snapshot image checks), the store's scrub
+# cycle (budget, cursor, serialization, background loop, compaction retry,
+# the repair that waits out a background compaction), the ring records
+# checked as they ship (clean ones ship; a rotten one never does, and the
+# follower resyncs),
+# the service-level repair, retry, unlistable-directory and /healthz tests,
+# the boot over data directories older builds left, and the bit-rot chaos
+# harness: bccd subprocesses with real bytes flipped in WAL segments and
+# snapshots, scrubbed, and proven byte-identical afterward.
 # fuzz-repl hammers the replication frame decoders like fuzz-durable does
 # the durable codecs: arbitrary wire bytes must error, never panic, and
 # never allocate far ahead of the stream.
 test-scrub:
-	$(GO) test -race ./internal/scrub -count=1
-	$(GO) test -race -run 'Corrupt|Scrub|CheckWALImage|CheckSnapshotImage' ./internal/faults ./internal/durable ./internal/repl ./internal/service -count=1
+	$(GO) test -race -run 'Corrupt|CleanRing|Scrub|BootIgnores|CheckWALImage|CheckSnapshotImage' ./internal/faults ./internal/durable ./internal/repl ./internal/service -count=1
 	$(GO) test -race -run 'Oracle|ReconstructRejects' . -count=1
 	$(GO) test ./cmd/bccd -run 'BitRot' -count=1 -v
 
@@ -220,9 +223,10 @@ lint-obs:
 # (differential harness + block index fuzzing), the incremental suite
 # (mutation differential harness + delta fuzzing), the replication suite
 # (standby differential harness + multi-process node-kill failover), the
-# self-healing suite (scrubber + WAL/snapshot bit-rot chaos harness + repl
-# frame fuzzing), the planner suite (golden decision table + differential
-# harness + decision fuzzing), and the benchmark module's tests.
+# self-healing suite (store scrub cycle + ring check on ship + WAL/snapshot
+# bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
+# decision table + differential harness + decision fuzzing), and the
+# benchmark module's tests.
 ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:

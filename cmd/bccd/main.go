@@ -30,9 +30,9 @@
 // only durable state; results are recomputed after a restart. On boot the
 // directory is recovered — torn tails truncated, graphs replayed into the
 // registry with their fingerprints re-checked — and the outcome is
-// reported on /statsz and /metrics. A spill/ directory left by older
-// builds is ignored and can be deleted. Without -data-dir nothing touches
-// disk.
+// reported on /statsz and /metrics. Subdirectories left by older builds,
+// such as spill/, are ignored and can be deleted. Without -data-dir nothing
+// touches disk.
 //
 // The per-block endpoints (/v1/block/{id}, /v1/vertex/{v}/...) are always
 // served. They read the same cached decomposition /v1/bcc does; the first
@@ -42,17 +42,19 @@
 // list instead of the whole payload, and a block's subgraph is remapped on
 // request.
 //
-// With -scrub-interval, a durable daemon runs a background scrubber: every
-// interval it re-reads the durable tiers — WAL segments and snapshots (the
-// wal tier), the replication retention ring (the ring tier) — re-verifies
-// their CRC-32C frames, and heals anything damaged from the in-memory
-// state: compact a fresh snapshot generation, or (on a standby) resync
-// from the primary; a damaged ring range is truncated out of retention.
-// Artifacts nothing can heal are moved to <data-dir>/quarantine and flip
-// /healthz to 503 until an operator clears them. -scrub-budget bounds
-// the bytes re-verified per cycle (rotating cursors keep coverage complete
-// across cycles); POST /v1/admin/scrub runs one cycle on demand, with or
-// without the background loop.
+// A durable daemon also scrubs its data directory: each cycle re-reads the
+// WAL segments and snapshots, re-verifies their CRC-32C frames and record
+// bodies, and repairs damage with one compaction, which snapshots the
+// in-memory state and retires every older file, the damaged one included.
+// A compaction that fails (a full disk, say) moves and deletes nothing:
+// /healthz answers 503 naming the damaged files under "damaged", and every
+// later cycle retries until one succeeds. A directory that cannot be listed
+// counts as damage too. -scrub-interval runs cycles in the background,
+// -scrub-budget bounds the bytes re-verified per cycle (a rotating cursor
+// keeps coverage complete across cycles), and POST /v1/admin/scrub runs one
+// cycle on demand. A primary also re-checks every retention-ring record as
+// it ships to a standby; a record that fails is never sent, and the standby
+// resyncs from a snapshot instead.
 //
 // With -repl-listen, a durable daemon is a replication primary: every WAL
 // record (graph uploads, deletes, mutation deltas) streams to connected
@@ -178,8 +180,8 @@ func main() {
 	replFollow := flag.String("repl-follow", "", "run as a warm standby following the primary's -repl-listen address (requires -data-dir)")
 	replQuorum := flag.Int("repl-quorum", 0, "standby acks to wait for per write before answering the client (0 = 1; degrades on timeout)")
 	replAckTimeout := flag.Duration("repl-ack-timeout", 0, "bound on the per-write standby-ack wait (0 = 2s)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background scrub cycle cadence (0 = manual cycles via POST /v1/admin/scrub only)")
-	scrubBudget := flag.Int64("scrub-budget", 0, "bytes re-verified per scrub cycle; cursors resume next cycle (0 = unlimited)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "background scrub cycle cadence over the -data-dir files (0 = manual cycles via POST /v1/admin/scrub only)")
+	scrubBudget := flag.Int64("scrub-budget", 0, "bytes re-verified per scrub cycle; the cursor resumes next cycle (0 = unlimited)")
 	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule) or adaptive (plan engine+procs from the graph's vertex and edge counts)")
 	var loads loadFlags
 	flag.Var(&loads, "load", "preload a graph at startup: name=path or just path (repeatable; format by extension)")
@@ -221,6 +223,8 @@ func main() {
 			SyncInterval:   *walSyncInterval,
 			CompactBytes:   *compactBytes,
 			ReplayLogEvery: *replayLogEvery,
+			ScrubInterval:  *scrubInterval,
+			ScrubBudget:    *scrubBudget,
 			Logf:           log.Printf,
 		})
 		if err != nil {
@@ -229,6 +233,9 @@ func main() {
 		log.Printf("recovered %d graphs from %s in %v (truncations %d, dropped %d, wal records %d, snapshot records %d)",
 			rep.Graphs, *dataDir, rep.Duration.Round(time.Millisecond), rep.Truncations,
 			rep.DroppedGraphs+rep.DroppedRecords, rep.WALRecords, rep.SnapshotRecords)
+		if *scrubInterval > 0 {
+			log.Printf("scrubber: background cycle every %v (budget %d bytes/cycle)", *scrubInterval, *scrubBudget)
+		}
 	}
 	if *replListen != "" || *replFollow != "" {
 		if *dataDir == "" {
@@ -247,22 +254,6 @@ func main() {
 			log.Printf("standby: following %s (read-only until promoted)", *replFollow)
 		} else {
 			log.Printf("primary: replicating WAL on %s", srv.ReplAddr())
-		}
-	}
-	if *dataDir != "" {
-		// Enabled last so every durable tier (including the replication
-		// ring) is already visible to the tier adapters. With no
-		// -scrub-interval the loop stays off and POST /v1/admin/scrub runs
-		// cycles on demand.
-		if err := srv.EnableScrub(service.ScrubConfig{
-			Interval: *scrubInterval,
-			Budget:   *scrubBudget,
-			Logf:     log.Printf,
-		}); err != nil {
-			log.Fatalf("scrub: %v", err)
-		}
-		if *scrubInterval > 0 {
-			log.Printf("scrubber: background cycle every %v (budget %d bytes/cycle)", *scrubInterval, *scrubBudget)
 		}
 	}
 	for _, spec := range loads {
@@ -339,10 +330,8 @@ func main() {
 	// Flush and close the WAL only after the HTTP server has stopped: every
 	// acknowledged write is already on disk (or in the sync loop's hands),
 	// and closing last guarantees a clean stop leaves files the next boot
-	// recovers with zero truncations. Replication stops first — no more
-	// records will be published — and the scrubber before that: its
-	// repairs reach into both subsystems.
-	srv.CloseScrub()
+	// recovers with zero truncations. Replication stops first: no more
+	// records will be published.
 	srv.CloseReplication()
 	if derr := srv.CloseDurability(); derr != nil {
 		log.Printf("closing data dir: %v", derr)

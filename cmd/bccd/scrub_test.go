@@ -1,19 +1,23 @@
 // Bit-rot chaos harness: runs bccd as a subprocess, flips real bytes on
-// disk in the durable files (WAL segments, snapshots) or corrupts the
-// replication retention ring via fault injection, triggers a scrub cycle
-// over the admin endpoint, and asserts the self-healing contract: damage is
-// detected within one cycle, repaired from a healthy source, and query
-// answers afterward are byte-identical to the answers before the damage.
-// What cannot be repaired must land in quarantine and flip /healthz.
+// disk in the durable files (WAL segments, snapshots) or corrupts a
+// replication retention-ring record via fault injection, and asserts the
+// self-healing contract. On disk, damage is detected within one scrub cycle
+// and repaired by a compaction, retried every cycle while the compaction
+// cannot write, and query answers afterward are byte-identical to the
+// answers before the damage. In the ring, a rotten record never ships: the
+// standby resyncs and answers byte-identically without any scrub cycle.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,20 +25,13 @@ import (
 
 // scrubReport mirrors the admin endpoint's cycle report.
 type scrubReport struct {
-	Checked     int   `json:"checked"`
-	Corrupt     int   `json:"corrupt"`
-	Repaired    int   `json:"repaired"`
-	Quarantined int   `json:"quarantined"`
-	Bytes       int64 `json:"bytes"`
-	Tiers       []struct {
-		Tier        string   `json:"tier"`
-		Listed      int      `json:"listed"`
-		Checked     int      `json:"checked"`
-		Corrupt     int      `json:"corrupt"`
-		Repaired    int      `json:"repaired"`
-		Quarantined int      `json:"quarantined"`
-		Errors      []string `json:"errors"`
-	} `json:"tiers"`
+	Listed   int      `json:"listed"`
+	Checked  int      `json:"checked"`
+	Corrupt  int      `json:"corrupt"`
+	Repaired int      `json:"repaired"`
+	Bytes    int64    `json:"bytes"`
+	Damaged  []string `json:"damaged"`
+	Errors   []string `json:"errors"`
 }
 
 // runScrub triggers one synchronous scrub cycle on p.
@@ -56,24 +53,26 @@ func runScrub(t *testing.T, p *bccdProc) scrubReport {
 	return rep
 }
 
-// tierOf plucks one tier out of a scrub report.
-func (r scrubReport) tierOf(t *testing.T, name string) (tier struct {
-	Tier        string   `json:"tier"`
-	Listed      int      `json:"listed"`
-	Checked     int      `json:"checked"`
-	Corrupt     int      `json:"corrupt"`
-	Repaired    int      `json:"repaired"`
-	Quarantined int      `json:"quarantined"`
-	Errors      []string `json:"errors"`
-}) {
+// metric reads one unlabeled series from p's /metrics.
+func metric(t *testing.T, p *bccdProc, name string) float64 {
 	t.Helper()
-	for _, tr := range r.Tiers {
-		if tr.Tier == name {
-			return tr
+	resp, err := http.Get(p.url("/metrics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
 		}
 	}
-	t.Fatalf("tier %q missing from scrub report %+v", name, r)
-	return
+	t.Fatalf("series %s missing from /metrics", name)
+	return 0
 }
 
 // canonicalAnswer posts one include-free BCC query and returns the response
@@ -167,9 +166,8 @@ func TestBitRotWALTierHeals(t *testing.T) {
 	before := canonicalAnswer(t, p, fp1, "tv-smp")
 
 	flipOnDisk(t, globOne(t, filepath.Join(dir, "wal-*.log")), 10)
-	rep := runScrub(t, p)
-	if tr := rep.tierOf(t, "wal"); tr.Corrupt != 1 || tr.Repaired != 1 {
-		t.Fatalf("wal tier after bit-rot = %+v, want 1 corrupt, 1 repaired; stderr:\n%s", tr, p.stderr())
+	if rep := runScrub(t, p); rep.Corrupt != 1 || rep.Repaired != 1 {
+		t.Fatalf("scrub after bit-rot = %+v, want 1 corrupt, 1 repaired; stderr:\n%s", rep, p.stderr())
 	}
 	if rep := runScrub(t, p); rep.Corrupt != 0 {
 		t.Fatalf("second cycle still corrupt: %+v", rep)
@@ -225,10 +223,8 @@ func TestBitRotSnapshotTierHeals(t *testing.T) {
 	before := canonicalAnswer(t, p, fp1, "tv-opt")
 
 	flipOnDisk(t, globOne(t, filepath.Join(dir, "snap-*.bin")), 10)
-	rep := runScrub(t, p)
-	tr := rep.tierOf(t, "wal") // snapshots are walked by the wal tier
-	if tr.Corrupt < 1 || tr.Repaired < 1 {
-		t.Fatalf("wal tier after snapshot rot = %+v; stderr:\n%s", tr, p.stderr())
+	if rep := runScrub(t, p); rep.Corrupt < 1 || rep.Repaired < 1 {
+		t.Fatalf("scrub after snapshot rot = %+v; stderr:\n%s", rep, p.stderr())
 	}
 	if rep := runScrub(t, p); rep.Corrupt != 0 {
 		t.Fatalf("second cycle still corrupt: %+v", rep)
@@ -252,112 +248,124 @@ func TestBitRotSnapshotTierHeals(t *testing.T) {
 	}
 }
 
-// TestBitRotRingTierTruncatesAndResyncs corrupts the primary's retention
-// ring via the repl.ring injection site: the scrub must truncate retention,
-// and a standby that then connects behind the new floor must converge via
-// snapshot resync with byte-identical answers.
-func TestBitRotRingTierTruncatesAndResyncs(t *testing.T) {
-	dirP, dirS := t.TempDir(), t.TempDir()
-	pri := startBccd(t, dirP, "corrupt,site=repl.ring,count=1", "-repl-listen", "127.0.0.1:0")
+// TestBitRotRingRecordResyncsOnShip corrupts the primary's retention ring
+// via the repl.ring injection site while a standby is connected, so the
+// damaged record is the next one to ship. The primary must refuse it and
+// resync the standby instead, and the standby must answer byte-identically
+// to the primary without any scrub cycle.
+func TestBitRotRingRecordResyncsOnShip(t *testing.T) {
+	pri, stb := startReplPair(t, t.TempDir(), t.TempDir(), "corrupt,site=repl.ring,count=1", "")
+	// Upload only once the standby has applied its initial snapshot: from
+	// then on, every record reaches it through the ring.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if st, err := stb.replStats(); err == nil {
+			if n, _ := st["resyncs"].(float64); n >= 1 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never finished its initial resync; stderr:\n%s", stb.stderr())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	g1, _ := crashGraph(t, 6)
 	fp, err := pri.upload(g1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := canonicalAnswer(t, pri, fp, "tv-filter")
+	stb.waitApplied(1)
 
-	rep := runScrub(t, pri)
-	tr := rep.tierOf(t, "ring")
-	if tr.Corrupt != 1 || tr.Repaired != 1 {
-		t.Fatalf("ring tier = %+v, want 1 corrupt repaired by truncation; stderr:\n%s", tr, pri.stderr())
+	if n := metric(t, pri, "bicc_repl_ring_corrupt_total"); n != 1 {
+		t.Fatalf("ring corrupt total = %v, want the flipped record refused; stderr:\n%s", n, pri.stderr())
 	}
-	if rep := runScrub(t, pri); rep.Corrupt != 0 {
-		t.Fatalf("second cycle still corrupt: %+v", rep)
+	if n := metric(t, pri, "bicc_scrub_cycles_total"); n != 0 {
+		t.Fatalf("%v scrub cycles ran; the ship path alone must catch ring rot", n)
 	}
-
-	// A standby starting from nothing sits behind the truncated floor: the
-	// snapshot-resync path is its repair. It must converge on the graphs.
-	stb := startBccd(t, dirS, "", "-repl-follow", pri.replAddr())
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		graphs, err := stb.graphs()
-		if err == nil {
-			if _, ok := graphs[fp]; ok {
-				break
-			}
+	for _, algo := range []string{"tv-filter", "sequential"} {
+		want, err := queryNorm(t, pri.url(""), fp, algo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never converged; stderr:\n%s", stb.stderr())
+		got, err := queryNorm(t, stb.url(""), fp, algo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	afterStb := canonicalAnswer(t, stb, fp, "tv-filter")
-	if string(before) != string(afterStb) {
-		t.Fatalf("standby answer differs from primary's pre-damage answer:\n%s\n%s", before, afterStb)
+		if got != want {
+			t.Fatalf("%s: standby answer differs from the primary's:\n%s\n%s", algo, got, want)
+		}
 	}
 }
 
-// TestBitRotUnrepairableQuarantines rots the WAL while the compaction that
-// would repair it cannot write its snapshot (a directory blocks the
-// snapshot's tmp path, as a full disk would): nothing can heal the segment,
-// so the scrub must quarantine it, and /healthz must stay unhealthy across
-// a restart until an operator clears the quarantine directory.
-func TestBitRotUnrepairableQuarantines(t *testing.T) {
+// TestBitRotUnrepairableRetries rots the WAL while the next two snapshot
+// generations cannot be written (a non-empty directory blocks each tmp
+// path, as a full disk would). The scrub must keep the segment in place and
+// answer /healthz 503 naming it under damaged, cycle after cycle; once the
+// disk frees up the next cycle repairs it, /healthz is back at 200, and a
+// restart recovers every graph.
+func TestBitRotUnrepairableRetries(t *testing.T) {
 	dir := t.TempDir()
 	p := startBccd(t, dir, "")
 	g1, _ := crashGraph(t, 7)
-	if _, err := p.upload(g1); err != nil {
+	fp, err := p.upload(g1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	before := canonicalAnswer(t, p, fp, "tv-smp")
 	ds, err := p.durStats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := int(ds["wal_generation"])
 	wal := globOne(t, filepath.Join(dir, "wal-*.log"))
-	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snap-%08d.bin.tmp", gen+1)), 0o755); err != nil {
-		t.Fatal(err)
+	var blocks []string
+	for _, g := range []int{gen + 1, gen + 2} {
+		b := filepath.Join(dir, fmt.Sprintf("snap-%08d.bin.tmp", g))
+		if err := os.MkdirAll(filepath.Join(b, "full"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
 	}
 	flipOnDisk(t, wal, 10)
 
-	rep := runScrub(t, p)
-	if tr := rep.tierOf(t, "wal"); tr.Corrupt != 1 || tr.Quarantined != 1 {
-		t.Fatalf("wal tier = %+v, want the damaged segment quarantined; stderr:\n%s", tr, p.stderr())
-	}
-	if _, err := os.Stat(wal); !os.IsNotExist(err) {
-		t.Fatal("damaged segment still in the data directory")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(wal))); err != nil {
-		t.Fatalf("segment not moved to quarantine: %v", err)
-	}
-	code, body := healthz(t, p)
-	if code != http.StatusServiceUnavailable || body["status"] != "unhealthy" {
-		t.Fatalf("healthz after quarantine: %d %v, want 503 unhealthy", code, body)
-	}
-	if q, ok := body["quarantined"].([]any); !ok || len(q) != 1 {
-		t.Fatalf("healthz quarantined = %v", body["quarantined"])
+	for cycle := 1; cycle <= 2; cycle++ {
+		rep := runScrub(t, p)
+		if rep.Repaired != 0 || !slices.Equal(rep.Damaged, []string{wal}) {
+			t.Fatalf("cycle %d = %+v, want %s kept as damaged; stderr:\n%s", cycle, rep, wal, p.stderr())
+		}
+		if _, err := os.Stat(wal); err != nil {
+			t.Fatalf("cycle %d moved or deleted the damaged segment: %v", cycle, err)
+		}
+		code, body := healthz(t, p)
+		if code != http.StatusServiceUnavailable || body["status"] != "unhealthy" {
+			t.Fatalf("healthz after cycle %d: %d %v, want 503 unhealthy", cycle, code, body)
+		}
+		if d, ok := body["damaged"].([]any); !ok || len(d) != 1 || d[0] != wal {
+			t.Fatalf("healthz damaged = %v, want [%s]", body["damaged"], wal)
+		}
 	}
 
-	// The quarantine outlives a restart...
+	for _, b := range blocks {
+		if err := os.RemoveAll(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := runScrub(t, p); rep.Repaired != 1 || len(rep.Damaged) != 0 {
+		t.Fatalf("cycle after unblocking = %+v, want the segment repaired", rep)
+	}
+	if code, _ := healthz(t, p); code != http.StatusOK {
+		t.Fatalf("healthz after the repair: %d", code)
+	}
+
 	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
 	p.waitExit()
 	p2 := startBccd(t, dir, "")
-	if code, _ := healthz(t, p2); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz after restart: %d, want 503 (quarantine persisted)", code)
+	if code, _ := healthz(t, p2); code != http.StatusOK {
+		t.Fatalf("healthz after restart: %d", code)
 	}
-
-	// ...until the operator clears it; the next restart comes back healthy.
-	if err := p2.cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	p2.waitExit()
-	if err := os.RemoveAll(filepath.Join(dir, "quarantine")); err != nil {
-		t.Fatal(err)
-	}
-	p3 := startBccd(t, dir, "")
-	if code, _ := healthz(t, p3); code != http.StatusOK {
-		t.Fatalf("healthz after operator clear: %d", code)
+	if after := canonicalAnswer(t, p2, fp, "tv-smp"); string(after) != string(before) {
+		t.Fatalf("answer changed across the retried repair and restart:\n%s\n%s", before, after)
 	}
 }

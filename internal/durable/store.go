@@ -98,7 +98,13 @@ type Config struct {
 	// that many WAL records, so a long recovery is never silent. <= 0
 	// disables progress logging.
 	ReplayLogEvery int
-	// Logf receives replay progress lines; nil disables them.
+	// ScrubInterval is the cadence of background scrub cycles (see Scrub);
+	// <= 0 leaves scrubbing to explicit Scrub calls.
+	ScrubInterval time.Duration
+	// ScrubBudget caps the bytes a background scrub cycle verifies; <= 0
+	// means unlimited.
+	ScrubBudget int64
+	// Logf receives replay progress and scrub lines; nil disables them.
 	Logf func(format string, args ...any)
 }
 
@@ -138,27 +144,34 @@ type Recovery struct {
 type Store struct {
 	cfg Config
 
-	mu         sync.Mutex
-	wal        *os.File
-	walSize    int64 // current WAL file size including file header
-	gen        uint64
-	seq        int // append sequence, the fault-site iter
-	state      map[string]GraphRecord
-	closed     bool
-	compacting bool
+	mu      sync.Mutex
+	wal     *os.File
+	walSize int64 // current WAL file size including file header
+	gen     uint64
+	seq     int // append sequence, the fault-site iter
+	state   map[string]GraphRecord
+	closed  bool
+	// compacting is non-nil while a compaction writes its snapshot and is
+	// closed when it finishes: one compaction runs at a time.
+	compacting chan struct{}
 	appendObs  func(kind byte, payload []byte)
+
+	// scrubMu serializes scrub cycles; scrubCursor is the path the last
+	// cycle checked last, so the next one resumes after it. scrub is
+	// replaced whole at the end of each cycle.
+	scrubMu     sync.Mutex
+	scrubCursor string
+	scrub       atomic.Pointer[ScrubStats]
 
 	appends       atomic.Int64
 	walErrors     atomic.Int64
 	compactions   atomic.Int64
 	compactErrors atomic.Int64
 
-	// wg tracks in-flight compactions; syncWG the SyncInterval ticker.
-	// They are separate so Compact can wait for a running compaction
-	// without waiting for a loop that only exits at Close.
-	wg       sync.WaitGroup
-	syncWG   sync.WaitGroup
-	stopSync chan struct{}
+	// stop ends the background loops (SyncInterval fsyncs, scrub cycles)
+	// at Close; loops tracks them.
+	stop  chan struct{}
+	loops sync.WaitGroup
 }
 
 func walPath(dir string, gen uint64) string {
@@ -204,7 +217,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
 	rec := &Recovery{}
-	s := &Store{cfg: cfg, state: map[string]GraphRecord{}}
+	s := &Store{cfg: cfg, state: map[string]GraphRecord{}, stop: make(chan struct{})}
 
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
@@ -345,9 +358,12 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 	rec.Duration = time.Since(start)
 
 	if cfg.Sync == SyncInterval {
-		s.stopSync = make(chan struct{})
-		s.syncWG.Add(1)
+		s.loops.Add(1)
 		go s.syncLoop()
+	}
+	if cfg.ScrubInterval > 0 {
+		s.loops.Add(1)
+		go s.scrubLoop()
 	}
 	return s, rec, nil
 }
@@ -481,23 +497,44 @@ func (s *Store) rollbackLocked(size int64) {
 // with the state copy, which is what makes the snapshot exactly equal to
 // the replay of every prior generation.
 func (s *Store) maybeCompactLocked() {
-	if s.compacting || s.walSize < s.cfg.CompactBytes {
+	if s.compacting != nil || s.walSize < s.cfg.CompactBytes {
 		return
 	}
+	if write, err := s.beginCompactLocked(); err == nil {
+		go func() { _ = write() }() // failures are counted in compactErrors
+	}
+}
+
+// beginCompactLocked rotates to a fresh generation, marks a compaction in
+// flight, and returns the function that writes its snapshot and clears the
+// mark. The caller must have waited out any earlier compaction.
+func (s *Store) beginCompactLocked() (write func() error, err error) {
 	old, oldGen, state, err := s.rotateLocked()
 	if err != nil {
 		s.compactErrors.Add(1)
-		return
+		return nil, err
 	}
-	s.compacting = true
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		_ = s.writeSnapshot(old, oldGen, state) // counted in compactErrors
+	done := make(chan struct{})
+	s.compacting = done
+	return func() error {
+		err := s.writeSnapshot(old, oldGen, state)
 		s.mu.Lock()
-		s.compacting = false
+		s.compacting = nil
 		s.mu.Unlock()
-	}()
+		close(done)
+		return err
+	}, nil
+}
+
+// waitCompactionLocked waits out a compaction in flight, releasing s.mu
+// while it waits.
+func (s *Store) waitCompactionLocked() {
+	for s.compacting != nil {
+		done := s.compacting
+		s.mu.Unlock()
+		<-done
+		s.mu.Lock()
+	}
 }
 
 // rotateLocked opens generation gen+1, switches appends onto it, and
@@ -582,39 +619,36 @@ func (s *Store) writeSnapshot(old *os.File, oldGen uint64, state []GraphRecord) 
 	return nil
 }
 
-// Compact forces a synchronous compaction cycle (the scrubber's WAL repair,
-// tests and operators; the production trigger is the byte threshold). It
-// returns an error when no snapshot was installed, in which case every
-// older generation is still on disk.
+// Compact forces a synchronous compaction cycle (the scrubber's one repair,
+// tests and operators; the production trigger is the byte threshold). A
+// background compaction in flight is waited out first: its snapshot covers
+// only the generations before its own rotation, so Compact then rotates and
+// snapshots again. It returns an error when no snapshot was installed, in
+// which case every older generation is still on disk.
 func (s *Store) Compact() error {
 	s.mu.Lock()
+	s.waitCompactionLocked()
 	if s.closed {
 		s.mu.Unlock()
 		return fmt.Errorf("durable: store closed")
 	}
-	if s.compacting {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	old, oldGen, state, err := s.rotateLocked()
+	write, err := s.beginCompactLocked()
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	s.mu.Unlock()
-	return s.writeSnapshot(old, oldGen, state)
+	return write()
 }
 
 // syncLoop is the SyncInterval ticker: group-commit fsyncs off the append
 // path.
 func (s *Store) syncLoop() {
-	defer s.syncWG.Done()
+	defer s.loops.Done()
 	t := time.NewTicker(s.cfg.SyncInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopSync:
+		case <-s.stop:
 			return
 		case <-t.C:
 			s.mu.Lock()
@@ -629,9 +663,9 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// Close flushes and closes the WAL, waiting out any in-flight compaction
-// first. After a clean Close the next Open replays without truncating
-// anything.
+// Close stops the background loops, waits out any in-flight compaction, and
+// flushes and closes the WAL. After a clean Close the next Open replays
+// without truncating anything.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -639,15 +673,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.stopSync != nil {
-		close(s.stopSync)
-	}
+	close(s.stop)
 	s.mu.Unlock()
-	s.wg.Wait()
-	s.syncWG.Wait()
+	s.loops.Wait()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitCompactionLocked()
 	var err error
 	if e := s.wal.Sync(); e != nil {
 		err = e

@@ -27,11 +27,11 @@ var (
 	// before the client is acknowledged — the at-least-once analog of
 	// durable.wal.sync. worker = follower id, iter = acked sequence.
 	siteAck = faults.RegisterSite("repl.ack", false)
-	// siteRingVerify is the bit-rot injection site on the retention ring's
-	// scrub path: a KindCorrupt rule there flips one bit in a buffered
-	// record's payload before its checksum is re-verified. iter = record
-	// sequence number.
-	siteRingVerify = faults.RegisterSite("repl.ring", false)
+	// siteRing is the bit-rot injection site on the retention ring: a
+	// KindCorrupt rule there flips one bit of a buffered record's own
+	// payload just before the ship path re-verifies its checksum, as rot in
+	// the buffer would. worker = follower id, iter = record sequence number.
+	siteRing = faults.RegisterSite("repl.ring", false)
 )
 
 // ErrNoFollowers reports a quorum wait with zero connected standbys: the
@@ -44,8 +44,8 @@ var ErrNoFollowers = errors.New("repl: no followers connected")
 var ErrQuorumTimeout = errors.New("repl: quorum ack timeout")
 
 // record is one ring-buffered WAL record awaiting shipment. sum is a
-// CRC-32C over (kind ++ payload) taken at publish time, so the scrubber can
-// detect a record whose buffered bytes rotted after they were sequenced.
+// CRC-32C over (kind ++ payload) taken at publish time, so the ship path can
+// refuse a record whose buffered bytes rotted after they were sequenced.
 type record struct {
 	seq     uint64
 	kind    byte
@@ -139,6 +139,7 @@ type Primary struct {
 	shipped        atomic.Int64
 	acks           atomic.Int64
 	resyncs        atomic.Int64
+	ringCorrupt    atomic.Int64
 	quorumWaits    atomic.Int64
 	quorumTimeouts atomic.Int64
 	quorumAlone    atomic.Int64
@@ -262,11 +263,12 @@ func (p *Primary) Lag() uint64 {
 	return worst
 }
 
-// Shipped, Acks, Resyncs, QuorumTimeouts, QuorumAlone expose the primary's
-// counters for metrics.
+// Shipped, Acks, Resyncs, RingCorrupt, QuorumTimeouts, QuorumAlone expose
+// the primary's counters for metrics.
 func (p *Primary) Shipped() int64        { return p.shipped.Load() }
 func (p *Primary) Acks() int64           { return p.acks.Load() }
 func (p *Primary) Resyncs() int64        { return p.resyncs.Load() }
+func (p *Primary) RingCorrupt() int64    { return p.ringCorrupt.Load() }
 func (p *Primary) QuorumTimeouts() int64 { return p.quorumTimeouts.Load() }
 func (p *Primary) QuorumAlone() int64    { return p.quorumAlone.Load() }
 
@@ -463,13 +465,33 @@ func (p *Primary) serveFollower(f *follower) {
 		}
 		p.mu.Unlock()
 
+		rotten := false
 		for _, rec := range batch {
+			faults.InjectCorrupt(siteRing, f.id, int(rec.seq), rec.payload)
+			if ringSum(rec.kind, rec.payload) != rec.sum {
+				rotten = true
+				p.ringCorrupt.Add(1)
+				p.logf("repl: ring record %d failed its checksum; resyncing follower %s", rec.seq, f.addr)
+				break
+			}
 			faults.Inject(nil, siteShip, f.id, int(rec.seq))
 			if err := writeMsg(bw, msgRecord, recordPayload(rec.seq, rec.kind, rec.payload)); err != nil {
 				return
 			}
 			p.shipped.Add(1)
 			cursor = rec.seq
+		}
+		if rotten {
+			// A rotten record never ships. The follower gets the snapshot a
+			// slow one gets; Snapshot pairs the state with the current
+			// sequence, so its cursor lands past the damage and the ring
+			// needs no truncation.
+			snapSeq, ok := p.sendSnapshot(bw)
+			if !ok {
+				return
+			}
+			cursor = snapSeq
+			continue
 		}
 		if err := bw.Flush(); err != nil {
 			return
@@ -488,43 +510,6 @@ func (p *Primary) serveFollower(f *follower) {
 			return
 		}
 	}
-}
-
-// RingScrubReport summarizes one retention-ring scrub pass.
-type RingScrubReport struct {
-	Checked int   // records whose checksums were re-verified
-	Corrupt int   // records whose buffered bytes no longer match their sum
-	Dropped int   // records discarded to restore ring integrity
-	Bytes   int64 // payload bytes verified
-}
-
-// ScrubRing re-verifies every retained record's publish-time checksum. The
-// ring must stay a contiguous suffix of history — serveFollower slices it by
-// sequence — so a corrupt record cannot be excised alone: the ring is
-// truncated through the newest damaged record, and any follower whose cursor
-// falls behind the new floor is repaired by the existing snapshot-resync
-// path on its next batch. That resync IS the repair: the authoritative bytes
-// live in the durable store, not the ring.
-func (p *Primary) ScrubRing() RingScrubReport {
-	var rep RingScrubReport
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	last := -1
-	for i := range p.ring {
-		rec := &p.ring[i]
-		rep.Checked++
-		rep.Bytes += int64(len(rec.payload))
-		faults.InjectCorrupt(siteRingVerify, 0, int(rec.seq), rec.payload)
-		if ringSum(rec.kind, rec.payload) != rec.sum {
-			rep.Corrupt++
-			last = i
-		}
-	}
-	if last >= 0 {
-		rep.Dropped = last + 1
-		p.ring = append([]record(nil), p.ring[last+1:]...)
-	}
-	return rep
 }
 
 // ringCoversLocked reports whether the retention ring can serve records

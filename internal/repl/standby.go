@@ -180,22 +180,6 @@ func (s *Standby) forceResync() {
 	s.mu.Unlock()
 }
 
-// ForceResync is the repair entry point for a standby whose local state can
-// no longer be trusted (the scrubber found damage it could not heal from
-// local sources): it zeroes the replication cursor AND kills the live
-// connection, so the follow loop reconnects immediately and the primary —
-// seeing reign 0 — streams a full snapshot. Applying that snapshot rebuilds
-// the registry and re-logs every graph through the standby's own WAL.
-func (s *Standby) ForceResync() {
-	s.mu.Lock()
-	s.applied, s.epoch, s.reign = 0, 0, 0
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-}
-
 // follow runs one connection: handshake, then replay until the stream dies.
 func (s *Standby) follow() error {
 	conn, err := net.DialTimeout("tcp", s.cfg.PrimaryAddr, s.cfg.DialTimeout)

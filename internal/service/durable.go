@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"net/http"
 	"time"
 
 	"bicc/internal/durable"
@@ -12,9 +13,8 @@ import (
 // Graphs are the only durable state: results are recomputed after an
 // eviction or a restart, never read back from disk.
 type DurabilityConfig struct {
-	// Dir is the data directory: WAL and snapshot generations at the top
-	// level, quarantined artifacts under quarantine/. A spill/ directory
-	// left by older builds is ignored.
+	// Dir is the data directory: WAL and snapshot generations, nothing
+	// else. Subdirectories left by older builds are never read.
 	Dir string
 	// Sync is the WAL fsync policy; the zero value fsyncs every append
 	// before it is acknowledged.
@@ -27,7 +27,13 @@ type DurabilityConfig struct {
 	// ReplayLogEvery makes boot-time WAL replay log a progress line every N
 	// records (through Logf); <= 0 disables progress lines.
 	ReplayLogEvery int
-	// Logf receives replay progress lines; nil disables them.
+	// ScrubInterval is the cadence of background scrub cycles over the WAL
+	// segments and snapshots; <= 0 leaves only POST /v1/admin/scrub.
+	ScrubInterval time.Duration
+	// ScrubBudget caps the bytes a scrub cycle re-verifies; <= 0 means
+	// unlimited. A rotating cursor still covers every file across cycles.
+	ScrubBudget int64
+	// Logf receives replay progress and scrub lines; nil disables them.
 	Logf func(format string, args ...any)
 }
 
@@ -46,8 +52,8 @@ type RecoveryReport struct {
 // durability is a Server's live durable state; the Server holds it through
 // an atomic pointer so the disabled path costs one nil check.
 type durability struct {
-	store *durable.Store
-	dir   string // the data directory (quarantine lives under it)
+	store       *durable.Store
+	scrubBudget int64
 
 	recoveredGraphs int64
 	recoverySeconds float64
@@ -65,7 +71,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		return nil, fmt.Errorf("service: durability already enabled")
 	}
 	start := time.Now()
-	d := &durability{dir: cfg.Dir}
+	d := &durability{scrubBudget: cfg.ScrubBudget}
 
 	fsync := s.metrics.Histogram("bicc_wal_fsync_seconds",
 		"Latency of WAL fsync calls.")
@@ -76,6 +82,8 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		CompactBytes:   cfg.CompactBytes,
 		FsyncObserve:   fsync.Observe,
 		ReplayLogEvery: cfg.ReplayLogEvery,
+		ScrubInterval:  cfg.ScrubInterval,
+		ScrubBudget:    cfg.ScrubBudget,
 		Logf:           cfg.Logf,
 	})
 	if err != nil {
@@ -155,6 +163,30 @@ func (d *durability) register(s *Server) {
 	reg.GaugeFunc("bicc_recovery_seconds",
 		"Wall time of crash recovery at boot.",
 		func() float64 { return d.recoverySeconds })
+	reg.CounterVec("bicc_scrub_cycles_total",
+		"Scrub cycles completed.").Func(func() int64 { return st.ScrubStats().Cycles })
+	reg.CounterVec("bicc_scrub_checked_total",
+		"WAL segments and snapshots re-verified by the scrubber.").Func(func() int64 { return st.ScrubStats().Checked })
+	reg.CounterVec("bicc_scrub_corrupt_total",
+		"Files the scrubber found damaged.").Func(func() int64 { return st.ScrubStats().Corrupt })
+	reg.CounterVec("bicc_scrub_repaired_total",
+		"Damaged files retired by a compaction.").Func(func() int64 { return st.ScrubStats().Repaired })
+	reg.CounterVec("bicc_scrub_bytes_total",
+		"Bytes re-verified by the scrubber.").Func(func() int64 { return st.ScrubStats().Bytes })
+	reg.GaugeFunc("bicc_scrub_damaged_files",
+		"Damaged files awaiting a successful compaction; each scrub cycle retries.",
+		func() float64 { return float64(len(st.ScrubStats().Damaged)) })
+}
+
+// handleScrub serves POST /v1/admin/scrub: one synchronous scrub cycle,
+// its report in the response.
+func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
+	d := s.dur.Load()
+	if d == nil {
+		writeError(w, http.StatusConflict, "service: scrubbing requires durability (start bccd with -data-dir)")
+		return
+	}
+	writeJSON(w, http.StatusOK, d.store.Scrub(d.scrubBudget))
 }
 
 // CloseDurability flushes and closes the WAL. Call it after the HTTP server

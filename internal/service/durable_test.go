@@ -162,41 +162,9 @@ func TestDurableRestartRecomputesResults(t *testing.T) {
 // was.
 func TestDurableBootIgnoresSpillDirectory(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join("testdata", "spill-era-datadir")
-	if err := filepath.WalkDir(src, func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if e.IsDir() {
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, rel), b, 0o644)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	copyTree(t, filepath.Join("testdata", "spill-era-datadir"), dir)
 	spill := filepath.Join(dir, "spill")
-	snapshotDir := func() map[string]string {
-		t.Helper()
-		entries, err := os.ReadDir(spill)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := map[string]string{}
-		for _, e := range entries {
-			b, err := os.ReadFile(filepath.Join(spill, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[e.Name()] = string(b)
-		}
-		return files
-	}
-	spillBefore := snapshotDir()
+	spillBefore := readTree(t, spill)
 	if len(spillBefore) != 9 {
 		t.Fatalf("fixture holds %d spill records, want 9", len(spillBefore))
 	}
@@ -238,8 +206,91 @@ func TestDurableBootIgnoresSpillDirectory(t *testing.T) {
 	if err := s.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snapshotDir(), spillBefore) {
+	if !reflect.DeepEqual(readTree(t, spill), spillBefore) {
 		t.Fatal("spill/ changed under a build that no longer reads it")
+	}
+}
+
+// copyTree copies the directory tree src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := filepath.WalkDir(src, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if e.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readTree returns every file under dir, by relative path, with its bytes.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	if err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(b)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestDurableBootIgnoresQuarantineDirectory boots on a data directory
+// written by a build that quarantined damaged files:
+// testdata/quarantine-era-datadir holds the snapshot and WAL that build
+// left after a later compaction (three graphs, one mutated once) and the
+// damaged snapshot it had moved to quarantine/, which made that build's
+// /healthz answer 503 on every boot. Every graph must be recovered,
+// /healthz must answer 200, a scrub cycle must find nothing, and the
+// directory must be left byte-identical.
+func TestDurableBootIgnoresQuarantineDirectory(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "quarantine-era-datadir"), dir)
+	before := readTree(t, dir)
+	if _, ok := before[filepath.Join("quarantine", "snap-00000002.bin")]; !ok || len(before) != 3 {
+		t.Fatalf("fixture files = %d, want the snapshot, the WAL and one quarantined snapshot", len(before))
+	}
+
+	s, rep := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	if rep.Graphs != 3 || rep.DroppedGraphs != 0 || rep.DroppedRecords != 0 || rep.Truncations != 0 {
+		t.Fatalf("recovery: %+v, want 3 graphs and no repair", rep)
+	}
+	for fp, gen := range map[string]uint64{"9a864f971efb1963": 0, "27d0b91e82fa96ea": 0, "ad2b783c32c07534": 1} {
+		info, ok := s.registry.Get(fp)
+		if !ok || info.Generation != gen {
+			t.Fatalf("graph %s: recovered %v at generation %d, want generation %d", fp, ok, info.Generation, gen)
+		}
+	}
+	ts := newHTTPServer(t, s)
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz: %d, want 200", code)
+	}
+	if rep := s.dur.Load().store.Scrub(0); rep.Listed != 2 || rep.Corrupt != 0 || len(rep.Damaged) != 0 {
+		t.Fatalf("scrub of the old data directory = %+v, want its 2 files clean", rep)
+	}
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(readTree(t, dir), before) {
+		t.Fatal("the data directory changed under a build that only reads it")
 	}
 }
 

@@ -580,6 +580,13 @@ func (rs *replState) register(s *Server) {
 		}
 		return n
 	})
+	reg.CounterVec("bicc_repl_ring_corrupt_total",
+		"Retention-ring records that failed their checksum on the way to a follower; none shipped, the follower resynced.").Func(func() int64 {
+		if p := rs.pri.Load(); p != nil {
+			return p.RingCorrupt()
+		}
+		return 0
+	})
 	reg.CounterVec("bicc_repl_applied_total",
 		"Replicated records durably applied (standby).").Func(func() int64 {
 		if st := rs.stb.Load(); st != nil {

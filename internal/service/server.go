@@ -175,9 +175,6 @@ type Server struct {
 	// repls is the replication state when EnableReplication has been
 	// called, nil otherwise.
 	repls atomic.Pointer[replState]
-	// scrubs is the self-healing scrubber when EnableScrub has been called,
-	// nil otherwise.
-	scrubs atomic.Pointer[scrubState]
 	// incr is the incremental-mutation subsystem: per-graph maintained
 	// decompositions fed by POST /v1/graphs/{fp}/edges. Always on — an
 	// unmutated server pays one nil-map lookup per query.
@@ -1019,14 +1016,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"breakers": breakers,
 	}
 	// Integrity failures are the one thing that flips readiness to 503:
-	// artifacts the scrubber had to quarantine mean local durable state
-	// cannot be fully trusted and an operator (or the router) should look
-	// at this node.
+	// while the scrubber holds damaged files that no compaction has
+	// retired yet, the local durable state cannot be fully trusted and an
+	// operator (or the router) should look at this node.
 	code := http.StatusOK
-	if sc := s.scrubs.Load(); sc != nil {
-		if q := sc.quarantineList(); len(q) > 0 {
+	if d := s.dur.Load(); d != nil {
+		if damaged := d.store.ScrubStats().Damaged; len(damaged) > 0 {
 			status, code = "unhealthy", http.StatusServiceUnavailable
-			body["quarantined"] = q
+			body["damaged"] = damaged
 		}
 	}
 	body["status"] = status
@@ -1081,15 +1078,14 @@ func (s *Server) Snapshot() StatsSnapshot {
 	}
 	if d := s.dur.Load(); d != nil {
 		snap.Durability = d.snapshot()
+		scrub := d.store.ScrubStats()
+		snap.Scrub = &scrub
 	}
 	if s.incr.batches.Load() > 0 {
 		snap.Incr = s.incr.snapshot()
 	}
 	if rs := s.repls.Load(); rs != nil {
 		snap.Repl = rs.snapshot()
-	}
-	if sc := s.scrubs.Load(); sc != nil {
-		snap.Scrub = sc.snapshot()
 	}
 	if s.planner != nil {
 		psnap := s.planner.Snapshot()

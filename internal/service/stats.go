@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bicc/internal/durable"
 	"bicc/internal/engine"
 	"bicc/internal/obs"
 	"bicc/internal/plan"
@@ -106,8 +107,8 @@ type StatsSnapshot struct {
 	// Repl is present only when EnableReplication has been called; a
 	// standalone bccd's /statsz is unchanged.
 	Repl *ReplSnapshot `json:"repl,omitempty"`
-	// Scrub is present only when EnableScrub has been called.
-	Scrub *ScrubSnapshot `json:"scrub,omitempty"`
+	// Scrub is present only when durability is enabled.
+	Scrub *durable.ScrubStats `json:"scrub,omitempty"`
 	// Plan is present only when Config.PlanMode enables the adaptive
 	// planner; a statically-routed bccd's /statsz is unchanged.
 	Plan *plan.Snapshot `json:"plan,omitempty"`
