@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
 
 all: build test
 
@@ -101,6 +101,13 @@ fuzz-durable:
 fuzz-graph:
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadText -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadDIMACS -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+
+# Connectivity kernel fuzzing. fuzz-conncomp runs conncomp.Link at p = 1,
+# 2 and 4 on arbitrary edge multisets over at most 512 vertices (self-loops,
+# duplicates, both orientations): the labels must equal UnionFind's, and the
+# hooked edges must form a spanning forest.
+fuzz-conncomp:
+	$(GO) test ./internal/conncomp -run FuzzNothing -fuzz FuzzLink -fuzztime $(FUZZTIME)
 
 # Per-block suite. test-shard runs the block index's differential harness
 # (the index, BlockCutTree and ComponentSubgraph must equal the
@@ -219,7 +226,8 @@ lint-obs:
 # tests, the all-engines-vs-oracle randomized check (verify), the
 # fault-isolation suite, the observability suite, the durability suite
 # (WAL and snapshot decoder fuzzing, race-enabled service tests, crash
-# harness), the upload decoder's differential fuzzing, the per-block suite
+# harness), the upload decoder's differential fuzzing, the connectivity
+# kernel's fuzzing against union-find, the per-block suite
 # (differential harness + block index fuzzing), the incremental suite
 # (mutation differential harness + delta fuzzing), the replication suite
 # (standby differential harness + multi-process node-kill failover), the
@@ -227,7 +235,7 @@ lint-obs:
 # bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
 # decision table + differential harness + decision fuzzing), and the
 # benchmark module's tests.
-ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph fuzz-conncomp test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

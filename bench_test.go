@@ -165,8 +165,9 @@ func BenchmarkAblationEulerTour(b *testing.B) {
 }
 
 // BenchmarkAblationSpanningTree compares the three spanning-tree
-// algorithms (§3.2): SV graft-and-shortcut, work-stealing traversal
-// (rooted), and parallel BFS (rooted, with levels).
+// algorithms (§3.2): the union-find spanning forest of spantree.SV
+// (unrooted), work-stealing traversal (rooted), and parallel BFS (rooted,
+// with levels).
 func BenchmarkAblationSpanningTree(b *testing.B) {
 	p := runtime.GOMAXPROCS(0)
 	g := benchGraph(4 * benchN)

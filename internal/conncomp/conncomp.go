@@ -1,8 +1,9 @@
-// Package conncomp implements connected components: the Shiloach–Vishkin
-// graft-and-shortcut algorithm (step 6 of Tarjan–Vishkin, run on the
-// auxiliary graph) adapted to SMPs with atomics standing in for arbitrary
-// CRCW writes, plus sequential union-find and BFS baselines used as test
-// oracles and for the sequential comparison runs.
+// Package conncomp implements connected components: one parallel kernel,
+// Link, a single pass of concurrent union-find that serves both of
+// Tarjan–Vishkin's connectivity steps (the spanning forest of step 1, via
+// spantree.SV, and the components of the auxiliary graph in step 6) and
+// FAST-BCC's skeleton, plus sequential union-find and BFS baselines used as
+// test oracles and for the sequential comparison runs.
 package conncomp
 
 import (
@@ -13,95 +14,107 @@ import (
 	"bicc/internal/par"
 )
 
-// Fault-injection point: once per graft/shortcut round, with the
+// Fault-injection point: once per ShiloachVishkinC call, with the
 // computation's canceler, so injected cancellations propagate for real.
+// spantree.SVC has its own site, so a rule can target TV's step 1 and step 6
+// apart, and no call fires two.
 var siteSV = faults.RegisterSite("conncomp.sv", true)
 
 // ShiloachVishkin computes connected-component labels for a graph with n
-// vertices and the given edges using p workers. The returned slice maps each
-// vertex to the smallest vertex id reachable from it along graft chains —
-// a canonical component representative (the root of its star).
-//
-// Each round grafts the root of the higher-labeled endpoint's tree onto the
-// lower label and then fully shortcuts every vertex to its root. Labels are
-// monotonically non-increasing per slot, so racing writers (any-writer-wins,
-// the paper's arbitrary CRCW PRAM model) cannot livelock; atomics make the
-// races well-defined under the Go memory model.
+// vertices and the given edges using p workers. The name is the paper's
+// (TV step 6); what runs is Link: each vertex is labeled with the smallest
+// vertex id of its component.
 func ShiloachVishkin(p int, n int32, edges []graph.Edge) []int32 {
 	return ShiloachVishkinC(nil, p, n, edges)
 }
 
-// ShiloachVishkinC is ShiloachVishkin with cooperative cancellation, polled
-// between graft/shortcut rounds and inside the edge scan. When c trips the
-// returned labels are incomplete — callers must check c.Err() and discard
-// them.
+// ShiloachVishkinC is ShiloachVishkin with cooperative cancellation. When c
+// trips the returned labels are incomplete — callers must check c.Err() and
+// discard them.
 func ShiloachVishkinC(c *par.Canceler, p int, n int32, edges []graph.Edge) []int32 {
+	faults.Inject(c, siteSV, 0, 0)
+	return Link(c, p, n, edges, nil)
+}
+
+// Link computes connected-component labels with one pass of concurrent
+// union-find over the edges: for each edge, find both roots (halving the
+// path on the way), and if they differ, link the larger root under the
+// smaller with a CAS, retrying the edge when the CAS loses. Every parent
+// pointer goes to a smaller id, so each root is the minimum id of its
+// component, and a last pass points every vertex at its root: the labels are
+// min-id canonical, exactly UnionFind's.
+//
+// A CAS succeeds only on a root and never links a tree into itself, so
+// exactly n − #components links succeed, each merging two trees. When hook
+// is non-nil (length n) it is reset to -1 and the winner of each link writes
+// the edge id into hook[r], r being the root it linked: the recorded edges
+// form a spanning forest.
+//
+// Edges may repeat, run in both orientations or be self-loops. c is polled
+// per chunk of edges; when it trips, labels and hook are incomplete and
+// callers must check c.Err() and discard them.
+func Link(c *par.Canceler, p int, n int32, edges []graph.Edge, hook []int32) []int32 {
 	d := make([]int32, n)
 	par.For(p, int(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d[i] = int32(i)
 		}
-	})
-	if len(edges) == 0 {
-		return d
-	}
-	var changed atomic.Bool
-	for round := 0; ; round++ {
-		if c.Err() != nil {
-			return d
-		}
-		faults.Inject(c, siteSV, 0, round)
-		changed.Store(false)
-		// Graft phase: hook the root of the larger label onto the smaller.
-		par.ForDynamicC(c, p, len(edges), 0, func(lo, hi int) {
-			localChanged := false
+		if hook != nil {
 			for i := lo; i < hi; i++ {
-				e := edges[i]
-				du := atomic.LoadInt32(&d[e.U])
-				dv := atomic.LoadInt32(&d[e.V])
-				if du < dv {
-					if atomic.CompareAndSwapInt32(&d[dv], dv, du) {
-						localChanged = true
+				hook[i] = -1
+			}
+		}
+	})
+	par.ForDynamicC(c, p, len(edges), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u, v := edges[i].U, edges[i].V
+			for {
+				u, v = find(d, u), find(d, v)
+				if u == v {
+					break
+				}
+				if u < v {
+					u, v = v, u
+				}
+				if atomic.CompareAndSwapInt32(&d[u], u, v) {
+					if hook != nil {
+						hook[u] = int32(i) // u stops being a root once, so one writer
 					}
-				} else if dv < du {
-					if atomic.CompareAndSwapInt32(&d[du], du, dv) {
-						localChanged = true
-					}
+					break
 				}
 			}
-			if localChanged {
-				changed.Store(true)
-			}
-		})
-		if !changed.Load() {
-			break
 		}
-		shortcut(p, d)
-	}
+	})
+	par.For(p, int(n), func(lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			if r := find(d, v); r != atomic.LoadInt32(&d[v]) {
+				atomic.StoreInt32(&d[v], r)
+			}
+		}
+	})
 	return d
 }
 
-// shortcut performs full pointer jumping: after it returns, d[v] == d[d[v]]
-// for every v.
-func shortcut(p int, d []int32) {
-	par.For(p, len(d), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			dv := atomic.LoadInt32(&d[v])
-			for {
-				ddv := atomic.LoadInt32(&d[dv])
-				if ddv == dv {
-					break
-				}
-				dv = ddv
-			}
-			atomic.StoreInt32(&d[v], dv)
+// find returns the root of x's tree, pointing each vertex on the way at its
+// grandparent (path halving). A lost CAS only means another worker moved
+// the pointer closer to the root first.
+func find(d []int32, x int32) int32 {
+	for {
+		px := atomic.LoadInt32(&d[x])
+		if px == x {
+			return x
 		}
-	})
+		gx := atomic.LoadInt32(&d[px])
+		if gx != px {
+			atomic.CompareAndSwapInt32(&d[x], px, gx)
+		}
+		x = gx
+	}
 }
 
 // UnionFind computes component labels sequentially with weighted union and
 // path compression; the label of a component is its smallest vertex id,
-// matching ShiloachVishkin's canonical form.
+// matching Link's canonical form.
 func UnionFind(n int32, edges []graph.Edge) []int32 {
 	parent := make([]int32, n)
 	size := make([]int32, n)

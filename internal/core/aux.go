@@ -109,7 +109,7 @@ func cond3(td *treecomp.TreeData, low, high []int32, e graph.Edge) (u, v int32, 
 }
 
 // tvTail finishes any TV variant: build G' (Label-edge step), run
-// Shiloach–Vishkin connected components on it (Connected-components step),
+// conncomp's union-find kernel on it (Connected-components step),
 // and write raw component labels into edgeComp. sw records the two phases.
 // origID maps local edge indices to positions in edgeComp (nil means
 // identity); TV-filter uses it to overlay results computed on the reduced

@@ -85,8 +85,8 @@ func auxInputs(t testing.TB, g *graph.EdgeList) ([]bool, *treecomp.TreeData, []i
 }
 
 // TestBuildAuxMatchesStaged checks that the exact-size Label-edge emits the
-// staged reference's G' edge for edge — so Shiloach–Vishkin sees the same
-// sequence — with the same vertex count, nontree numbering and
+// staged reference's G' edge for edge — so the connectivity kernel sees
+// the same sequence — with the same vertex count, nontree numbering and
 // per-condition counts, on every generator family, on edgeless graphs and
 // with more workers than edges.
 func TestBuildAuxMatchesStaged(t *testing.T) {

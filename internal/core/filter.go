@@ -6,7 +6,7 @@ package core
 //
 //  1. Compute a breadth-first-search tree T of G (the BFS property is what
 //     makes the filtering correct — Lemma 1 and Theorem 2).
-//  2. Compute a spanning forest F of G − T (Shiloach–Vishkin).
+//  2. Compute a spanning forest F of G − T (spantree.SV, on conncomp.Link).
 //  3. Run the TV machinery on T ∪ F, a graph with at most 2(n−1) edges.
 //  4. Every filtered edge e = (u,v) in G − (T ∪ F) with pre(v) < pre(u)
 //     belongs to the block of the tree edge (u, p(u)) by condition 1.

@@ -25,8 +25,10 @@ var (
 type SpanningTreeKind int
 
 const (
-	// SpanSV is the Shiloach–Vishkin-derived unrooted spanning tree of the
-	// original TV (forces the sort-based Euler tour and list ranking).
+	// SpanSV is the unrooted spanning tree of the original TV, which the
+	// paper derives from Shiloach–Vishkin; here spantree.SV records the
+	// edges of conncomp.Link's successful links. It forces the sort-based
+	// Euler tour and list ranking.
 	SpanSV SpanningTreeKind = iota
 	// SpanWorkStealing is the Bader–Cong rooted traversal (TV-opt).
 	SpanWorkStealing

@@ -26,7 +26,7 @@
 //     subtree has no escaping edge at all.
 //  4. Skeleton connectivity: the skeleton graph keeps all non-tree (cross)
 //     edges plus the non-fence ("plain") tree edges. Connected components
-//     of the skeleton (internal/conncomp's Shiloach–Vishkin), read at the
+//     of the skeleton (internal/conncomp's union-find kernel), read at the
 //     child endpoint of each tree edge, are exactly the blocks.
 //  5. Labels map back onto the original edge list: tree edge (v,p(v))
 //     takes v's component, a cross edge takes either endpoint's (they are

@@ -242,7 +242,7 @@ func Disconnected(parts ...*graph.EdgeList) *graph.EdgeList {
 // process: vertices arrive one at a time and attach k edges to existing
 // vertices chosen proportionally to degree (with duplicate targets
 // rejected). Skewed degree distributions stress the load balancing of the
-// grafting and traversal loops.
+// union-find and traversal loops.
 func PreferentialAttachment(n, k int, seed int64) *graph.EdgeList {
 	if k < 1 {
 		k = 1

@@ -124,7 +124,7 @@ func ForWorker(p, n int, body func(worker, lo, hi int)) {
 
 // ForDynamic runs body over [0, n) in chunks of the given grain, handed out
 // by an atomic counter. It load-balances irregular per-item work (e.g. the
-// grafting loops of Shiloach–Vishkin on skewed degree distributions) at the
+// edge pass of conncomp.Link, whose finds vary in length) at the
 // cost of one atomic add per chunk. grain <= 0 picks a grain that yields
 // roughly 8 chunks per worker.
 func ForDynamic(p, n, grain int, body func(lo, hi int)) {

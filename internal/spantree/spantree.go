@@ -1,10 +1,12 @@
 // Package spantree implements the three spanning-tree algorithms the paper
 // uses or compares against:
 //
-//   - SV: the Shiloach–Vishkin-derived spanning tree used by the original
-//     Tarjan–Vishkin algorithm (step 1 of TV): record the edge responsible
-//     for every successful graft. The result is an *unrooted* spanning
-//     forest; TV-SMP roots it afterwards with the Euler-tour technique.
+//   - SV: the unrooted spanning forest of the original Tarjan–Vishkin
+//     algorithm (step 1 of TV). The paper derives it from Shiloach–Vishkin
+//     by recording the edge responsible for every successful graft; here it
+//     records the edge of every successful link of conncomp.Link, the
+//     repository's one connectivity kernel. TV-SMP roots the forest
+//     afterwards with the Euler-tour technique.
 //   - WorkStealing: the Bader–Cong work-stealing graph-traversal spanning
 //     tree [3,6] that computes a *rooted* spanning tree directly (parent per
 //     vertex), merging the paper's Spanning-tree and Root-tree steps —
@@ -18,14 +20,15 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"bicc/internal/conncomp"
 	"bicc/internal/faults"
 	"bicc/internal/graph"
 	"bicc/internal/par"
 )
 
-// Fault-injection points, all with the computation's canceler: per
-// graft/shortcut round in SV, per expansion batch in the work-stealing
-// traversal, and per level in BFS.
+// Fault-injection points, all with the computation's canceler: once per SV
+// call, per expansion batch in the work-stealing traversal, and per level
+// in BFS.
 var (
 	siteSV    = faults.RegisterSite("spantree.sv", true)
 	siteSteal = faults.RegisterSite("spantree.steal", true)
@@ -37,7 +40,7 @@ var (
 type Forest struct {
 	N         int32
 	TreeEdges []int32 // indices into the edge list; len = N - #components
-	Labels    []int32 // connected-component label per vertex (the SV d array;
+	Labels    []int32 // connected-component label per vertex (conncomp.Link's;
 	// the label is the minimum vertex id of the component, so
 	// Labels[v] == v identifies component representatives)
 }
@@ -57,72 +60,20 @@ type RootedForest struct {
 // IsRoot reports whether v is a root of the forest.
 func (f *RootedForest) IsRoot(v int32) bool { return f.Parent[v] == v }
 
-// SV computes an unrooted spanning forest with the graft-and-shortcut
-// method: every successful graft merges two distinct trees, and the edge
-// that caused it is a forest edge. Exactly n - #components grafts succeed
-// over the whole run.
+// SV computes an unrooted spanning forest with conncomp.Link: every
+// successful link merges two distinct trees, and the edge that caused it is
+// a forest edge. Exactly n - #components links succeed.
 func SV(p int, n int32, edges []graph.Edge) *Forest {
 	return SVC(nil, p, n, edges)
 }
 
-// SVC is SV with cooperative cancellation: the graft/shortcut convergence
-// loop polls c between rounds and inside the edge scan. When c trips the
-// returned forest is incomplete — callers must check c.Err() and discard it.
+// SVC is SV with cooperative cancellation, polled inside the edge scan. When
+// c trips the returned forest is incomplete — callers must check c.Err() and
+// discard it.
 func SVC(c *par.Canceler, p int, n int32, edges []graph.Edge) *Forest {
-	d := make([]int32, n)
-	hook := make([]int32, n) // hook[r] = edge id whose graft removed root r
-	par.For(p, int(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = int32(i)
-			hook[i] = -1
-		}
-	})
-	var changed atomic.Bool
-	for round := 0; ; round++ {
-		if c.Err() != nil {
-			return &Forest{N: n, Labels: d}
-		}
-		faults.Inject(c, siteSV, 0, round)
-		changed.Store(false)
-		par.ForDynamicC(c, p, len(edges), 0, func(lo, hi int) {
-			localChanged := false
-			for i := lo; i < hi; i++ {
-				e := edges[i]
-				du := atomic.LoadInt32(&d[e.U])
-				dv := atomic.LoadInt32(&d[e.V])
-				if du < dv {
-					if atomic.CompareAndSwapInt32(&d[dv], dv, du) {
-						atomic.StoreInt32(&hook[dv], int32(i))
-						localChanged = true
-					}
-				} else if dv < du {
-					if atomic.CompareAndSwapInt32(&d[du], du, dv) {
-						atomic.StoreInt32(&hook[du], int32(i))
-						localChanged = true
-					}
-				}
-			}
-			if localChanged {
-				changed.Store(true)
-			}
-		})
-		if !changed.Load() {
-			break
-		}
-		par.ForC(c, p, int(n), func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				dv := atomic.LoadInt32(&d[v])
-				for {
-					ddv := atomic.LoadInt32(&d[dv])
-					if ddv == dv {
-						break
-					}
-					dv = ddv
-				}
-				atomic.StoreInt32(&d[v], dv)
-			}
-		})
-	}
+	faults.Inject(c, siteSV, 0, 0)
+	hook := make([]int32, n) // hook[r] = edge id whose link removed root r
+	d := conncomp.Link(c, p, n, edges, hook)
 	tree := make([]int32, 0, n)
 	for v := int32(0); v < n; v++ {
 		if hook[v] != -1 {
