@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
 
 all: build test
 
@@ -108,6 +108,21 @@ fuzz-graph:
 # hooked edges must form a spanning forest.
 fuzz-conncomp:
 	$(GO) test ./internal/conncomp -run FuzzNothing -fuzz FuzzLink -fuzztime $(FUZZTIME)
+
+# Low-high kernel fuzzing. fuzz-treecomp runs both seedings of step 4 (from
+# an edge list and from the CSR) at p = 1, 2 and 4 under BFS, work-stealing
+# and SV trees, on decoded graphs, chains and cycles with chords, and
+# forests with isolated vertices of up to 2048 vertices: low and high must
+# equal the parent-pointer oracle kept in the package's tests.
+fuzz-treecomp:
+	$(GO) test ./internal/treecomp -run FuzzNothing -fuzz FuzzLowHigh -fuzztime $(FUZZTIME)
+
+# Engine fuzzing. fuzz-engines holds every parallel engine (and, on its own
+# input mix, fast-bcc) to byte-identical EdgeComponent labels against the
+# sequential oracle, each fuzzer for FUZZTIME.
+fuzz-engines:
+	$(GO) test . -run FuzzNothing -fuzz FuzzBiconnectedComponents -fuzztime $(FUZZTIME)
+	$(GO) test . -run FuzzNothing -fuzz FuzzFastBCC -fuzztime $(FUZZTIME)
 
 # Per-block suite. test-shard runs the block index's differential harness
 # (the index, BlockCutTree and ComponentSubgraph must equal the
@@ -227,7 +242,8 @@ lint-obs:
 # fault-isolation suite, the observability suite, the durability suite
 # (WAL and snapshot decoder fuzzing, race-enabled service tests, crash
 # harness), the upload decoder's differential fuzzing, the connectivity
-# kernel's fuzzing against union-find, the per-block suite
+# kernel's fuzzing against union-find, the low-high kernel's fuzzing against
+# its oracle, the engines' byte-identity fuzzing, the per-block suite
 # (differential harness + block index fuzzing), the incremental suite
 # (mutation differential harness + delta fuzzing), the replication suite
 # (standby differential harness + multi-process node-kill failover), the
@@ -235,7 +251,7 @@ lint-obs:
 # bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
 # decision table + differential harness + decision fuzzing), and the
 # benchmark module's tests.
-ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph fuzz-conncomp test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

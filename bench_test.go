@@ -254,37 +254,6 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLowHigh compares the two low/high engines: blocked-RMQ
-// range queries versus the level-synchronized bottom-up sweep, on a shallow
-// (random BFS tree) and a deep (chain) instance.
-func BenchmarkAblationLowHigh(b *testing.B) {
-	p := runtime.GOMAXPROCS(0)
-	shapes := map[string]*graph.EdgeList{
-		"shallow-random": benchGraph(4 * benchN),
-		"deep-chain":     gen.Chain(benchN),
-	}
-	for shape, g := range shapes {
-		c := graph.ToCSR(p, g)
-		f := spantree.BFS(p, c)
-		seq := eulertour.DFSOrder(p, g.Edges, f)
-		td, err := treecomp.Compute(p, seq)
-		if err != nil {
-			b.Fatal(err)
-		}
-		isTree := f.TreeEdgeMark(p, len(g.Edges))
-		b.Run(shape+"/rmq", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				treecomp.LowHigh(p, td, g.Edges, isTree)
-			}
-		})
-		b.Run(shape+"/bottom-up", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				treecomp.LowHighBottomUp(p, td, g.Edges, isTree)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRepresentation measures the §1 representation trade:
 // running TV-opt from an edge list directly versus converting from the
 // Woo–Sahni-style adjacency matrix first. Matrix sizes are capped at the

@@ -46,25 +46,12 @@ const (
 	RankWyllie
 )
 
-// LowHighKind selects the subtree-aggregation engine for step 4.
-type LowHighKind int
-
-const (
-	// LowHighRMQ answers subtree folds with a blocked sparse-table RMQ
-	// over the preorder array.
-	LowHighRMQ LowHighKind = iota
-	// LowHighBottomUp sweeps levels rootward; O(height) rounds.
-	LowHighBottomUp
-)
-
 // Config assembles a TV pipeline from interchangeable engines. The presets
-// are: TV-SMP = {SpanSV, RankHelmanJaja, LowHighRMQ, no filter}; TV-opt =
-// {SpanWorkStealing, LowHighRMQ, no filter}; TV-filter = {SpanBFS,
-// LowHighRMQ, filter}.
+// are: TV-SMP = {SpanSV, RankHelmanJaja, no filter}; TV-opt =
+// {SpanWorkStealing, no filter}; TV-filter = {SpanBFS, filter}.
 type Config struct {
 	SpanningTree SpanningTreeKind
 	Ranker       RankerKind // used only with SpanSV
-	LowHigh      LowHighKind
 	// Cancel, when non-nil, is polled inside the engines' parallel loops and
 	// between pipeline phases; tripping it makes Custom return the
 	// cancellation cause promptly instead of finishing the run.
@@ -108,6 +95,7 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	var (
 		td         *treecomp.TreeData
 		isTree     []bool
+		c          *graph.CSR
 		rooted     *spantree.RootedForest
 		linkedTour *eulertour.Tour
 		seq        *eulertour.ArcSeq
@@ -128,7 +116,8 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 		}
 		sw.Lap(PhaseEulerTour)
 	case SpanWorkStealing, SpanBFS:
-		c, fresh := g.CSR(p)
+		var fresh bool
+		c, fresh = g.CSR(p)
 		if fresh {
 			sw.Lap(PhaseToCSR)
 		}
@@ -191,10 +180,12 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	}
 	sw.Lap(PhaseRoot)
 
-	// Step 4: low/high.
+	// Step 4: low/high. A rooted, unfiltered run (TV-opt) seeds from the CSR
+	// it already holds; TV-SMP has no adjacency and TV-filter's G′ is not
+	// the CSR's graph, so both seed from their edge lists.
 	var low, high []int32
-	if cfg.LowHigh == LowHighBottomUp {
-		low, high = treecomp.LowHighBottomUp(p, td, edges, edgeIsTree)
+	if rooted != nil && !cfg.Filter {
+		low, high = treecomp.LowHighCSR(p, td.Pre, td.Size, td.Parent, c)
 	} else {
 		low, high = treecomp.LowHigh(p, td, edges, edgeIsTree)
 	}

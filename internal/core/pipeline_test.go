@@ -30,15 +30,11 @@ func TestCustomAllConfigurations(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sv-hj-rmq", Config{SpanningTree: SpanSV, Ranker: RankHelmanJaja, LowHigh: LowHighRMQ}},
-		{"sv-wyllie-rmq", Config{SpanningTree: SpanSV, Ranker: RankWyllie, LowHigh: LowHighRMQ}},
-		{"sv-hj-bottomup", Config{SpanningTree: SpanSV, Ranker: RankHelmanJaja, LowHigh: LowHighBottomUp}},
-		{"ws-rmq", Config{SpanningTree: SpanWorkStealing, LowHigh: LowHighRMQ}},
-		{"ws-bottomup", Config{SpanningTree: SpanWorkStealing, LowHigh: LowHighBottomUp}},
-		{"bfs-rmq", Config{SpanningTree: SpanBFS, LowHigh: LowHighRMQ}},
-		{"bfs-bottomup", Config{SpanningTree: SpanBFS, LowHigh: LowHighBottomUp}},
-		{"bfs-rmq-filter", Config{SpanningTree: SpanBFS, LowHigh: LowHighRMQ, Filter: true}},
-		{"bfs-bottomup-filter", Config{SpanningTree: SpanBFS, LowHigh: LowHighBottomUp, Filter: true}},
+		{"sv-hj", Config{SpanningTree: SpanSV, Ranker: RankHelmanJaja}},
+		{"sv-wyllie", Config{SpanningTree: SpanSV, Ranker: RankWyllie}},
+		{"ws", Config{SpanningTree: SpanWorkStealing}},
+		{"bfs", Config{SpanningTree: SpanBFS}},
+		{"bfs-filter", Config{SpanningTree: SpanBFS, Filter: true}},
 		{"ws-partour", Config{SpanningTree: SpanWorkStealing, ParallelTour: true}},
 		{"bfs-partour-filter", Config{SpanningTree: SpanBFS, Filter: true, ParallelTour: true}},
 	}

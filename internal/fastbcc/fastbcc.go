@@ -12,12 +12,13 @@
 //     so no non-tree edge joins a vertex to a proper ancestor: all
 //     non-tree edges are cross edges. This is the structural fact the
 //     skeleton construction leans on.
-//  2. Per-vertex first/last (preorder interval) labels computed with three
+//  2. Per-vertex first/last (preorder interval) labels computed with two
 //     O(n) level-synchronous sweeps over a children-CSR — no Euler tour,
-//     no list ranking: a bottom-up sweep for subtree sizes, a top-down
-//     sweep assigning preorder numbers, and a bottom-up sweep folding
-//     low/high (the min/max preorder reachable from a subtree through
-//     non-tree edges, exactly treecomp's semantics).
+//     no list ranking: a bottom-up sweep for subtree sizes and a top-down
+//     sweep assigning preorder numbers. low/high (the min/max preorder
+//     reachable from a subtree through non-tree edges) come from the TV
+//     engines' kernel, treecomp.LowHighCSR: each vertex seeds its preorder
+//     slot from its own arcs, and one fold answers every interval in O(1).
 //  3. Fence classification: tree edge (v, u=p(v)) is a fence when
 //     subtree(v)'s non-tree edges all stay inside subtree(u) — i.e.
 //     low(v) >= first(u) and high(v) <= last(u). A fence edge's block is
@@ -35,9 +36,10 @@
 //     byte-identical to every other engine regardless of which BFS tree
 //     the races produced.
 //
-// Total work is O(n + m) with O(diameter) parallel rounds and no
-// super-linear staging area — the space efficiency the paper's title
-// refers to, and the reason its constant factor beats the TV stack.
+// Total work is O(n + m), with O(diameter) parallel rounds in the BFS and
+// the two sweeps and a constant number in low/high, and no super-linear
+// staging area — the space efficiency the paper's title refers to, and the
+// reason its constant factor beats the TV stack.
 package fastbcc
 
 import (
@@ -51,6 +53,7 @@ import (
 	"bicc/internal/par"
 	"bicc/internal/prefix"
 	"bicc/internal/spantree"
+	"bicc/internal/treecomp"
 )
 
 // Fault-injection points, both with the computation's canceler: per level
@@ -111,8 +114,9 @@ func Run(p int, g *graph.Graph, cfg Config) (res *core.Result, err error) {
 	}
 	sw.Lap(core.PhaseRoot)
 
-	// Phase 3: low/high — seed from non-tree edges, fold bottom-up.
-	low, high := lowHigh(cfg.Cancel, p, g.EdgeList, f, lv, first)
+	// Phase 3: low/high, seeded from each vertex's own arcs and folded over
+	// the preorder intervals (treecomp's kernel, shared with TV).
+	low, high := treecomp.LowHighCSR(p, first, size, f.Parent, c)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
@@ -301,72 +305,4 @@ func preorder(cn *par.Canceler, p int, f *spantree.RootedForest, lv *levels) (fi
 		})
 	}
 	return first, size
-}
-
-// lowHigh computes, per vertex v, the min/max preorder number over
-// subtree(v) and the non-tree neighbors of subtree(v) — treecomp.LowHigh's
-// semantics without the RMQ: seed each endpoint of every non-tree edge with
-// the other endpoint's preorder, then fold children into parents bottom-up
-// by level.
-func lowHigh(cn *par.Canceler, p int, g *graph.EdgeList, f *spantree.RootedForest, lv *levels, first []int32) (low, high []int32) {
-	n := int(f.N)
-	low = make([]int32, n)
-	high = make([]int32, n)
-	par.ForC(cn, p, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			low[v] = first[v]
-			high[v] = first[v]
-		}
-	})
-	par.ForDynamicC(cn, p, len(g.Edges), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := g.Edges[i]
-			// Tree edges are exactly the parent edges; everything else
-			// seeds both endpoints.
-			if f.ParentEdge[e.U] == int32(i) || f.ParentEdge[e.V] == int32(i) {
-				continue
-			}
-			atomicMin(&low[e.U], first[e.V])
-			atomicMax(&high[e.U], first[e.V])
-			atomicMin(&low[e.V], first[e.U])
-			atomicMax(&high[e.V], first[e.U])
-		}
-	})
-	for l := lv.Max; l >= 0; l-- {
-		faults.Inject(cn, siteLabels, 0, int(lv.Max-l))
-		if cn.Err() != nil {
-			return nil, nil
-		}
-		verts := lv.Verts[lv.Off[l]:lv.Off[l+1]]
-		par.ForDynamicC(cn, p, len(verts), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := verts[i]
-				if pa := f.Parent[v]; pa != v {
-					// Fold v into its parent with atomics: siblings at the
-					// same level share the parent slot.
-					atomicMin(&low[pa], low[v])
-					atomicMax(&high[pa], high[v])
-				}
-			}
-		})
-	}
-	return low, high
-}
-
-func atomicMin(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v >= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-func atomicMax(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v <= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
 }

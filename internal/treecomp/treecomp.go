@@ -11,7 +11,9 @@
 //
 // Preorder numbers are global across the forest: each component occupies a
 // contiguous block (its root first), and every vertex's subtree occupies the
-// contiguous interval [Pre[v], Pre[v]+Size[v]).
+// contiguous interval [Pre[v], Pre[v]+Size[v]). The low/high kernel reads
+// only those intervals, so it also serves FAST-BCC, whose preorder comes
+// from level sweeps instead of a tour.
 package treecomp
 
 import (
@@ -19,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"bicc/internal/eulertour"
-	"bicc/internal/graph"
 	"bicc/internal/par"
 	"bicc/internal/prefix"
 )
@@ -155,167 +156,4 @@ func Compute(p int, seq *eulertour.ArcSeq) (*TreeData, error) {
 		return nil, fmt.Errorf("treecomp: vertex %d not covered by the tour (forest/roots mismatch)", b)
 	}
 	return td, nil
-}
-
-// LowHigh computes the paper's low(v) and high(v) for every vertex: the
-// smallest (largest) preorder number of any vertex that is in v's subtree or
-// adjacent to v's subtree by a nontree edge. isTree marks the spanning
-// forest's edges within edges.
-//
-// The computation follows TV: seed each vertex with the minimum (maximum)
-// preorder over itself and its nontree neighbors, then take the minimum
-// (maximum) over each subtree. Because subtrees are preorder-contiguous,
-// the subtree fold is a range query over the preorder-indexed seed array,
-// answered with a blocked sparse-table RMQ built in parallel.
-func LowHigh(p int, td *TreeData, edges []graph.Edge, isTree []bool) (low, high []int32) {
-	n := int(td.N)
-	lowSeed := make([]int32, n)
-	highSeed := make([]int32, n)
-	par.For(p, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			lowSeed[i] = int32(i) // indexed by preorder; seed = own preorder
-			highSeed[i] = int32(i)
-		}
-	})
-	// Fold nontree edges into the seeds with atomic min/max (any-writer
-	// CRCW emulation).
-	par.ForDynamic(p, len(edges), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if isTree[i] {
-				continue
-			}
-			e := edges[i]
-			pu, pv := td.Pre[e.U], td.Pre[e.V]
-			atomicMin(&lowSeed[pu], pv)
-			atomicMin(&lowSeed[pv], pu)
-			atomicMax(&highSeed[pu], pv)
-			atomicMax(&highSeed[pv], pu)
-		}
-	})
-	lowRMQ := newBlockedRMQ(p, lowSeed, true)
-	highRMQ := newBlockedRMQ(p, highSeed, false)
-	low = make([]int32, n)
-	high = make([]int32, n)
-	par.For(p, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			a := td.Pre[v]
-			b := a + td.Size[v] - 1
-			low[v] = lowRMQ.query(a, b)
-			high[v] = highRMQ.query(a, b)
-		}
-	})
-	return low, high
-}
-
-func atomicMin(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v >= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-func atomicMax(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v <= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-// blockedRMQ answers range-min (or range-max) queries over a static array:
-// the array is cut into blocks of rmqBlock entries, a sparse table is built
-// over block summaries, and queries scan at most two partial blocks. Memory
-// is O(n + (n/B) log(n/B)) instead of the textbook O(n log n) sparse table.
-type blockedRMQ struct {
-	vals   []int32
-	blocks [][]int32 // blocks[k][j] = fold over block range [j, j+2^k)
-	min    bool
-}
-
-const rmqBlock = 32
-
-func newBlockedRMQ(p int, vals []int32, min bool) *blockedRMQ {
-	nb := (len(vals) + rmqBlock - 1) / rmqBlock
-	r := &blockedRMQ{vals: vals, min: min}
-	if nb == 0 {
-		return r
-	}
-	level0 := make([]int32, nb)
-	par.For(p, nb, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			start := b * rmqBlock
-			end := start + rmqBlock
-			if end > len(vals) {
-				end = len(vals)
-			}
-			acc := vals[start]
-			for i := start + 1; i < end; i++ {
-				acc = r.fold(acc, vals[i])
-			}
-			level0[b] = acc
-		}
-	})
-	r.blocks = append(r.blocks, level0)
-	for width := 1; 2*width <= nb; width *= 2 {
-		prev := r.blocks[len(r.blocks)-1]
-		sz := nb - 2*width + 1
-		next := make([]int32, sz)
-		par.For(p, sz, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				next[j] = r.fold(prev[j], prev[j+width])
-			}
-		})
-		r.blocks = append(r.blocks, next)
-	}
-	return r
-}
-
-func (r *blockedRMQ) fold(a, b int32) int32 {
-	if r.min {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// query folds vals over the inclusive range [a, b].
-func (r *blockedRMQ) query(a, b int32) int32 {
-	acc := r.vals[a]
-	ba, bb := int(a)/rmqBlock, int(b)/rmqBlock
-	if ba == bb {
-		for i := a + 1; i <= b; i++ {
-			acc = r.fold(acc, r.vals[i])
-		}
-		return acc
-	}
-	// Partial head block.
-	headEnd := int32((ba + 1) * rmqBlock)
-	for i := a + 1; i < headEnd; i++ {
-		acc = r.fold(acc, r.vals[i])
-	}
-	// Partial tail block.
-	tailStart := int32(bb * rmqBlock)
-	for i := tailStart; i <= b; i++ {
-		acc = r.fold(acc, r.vals[i])
-	}
-	// Full blocks in between via the sparse table.
-	lo, hi := ba+1, bb-1
-	if lo <= hi {
-		k := 0
-		for 1<<(k+1) <= hi-lo+1 {
-			k++
-		}
-		width := 1 << k
-		acc = r.fold(acc, r.blocks[k][lo])
-		acc = r.fold(acc, r.blocks[k][hi-width+1])
-	}
-	return acc
 }

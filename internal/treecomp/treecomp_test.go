@@ -146,44 +146,32 @@ func TestIsAncestorMatchesOracle(t *testing.T) {
 	}
 }
 
-// lowHighOracle computes low/high by explicit subtree enumeration.
+// lowHighOracle computes low/high without preorder intervals: each vertex
+// folds its own preorder and its nontree neighbours' into every ancestor it
+// reaches by parent pointers. O(m + n·depth).
 func lowHighOracle(td *TreeData, edges []graph.Edge, isTree []bool) (low, high []int32) {
 	n := int(td.N)
-	low = make([]int32, n)
-	high = make([]int32, n)
-	for v := 0; v < n; v++ {
-		lo, hi := td.Pre[v], td.Pre[v]
-		for d := int32(0); d < int32(n); d++ {
-			if !td.IsAncestor(int32(v), d) {
-				continue
-			}
-			if td.Pre[d] < lo {
-				lo = td.Pre[d]
-			}
-			if td.Pre[d] > hi {
-				hi = td.Pre[d]
-			}
-			for i, e := range edges {
-				if isTree[i] {
-					continue
-				}
-				var w int32 = -1
-				if e.U == d {
-					w = e.V
-				} else if e.V == d {
-					w = e.U
-				}
-				if w >= 0 {
-					if td.Pre[w] < lo {
-						lo = td.Pre[w]
-					}
-					if td.Pre[w] > hi {
-						hi = td.Pre[w]
-					}
-				}
+	seedLo := append([]int32(nil), td.Pre...)
+	seedHi := append([]int32(nil), td.Pre...)
+	for i, e := range edges {
+		if isTree[i] {
+			continue
+		}
+		seedLo[e.U] = min(seedLo[e.U], td.Pre[e.V])
+		seedHi[e.U] = max(seedHi[e.U], td.Pre[e.V])
+		seedLo[e.V] = min(seedLo[e.V], td.Pre[e.U])
+		seedHi[e.V] = max(seedHi[e.V], td.Pre[e.U])
+	}
+	low = append([]int32(nil), td.Pre...)
+	high = append([]int32(nil), td.Pre...)
+	for d := 0; d < n; d++ {
+		for a := int32(d); ; a = td.Parent[a] {
+			low[a] = min(low[a], seedLo[d])
+			high[a] = max(high[a], seedHi[d])
+			if td.IsRoot(a) {
+				break
 			}
 		}
-		low[v], high[v] = lo, hi
 	}
 	return low, high
 }
@@ -203,13 +191,18 @@ func TestLowHighAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		isTree := f.TreeEdgeMark(1, len(g.Edges))
+		wantLow, wantHigh := lowHighOracle(td, g.Edges, isTree)
 		for _, p := range []int{1, 4} {
 			low, high := LowHigh(p, td, g.Edges, isTree)
-			wantLow, wantHigh := lowHighOracle(td, g.Edges, isTree)
+			csrLow, csrHigh := LowHighCSR(p, td.Pre, td.Size, td.Parent, c)
 			for v := 0; v < n; v++ {
 				if low[v] != wantLow[v] || high[v] != wantHigh[v] {
 					t.Fatalf("trial %d p=%d vertex %d: low=%d/%d high=%d/%d",
 						trial, p, v, low[v], wantLow[v], high[v], wantHigh[v])
+				}
+				if csrLow[v] != wantLow[v] || csrHigh[v] != wantHigh[v] {
+					t.Fatalf("trial %d p=%d vertex %d, CSR seeds: low=%d/%d high=%d/%d",
+						trial, p, v, csrLow[v], wantLow[v], csrHigh[v], wantHigh[v])
 				}
 			}
 		}
@@ -242,32 +235,27 @@ func TestLowHighCycleIsWholeRange(t *testing.T) {
 	_ = high
 }
 
+// TestBlockedRMQDirect checks pairRMQ's range folds against a scan, on
+// sizes around the block length and ranges that cross many blocks.
 func TestBlockedRMQDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for _, n := range []int{1, 2, rmqBlock - 1, rmqBlock, rmqBlock + 1, 5 * rmqBlock, 1000} {
-		vals := make([]int32, n)
+	for _, n := range []int{1, 2, foldBlock - 1, foldBlock, foldBlock + 1, 5 * foldBlock, 1000} {
+		vals := make([]seed, n)
 		for i := range vals {
-			vals[i] = int32(rng.Intn(1000))
+			vals[i] = seed{int32(rng.Intn(1000)), int32(rng.Intn(1000))}
 		}
-		rmin := newBlockedRMQ(2, vals, true)
-		rmax := newBlockedRMQ(2, vals, false)
-		for trial := 0; trial < 200; trial++ {
-			a := rng.Intn(n)
-			b := a + rng.Intn(n-a)
-			mn, mx := vals[a], vals[a]
-			for i := a + 1; i <= b; i++ {
-				if vals[i] < mn {
-					mn = vals[i]
+		for _, p := range []int{1, 2} {
+			r := newPairRMQ(p, vals)
+			for trial := 0; trial < 200; trial++ {
+				a := rng.Intn(n)
+				b := a + rng.Intn(n-a)
+				want := vals[a]
+				for i := a + 1; i <= b; i++ {
+					want = want.fold(vals[i])
 				}
-				if vals[i] > mx {
-					mx = vals[i]
+				if got := r.query(int32(a), int32(b)); got != want {
+					t.Fatalf("n=%d p=%d fold[%d,%d]=%v, want %v", n, p, a, b, got, want)
 				}
-			}
-			if got := rmin.query(int32(a), int32(b)); got != mn {
-				t.Fatalf("n=%d min[%d,%d]=%d, want %d", n, a, b, got, mn)
-			}
-			if got := rmax.query(int32(a), int32(b)); got != mx {
-				t.Fatalf("n=%d max[%d,%d]=%d, want %d", n, a, b, got, mx)
 			}
 		}
 	}
@@ -292,54 +280,5 @@ func TestLinkedAndDFSToursAgreeOnStructure(t *testing.T) {
 	}
 	if !sizes[6] || !sizes[9] {
 		t.Errorf("component sizes at roots: %v, want {6,9}", sizes)
-	}
-}
-
-func TestLowHighBottomUpMatchesRMQ(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(120)
-		maxM := n * (n - 1) / 2
-		m := rng.Intn(maxM + 1)
-		g := gen.Random(n, m, int64(trial+500))
-		c := graph.ToCSR(1, g)
-		f := spantree.BFS(1, c)
-		seq := eulertour.DFSOrder(1, g.Edges, f)
-		td, err := Compute(1, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		isTree := f.TreeEdgeMark(1, len(g.Edges))
-		for _, p := range []int{1, 4} {
-			low1, high1 := LowHigh(p, td, g.Edges, isTree)
-			low2, high2 := LowHighBottomUp(p, td, g.Edges, isTree)
-			for v := 0; v < n; v++ {
-				if low1[v] != low2[v] || high1[v] != high2[v] {
-					t.Fatalf("trial %d p=%d vertex %d: RMQ low/high=%d/%d, bottom-up=%d/%d",
-						trial, p, v, low1[v], high1[v], low2[v], high2[v])
-				}
-			}
-		}
-	}
-}
-
-func TestLowHighBottomUpDeepChain(t *testing.T) {
-	// Height = n-1: the worst case for the leveled sweep must still be
-	// correct.
-	g := gen.Chain(2000)
-	c := graph.ToCSR(1, g)
-	f := spantree.BFS(1, c)
-	seq := eulertour.DFSOrder(1, g.Edges, f)
-	td, err := Compute(1, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isTree := f.TreeEdgeMark(1, len(g.Edges))
-	low1, high1 := LowHigh(2, td, g.Edges, isTree)
-	low2, high2 := LowHighBottomUp(2, td, g.Edges, isTree)
-	for v := range low1 {
-		if low1[v] != low2[v] || high1[v] != high2[v] {
-			t.Fatalf("vertex %d mismatch", v)
-		}
 	}
 }
