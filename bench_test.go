@@ -96,8 +96,9 @@ func BenchmarkFig4(b *testing.B) {
 }
 
 // BenchmarkAblationTreeComp isolates the paper's §3.2 claim: tree
-// computations by list ranking (Wyllie, Helman–JáJá) versus prefix sums
-// over the DFS-ordered tour.
+// computations by list ranking (Wyllie, Helman–JáJá) versus a rooted tree's
+// numbering without list ranking, here the level-order kernel the rooted
+// engines run (treecomp.Number on a work-stealing tree).
 func BenchmarkAblationTreeComp(b *testing.B) {
 	p := runtime.GOMAXPROCS(0)
 	g := benchGraph(4 * benchN)
@@ -131,10 +132,9 @@ func BenchmarkAblationTreeComp(b *testing.B) {
 			}
 		}
 	})
-	b.Run("prefix-sum-dfs-order", func(b *testing.B) {
+	b.Run("level-order-kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			seq := eulertour.DFSOrder(p, g.Edges, rooted)
-			if _, err := treecomp.Compute(p, seq); err != nil {
+			if _, err := treecomp.Number(nil, rooted); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -143,7 +143,7 @@ func BenchmarkAblationTreeComp(b *testing.B) {
 
 // BenchmarkAblationEulerTour isolates the representation-conversion cost:
 // the sort-based circular-adjacency construction versus the DFS-order
-// construction.
+// construction (DFSOrderParallel, arc positions from subtree sizes).
 func BenchmarkAblationEulerTour(b *testing.B) {
 	p := runtime.GOMAXPROCS(0)
 	g := benchGraph(4 * benchN)
@@ -159,7 +159,7 @@ func BenchmarkAblationEulerTour(b *testing.B) {
 	})
 	b.Run("dfs-order", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eulertour.DFSOrder(p, g.Edges, rooted)
+			eulertour.DFSOrderParallel(p, g.Edges, rooted)
 		}
 	})
 }
@@ -299,21 +299,24 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTourConstruction compares the sequential-emission and
-// computed (level-sweep) DFS-order tours end to end within TV-opt.
+// BenchmarkAblationTourConstruction compares two ways to number one
+// work-stealing tree: the level-order kernel, which writes no tour, and the
+// computed DFS-order tour of Cong & Bader [6] (DFSOrderParallel) followed
+// by the prefix-sum tree computations.
 func BenchmarkAblationTourConstruction(b *testing.B) {
 	p := runtime.GOMAXPROCS(0)
 	g := benchGraph(4 * benchN)
-	b.Run("sequential-emission", func(b *testing.B) {
+	rooted := spantree.WorkStealing(p, graph.ToCSR(p, g))
+	b.Run("level-order-kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Custom(p, graph.Wrap(g), core.Config{SpanningTree: core.SpanWorkStealing}); err != nil {
+			if _, err := treecomp.Number(nil, rooted); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("computed-level-sweep", func(b *testing.B) {
+	b.Run("computed-tour-prefix-sum", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Custom(p, graph.Wrap(g), core.Config{SpanningTree: core.SpanWorkStealing, ParallelTour: true}); err != nil {
+			if _, err := treecomp.Compute(p, eulertour.DFSOrderParallel(p, g.Edges, rooted)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -128,8 +128,9 @@ const (
 	// computations.
 	TVSMP
 	// TVOpt is the optimized adaptation (§3.2): merged spanning-tree/root
-	// via work-stealing traversal, DFS-ordered Euler tour, prefix-sum tree
-	// computations.
+	// via work-stealing traversal, and the rooted tree numbered by two
+	// passes over its level order in place of the DFS-ordered Euler tour
+	// and its prefix sums.
 	TVOpt
 	// TVFilter is the paper's new algorithm (§4): discard nontree edges
 	// that cannot affect biconnectivity, run TV on at most 2(n-1) edges,
@@ -137,7 +138,7 @@ const (
 	TVFilter
 	// FastBCC is the skeleton-based algorithm of Dong, Wang, Gu & Sun
 	// ("Provably Fast and Space-Efficient Parallel Biconnectivity"): a BFS
-	// forest, preorder/low/high labels from O(n) level sweeps instead of an
+	// forest, preorder/low/high labels from O(n) passes instead of an
 	// Euler tour, and connected components over the fence-free skeleton
 	// graph. Same canonical output as every other engine, without the
 	// tour/list-ranking constant factor.

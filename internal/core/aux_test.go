@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"bicc/internal/eulertour"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 	"bicc/internal/par"
@@ -76,7 +75,7 @@ func auxInputs(t testing.TB, g *graph.EdgeList) ([]bool, *treecomp.TreeData, []i
 	t.Helper()
 	f := spantree.BFS(1, graph.ToCSR(1, g))
 	isTree := f.TreeEdgeMark(1, len(g.Edges))
-	td, err := treecomp.Compute(1, eulertour.DFSOrder(1, g.Edges, f))
+	td, err := treecomp.Number(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bicc/internal/conncomp"
-	"bicc/internal/eulertour"
 	"bicc/internal/graph"
 	"bicc/internal/par"
 	"bicc/internal/prefix"
@@ -50,8 +49,7 @@ func TwoBFSBlockCount(p int, g *graph.Graph) (int, error) {
 	nontrivial := countEdgeComponents(g.Edges, inT, labels)
 	// Bridges via low/high on the BFS tree: tree edge (v, p(v)) is a bridge
 	// iff no nontree edge leaves v's subtree.
-	seq := eulertour.DFSOrder(p, g.Edges, t)
-	td, err := treecomp.Compute(p, seq)
+	td, err := treecomp.Number(nil, t)
 	if err != nil {
 		return 0, err
 	}

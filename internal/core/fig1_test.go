@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"bicc/internal/eulertour"
 	"bicc/internal/graph"
 	"bicc/internal/spantree"
 	"bicc/internal/treecomp"
@@ -58,8 +57,7 @@ func TestPaperFigure1(t *testing.T) {
 			f.Parent[e.U] = e.V
 			f.ParentEdge[e.U] = int32(i)
 		}
-		seq := eulertour.DFSOrder(1, g.Edges, f)
-		td, err := treecomp.Compute(1, seq)
+		td, err := treecomp.Number(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bicc/internal/eulertour"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 	"bicc/internal/spantree"
@@ -24,8 +23,7 @@ func TestLemma1BFSNontreeEdgesUnrelated(t *testing.T) {
 		g := gen.Random(n, m, seed)
 		c := graph.ToCSR(1, g)
 		tr := spantree.BFS(1, c)
-		seq := eulertour.DFSOrder(1, g.Edges, tr)
-		td, err := treecomp.Compute(1, seq)
+		td, err := treecomp.Number(nil, tr)
 		if err != nil {
 			return false
 		}
@@ -60,8 +58,7 @@ func TestLemma1FailsForNonBFSTrees(t *testing.T) {
 		ParentEdge: []int32{-1, 0, 1, 2, 3, 4},
 		Roots:      []int32{0},
 	}
-	seq := eulertour.DFSOrder(1, g.Edges, f)
-	td, err := treecomp.Compute(1, seq)
+	td, err := treecomp.Number(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +68,7 @@ func TestLemma1FailsForNonBFSTrees(t *testing.T) {
 	}
 	// The BFS tree of the same cycle keeps the nontree edge unrelated.
 	tr := spantree.BFS(1, graph.ToCSR(1, g))
-	seqB := eulertour.DFSOrder(1, g.Edges, tr)
-	tdB, err := treecomp.Compute(1, seqB)
+	tdB, err := treecomp.Number(nil, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,6 @@ type Config struct {
 	// Filter enables the §4 edge filtering. It requires SpanBFS: the
 	// correctness lemmas (Lemma 1/2, Theorem 2) hold only for BFS trees.
 	Filter bool
-	// ParallelTour selects the computed (level-sweep) Euler tour of Cong &
-	// Bader's technique paper [6] instead of the sequential DFS emission;
-	// both produce identical sequences. Only meaningful for rooted
-	// spanning trees (ignored with SpanSV).
-	ParallelTour bool
 }
 
 // Custom runs the TV pipeline described by cfg with p workers. The rooted
@@ -98,7 +93,6 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 		c          *graph.CSR
 		rooted     *spantree.RootedForest
 		linkedTour *eulertour.Tour
-		seq        *eulertour.ArcSeq
 		mGlobal    = len(g.Edges)
 	)
 	switch cfg.SpanningTree {
@@ -153,26 +147,28 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 		sw.Lap(PhaseFiltering)
 	}
 
-	// Step 2 for the rooted variants: tour in traversal order.
+	// Steps 2–3. A rooted tree (TV-opt, TV-filter) is numbered by
+	// treecomp's kernel without a tour: its children lists and level order
+	// stand in for the Euler tour, and its size and preorder passes are the
+	// root step. The SV path list-ranks its linked tour here, which is the
+	// paper's "root" cost.
 	if rooted != nil {
-		if cfg.ParallelTour {
-			seq = eulertour.DFSOrderParallel(p, g.Edges, rooted)
-		} else {
-			seq = eulertour.DFSOrder(p, g.Edges, rooted)
-		}
-		sw.Lap(PhaseEulerTour)
-	}
-	// Step 3: tree computations. For the SV path this is where the list
-	// ranking runs, which is the paper's "root" cost.
-	if linkedTour != nil {
-		seq, err = eulertour.Sequence(p, linkedTour, cfg.Ranker == RankHelmanJaja)
+		lv, err := treecomp.Order(cfg.Cancel, rooted)
 		if err != nil {
 			return nil, err
 		}
-	}
-	td, err = treecomp.Compute(p, seq)
-	if err != nil {
-		return nil, err
+		sw.Lap(PhaseEulerTour)
+		if td, err = lv.Number(cfg.Cancel); err != nil {
+			return nil, err
+		}
+	} else {
+		seq, err := eulertour.Sequence(p, linkedTour, cfg.Ranker == RankHelmanJaja)
+		if err != nil {
+			return nil, err
+		}
+		if td, err = treecomp.Compute(p, seq); err != nil {
+			return nil, err
+		}
 	}
 	faults.Inject(cfg.Cancel, sitePhase, 0, 2)
 	if err := cfg.Cancel.Err(); err != nil {

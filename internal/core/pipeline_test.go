@@ -35,8 +35,6 @@ func TestCustomAllConfigurations(t *testing.T) {
 		{"ws", Config{SpanningTree: SpanWorkStealing}},
 		{"bfs", Config{SpanningTree: SpanBFS}},
 		{"bfs-filter", Config{SpanningTree: SpanBFS, Filter: true}},
-		{"ws-partour", Config{SpanningTree: SpanWorkStealing, ParallelTour: true}},
-		{"bfs-partour-filter", Config{SpanningTree: SpanBFS, Filter: true, ParallelTour: true}},
 	}
 	inputs := map[string]*graph.EdgeList{
 		"random":       gen.Random(150, 400, 11),

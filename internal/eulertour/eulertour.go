@@ -1,6 +1,5 @@
 // Package eulertour constructs Euler tours of spanning forests, the step 2
-// substrate of Tarjan–Vishkin. Two constructions are provided, matching the
-// paper's two implementations:
+// substrate of Tarjan–Vishkin. Two constructions are provided:
 //
 //   - FromForest (TV-SMP, §3.1): the PRAM-faithful construction. Both arcs
 //     of every tree edge are sorted with the Helman–JáJá sample sort so that
@@ -9,12 +8,15 @@
 //     the arc after (v,u) in v's circular list. The result is a *linked*
 //     tour (successor array) that must be list-ranked before tree
 //     computations — the conversion + ranking cost the paper measures.
-//   - DFSOrder (TV-opt, §3.2): the cache-friendly construction. A traversal
-//     of the rooted tree emits the tour arcs already in tour order, so tree
-//     computations reduce to prefix sums over arrays.
+//   - DFSOrderParallel (§3.2, after Cong & Bader [6]): the tour of a rooted
+//     forest with every arc's position computed from subtree sizes, already
+//     in tour order, so tree computations reduce to prefix sums. No engine
+//     runs it: the rooted engines number their trees with
+//     treecomp.Number, which gives the same numbering without writing the
+//     arcs. The benchmark's kernel suite and the ablations time it.
 //
 // Both produce an ArcSeq — arcs in tour position order — as the common
-// currency consumed by package treecomp. Multi-vertex components are
+// currency consumed by treecomp.Compute. Multi-vertex components are
 // concatenated; singleton (isolated) components carry no arcs and appear
 // only in Roots.
 package eulertour
@@ -26,7 +28,6 @@ import (
 	"bicc/internal/listrank"
 	"bicc/internal/par"
 	"bicc/internal/psort"
-	"bicc/internal/spantree"
 )
 
 // ArcSeq is an Euler tour of a spanning forest with arcs laid out in tour
@@ -196,111 +197,4 @@ func Sequence(p int, t *Tour, useHJ bool) (*ArcSeq, error) {
 		seq.CompFirst[k] = rank[h]
 	}
 	return seq, nil
-}
-
-// DFSOrder builds the ArcSeq directly in tour order from a rooted spanning
-// forest, the TV-opt cache-friendly construction: one traversal per
-// component emits advance arcs on descent and retreat arcs on ascent, so
-// consecutive tour arcs are adjacent in memory. Components are processed in
-// Roots order and emitted back-to-back.
-func DFSOrder(p int, edges []graph.Edge, f *spantree.RootedForest) *ArcSeq {
-	n := f.N
-	// Children lists as a CSR over the tree (m_tree = n - #roots edges).
-	childCount := make([]int32, n+1)
-	for v := int32(0); v < n; v++ {
-		if !f.IsRoot(v) {
-			childCount[f.Parent[v]+1]++
-		}
-	}
-	for v := int32(0); v < n; v++ {
-		childCount[v+1] += childCount[v]
-	}
-	childOff := childCount
-	child := make([]int32, childOff[n])
-	cur := make([]int32, n)
-	for v := int32(0); v < n; v++ {
-		if !f.IsRoot(v) {
-			pv := f.Parent[v]
-			child[childOff[pv]+cur[pv]] = v
-			cur[pv]++
-		}
-	}
-	treeEdges := int(childOff[n])
-	seq := &ArcSeq{
-		N:       n,
-		Src:     make([]int32, 2*treeEdges),
-		Dst:     make([]int32, 2*treeEdges),
-		EdgeID:  make([]int32, 2*treeEdges),
-		Advance: make([]bool, 2*treeEdges),
-	}
-	var multiRoots, singles []int32
-	for _, r := range f.Roots {
-		if childOff[r] == childOff[r+1] {
-			// A root with no children is an isolated vertex.
-			singles = append(singles, r)
-			continue
-		}
-		multiRoots = append(multiRoots, r)
-	}
-	// Emit each component's tour. Components are independent, so they can
-	// be processed in parallel once their output offsets are known; offsets
-	// require subtree sizes, so we emit sequentially per component but the
-	// loop over components is parallel when there are many (disconnected
-	// inputs). For the common single-component case this is one sequential
-	// cache-friendly pass, which is exactly the paper's TV-opt trade.
-	compArcStart := make([]int32, len(multiRoots)+1)
-	compSize := make([]int32, len(multiRoots))
-	// Subtree arc counts per component = 2*(size-1); compute sizes by a
-	// quick iterative count per root.
-	par.For(p, len(multiRoots), func(lo, hi int) {
-		stack := make([]int32, 0, 64)
-		for k := lo; k < hi; k++ {
-			cnt := int32(0)
-			stack = append(stack[:0], multiRoots[k])
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				cnt++
-				stack = append(stack, child[childOff[v]:childOff[v+1]]...)
-			}
-			compSize[k] = cnt
-		}
-	})
-	for k := range multiRoots {
-		compArcStart[k+1] = compArcStart[k] + 2*(compSize[k]-1)
-	}
-	par.For(p, len(multiRoots), func(lo, hi int) {
-		type frame struct {
-			v, ci int32
-		}
-		stack := make([]frame, 0, 64)
-		for k := lo; k < hi; k++ {
-			out := compArcStart[k]
-			stack = append(stack[:0], frame{multiRoots[k], 0})
-			for len(stack) > 0 {
-				fr := &stack[len(stack)-1]
-				if fr.ci < childOff[fr.v+1]-childOff[fr.v] {
-					c := child[childOff[fr.v]+fr.ci]
-					fr.ci++
-					seq.Src[out], seq.Dst[out] = fr.v, c
-					seq.EdgeID[out] = f.ParentEdge[c]
-					seq.Advance[out] = true
-					out++
-					stack = append(stack, frame{c, 0})
-					continue
-				}
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					parent := stack[len(stack)-1].v
-					seq.Src[out], seq.Dst[out] = fr.v, parent
-					seq.EdgeID[out] = f.ParentEdge[fr.v]
-					seq.Advance[out] = false
-					out++
-				}
-			}
-		}
-	})
-	seq.CompFirst = compArcStart[:len(multiRoots)]
-	seq.Roots = append(multiRoots, singles...)
-	return seq
 }

@@ -133,6 +133,8 @@ func TestFromForestSequence(t *testing.T) {
 	}
 }
 
+// TestDFSOrder checks that the DFS-order tour DFSOrderParallel computes is
+// a valid Euler tour of work-stealing and BFS forests.
 func TestDFSOrder(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, p := range []int{1, 3} {
@@ -141,7 +143,7 @@ func TestDFSOrder(t *testing.T) {
 				spantree.WorkStealing(p, c),
 				spantree.BFS(p, c),
 			} {
-				seq := DFSOrder(p, g.Edges, f)
+				seq := DFSOrderParallel(p, g.Edges, f)
 				checkSeq(t, g, seq)
 				_ = name
 			}
@@ -182,8 +184,8 @@ func TestDFSOrderDeterministicPerForest(t *testing.T) {
 	g := gen.RandomConnected(80, 200, 3)
 	c := graph.ToCSR(1, g)
 	f := spantree.BFS(1, c)
-	a := DFSOrder(1, g.Edges, f)
-	b := DFSOrder(2, g.Edges, f)
+	a := DFSOrderParallel(1, g.Edges, f)
+	b := DFSOrderParallel(2, g.Edges, f)
 	if a.NumArcs() != b.NumArcs() {
 		t.Fatal("arc count differs between p=1 and p=2")
 	}
@@ -208,63 +210,6 @@ func TestRandomizedToursAllConstructions(t *testing.T) {
 		}
 		checkSeq(t, g, seq)
 		c := graph.ToCSR(1, g)
-		checkSeq(t, g, DFSOrder(2, g.Edges, spantree.WorkStealing(2, c)))
-	}
-}
-
-// DFSOrderParallel must emit bit-identical sequences to DFSOrder for the
-// same rooted forest.
-func TestDFSOrderParallelMatchesSequential(t *testing.T) {
-	for name, g := range testGraphs() {
-		for _, p := range []int{1, 4} {
-			c := graph.ToCSR(p, g)
-			for _, f := range []*spantree.RootedForest{
-				spantree.WorkStealing(p, c),
-				spantree.BFS(p, c),
-			} {
-				want := DFSOrder(1, g.Edges, f)
-				got := DFSOrderParallel(p, g.Edges, f)
-				if got.NumArcs() != want.NumArcs() {
-					t.Fatalf("%s p=%d: %d arcs, want %d", name, p, got.NumArcs(), want.NumArcs())
-				}
-				for i := 0; i < want.NumArcs(); i++ {
-					if got.Src[i] != want.Src[i] || got.Dst[i] != want.Dst[i] ||
-						got.EdgeID[i] != want.EdgeID[i] || got.Advance[i] != want.Advance[i] {
-						t.Fatalf("%s p=%d: arc %d differs: (%d,%d,%d,%v) vs (%d,%d,%d,%v)",
-							name, p, i,
-							got.Src[i], got.Dst[i], got.EdgeID[i], got.Advance[i],
-							want.Src[i], want.Dst[i], want.EdgeID[i], want.Advance[i])
-					}
-				}
-				if len(got.CompFirst) != len(want.CompFirst) || len(got.Roots) != len(want.Roots) {
-					t.Fatalf("%s p=%d: component metadata differs", name, p)
-				}
-				for k := range want.CompFirst {
-					if got.CompFirst[k] != want.CompFirst[k] || got.Roots[k] != want.Roots[k] {
-						t.Fatalf("%s p=%d: component %d differs", name, p, k)
-					}
-				}
-				checkSeq(t, g, got)
-			}
-		}
-	}
-}
-
-func TestDFSOrderParallelRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(300)
-		maxM := n * (n - 1) / 2
-		m := rng.Intn(maxM + 1)
-		g := gen.Random(n, m, int64(trial*3+2))
-		c := graph.ToCSR(1, g)
-		f := spantree.BFS(1, c)
-		want := DFSOrder(1, g.Edges, f)
-		got := DFSOrderParallel(3, g.Edges, f)
-		for i := 0; i < want.NumArcs(); i++ {
-			if got.Src[i] != want.Src[i] || got.Dst[i] != want.Dst[i] {
-				t.Fatalf("trial %d: arc %d differs", trial, i)
-			}
-		}
+		checkSeq(t, g, DFSOrderParallel(2, g.Edges, spantree.WorkStealing(2, c)))
 	}
 }

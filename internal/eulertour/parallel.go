@@ -6,8 +6,8 @@ import (
 	"bicc/internal/spantree"
 )
 
-// DFSOrderParallel produces the same ArcSeq as DFSOrder — the Euler tour's
-// arcs laid out in traversal order — without walking the tree
+// DFSOrderParallel produces the ArcSeq of a rooted forest's DFS-order Euler
+// tour — arcs laid out in traversal order — without walking the tree
 // sequentially. It is the construction of Cong & Bader's cited Euler-tour
 // paper [6]: with a rooted spanning tree in hand, every arc's tour position
 // is a closed-form function of subtree sizes, so the tour can be *computed*
@@ -22,13 +22,13 @@ import (
 //   - with intervals known, every vertex writes its own advance and
 //     retreat arcs independently, in parallel.
 //
-// Children are ordered exactly as DFSOrder orders them (children-CSR
-// layout), so the two constructions emit identical sequences — asserted by
-// tests.
+// Children are ordered by vertex id under each parent, the sibling order of
+// treecomp.Number, so treecomp.Compute over this tour equals that kernel's
+// numbering field for field — asserted by tests.
 func DFSOrderParallel(p int, edges []graph.Edge, f *spantree.RootedForest) *ArcSeq {
 	n := int(f.N)
 	p = par.Procs(p)
-	// Children CSR (same layout as DFSOrder, so arc order matches).
+	// Children CSR, siblings by vertex id.
 	childOff := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		if !f.IsRoot(int32(v)) {

@@ -12,7 +12,7 @@ var (
 	mChunks = obs.Default().Counter("bicc_par_chunks_total",
 		"Work chunks claimed by dynamically scheduled loops.")
 	mSteals = obs.Default().Counter("bicc_par_steals_total",
-		"Successful steals from work-stealing deques (each takes half the victim's items).")
+		"Work taken from the spanning-tree traversal's shared pool (each take is half the pool).")
 	mBarrierWaits = obs.Default().Counter("bicc_par_barrier_waits_total",
 		"Arrivals at software barriers.")
 	mPanics = obs.Default().Counter("bicc_par_panics_total",

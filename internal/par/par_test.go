@@ -1,11 +1,15 @@
 package par
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestProcs(t *testing.T) {
@@ -226,103 +230,153 @@ func TestWorkerOfInvertsBlock(t *testing.T) {
 	}
 }
 
-func TestDequeLIFOOwner(t *testing.T) {
-	d := NewDeque(4)
-	for i := int32(0); i < 10; i++ {
-		d.Push(i)
+func TestPoolTakesHalf(t *testing.T) {
+	q := NewPool(2)
+	q.Give([]int32{1, 2, 3, 4, 5})
+	got, ok := q.Wait(&Canceler{}, []int32{9})
+	if !ok || !slices.Equal(got, []int32{9, 3, 4, 5}) {
+		t.Fatalf("Wait = %v, %v; want the newest half appended to the buffer: [9 3 4 5], true", got, ok)
 	}
-	for i := int32(9); i >= 0; i-- {
-		v, ok := d.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if _, ok := d.Pop(); ok {
-		t.Error("Pop on empty deque returned ok")
+	got, ok = q.Wait(&Canceler{}, nil)
+	if !ok || !slices.Equal(got, []int32{2}) {
+		t.Fatalf("second Wait = %v, %v; want [2], true", got, ok)
 	}
 }
 
-func TestDequeStealHalf(t *testing.T) {
-	d := NewDeque(0)
-	d.PushAll([]int32{1, 2, 3, 4, 5})
-	got := d.StealHalf(nil)
-	if len(got) != 3 {
-		t.Fatalf("stole %d items, want 3", len(got))
-	}
-	for i, v := range []int32{1, 2, 3} {
-		if got[i] != v {
-			t.Errorf("stolen[%d] = %d, want %d (steal from top/oldest)", i, got[i], v)
-		}
-	}
-	if d.Len() != 2 {
-		t.Errorf("victim has %d items left, want 2", d.Len())
-	}
-	// Remaining items must be the newest, still poppable in LIFO order.
-	if v, _ := d.Pop(); v != 5 {
-		t.Errorf("Pop after steal = %d, want 5", v)
-	}
-}
+// The two TestDeque* tests keep the names of the per-worker deque checks
+// that the pool's empty cases replace: a steal from empty shared work takes
+// nothing, and an empty batch feeds no one.
 
+// TestDequeStealEmpty: a lone worker waiting on an empty pool takes nothing
+// and is told the traversal is over.
 func TestDequeStealEmpty(t *testing.T) {
-	d := NewDeque(0)
-	if got := d.StealHalf(nil); got != nil {
-		t.Errorf("StealHalf on empty = %v, want nil", got)
+	q := NewPool(1)
+	if got, ok := q.Wait(&Canceler{}, nil); ok || got != nil {
+		t.Fatalf("lone worker on an empty pool: Wait = %v, %v; want [], false", got, ok)
 	}
 }
 
-func TestDequeConcurrentTotal(t *testing.T) {
-	// One owner producing, several thieves stealing: total items consumed
-	// must equal total produced.
-	const total = 20000
-	d := NewDeque(64)
-	var consumed atomic.Int64
-	done := make(chan struct{})
-	for i := 0; i < 3; i++ {
+// TestDequePushAllEmpty: giving the pool an empty batch leaves a waiting
+// worker hungry; the next real item reaches it.
+func TestDequePushAllEmpty(t *testing.T) {
+	q := NewPool(2)
+	got := make(chan []int32, 1)
+	go func() {
+		buf, _ := q.Wait(&Canceler{}, nil)
+		got <- buf
+	}()
+	for !q.Hungry() {
+		runtime.Gosched()
+	}
+	q.Give(nil)
+	q.Give([]int32{})
+	if !q.Hungry() || q.avail.Load() != 0 {
+		t.Fatalf("after empty batches: Hungry = %v, avail = %d; want true, 0", q.Hungry(), q.avail.Load())
+	}
+	q.Give([]int32{7})
+	select {
+	case buf := <-got:
+		if !slices.Equal(buf, []int32{7}) {
+			t.Fatalf("waiting worker got %v, want [7]", buf)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting worker never got the item")
+	}
+}
+
+// TestPoolEndsWhenAllIdle: with the pool empty, Wait returns false once
+// every worker waits, and only then.
+func TestPoolEndsWhenAllIdle(t *testing.T) {
+	q := NewPool(3)
+	var ended atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
 		go func() {
-			buf := make([]int32, 0, 64)
-			for {
-				select {
-				case <-done:
-					// Drain what remains after producer finished.
-					for {
-						got := d.StealHalf(buf)
-						if got == nil {
-							return
-						}
-						consumed.Add(int64(len(got)))
-					}
-				default:
-					got := d.StealHalf(buf)
-					consumed.Add(int64(len(got)))
-				}
+			defer wg.Done()
+			if _, ok := q.Wait(&Canceler{}, nil); !ok {
+				ended.Add(1)
 			}
 		}()
 	}
-	for i := 0; i < total; i++ {
-		d.Push(int32(i))
-		if i%64 == 0 {
-			if _, ok := d.Pop(); ok {
-				consumed.Add(1)
-			}
-		}
-	}
-	close(done)
-	// Wait until everything is accounted for.
-	for {
-		if consumed.Load()+int64(d.Len()) >= total {
-			break
-		}
+	for q.idle.Load() < 2 {
 		runtime.Gosched()
 	}
-	rest := int64(0)
-	for {
-		if _, ok := d.Pop(); !ok {
-			break
-		}
-		rest++
+	if ended.Load() != 0 {
+		t.Fatal("Wait returned while a worker was still busy")
 	}
-	if got := consumed.Load() + rest; got != total {
-		t.Errorf("consumed %d items, want %d", got, total)
+	if _, ok := q.Wait(&Canceler{}, nil); ok {
+		t.Fatal("last worker got work from an empty pool")
+	}
+	wg.Wait()
+	if ended.Load() != 2 {
+		t.Fatalf("%d of 2 waiting workers ended", ended.Load())
+	}
+}
+
+func TestPoolWaitReturnsOnCancel(t *testing.T) {
+	q := NewPool(2)
+	c := &Canceler{}
+	done := make(chan bool)
+	go func() {
+		_, ok := q.Wait(c, nil)
+		done <- ok
+	}()
+	for !q.Hungry() {
+		runtime.Gosched()
+	}
+	c.Cancel(errors.New("stop"))
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("Wait on a tripped canceler returned work")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not notice the canceler")
+	}
+}
+
+// TestPoolConcurrentTotal drives the pool the way the spanning-tree
+// traversal does, over an implicit binary tree of total items: private
+// stacks, Give when Hungry, Wait when dry. Every item must be expanded
+// exactly once.
+func TestPoolConcurrentTotal(t *testing.T) {
+	const total = 20000
+	for _, p := range []int{1, 2, 3, 8} {
+		q := NewPool(p)
+		seen := make([]atomic.Int32, total)
+		Run(p, func(w int) {
+			var stack []int32
+			if w == 0 {
+				stack = append(stack, 0)
+			}
+			for {
+				for len(stack) > 0 {
+					v := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					seen[v].Add(1)
+					for _, c := range []int32{2*v + 1, 2*v + 2} {
+						if c < total {
+							stack = append(stack, c)
+						}
+					}
+					if len(stack) >= 2 && q.Hungry() {
+						k := len(stack) / 2
+						q.Give(stack[:k])
+						stack = stack[:copy(stack, stack[k:])]
+					}
+				}
+				var ok bool
+				if stack, ok = q.Wait(&Canceler{}, stack); !ok {
+					return
+				}
+			}
+		})
+		for v := range seen {
+			if n := seen[v].Load(); n != 1 {
+				t.Fatalf("p=%d: item %d expanded %d times", p, v, n)
+			}
+		}
 	}
 }
 
@@ -383,12 +437,4 @@ func TestNewBarrierClampsParties(t *testing.T) {
 	b := NewBarrier(0) // clamps to 1: Wait must not block
 	b.Wait()
 	b.Wait()
-}
-
-func TestDequePushAllEmpty(t *testing.T) {
-	d := NewDeque(0)
-	d.PushAll(nil) // no-op
-	if d.Len() != 0 {
-		t.Errorf("len=%d", d.Len())
-	}
 }

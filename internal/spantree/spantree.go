@@ -17,7 +17,6 @@
 package spantree
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"bicc/internal/conncomp"
@@ -27,8 +26,7 @@ import (
 )
 
 // Fault-injection points, all with the computation's canceler: once per SV
-// call, per expansion batch in the work-stealing traversal, and per level
-// in BFS.
+// call, per expansion in the work-stealing traversal, and per level in BFS.
 var (
 	siteSV    = faults.RegisterSite("spantree.sv", true)
 	siteSteal = faults.RegisterSite("spantree.steal", true)
@@ -84,17 +82,19 @@ func SVC(c *par.Canceler, p int, n int32, edges []graph.Edge) *Forest {
 }
 
 // WorkStealing computes a rooted spanning forest by parallel graph
-// traversal: workers expand vertices from private deques, claiming children
-// with a CAS on the parent array, and steal half a victim's deque when their
-// own runs dry. Discovery order is nondeterministic, but any claimed parent
+// traversal: workers expand vertices from private stacks, claiming children
+// with a CAS on the parent array, and a worker whose stack runs dry waits on
+// one shared pool that busy workers feed with the older half of their
+// stacks. Discovery order is nondeterministic, but any claimed parent
 // relation is a valid spanning-forest edge.
 func WorkStealing(p int, c *graph.CSR) *RootedForest {
 	return WorkStealingC(nil, p, c)
 }
 
 // WorkStealingC is WorkStealing with cooperative cancellation: traversal
-// workers poll cn between expansions. When cn trips the returned forest is
-// incomplete — callers must check cn.Err() and discard it.
+// workers poll cn between expansions and while idle. When cn trips the
+// returned forest is incomplete — callers must check cn.Err() and discard
+// it.
 func WorkStealingC(cn *par.Canceler, p int, c *graph.CSR) *RootedForest {
 	n := c.N
 	p = par.Procs(p)
@@ -116,72 +116,59 @@ func WorkStealingC(cn *par.Canceler, p int, c *graph.CSR) *RootedForest {
 		}
 		parent[s] = s
 		roots = append(roots, s)
-		traverse(cn, p, c, parent, parentEdge, s)
+		if c.Off[s] != c.Off[s+1] {
+			traverse(cn, p, c, parent, parentEdge, s)
+		}
 	}
 	return &RootedForest{N: n, Parent: parent, ParentEdge: parentEdge, Roots: roots}
 }
 
 // traverse runs the work-stealing expansion of one component from root s.
+// The expansion path takes no lock and writes no shared counter: a worker
+// touches the pool only when another waits (after an expansion that leaves
+// it at least two items) or when its own stack runs dry.
 func traverse(cn *par.Canceler, p int, c *graph.CSR, parent, parentEdge []int32, s int32) {
-	// Idle workers spin on the shared work counter waiting for stragglers, so
-	// a panicking worker must trip a cancellation token or its siblings would
-	// wait forever for work that will never be retired. Without a caller
-	// token, use a private one and re-raise the contained panic afterwards.
+	// Idle workers wait in the pool for work the others may still give, so
+	// a panicking worker must trip a cancellation token or its siblings
+	// would wait forever. Without a caller token, use a private one and
+	// re-raise the contained panic afterwards.
 	localToken := cn == nil
 	if localToken {
 		cn = &par.Canceler{}
 	}
-	deques := make([]*par.Deque, p)
-	for i := range deques {
-		deques[i] = par.NewDeque(256)
-	}
-	deques[0].Push(s)
-	// work counts vertices discovered (pushed) but not yet fully expanded;
-	// the traversal is complete when it reaches zero.
-	var work atomic.Int64
-	work.Store(1)
+	pool := par.NewPool(p)
 	pe := par.RunC(cn, p, func(w int) {
-		my := deques[w]
-		stealBuf := make([]int32, 0, 256)
-		for iter := 0; ; iter++ {
-			if cn.Err() != nil {
-				return
-			}
-			faults.Inject(cn, siteSteal, w, iter)
-			v, ok := my.Pop()
-			if !ok {
-				if work.Load() == 0 {
+		stack := make([]int32, 0, 256)
+		if w == 0 {
+			stack = append(stack, s)
+		}
+		for iter := 0; ; {
+			for len(stack) > 0 {
+				if cn.Err() != nil {
 					return
 				}
-				// Try to steal from any victim.
-				stole := false
-				for off := 1; off < p; off++ {
-					victim := deques[(w+off)%p]
-					if got := victim.StealHalf(stealBuf); len(got) > 0 {
-						// Last stolen item is processed immediately; the
-						// rest go to our deque.
-						v = got[len(got)-1]
-						my.PushAll(got[:len(got)-1])
-						stole = true
-						break
+				faults.Inject(cn, siteSteal, w, iter)
+				iter++
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for i, end := c.Off[v], c.Off[v+1]; i < end; i++ {
+					u := c.Adj[i]
+					if atomic.LoadInt32(&parent[u]) == -1 &&
+						atomic.CompareAndSwapInt32(&parent[u], -1, v) {
+						parentEdge[u] = c.EdgeID[i]
+						stack = append(stack, u)
 					}
 				}
-				if !stole {
-					runtime.Gosched()
-					continue
+				if len(stack) >= 2 && pool.Hungry() {
+					k := len(stack) / 2
+					pool.Give(stack[:k])
+					stack = stack[:copy(stack, stack[k:])]
 				}
 			}
-			off, end := c.Off[v], c.Off[v+1]
-			for i := off; i < end; i++ {
-				u := c.Adj[i]
-				if atomic.LoadInt32(&parent[u]) == -1 &&
-					atomic.CompareAndSwapInt32(&parent[u], -1, v) {
-					parentEdge[u] = c.EdgeID[i]
-					work.Add(1)
-					my.Push(u)
-				}
+			var ok bool
+			if stack, ok = pool.Wait(cn, stack); !ok {
+				return
 			}
-			work.Add(-1)
 		}
 	})
 	if localToken && pe != nil {

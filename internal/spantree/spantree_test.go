@@ -64,17 +64,34 @@ func checkRooted(t *testing.T, g *graph.EdgeList, f *RootedForest) {
 		tree = append(tree, id)
 	}
 	checkForestEdges(t, g, tree)
-	// Every vertex must reach its root in at most n steps.
+	// Every vertex must reach a listed root: walk each chain until it meets
+	// a vertex already known to reach one, so the check stays linear.
+	const (
+		unseen = iota
+		onPath
+		reaches
+	)
+	state := make([]uint8, f.N)
+	for _, r := range f.Roots {
+		if !f.IsRoot(r) {
+			t.Fatalf("listed root %d has parent %d", r, f.Parent[r])
+		}
+		state[r] = reaches
+	}
+	var path []int32
 	for v := int32(0); v < f.N; v++ {
+		path = path[:0]
 		x := v
-		for i := int32(0); i <= f.N; i++ {
-			if f.Parent[x] == x {
-				break
-			}
+		for state[x] == unseen {
+			state[x] = onPath
+			path = append(path, x)
 			x = f.Parent[x]
-			if i == f.N {
-				t.Fatalf("vertex %d: parent chain does not terminate", v)
-			}
+		}
+		if state[x] == onPath {
+			t.Fatalf("vertex %d: parent chain does not reach a listed root", v)
+		}
+		for _, y := range path {
+			state[y] = reaches
 		}
 	}
 }

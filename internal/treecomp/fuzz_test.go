@@ -54,7 +54,7 @@ type numbered struct {
 }
 
 // fuzzTrees numbers three spanning forests of g: BFS, work-stealing (both
-// rooted, toured in DFS order) and SV (unrooted, toured by list ranking).
+// rooted, numbered by the kernel) and SV (unrooted, toured by list ranking).
 func fuzzTrees(t *testing.T, g *graph.EdgeList, c *graph.CSR) []numbered {
 	t.Helper()
 	m := len(g.Edges)
@@ -63,7 +63,7 @@ func fuzzTrees(t *testing.T, g *graph.EdgeList, c *graph.CSR) []numbered {
 		name string
 		f    *spantree.RootedForest
 	}{{"bfs", spantree.BFS(2, c)}, {"work-stealing", spantree.WorkStealing(2, c)}} {
-		td, err := Compute(2, eulertour.DFSOrder(2, g.Edges, r.f))
+		td, err := Number(nil, r.f)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -126,6 +126,28 @@ func FuzzLowHigh(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzNumber holds the numbering kernel to Compute over the DFS-order tour
+// of the same forest, field for field, on BFS and work-stealing forests at
+// p = 1, 2 and 4, and Size to a count along parent pointers.
+func FuzzNumber(f *testing.F) {
+	f.Add([]byte{0, 10, 0})      // isolated vertices only
+	f.Add([]byte{1, 0xff, 0x07}) // chain of 2048
+	f.Add([]byte{2, 0x2c, 0x01}) // cycle of 301
+	f.Add([]byte{3, 200, 0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 200, 17})
+	f.Add(append([]byte{0, 0xf3, 0x01}, []byte("a random-looking body of chords: 0123456789abcdef0123456789")...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3+4*2048 {
+			data = data[:3+4*2048]
+		}
+		g := fuzzGraph(data)
+		for _, p := range []int{1, 2, 4} {
+			c := graph.ToCSR(p, g)
+			checkNumberMatchesTour(t, "bfs", g, spantree.BFS(p, c))
+			checkNumberMatchesTour(t, "work-stealing", g, spantree.WorkStealing(p, c))
 		}
 	})
 }

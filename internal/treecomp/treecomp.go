@@ -1,19 +1,19 @@
-// Package treecomp implements the Euler-tour tree computations of
-// Tarjan–Vishkin steps 3 and 4: rooting the tree (parent per vertex),
-// preorder numbering, subtree sizes, and the low/high values.
+// Package treecomp implements the tree computations of Tarjan–Vishkin
+// steps 3 and 4: rooting the tree (parent per vertex), preorder numbering,
+// subtree sizes, and the low/high values.
 //
-// Input is an eulertour.ArcSeq — arcs in tour order — which either came from
-// list ranking a linked tour (TV-SMP) or was emitted in order directly
-// (TV-opt). From the ordered arcs everything reduces to parallel prefix
-// sums, which is precisely the paper's §3.2 claim: "The algorithm produces
-// an Euler-tour where prefix sum can be used for tree computations instead
-// of the more expensive list ranking."
+// Step 3 has two inputs. Compute takes an eulertour.ArcSeq — arcs in tour
+// order, from list ranking TV-SMP's linked tour — and reduces everything to
+// parallel prefix sums, the paper's §3.2 claim: "The algorithm produces an
+// Euler-tour where prefix sum can be used for tree computations instead of
+// the more expensive list ranking." Number takes a rooted forest (TV-opt's
+// traversal, the BFS of TV-filter and FAST-BCC) and gives the same
+// numbering from two passes over its level order, with no tour at all.
 //
 // Preorder numbers are global across the forest: each component occupies a
 // contiguous block (its root first), and every vertex's subtree occupies the
 // contiguous interval [Pre[v], Pre[v]+Size[v]). The low/high kernel reads
-// only those intervals, so it also serves FAST-BCC, whose preorder comes
-// from level sweeps instead of a tour.
+// only those intervals.
 package treecomp
 
 import (
@@ -31,8 +31,7 @@ type TreeData struct {
 	Parent []int32 // parent per vertex; roots point at themselves
 	Pre    []int32 // preorder number, subtree-contiguous, global over the forest
 	Size   []int32 // subtree size
-	Order  []int32 // Order[Pre[v]] = v (inverse permutation)
-	Roots  []int32 // component roots
+	Roots  []int32 // multi-vertex component roots, then isolated vertices
 }
 
 // IsRoot reports whether v is a component root.
@@ -49,8 +48,8 @@ func (td *TreeData) Related(u, v int32) bool {
 	return td.IsAncestor(u, v) || td.IsAncestor(v, u)
 }
 
-// Compute derives parents, preorder numbers, subtree sizes and the preorder
-// inverse from an ordered Euler tour with p workers.
+// Compute derives parents, preorder numbers and subtree sizes from an
+// ordered Euler tour with p workers.
 func Compute(p int, seq *eulertour.ArcSeq) (*TreeData, error) {
 	n := seq.N
 	na := seq.NumArcs()
@@ -59,7 +58,6 @@ func Compute(p int, seq *eulertour.ArcSeq) (*TreeData, error) {
 		Parent: make([]int32, n),
 		Pre:    make([]int32, n),
 		Size:   make([]int32, n),
-		Order:  make([]int32, n),
 		Roots:  append([]int32(nil), seq.Roots...),
 	}
 	par.For(p, int(n), func(lo, hi int) {
@@ -140,7 +138,7 @@ func Compute(p int, seq *eulertour.ArcSeq) (*TreeData, error) {
 			}
 		}
 	})
-	// Validate coverage and build the inverse permutation.
+	// Validate coverage.
 	var bad atomic.Int32
 	bad.Store(-1)
 	par.For(p, int(n), func(lo, hi int) {
@@ -149,7 +147,6 @@ func Compute(p int, seq *eulertour.ArcSeq) (*TreeData, error) {
 				bad.Store(int32(v))
 				return
 			}
-			td.Order[td.Pre[v]] = int32(v)
 		}
 	})
 	if b := bad.Load(); b != -1 {

@@ -14,8 +14,7 @@ func buildTD(t *testing.T, p int, g *graph.EdgeList) (*TreeData, *spantree.Roote
 	t.Helper()
 	c := graph.ToCSR(p, g)
 	f := spantree.BFS(p, c)
-	seq := eulertour.DFSOrder(p, g.Edges, f)
-	td, err := Compute(p, seq)
+	td, err := Compute(p, eulertour.DFSOrderParallel(p, g.Edges, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +25,17 @@ func buildTD(t *testing.T, p int, g *graph.EdgeList) (*TreeData, *spantree.Roote
 func checkTreeData(t *testing.T, td *TreeData, f *spantree.RootedForest) {
 	t.Helper()
 	n := int(td.N)
-	// Pre is a permutation with Order as inverse.
-	seen := make([]bool, n)
+	// Pre is a permutation: its inverse has no hole and no collision.
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = -1
+	}
 	for v := 0; v < n; v++ {
 		pre := td.Pre[v]
-		if pre < 0 || int(pre) >= n || seen[pre] {
+		if pre < 0 || int(pre) >= n || order[pre] != -1 {
 			t.Fatalf("vertex %d pre=%d invalid or duplicated", v, pre)
 		}
-		seen[pre] = true
-		if td.Order[pre] != int32(v) {
-			t.Fatalf("Order[%d]=%d, want %d", pre, td.Order[pre], v)
-		}
+		order[pre] = int32(v)
 	}
 	// Parents must match the input forest (up to the tour's own rooting for
 	// linked tours; for rooted inputs they must be identical).
@@ -185,8 +184,7 @@ func TestLowHighAgainstOracle(t *testing.T) {
 		g := gen.Random(n, m, int64(trial+100))
 		c := graph.ToCSR(1, g)
 		f := spantree.BFS(1, c)
-		seq := eulertour.DFSOrder(1, g.Edges, f)
-		td, err := Compute(1, seq)
+		td, err := Number(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +213,7 @@ func TestLowHighCycleIsWholeRange(t *testing.T) {
 	g := gen.Cycle(10)
 	c := graph.ToCSR(1, g)
 	f := spantree.BFS(1, c)
-	seq := eulertour.DFSOrder(1, g.Edges, f)
-	td, err := Compute(1, seq)
+	td, err := Number(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +265,7 @@ func TestLinkedAndDFSToursAgreeOnStructure(t *testing.T) {
 	g := gen.Disconnected(gen.Cycle(6), gen.Mesh(3, 3))
 	c := graph.ToCSR(1, g)
 	f := spantree.WorkStealing(2, c)
-	seq := eulertour.DFSOrder(2, g.Edges, f)
-	td, err := Compute(2, seq)
+	td, err := Number(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
