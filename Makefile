@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet loc clean
 
 all: build test
 
@@ -209,12 +209,12 @@ test-scrub:
 # sequential at a pinned p=1, ?explain=1 echo-vs-dispatch with identical
 # repeats routed identically, open-breaker avoidance, the planner-on vs
 # planner-off differential harness (BCC + incr mutations + per-block
-# endpoints, byte-equal answers), the /statsz plan golden, features that
-# follow mutations and re-uploads, a plan step that allocates nothing, and
-# the rejection of an unknown plan mode. fuzz-plan drives Decide with
-# arbitrary counts, pinned procs, MaxProcs and breaker masks: every decision
-# total, deterministic, allowed, within its procs range and at the head of
-# a score-sorted explain slate.
+# endpoints, byte-equal answers), the bicc_plan_* decision counters,
+# features that follow mutations and re-uploads, a plan step that
+# allocates nothing, and the rejection of an unknown plan mode. fuzz-plan
+# drives Decide with arbitrary counts, pinned procs, MaxProcs and breaker
+# masks: every decision total, deterministic, allowed, within its procs
+# range and at the head of a score-sorted explain slate.
 test-plan:
 	$(GO) test -race ./internal/plan -count=1
 	$(GO) test -race -run 'Plan' ./internal/service -count=1
@@ -268,6 +268,11 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside the benchmark module: the size figure the
+# ROADMAP's entries quote.
+loc:
+	@git ls-files '*.go' ':!:benchmark/*' ':!:*_test.go' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

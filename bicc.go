@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -70,14 +71,23 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 // edge list, so the caller must not modify the slice afterwards. It suits
 // a caller that built the slice only to hand it over, such as a reader.
 func AdoptGraph(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("bicc: negative vertex count %d", n)
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
 	}
 	el := &graph.EdgeList{N: int32(n), Edges: edges}
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
 	return wrap(el), nil
+}
+
+// checkVertexCount rejects a vertex count outside what int32 vertex ids
+// can number.
+func checkVertexCount(n int) error {
+	if n < 0 || n > math.MaxInt32 {
+		return fmt.Errorf("bicc: vertex count %d outside [0, %d]", n, math.MaxInt32)
+	}
+	return nil
 }
 
 // wrap returns el as a Graph with no CSR yet.
@@ -88,8 +98,8 @@ func wrap(el *graph.EdgeList) *Graph { return &Graph{gr: graph.Wrap(el)} }
 // Edge indices in results refer to the normalized edge order, retrievable
 // via Edges.
 func NewGraphNormalized(n int, edges []Edge) (g *Graph, loops, dups int, err error) {
-	if n < 0 {
-		return nil, 0, 0, fmt.Errorf("bicc: negative vertex count %d", n)
+	if err := checkVertexCount(n); err != nil {
+		return nil, 0, 0, err
 	}
 	// Copy before wrapping: the EdgeList below must never alias the caller's
 	// slice, or normalization could reorder/truncate the caller's data.

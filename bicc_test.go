@@ -2,6 +2,7 @@ package bicc
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -25,6 +26,16 @@ func triangleBridge(t *testing.T) *Graph {
 func TestNewGraphValidation(t *testing.T) {
 	if _, err := NewGraph(-1, nil); err == nil {
 		t.Error("negative n accepted")
+	}
+	// int32 vertex ids cannot number these; truncating n would wrap it.
+	if g, err := NewGraph(1<<32+3, nil); err == nil {
+		t.Errorf("n = 2^32+3 accepted as %d vertices", g.NumVertices())
+	}
+	if _, err := AdoptGraph(math.MaxInt32+1, nil); err == nil {
+		t.Error("n past int32 accepted by AdoptGraph")
+	}
+	if _, _, _, err := NewGraphNormalized(1<<32+3, nil); err == nil {
+		t.Error("n past int32 accepted by normalization")
 	}
 	if _, err := NewGraph(2, []Edge{{U: 0, V: 2}}); err == nil {
 		t.Error("out-of-range endpoint accepted")
@@ -226,12 +237,31 @@ func TestNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestGeneratorsErrors feeds the random generators sizes no simple graph
+// on int32 vertex ids has: each call must return an error, and none may
+// panic.
 func TestGeneratorsErrors(t *testing.T) {
-	if _, err := RandomGraph(3, 10, 1); err == nil {
-		t.Error("overfull RandomGraph accepted")
-	}
-	if _, err := RandomConnectedGraph(5, 2, 1); err == nil {
-		t.Error("under-tree RandomConnectedGraph accepted")
+	for _, tc := range []struct {
+		name      string
+		n, m      int
+		connected bool
+	}{
+		{"overfull", 3, 10, false},
+		{"negative m", 10, -1, false},
+		{"negative n", -5, 0, false},
+		{"n past int32", 1<<32 + 3, 0, false},
+		{"under-tree", 5, 2, true},
+		{"connected negative m", 0, -1, true},
+		{"connected negative n", -5, 0, true},
+		{"connected overfull", 4, 7, true},
+	} {
+		random := RandomGraph
+		if tc.connected {
+			random = RandomConnectedGraph
+		}
+		if g, err := random(tc.n, tc.m, 1); err == nil {
+			t.Errorf("%s: (%d, %d) accepted as a %d-vertex graph", tc.name, tc.n, tc.m, g.NumVertices())
+		}
 	}
 	if g, err := RandomGraph(10, 20, 1); err != nil || g.NumEdges() != 20 {
 		t.Errorf("RandomGraph: %v, m=%d", err, g.NumEdges())

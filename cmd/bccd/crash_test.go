@@ -172,23 +172,24 @@ func (p *bccdProc) graphs() (map[string]struct{ Vertices, Edges int }, error) {
 	return m, nil
 }
 
-// durStats fetches the /statsz durability section.
-func (p *bccdProc) durStats() (map[string]float64, error) {
-	resp, err := http.Get(p.url("/statsz"))
-	if err != nil {
-		return nil, err
+// truncations reads the torn tails repaired at boot from the daemon's
+// recovery log line ("recovered N graphs from DIR in D (truncations T, ..."),
+// printed before the listen line startBccd waits for.
+func (p *bccdProc) truncations() int {
+	p.t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, line := range p.lines {
+		if _, rest, ok := strings.Cut(line, "(truncations "); ok {
+			var n int
+			if _, err := fmt.Sscanf(rest, "%d,", &n); err != nil {
+				p.t.Fatalf("recovery line %q: %v", line, err)
+			}
+			return n
+		}
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Durability map[string]float64 `json:"durability"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	if out.Durability == nil {
-		return nil, fmt.Errorf("no durability section in /statsz")
-	}
-	return out.Durability, nil
+	p.t.Fatalf("no recovery line in stderr:\n%s", strings.Join(p.lines, "\n"))
+	return 0
 }
 
 // query posts one BCC request on the chosen engine; the error is returned
@@ -277,17 +278,13 @@ func TestCrashAtWALSites(t *testing.T) {
 					t.Fatalf("graph %s recovered as %+v, want %+v", fp, g, want)
 				}
 			}
-			ds, err := p2.durStats()
-			if err != nil {
-				t.Fatal(err)
-			}
 			_, unackedPresent := got[fp3]
 			if tc.wantTorn {
 				if unackedPresent {
 					t.Fatal("torn (unacknowledged) upload resurrected")
 				}
-				if ds["wal_truncations"] < 1 {
-					t.Fatalf("torn tail not truncated: %v", ds)
+				if n := p2.truncations(); n < 1 {
+					t.Fatalf("torn tail not truncated: %d truncations", n)
 				}
 			} else {
 				// Killed after the record bytes reached the kernel: SIGKILL
@@ -296,12 +293,12 @@ func TestCrashAtWALSites(t *testing.T) {
 				if !unackedPresent {
 					t.Fatal("complete record lost despite surviving the kill")
 				}
-				if ds["wal_truncations"] != 0 {
-					t.Fatalf("unexpected truncation: %v", ds)
+				if n := p2.truncations(); n != 0 {
+					t.Fatalf("unexpected truncation: %d truncations", n)
 				}
 			}
-			if int(ds["recovered_graphs"]) != len(got) {
-				t.Fatalf("recovered_graphs %v != listed %d", ds["recovered_graphs"], len(got))
+			if n := metric(t, p2, "bicc_recovered_graphs"); int(n) != len(got) {
+				t.Fatalf("bicc_recovered_graphs %v != listed %d", n, len(got))
 			}
 		})
 	}
@@ -473,14 +470,10 @@ func TestSIGTERMCleanStop(t *testing.T) {
 			t.Fatalf("graph %s lost across clean stop", fp)
 		}
 	}
-	ds, err := p2.durStats()
-	if err != nil {
-		t.Fatal(err)
+	if n := p2.truncations(); n != 0 {
+		t.Fatalf("clean stop required recovery repair: %d truncations", n)
 	}
-	if ds["wal_truncations"] != 0 {
-		t.Fatalf("clean stop required recovery repair: %v", ds)
-	}
-	if ds["recovered_graphs"] != 3 {
-		t.Fatalf("recovered_graphs = %v, want 3", ds["recovered_graphs"])
+	if n := metric(t, p2, "bicc_recovered_graphs"); n != 3 {
+		t.Fatalf("bicc_recovered_graphs = %v, want 3", n)
 	}
 }

@@ -46,35 +46,15 @@ func (p *bccdProc) replAddr() string {
 	return ""
 }
 
-// replStats fetches the /statsz replication section.
-func (p *bccdProc) replStats() (map[string]any, error) {
-	resp, err := http.Get(p.url("/statsz"))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Repl map[string]any `json:"repl"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	if out.Repl == nil {
-		return nil, fmt.Errorf("no repl section in /statsz")
-	}
-	return out.Repl, nil
-}
-
-// waitApplied polls the standby's /statsz until its replication cursor
+// waitApplied polls the standby's /healthz until its replication cursor
 // reaches want.
 func (p *bccdProc) waitApplied(want float64) {
 	p.t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if st, err := p.replStats(); err == nil {
-			if seq, _ := st["applied_seq"].(float64); seq >= want {
-				return
-			}
+		_, hz := healthz(p.t, p)
+		if seq, _ := hz["applied_seq"].(float64); seq >= want {
+			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -285,12 +265,8 @@ func TestNodeKillFailover(t *testing.T) {
 
 			// The promoted node is a primary now: role reported, writes
 			// accepted, new mutations flow.
-			st, err := stb.replStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st["role"] != "primary" {
-				t.Fatalf("promoted role %v, want primary", st["role"])
+			if _, hz := healthz(t, stb); hz["role"] != "primary" {
+				t.Fatalf("promoted role %v, want primary", hz["role"])
 			}
 			if err := stb.mutate(fp2, 1, 40); err != nil {
 				t.Fatalf("mutation after promotion: %v", err)

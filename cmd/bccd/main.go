@@ -29,10 +29,10 @@
 // is sent, and snapshots compact the log in the background. Graphs are the
 // only durable state; results are recomputed after a restart. On boot the
 // directory is recovered — torn tails truncated, graphs replayed into the
-// registry with their fingerprints re-checked — and the outcome is
-// reported on /statsz and /metrics. Subdirectories left by older builds,
-// such as spill/, are ignored and can be deleted. Without -data-dir nothing
-// touches disk.
+// registry with their fingerprints re-checked — and the outcome is logged
+// and reported on /metrics. Subdirectories left by older builds, such as
+// spill/, are ignored and can be deleted. Without -data-dir nothing touches
+// disk.
 //
 // The per-block endpoints (/v1/block/{id}, /v1/vertex/{v}/...) are always
 // served. They read the same cached decomposition /v1/bcc does; the first
@@ -71,11 +71,12 @@
 // runs, from the graph's vertex and edge counts alone, engines with an open
 // circuit breaker are excluded, and the cheapest candidate picks both the
 // engine and the parallelism degree. Identical queries always route
-// identically. ?explain=1 on /v1/bcc echoes the decision; /statsz gains a
-// "plan" section. -plan off restores the static rule.
+// identically. ?explain=1 on /v1/bcc echoes the decision, and the
+// bicc_plan_* series on /metrics count decisions. -plan off restores the
+// static rule.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: new work is rejected with
-// 503 (health and stats stay readable), in-flight requests get
+// 503 (health and metrics stay readable), in-flight requests get
 // -drain-timeout to finish, and any stragglers still running after that are
 // canceled through their request contexts before the process exits. The WAL
 // is flushed and closed last, so a clean stop never needs recovery repair.
@@ -107,8 +108,7 @@
 //	                         replication listener: {"addr": "host:port"}
 //	                         (the router calls this after a failover)
 //	POST   /v1/admin/scrub   run one scrub cycle now, report in the response
-//	GET    /healthz          liveness
-//	GET    /statsz           cache hit rate, queue depth, latency histograms
+//	GET    /healthz          liveness; role and applied_seq when replicating
 //	GET    /metrics          Prometheus text exposition (engine + service)
 //
 // Appending ?trace=1 to a /v1/bcc query returns the per-phase span breakdown
@@ -343,9 +343,7 @@ func main() {
 	if debugSrv != nil {
 		_ = debugSrv.Close()
 	}
-	snap := srv.Snapshot()
-	log.Printf("served %d queries (hit rate %.0f%%, %d computations), bye",
-		snap.Requests, 100*snap.CacheHitRate, snap.Computations)
+	log.Print("drained, bye")
 }
 
 // preload parses one -load spec ("name=path" or "path") and registers the

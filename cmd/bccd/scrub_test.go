@@ -259,10 +259,8 @@ func TestBitRotRingRecordResyncsOnShip(t *testing.T) {
 	// then on, every record reaches it through the ring.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if st, err := stb.replStats(); err == nil {
-			if n, _ := st["resyncs"].(float64); n >= 1 {
-				break
-			}
+		if metric(t, stb, "bicc_repl_resyncs_total") >= 1 {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("standby never finished its initial resync; stderr:\n%s", stb.stderr())
@@ -312,11 +310,7 @@ func TestBitRotUnrepairableRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := canonicalAnswer(t, p, fp, "tv-smp")
-	ds, err := p.durStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := int(ds["wal_generation"])
+	gen := int(metric(t, p, "bicc_wal_generation"))
 	wal := globOne(t, filepath.Join(dir, "wal-*.log"))
 	var blocks []string
 	for _, g := range []int{gen + 1, gen + 2} {

@@ -18,7 +18,7 @@
 //   - When the primary dies, reads fail over to standbys immediately. The
 //     first failed write triggers promotion: the router picks the
 //     reachable standby with the highest applied replication sequence
-//     (from /statsz), POSTs /v1/admin/promote, installs it as the new
+//     (from /healthz), POSTs /v1/admin/promote, installs it as the new
 //     primary, and re-points every surviving standby at the promoted
 //     node's replication listener (POST /v1/admin/follow); a survivor
 //     that cannot be retargeted is dropped from the hedge pool. Idempotent

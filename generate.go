@@ -1,6 +1,7 @@
 package bicc
 
 import (
+	"fmt"
 	"io"
 
 	"bicc/internal/gen"
@@ -11,27 +12,37 @@ import (
 // by the examples. All are deterministic in their seed.
 
 // RandomGraph returns a graph with n vertices and m distinct uniformly
-// random edges — the paper's §5 workload. It returns an error when m
-// exceeds n(n-1)/2.
-func RandomGraph(n, m int, seed int64) (g *Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = errString("bicc: " + r.(string))
-		}
-	}()
+// random edges — the paper's §5 workload. It returns an error, before
+// allocating anything, unless 0 <= n <= math.MaxInt32 and
+// 0 <= m <= n(n-1)/2.
+func RandomGraph(n, m int, seed int64) (*Graph, error) {
+	if err := checkRandomSize(n, m, 0); err != nil {
+		return nil, err
+	}
 	return wrap(gen.Random(n, m, seed)), nil
 }
 
 // RandomConnectedGraph returns a connected random graph: a random spanning
-// tree plus m-(n-1) random extra edges. It returns an error when m < n-1 or
-// m > n(n-1)/2.
-func RandomConnectedGraph(n, m int, seed int64) (g *Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = errString("bicc: " + r.(string))
-		}
-	}()
+// tree plus m-(n-1) random extra edges. It returns an error, before
+// allocating anything, unless 0 <= n <= math.MaxInt32 and
+// n-1 <= m <= n(n-1)/2 (0 <= m for n = 0).
+func RandomConnectedGraph(n, m int, seed int64) (*Graph, error) {
+	if err := checkRandomSize(n, m, max(n-1, 0)); err != nil {
+		return nil, err
+	}
 	return wrap(gen.RandomConnected(n, m, seed)), nil
+}
+
+// checkRandomSize checks n against the int32 vertex ids and m against
+// [minM, n(n-1)/2], the edge counts a simple graph on n vertices can have.
+func checkRandomSize(n, m, minM int) error {
+	if err := checkVertexCount(n); err != nil {
+		return err
+	}
+	if maxM := int64(n) * int64(n-1) / 2; m < minM || int64(m) > maxM {
+		return fmt.Errorf("bicc: edge count %d outside [%d, %d] for %d vertices", m, minM, maxM, n)
+	}
+	return nil
 }
 
 // MeshGraph returns an r x c grid graph, vertex ids row-major.
@@ -64,10 +75,6 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 func WriteGraph(w io.Writer, g *Graph) error {
 	return graph.Write(w, g.gr.EdgeList)
 }
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
 
 // ReadGraphDIMACS parses the DIMACS edge format ("p edge n m" / "e u v",
 // 1-based) and normalizes the result (self loops and duplicates dropped).

@@ -265,15 +265,6 @@ func TestPhasesRecorded(t *testing.T) {
 	}
 }
 
-func TestFilteredEdgeCount(t *testing.T) {
-	if got := FilteredEdgeCount(100, 500); got != 500-198 {
-		t.Errorf("FilteredEdgeCount=%d, want %d", got, 500-198)
-	}
-	if got := FilteredEdgeCount(100, 50); got != 0 {
-		t.Errorf("FilteredEdgeCount sparse=%d, want 0", got)
-	}
-}
-
 func TestSequentialDeepChain(t *testing.T) {
 	// The iterative DFS must survive a 200k-deep recursion-equivalent.
 	g := gen.Chain(200_000)

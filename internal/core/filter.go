@@ -17,14 +17,3 @@ package core
 func TVFilterConfig() Config {
 	return Config{SpanningTree: SpanBFS, Filter: true}
 }
-
-// FilteredEdgeCount reports how many edges TV-filter is guaranteed to
-// remove for a graph with n vertices and m edges (the paper's
-// max(m − 2(n−1), 0) lower bound).
-func FilteredEdgeCount(n int32, m int) int {
-	f := m - 2*(int(n)-1)
-	if f < 0 {
-		return 0
-	}
-	return f
-}

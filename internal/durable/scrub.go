@@ -38,16 +38,15 @@ type ScrubReport struct {
 	Errors  []string `json:"errors,omitempty"`
 }
 
-// ScrubStats is the store's scrub state: lifetime totals, the files still
-// awaiting a compaction, and the last cycle's report.
+// ScrubStats is the store's scrub state: lifetime totals and the files
+// still awaiting a compaction.
 type ScrubStats struct {
-	Cycles   int64        `json:"cycles"`
-	Checked  int64        `json:"checked"`
-	Corrupt  int64        `json:"corrupt"`
-	Repaired int64        `json:"repaired"`
-	Bytes    int64        `json:"bytes"`
-	Damaged  []string     `json:"damaged,omitempty"`
-	Last     *ScrubReport `json:"last_cycle,omitempty"`
+	Cycles   int64
+	Checked  int64
+	Corrupt  int64
+	Repaired int64
+	Bytes    int64
+	Damaged  []string
 }
 
 // scrubFile is one store-owned file in a scrub cycle.
@@ -179,15 +178,13 @@ func (s *Store) Scrub(budget int64) *ScrubReport {
 	st.Repaired += int64(rep.Repaired)
 	st.Bytes += rep.Bytes
 	st.Damaged = damaged
-	st.Last = rep
 	s.scrub.Store(&st)
 	return rep
 }
 
-// ScrubStats returns the scrub totals, the files awaiting a compaction, and
-// the last cycle's report (nil before the first cycle). It takes no lock,
-// so /healthz never waits on an fsync; callers must not modify the slices
-// or the report.
+// ScrubStats returns the scrub totals and the files awaiting a
+// compaction. It takes no lock, so /healthz never waits on an fsync;
+// callers must not modify the slice.
 func (s *Store) ScrubStats() ScrubStats {
 	if st := s.scrub.Load(); st != nil {
 		return *st

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -38,10 +37,6 @@ func TestTableConsistency(t *testing.T) {
 		}
 		return rec.Body.String()
 	}
-	var snap service.StatsSnapshot
-	if err := json.Unmarshal([]byte(get("/statsz")), &snap); err != nil {
-		t.Fatal(err)
-	}
 	metrics := get("/metrics")
 
 	// A decision with procs pinned to 1 scores every engine the planner
@@ -64,7 +59,7 @@ func TestTableConsistency(t *testing.T) {
 			if c, ok := constants[e.Name]; !ok || c != a || bicc.Algorithms()[i] != a {
 				t.Errorf("public constant %v does not map to table entry %d (%s)", c, i, e.Name)
 			}
-			if _, ok := snap.Breakers[e.Name]; ok != e.Parallel {
+			if ok := strings.Contains(metrics, `bicc_breaker_state{algorithm="`+e.Name+`"}`); ok != e.Parallel {
 				t.Errorf("breaker present = %v, want %v (parallel)", ok, e.Parallel)
 			}
 			if !strings.Contains(metrics, `bicc_request_seconds_count{algorithm="`+e.Name+`"}`) {

@@ -194,58 +194,3 @@ func RanksHJ(p int, next []int32, head int32) ([]int32, error) {
 	})
 	return ranks, nil
 }
-
-// SuffixMin returns, for every node, the minimum of vals from that node to
-// the tail, by pointer jumping. Used by the list-ranking variant of the
-// low/high tree computation.
-func SuffixMin(p int, next []int32, vals []int32) []int32 {
-	return suffixOp(p, next, vals, func(a, b int32) int32 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// SuffixMax is SuffixMin with maximum.
-func SuffixMax(p int, next []int32, vals []int32) []int32 {
-	return suffixOp(p, next, vals, func(a, b int32) int32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-func suffixOp(p int, next []int32, vals []int32, op func(a, b int32) int32) []int32 {
-	n := len(next)
-	out := make([]int32, n)
-	nxt := make([]int32, n)
-	par.For(p, n, func(lo, hi int) {
-		copy(out[lo:hi], vals[lo:hi])
-		copy(nxt[lo:hi], next[lo:hi])
-	})
-	scratchV := make([]int32, n)
-	scratchN := make([]int32, n)
-	for round := 0; ; round++ {
-		faults.Inject(nil, siteWyllie, 0, round)
-		done := par.CountTrue(p, n, func(i int) bool { return nxt[i] == -1 })
-		if done == n {
-			break
-		}
-		par.For(p, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if j := nxt[i]; j != -1 {
-					scratchV[i] = op(out[i], out[j])
-					scratchN[i] = nxt[j]
-				} else {
-					scratchV[i] = out[i]
-					scratchN[i] = -1
-				}
-			}
-		})
-		out, scratchV = scratchV, out
-		nxt, scratchN = scratchN, nxt
-	}
-	return out
-}

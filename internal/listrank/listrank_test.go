@@ -99,34 +99,6 @@ func TestRanksHJDetectsCycle(t *testing.T) {
 	}
 }
 
-func TestSuffixMinMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 500
-	next, _, order := randomList(rng, n)
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = int32(rng.Intn(1000))
-	}
-	gotMin := SuffixMin(3, next, vals)
-	gotMax := SuffixMax(3, next, vals)
-	mn, mx := int32(1<<30), int32(-1<<30)
-	for k := n - 1; k >= 0; k-- {
-		v := order[k]
-		if vals[v] < mn {
-			mn = vals[v]
-		}
-		if vals[v] > mx {
-			mx = vals[v]
-		}
-		if gotMin[v] != mn {
-			t.Fatalf("node %d suffix min=%d, want %d", v, gotMin[v], mn)
-		}
-		if gotMax[v] != mx {
-			t.Fatalf("node %d suffix max=%d, want %d", v, gotMax[v], mx)
-		}
-	}
-}
-
 func TestEmptyList(t *testing.T) {
 	if got := Ranks(2, nil, 0); got != nil {
 		t.Errorf("Ranks(nil) = %v", got)

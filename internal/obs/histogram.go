@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -13,9 +12,8 @@ import (
 const histBuckets = 32
 
 // Histogram is a lock-free latency histogram with power-of-two microsecond
-// buckets, cheap enough to sit on every request path. It started life in
-// internal/service; it lives here so the same histogram backs both the
-// /statsz JSON snapshots and the Prometheus exposition.
+// buckets, cheap enough to sit on every request path. The Prometheus
+// writer reads its buckets directly.
 type Histogram struct {
 	count   atomic.Int64
 	sumNs   atomic.Int64
@@ -35,66 +33,4 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 	h.sumNs.Add(int64(d))
 	h.buckets[k].Add(1)
-}
-
-// HistogramSnapshot is a point-in-time copy of a Histogram, JSON-ready. The
-// field set and tags are the /statsz wire format and must not change
-// incompatibly.
-type HistogramSnapshot struct {
-	Count int64 `json:"count"`
-	MeanN int64 `json:"mean_ns"`
-	P50Ns int64 `json:"p50_ns"`
-	P90Ns int64 `json:"p90_ns"`
-	P99Ns int64 `json:"p99_ns"`
-	// BucketsUs[k] counts samples with latency in [2^(k-1), 2^k) µs
-	// (k=0: sub-microsecond). Trailing zero buckets are trimmed.
-	BucketsUs []int64 `json:"buckets_us,omitempty"`
-}
-
-// Snapshot returns a consistent-enough copy for reporting; concurrent
-// Observe calls may skew individual buckets by a few samples.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	if s.Count > 0 {
-		s.MeanN = h.sumNs.Load() / s.Count
-	}
-	var b [histBuckets]int64
-	total := int64(0)
-	last := -1
-	for k := range b {
-		b[k] = h.buckets[k].Load()
-		total += b[k]
-		if b[k] > 0 {
-			last = k
-		}
-	}
-	if last >= 0 {
-		s.BucketsUs = append([]int64(nil), b[:last+1]...)
-	}
-	s.P50Ns = quantile(b[:], total, 0.50)
-	s.P90Ns = quantile(b[:], total, 0.90)
-	s.P99Ns = quantile(b[:], total, 0.99)
-	return s
-}
-
-// quantile returns the upper edge (in ns) of the bucket containing the q-th
-// quantile — a conservative estimate good to a factor of two, which is all a
-// power-of-two histogram can promise.
-func quantile(b []int64, total int64, q float64) int64 {
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	seen := int64(0)
-	for k, c := range b {
-		seen += c
-		if seen >= target {
-			return int64(1) << uint(k) * 1000 // upper edge: 2^k µs in ns
-		}
-	}
-	return int64(1) << uint(len(b)) * 1000
 }

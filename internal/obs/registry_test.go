@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
@@ -78,35 +75,5 @@ func TestEnabledGate(t *testing.T) {
 	SetEnabled(true)
 	if !Enabled() {
 		t.Fatal("Enabled() false after SetEnabled(true)")
-	}
-}
-
-func TestHistogramSnapshot(t *testing.T) {
-	var h Histogram
-	h.Observe(500 * time.Nanosecond) // bucket 0 (sub-µs)
-	h.Observe(time.Microsecond)      // bucket 1
-	h.Observe(3 * time.Microsecond)  // bucket 2
-	h.Observe(3 * time.Microsecond)  // bucket 2
-	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("Count = %d, want 4", s.Count)
-	}
-	wantBuckets := []int64{1, 1, 2}
-	if len(s.BucketsUs) != len(wantBuckets) {
-		t.Fatalf("BucketsUs = %v, want %v", s.BucketsUs, wantBuckets)
-	}
-	for i, w := range wantBuckets {
-		if s.BucketsUs[i] != w {
-			t.Fatalf("BucketsUs = %v, want %v", s.BucketsUs, wantBuckets)
-		}
-	}
-	// The 2nd of 4 samples lands in bucket 1 (upper edge 2µs); the 4th in
-	// bucket 2 (upper edge 4µs).
-	if s.P50Ns != 2000 || s.P99Ns != 4000 {
-		t.Errorf("P50 = %d, P99 = %d, want 2000 and 4000", s.P50Ns, s.P99Ns)
-	}
-	wantMean := (int64(500) + 1000 + 3000 + 3000) / 4
-	if s.MeanN != wantMean {
-		t.Errorf("MeanN = %d, want %d", s.MeanN, wantMean)
 	}
 }

@@ -93,8 +93,8 @@ func FuzzDecide(f *testing.F) {
 		if !allow(d.Engine) && (!noneAllowed || d.Engine != engine.Sequential) {
 			t.Fatalf("mask %05b: chose blocked engine %s", mask, d.Engine)
 		}
-		if d.Procs != pin && (d.Procs < 1 || d.Procs > p.maxProcs) {
-			t.Fatalf("procs %d: pin %d, max %d", d.Procs, pin, p.maxProcs)
+		if maxP := p.procs[len(p.procs)-1]; d.Procs != pin && (d.Procs < 1 || d.Procs > maxP) {
+			t.Fatalf("procs %d: pin %d, max %d", d.Procs, pin, maxP)
 		}
 		x := p.Decide(feat, pin, true)
 		if len(x.Candidates) == 0 || x.Engine != d.Engine || x.Procs != d.Procs {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
-	"sync"
 
 	"bicc/internal/engine"
 	"bicc/internal/obs"
@@ -49,21 +48,14 @@ type Decision struct {
 // pure function of the feature vector, the pinned procs and the Allow
 // filter. Safe for concurrent use.
 type Planner struct {
-	maxProcs int
 	// procs are the unpinned parallelism choices: powers of two below
-	// maxProcs, then maxProcs.
+	// MaxProcs, then MaxProcs.
 	procs []int
 	allow func(engine string) bool
 
 	decisions    *obs.CounterVec
 	procsCounter *obs.CounterVec
 	fallbacks    *obs.Counter
-
-	mu       sync.Mutex
-	byEngine map[string]int64
-	byProcs  map[string]int64
-	total    int64
-	fellBack int64
 }
 
 // New builds a Planner and registers its bicc_plan_* metric families.
@@ -81,17 +73,14 @@ func New(c Config) *Planner {
 		procs = append(procs, q)
 	}
 	return &Planner{
-		maxProcs: maxProcs,
-		procs:    append(procs, maxProcs),
-		allow:    c.Allow,
+		procs: append(procs, maxProcs),
+		allow: c.Allow,
 		decisions: reg.CounterVec("bicc_plan_decisions_total",
 			"Planner decisions by chosen engine.", "engine"),
 		procsCounter: reg.CounterVec("bicc_plan_procs_total",
 			"Planner decisions by chosen parallelism degree.", "procs"),
 		fallbacks: reg.Counter("bicc_plan_fallbacks_total",
 			"Decisions where every candidate engine was filtered out and the planner fell back to sequential."),
-		byEngine: map[string]int64{},
-		byProcs:  map[string]int64{},
 	}
 }
 
@@ -145,54 +134,12 @@ func (p *Planner) Decide(f Features, pinnedProcs int, explain bool) Decision {
 		d.Candidates = slate
 	}
 
-	procsLabel := strconv.Itoa(d.Procs)
 	p.decisions.With(d.Engine).Inc()
-	p.procsCounter.With(procsLabel).Inc()
-	p.mu.Lock()
-	p.total++
-	p.byEngine[d.Engine]++
-	p.byProcs[procsLabel]++
-	if !found {
-		p.fellBack++
-	}
-	p.mu.Unlock()
+	p.procsCounter.With(strconv.Itoa(d.Procs)).Inc()
 	return d
 }
 
 // candidate scores eng at procs workers by the prior cost model.
 func candidate(f Features, eng string, procs int) Candidate {
 	return Candidate{Engine: eng, Procs: procs, ScoreNs: int64(priorNs(eng, procs, f))}
-}
-
-// Snapshot is the /statsz plan section.
-type Snapshot struct {
-	MaxProcs  int              `json:"max_procs"`
-	Decisions int64            `json:"decisions"`
-	ByEngine  map[string]int64 `json:"by_engine,omitempty"`
-	ByProcs   map[string]int64 `json:"by_procs,omitempty"`
-	Fallbacks int64            `json:"fallbacks,omitempty"`
-}
-
-// Snapshot returns current planner counters for reporting.
-func (p *Planner) Snapshot() Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := Snapshot{
-		MaxProcs:  p.maxProcs,
-		Decisions: p.total,
-		Fallbacks: p.fellBack,
-	}
-	if len(p.byEngine) > 0 {
-		s.ByEngine = make(map[string]int64, len(p.byEngine))
-		for k, v := range p.byEngine {
-			s.ByEngine[k] = v
-		}
-	}
-	if len(p.byProcs) > 0 {
-		s.ByProcs = make(map[string]int64, len(p.byProcs))
-		for k, v := range p.byProcs {
-			s.ByProcs[k] = v
-		}
-	}
-	return s
 }

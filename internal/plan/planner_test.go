@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strconv"
 	"testing"
 
 	"bicc/internal/engine"
@@ -123,13 +124,14 @@ func TestBreakerFilterProperty(t *testing.T) {
 // TestAllFilteredFallsBackToSequential pins the path-of-last-resort contract
 // and its metric.
 func TestAllFilteredFallsBackToSequential(t *testing.T) {
-	p := New(Config{MaxProcs: 8, Registry: obs.NewRegistry(), Allow: func(string) bool { return false }})
+	reg := obs.NewRegistry()
+	p := New(Config{MaxProcs: 8, Registry: reg, Allow: func(string) bool { return false }})
 	d := p.Decide(g100k4n, 0, false)
 	if d.Engine != engine.Sequential || d.Procs != 1 {
 		t.Fatalf("got (%s, p=%d), want (%s, p=1)", d.Engine, d.Procs, engine.Sequential)
 	}
-	if s := p.Snapshot(); s.Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", s.Fallbacks)
+	if n := reg.Counter("bicc_plan_fallbacks_total", "").Load(); n != 1 {
+		t.Fatalf("fallbacks = %d, want 1", n)
 	}
 }
 
@@ -152,22 +154,22 @@ func TestFeaturesOfFollowsContent(t *testing.T) {
 	}
 }
 
-// TestSnapshotCounts sanity-checks the /statsz section numbers.
-func TestSnapshotCounts(t *testing.T) {
-	p := New(Config{MaxProcs: 4, Registry: obs.NewRegistry()})
-	f := g100k4n
+// TestDecisionCounters checks that every decision lands once in the
+// bicc_plan_* counters, by engine and by procs.
+func TestDecisionCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := New(Config{MaxProcs: 4, Registry: reg})
+	var want Decision
 	for i := 0; i < 5; i++ {
-		p.Decide(f, 0, false)
+		want = p.Decide(g100k4n, 0, false)
 	}
-	s := p.Snapshot()
-	if s.MaxProcs != 4 || s.Decisions != 5 || s.Fallbacks != 0 {
-		t.Fatalf("snapshot: %+v", s)
+	if n := reg.CounterVec("bicc_plan_decisions_total", "", "engine").With(want.Engine).Load(); n != 5 {
+		t.Fatalf("decisions{engine=%q} = %d, want 5", want.Engine, n)
 	}
-	var n int64
-	for _, v := range s.ByEngine {
-		n += v
+	if n := reg.CounterVec("bicc_plan_procs_total", "", "procs").With(strconv.Itoa(want.Procs)).Load(); n != 5 {
+		t.Fatalf("procs{procs=%d} = %d, want 5", want.Procs, n)
 	}
-	if n != 5 {
-		t.Fatalf("by_engine sums to %d, want 5: %+v", n, s.ByEngine)
+	if n := reg.Counter("bicc_plan_fallbacks_total", "").Load(); n != 0 {
+		t.Fatalf("fallbacks = %d, want 0", n)
 	}
 }

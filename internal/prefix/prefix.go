@@ -108,111 +108,6 @@ func ExclusiveSum32(p int, xs []int32) int32 {
 	return total
 }
 
-// InclusiveSum64 is InclusiveSum32 for int64 values.
-func InclusiveSum64(p int, xs []int64) int64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	p = par.Procs(p)
-	if p == 1 || n < 2*p {
-		var acc int64
-		for i := range xs {
-			acc += xs[i]
-			xs[i] = acc
-		}
-		return acc
-	}
-	if p > n {
-		p = n
-	}
-	totals := make([]int64, p)
-	par.ForWorker(p, n, func(w, lo, hi int) {
-		var acc int64
-		for i := lo; i < hi; i++ {
-			acc += xs[i]
-			xs[i] = acc
-		}
-		totals[w] = acc
-	})
-	var acc int64
-	for i := range totals {
-		t := totals[i]
-		totals[i] = acc
-		acc += t
-	}
-	par.ForWorker(p, n, func(w, lo, hi int) {
-		off := totals[w]
-		if off == 0 {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			xs[i] += off
-		}
-	})
-	return acc
-}
-
-// InclusiveMin32 computes in-place inclusive prefix minima of xs.
-func InclusiveMin32(p int, xs []int32) {
-	scan32(p, xs, func(a, b int32) int32 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// InclusiveMax32 computes in-place inclusive prefix maxima of xs.
-func InclusiveMax32(p int, xs []int32) {
-	scan32(p, xs, func(a, b int32) int32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// scan32 is the generic two-pass block scan for an associative op. The
-// second pass combines each block's prefix with the scanned block totals.
-func scan32(p int, xs []int32, op func(a, b int32) int32) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	p = par.Procs(p)
-	if p == 1 || n < 2*p {
-		for i := 1; i < n; i++ {
-			xs[i] = op(xs[i-1], xs[i])
-		}
-		return
-	}
-	if p > n {
-		p = n
-	}
-	totals := make([]int32, p)
-	par.ForWorker(p, n, func(w, lo, hi int) {
-		faults.Inject(nil, siteScan, w, 1)
-		for i := lo + 1; i < hi; i++ {
-			xs[i] = op(xs[i-1], xs[i])
-		}
-		totals[w] = xs[hi-1]
-	})
-	// Exclusive scan of totals; worker 0 has no offset.
-	for i := 1; i < p; i++ {
-		totals[i] = op(totals[i-1], totals[i])
-	}
-	par.ForWorker(p, n, func(w, lo, hi int) {
-		if w == 0 {
-			return
-		}
-		off := totals[w-1]
-		for i := lo; i < hi; i++ {
-			xs[i] = op(off, xs[i])
-		}
-	})
-}
-
 // Compact writes the indices i in [0, n) for which keep(i) holds into a new
 // slice, preserving order, using a prefix sum over 0/1 flags — the paper's
 // "compact L into G' using prefix-sum" step. It runs with p workers.

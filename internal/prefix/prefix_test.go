@@ -76,65 +76,6 @@ func TestExclusiveSum32(t *testing.T) {
 	}
 }
 
-func TestInclusiveSum64(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 33, 5000} {
-		xs := make([]int64, n)
-		for i := range xs {
-			xs[i] = int64(rng.Intn(1000000)) - 500000
-		}
-		want := make([]int64, n)
-		var acc int64
-		for i, x := range xs {
-			acc += x
-			want[i] = acc
-		}
-		got := append([]int64(nil), xs...)
-		total := InclusiveSum64(4, got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: got[%d]=%d, want %d", n, i, got[i], want[i])
-			}
-		}
-		if total != acc {
-			t.Fatalf("n=%d: total=%d, want %d", n, total, acc)
-		}
-	}
-}
-
-func TestInclusiveMinMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range []int{1, 2, 17, 999} {
-		for _, p := range []int{1, 3, 8} {
-			xs := randSlice(rng, n)
-			wantMin := make([]int32, n)
-			wantMax := make([]int32, n)
-			mn, mx := xs[0], xs[0]
-			for i, x := range xs {
-				if x < mn {
-					mn = x
-				}
-				if x > mx {
-					mx = x
-				}
-				wantMin[i], wantMax[i] = mn, mx
-			}
-			gotMin := append([]int32(nil), xs...)
-			InclusiveMin32(p, gotMin)
-			gotMax := append([]int32(nil), xs...)
-			InclusiveMax32(p, gotMax)
-			for i := range xs {
-				if gotMin[i] != wantMin[i] {
-					t.Fatalf("min n=%d p=%d i=%d: got %d want %d", n, p, i, gotMin[i], wantMin[i])
-				}
-				if gotMax[i] != wantMax[i] {
-					t.Fatalf("max n=%d p=%d i=%d: got %d want %d", n, p, i, gotMax[i], wantMax[i])
-				}
-			}
-		}
-	}
-}
-
 func TestCompact(t *testing.T) {
 	n := 1000
 	got := Compact(4, n, func(i int) bool { return i%7 == 0 })

@@ -4,9 +4,9 @@
 // Helman and JáJá") and a parallel LSD radix sort as an ablation
 // alternative for the integer arc keys.
 //
-// Both sorts operate on uint64 keys, optionally paired with an int32
-// payload; the biconnectivity code packs arcs as min(u,v)<<32 | max(u,v) and
-// carries the arc index as payload.
+// Both sorts order (uint64 key, int32 payload) records; the biconnectivity
+// code packs arcs as min(u,v)<<32 | max(u,v) and carries the arc index as
+// payload.
 package psort
 
 import (
@@ -36,25 +36,16 @@ type Pair struct {
 // values give better-balanced buckets at negligible cost.
 const oversample = 32
 
-// SampleSort sorts keys ascending with p workers using sample sort:
-// random splitters partition the input into p buckets, each bucket is
-// scattered contiguously and sorted by one worker.
-func SampleSort(p int, keys []uint64) {
-	sampleSort(p, keys, func(k uint64) uint64 { return k }, quickSortKeys)
-}
-
-// SampleSortPairs sorts items ascending by Key with p workers. The sort is
-// not stable; callers that need a deterministic order must use distinct keys
-// (the arc encoding guarantees this).
-func SampleSortPairs(p int, items []Pair) {
-	sampleSort(p, items, func(it Pair) uint64 { return it.Key }, quickSortPairs)
-}
-
-func sampleSort[T any](p int, xs []T, key func(T) uint64, sortFn func([]T)) {
+// SampleSortPairs sorts xs ascending by Key with p workers using sample
+// sort: random splitters partition the input into p buckets, each bucket is
+// scattered contiguously and sorted by one worker. The sort is not stable;
+// callers that need a deterministic order must use distinct keys (the arc
+// encoding guarantees this).
+func SampleSortPairs(p int, xs []Pair) {
 	n := len(xs)
 	p = par.Procs(p)
 	if p == 1 || n < 4096 {
-		sortFn(xs)
+		quickSortPairs(xs)
 		return
 	}
 	if p > n/64 {
@@ -64,7 +55,7 @@ func sampleSort[T any](p int, xs []T, key func(T) uint64, sortFn func([]T)) {
 	rng := rand.New(rand.NewSource(int64(n)*2654435761 + 1))
 	samples := make([]uint64, p*oversample)
 	for i := range samples {
-		samples[i] = key(xs[rng.Intn(n)])
+		samples[i] = xs[rng.Intn(n)].Key
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	splitters := make([]uint64, p-1)
@@ -91,7 +82,7 @@ func sampleSort[T any](p int, xs []T, key func(T) uint64, sortFn func([]T)) {
 		faults.Inject(nil, siteSample, w, 0)
 		c := make([]int32, p)
 		for i := lo; i < hi; i++ {
-			c[bucketOf(key(xs[i]))]++
+			c[bucketOf(xs[i].Key)]++
 		}
 		counts[w] = c
 	})
@@ -110,11 +101,11 @@ func sampleSort[T any](p int, xs []T, key func(T) uint64, sortFn func([]T)) {
 		bucketStart[b+1] = bucketStart[b] + total
 	}
 	// Pass 2: scatter into a contiguous bucket layout.
-	tmp := make([]T, n)
+	tmp := make([]Pair, n)
 	par.ForWorker(p, n, func(w, lo, hi int) {
 		c := counts[w]
 		for i := lo; i < hi; i++ {
-			b := bucketOf(key(xs[i]))
+			b := bucketOf(xs[i].Key)
 			pos := bucketStart[b] + int(c[b])
 			c[b]++
 			tmp[pos] = xs[i]
@@ -124,7 +115,7 @@ func sampleSort[T any](p int, xs []T, key func(T) uint64, sortFn func([]T)) {
 	par.Run(p, func(w int) {
 		faults.Inject(nil, siteSample, w, 1)
 		seg := tmp[bucketStart[w]:bucketStart[w+1]]
-		sortFn(seg)
+		quickSortPairs(seg)
 		copy(xs[bucketStart[w]:bucketStart[w+1]], seg)
 	})
 }
@@ -189,14 +180,4 @@ func RadixSortPairs(p int, items []Pair) {
 	if &src[0] != &items[0] {
 		copy(items, src)
 	}
-}
-
-// IsSortedPairs reports whether items are ascending by Key.
-func IsSortedPairs(items []Pair) bool {
-	for i := 1; i < len(items); i++ {
-		if items[i-1].Key > items[i].Key {
-			return false
-		}
-	}
-	return true
 }

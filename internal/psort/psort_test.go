@@ -1,7 +1,9 @@
 package psort
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -19,17 +21,28 @@ func randKeys(rng *rand.Rand, n int, space uint64) []uint64 {
 	return xs
 }
 
+// keyPairs pairs each key with its input position.
+func keyPairs(keys []uint64) []Pair {
+	items := make([]Pair, len(keys))
+	for i, k := range keys {
+		items[i] = Pair{Key: k, Val: int32(i)}
+	}
+	return items
+}
+
+func byKey(a, b Pair) int { return cmp.Compare(a.Key, b.Key) }
+
 func TestSampleSortMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 100, 4095, 4096, 50000} {
 		for _, p := range []int{1, 2, 4, 8} {
-			xs := randKeys(rng, n, 0)
-			want := append([]uint64(nil), xs...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			SampleSort(p, xs)
+			xs := keyPairs(randKeys(rng, n, 0))
+			want := append([]Pair(nil), xs...)
+			slices.SortFunc(want, byKey)
+			SampleSortPairs(p, xs)
 			for i := range want {
 				if xs[i] != want[i] {
-					t.Fatalf("n=%d p=%d: xs[%d]=%d, want %d", n, p, i, xs[i], want[i])
+					t.Fatalf("n=%d p=%d: xs[%d]=%+v, want %+v", n, p, i, xs[i], want[i])
 				}
 			}
 		}
@@ -39,27 +52,26 @@ func TestSampleSortMatchesStdlib(t *testing.T) {
 func TestSampleSortDuplicateHeavy(t *testing.T) {
 	// Many duplicates stress splitter selection (empty buckets, ties).
 	rng := rand.New(rand.NewSource(2))
-	xs := randKeys(rng, 30000, 8)
-	want := append([]uint64(nil), xs...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	SampleSort(4, xs)
-	for i := range want {
-		if xs[i] != want[i] {
-			t.Fatalf("xs[%d]=%d, want %d", i, xs[i], want[i])
+	keys := randKeys(rng, 30000, 8)
+	xs := keyPairs(keys)
+	slices.Sort(keys)
+	SampleSortPairs(4, xs)
+	for i, k := range keys {
+		if xs[i].Key != k {
+			t.Fatalf("xs[%d].Key=%d, want %d", i, xs[i].Key, k)
 		}
 	}
 }
 
 func TestSampleSortAllEqual(t *testing.T) {
-	xs := make([]uint64, 20000)
-	for i := range xs {
-		xs[i] = 7
-	}
-	SampleSort(4, xs)
+	xs := keyPairs(make([]uint64, 20000))
+	SampleSortPairs(4, xs)
+	seen := make([]bool, len(xs))
 	for i, x := range xs {
-		if x != 7 {
-			t.Fatalf("xs[%d]=%d, want 7", i, x)
+		if x.Key != 0 || seen[x.Val] {
+			t.Fatalf("xs[%d]=%+v: not a permutation of the input", i, x)
 		}
+		seen[x.Val] = true
 	}
 }
 
@@ -77,7 +89,7 @@ func TestSampleSortPairsKeepsPayload(t *testing.T) {
 		orig[it.Key] = it.Val
 	}
 	SampleSortPairs(4, items)
-	if !IsSortedPairs(items) {
+	if !slices.IsSortedFunc(items, byKey) {
 		t.Fatal("not sorted")
 	}
 	for _, it := range items {
@@ -114,7 +126,7 @@ func TestRadixSortFullWidthKeys(t *testing.T) {
 		items[i] = Pair{Key: rng.Uint64(), Val: int32(i)}
 	}
 	RadixSortPairs(4, items)
-	if !IsSortedPairs(items) {
+	if !slices.IsSortedFunc(items, byKey) {
 		t.Fatal("64-bit keys not sorted")
 	}
 }
@@ -137,15 +149,13 @@ func TestQuickSampleSortIsPermutationSorted(t *testing.T) {
 		for _, x := range xs {
 			counts[x]++
 		}
-		ys := append([]uint64(nil), xs...)
-		SampleSort(pp, ys)
-		for i := 1; i < len(ys); i++ {
-			if ys[i-1] > ys[i] {
-				return false
-			}
+		ys := keyPairs(xs)
+		SampleSortPairs(pp, ys)
+		if !slices.IsSortedFunc(ys, byKey) {
+			return false
 		}
 		for _, y := range ys {
-			counts[y]--
+			counts[y.Key]--
 		}
 		for _, c := range counts {
 			if c != 0 {
@@ -162,12 +172,7 @@ func TestQuickSampleSortIsPermutationSorted(t *testing.T) {
 func TestQuickRadixMatchesSampleSort(t *testing.T) {
 	f := func(keys []uint64, p uint8) bool {
 		pp := int(p%8) + 1
-		a := make([]Pair, len(keys))
-		b := make([]Pair, len(keys))
-		for i, k := range keys {
-			a[i] = Pair{Key: k, Val: int32(i)}
-			b[i] = Pair{Key: k, Val: int32(i)}
-		}
+		a, b := keyPairs(keys), keyPairs(keys)
 		RadixSortPairs(pp, a)
 		SampleSortPairs(pp, b)
 		for i := range a {
@@ -179,59 +184,6 @@ func TestQuickRadixMatchesSampleSort(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIsSortedPairs(t *testing.T) {
-	if !IsSortedPairs(nil) {
-		t.Error("nil should be sorted")
-	}
-	if !IsSortedPairs([]Pair{{1, 0}, {1, 1}, {2, 0}}) {
-		t.Error("sorted slice reported unsorted")
-	}
-	if IsSortedPairs([]Pair{{2, 0}, {1, 0}}) {
-		t.Error("unsorted slice reported sorted")
-	}
-}
-
-func TestQuickSortDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for _, n := range []int{0, 1, 2, insertionCutoff, insertionCutoff + 1, 1000, 10000} {
-		xs := randKeys(rng, n, 0)
-		want := append([]uint64(nil), xs...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		quickSortKeys(xs)
-		for i := range want {
-			if xs[i] != want[i] {
-				t.Fatalf("n=%d: xs[%d]=%d, want %d", n, i, xs[i], want[i])
-			}
-		}
-	}
-	// Adversarial shapes: sorted, reversed, all-equal, two-valued.
-	shapes := map[string][]uint64{}
-	asc := make([]uint64, 5000)
-	desc := make([]uint64, 5000)
-	eq := make([]uint64, 5000)
-	two := make([]uint64, 5000)
-	for i := range asc {
-		asc[i] = uint64(i)
-		desc[i] = uint64(len(desc) - i)
-		eq[i] = 42
-		two[i] = uint64(i % 2)
-	}
-	shapes["ascending"] = asc
-	shapes["descending"] = desc
-	shapes["equal"] = eq
-	shapes["two-valued"] = two
-	for name, xs := range shapes {
-		cp := append([]uint64(nil), xs...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		quickSortKeys(xs)
-		for i := range cp {
-			if xs[i] != cp[i] {
-				t.Fatalf("%s: mismatch at %d", name, i)
-			}
-		}
 	}
 }
 
@@ -248,6 +200,27 @@ func TestQuickSortPairsDirect(t *testing.T) {
 		for i := range items {
 			if items[i].Key != want[i].Key {
 				t.Fatalf("n=%d: key order broken at %d", n, i)
+			}
+		}
+	}
+	// Adversarial shapes: sorted, reversed, all-equal, two-valued.
+	shapes := map[string]func(i int) uint64{
+		"ascending":  func(i int) uint64 { return uint64(i) },
+		"descending": func(i int) uint64 { return uint64(5000 - i) },
+		"equal":      func(int) uint64 { return 42 },
+		"two-valued": func(i int) uint64 { return uint64(i % 2) },
+	}
+	for name, key := range shapes {
+		keys := make([]uint64, 5000)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		items := keyPairs(keys)
+		quickSortPairs(items)
+		slices.Sort(keys)
+		for i, k := range keys {
+			if items[i].Key != k {
+				t.Fatalf("%s: mismatch at %d", name, i)
 			}
 		}
 	}

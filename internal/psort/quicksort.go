@@ -1,77 +1,15 @@
 package psort
 
-// Specialized sequential sorts for the two element shapes the sample sort
-// handles. Direct uint64 comparisons avoid the interface-call overhead of
-// sort.Slice, which the Euler-tour ablation showed dominating the TV-SMP
+// A specialized sequential sort for the (key, payload) records the sample
+// sort handles. Direct uint64 comparisons avoid the interface-call overhead
+// of sort.Slice, which the Euler-tour ablation showed dominating the TV-SMP
 // sort step. Partitioning is three-way (Dutch national flag), so
 // duplicate-heavy inputs — common after splitter ties — stay linear.
 
 const insertionCutoff = 24
 
-// quickSortKeys sorts ascending: median-of-three pivot, three-way
+// quickSortPairs sorts ascending by Key: median-of-three pivot, three-way
 // partition, insertion sort below the cutoff, iteration on the larger side.
-func quickSortKeys(xs []uint64) {
-	for len(xs) > insertionCutoff {
-		lt, gt := partition3Keys(xs)
-		if lt < len(xs)-gt {
-			quickSortKeys(xs[:lt])
-			xs = xs[gt:]
-		} else {
-			quickSortKeys(xs[gt:])
-			xs = xs[:lt]
-		}
-	}
-	insertionKeys(xs)
-}
-
-func insertionKeys(xs []uint64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
-func median3Keys(xs []uint64) uint64 {
-	a, b, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-		if a > b {
-			b = a
-		}
-	}
-	return b
-}
-
-// partition3Keys rearranges xs into [<pivot | ==pivot | >pivot] and returns
-// the boundaries [lt, gt) of the equal run.
-func partition3Keys(xs []uint64) (lt, gt int) {
-	pivot := median3Keys(xs)
-	lo, i, hi := 0, 0, len(xs)
-	for i < hi {
-		switch {
-		case xs[i] < pivot:
-			xs[lo], xs[i] = xs[i], xs[lo]
-			lo++
-			i++
-		case xs[i] > pivot:
-			hi--
-			xs[i], xs[hi] = xs[hi], xs[i]
-		default:
-			i++
-		}
-	}
-	return lo, hi
-}
-
-// quickSortPairs is quickSortKeys for (key, payload) records.
 func quickSortPairs(xs []Pair) {
 	for len(xs) > insertionCutoff {
 		lt, gt := partition3Pairs(xs)

@@ -231,24 +231,6 @@ func (p *Primary) Followers() int {
 	return len(p.followers)
 }
 
-// FollowerInfo describes one connected standby for /statsz.
-type FollowerInfo struct {
-	Addr  string `json:"addr"`
-	Acked uint64 `json:"acked_seq"`
-	Lag   uint64 `json:"lag"`
-}
-
-// FollowerInfos returns a snapshot of every connected standby's progress.
-func (p *Primary) FollowerInfos() []FollowerInfo {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]FollowerInfo, 0, len(p.followers))
-	for _, f := range p.followers {
-		out = append(out, FollowerInfo{Addr: f.addr, Acked: f.acked, Lag: p.seq - min(f.acked, p.seq)})
-	}
-	return out
-}
-
 // Lag returns the worst follower's distance from the tip, in records; 0
 // with no followers.
 func (p *Primary) Lag() uint64 {

@@ -693,11 +693,13 @@ func (rt *Router) dropStandby(b *backend) {
 	rt.standbys = rest
 }
 
-// appliedSeq reads a standby's replication cursor from its /statsz.
+// appliedSeq reads a standby's replication cursor from its /healthz. The
+// body is decoded whatever the status code: a standby holding damaged files
+// answers 503 but still reports how far it has applied.
 func (rt *Router) appliedSeq(b *backend) (uint64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/statsz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -706,15 +708,13 @@ func (rt *Router) appliedSeq(b *backend) (uint64, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Repl struct {
-			AppliedSeq uint64 `json:"applied_seq"`
-		} `json:"repl"`
+	var health struct {
+		AppliedSeq uint64 `json:"applied_seq"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		return 0, err
 	}
-	return stats.Repl.AppliedSeq, nil
+	return health.AppliedSeq, nil
 }
 
 // unavailable answers 503 with the Retry-After hint — the router's only

@@ -13,9 +13,9 @@ import (
 	"bicc/internal/httpretry"
 )
 
-// fakeNode is a stub bccd backend: healthz, statsz with a replication
-// cursor, promote/follow endpoints that record calls, and caller-supplied
-// handlers for everything else.
+// fakeNode is a stub bccd backend: healthz with a replication cursor,
+// promote/follow endpoints that record calls, and caller-supplied handlers
+// for everything else.
 type fakeNode struct {
 	srv        *httptest.Server
 	appliedSeq uint64
@@ -38,11 +38,8 @@ func newFakeNode(t *testing.T, appliedSeq uint64, extra func(mux *http.ServeMux,
 	n := &fakeNode{appliedSeq: appliedSeq}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"repl":{"applied_seq":%d}}`, n.appliedSeq)
+		fmt.Fprintf(w, `{"status":"ok","role":"standby","applied_seq":%d}`+"\n", n.appliedSeq)
 	})
 	mux.HandleFunc("POST /v1/admin/promote", func(w http.ResponseWriter, r *http.Request) {
 		n.promotes.Add(1)

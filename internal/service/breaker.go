@@ -20,7 +20,7 @@ const (
 	BreakerHalfOpen
 )
 
-// String names the state for /statsz and logs.
+// String names the state for /healthz and logs.
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:

@@ -57,9 +57,6 @@ type durability struct {
 
 	recoveredGraphs int64
 	recoverySeconds float64
-	truncations     int64
-	walRecords      int64
-	snapRecords     int64
 }
 
 // EnableDurability opens (or creates) the data directory, replays the
@@ -90,9 +87,6 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		return nil, err
 	}
 	d.store = store
-	d.truncations = int64(rec.Truncations)
-	d.walRecords = int64(rec.WALRecords)
-	d.snapRecords = int64(rec.SnapshotRecords)
 
 	// From here on, space evictions must reach the WAL too, or recovery
 	// would resurrect graphs the registry already let go. The observer
@@ -199,34 +193,4 @@ func (s *Server) CloseDurability() error {
 	}
 	s.registry.SetEvictObserver(nil)
 	return d.store.Close()
-}
-
-// DurabilitySnapshot is the /statsz durability section, present only when a
-// data directory is configured.
-type DurabilitySnapshot struct {
-	RecoveredGraphs int64   `json:"recovered_graphs"`
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	Truncations     int64   `json:"wal_truncations"`
-	WALReplayed     int64   `json:"wal_replayed_records"`
-	SnapReplayed    int64   `json:"snapshot_records"`
-	WALBytes        int64   `json:"wal_bytes"`
-	WALGeneration   int64   `json:"wal_generation"`
-	WALAppends      int64   `json:"wal_appends"`
-	WALErrors       int64   `json:"wal_errors"`
-	Compactions     int64   `json:"wal_compactions"`
-}
-
-func (d *durability) snapshot() *DurabilitySnapshot {
-	return &DurabilitySnapshot{
-		RecoveredGraphs: d.recoveredGraphs,
-		RecoverySeconds: d.recoverySeconds,
-		Truncations:     d.truncations,
-		WALReplayed:     d.walRecords,
-		SnapReplayed:    d.snapRecords,
-		WALBytes:        d.store.WALBytes(),
-		WALGeneration:   int64(d.store.Generation()),
-		WALAppends:      d.store.Appends(),
-		WALErrors:       d.store.WALErrors(),
-		Compactions:     d.store.Compactions(),
-	}
 }

@@ -59,12 +59,8 @@ func TestDurableUploadSurvivesRestart(t *testing.T) {
 	if _, ok := s2.registry.Get(up2.Fingerprint); ok {
 		t.Fatal("deleted graph resurrected")
 	}
-	snap := s2.Snapshot()
-	if snap.Durability == nil || snap.Durability.RecoveredGraphs != 1 {
-		t.Fatalf("statsz durability section: %+v", snap.Durability)
-	}
-	if snap.Durability.RecoverySeconds <= 0 {
-		t.Fatal("recovery_seconds not reported")
+	if d := s2.dur.Load(); d.recoveredGraphs != 1 || d.recoverySeconds <= 0 {
+		t.Fatalf("recovery gauges: %d graphs in %vs, want 1 graph in > 0s", d.recoveredGraphs, d.recoverySeconds)
 	}
 }
 
@@ -105,15 +101,14 @@ func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 }
 
 func TestDurabilityOffIsInvisible(t *testing.T) {
-	// Without EnableDurability, /statsz must not contain a durability key:
-	// the feature off is byte-compatible with builds that predate it.
-	s, _ := newTestServer(t, Config{})
-	b, err := json.Marshal(s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
+	// Without EnableDurability, /metrics has no durable series and /healthz
+	// no durable keys: the feature off is invisible.
+	_, ts := newTestServer(t, Config{})
+	if m := scrapeHTTP(t, ts); strings.Contains(m, "bicc_wal_") || strings.Contains(m, "bicc_scrub_") || strings.Contains(m, "bicc_recover") {
+		t.Fatalf("/metrics leaks durability when disabled:\n%s", m)
 	}
-	if strings.Contains(string(b), "durability") {
-		t.Fatalf("statsz leaks durability when disabled: %s", b)
+	if _, hz := getHealthz(t, ts); hz["damaged"] != nil {
+		t.Fatalf("healthz leaks durability when disabled: %v", hz)
 	}
 }
 
@@ -148,7 +143,7 @@ func TestDurableRestartRecomputesResults(t *testing.T) {
 	if after := answer(newHTTPServer(t, s2)); after != before {
 		t.Fatalf("answer changed across restart:\n%s\n%s", before, after)
 	}
-	if n := s2.Snapshot().Computations; n != 1 {
+	if n := s2.stats.Computations.Load(); n != 1 {
 		t.Fatalf("computations after restart = %d, want 1", n)
 	}
 }

@@ -123,7 +123,7 @@ func TestPanicRecoveryHonorsAbortHandler(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 }
 
-func TestHandlerPanicCountedOnStatsz(t *testing.T) {
+func TestHandlerPanicCountedOnMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// No production route panics on demand, so drive one panic through a
 	// handler mounted behind the same PanicRecovery counter the server's
@@ -133,17 +133,8 @@ func TestHandlerPanicCountedOnStatsz(t *testing.T) {
 	}), func() { s.stats.HandlerPanics.Add(1) })
 	ph.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap StatsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.HandlerPanics != 1 {
-		t.Errorf("HandlerPanics = %d, want 1", snap.HandlerPanics)
+	if m := scrapeHTTP(t, ts); !strings.Contains(m, "bicc_handler_panics_total 1\n") {
+		t.Errorf("/metrics does not count the panic:\n%s", m)
 	}
 }
 
@@ -159,7 +150,7 @@ func TestDrainGate(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("draining 503 has no Retry-After")
 	}
-	for _, path := range []string{"/healthz", "/statsz"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -266,12 +257,11 @@ func TestMutateRunErrorsSetRetryAfter(t *testing.T) {
 			if code := <-held; code != http.StatusOK {
 				t.Fatalf("holding query: status %d", code)
 			}
-			snap := s.Snapshot()
-			if tc.want == http.StatusTooManyRequests && snap.Rejected != 1 {
-				t.Fatalf("rejected = %d, want 1", snap.Rejected)
+			if n := s.stats.Rejected.Load(); tc.want == http.StatusTooManyRequests && n != 1 {
+				t.Fatalf("rejected = %d, want 1", n)
 			}
-			if tc.want == http.StatusServiceUnavailable && snap.Canceled != 1 {
-				t.Fatalf("canceled = %d, want 1", snap.Canceled)
+			if n := s.stats.Canceled.Load(); tc.want == http.StatusServiceUnavailable && n != 1 {
+				t.Fatalf("canceled = %d, want 1", n)
 			}
 		})
 	}
@@ -434,9 +424,8 @@ func TestBreakerOpensRoutesAndRecovers(t *testing.T) {
 	if br.State() != BreakerClosed {
 		t.Errorf("breaker %v after healthy probe", br.State())
 	}
-	snap := s.Snapshot()
-	if snap.Breakers["tv-opt"].Opens != 1 {
-		t.Errorf("snapshot opens = %d, want 1", snap.Breakers["tv-opt"].Opens)
+	if n := br.Opens(); n != 1 {
+		t.Errorf("breaker opens = %d, want 1", n)
 	}
 }
 

@@ -140,21 +140,6 @@ func (st *incrState) drop(fp string) {
 	st.mu.Unlock()
 }
 
-// mutatedGraphs counts ids with a published label snapshot.
-func (st *incrState) mutatedGraphs() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := 0
-	for _, e := range st.graphs {
-		e.pub.Lock()
-		if e.labels != nil {
-			n++
-		}
-		e.pub.Unlock()
-	}
-	return n
-}
-
 // publishedLabels returns the label snapshot for fp if it describes exactly
 // the graph pointer g. Pointer identity is the correctness argument: labels
 // and graph are published together under pub, so a match proves the labels
@@ -480,53 +465,4 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		ElapsedNs:     int64(elapsed),
 		Phases:        clock.phases,
 	})
-}
-
-// --- stats -------------------------------------------------------------------
-
-// IncrSnapshot is the /statsz incr section. It appears only once the first
-// mutation has been acknowledged, so an unmutated server's /statsz is
-// byte-identical to older builds.
-type IncrSnapshot struct {
-	Batches       int64 `json:"batches"`
-	Deltas        int64 `json:"deltas"`
-	Inserts       int64 `json:"inserts"`
-	Deletes       int64 `json:"deletes"`
-	Absorbed      int64 `json:"absorbed"`
-	BlocksDirtied int64 `json:"blocks_dirtied"`
-	Absorbs       int64 `json:"absorbs"`
-	Rebuilds      int64 `json:"rebuilds"`
-	Fulls         int64 `json:"fulls"`
-	Served        int64 `json:"served_from_state"`
-	Invalidated   int64 `json:"invalidated_results"`
-	StateDrops    int64 `json:"state_drops"`
-	MutatedGraphs int   `json:"mutated_graphs"`
-	// Latency holds apply-latency histograms by path, exposing the
-	// incremental-vs-full comparison the planner's threshold trades on.
-	Latency map[string]HistogramSnapshot `json:"latency_ns_by_mode,omitempty"`
-}
-
-func (st *incrState) snapshot() *IncrSnapshot {
-	snap := &IncrSnapshot{
-		Batches:       st.batches.Load(),
-		Deltas:        st.deltas.Load(),
-		Inserts:       st.inserts.Load(),
-		Deletes:       st.deletes.Load(),
-		Absorbed:      st.absorbed.Load(),
-		BlocksDirtied: st.dirtied.Load(),
-		Absorbs:       st.modes[incr.ModeAbsorb.String()].Load(),
-		Rebuilds:      st.modes[incr.ModeRebuild.String()].Load(),
-		Fulls:         st.modes[incr.ModeFull.String()].Load(),
-		Served:        st.served.Load(),
-		Invalidated:   st.invalidated.Load(),
-		StateDrops:    st.stateDrops.Load(),
-		MutatedGraphs: st.mutatedGraphs(),
-		Latency:       map[string]HistogramSnapshot{},
-	}
-	for mode, h := range st.latency {
-		if hs := h.Snapshot(); hs.Count > 0 {
-			snap.Latency[mode] = hs
-		}
-	}
-	return snap
 }

@@ -278,18 +278,17 @@ func TestMutationEndpointDifferential(t *testing.T) {
 	// The acceptance bar: the randomized mix must have exercised both the
 	// absorb and the rebuild paths, and the maintained state must have
 	// served queries.
-	snap := sm.Snapshot()
-	if snap.Incr == nil {
-		t.Fatal("no incr section in /statsz after mutations")
+	st := sm.incr
+	absorbs, rebuilds := st.modes[incr.ModeAbsorb.String()].Load(), st.modes[incr.ModeRebuild.String()].Load()
+	if absorbs == 0 || rebuilds == 0 {
+		t.Fatalf("mutation mix did not exercise both absorb and rebuild: %d absorbs, %d rebuilds", absorbs, rebuilds)
 	}
-	if snap.Incr.Absorbs == 0 || snap.Incr.Rebuilds == 0 {
-		t.Fatalf("mutation mix did not exercise both absorb and rebuild: %+v", snap.Incr)
+	if st.served.Load() == 0 {
+		t.Fatal("no queries served from maintained state")
 	}
-	if snap.Incr.Served == 0 {
-		t.Fatalf("no queries served from maintained state: %+v", snap.Incr)
-	}
-	if snap.Incr.Deltas == 0 || snap.Incr.Batches == 0 || snap.Incr.Invalidated == 0 {
-		t.Fatalf("incr counters incomplete: %+v", snap.Incr)
+	if st.deltas.Load() == 0 || st.batches.Load() == 0 || st.invalidated.Load() == 0 {
+		t.Fatalf("incr counters incomplete: %d deltas, %d batches, %d invalidated",
+			st.deltas.Load(), st.batches.Load(), st.invalidated.Load())
 	}
 }
 
@@ -658,7 +657,7 @@ func TestMutatedGraphShardQueries(t *testing.T) {
 	if b := getBlocks(2); b.IsCut {
 		t.Fatalf("vertex 2 still reported as cut after the merge: %+v", b)
 	}
-	if snap := s.Snapshot(); snap.Incr == nil || snap.Incr.Served == 0 {
-		t.Fatalf("per-block query did not use maintained labels: %+v", snap.Incr)
+	if s.incr.served.Load() == 0 {
+		t.Fatal("per-block query did not use maintained labels")
 	}
 }

@@ -68,8 +68,8 @@ func (s *Server) drainGate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			switch r.URL.Path {
-			case "/healthz", "/statsz", "/metrics":
-				// Health, stats and metrics stay readable during the drain.
+			case "/healthz", "/metrics":
+				// Health and metrics stay readable during the drain.
 			default:
 				w.Header().Set("Retry-After", s.retryAfterSeconds())
 				writeError(w, http.StatusServiceUnavailable, "server is draining")

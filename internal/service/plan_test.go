@@ -47,7 +47,7 @@ func postBCCExplain(t *testing.T, ts *httptest.Server, req bccRequest) (*http.Re
 // unannotated algorithm:"auto" query pinned to procs 1 dispatches the
 // sequential engine, which beat every parallel engine at p=1 on each input
 // the prior was fitted on, verified through both ?explain=1 and the
-// bicc_plan_* counters on /statsz.
+// bicc_plan_* counters.
 func TestPlanRunsSequentialAtP1(t *testing.T) {
 	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
 	up := uploadGraph(t, ts, denseGraph(), "name=dense4n")
@@ -76,12 +76,11 @@ func TestPlanRunsSequentialAtP1(t *testing.T) {
 		t.Fatalf("decision echo carries no candidates: %+v", out.Plan.Decision)
 	}
 
-	snap := s.Snapshot()
-	if snap.Plan == nil {
-		t.Fatal("statsz has no plan section with the planner enabled")
+	if n := s.metrics.CounterVec("bicc_plan_decisions_total", "", "engine").With("sequential").Load(); n != 1 {
+		t.Fatalf("bicc_plan_decisions_total{engine=\"sequential\"} = %d, want 1", n)
 	}
-	if snap.Plan.Decisions != 1 || snap.Plan.ByEngine["sequential"] != 1 {
-		t.Fatalf("plan snapshot: %+v", snap.Plan)
+	if n := s.metrics.CounterVec("bicc_plan_procs_total", "", "procs").With("1").Load(); n != 1 {
+		t.Fatalf("bicc_plan_procs_total{procs=\"1\"} = %d, want 1", n)
 	}
 }
 
@@ -269,47 +268,6 @@ func TestPlanDifferentialAutoOnOff(t *testing.T) {
 				t.Fatalf("%s %s:\nplanned: %s\nstatic:  %s", name, path, gb, sb)
 			}
 		}
-	}
-}
-
-// TestPlanStatszGolden pins the plan section's /statsz JSON shape.
-func TestPlanStatszGolden(t *testing.T) {
-	_, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
-	up := uploadGraph(t, ts, testGraph(t), "")
-	for i := 0; i < 3; i++ {
-		postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: 1})
-	}
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	sec, ok := m["plan"].(map[string]any)
-	if !ok {
-		t.Fatalf("statsz plan section missing: %v", m["plan"])
-	}
-	if sec["decisions"] != float64(3) {
-		t.Fatalf("plan.decisions = %v, want 3", sec["decisions"])
-	}
-	// The tiny test graph sits in the sequential region; all three decisions
-	// land on one engine.
-	by, ok := sec["by_engine"].(map[string]any)
-	if !ok || len(by) != 1 {
-		t.Fatalf("plan.by_engine = %v", sec["by_engine"])
-	}
-	// fallbacks is omitted while zero.
-	keys := []string{"max_procs", "decisions", "by_engine", "by_procs"}
-	for _, k := range keys {
-		if _, ok := sec[k]; !ok {
-			t.Errorf("plan section missing %q: %v", k, sec)
-		}
-	}
-	if len(sec) != len(keys) {
-		t.Errorf("plan section has keys beyond %v: %v", keys, sec)
 	}
 }
 

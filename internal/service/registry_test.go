@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bicc"
+	"bicc/internal/obs"
 )
 
 func mkGraph(t *testing.T, n int, edges []bicc.Edge) *bicc.Graph {
@@ -295,23 +298,31 @@ func TestAdmissionAcquireHonorsContext(t *testing.T) {
 	}
 }
 
+// TestHistogram checks the request-latency histogram as /metrics renders
+// it: every sample counted, and each in its power-of-two bucket.
 func TestHistogram(t *testing.T) {
-	var h Histogram
+	s := New(Config{})
+	h := s.stats.perAlgorithm["sequential"]
 	for _, d := range []time.Duration{
 		500 * time.Nanosecond, time.Microsecond, 3 * time.Microsecond,
 		100 * time.Microsecond, 5 * time.Millisecond, time.Second,
 	} {
 		h.Observe(d)
 	}
-	s := h.Snapshot()
-	if s.Count != 6 {
-		t.Fatalf("count = %d", s.Count)
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf, s.metrics); err != nil {
+		t.Fatal(err)
 	}
-	if s.MeanN <= 0 || s.P50Ns <= 0 || s.P99Ns < s.P50Ns {
-		t.Fatalf("snapshot %+v", s)
-	}
-	// P99 must land in the top bucket (1 s ≈ 2^20 µs).
-	if s.P99Ns < int64(time.Second) {
-		t.Fatalf("p99 = %dns, want >= 1s", s.P99Ns)
+	for _, series := range []string{
+		`bicc_request_seconds_count{algorithm="sequential"} 6`,
+		`bicc_request_seconds_bucket{algorithm="sequential",le="1e-06"} 1`,
+		`bicc_request_seconds_bucket{algorithm="sequential",le="0.008192"} 5`,
+		// The 1 s sample lands in the bucket up to 2^20 µs.
+		`bicc_request_seconds_bucket{algorithm="sequential",le="0.524288"} 5`,
+		`bicc_request_seconds_bucket{algorithm="sequential",le="1.048576"} 6`,
+	} {
+		if !strings.Contains(buf.String(), series+"\n") {
+			t.Errorf("exposition missing %q", series)
+		}
 	}
 }

@@ -511,7 +511,7 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"role": "standby", "following": req.Addr})
 }
 
-// --- metrics & statsz --------------------------------------------------------
+// --- metrics -----------------------------------------------------------------
 
 // register exposes the replication series. They exist only when
 // replication is enabled, so a standalone bccd's /metrics is unchanged.
@@ -522,7 +522,12 @@ func (rs *replState) register(s *Server) {
 		func() float64 { return float64(rs.role.Load()) })
 	reg.GaugeFunc("bicc_repl_epoch",
 		"Primary reign number the node is serving or following.",
-		func() float64 { return float64(rs.epoch.Load()) })
+		func() float64 {
+			if st := rs.stb.Load(); st != nil && rs.epoch.Load() == 0 {
+				return float64(st.Epoch())
+			}
+			return float64(rs.epoch.Load())
+		})
 	reg.GaugeFunc("bicc_repl_seq",
 		"Last replication sequence assigned (primary).",
 		func() float64 {
@@ -600,68 +605,41 @@ func (rs *replState) register(s *Server) {
 		"Standby-to-primary promotions performed.").Func(rs.promotions.Load)
 	reg.CounterVec("bicc_repl_refollows_total",
 		"Times this standby was re-pointed at a new primary.").Func(rs.refollows.Load)
+	reg.GaugeFunc("bicc_repl_connected",
+		"1 while this standby's replication stream is up.",
+		func() float64 {
+			if st := rs.stb.Load(); st != nil && st.Connected() {
+				return 1
+			}
+			return 0
+		})
+	reg.CounterVec("bicc_repl_gaps_total",
+		"Sequence gaps detected in the replication stream (standby).").Func(func() int64 {
+		if st := rs.stb.Load(); st != nil {
+			return st.Gaps()
+		}
+		return 0
+	})
+	reg.CounterVec("bicc_repl_apply_errors_total",
+		"Replicated records that failed to apply (standby).").Func(func() int64 {
+		if st := rs.stb.Load(); st != nil {
+			return st.ApplyErrors()
+		}
+		return 0
+	})
+	reg.CounterVec("bicc_repl_promote_dropped_graphs_total",
+		"Graphs dropped at promotion because their fingerprint no longer matched.").Func(rs.promoteDropped.Load)
 }
 
-// ReplSnapshot is the /statsz replication section, present only when
-// replication is enabled. applied_seq is what the router's failover logic
-// compares across standbys.
-type ReplSnapshot struct {
-	Role           string              `json:"role"`
-	Epoch          uint64              `json:"epoch"`
-	Seq            uint64              `json:"seq"`
-	AppliedSeq     uint64              `json:"applied_seq"`
-	Lag            uint64              `json:"lag_records"`
-	Connected      bool                `json:"connected"`
-	Followers      []repl.FollowerInfo `json:"followers,omitempty"`
-	Shipped        int64               `json:"shipped_records"`
-	Acks           int64               `json:"acks"`
-	Resyncs        int64               `json:"resyncs"`
-	Gaps           int64               `json:"gaps"`
-	AppliedRecords int64               `json:"applied_records"`
-	ApplyErrors    int64               `json:"apply_errors"`
-	QuorumTimeouts int64               `json:"quorum_timeouts"`
-	Promotions     int64               `json:"promotions"`
-	PromoteDropped int64               `json:"promote_dropped_graphs"`
-	Refollows      int64               `json:"refollows"`
-	ReplAddr       string              `json:"repl_addr,omitempty"`
-}
-
-func (rs *replState) snapshot() *ReplSnapshot {
-	snap := &ReplSnapshot{
-		Epoch:          rs.epoch.Load(),
-		QuorumTimeouts: rs.quorumDegrades.Load(),
-		Promotions:     rs.promotions.Load(),
-		PromoteDropped: rs.promoteDropped.Load(),
-		Refollows:      rs.refollows.Load(),
-	}
-	switch rs.role.Load() {
-	case rolePrimary:
-		snap.Role = "primary"
-	case roleStandby:
-		snap.Role = "standby"
+// appliedSeq is the replication cursor /healthz reports: a standby's last
+// durably applied sequence, or a primary's own tip, which it has applied by
+// definition, so the router compares nodes uniformly.
+func (rs *replState) appliedSeq() uint64 {
+	if st := rs.stb.Load(); st != nil {
+		return st.AppliedSeq()
 	}
 	if p := rs.pri.Load(); p != nil {
-		snap.Seq = p.Seq()
-		snap.Lag = p.Lag()
-		snap.Followers = p.FollowerInfos()
-		snap.Shipped = p.Shipped()
-		snap.Acks = p.Acks()
-		snap.Resyncs += p.Resyncs()
-		snap.ReplAddr = p.Addr()
-		// A primary's own tip is by definition applied locally; publishing
-		// it as applied_seq lets the router compare nodes uniformly.
-		snap.AppliedSeq = p.Seq()
+		return p.Seq()
 	}
-	if st := rs.stb.Load(); st != nil {
-		snap.AppliedSeq = st.AppliedSeq()
-		snap.Connected = st.Connected()
-		snap.Gaps = st.Gaps()
-		snap.AppliedRecords = st.AppliedRecords()
-		snap.ApplyErrors = st.ApplyErrors()
-		snap.Resyncs += st.Resyncs()
-		if snap.Epoch == 0 {
-			snap.Epoch = st.Epoch()
-		}
-	}
-	return snap
+	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,16 +163,17 @@ func TestReplicationDifferential(t *testing.T) {
 		t.Fatalf("standby delete: status %d, want 503", resp.StatusCode)
 	}
 
-	// statsz roles on both sides.
-	if snap := pri.s.Snapshot(); snap.Repl == nil || snap.Repl.Role != "primary" {
-		t.Fatalf("primary statsz repl: %+v", snap.Repl)
+	// Roles on both sides.
+	if r := pri.s.replRole(); r != rolePrimary {
+		t.Fatalf("primary role %d, want %d", r, rolePrimary)
 	}
-	snap := stb.s.Snapshot()
-	if snap.Repl == nil || snap.Repl.Role != "standby" || !snap.Repl.Connected {
-		t.Fatalf("standby statsz repl: %+v", snap.Repl)
+	srs := stb.s.repls.Load()
+	st := srs.stb.Load()
+	if srs.role.Load() != roleStandby || st == nil || !st.Connected() {
+		t.Fatal("standby is not following with its stream up")
 	}
-	if snap.Repl.AppliedRecords == 0 {
-		t.Fatal("standby applied_records is zero after replication")
+	if st.AppliedRecords() == 0 {
+		t.Fatal("standby applied no records after replication")
 	}
 }
 
@@ -289,9 +291,8 @@ func TestPromotionServesAckedState(t *testing.T) {
 		t.Fatalf("second promote: status %d report %+v, want same epoch %d",
 			resp.StatusCode, rep2, rep.Epoch)
 	}
-	snap := stb.s.Snapshot()
-	if snap.Repl.Promotions != 1 {
-		t.Fatalf("promotions counter %d, want 1", snap.Repl.Promotions)
+	if n := stb.s.repls.Load().promotions.Load(); n != 1 {
+		t.Fatalf("promotions counter %d, want 1", n)
 	}
 }
 
@@ -354,16 +355,15 @@ func TestRefollowRetargetsStandby(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("retargeted standby accepted a write: status %d", resp.StatusCode)
 	}
-	snap := stb.s.Snapshot()
-	if snap.Repl == nil || snap.Repl.Role != "standby" || snap.Repl.Refollows != 1 {
-		t.Fatalf("statsz repl after refollow: %+v", snap.Repl)
+	if rs := stb.s.repls.Load(); rs.role.Load() != roleStandby || rs.refollows.Load() != 1 {
+		t.Fatalf("after refollow: role %d, %d refollows; want standby and 1", rs.role.Load(), rs.refollows.Load())
 	}
 }
 
 // TestStandbyWALIsRecoveryImage: the standby's own data dir must be a valid
 // PR 4 recovery image at all times — a plain (non-replicated) server opened
 // over it recovers exactly the replicated state. Doubles as the boot-replay
-// accounting check (satellite: replayed-record counts on /statsz).
+// accounting check: the RecoveryReport counts the replayed WAL records.
 func TestStandbyWALIsRecoveryImage(t *testing.T) {
 	pri, stb := replicaPair(t)
 	up := uploadGraph(t, pri.ts, testGraph(t), "name=demo")
@@ -405,10 +405,6 @@ func TestStandbyWALIsRecoveryImage(t *testing.T) {
 	if got := normalizeBCC(t, queryAll(t, ts2, up.Fingerprint, "tv-opt")); got != want {
 		t.Fatalf("recovered standby answer diverged\nwant %s\ngot  %s", want, got)
 	}
-	snap := s2.Snapshot()
-	if snap.Durability == nil || snap.Durability.WALReplayed == 0 {
-		t.Fatalf("statsz missing wal_replayed_records: %+v", snap.Durability)
-	}
 }
 
 // TestPrimaryAloneDegradesQuorum: a primary with no connected standby still
@@ -425,13 +421,78 @@ func TestPrimaryAloneDegradesQuorum(t *testing.T) {
 		t.Fatalf("lonely-primary upload took %v: quorum wait did not degrade", elapsed)
 	}
 	mustMutate(t, pri.ts, up.Fingerprint, []mutationDelta{{Op: "insert", U: 0, V: 4}})
-	snap := pri.s.Snapshot()
-	if snap.Repl == nil || snap.Repl.Role != "primary" || snap.Repl.Seq == 0 {
-		t.Fatalf("statsz repl: %+v", snap.Repl)
+	rs := pri.s.repls.Load()
+	if rs.role.Load() != rolePrimary || rs.pri.Load().Seq() == 0 {
+		t.Fatalf("lonely primary: role %d, seq %d", rs.role.Load(), rs.pri.Load().Seq())
 	}
-	// applied_seq mirrors seq on a primary so the router compares uniformly.
-	if snap.Repl.AppliedSeq != snap.Repl.Seq {
-		t.Fatalf("primary applied_seq %d != seq %d", snap.Repl.AppliedSeq, snap.Repl.Seq)
+}
+
+// TestReplicationMetricsReplaceStatsz checks the surface that replaced
+// /statsz: the route is gone, the four replication-integrity series exist
+// only while replication is on, and /healthz reports the applied_seq that
+// the router compares, equal to the node's own replication series.
+func TestReplicationMetricsReplaceStatsz(t *testing.T) {
+	replSeries := []string{"bicc_repl_connected", "bicc_repl_gaps_total",
+		"bicc_repl_apply_errors_total", "bicc_repl_promote_dropped_graphs_total"}
+	_, diskless := newTestServer(t, Config{})
+	resp, err := http.Get(diskless.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/statsz answered %d, want 404", resp.StatusCode)
+	}
+	m := scrapeHTTP(t, diskless)
+	for _, name := range replSeries {
+		if strings.Contains(m, name) {
+			t.Errorf("diskless /metrics has %s", name)
+		}
+	}
+	if _, hz := getHealthz(t, diskless); hz["applied_seq"] != nil {
+		t.Errorf("diskless /healthz has applied_seq: %v", hz)
+	}
+
+	pri, stb := replicaPair(t)
+	up := uploadGraph(t, pri.ts, testGraph(t), "")
+	mustMutate(t, pri.ts, up.Fingerprint, []mutationDelta{{Op: "insert", U: 0, V: 4}})
+	waitCaughtUp(t, pri, stb)
+	for _, tc := range []struct {
+		node   *replica
+		series string
+	}{{pri, "bicc_repl_seq"}, {stb, "bicc_repl_applied_seq"}} {
+		want, ok := seriesValue(scrapeHTTP(t, tc.node.ts), tc.series)
+		if _, hz := getHealthz(t, tc.node.ts); !ok || want == 0 || hz["applied_seq"] != want {
+			t.Errorf("/healthz applied_seq %v, %s %v", hz["applied_seq"], tc.series, want)
+		}
+	}
+	m = scrapeHTTP(t, stb.ts)
+	for _, name := range replSeries {
+		want := 0.0
+		if name == "bicc_repl_connected" {
+			want = 1
+		}
+		if got, ok := seriesValue(m, name); !ok || got != want {
+			t.Errorf("following standby: %s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	// A standby reports the reign it follows.
+	if got, _ := seriesValue(m, "bicc_repl_epoch"); got != 1 {
+		t.Errorf("following standby: bicc_repl_epoch = %v, want 1", got)
+	}
+
+	pri.s.CloseReplication()
+	if rep, err := stb.s.Promote(); err != nil || rep.Dropped != 0 {
+		t.Fatalf("promote: %+v, %v", rep, err)
+	}
+	m = scrapeHTTP(t, stb.ts)
+	for name, want := range map[string]float64{
+		"bicc_repl_promote_dropped_graphs_total": 0,
+		"bicc_repl_connected":                    0,
+	} {
+		if got, ok := seriesValue(m, name); !ok || got != want {
+			t.Errorf("promoted node: %s = %v (present %v), want %v", name, got, ok, want)
+		}
 	}
 }
 

@@ -172,10 +172,10 @@ func TestScrubWALRepairByCompaction(t *testing.T) {
 
 // TestScrubRetriesCompactionAndHealthz damages the WAL while the next two
 // snapshot generations cannot be written. Nothing is moved or deleted: the
-// segment stays in place, /healthz and /statsz name it under damaged, and
-// each cycle retries the compaction. Once the disk frees up, the third
-// cycle repairs it, /healthz is back at 200, and a restart recovers every
-// graph.
+// segment stays in place, /healthz and the store's scrub stats name it as
+// damaged, and each cycle retries the compaction. Once the disk frees up,
+// the third cycle repairs it, /healthz is back at 200, and a restart
+// recovers every graph.
 func TestScrubRetriesCompactionAndHealthz(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
@@ -204,8 +204,8 @@ func TestScrubRetriesCompactionAndHealthz(t *testing.T) {
 			t.Fatalf("healthz after cycle %d: %d %q %v, want 503 unhealthy naming %s", cycle, code, status, damaged, wal)
 		}
 	}
-	if snap := s.Snapshot(); snap.Scrub == nil || snap.Scrub.Cycles != 2 || len(snap.Scrub.Damaged) != 1 {
-		t.Fatalf("statsz scrub section: %+v", snap.Scrub)
+	if sc := st.ScrubStats(); sc.Cycles != 2 || len(sc.Damaged) != 1 {
+		t.Fatalf("scrub stats: %+v", sc)
 	}
 
 	unblock1()
@@ -344,8 +344,7 @@ func TestAdminScrubEndpoint(t *testing.T) {
 	if _, ok := rep["tiers"]; ok {
 		t.Fatalf("wire report still has tiers: %v", rep)
 	}
-	snap := s.Snapshot()
-	if snap.Scrub == nil || snap.Scrub.Cycles != 1 || snap.Scrub.Last == nil || snap.Scrub.Last.Checked != 1 {
-		t.Fatalf("statsz scrub section = %+v", snap.Scrub)
+	if sc := s.dur.Load().store.ScrubStats(); sc.Cycles != 1 || sc.Checked != 1 {
+		t.Fatalf("scrub stats = %+v", sc)
 	}
 }

@@ -25,7 +25,7 @@
 // Endpoints: POST/GET/DELETE /v1/graphs, POST /v1/graphs/{fp}/edges
 // (batched edge mutations), POST /v1/bcc, the per-block queries GET
 // /v1/block/{id}, /v1/vertex/{v}/blocks and /v1/vertex/{v}/articulation,
-// GET /healthz, GET /statsz.
+// GET /healthz, GET /metrics.
 package service
 
 import (
@@ -217,8 +217,7 @@ func New(cfg Config) *Server {
 
 // registerLiveMetrics exposes state other components already maintain —
 // registry occupancy, admission load, breaker status — as callback-backed
-// series sampled at scrape time, so /metrics and /statsz can never drift
-// apart.
+// series sampled at scrape time, so /metrics never keeps a shadow copy.
 func (s *Server) registerLiveMetrics() {
 	reg := s.metrics
 	reg.CounterVec("bicc_graphs_evicted_total",
@@ -271,7 +270,6 @@ func (s *Server) Registry() *Registry { return s.registry }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	mux.Handle("GET /metrics", s.MetricsHandler())
 	mux.HandleFunc("POST /v1/graphs", s.handleUpload)
 	mux.HandleFunc("POST /v1/graphs/open", s.handleOpen)
@@ -992,7 +990,7 @@ func (s *Server) safeCompute(ctx context.Context, g *bicc.Graph, opt *bicc.Optio
 	return s.cfg.Compute(ctx, g, opt)
 }
 
-// --- health & stats --------------------------------------------------------
+// --- health ----------------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
@@ -1027,69 +1025,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body["status"] = status
-	switch s.replRole() {
-	case rolePrimary:
-		body["role"] = "primary"
-	case roleStandby:
-		body["role"] = "standby"
+	if rs := s.repls.Load(); rs != nil {
+		switch rs.role.Load() {
+		case rolePrimary:
+			body["role"] = "primary"
+		case roleStandby:
+			body["role"] = "standby"
+		}
+		body["applied_seq"] = rs.appliedSeq()
 	}
 	writeJSON(w, code, body)
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
-}
-
-// Snapshot assembles the current /statsz payload.
-func (s *Server) Snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Requests:      s.stats.Requests.Load(),
-		CacheHits:     s.stats.CacheHits.Load(),
-		CacheMisses:   s.stats.CacheMisses.Load(),
-		Coalesced:     s.stats.Coalesced.Load(),
-		Rejected:      s.stats.Rejected.Load(),
-		Canceled:      s.stats.Canceled.Load(),
-		Computations:  s.stats.Computations.Load(),
-		GraphUploads:  s.stats.GraphUploads.Load(),
-		GraphEvicted:  s.registry.Evicted(),
-		QueueDepth:    s.admission.QueueDepth(),
-		Inflight:      s.admission.Inflight(),
-		CachedResults: s.cache.Len(),
-		CacheMemBytes: s.cache.Bytes(),
-		Graphs:        s.registry.Len(),
-		GraphBytes:    s.registry.Bytes(),
-		EnginePanics:  s.stats.EnginePanics.Load(),
-		Fallbacks:     s.stats.Fallbacks.Load(),
-		BreakerRouted: s.stats.BreakerRouted.Load(),
-		HandlerPanics: s.stats.HandlerPanics.Load(),
-		Breakers:      map[string]BreakerSnapshot{},
-		Latency:       map[string]HistogramSnapshot{},
-	}
-	for name, b := range s.breakers {
-		snap.Breakers[name] = BreakerSnapshot{State: b.State().String(), Opens: b.Opens()}
-	}
-	if served := snap.CacheHits + snap.CacheMisses + snap.Coalesced; served > 0 {
-		snap.CacheHitRate = float64(snap.CacheHits+snap.Coalesced) / float64(served)
-	}
-	for name, h := range s.stats.perAlgorithm {
-		if hs := h.Snapshot(); hs.Count > 0 {
-			snap.Latency[name] = hs
-		}
-	}
-	if d := s.dur.Load(); d != nil {
-		snap.Durability = d.snapshot()
-		scrub := d.store.ScrubStats()
-		snap.Scrub = &scrub
-	}
-	if s.incr.batches.Load() > 0 {
-		snap.Incr = s.incr.snapshot()
-	}
-	if rs := s.repls.Load(); rs != nil {
-		snap.Repl = rs.snapshot()
-	}
-	if s.planner != nil {
-		psnap := s.planner.Snapshot()
-		snap.Plan = &psnap
-	}
-	return snap
 }

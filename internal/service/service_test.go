@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -144,8 +145,8 @@ func TestEndToEndQuery(t *testing.T) {
 	if !out2.Cached {
 		t.Fatal("second identical query was not served from cache")
 	}
-	if snap := s.Snapshot(); snap.CacheHits != 1 || snap.Computations != 1 {
-		t.Fatalf("stats after hit: %+v", snap)
+	if hits, runs := s.stats.CacheHits.Load(), s.stats.Computations.Load(); hits != 1 || runs != 1 {
+		t.Fatalf("after a hit: %d cache hits, %d computations; want 1 and 1", hits, runs)
 	}
 }
 
@@ -474,13 +475,11 @@ func TestSingleFlight(t *testing.T) {
 	if n := computations.Load(); n != 1 {
 		t.Fatalf("engine ran %d times for %d identical in-flight queries, want exactly 1", n, clients)
 	}
-	snap := s.Snapshot()
-	if snap.CacheMisses != 1 {
-		t.Fatalf("cache misses = %d, want 1 (snapshot %+v)", snap.CacheMisses, snap)
+	if n := s.stats.CacheMisses.Load(); n != 1 {
+		t.Fatalf("cache misses = %d, want 1", n)
 	}
-	if snap.Coalesced+snap.CacheHits != clients-1 {
-		t.Fatalf("coalesced+hits = %d, want %d (snapshot %+v)",
-			snap.Coalesced+snap.CacheHits, clients-1, snap)
+	if n := s.stats.Coalesced.Load() + s.stats.CacheHits.Load(); n != clients-1 {
+		t.Fatalf("coalesced+hits = %d, want %d", n, clients-1)
 	}
 }
 
@@ -586,20 +585,26 @@ func TestQueueFullRejects(t *testing.T) {
 			t.Fatalf("blocked query finished badly: %+v", r)
 		}
 	}
-	if snap := s.Snapshot(); snap.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", snap.Rejected)
+	if n := s.stats.Rejected.Load(); n != 1 {
+		t.Fatalf("rejected = %d, want 1", n)
 	}
 }
 
+// TestHealthzAndStatsz checks that /healthz reports every parallel
+// engine's breaker, that /statsz is gone, and that /metrics carries what it
+// reported: request and computation counts, resident graphs, and a latency
+// histogram per executing engine.
 func TestHealthzAndStatsz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	code, hz := getHealthz(t, ts)
+	if code != http.StatusOK || hz["status"] != "ok" {
+		t.Fatalf("healthz: %d %v", code, hz)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
+	breakers, _ := hz["breakers"].(map[string]any)
+	for _, e := range engine.Parallel() {
+		if breakers[e.Name] != "closed" {
+			t.Errorf("healthz breaker for %q = %v, want closed", e.Name, breakers[e.Name])
+		}
 	}
 	up := uploadGraph(t, ts, testGraph(t), "")
 	if _, data := postBCC(t, ts, bccRequest{Graph: up.Fingerprint}); len(data) == 0 {
@@ -608,36 +613,71 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if _, data := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "fast-bcc"}); len(data) == 0 {
 		t.Fatal("empty fast-bcc response")
 	}
-	resp, err = http.Get(ts.URL + "/statsz")
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/statsz answered %d, want 404", resp.StatusCode)
+	}
+	metrics := scrapeHTTP(t, ts)
+	for _, series := range []string{
+		"bicc_requests_total 2",
+		"bicc_computations_total 2",
+		"bicc_graphs 1",
+		`bicc_request_seconds_count{algorithm="fast-bcc"} 1`,
+	} {
+		if !strings.Contains(metrics, series+"\n") {
+			t.Errorf("/metrics missing %q", series)
+		}
+	}
+	// With the planner off (the zero-value default) no plan series exist.
+	if strings.Contains(metrics, "bicc_plan_") {
+		t.Error("/metrics has plan series with the planner off")
+	}
+}
+
+// getHealthz fetches /healthz and returns its status code and decoded body.
+func getHealthz(t *testing.T, ts *httptest.Server) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap StatsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Requests != 2 || snap.Computations != 2 || snap.Graphs != 1 {
-		t.Fatalf("statsz: %+v", snap)
-	}
-	if len(snap.Latency) == 0 {
-		t.Fatal("statsz has no latency histograms after a computation")
-	}
-	// Every engine gets its own circuit breaker, present from the first
-	// snapshot on; the fast-bcc query above also leaves a latency row.
-	for _, e := range engine.Parallel() {
-		if _, ok := snap.Breakers[e.Name]; !ok {
-			t.Errorf("statsz missing breaker entry for %q", e.Name)
+	return resp.StatusCode, body
+}
+
+// seriesValue returns the value of the series named exactly name, labels
+// included, in an exposition, and whether the series is there.
+func seriesValue(exposition, name string) (float64, bool) {
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
 		}
 	}
-	if _, ok := snap.Latency["fast-bcc"]; !ok {
-		t.Error("statsz missing latency histogram for fast-bcc after a fast-bcc query")
+	return 0, false
+}
+
+// scrapeHTTP returns ts's /metrics exposition.
+func scrapeHTTP(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// With the planner off (the zero-value default), /statsz carries no plan
-	// section — the pre-planner wire shape, byte for byte.
-	if snap.Plan != nil {
-		t.Errorf("statsz has a plan section with the planner off: %+v", snap.Plan)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(body)
 }
 
 func TestBadRequests(t *testing.T) {

@@ -180,9 +180,9 @@ func TestShardHTTPDifferential(t *testing.T) {
 			if r, body := postBCC(t, ets, bccRequest{Graph: fp, Algorithm: algoName, Procs: 1}); r.StatusCode != http.StatusOK {
 				t.Fatalf("eviction leg eviction query: status %d: %s", r.StatusCode, body)
 			}
-			computations := es.Snapshot().Computations
+			computations := es.stats.Computations.Load()
 			checkBlockAnswers(t, ets, qs, g, algo)
-			if es.Snapshot().Computations != computations+1 {
+			if es.stats.Computations.Load() != computations+1 {
 				t.Fatal("eviction leg: the evicted entry was not recomputed exactly once")
 			}
 
@@ -214,7 +214,7 @@ func TestShardQueryReusesCachedDecomposition(t *testing.T) {
 			if n := s.stats.ShardBuilds.Load(); n != 0 {
 				t.Fatalf("/v1/bcc built %d per-block indexes", n)
 			}
-			computations := s.Snapshot().Computations
+			computations := s.stats.Computations.Load()
 			qs := fmt.Sprintf("?graph=%s&algorithm=%s&procs=%d", up.Fingerprint, tc.algo, tc.procs)
 			var vb vertexBlocksResponse
 			if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks"+qs, &vb); code != http.StatusOK {
@@ -223,7 +223,7 @@ func TestShardQueryReusesCachedDecomposition(t *testing.T) {
 			if !vb.IsCut || len(vb.Blocks) != 2 {
 				t.Fatalf("vertex 2: %+v, want a cut vertex in 2 blocks", vb)
 			}
-			if got := s.Snapshot().Computations; got != computations {
+			if got := s.stats.Computations.Load(); got != computations {
 				t.Fatalf("per-block query after /v1/bcc ran the engine: computations %d -> %d", computations, got)
 			}
 		})
@@ -389,7 +389,7 @@ func TestShardDegradedResultAnswersUncached(t *testing.T) {
 		if n := blockIndexes(s.cache); n != 0 {
 			t.Fatalf("query %d: degraded result kept %d indexes", i, n)
 		}
-		if got := s.Snapshot().Computations; got != int64(i) {
+		if got := s.stats.Computations.Load(); got != int64(i) {
 			t.Fatalf("query %d: %d computations, want %d (degraded results are not cached)", i, got, i)
 		}
 	}
@@ -423,13 +423,12 @@ func TestShardEvictionRebuildsIndex(t *testing.T) {
 	step := func(procs int, builds, computations int64) {
 		t.Helper()
 		checkBlockAnswers(t, ts, qs(procs), g, bicc.Sequential)
-		snap := s.Snapshot()
 		if n := s.stats.ShardBuilds.Load(); n != builds {
 			t.Fatalf("procs=%d: %d index builds, want %d", procs, n, builds)
 		}
-		if snap.Computations != computations || snap.CachedResults != 1 {
+		if n, cached := s.stats.Computations.Load(), s.cache.Len(); n != computations || cached != 1 {
 			t.Fatalf("procs=%d: %d computations, %d cached results; want %d and 1",
-				procs, snap.Computations, snap.CachedResults, computations)
+				procs, n, cached, computations)
 		}
 	}
 	step(2, 1, 2) // the procs=2 index pushes the procs=1 entry out
@@ -644,7 +643,7 @@ func TestIncludeViewsDerivedOnCacheHit(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/vertex/2/blocks?graph="+up.Fingerprint+"&algorithm=tv-opt", nil); code != http.StatusOK {
 		t.Fatalf("vertex blocks: status %d", code)
 	}
-	if n := s.Snapshot().Computations; n != 3 {
+	if n := s.stats.Computations.Load(); n != 3 {
 		t.Fatalf("%d computations, want 3: the per-block query must recompute the evicted entry", n)
 	}
 	assertViews(ask(full), "hit on the per-block query's entry")

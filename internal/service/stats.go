@@ -1,24 +1,12 @@
 package service
 
 import (
-	"bicc/internal/durable"
 	"bicc/internal/engine"
 	"bicc/internal/obs"
-	"bicc/internal/plan"
 )
 
-// Histogram is the service's request-latency histogram, now provided by the
-// observability package so /statsz and /metrics report from the same
-// instrument. The JSON shape of snapshots is unchanged.
-type Histogram = obs.Histogram
-
-// HistogramSnapshot is a point-in-time copy of a Histogram, JSON-ready.
-type HistogramSnapshot = obs.HistogramSnapshot
-
-// Stats aggregates the service counters exposed on /statsz. The counters
-// live on the server's private obs registry, so the same instruments back
-// the Prometheus exposition on /metrics; field accessors (Add/Load) are
-// unchanged from the pre-registry atomic.Int64 shape.
+// Stats holds the service's request counters and latency histograms. They
+// live on the server's private obs registry, which /metrics exposes.
 type Stats struct {
 	Requests     *obs.Counter // BCC queries received
 	CacheHits    *obs.Counter // served from a completed cache entry
@@ -37,8 +25,8 @@ type Stats struct {
 	ShardQueries       *obs.Counter // per-block queries received
 	ShardBuilds        *obs.Counter // per-block indexes built
 	ShardBuildFailures *obs.Counter // per-block index builds that failed
-	shardLatency       *Histogram
-	perAlgorithm       map[string]*Histogram
+	shardLatency       *obs.Histogram
+	perAlgorithm       map[string]*obs.Histogram
 }
 
 // newStats registers the request counters and per-algorithm latency
@@ -61,7 +49,7 @@ func newStats(reg *obs.Registry) Stats {
 		ShardBuilds:        reg.Counter("bicc_shard_builds_total", "Per-block indexes built for a cached decomposition."),
 		ShardBuildFailures: reg.Counter("bicc_shard_build_failures_total", "Per-block index builds that failed (fault, cancellation, or panic)."),
 		shardLatency:       reg.Histogram("bicc_shard_request_seconds", "End-to-end latency of per-block queries."),
-		perAlgorithm:       map[string]*Histogram{},
+		perAlgorithm:       map[string]*obs.Histogram{},
 	}
 	lat := reg.HistogramVec("bicc_request_seconds",
 		"End-to-end engine computation latency by executing algorithm.", "algorithm")
@@ -69,53 +57,4 @@ func newStats(reg *obs.Registry) Stats {
 		st.perAlgorithm[e.Name] = lat.With(e.Name)
 	}
 	return st
-}
-
-// StatsSnapshot is the JSON shape of /statsz.
-type StatsSnapshot struct {
-	Requests     int64 `json:"requests"`
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	Coalesced    int64 `json:"coalesced"`
-	Rejected     int64 `json:"rejected"`
-	Canceled     int64 `json:"canceled"`
-	Computations int64 `json:"computations"`
-	GraphUploads int64 `json:"graph_uploads"`
-	GraphEvicted int64 `json:"graphs_evicted"`
-	// CacheHitRate is hits / (hits + misses + coalesced), the fraction of
-	// queries that did not start their own computation beyond the first.
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	QueueDepth    int     `json:"queue_depth"`
-	Inflight      int     `json:"inflight"`
-	CachedResults int     `json:"cached_results"`
-	CacheMemBytes int64   `json:"result_cache_mem_bytes"`
-	Graphs        int     `json:"graphs"`
-	GraphBytes    int64   `json:"graph_bytes"`
-	// Fault-isolation telemetry.
-	EnginePanics  int64                        `json:"engine_panics"`
-	Fallbacks     int64                        `json:"fallbacks"`
-	BreakerRouted int64                        `json:"breaker_routed"`
-	HandlerPanics int64                        `json:"handler_panics"`
-	Breakers      map[string]BreakerSnapshot   `json:"breakers,omitempty"`
-	Latency       map[string]HistogramSnapshot `json:"latency_ns_by_algorithm"`
-	// Durability is present only when the daemon runs with a data
-	// directory; a diskless bccd's /statsz is unchanged.
-	Durability *DurabilitySnapshot `json:"durability,omitempty"`
-	// Incr is present once the first edge mutation has been acknowledged; an
-	// unmutated bccd's /statsz is unchanged.
-	Incr *IncrSnapshot `json:"incr,omitempty"`
-	// Repl is present only when EnableReplication has been called; a
-	// standalone bccd's /statsz is unchanged.
-	Repl *ReplSnapshot `json:"repl,omitempty"`
-	// Scrub is present only when durability is enabled.
-	Scrub *durable.ScrubStats `json:"scrub,omitempty"`
-	// Plan is present only when Config.PlanMode enables the adaptive
-	// planner; a statically-routed bccd's /statsz is unchanged.
-	Plan *plan.Snapshot `json:"plan,omitempty"`
-}
-
-// BreakerSnapshot is one algorithm's circuit-breaker state on /statsz.
-type BreakerSnapshot struct {
-	State string `json:"state"`
-	Opens int64  `json:"opens"`
 }
