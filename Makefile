@@ -49,18 +49,16 @@ verify:
 test-faults:
 	$(GO) test -race -run 'Fault|Fallback|Panic|Breaker|Drain|AttemptTimeout' . ./internal/par ./internal/faults ./internal/service
 
-# Machine-readable medians for every engine (trend tracking), run by hand.
-# Each run writes the first unused BENCH_N.json and never touches older
-# snapshots (bccjson refuses to overwrite its -o file). The sweep covers
-# p ∈ {1,2,4,8} across all three densities, so its rows include the
-# instances and worker counts of BENCH_1 (single p) and BENCH_2 (p=1 vs
-# p=4); -plan adds auto-static vs auto-plan rows derived from the measured
-# medians (which engine each auto policy would have dispatched, and what it
-# actually cost).
+# The benchmark of record (benchmark/, BENCHMARK.json), run by hand: all
+# four workloads, one record each with its provenance (nproc, GOMAXPROCS, Go
+# version, commit, CPU), correctness, failed ops and every end-to-end metric
+# with its sample count. Each run writes the first unused BENCH_N.json and
+# never touches older snapshots. The paper's Fig. 3 sweep over engines, p
+# and densities is `make fig3`.
 bench-json:
 	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	echo "bench-json: writing BENCH_$$n.json"; \
-	$(GO) run ./cmd/bccjson -scale $(SCALE) -reps $(REPS) -sweep 1,2,4,8 -all -plan -o BENCH_$$n.json
+	bash benchmark/run.sh -workload all -o BENCH_$$n.json
 
 # FAST-BCC suite: the skeleton engine's differential families (byte-equality
 # vs the sequential oracle), its fault-containment and phase tests, the
@@ -266,8 +264,10 @@ fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# The benchmark is its own module, which the root `go vet ./...` skips.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Non-test Go lines outside the benchmark module: the size figure the
 # ROADMAP's entries quote.

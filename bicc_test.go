@@ -204,7 +204,10 @@ func TestComponentsGrouping(t *testing.T) {
 }
 
 func TestIsBiconnected(t *testing.T) {
-	cyc := MeshGraph(4, 4)
+	cyc, err := MeshGraph(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := BiconnectedComponents(cyc, &Options{Algorithm: TVOpt, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +240,8 @@ func TestNilAndEmpty(t *testing.T) {
 	}
 }
 
-// TestGeneratorsErrors feeds the random generators sizes no simple graph
-// on int32 vertex ids has: each call must return an error, and none may
-// panic.
+// TestGeneratorsErrors feeds the generators sizes no simple graph on int32
+// vertex ids has: each call must return an error, and none may panic.
 func TestGeneratorsErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -266,10 +268,55 @@ func TestGeneratorsErrors(t *testing.T) {
 	if g, err := RandomGraph(10, 20, 1); err != nil || g.NumEdges() != 20 {
 		t.Errorf("RandomGraph: %v, m=%d", err, g.NumEdges())
 	}
+	for _, tc := range []struct {
+		name string
+		gen  func() (*Graph, error)
+	}{
+		{"chain negative n", func() (*Graph, error) { return ChainGraph(-5) }},
+		{"chain n past int32", func() (*Graph, error) { return ChainGraph(1<<32 + 3) }},
+		{"mesh negative side", func() (*Graph, error) { return MeshGraph(-2, 3) }},
+		{"mesh both sides negative", func() (*Graph, error) { return MeshGraph(-2, -3) }},
+		{"mesh r·c past int32", func() (*Graph, error) { return MeshGraph(1<<16, 1<<16) }},
+		{"mesh r·c past int64", func() (*Graph, error) { return MeshGraph(1<<33, 1<<33) }},
+		{"torus negative side", func() (*Graph, error) { return TorusGraph(1, -3) }},
+		{"torus r·c past int32", func() (*Graph, error) { return TorusGraph(1<<20, 1<<12) }},
+		{"dense negative n", func() (*Graph, error) { return DenseGraph(-4, 0.5, 1) }},
+		{"preferential attachment negative n", func() (*Graph, error) { return PreferentialAttachmentGraph(-4, 2, 1) }},
+		{"preferential attachment edges past int32", func() (*Graph, error) { return PreferentialAttachmentGraph(1<<24, 1<<24, 1) }},
+		{"preferential attachment k·n past int32", func() (*Graph, error) { return PreferentialAttachmentGraph(1<<28, 16, 1) }},
+		{"geometric negative n", func() (*Graph, error) { return GeometricGraph(-4, 0.5, 1) }},
+	} {
+		if g, err := tc.gen(); err == nil {
+			t.Errorf("%s: accepted as a %d-vertex graph", tc.name, g.NumVertices())
+		}
+	}
+	if g, err := TorusGraph(3, 4); err != nil || g.NumVertices() != 12 || g.NumEdges() != 24 {
+		t.Errorf("TorusGraph(3, 4): %v", err)
+	}
+	// A degree past the vertex count builds the graph of k = n-1.
+	var big, full bytes.Buffer
+	for _, c := range []struct {
+		k   int
+		out *bytes.Buffer
+	}{{1 << 50, &big}, {9, &full}} {
+		g, err := PreferentialAttachmentGraph(10, c.k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteGraph(c.out, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if big.String() != full.String() {
+		t.Errorf("PreferentialAttachmentGraph(10, 1<<50, 1) = %q, want %q", big.String(), full.String())
+	}
 }
 
 func TestGraphIO(t *testing.T) {
-	g := ChainGraph(5)
+	g, err := ChainGraph(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
@@ -338,7 +385,11 @@ func TestAnalyze(t *testing.T) {
 	if st.DiameterLB != 3 {
 		t.Errorf("two-sweep diameter=%d, want 3 (path of 4)", st.DiameterLB)
 	}
-	if d := Diameter(ChainGraph(20), 1); d != 19 {
+	chain, err := ChainGraph(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := Diameter(chain, 1); d != 19 {
 		t.Errorf("Diameter=%d, want 19", d)
 	}
 }

@@ -6,7 +6,10 @@ import (
 )
 
 func TestSparseCertificateSize(t *testing.T) {
-	g := DenseGraph(80, 0.8, 1) // ~2500 edges over 80 vertices
+	g, err := DenseGraph(80, 0.8, 1) // ~2500 edges over 80 vertices
+	if err != nil {
+		t.Fatal(err)
+	}
 	cert, edgeMap, err := SparseCertificate(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +74,10 @@ func TestSparseCertificatePreservesStructure(t *testing.T) {
 
 func TestSparseCertificateSparseIdentity(t *testing.T) {
 	// A graph that already has < 2(n-1) essential edges survives unchanged.
-	g := ChainGraph(30)
+	g, err := ChainGraph(30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cert, _, err := SparseCertificate(g, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -44,13 +44,13 @@ func main() {
 			g, err = bicc.RandomGraph(*n, *m, *seed)
 		}
 	case "mesh":
-		g = bicc.MeshGraph(*rows, *cols)
+		g, err = bicc.MeshGraph(*rows, *cols)
 	case "torus":
-		g = bicc.TorusGraph(*rows, *cols)
+		g, err = bicc.TorusGraph(*rows, *cols)
 	case "chain":
-		g = bicc.ChainGraph(*n)
+		g, err = bicc.ChainGraph(*n)
 	case "dense":
-		g = bicc.DenseGraph(*n, *frac, *seed)
+		g, err = bicc.DenseGraph(*n, *frac, *seed)
 	default:
 		log.Fatalf("unknown family %q", *family)
 	}

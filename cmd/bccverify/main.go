@@ -1,11 +1,10 @@
 // Command bccverify cross-validates every parallel engine in the engine
-// table, plus TV-SMP with Wyllie list ranking (the ablation that isolates the
-// tree-computation cost), against the sequential oracle on randomized
-// instances — the repository's standing fuzz harness. It generates random
-// graphs across a size/density grid, runs every engine at several worker
-// counts on one shared graph per instance (so one run's CSR serves every
-// other run), and reports the first divergence in block counts, edge
-// partitions, articulation points, or bridges.
+// table against the sequential oracle on randomized instances — the
+// repository's standing fuzz harness. It generates random graphs across a
+// size/density grid, runs every engine at several worker counts on one
+// shared graph per instance (so one run's CSR serves every other run), and
+// reports the first divergence in block counts, edge partitions,
+// articulation points, or bridges.
 //
 // Usage:
 //
@@ -24,8 +23,6 @@ import (
 	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
-	"bicc/internal/obs"
-	"bicc/internal/par"
 )
 
 func main() {
@@ -38,10 +35,7 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	algos := append(engine.Parallel(), engine.Engine{Name: "tv-smp-wyllie", Parallel: true,
-		Run: func(_ *par.Canceler, _ *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
-			return core.Custom(p, g, core.Config{SpanningTree: core.SpanSV, Ranker: core.RankWyllie})
-		}})
+	algos := engine.Parallel()
 	procs := []int{1, 2, 4}
 	runs := len(algos) * len(procs)
 	for trial := 0; trial < *trials; trial++ {

@@ -87,7 +87,10 @@ func ExampleVerify() {
 
 // Counting blocks without materializing per-edge labels.
 func ExampleCountBlocks() {
-	g := bicc.ChainGraph(6) // every edge is its own block
+	g, err := bicc.ChainGraph(6) // every edge is its own block
+	if err != nil {
+		panic(err)
+	}
 	n, err := bicc.CountBlocks(g, nil)
 	if err != nil {
 		panic(err)

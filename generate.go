@@ -3,13 +3,16 @@ package bicc
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 )
 
 // Generators for the instance families used by the paper's evaluation and
-// by the examples. All are deterministic in their seed.
+// by the examples. All are deterministic in their seed, and each returns an
+// error, before allocating anything, for a vertex count outside
+// [0, math.MaxInt32].
 
 // RandomGraph returns a graph with n vertices and m distinct uniformly
 // random edges — the paper's §5 workload. It returns an error, before
@@ -46,19 +49,49 @@ func checkRandomSize(n, m, minM int) error {
 }
 
 // MeshGraph returns an r x c grid graph, vertex ids row-major.
-func MeshGraph(r, c int) *Graph { return wrap(gen.Mesh(r, c)) }
+func MeshGraph(r, c int) (*Graph, error) {
+	if err := checkGrid(r, c); err != nil {
+		return nil, err
+	}
+	return wrap(gen.Mesh(r, c)), nil
+}
 
 // TorusGraph returns an r x c torus.
-func TorusGraph(r, c int) *Graph { return wrap(gen.Torus(r, c)) }
+func TorusGraph(r, c int) (*Graph, error) {
+	if err := checkGrid(r, c); err != nil {
+		return nil, err
+	}
+	return wrap(gen.Torus(r, c)), nil
+}
+
+// checkGrid checks that both sides of an r x c grid are non-negative and
+// that r·c, computed in int64, fits the int32 vertex ids.
+func checkGrid(r, c int) error {
+	if r < 0 || c < 0 || r > math.MaxInt32 || c > math.MaxInt32 {
+		return fmt.Errorf("bicc: grid %d x %d has a side outside [0, %d]", r, c, math.MaxInt32)
+	}
+	if n := int64(r) * int64(c); n > math.MaxInt32 {
+		return fmt.Errorf("bicc: vertex count %d outside [0, %d]", n, math.MaxInt32)
+	}
+	return nil
+}
 
 // ChainGraph returns a path on n vertices — the paper's pathological
 // large-diameter case.
-func ChainGraph(n int) *Graph { return wrap(gen.Chain(n)) }
+func ChainGraph(n int) (*Graph, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
+	return wrap(gen.Chain(n)), nil
+}
 
 // DenseGraph returns a graph retaining the given fraction of all possible
 // edges (the Woo–Sahni experimental regime).
-func DenseGraph(n int, frac float64, seed int64) *Graph {
-	return wrap(gen.Dense(n, frac, seed))
+func DenseGraph(n int, frac float64, seed int64) (*Graph, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
+	return wrap(gen.Dense(n, frac, seed)), nil
 }
 
 // ReadGraph parses the textual edge-list format ("p <n> <m>" header then
@@ -112,13 +145,24 @@ func WriteGraphBinary(w io.Writer, g *Graph) error {
 
 // PreferentialAttachmentGraph returns a scale-free graph (Barabási–Albert
 // style): each new vertex attaches ~k edges to earlier vertices with
-// degree-biased choice.
-func PreferentialAttachmentGraph(n, k int, seed int64) *Graph {
-	return wrap(gen.PreferentialAttachment(n, k, seed))
+// degree-biased choice. It also returns an error, before allocating
+// anything, when the process could attach more edges than int32 edge ids
+// can number.
+func PreferentialAttachmentGraph(n, k int, seed int64) (*Graph, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
+	if m := gen.MaxAttached(n, k); m > math.MaxInt32 {
+		return nil, fmt.Errorf("bicc: %d vertices attaching %d edges each can make %d edges, past %d", n, k, m, math.MaxInt32)
+	}
+	return wrap(gen.PreferentialAttachment(n, k, seed)), nil
 }
 
 // GeometricGraph returns a random geometric graph: n points in the unit
 // square, edges between pairs within distance r.
-func GeometricGraph(n int, r float64, seed int64) *Graph {
-	return wrap(gen.Geometric(n, r, seed))
+func GeometricGraph(n int, r float64, seed int64) (*Graph, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
+	return wrap(gen.Geometric(n, r, seed)), nil
 }

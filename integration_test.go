@@ -23,12 +23,12 @@ func TestIntegrationFamilies(t *testing.T) {
 		"random-sparse":  mk(RandomGraph(400, 800, 1)),
 		"random-dense":   mk(RandomGraph(120, 4000, 2)),
 		"random-conn":    mk(RandomConnectedGraph(500, 2000, 3)),
-		"mesh":           MeshGraph(15, 20),
-		"torus":          TorusGraph(10, 12),
-		"chain":          ChainGraph(600),
-		"dense-woosahni": DenseGraph(60, 0.7, 4),
-		"pref-attach":    PreferentialAttachmentGraph(400, 3, 5),
-		"geometric":      GeometricGraph(300, 0.1, 6),
+		"mesh":           mk(MeshGraph(15, 20)),
+		"torus":          mk(TorusGraph(10, 12)),
+		"chain":          mk(ChainGraph(600)),
+		"dense-woosahni": mk(DenseGraph(60, 0.7, 4)),
+		"pref-attach":    mk(PreferentialAttachmentGraph(400, 3, 5)),
+		"geometric":      mk(GeometricGraph(300, 0.1, 6)),
 	}
 	algos := append(parallelAlgorithms(), Auto)
 	for name, g := range families {

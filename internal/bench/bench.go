@@ -19,7 +19,6 @@ import (
 	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
-	"bicc/internal/obs"
 )
 
 // Instance describes one benchmark input, the paper's random G(n,m) family.
@@ -73,11 +72,10 @@ type Measurement struct {
 	Algo     string
 	Procs    int
 	Time     time.Duration
-	Result   *core.Result
-	// Phases is the per-step breakdown of the median repetition, sourced
-	// from the run's obs trace spans — the same spans a bccd ?trace=1 query
-	// returns, so CLI breakdowns and server traces can never disagree.
-	Phases []core.Phase
+	// Result is the median repetition's; its Phases are that run's
+	// per-step breakdown, the same laps a bccd ?trace=1 query exports as
+	// spans.
+	Result *core.Result
 }
 
 // Baseline returns the sequential engine every speedup is measured against.
@@ -94,74 +92,27 @@ func (m Measurement) Speedup(base time.Duration) float64 {
 	return float64(base) / float64(m.Time)
 }
 
-// PhaseDuration returns the total span time recorded under name.
-func (m Measurement) PhaseDuration(name string) time.Duration {
-	var d time.Duration
-	for _, ph := range m.Phases {
-		if ph.Name == name {
-			d += ph.Duration
-		}
-	}
-	return d
-}
-
-// PhaseTotal returns the sum of all phase span durations.
-func (m Measurement) PhaseTotal() time.Duration {
-	var d time.Duration
-	for _, ph := range m.Phases {
-		d += ph.Duration
-	}
-	return d
-}
-
 // Run executes algo on g with p workers reps times and returns the median
 // measurement (the paper reports steady-state times; median suppresses GC
-// and scheduler noise). Each repetition runs under its own obs trace; the
-// median repetition's phase spans become Measurement.Phases.
+// and scheduler noise).
 func Run(in Instance, g *graph.EdgeList, algo engine.Engine, p, reps int) (Measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	type rep struct {
-		t      time.Duration
-		phases []core.Phase
-	}
-	runs := make([]rep, 0, reps)
-	var last *core.Result
+	runs := make([]Measurement, 0, reps)
 	for r := 0; r < reps; r++ {
 		// A fresh graph per repetition charges every run its own CSR
 		// conversion, as the committed Fig. 3/4 results do.
 		gr := graph.Wrap(g)
-		tr := obs.NewTrace()
-		root := tr.Root(algo.Name)
 		start := time.Now()
-		res, err := algo.Run(nil, root, p, gr)
+		res, err := algo.Run(nil, nil, p, gr)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("%s p=%d: %w", algo.Name, p, err)
 		}
-		elapsed := time.Since(start)
-		root.End()
-		runs = append(runs, rep{t: elapsed, phases: phasesFromTrace(tr.Export(), root.ID())})
-		last = res
+		runs = append(runs, Measurement{Instance: in, Algo: algo.Name, Procs: p, Time: time.Since(start), Result: res})
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].t < runs[j].t })
-	mid := runs[len(runs)/2]
-	return Measurement{
-		Instance: in, Algo: algo.Name, Procs: p,
-		Time: mid.t, Result: last, Phases: mid.phases,
-	}, nil
-}
-
-// phasesFromTrace extracts the phase children of the root span, in start
-// order (Export's ordering).
-func phasesFromTrace(e *obs.TraceExport, rootID int) []core.Phase {
-	var out []core.Phase
-	for _, s := range e.Spans {
-		if s.Parent == rootID {
-			out = append(out, core.Phase{Name: s.Name, Duration: time.Duration(s.DurationNs)})
-		}
-	}
-	return out
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Time < runs[j].Time })
+	return runs[len(runs)/2], nil
 }
 
 // Fig3 regenerates the paper's Figure 3: for every instance and processor
@@ -199,8 +150,8 @@ func Fig3(w io.Writer, instances []Instance, procs []int, reps int) ([]Measureme
 }
 
 // Fig4 regenerates the paper's Figure 4: the per-step breakdown of every
-// parallel engine at p processors across the instances, sourced from the
-// runs' obs trace spans. Steps follow the paper's naming:
+// parallel engine at p processors across the instances, read from the
+// median runs' Result.Phases. Steps follow the paper's naming:
 // Spanning-tree, Euler-tour, root, Low-high, Label-edge,
 // Connected-components, Filtering.
 func Fig4(w io.Writer, instances []Instance, p, reps int) ([]Measurement, error) {
@@ -221,9 +172,9 @@ func Fig4(w io.Writer, instances []Instance, p, reps int) ([]Measurement, error)
 			all = append(all, m)
 			fmt.Fprintf(w, "%-10s %-12s", in.Name, m.Algo)
 			for _, ph := range core.PhaseOrder {
-				fmt.Fprintf(w, " %14v", m.PhaseDuration(ph).Round(time.Microsecond))
+				fmt.Fprintf(w, " %14v", m.Result.PhaseDuration(ph).Round(time.Microsecond))
 			}
-			fmt.Fprintf(w, " %14v\n", m.PhaseTotal().Round(time.Microsecond))
+			fmt.Fprintf(w, " %14v\n", m.Result.Total().Round(time.Microsecond))
 		}
 	}
 	return all, nil

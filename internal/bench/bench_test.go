@@ -155,9 +155,9 @@ func TestFig4Output(t *testing.T) {
 		}
 		// Every repetition solves a fresh graph, so each engine that reads
 		// the CSR converts it first; TV-SMP never needs it.
-		converted := len(m.Phases) > 0 && m.Phases[0].Name == core.PhaseToCSR
+		converted := len(m.Result.Phases) > 0 && m.Result.Phases[0].Name == core.PhaseToCSR
 		if converted != (m.Algo != "tv-smp") {
-			t.Errorf("%s: phases %v, to-csr first = %v", m.Algo, m.Phases, converted)
+			t.Errorf("%s: phases %v, to-csr first = %v", m.Algo, m.Result.Phases, converted)
 		}
 	}
 }

@@ -58,8 +58,8 @@ func Fig4CSV(w io.Writer, ms []Measurement) error {
 		return err
 	}
 	for _, m := range ms {
-		if len(m.Phases) == 0 {
-			return fmt.Errorf("bench: measurement for %s lacks a span-sourced phase breakdown", m.Algo)
+		if m.Result == nil || len(m.Result.Phases) == 0 {
+			return fmt.Errorf("bench: measurement for %s lacks a phase breakdown", m.Algo)
 		}
 		rec := []string{
 			m.Instance.Name,
@@ -69,9 +69,9 @@ func Fig4CSV(w io.Writer, ms []Measurement) error {
 			strconv.Itoa(m.Procs),
 		}
 		for _, ph := range core.PhaseOrder {
-			rec = append(rec, strconv.FormatFloat(m.PhaseDuration(ph).Seconds(), 'g', 6, 64))
+			rec = append(rec, strconv.FormatFloat(m.Result.PhaseDuration(ph).Seconds(), 'g', 6, 64))
 		}
-		rec = append(rec, strconv.FormatFloat(m.PhaseTotal().Seconds(), 'g', 6, 64))
+		rec = append(rec, strconv.FormatFloat(m.Result.Total().Seconds(), 'g', 6, 64))
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

@@ -56,7 +56,6 @@ func preset(cfg Config) func(p int, g *graph.EdgeList) (*Result, error) {
 func algorithms() []algo {
 	return []algo{
 		{"tv-smp", preset(TVSMPConfig())},
-		{"tv-smp-wyllie", preset(Config{SpanningTree: SpanSV, Ranker: RankWyllie})},
 		{"tv-opt", preset(TVOptConfig())},
 		{"tv-filter", preset(TVFilterConfig())},
 	}

@@ -36,22 +36,12 @@ const (
 	SpanBFS
 )
 
-// RankerKind selects the list-ranking algorithm for the sort-based tour.
-type RankerKind int
-
-const (
-	// RankHelmanJaja is the sublist-based O(n) ranker.
-	RankHelmanJaja RankerKind = iota
-	// RankWyllie is O(n log n) pointer jumping.
-	RankWyllie
-)
-
 // Config assembles a TV pipeline from interchangeable engines. The presets
-// are: TV-SMP = {SpanSV, RankHelmanJaja, no filter}; TV-opt =
-// {SpanWorkStealing, no filter}; TV-filter = {SpanBFS, filter}.
+// are: TV-SMP = {SpanSV, no filter}; TV-opt = {SpanWorkStealing, no
+// filter}; TV-filter = {SpanBFS, filter}. SpanSV ranks its tour with
+// Helman–JáJá.
 type Config struct {
 	SpanningTree SpanningTreeKind
-	Ranker       RankerKind // used only with SpanSV
 	// Cancel, when non-nil, is polled inside the engines' parallel loops and
 	// between pipeline phases; tripping it makes Custom return the
 	// cancellation cause promptly instead of finishing the run.
@@ -162,7 +152,7 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 			return nil, err
 		}
 	} else {
-		seq, err := eulertour.Sequence(p, linkedTour, cfg.Ranker == RankHelmanJaja)
+		seq, err := eulertour.Sequence(p, linkedTour, true)
 		if err != nil {
 			return nil, err
 		}

@@ -30,8 +30,7 @@ func TestCustomAllConfigurations(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sv-hj", Config{SpanningTree: SpanSV, Ranker: RankHelmanJaja}},
-		{"sv-wyllie", Config{SpanningTree: SpanSV, Ranker: RankWyllie}},
+		{"sv", Config{SpanningTree: SpanSV}},
 		{"ws", Config{SpanningTree: SpanWorkStealing}},
 		{"bfs", Config{SpanningTree: SpanBFS}},
 		{"bfs-filter", Config{SpanningTree: SpanBFS, Filter: true}},
@@ -67,7 +66,6 @@ func TestPresetsMatchCustom(t *testing.T) {
 	seq := Sequential(g)
 	presets := map[string]Config{
 		"tv-smp":    TVSMPConfig(),
-		"tv-wyllie": {SpanningTree: SpanSV, Ranker: RankWyllie},
 		"tv-opt":    TVOptConfig(),
 		"tv-filter": TVFilterConfig(),
 	}

@@ -16,11 +16,9 @@ package core
 //
 // It is the baseline whose parallel overheads the paper measures: the sort
 // in step 2 and the list ranking in step 3 are the costs TV-opt removes.
-// Callers add their own Cancel/Span before passing it to Custom; setting
-// Ranker to RankWyllie gives the ablation that isolates the tree-computation
-// cost.
+// Callers add their own Cancel/Span before passing it to Custom.
 func TVSMPConfig() Config {
-	return Config{SpanningTree: SpanSV, Ranker: RankHelmanJaja}
+	return Config{SpanningTree: SpanSV}
 }
 
 // TVOptConfig returns the Config preset for TV-opt, the optimized SMP

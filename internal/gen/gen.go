@@ -254,7 +254,7 @@ func PreferentialAttachment(n, k int, seed int64) *graph.EdgeList {
 	}
 	// endpointPool holds each edge endpoint once: sampling uniformly from
 	// it is degree-proportional sampling.
-	pool := make([]int32, 0, 2*n*k)
+	pool := make([]int32, 0, 2*MaxAttached(n, k))
 	seen := map[uint64]struct{}{}
 	for v := 1; v < n; v++ {
 		attach := k
@@ -287,6 +287,17 @@ func PreferentialAttachment(n, k int, seed int64) *graph.EdgeList {
 		}
 	}
 	return g
+}
+
+// MaxAttached returns how many edges PreferentialAttachment(n, k, ·) can
+// attach at most: vertex v attaches min(k, v) of them, so the count is at
+// most n(n-1)/2 however large k is.
+func MaxAttached(n, k int) int64 {
+	if n < 2 {
+		return 0
+	}
+	kk := int64(min(max(k, 1), n-1))
+	return kk*(kk+1)/2 + (int64(n)-1-kk)*kk
 }
 
 // Geometric returns a random geometric graph: n points uniform in the unit

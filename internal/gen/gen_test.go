@@ -253,6 +253,26 @@ func TestPreferentialAttachment(t *testing.T) {
 	checkSimple(t, PreferentialAttachment(10, 0, 2)) // k clamps to 1
 }
 
+func TestMaxAttached(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 40} {
+		for _, k := range []int{0, 1, 3, n - 1, n, 1 << 50} {
+			want := int64(0)
+			for v := 1; v < n; v++ {
+				want += int64(min(max(k, 1), v))
+			}
+			if got := MaxAttached(n, k); got != want {
+				t.Errorf("MaxAttached(%d, %d) = %d, want %d", n, k, got, want)
+			}
+			if m := len(PreferentialAttachment(n, k, 1).Edges); int64(m) > want {
+				t.Errorf("PreferentialAttachment(%d, %d) built %d edges, past %d", n, k, m, want)
+			}
+		}
+	}
+	if got, want := MaxAttached(1<<24, 1<<24), int64(1<<24)*(1<<24-1)/2; got != want {
+		t.Errorf("MaxAttached(1<<24, 1<<24) = %d, want n(n-1)/2 = %d", got, want)
+	}
+}
+
 func TestGeometric(t *testing.T) {
 	g := Geometric(400, 0.08, 3)
 	checkSimple(t, g)

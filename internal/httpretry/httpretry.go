@@ -1,11 +1,11 @@
-// Package httpretry is the retry layer shared by the bcc command-line
-// clients. A replicated deployment answers 429 (admission queue full) and
+// Package httpretry is the retry layer bccmut posts its mutation batches
+// through. A replicated deployment answers 429 (admission queue full) and
 // 503 (draining, read-only standby, failover in progress) as a matter of
-// course; the tools retry those with jittered exponential backoff, honoring
+// course; the client retries those with jittered exponential backoff, honoring
 // the server's Retry-After hint when one is present, instead of dying on
 // the first transient.
 //
-// Only status-coded rejections are retried by default: a 429 or 503
+// Only status-coded rejections are retried: a 429 or 503
 // normally proves the request was refused before it took effect, so
 // resending is safe even for non-idempotent calls like edge mutations. The
 // one 503 that does NOT carry that proof — the router's "primary died
@@ -13,8 +13,7 @@
 // HeaderMaybeApplied and is never auto-retried: it is returned to the
 // caller, who alone knows whether re-sending is acceptable. Transport
 // errors (the connection died mid-request) likewise carry no proof and are
-// retried only when the caller opts in via RetryTransportErrors —
-// appropriate for idempotent requests, wrong for mutations.
+// never retried.
 package httpretry
 
 import (
@@ -42,10 +41,6 @@ type Policy struct {
 	// MaxDelay caps one sleep, including server Retry-After hints;
 	// <= 0 means 5s.
 	MaxDelay time.Duration
-	// RetryTransportErrors also retries requests that failed before any
-	// HTTP status arrived. Leave false for non-idempotent requests: a dead
-	// connection does not prove the server never processed them.
-	RetryTransportErrors bool
 	// Logf announces each retry; nil disables the lines.
 	Logf func(format string, args ...any)
 }
@@ -70,72 +65,38 @@ type Client struct {
 	Policy Policy
 }
 
-// Get issues a GET with retries.
-func (c *Client) Get(url string) (*http.Response, error) {
-	return c.do(http.MethodGet, url, "", nil)
-}
-
 // Post issues a POST with retries; body is resent on each attempt.
 func (c *Client) Post(url, contentType string, body []byte) (*http.Response, error) {
-	return c.do(http.MethodPost, url, contentType, body)
-}
-
-// Do issues an arbitrary bodyless method (DELETE, say) with retries.
-func (c *Client) Do(method, url string) (*http.Response, error) {
-	return c.do(method, url, "", nil)
-}
-
-func (c *Client) do(method, url, contentType string, body []byte) (*http.Response, error) {
 	pol := c.Policy.withDefaults()
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
 	backoff := pol.BaseDelay
-	var resp *http.Response
-	var err error
 	for attempt := 1; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, rerr := http.NewRequest(method, url, rd)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		resp, err = httpc.Do(req)
+		resp, err := httpc.Post(url, contentType, bytes.NewReader(body))
 		if err != nil {
-			if !pol.RetryTransportErrors || attempt >= pol.MaxAttempts {
-				return nil, err
-			}
-		} else if !retryableResponse(resp) || attempt >= pol.MaxAttempts {
+			return nil, err
+		}
+		if !retryableResponse(resp) || attempt >= pol.MaxAttempts {
 			return resp, nil
 		}
 
 		delay := backoff/2 + rand.N(backoff/2+1) // jitter in [b/2, b]
-		if resp != nil {
-			if ra, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
-				// The server knows its own recovery horizon better than our
-				// backoff does; add jitter so a herd of clients still spreads.
-				delay = ra + rand.N(ra/4+time.Millisecond)
-			}
-			// Drain so the connection is reusable, then drop the response.
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			_ = resp.Body.Close()
+		if ra, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
+			// The server knows its own recovery horizon better than our
+			// backoff does; add jitter so a herd of clients still spreads.
+			delay = ra + rand.N(ra/4+time.Millisecond)
 		}
+		// Drain so the connection is reusable, then drop the response.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		_ = resp.Body.Close()
 		if delay > pol.MaxDelay {
 			delay = pol.MaxDelay
 		}
 		if pol.Logf != nil {
-			what := "transport error"
-			if resp != nil {
-				what = resp.Status
-			}
-			pol.Logf("retrying %s %s in %v (attempt %d/%d: %s)",
-				method, url, delay.Round(time.Millisecond), attempt, pol.MaxAttempts, what)
+			pol.Logf("retrying POST %s in %v (attempt %d/%d: %s)",
+				url, delay.Round(time.Millisecond), attempt, pol.MaxAttempts, resp.Status)
 		}
 		time.Sleep(delay)
 		backoff *= 2

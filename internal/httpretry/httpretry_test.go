@@ -70,7 +70,7 @@ func TestMaybeApplied503IsNotRetried(t *testing.T) {
 	}
 }
 
-// TestRetriesHonor429 covers the other retryable status.
+// TestRetries429 covers the other retryable status.
 func TestRetries429(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +83,7 @@ func TestRetries429(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{Policy: fastPolicy()}
-	resp, err := c.Get(srv.URL)
+	resp, err := c.Post(srv.URL, "application/json", []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Trace collects the spans of one logical operation (one bccd request, one
-// CLI benchmark run). It is goroutine-safe: spans may be started and ended
-// from any goroutine of the computation. A trace is explicitly opt-in —
-// computations without one attached pay only nil checks.
+// Trace collects the spans of one logical operation (one bccd request).
+// It is goroutine-safe: spans may be started and ended from any goroutine
+// of the computation. A trace is explicitly opt-in — computations without
+// one attached pay only nil checks.
 type Trace struct {
 	start time.Time
 
@@ -38,33 +38,12 @@ type Span struct {
 	ended  bool
 }
 
-// Root starts a parentless span, for callers without a context (CLI
-// harnesses driving engines directly).
-func (t *Trace) Root(name string) *Span { return t.newSpan(-1, name) }
-
-// ID returns the span's id within its trace, matching SpanExport.ID and
-// SpanExport.Parent. A nil span reports -1.
-func (s *Span) ID() int {
-	if s == nil {
-		return -1
-	}
-	return s.id
-}
-
 func (t *Trace) newSpan(parent int, name string) *Span {
 	t.mu.Lock()
 	id := t.nextID
 	t.nextID++
 	t.mu.Unlock()
 	return &Span{t: t, id: id, parent: parent, name: name, begin: time.Now()}
-}
-
-// Child starts a sub-span of s. Nil-safe.
-func (s *Span) Child(name string) *Span {
-	if s == nil || s.t == nil {
-		return nil
-	}
-	return s.t.newSpan(s.id, name)
 }
 
 // ChildInterval records an already-completed sub-span covering [begin, end)

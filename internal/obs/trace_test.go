@@ -9,8 +9,8 @@ import (
 
 func TestTraceNestingAndExport(t *testing.T) {
 	tr := NewTrace()
-	root := tr.Root("bcc")
-	a := root.Child("attempt")
+	ctx, root := StartSpan(ContextWithTrace(context.Background(), tr), "bcc")
+	_, a := StartSpan(ctx, "attempt")
 	a.SetLabel("attempt", "0")
 	begin := time.Now()
 	time.Sleep(time.Millisecond)
@@ -43,7 +43,7 @@ func TestTraceNestingAndExport(t *testing.T) {
 
 func TestTraceEndIdempotent(t *testing.T) {
 	tr := NewTrace()
-	s := tr.Root("x")
+	_, s := StartSpan(ContextWithTrace(context.Background(), tr), "x")
 	s.End()
 	s.End()
 	if n := len(tr.Export().Spans); n != 1 {
@@ -57,12 +57,6 @@ func TestNilSpanIsInert(t *testing.T) {
 	s.SetLabel("k", "v")
 	s.ChildInterval("p", time.Now(), time.Now())
 	s.End()
-	if c := s.Child("c"); c != nil {
-		t.Fatal("nil span's Child is non-nil")
-	}
-	if s.ID() != -1 {
-		t.Fatalf("nil span ID = %d, want -1", s.ID())
-	}
 }
 
 func TestStartSpanWithoutTrace(t *testing.T) {
@@ -89,9 +83,9 @@ func TestStartSpanNesting(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	in := e.SpansNamed("inner")
-	if len(in) != 1 || in[0].Parent != outer.ID() {
-		t.Fatalf("inner span %+v not nested under outer %d", in, outer.ID())
+	in, out := e.SpansNamed("inner"), e.SpansNamed("outer")
+	if len(in) != 1 || len(out) != 1 || in[0].Parent != out[0].ID || out[0].Parent != -1 {
+		t.Fatalf("inner span %+v not nested under outer %+v", in, out)
 	}
 }
 
@@ -133,13 +127,13 @@ func TestTraceExportJSONShape(t *testing.T) {
 
 func TestTraceConcurrentSpans(t *testing.T) {
 	tr := NewTrace()
-	root := tr.Root("root")
+	ctx, root := StartSpan(ContextWithTrace(context.Background(), tr), "root")
 	done := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 100; j++ {
-				s := root.Child("work")
+				_, s := StartSpan(ctx, "work")
 				s.SetLabel("j", "x")
 				s.End()
 			}

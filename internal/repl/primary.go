@@ -136,13 +136,10 @@ type Primary struct {
 
 	wg sync.WaitGroup
 
-	shipped        atomic.Int64
-	acks           atomic.Int64
-	resyncs        atomic.Int64
-	ringCorrupt    atomic.Int64
-	quorumWaits    atomic.Int64
-	quorumTimeouts atomic.Int64
-	quorumAlone    atomic.Int64
+	shipped     atomic.Int64
+	acks        atomic.Int64
+	resyncs     atomic.Int64
+	ringCorrupt atomic.Int64
 }
 
 // NewPrimary starts a Primary listening on addr (":0" picks a free port).
@@ -176,9 +173,6 @@ func (p *Primary) Addr() string { return p.ln.Addr().String() }
 
 // Epoch returns this primary's reign number.
 func (p *Primary) Epoch() uint64 { return p.cfg.Epoch }
-
-// Reign returns this instance's random run ID.
-func (p *Primary) Reign() uint64 { return p.reign }
 
 // Publish assigns the next sequence number to a WAL record and queues it
 // for every follower. Called under the durable store's mutex; it must not
@@ -245,14 +239,12 @@ func (p *Primary) Lag() uint64 {
 	return worst
 }
 
-// Shipped, Acks, Resyncs, RingCorrupt, QuorumTimeouts, QuorumAlone expose
-// the primary's counters for metrics.
-func (p *Primary) Shipped() int64        { return p.shipped.Load() }
-func (p *Primary) Acks() int64           { return p.acks.Load() }
-func (p *Primary) Resyncs() int64        { return p.resyncs.Load() }
-func (p *Primary) RingCorrupt() int64    { return p.ringCorrupt.Load() }
-func (p *Primary) QuorumTimeouts() int64 { return p.quorumTimeouts.Load() }
-func (p *Primary) QuorumAlone() int64    { return p.quorumAlone.Load() }
+// Shipped, Acks, Resyncs, RingCorrupt expose the primary's counters for
+// metrics.
+func (p *Primary) Shipped() int64     { return p.shipped.Load() }
+func (p *Primary) Acks() int64        { return p.acks.Load() }
+func (p *Primary) Resyncs() int64     { return p.resyncs.Load() }
+func (p *Primary) RingCorrupt() int64 { return p.ringCorrupt.Load() }
 
 // WaitQuorum blocks until cfg.Quorum followers have acked seq, the
 // configured AckTimeout passes, or there are no followers at all. A non-nil
@@ -260,7 +252,6 @@ func (p *Primary) QuorumAlone() int64    { return p.quorumAlone.Load() }
 // replicated — the caller degrades to async and still acknowledges the
 // client, because the record is already durable locally.
 func (p *Primary) WaitQuorum(seq uint64) error {
-	p.quorumWaits.Add(1)
 	deadline := time.NewTimer(p.cfg.AckTimeout)
 	defer deadline.Stop()
 	for {
@@ -271,7 +262,6 @@ func (p *Primary) WaitQuorum(seq uint64) error {
 		}
 		if len(p.followers) == 0 {
 			p.mu.Unlock()
-			p.quorumAlone.Add(1)
 			return ErrNoFollowers
 		}
 		n := 0
@@ -288,7 +278,6 @@ func (p *Primary) WaitQuorum(seq uint64) error {
 		select {
 		case <-wake:
 		case <-deadline.C:
-			p.quorumTimeouts.Add(1)
 			return ErrQuorumTimeout
 		}
 	}

@@ -93,8 +93,6 @@ type Router struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	reads      atomic.Int64
-	writes     atomic.Int64
 	hedged     atomic.Int64
 	hedgedWins atomic.Int64
 	failovers  atomic.Int64
@@ -289,11 +287,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if isIdempotentRead(r) {
-		rt.reads.Add(1)
 		rt.serveRead(w, r, body)
 		return
 	}
-	rt.writes.Add(1)
 	rt.serveWrite(w, r, body)
 }
 

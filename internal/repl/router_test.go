@@ -125,6 +125,56 @@ func TestRouterHedgesSlowRead(t *testing.T) {
 	}
 }
 
+// TestRouterAdaptiveHedgeThreshold pins the threshold used when HedgeDelay
+// is 0: the 25ms default until eight primary answers are in, then the 95th
+// percentile of the last 64, floored at 1ms. Every primary answer feeds it.
+func TestRouterAdaptiveHedgeThreshold(t *testing.T) {
+	const def = 25 * time.Millisecond
+	var lw latWindow
+	check := func(what string, want time.Duration) {
+		t.Helper()
+		if got := lw.p95(def); got != want {
+			t.Errorf("%s: threshold %v, want %v", what, got, want)
+		}
+	}
+	check("empty window", def)
+	for i := 0; i < 7; i++ {
+		lw.observe(100 * time.Microsecond)
+	}
+	check("7 samples", def)
+	lw.observe(100 * time.Microsecond)
+	check("8 sub-ms samples", time.Millisecond)
+	for i := 1; i <= 64; i++ {
+		lw.observe(time.Duration(i) * time.Millisecond)
+	}
+	check("1..64ms", 61*time.Millisecond)
+	for i := 0; i < 64; i++ {
+		lw.observe(3 * time.Millisecond)
+	}
+	check("window refilled with 3ms", 3*time.Millisecond)
+
+	node := newFakeNode(t, 0, func(mux *http.ServeMux, n *fakeNode) {
+		mux.HandleFunc("POST /v1/bcc", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, `{"from":"primary"}`)
+		})
+	})
+	rt := newTestRouter(t, RouterConfig{Primary: node.srv.URL})
+	for i := 0; i < 10; i++ {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bcc",
+			bytes.NewReader([]byte(`{"graph":"abc","algorithm":"tv-opt"}`))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("read %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	rt.lat.mu.Lock()
+	n := rt.lat.n
+	rt.lat.mu.Unlock()
+	if n != 10 {
+		t.Errorf("window holds %d primary answers after 10 reads", n)
+	}
+}
+
 // TestRouterFailoverPicksMostCaughtUp kills the primary and checks that a
 // retryable write promotes the standby with the highest applied sequence,
 // retries against it transparently, and installs it as the new primary.

@@ -84,6 +84,3 @@ func (s *Server) drainGate(next http.Handler) http.Handler {
 // "draining" and new work is rejected with 503 while in-flight requests run
 // to completion. It is safe to call more than once.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
