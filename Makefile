@@ -95,10 +95,14 @@ fuzz-durable:
 # replaced (kept in internal/graph's tests): on any input, including one
 # cut short by a read error, both must return the same edge list or the
 # same error text. The seeds include 1 MiB lines, so minimizing a new
-# input is capped at a few runs rather than a minute.
+# input is capped at a few runs rather than a minute. FuzzRelabel checks
+# the engines' local view on arbitrary graphs of up to 256 vertices: the
+# BFS numbering is a bijection, the view keeps the edge order under it,
+# and its gathered CSR equals ToCSR of its edges.
 fuzz-graph:
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadText -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadDIMACS -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzRelabel -fuzztime $(FUZZTIME)
 
 # Connectivity kernel fuzzing. fuzz-conncomp runs conncomp.Link at p = 1,
 # 2 and 4 on arbitrary edge multisets over at most 512 vertices (self-loops,
@@ -121,7 +125,9 @@ fuzz-treecomp:
 
 # Engine fuzzing. fuzz-engines holds every parallel engine (and, on its own
 # input mix, fast-bcc) to byte-identical EdgeComponent labels against the
-# sequential oracle, each fuzzer for FUZZTIME.
+# sequential oracle, each fuzzer for FUZZTIME; both also run every engine
+# on a local view of their input, built directly since they sit below the
+# size floor, against sequential on the original.
 fuzz-engines:
 	$(GO) test . -run FuzzNothing -fuzz FuzzBiconnectedComponents -fuzztime $(FUZZTIME)
 	$(GO) test . -run FuzzNothing -fuzz FuzzFastBCC -fuzztime $(FUZZTIME)

@@ -56,9 +56,24 @@ type Edge = graph.Edge
 // SparseCertificate, CountBlocks, Analyze or Diameter) builds the graph's
 // CSR, 16m + 4(n+1) bytes, and the graph keeps it for every later call,
 // whatever the engine or worker count.
+//
+// From 2^16 vertices up, the first engine run (TVSMP included) also
+// decides whether the engines run on a local view: the graph relabeled in
+// BFS order, with the same edge order and its own CSR, 24m + 4(n+1) bytes.
+// It builds one when the ids carry no locality and a bounded BFS shows
+// locality to recover, as on a mesh or torus with scrambled ids, and then
+// drops its own CSR until a call in its own ids (SparseCertificate,
+// Analyze, Diameter) converts it again. Results are identical either way:
+// they are per edge index, and the view keeps the edge order.
 type Graph struct {
 	gr *graph.Graph
 }
+
+// ResidentBytes returns the memory g holds: its edge list, plus its CSR,
+// counted before the first call that needs adjacency builds it, or, once
+// built, the local view the engines run on and whatever CSR of its own it
+// still keeps.
+func (g *Graph) ResidentBytes() int64 { return g.gr.Bytes() }
 
 // NewGraph builds a graph from n vertices and an edge list. It rejects
 // out-of-range endpoints, self loops, and duplicate edges; use

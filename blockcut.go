@@ -43,8 +43,8 @@ func (t *BlockCutTree) NumNodes() int { return t.t.NumNodes() }
 func (t *BlockCutTree) NumTreeEdges() int { return t.t.NumTreeEdges() }
 
 // CountBlocks returns only the number of biconnected components of g,
-// skipping the per-edge labeling — the cheapest way to answer "how many
-// blocks?" or "is this biconnected?".
+// computed by the TV-filter engine on g's local view — the cheapest way to
+// answer "how many blocks?" or "is this biconnected?".
 func CountBlocks(g *Graph, opt *Options) (int, error) {
 	if g == nil {
 		return 0, ErrNilGraph
@@ -53,7 +53,12 @@ func CountBlocks(g *Graph, opt *Options) (int, error) {
 	if opt != nil {
 		procs = opt.Procs
 	}
-	return core.CountBlocks(procs, g.gr)
+	e, _ := TVFilter.engine()
+	res, err := e.Run(nil, nil, procs, g.gr)
+	if err != nil {
+		return 0, err
+	}
+	return res.NumComp, nil
 }
 
 // ComponentSubgraph extracts block k as a standalone graph with compact

@@ -143,7 +143,7 @@ func TestCLIVerifyAndBench(t *testing.T) {
 	if csvBytes, err = readFile(csvPath); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(csvBytes), "instance,n,m,algorithm,procs,to-csr,spanning-tree,") {
+	if !strings.HasPrefix(string(csvBytes), "instance,n,m,algorithm,procs,to-csr,relabel,spanning-tree,") {
 		t.Errorf("fig 4 csv header: %s", bytes.SplitN(csvBytes, []byte("\n"), 2)[0])
 	}
 }

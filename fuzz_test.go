@@ -1,11 +1,36 @@
 package bicc
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"bicc/internal/engine"
+	"bicc/internal/graph"
+)
+
+// sameOnView runs every engine on a local view of g built directly, since
+// fuzz inputs sit below the size floor, and holds each to want's labels
+// byte for byte: the view keeps g's edge order, so nothing maps back.
+func sameOnView(t *testing.T, g *Graph, want *Result) {
+	t.Helper()
+	el := g.gr.EdgeList
+	_, view := graph.Relabel(nil, 2, graph.ToCSR(2, el), el)
+	for _, e := range engine.All {
+		got, err := e.Run(nil, nil, 2, view)
+		if err != nil {
+			t.Fatalf("%s on the view: %v", e.Name, err)
+		}
+		if got.NumComp != want.NumComponents || !slices.Equal(got.EdgeComp, want.EdgeComponent) {
+			t.Fatalf("%s on the view: labels differ from sequential on the original", e.Name)
+		}
+	}
+}
 
 // FuzzBiconnectedComponents decodes raw bytes into a graph (2 bytes per
-// edge over up to 64 vertices) and holds every parallel engine to
-// byte-identical EdgeComponent labels against the sequential oracle, which
-// the independent verifier checks first. Run with `go test -fuzz
+// edge over up to 64 vertices) and holds every parallel engine, and every
+// engine on a local view of the graph, to byte-identical EdgeComponent
+// labels against the sequential oracle, which the independent verifier
+// checks first. Run with `go test -fuzz
 // FuzzBiconnected` for an open-ended hunt; the seed corpus below runs in
 // normal test mode.
 func FuzzBiconnectedComponents(f *testing.F) {
@@ -50,13 +75,14 @@ func FuzzBiconnectedComponents(f *testing.F) {
 				}
 			}
 		}
+		sameOnView(t, g, want)
 	})
 }
 
 // FuzzFastBCC holds the skeleton engine to the same bar as the shared
 // fuzzer above, byte-identical EdgeComponent against the sequential oracle
 // (the canonical-labeling contract the incremental layer depends on), at
-// p=3 and on its own input mix. Vertices are drawn from a 32-id space so
+// p=3 and on its own input mix, and every engine on a local view of it. Vertices are drawn from a 32-id space so
 // random inputs are frequently disconnected; the seed corpus adds the
 // regimes where skeleton/fence classification is most delicate (trees where
 // every edge is a bridge, bridges joining dense blocks, isolated vertices).
@@ -96,5 +122,6 @@ func FuzzFastBCC(f *testing.F) {
 					i, got.EdgeComponent[i], want.EdgeComponent[i])
 			}
 		}
+		sameOnView(t, g, want)
 	})
 }

@@ -102,7 +102,8 @@ func Run(in Instance, g *graph.EdgeList, algo engine.Engine, p, reps int) (Measu
 	runs := make([]Measurement, 0, reps)
 	for r := 0; r < reps; r++ {
 		// A fresh graph per repetition charges every run its own CSR
-		// conversion, as the committed Fig. 3/4 results do.
+		// conversion, as the committed Fig. 3/4 results do, and above the
+		// size floor its own local-view decision (graph.Graph.Local).
 		gr := graph.Wrap(g)
 		start := time.Now()
 		res, err := algo.Run(nil, nil, p, gr)

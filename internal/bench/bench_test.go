@@ -216,8 +216,8 @@ func TestFig4CSV(t *testing.T) {
 	if len(rows) != len(ms)+1 {
 		t.Fatalf("%d CSV rows, want %d", len(rows), len(ms)+1)
 	}
-	if len(rows[0]) != 5+10 {
-		t.Errorf("header has %d columns, want 15: %v", len(rows[0]), rows[0])
+	if len(rows[0]) != 5+len(core.PhaseOrder)+1 {
+		t.Errorf("header has %d columns, want %d: %v", len(rows[0]), 5+len(core.PhaseOrder)+1, rows[0])
 	}
 }
 

@@ -21,8 +21,14 @@ const (
 	// PhaseToCSR is the edge-list to CSR conversion, recorded only by the
 	// engine run that builds a graph's CSR (or waits for a concurrent run
 	// building it); later runs on the same graph reuse it and record no
-	// such phase. TV-SMP never needs the CSR.
-	PhaseToCSR        = "to-csr"
+	// such phase. TV-SMP reads no CSR itself, but above the size floor of
+	// graph.Graph.Local the run that decides a graph's local view converts
+	// it, whatever the engine.
+	PhaseToCSR = "to-csr"
+	// PhaseRelabel is graph.Graph.Local's decision: the sampled id spread,
+	// the bounded probe and, when the probe finds locality to recover, the
+	// BFS relabeling. Only the run that decides records it.
+	PhaseRelabel      = "relabel"
 	PhaseSpanningTree = "spanning-tree"
 	PhaseEulerTour    = "euler-tour"
 	PhaseRoot         = "root"
@@ -38,7 +44,7 @@ const (
 
 // PhaseOrder is the canonical ordering of phases for breakdown reports.
 var PhaseOrder = []string{
-	PhaseToCSR, PhaseSpanningTree, PhaseEulerTour, PhaseRoot,
+	PhaseToCSR, PhaseRelabel, PhaseSpanningTree, PhaseEulerTour, PhaseRoot,
 	PhaseLowHigh, PhaseLabelEdge, PhaseConnComp, PhaseFiltering,
 	PhaseSkeleton,
 }
@@ -98,12 +104,18 @@ func NewStopwatch(sp *obs.Span) *Stopwatch {
 }
 
 // Lap records the time since the previous lap (or construction) under name.
-func (s *Stopwatch) Lap(name string) {
-	now := time.Now()
-	s.phases = append(s.phases, Phase{Name: name, Duration: now.Sub(s.last)})
-	s.span.ChildInterval(name, s.last, now)
-	s.last = now
+func (s *Stopwatch) Lap(name string) { s.LapAt(name, time.Now()) }
+
+// LapAt records the time from the previous lap (or construction) to at,
+// an instant that has passed, under name.
+func (s *Stopwatch) LapAt(name string, at time.Time) {
+	s.phases = append(s.phases, Phase{Name: name, Duration: at.Sub(s.last)})
+	s.span.ChildInterval(name, s.last, at)
+	s.last = at
 }
+
+// Phases returns the laps recorded so far.
+func (s *Stopwatch) Phases() []Phase { return s.phases }
 
 // Articulation returns the articulation points (cut vertices) implied by a
 // block decomposition: a vertex is an articulation point exactly when its

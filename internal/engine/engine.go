@@ -26,9 +26,12 @@ const (
 // Runner computes the block decomposition of g with p workers. It polls c
 // (nil means never canceled), mirrors each timed phase as a child span of
 // sp (nil records nothing), and returns contained panics as
-// *par.PanicError values. Every engine but TV-SMP reads g's CSR, and the
-// run that converts it records a core.PhaseToCSR lap first; no engine
-// writes to it.
+// *par.PanicError values. Every entry of All runs its engine on g's local
+// view (graph.Graph.Local); the run that decides the view records the
+// core.PhaseToCSR conversion it makes and a core.PhaseRelabel lap first.
+// Every engine but TV-SMP reads the CSR of the graph it runs on, and the
+// run that converts it records a core.PhaseToCSR lap; no engine writes to
+// it.
 type Runner func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error)
 
 // Engine is one entry of the table.
@@ -43,23 +46,58 @@ type Engine struct {
 // All lists every engine in presentation order. The public bicc.Algorithm
 // constants follow the same order, one past Auto.
 var All = []Engine{
-	{Sequential, false, func(c *par.Canceler, sp *obs.Span, _ int, g *graph.Graph) (*core.Result, error) {
+	local(Sequential, false, func(c *par.Canceler, sp *obs.Span, _ int, g *graph.Graph) (*core.Result, error) {
 		return core.SequentialT(c, sp, g)
-	}},
+	}),
 	tv(TVSMP, core.TVSMPConfig()),
 	tv(TVOpt, core.TVOptConfig()),
 	tv(TVFilter, core.TVFilterConfig()),
-	{FastBCC, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
+	local(FastBCC, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
 		return fastbcc.Run(p, g, fastbcc.Config{Cancel: c, Span: sp})
-	}},
+	}),
 }
 
 // tv binds a TV pipeline preset to its name.
 func tv(name string, cfg core.Config) Engine {
-	return Engine{name, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
+	return local(name, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
 		cfg := cfg
 		cfg.Cancel, cfg.Span = c, sp
 		return core.Custom(p, g, cfg)
+	})
+}
+
+// local makes the table entry that runs run on g's local view. The
+// answers need no mapping back: engine results are per edge id, the view
+// keeps g's edge order, and core.FinishResult numbers blocks in edge
+// order. The sequential engine decides with one worker, as it converts.
+func local(name string, parallel bool, run Runner) Engine {
+	return Engine{name, parallel, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (res *core.Result, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				res, err = nil, par.AsPanicError(-1, v)
+			}
+		}()
+		if !parallel {
+			p = 1
+		}
+		sw := core.NewStopwatch(sp)
+		l, fresh, converted, err := g.Local(c, p)
+		if err != nil {
+			return nil, err
+		}
+		if !converted.IsZero() {
+			sw.LapAt(core.PhaseToCSR, converted)
+		}
+		if fresh {
+			sw.Lap(core.PhaseRelabel)
+		}
+		if res, err = run(c, sp, p, l); err != nil {
+			return nil, err
+		}
+		if ph := sw.Phases(); len(ph) > 0 {
+			res.Phases = append(ph, res.Phases...)
+		}
+		return res, nil
 	}}
 }
 

@@ -156,20 +156,42 @@ func (c *CSR) M() int { return len(c.Adj) / 2 }
 func (c *CSR) Neighbors(v int32) []int32 { return c.Adj[c.Off[v]:c.Off[v+1]] }
 
 // conversions counts ToCSR calls. A resident graph converts once, on the
-// first call that needs its adjacency (Graph.CSR).
+// first call that needs its adjacency (Graph.CSR or Graph.Local).
 var conversions = obs.Default().Counter("bicc_csr_conversions_total",
-	"Edge-list to CSR conversions. A graph converts once, on the first engine run or query that needs its adjacency.")
+	"Edge-list to CSR conversions. A graph converts once, on the first engine run or query that needs its adjacency; a graph with a local view drops that CSR and converts again only for a query that reads adjacency in its own ids.")
 
 // Graph is an immutable edge list together with its CSR, which the first
 // consumer that needs adjacency builds and every later one shares: the
 // engines, the sparse certificate and the analysis helpers all read it, so
 // a resident graph pays the paper's representation conversion (§1) once
-// instead of on every call. Neither the edge list nor the CSR may be
-// modified.
+// instead of on every call. Above a size floor it may also hold a local
+// view for the engines (Local), built once in the same way. Neither the
+// edge list nor the CSR may be modified.
 type Graph struct {
 	*EdgeList
 	mu  sync.Mutex
 	csr atomic.Pointer[CSR]
+	// local is Local's decision once made: the view, or the graph itself.
+	local atomic.Pointer[Graph]
+}
+
+// Bytes returns what the graph holds: its edge list, its local view (edge
+// list, CSR) once built, and its own CSR, which a graph without a view is
+// charged for before its first solve builds it.
+func (g *Graph) Bytes() int64 {
+	b := 8*int64(len(g.Edges)) + 64
+	if l := g.local.Load(); l != nil && l != g {
+		return b + l.Bytes() + csrBytes(g.csr.Load())
+	}
+	return b + 16*int64(len(g.Edges)) + 4*(int64(g.N)+1)
+}
+
+// csrBytes is c's size, 0 for nil.
+func csrBytes(c *CSR) int64 {
+	if c == nil {
+		return 0
+	}
+	return 4 * int64(len(c.Off)+len(c.Adj)+len(c.EdgeID))
 }
 
 // Wrap returns el as a Graph whose CSR is not built yet. The caller must

@@ -231,7 +231,7 @@ func TestWorkerOfInvertsBlock(t *testing.T) {
 }
 
 func TestPoolTakesHalf(t *testing.T) {
-	q := NewPool(2)
+	q := NewPool(2, nil)
 	q.Give([]int32{1, 2, 3, 4, 5})
 	got, ok := q.Wait(&Canceler{}, []int32{9})
 	if !ok || !slices.Equal(got, []int32{9, 3, 4, 5}) {
@@ -250,7 +250,7 @@ func TestPoolTakesHalf(t *testing.T) {
 // TestDequeStealEmpty: a lone worker waiting on an empty pool takes nothing
 // and is told the traversal is over.
 func TestDequeStealEmpty(t *testing.T) {
-	q := NewPool(1)
+	q := NewPool(1, nil)
 	if got, ok := q.Wait(&Canceler{}, nil); ok || got != nil {
 		t.Fatalf("lone worker on an empty pool: Wait = %v, %v; want [], false", got, ok)
 	}
@@ -259,7 +259,7 @@ func TestDequeStealEmpty(t *testing.T) {
 // TestDequePushAllEmpty: giving the pool an empty batch leaves a waiting
 // worker hungry; the next real item reaches it.
 func TestDequePushAllEmpty(t *testing.T) {
-	q := NewPool(2)
+	q := NewPool(2, nil)
 	got := make(chan []int32, 1)
 	go func() {
 		buf, _ := q.Wait(&Canceler{}, nil)
@@ -287,7 +287,7 @@ func TestDequePushAllEmpty(t *testing.T) {
 // TestPoolEndsWhenAllIdle: with the pool empty, Wait returns false once
 // every worker waits, and only then.
 func TestPoolEndsWhenAllIdle(t *testing.T) {
-	q := NewPool(3)
+	q := NewPool(3, nil)
 	var ended atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -314,8 +314,46 @@ func TestPoolEndsWhenAllIdle(t *testing.T) {
 	}
 }
 
+// TestPoolSeedsOnlyWhenAllIdle: a lone idle worker never takes a seed;
+// the worker whose Wait makes every worker idle with the pool empty gets
+// the seed's next item, and once the seed has none, every Wait ends.
+func TestPoolSeedsOnlyWhenAllIdle(t *testing.T) {
+	var seeded atomic.Int32
+	q := NewPool(2, func() (int32, bool) {
+		if seeded.Add(1) > 1 {
+			return 0, false
+		}
+		return 42, true
+	})
+	ended := make(chan bool, 1)
+	go func() {
+		_, ok := q.Wait(&Canceler{}, nil)
+		ended <- ok
+	}()
+	for q.idle.Load() < 1 {
+		runtime.Gosched()
+	}
+	if seeded.Load() != 0 {
+		t.Fatal("a lone idle worker took a seed")
+	}
+	if buf, ok := q.Wait(&Canceler{}, nil); !ok || !slices.Equal(buf, []int32{42}) {
+		t.Fatalf("last worker to go idle: Wait = %v, %v; want [42], true", buf, ok)
+	}
+	if _, ok := q.Wait(&Canceler{}, nil); ok {
+		t.Fatal("Wait handed out work after the seed ran dry")
+	}
+	select {
+	case ok := <-ended:
+		if ok {
+			t.Fatal("the first waiting worker got work")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first waiting worker never ended")
+	}
+}
+
 func TestPoolWaitReturnsOnCancel(t *testing.T) {
-	q := NewPool(2)
+	q := NewPool(2, nil)
 	c := &Canceler{}
 	done := make(chan bool)
 	go func() {
@@ -343,7 +381,7 @@ func TestPoolWaitReturnsOnCancel(t *testing.T) {
 func TestPoolConcurrentTotal(t *testing.T) {
 	const total = 20000
 	for _, p := range []int{1, 2, 3, 8} {
-		q := NewPool(p)
+		q := NewPool(p, nil)
 		seen := make([]atomic.Int32, total)
 		Run(p, func(w int) {
 			var stack []int32

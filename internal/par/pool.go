@@ -15,6 +15,7 @@ import (
 // no shared counter.
 type Pool struct {
 	procs int
+	seed  func() (int32, bool)
 	mu    sync.Mutex
 	items []int32
 	// idle counts workers inside Wait and avail the pooled items; both
@@ -22,8 +23,11 @@ type Pool struct {
 	idle, avail atomic.Int32
 }
 
-// NewPool returns an empty pool shared by p workers.
-func NewPool(p int) *Pool { return &Pool{procs: p} }
+// NewPool returns an empty pool shared by p workers. seed (nil for none)
+// hands out the next item once every worker waits with the pool empty, so
+// one team of workers can run a traversal per component in turn; it runs
+// under the pool's lock, while no worker expands.
+func NewPool(p int, seed func() (int32, bool)) *Pool { return &Pool{procs: p, seed: seed} }
 
 // Hungry reports whether some worker waits for work that the pool does not
 // hold: one atomic load each, for the busy workers to test after every
@@ -39,10 +43,11 @@ func (q *Pool) Give(items []int32) {
 }
 
 // Wait is called by a worker with an empty stack. It marks the worker idle
-// until it can append half the pool to buf (the newest items, rounded up),
-// and returns false instead once every worker is idle with the pool empty —
-// a worker goes idle only with an empty stack, so no work remains — or
-// once c trips.
+// until it can append half the pool to buf (the newest items, rounded up).
+// Once every worker is idle with the pool empty — a worker goes idle only
+// with an empty stack, so no work remains — it appends the seed's next
+// item instead, or returns false when the seed has none. It also returns
+// false once c trips.
 func (q *Pool) Wait(c *Canceler, buf []int32) ([]int32, bool) {
 	q.mu.Lock()
 	q.idle.Add(1)
@@ -60,6 +65,13 @@ func (q *Pool) Wait(c *Canceler, buf []int32) ([]int32, bool) {
 			return buf, true
 		}
 		if int(q.idle.Load()) == q.procs {
+			if q.seed != nil {
+				if v, ok := q.seed(); ok {
+					q.idle.Add(-1)
+					q.mu.Unlock()
+					return append(buf, v), true
+				}
+			}
 			q.mu.Unlock()
 			return buf, false
 		}

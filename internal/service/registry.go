@@ -91,13 +91,11 @@ func NewRegistry(maxBytes int64) *Registry {
 	return &Registry{entries: map[string]*regEntry{}, maxBytes: maxBytes}
 }
 
-// graphBytes estimates the resident size of a graph: its edge list (8 bytes
-// per edge), the CSR it keeps after its first full solve (16 bytes per edge
-// plus 4(n+1) offsets), and slice headers. The CSR is charged up front
-// because every engine but TV-SMP builds it on the graph's first solve.
-func graphBytes(g *bicc.Graph) int64 {
-	return int64(g.NumEdges())*24 + int64(g.NumVertices()+1)*4 + 64
-}
+// graphBytes is the resident size of a graph (bicc.Graph.ResidentBytes):
+// its edge list and slice headers, plus its CSR, charged up front because
+// the first solve builds it, or, once a solve has built it, the local view
+// that replaces it. Release re-reads it after every query.
+func graphBytes(g *bicc.Graph) int64 { return g.ResidentBytes() }
 
 // Add registers g under fp, its content fingerprint, which the caller has
 // computed with Fingerprint. Re-adding an identical graph is an idempotent
@@ -228,8 +226,9 @@ func (r *Registry) AddAt(fp, name string, g *bicc.Graph, gen uint64, cfp string)
 	}
 }
 
-// Release unpins a graph previously Acquired. Releasing the last reference
-// to a removed entry deletes it.
+// Release unpins a graph previously Acquired and charges what it holds
+// now, since the query may have built its local view. Releasing the last
+// reference to a removed entry deletes it.
 func (r *Registry) Release(fp string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -240,6 +239,9 @@ func (r *Registry) Release(fp string) {
 	if e.refs > 0 {
 		e.refs--
 	}
+	b := graphBytes(e.g)
+	r.bytes += b - e.info.Bytes
+	e.info.Bytes = b
 	if e.dead && e.refs == 0 {
 		r.deleteLocked(fp, e)
 	}

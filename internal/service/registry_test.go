@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,40 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	}
 	if r.Remove(fp) {
 		t.Fatal("second remove succeeded")
+	}
+}
+
+// TestRegistryChargesTheLocalView: a graph is charged its edge list and
+// CSR when added; once a query builds its local view, releasing it charges
+// the view (a second edge list and its CSR) and no CSR of the graph's own.
+func TestRegistryChargesTheLocalView(t *testing.T) {
+	const side = 256
+	n, m := side*side, 2*side*side
+	edges := make([]bicc.Edge, 0, m)
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := perm[r*side+c]
+			edges = append(edges,
+				bicc.Edge{U: int32(v), V: int32(perm[r*side+(c+1)%side])},
+				bicc.Edge{U: int32(v), V: int32(perm[((r+1)%side)*side+c])})
+		}
+	}
+	g := mkGraph(t, n, edges)
+	reg := NewRegistry(0)
+	fp := Fingerprint(g)
+	reg.Add(fp, "torus", g)
+	csr := int64(16*m + 4*(n+1))
+	if info, _ := reg.Get(fp); info.Bytes != int64(8*m+64)+csr || reg.Bytes() != info.Bytes {
+		t.Fatalf("added: charged %d (registry %d), want %d", info.Bytes, reg.Bytes(), int64(8*m+64)+csr)
+	}
+	acquired, _ := reg.Acquire(fp)
+	if _, err := bicc.BiconnectedComponents(acquired, &bicc.Options{Algorithm: bicc.TVOpt, Procs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	reg.Release(fp)
+	if info, _ := reg.Get(fp); info.Bytes != int64(16*m+128)+csr || reg.Bytes() != info.Bytes {
+		t.Fatalf("after the first query: charged %d (registry %d), want %d", info.Bytes, reg.Bytes(), int64(16*m+128)+csr)
 	}
 }
 

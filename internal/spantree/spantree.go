@@ -95,6 +95,11 @@ func WorkStealing(p int, c *graph.CSR) *RootedForest {
 // workers poll cn between expansions and while idle. When cn trips the
 // returned forest is incomplete — callers must check cn.Err() and discard
 // it.
+//
+// One team of p workers traverses the whole forest. The roots are the
+// unvisited vertices in increasing order, and the pool hands out the next
+// one only when every worker waits with the pool empty, so the previous
+// component is finished and no component gets two trees.
 func WorkStealingC(cn *par.Canceler, p int, c *graph.CSR) *RootedForest {
 	n := c.N
 	p = par.Procs(p)
@@ -107,27 +112,34 @@ func WorkStealingC(cn *par.Canceler, p int, c *graph.CSR) *RootedForest {
 		}
 	})
 	var roots []int32
-	for s := int32(0); s < n; s++ {
-		if cn.Err() != nil {
-			break
+	next := int32(0)
+	seed := func() (int32, bool) {
+		for ; next < n; next++ {
+			if atomic.LoadInt32(&parent[next]) != -1 {
+				continue
+			}
+			s := next
+			atomic.StoreInt32(&parent[s], s)
+			roots = append(roots, s)
+			if c.Off[s] != c.Off[s+1] {
+				next++
+				return s, true
+			}
 		}
-		if atomic.LoadInt32(&parent[s]) != -1 {
-			continue
-		}
-		parent[s] = s
-		roots = append(roots, s)
-		if c.Off[s] != c.Off[s+1] {
-			traverse(cn, p, c, parent, parentEdge, s)
-		}
+		return 0, false
+	}
+	if s, ok := seed(); ok {
+		traverse(cn, p, c, parent, parentEdge, s, seed)
 	}
 	return &RootedForest{N: n, Parent: parent, ParentEdge: parentEdge, Roots: roots}
 }
 
-// traverse runs the work-stealing expansion of one component from root s.
-// The expansion path takes no lock and writes no shared counter: a worker
-// touches the pool only when another waits (after an expansion that leaves
-// it at least two items) or when its own stack runs dry.
-func traverse(cn *par.Canceler, p int, c *graph.CSR, parent, parentEdge []int32, s int32) {
+// traverse runs the work-stealing expansion from root s, and from every
+// root seed hands out once the team runs out of work. The expansion path
+// takes no lock and writes no shared counter: a worker touches the pool
+// only when another waits (after an expansion that leaves it at least two
+// items) or when its own stack runs dry.
+func traverse(cn *par.Canceler, p int, c *graph.CSR, parent, parentEdge []int32, s int32, seed func() (int32, bool)) {
 	// Idle workers wait in the pool for work the others may still give, so
 	// a panicking worker must trip a cancellation token or its siblings
 	// would wait forever. Without a caller token, use a private one and
@@ -136,7 +148,7 @@ func traverse(cn *par.Canceler, p int, c *graph.CSR, parent, parentEdge []int32,
 	if localToken {
 		cn = &par.Canceler{}
 	}
-	pool := par.NewPool(p)
+	pool := par.NewPool(p, seed)
 	pe := par.RunC(cn, p, func(w int) {
 		stack := make([]int32, 0, 256)
 		if w == 0 {

@@ -10,6 +10,7 @@ import (
 	"bicc/internal/faults"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
+	"bicc/internal/obs"
 	"bicc/internal/par"
 )
 
@@ -70,6 +71,26 @@ func TestWorkStealingStress(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWorkStealingOneTeamPerForest: one call on 500 components starts one
+// team of p workers for the whole forest, besides the p of the parallel
+// initialisation, instead of a team per component.
+func TestWorkStealingOneTeamPerForest(t *testing.T) {
+	old := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(old)
+	tasks := obs.Default().Counter("bicc_par_tasks_total", "")
+	g := manyComponents()
+	c := graph.ToCSR(2, g)
+	for _, p := range []int{2, 4} {
+		before := tasks.Load()
+		f := WorkStealing(p, c)
+		if n := tasks.Load() - before; n > int64(2*p) {
+			t.Errorf("p=%d: %d worker tasks on 500 components, want at most %d", p, n, 2*p)
+		}
+		checkRooted(t, g, f)
 	}
 }
 
