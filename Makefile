@@ -209,19 +209,23 @@ test-scrub:
 	$(GO) test ./cmd/bccd -run 'BitRot' -count=1 -v
 
 # Planner suite. test-plan runs (race-enabled) the plan package's golden
-# decision table and breaker-filter property tests, and the service tests:
+# decision table and breaker-filter property tests; the service tests:
 # sequential at a pinned p=1, ?explain=1 echo-vs-dispatch with identical
-# repeats routed identically, open-breaker avoidance, the planner-on vs
-# planner-off differential harness (BCC + incr mutations + per-block
-# endpoints, byte-equal answers), the bicc_plan_* decision counters,
-# features that follow mutations and re-uploads, a plan step that
-# allocates nothing, and the rejection of an unknown plan mode. fuzz-plan
-# drives Decide with arbitrary counts, pinned procs, MaxProcs and breaker
-# masks: every decision total, deterministic, allowed, within its procs
-# range and at the head of a score-sorted explain slate.
+# repeats routed identically, open-breaker avoidance, the auto-vs-fixed
+# differential harness (auto answers byte-equal to every fixed engine's
+# over BCC, incr mutations and the per-block endpoints), the bicc_plan_*
+# decision counters, features that follow mutations and re-uploads and a
+# plan step that allocates nothing; and the root package's auto tests: the
+# table's picks, library ResolveAlgorithm naming the engine bccd's
+# ?explain=1 dispatches, and a resolve that allocates nothing. fuzz-plan
+# drives Decide with arbitrary counts, pinned procs, host worker counts and
+# breaker masks: every decision total, deterministic, allowed, within its
+# procs range, at the head of a score-sorted explain slate and, when
+# pinned with no breaker open, the engine Pick names.
 test-plan:
 	$(GO) test -race ./internal/plan -count=1
 	$(GO) test -race -run 'Plan' ./internal/service -count=1
+	$(GO) test -race -run 'Auto|Resolve' . -count=1
 
 fuzz-plan:
 	$(GO) test ./internal/plan -run FuzzNothing -fuzz FuzzDecide -fuzztime $(FUZZTIME)

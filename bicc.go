@@ -39,6 +39,7 @@ import (
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
+	"bicc/internal/plan"
 )
 
 // phaseSeconds is the live per-phase breakdown of every engine run — the
@@ -142,9 +143,10 @@ func (g *Graph) Edges() []Edge { return g.gr.Edges }
 type Algorithm int
 
 const (
-	// Auto picks TVFilter when m >= 4n and TVOpt otherwise — the fallback
-	// rule from the end of the paper's §4 — and Sequential when only one
-	// processor is requested.
+	// Auto picks the engine the planner's cost table, fitted to timed
+	// engine runs, prices cheapest on the graph's vertex and edge counts at
+	// the requested worker count; see ResolveAlgorithm. bccd resolves
+	// algorithm "auto" by the same table.
 	Auto Algorithm = iota
 	// Sequential is Tarjan's linear-time DFS algorithm.
 	Sequential
@@ -238,8 +240,8 @@ const (
 // Options configures a biconnected components run. The zero value (and nil)
 // mean: Auto algorithm, GOMAXPROCS workers, no fallback.
 type Options struct {
-	// Algorithm selects the implementation; Auto applies the paper's
-	// density rule.
+	// Algorithm selects the implementation; Auto lets ResolveAlgorithm
+	// pick one from the graph's counts and Procs.
 	Algorithm Algorithm
 	// Procs is the number of workers; <= 0 means GOMAXPROCS.
 	Procs int
@@ -297,26 +299,25 @@ var ErrNilGraph = errors.New("bicc: nil graph")
 // slow" (retry, then degrade) from "the caller's deadline passed" (give up).
 var ErrAttemptTimeout = errors.New("bicc: parallel attempt exceeded AttemptTimeout")
 
-// ResolveAlgorithm reports the engine Auto selects for g at the given worker
-// count under the static rule (the paper's density rule: Sequential for one
-// worker, TVFilter when m >= 4n, TVOpt otherwise). Non-Auto algorithms
-// resolve to themselves, and procs <= 0 means GOMAXPROCS, matching
-// Options.Procs. Callers that serve a decomposition computed elsewhere
-// (result reconstruction, incremental maintenance) use this to label it
-// exactly as an Auto run would.
+// ResolveAlgorithm reports the engine Auto runs on g at the given worker
+// count: the one the planner's fitted cost table (internal/plan) prices
+// cheapest on g's vertex and edge counts at exactly that many workers —
+// the engine bccd dispatches for an "auto" query pinned to the same procs
+// while no circuit breaker is open. At one worker that is Sequential.
+// Non-Auto algorithms resolve to themselves, and procs <= 0 means
+// GOMAXPROCS, matching Options.Procs. It reads no edge and allocates
+// nothing. Callers that serve a decomposition computed elsewhere use this
+// to label it exactly as an Auto run would.
 func ResolveAlgorithm(g *Graph, algo Algorithm, procs int) Algorithm {
 	if algo != Auto {
 		return algo
 	}
-	p := par.Procs(procs)
-	switch {
-	case p == 1:
-		return Sequential
-	case len(g.gr.Edges) >= 4*int(g.gr.N):
-		return TVFilter
-	default:
-		return TVOpt
+	name := plan.Pick(plan.Of(g.NumVertices(), g.NumEdges()), par.Procs(procs))
+	a, err := ParseAlgorithm(name)
+	if err != nil {
+		panic(err) // plan.EngineOrder names only engine-table entries
 	}
+	return a
 }
 
 // BiconnectedComponents computes the block decomposition of g. When

@@ -158,29 +158,59 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// isolatedPlusTriangle is n vertices, all isolated but for a triangle on
+// 0, 1 and 2: a graph whose size n + m the planner's table prices without
+// an edge list to match.
+func isolatedPlusTriangle(t *testing.T, n int) *Graph {
+	return mustGraph(t, n, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
+}
+
+// TestAutoSelection pins the engines Auto runs: the picks of the planner's
+// fitted table (internal/plan/prior.go) at the requested worker count, on
+// either side of n + m = 2^20, where the table's ratios change. The
+// paper's §4 rule would run TV-opt or TV-filter at every p > 1 instead.
 func TestAutoSelection(t *testing.T) {
 	sparse, _ := RandomConnectedGraph(100, 150, 1) // m < 4n
 	dense, _ := RandomConnectedGraph(100, 450, 2)  // m >= 4n
-	r1, err := BiconnectedComponents(sparse, &Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
+	large := isolatedPlusTriangle(t, 1<<20)        // n + m >= 2^20
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		procs int
+		want  Algorithm
+	}{
+		{"sparse/p=1", sparse, 1, Sequential},
+		{"sparse/p=2", sparse, 2, FastBCC},
+		{"sparse/p=8", sparse, 8, TVFilter},
+		{"dense/p=1", dense, 1, Sequential},
+		{"dense/p=2", dense, 2, FastBCC},
+		{"large/p=1", large, 1, Sequential},
+		{"large/p=2", large, 2, FastBCC},
+		{"large/p=4", large, 4, TVFilter},
+	} {
+		res, err := BiconnectedComponents(tc.g, &Options{Procs: tc.procs})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Algorithm != tc.want {
+			t.Errorf("%s: auto ran %v, want %v", tc.name, res.Algorithm, tc.want)
+		}
+		if got := ResolveAlgorithm(tc.g, Auto, tc.procs); got != res.Algorithm {
+			t.Errorf("%s: ResolveAlgorithm says %v, the run %v", tc.name, got, res.Algorithm)
+		}
 	}
-	if r1.Algorithm != TVOpt {
-		t.Errorf("sparse auto picked %v, want tv-opt", r1.Algorithm)
-	}
-	r2, err := BiconnectedComponents(dense, &Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Algorithm != TVFilter {
-		t.Errorf("dense auto picked %v, want tv-filter", r2.Algorithm)
-	}
-	r3, err := BiconnectedComponents(dense, &Options{Procs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Algorithm != Sequential {
-		t.Errorf("p=1 auto picked %v, want sequential", r3.Algorithm)
+}
+
+// TestResolveAlgorithmAllocatesNothing checks that resolving Auto reads a
+// graph's counts and nothing else: no allocation, on a large graph as on a
+// small one.
+func TestResolveAlgorithmAllocatesNothing(t *testing.T) {
+	for _, g := range []*Graph{triangleBridge(t), isolatedPlusTriangle(t, 1<<20)} {
+		for _, p := range []int{0, 1, 2, 8} {
+			if allocs := testing.AllocsPerRun(20, func() { ResolveAlgorithm(g, Auto, p) }); allocs != 0 {
+				t.Errorf("n=%d p=%d: %.0f allocations per call, want 0", g.NumVertices(), p, allocs)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,6 @@
 //	     [-repl-listen ADDR] [-repl-follow ADDR] [-repl-quorum N]
 //	     [-repl-ack-timeout D]
 //	     [-scrub-interval D] [-scrub-budget B]
-//	     [-plan off|adaptive]
 //
 // The result cache keeps at most -cache results, and with -mem-budget at
 // most that many estimated bytes of results and per-block indexes; an
@@ -65,15 +64,12 @@
 // to primary (re-checking every graph fingerprint, exactly as boot
 // recovery). Both flags require -data-dir.
 //
-// With -plan adaptive (the default), algorithm:"auto" queries are routed by
-// the per-request query planner instead of the paper's static §4 rule: every
-// (engine, procs) candidate is scored by a cost model fitted to timed engine
-// runs, from the graph's vertex and edge counts alone, engines with an open
-// circuit breaker are excluded, and the cheapest candidate picks both the
-// engine and the parallelism degree. Identical queries always route
-// identically. ?explain=1 on /v1/bcc echoes the decision, and the
-// bicc_plan_* series on /metrics count decisions. -plan off restores the
-// static rule.
+// An algorithm:"auto" query (the default) runs the engine the library's
+// Auto would pick, from the same cost table fitted to timed engine runs;
+// without "procs" the planner also picks the parallelism degree, and
+// engines with an open circuit breaker are skipped. ?explain=1 on /v1/bcc
+// echoes the decision, and the bicc_plan_* series on /metrics count
+// decisions.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: new work is rejected with
 // 503 (health and metrics stay readable), in-flight requests get
@@ -182,15 +178,9 @@ func main() {
 	replAckTimeout := flag.Duration("repl-ack-timeout", 0, "bound on the per-write standby-ack wait (0 = 2s)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background scrub cycle cadence over the -data-dir files (0 = manual cycles via POST /v1/admin/scrub only)")
 	scrubBudget := flag.Int64("scrub-budget", 0, "bytes re-verified per scrub cycle; the cursor resumes next cycle (0 = unlimited)")
-	planMode := flag.String("plan", service.PlanAdaptive, "auto-query routing: off (static paper rule) or adaptive (plan engine+procs from the graph's vertex and edge counts)")
 	var loads loadFlags
 	flag.Var(&loads, "load", "preload a graph at startup: name=path or just path (repeatable; format by extension)")
 	flag.Parse()
-
-	plan, err := service.ParsePlanMode(*planMode)
-	if err != nil {
-		log.Fatalf("-plan: %v", err)
-	}
 
 	// The daemon always runs instrumented: the per-site cost is one atomic
 	// load plus a counter add, noise next to any engine run worth serving.
@@ -210,7 +200,6 @@ func main() {
 		BreakerCooldown:  *breakerCooldown,
 		NoFallback:       *noFallback,
 		IncrThreshold:    *incrThreshold,
-		PlanMode:         plan,
 	})
 	if *dataDir != "" {
 		mode, err := durable.ParseSyncMode(*walSync)

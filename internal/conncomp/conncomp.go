@@ -2,8 +2,8 @@
 // Link, a single pass of concurrent union-find that serves both of
 // Tarjan–Vishkin's connectivity steps (the spanning forest of step 1, via
 // spantree.SV, and the components of the auxiliary graph in step 6) and
-// FAST-BCC's skeleton, plus sequential union-find and BFS baselines used as
-// test oracles and for the sequential comparison runs.
+// FAST-BCC's skeleton, plus a sequential union-find baseline used as the
+// test oracle and for the sequential comparison runs.
 package conncomp
 
 import (
@@ -158,34 +158,6 @@ func UnionFind(n int32, edges []graph.Edge) []int32 {
 	labels := make([]int32, n)
 	for v := int32(0); v < n; v++ {
 		labels[v] = minID[find(v)]
-	}
-	return labels
-}
-
-// BFS computes component labels with a sequential breadth-first search over
-// a CSR; each component is labeled by its smallest vertex id.
-func BFS(c *graph.CSR) []int32 {
-	labels := make([]int32, c.N)
-	for i := range labels {
-		labels[i] = -1
-	}
-	queue := make([]int32, 0, c.N)
-	for s := int32(0); s < c.N; s++ {
-		if labels[s] != -1 {
-			continue
-		}
-		labels[s] = s
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range c.Neighbors(v) {
-				if labels[w] == -1 {
-					labels[w] = s
-					queue = append(queue, w)
-				}
-			}
-		}
 	}
 	return labels
 }

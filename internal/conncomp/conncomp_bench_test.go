@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkConnectedComponents times the kernel against the sequential
-// oracles on a random graph and on the permuted 512×512 torus of the
+// union-find oracle on a random graph and on the permuted 512×512 torus of the
 // engines-torus workload, whose ids carry no locality.
 func BenchmarkConnectedComponents(b *testing.B) {
 	torus := gen.Torus(512, 512)
@@ -28,7 +28,6 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		{"torus", torus},
 	} {
 		g := in.g
-		c := graph.ToCSR(1, g)
 		b.Run(in.name+"/link/p=1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Link(nil, 1, g.N, g.Edges, nil)
@@ -42,11 +41,6 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		b.Run(in.name+"/union-find", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				UnionFind(g.N, g.Edges)
-			}
-		})
-		b.Run(in.name+"/bfs", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				BFS(c)
 			}
 		})
 	}

@@ -60,15 +60,6 @@ func TestShiloachVishkinMatchesUnionFind(t *testing.T) {
 	}
 }
 
-func TestBFSMatchesUnionFind(t *testing.T) {
-	g := gen.Disconnected(gen.Cycle(10), gen.Chain(5), gen.Star(7))
-	bfs := BFS(graph.ToCSR(1, g))
-	uf := UnionFind(g.N, g.Edges)
-	if !SamePartition(bfs, uf) {
-		t.Errorf("BFS and union-find disagree:\n%v\n%v", bfs, uf)
-	}
-}
-
 func TestEmptyAndEdgeless(t *testing.T) {
 	if got := ShiloachVishkin(2, 0, nil); len(got) != 0 {
 		t.Errorf("n=0: %v", got)

@@ -40,8 +40,8 @@ func TestTableConsistency(t *testing.T) {
 	metrics := get("/metrics")
 
 	// A decision with procs pinned to 1 scores every engine the planner
-	// knows; engineFactor panics on one it has no cost case for.
-	pl := plan.New(plan.Config{MaxProcs: 1, Registry: obs.NewRegistry()})
+	// knows; its cost model panics on one it has no fitted ratio for.
+	pl := plan.New(plan.Config{Registry: obs.NewRegistry()})
 	slate := map[string]bool{}
 	for _, c := range pl.Decide(plan.Features{N: 1000, M: 4000}, 1, true).Candidates {
 		slate[c.Engine] = true

@@ -331,21 +331,3 @@ func scatterParallel(p int, g *EdgeList, off, adj, eid []int32) {
 		}
 	})
 }
-
-// FromCSR reconstructs the undirected edge list from a CSR (each edge once,
-// in edge-id order). It is the inverse of ToCSR up to edge order.
-func FromCSR(c *CSR) *EdgeList {
-	m := c.M()
-	edges := make([]Edge, m)
-	done := make([]bool, m)
-	for v := int32(0); v < c.N; v++ {
-		for i := c.Off[v]; i < c.Off[v+1]; i++ {
-			id := c.EdgeID[i]
-			if !done[id] {
-				done[id] = true
-				edges[id] = Edge{U: v, V: c.Adj[i]}
-			}
-		}
-	}
-	return &EdgeList{N: c.N, Edges: edges}
-}

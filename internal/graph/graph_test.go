@@ -199,21 +199,6 @@ func TestToCSREmptyAndIsolated(t *testing.T) {
 	}
 }
 
-func TestFromCSRRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 100, 300)
-	back := FromCSR(ToCSR(2, g))
-	if back.N != g.N || len(back.Edges) != len(g.Edges) {
-		t.Fatalf("round trip size mismatch")
-	}
-	for i := range g.Edges {
-		a, b := g.Edges[i], back.Edges[i]
-		if CanonKey(a.U, a.V) != CanonKey(b.U, b.V) {
-			t.Fatalf("edge %d: %v vs %v", i, a, b)
-		}
-	}
-}
-
 func TestReadWriteRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomGraph(rng, 50, 120)

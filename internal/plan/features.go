@@ -1,8 +1,10 @@
 // Package plan is the query planner: given a graph's vertex and edge counts
 // it picks which biconnected-components engine to run and at what
-// parallelism degree, replacing the paper's static §4 rule ("TV-filter when
-// m >= 4n, TV-opt otherwise, sequential at p=1") with a per-request
-// decision.
+// parallelism degree. It is the one rule behind Auto: the library resolves
+// Auto through Pick at its worker count, and bccd through a Planner, which
+// may also choose the worker count, skips engines whose circuit breaker is
+// open and counts its decisions. The paper's static density rule from the
+// end of its §4 is not used.
 //
 // Each (engine, procs) candidate is scored by a cost model fitted to timed
 // engine runs (prior.go): each engine's time relative to the sequential

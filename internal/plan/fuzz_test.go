@@ -8,6 +8,7 @@ import (
 	"bicc/internal/engine"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
+	"bicc/internal/par"
 )
 
 // checkFeatures asserts the invariants Extract promises on any input: total
@@ -66,11 +67,12 @@ func TestExtractShapes(t *testing.T) {
 	}
 }
 
-// FuzzDecide drives the planner with arbitrary counts, pinned procs,
-// MaxProcs and open-breaker mask (bit i blocks EngineOrder[i]) and asserts
-// that every decision is total and deterministic, names an allowed engine
-// (sequential when none is allowed), runs at the pin or within
-// [1, MaxProcs], and heads an explain slate sorted by score.
+// FuzzDecide drives the planner with arbitrary counts, pinned procs, host
+// worker count and open-breaker mask (bit i blocks EngineOrder[i]) and
+// asserts that every decision is total and deterministic, names an allowed
+// engine (sequential when none is allowed), runs at the pin or within
+// [1, workers], heads an explain slate sorted by score, and, pinned with
+// no breaker open, names the engine Pick does.
 func FuzzDecide(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint16(0), uint8(0), uint8(0))
 	f.Add(uint32(16000), uint32(96000), uint16(0), uint8(2), uint8(0))
@@ -79,7 +81,7 @@ func FuzzDecide(f *testing.F) {
 	f.Add(uint32(1), uint32(4_000_000_000), uint16(1024), uint8(255), uint8(0x1f))
 	f.Fuzz(func(t *testing.T, n, m uint32, pinned uint16, maxProcs, mask uint8) {
 		allow := func(eng string) bool { return mask&(1<<slices.Index(EngineOrder, eng)) == 0 }
-		p := New(Config{MaxProcs: int(maxProcs), Registry: obs.NewRegistry(), Allow: allow})
+		p := newAt(par.Procs(int(maxProcs)), Config{Registry: obs.NewRegistry(), Allow: allow})
 		feat := Of(int(n), int(m))
 		pin := int(pinned % 2048)
 		d := p.Decide(feat, pin, false)
@@ -92,6 +94,11 @@ func FuzzDecide(f *testing.F) {
 		}
 		if !allow(d.Engine) && (!noneAllowed || d.Engine != engine.Sequential) {
 			t.Fatalf("mask %05b: chose blocked engine %s", mask, d.Engine)
+		}
+		if pin > 0 && mask&0x1f == 0 {
+			if pick := Pick(feat, pin); pick != d.Engine {
+				t.Fatalf("Pick at p=%d chose %s, the planner %s", pin, pick, d.Engine)
+			}
 		}
 		if maxP := p.procs[len(p.procs)-1]; d.Procs != pin && (d.Procs < 1 || d.Procs > maxP) {
 			t.Fatalf("procs %d: pin %d, max %d", d.Procs, pin, maxP)

@@ -10,19 +10,15 @@ import (
 	"bicc/internal/par"
 )
 
-// Config parameterizes a Planner. The zero value is usable: all engines
-// allowed, metrics on the process-wide registry.
+// Config parameterizes a Planner.
 type Config struct {
-	// MaxProcs caps the parallelism degree the planner may choose; 0 means
-	// par.Procs(0) (GOMAXPROCS).
-	MaxProcs int
 	// Allow filters the candidate engine set; nil allows everything. The
-	// service wires the PR 2 circuit breakers here so a tripped engine drops
+	// service wires its circuit breakers here so a tripped engine drops
 	// out of consideration. When the filter rejects every engine the planner
 	// falls back to the sequential baseline rather than returning nothing —
 	// the same path of last resort the supervisor degrades to.
 	Allow func(engine string) bool
-	// Registry receives the bicc_plan_* metrics; nil means obs.Default().
+	// Registry receives the bicc_plan_* metrics.
 	Registry *obs.Registry
 }
 
@@ -44,12 +40,12 @@ type Decision struct {
 	Candidates []Candidate `json:"candidates,omitempty"`
 }
 
-// Planner decides engine and parallelism per request. Its decisions are a
-// pure function of the feature vector, the pinned procs and the Allow
-// filter. Safe for concurrent use.
+// Planner decides engine and parallelism per request and counts its
+// decisions. Its decisions are a pure function of the feature vector, the
+// pinned procs and the Allow filter. Safe for concurrent use.
 type Planner struct {
 	// procs are the unpinned parallelism choices: powers of two below
-	// MaxProcs, then MaxProcs.
+	// GOMAXPROCS, then GOMAXPROCS.
 	procs []int
 	allow func(engine string) bool
 
@@ -58,22 +54,12 @@ type Planner struct {
 	fallbacks    *obs.Counter
 }
 
-// New builds a Planner and registers its bicc_plan_* metric families.
+// New builds a Planner and registers its bicc_plan_* metric families on
+// c.Registry.
 func New(c Config) *Planner {
-	maxProcs := c.MaxProcs
-	if maxProcs <= 0 {
-		maxProcs = par.Procs(0)
-	}
 	reg := c.Registry
-	if reg == nil {
-		reg = obs.Default()
-	}
-	var procs []int
-	for q := 1; q < maxProcs; q *= 2 {
-		procs = append(procs, q)
-	}
 	return &Planner{
-		procs: append(procs, maxProcs),
+		procs: procChoices(par.Procs(0)),
 		allow: c.Allow,
 		decisions: reg.CounterVec("bicc_plan_decisions_total",
 			"Planner decisions by chosen engine.", "engine"),
@@ -84,23 +70,57 @@ func New(c Config) *Planner {
 	}
 }
 
+// procChoices returns the parallelism degrees an unpinned decision weighs
+// on a host with maxProcs workers: powers of two below maxProcs, then
+// maxProcs.
+func procChoices(maxProcs int) []int {
+	var procs []int
+	for q := 1; q < maxProcs; q *= 2 {
+		procs = append(procs, q)
+	}
+	return append(procs, maxProcs)
+}
+
 // Decide picks the engine and parallelism for a request with feature vector
-// f. pinnedProcs > 0 means the caller fixed the parallelism degree (the
-// request named procs explicitly) and the planner only chooses the engine;
-// 0 lets the planner choose both. When explain is true the returned Decision
-// carries the full scored candidate slate, best first; otherwise Decide
-// allocates nothing.
+// f and counts the decision. pinnedProcs > 0 means the caller fixed the
+// parallelism degree (the request named procs explicitly) and the planner
+// only chooses the engine; 0 lets the planner choose both. When explain is
+// true the returned Decision carries the full scored candidate slate, best
+// first; otherwise Decide allocates nothing.
 func (p *Planner) Decide(f Features, pinnedProcs int, explain bool) Decision {
 	procs := p.procs
 	if pinnedProcs > 0 {
 		one := [1]int{pinnedProcs}
 		procs = one[:]
 	}
+	d, fellBack := decide(f, procs, p.allow, explain)
+	if fellBack {
+		p.fallbacks.Inc()
+	}
+	p.decisions.With(d.Engine).Inc()
+	p.procsCounter.With(strconv.Itoa(d.Procs)).Inc()
+	return d
+}
+
+// Pick returns the engine Decide chooses for a request pinned to procs
+// workers with every engine allowed. It counts nothing and allocates
+// nothing: the library's Auto resolves through it.
+func Pick(f Features, procs int) string {
+	one := [1]int{procs}
+	d, _ := decide(f, one[:], nil, false)
+	return d.Engine
+}
+
+// decide scores every engine allow admits (nil admits all) at each of procs
+// and returns the cheapest candidate, with the sorted slate when explain is
+// set. fellBack reports that allow admitted no engine and the decision is
+// the sequential baseline at p=1.
+func decide(f Features, procs []int, allow func(engine string) bool, explain bool) (d Decision, fellBack bool) {
 	var best Candidate
 	var slate []Candidate
 	found := false
 	for _, eng := range EngineOrder {
-		if p.allow != nil && !p.allow(eng) {
+		if allow != nil && !allow(eng) {
 			continue
 		}
 		for _, q := range procs {
@@ -125,18 +145,14 @@ func (p *Planner) Decide(f Features, pinnedProcs int, explain bool) Decision {
 		if explain {
 			slate = append(slate, best)
 		}
-		p.fallbacks.Inc()
 	}
-	d := Decision{Engine: best.Engine, Procs: best.Procs}
+	d = Decision{Engine: best.Engine, Procs: best.Procs}
 	if explain {
 		// Stable, so the slate's head is the decision.
 		slices.SortStableFunc(slate, func(a, b Candidate) int { return cmp.Compare(a.ScoreNs, b.ScoreNs) })
 		d.Candidates = slate
 	}
-
-	p.decisions.With(d.Engine).Inc()
-	p.procsCounter.With(strconv.Itoa(d.Procs)).Inc()
-	return d
+	return d, !found
 }
 
 // candidate scores eng at procs workers by the prior cost model.

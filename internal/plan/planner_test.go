@@ -9,6 +9,14 @@ import (
 	"bicc/internal/obs"
 )
 
+// newAt is New on a host with maxProcs workers: its unpinned decisions
+// weigh the procs choices of that host instead of this one's.
+func newAt(maxProcs int, c Config) *Planner {
+	p := New(c)
+	p.procs = procChoices(maxProcs)
+	return p
+}
+
 // The fit inputs of prior.go, by their counts.
 var (
 	g16k     = Of(16000, 96000)
@@ -21,12 +29,12 @@ var (
 
 // TestDecisionGolden pins the planner's choices on the fit grid of
 // prior.go: each fit input unpinned and at a pinned p=1 or p=2, with
-// MaxProcs 2 as on the host the rows were timed on. Each comment gives the
+// 2 workers as on the host the rows were timed on. Each comment gives the
 // measured median of the chosen engine and of the runner-up. These are
 // behavioral contracts — a refit that moves one must update this table
 // deliberately.
 func TestDecisionGolden(t *testing.T) {
-	p := New(Config{MaxProcs: 2, Registry: obs.NewRegistry()})
+	p := newAt(2, Config{Registry: obs.NewRegistry()})
 	cases := []struct {
 		name       string
 		f          Features
@@ -76,7 +84,7 @@ func TestDecisionGolden(t *testing.T) {
 // TestDecideDeterministic asserts the planner is a pure function of its
 // inputs: identical feature vectors always produce identical decisions.
 func TestDecideDeterministic(t *testing.T) {
-	p := New(Config{MaxProcs: 8, Registry: obs.NewRegistry()})
+	p := newAt(8, Config{Registry: obs.NewRegistry()})
 	f := Of(50_000, 200_000)
 	first := p.Decide(f, 0, false)
 	for i := 0; i < 100; i++ {
@@ -99,8 +107,7 @@ func TestBreakerFilterProperty(t *testing.T) {
 				open[eng] = true
 			}
 		}
-		p := New(Config{
-			MaxProcs: 8,
+		p := newAt(8, Config{
 			Registry: obs.NewRegistry(),
 			Allow:    func(eng string) bool { return !open[eng] },
 		})
@@ -125,7 +132,7 @@ func TestBreakerFilterProperty(t *testing.T) {
 // and its metric.
 func TestAllFilteredFallsBackToSequential(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := New(Config{MaxProcs: 8, Registry: reg, Allow: func(string) bool { return false }})
+	p := newAt(8, Config{Registry: reg, Allow: func(string) bool { return false }})
 	d := p.Decide(g100k4n, 0, false)
 	if d.Engine != engine.Sequential || d.Procs != 1 {
 		t.Fatalf("got (%s, p=%d), want (%s, p=1)", d.Engine, d.Procs, engine.Sequential)
@@ -158,7 +165,7 @@ func TestFeaturesOfFollowsContent(t *testing.T) {
 // bicc_plan_* counters, by engine and by procs.
 func TestDecisionCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := New(Config{MaxProcs: 4, Registry: reg})
+	p := newAt(4, Config{Registry: reg})
 	var want Decision
 	for i := 0; i < 5; i++ {
 		want = p.Decide(g100k4n, 0, false)

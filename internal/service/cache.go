@@ -10,9 +10,9 @@ import (
 )
 
 // resultKey identifies a cacheable computation: same graph content, same
-// algorithm, same worker count. Procs is part of the key because the
-// algorithm actually run (and its phase timings) depend on it — Auto
-// resolves to Sequential at p=1. gen is the graph's mutation generation:
+// engine, same worker count. algo is never Auto: queries resolve it before
+// the lookup. Procs is part of the key because a run's phase timings
+// depend on it. gen is the graph's mutation generation:
 // a mutated graph keeps its stable id, so the generation is what separates
 // results computed against different edge lists under one fingerprint.
 type resultKey struct {

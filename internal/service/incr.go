@@ -158,16 +158,15 @@ func (st *incrState) publishedLabels(fp string, g *bicc.Graph) ([]int32, bool) {
 }
 
 // incrReconstruct builds a full Result from maintained labels for the exact
-// acquired graph pointer, with the algorithm name a scratch run would
-// report. ok=false (state absent, stale, or reconstruction failure) means
-// the caller must run an engine.
-func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm, procs int) (*bicc.Result, bool) {
+// acquired graph pointer, labeled with algo, the engine its cache key names.
+// ok=false (state absent, stale, or reconstruction failure) means the
+// caller must run an engine.
+func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm) (*bicc.Result, bool) {
 	labels, ok := s.incr.publishedLabels(fp, g)
 	if !ok {
 		return nil, false
 	}
-	run := bicc.ResolveAlgorithm(g, algo, procs)
-	res, err := bicc.ReconstructResult(g, run, labels)
+	res, err := bicc.ReconstructResult(g, algo, labels)
 	if err != nil {
 		return nil, false
 	}
@@ -177,9 +176,9 @@ func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm, 
 
 // incrServe is the query fast path: derive the cacheable query result from
 // maintained labels instead of running an engine.
-func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, procs int, include map[string]bool) (*queryResult, bool) {
+func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, include map[string]bool) (*queryResult, bool) {
 	start := time.Now()
-	res, ok := s.incrReconstruct(fp, g, algo, procs)
+	res, ok := s.incrReconstruct(fp, g, algo)
 	if !ok {
 		return nil, false
 	}

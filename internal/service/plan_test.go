@@ -6,8 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,13 +42,12 @@ func postBCCExplain(t *testing.T, ts *httptest.Server, req bccRequest) (*http.Re
 	return resp, data
 }
 
-// TestPlanRunsSequentialAtP1 checks that with the planner enabled an
-// unannotated algorithm:"auto" query pinned to procs 1 dispatches the
-// sequential engine, which beat every parallel engine at p=1 on each input
-// the prior was fitted on, verified through both ?explain=1 and the
-// bicc_plan_* counters.
+// TestPlanRunsSequentialAtP1 checks that an algorithm:"auto" query pinned
+// to procs 1 dispatches the sequential engine, which beat every parallel
+// engine at p=1 on each input the prior was fitted on, verified through
+// both ?explain=1 and the bicc_plan_* counters.
 func TestPlanRunsSequentialAtP1(t *testing.T) {
-	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
+	s, ts := newTestServer(t, Config{})
 	up := uploadGraph(t, ts, denseGraph(), "name=dense4n")
 
 	resp, data := postBCCExplain(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: 1})
@@ -66,7 +64,7 @@ func TestPlanRunsSequentialAtP1(t *testing.T) {
 	if out.Degraded {
 		t.Fatalf("degraded run: %s", data)
 	}
-	if out.Plan == nil || out.Plan.Mode != PlanAdaptive || out.Plan.Engine != "sequential" || out.Plan.Procs != 1 {
+	if out.Plan == nil || out.Plan.Engine != "sequential" || out.Plan.Procs != 1 {
 		t.Fatalf("explain echo: %+v", out.Plan)
 	}
 	if f := out.Plan.Features; f == nil || f.N != 10_000 || f.M != 40_000 || f.DensityClass != 2 {
@@ -86,70 +84,64 @@ func TestPlanRunsSequentialAtP1(t *testing.T) {
 
 // TestPlanExplainMatchesDispatch asserts the ?explain=1 echo always names
 // the engine and procs the request actually ran with — pinned and unpinned,
-// planner on and off, cold and cached — and that the planner routes
-// identical queries identically, so repeats are served from the cache.
+// cold and cached — and that the planner routes identical queries
+// identically, so repeats are served from the cache. The server is built
+// with the deprecated PlanMode value the benchmark still sets, which must
+// leave auto planned as on a default Config.
 func TestPlanExplainMatchesDispatch(t *testing.T) {
-	for _, mode := range []string{PlanAdaptive, PlanOff} {
-		t.Run(mode, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{PlanMode: mode})
-			up := uploadGraph(t, ts, denseGraph(), "")
-			explainAuto := func(procs int) bccResponse {
-				t.Helper()
-				resp, data := postBCCExplain(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: procs})
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("procs=%d: status %d: %s", procs, resp.StatusCode, data)
-				}
-				var out bccResponse
-				if err := json.Unmarshal(data, &out); err != nil {
-					t.Fatal(err)
-				}
-				return out
+	t.Run(PlanAdaptive, func(t *testing.T) {
+		_, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
+		up := uploadGraph(t, ts, denseGraph(), "")
+		explainAuto := func(procs int) bccResponse {
+			t.Helper()
+			resp, data := postBCCExplain(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: procs})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("procs=%d: status %d: %s", procs, resp.StatusCode, data)
 			}
-			for _, procs := range []int{1, 0, 2, 1} { // final 1 repeats: cache hit
-				out := explainAuto(procs)
-				if out.Plan == nil {
-					t.Fatalf("procs=%d: no plan echo: %+v", procs, out)
-				}
-				if out.Plan.Engine != out.Algorithm {
-					t.Fatalf("procs=%d: explain says %q, dispatched %q", procs, out.Plan.Engine, out.Algorithm)
-				}
-				if procs > 0 && out.Plan.Procs != procs {
-					t.Fatalf("procs=%d: explain procs %d", procs, out.Plan.Procs)
-				}
-				if mode == PlanOff {
-					if out.Plan.Mode != PlanOff || out.Plan.Decision != nil {
-						t.Fatalf("off-mode echo: %+v", out.Plan)
-					}
-				} else if out.Plan.Decision == nil || out.Plan.Decision.Engine != out.Algorithm {
-					t.Fatalf("decision echo: %+v vs %q", out.Plan.Decision, out.Algorithm)
-				}
-			}
-			if mode == PlanAdaptive {
-				// Identical unpinned queries: one (engine, procs) every time,
-				// and every repeat after the first served from the cache.
-				first := explainAuto(0)
-				for i := 1; i < 20; i++ {
-					out := explainAuto(0)
-					if out.Plan.Engine != first.Plan.Engine || out.Plan.Procs != first.Plan.Procs {
-						t.Fatalf("repeat %d planned (%s, p=%d), first planned (%s, p=%d)",
-							i, out.Plan.Engine, out.Plan.Procs, first.Plan.Engine, first.Plan.Procs)
-					}
-					if !out.Cached {
-						t.Fatalf("repeat %d missed the cache", i)
-					}
-				}
-			}
-			// Without ?explain=1 the response carries no plan section.
-			_, data := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: 1})
 			var out bccResponse
 			if err := json.Unmarshal(data, &out); err != nil {
 				t.Fatal(err)
 			}
-			if out.Plan != nil {
-				t.Fatalf("plan echo without explain: %s", data)
+			return out
+		}
+		for _, procs := range []int{1, 0, 2, 1} { // final 1 repeats: cache hit
+			out := explainAuto(procs)
+			if out.Plan == nil {
+				t.Fatalf("procs=%d: no plan echo: %+v", procs, out)
 			}
-		})
-	}
+			if out.Plan.Engine != out.Algorithm {
+				t.Fatalf("procs=%d: explain says %q, dispatched %q", procs, out.Plan.Engine, out.Algorithm)
+			}
+			if procs > 0 && out.Plan.Procs != procs {
+				t.Fatalf("procs=%d: explain procs %d", procs, out.Plan.Procs)
+			}
+			if out.Plan.Decision == nil || out.Plan.Decision.Engine != out.Algorithm {
+				t.Fatalf("decision echo: %+v vs %q", out.Plan.Decision, out.Algorithm)
+			}
+		}
+		// Identical unpinned queries: one (engine, procs) every time, and every
+		// repeat after the first served from the cache.
+		first := explainAuto(0)
+		for i := 1; i < 20; i++ {
+			out := explainAuto(0)
+			if out.Plan.Engine != first.Plan.Engine || out.Plan.Procs != first.Plan.Procs {
+				t.Fatalf("repeat %d planned (%s, p=%d), first planned (%s, p=%d)",
+					i, out.Plan.Engine, out.Plan.Procs, first.Plan.Engine, first.Plan.Procs)
+			}
+			if !out.Cached {
+				t.Fatalf("repeat %d missed the cache", i)
+			}
+		}
+		// Without ?explain=1 the response carries no plan section.
+		_, data := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: 1})
+		var out bccResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Plan != nil {
+			t.Fatalf("plan echo without explain: %s", data)
+		}
+	})
 }
 
 // TestPlanAvoidsOpenBreaker is the service-level safety-net property: once
@@ -158,7 +150,7 @@ func TestPlanExplainMatchesDispatch(t *testing.T) {
 // half-open probe budget. procs is pinned to 2, where only the parallel
 // engines, the ones with breakers, are candidates.
 func TestPlanAvoidsOpenBreaker(t *testing.T) {
-	s, ts := newTestServer(t, Config{PlanMode: PlanAdaptive, BreakerThreshold: 3})
+	s, ts := newTestServer(t, Config{BreakerThreshold: 3})
 	up := uploadGraph(t, ts, denseGraph(), "")
 	query := func() bccResponse {
 		t.Helper()
@@ -198,92 +190,91 @@ func TestPlanAvoidsOpenBreaker(t *testing.T) {
 	}
 }
 
-// normalizePlanBCC strips every field that may legitimately differ between a
-// planner-routed query and a statically-routed one: the engine name, procs,
-// timings, serving path, and the plan echo itself. What remains is the
-// answer — which must be byte-identical, since all engines produce the same
-// canonical labeling.
+// normalizePlanBCC strips every field that may legitimately differ between
+// an auto query and one naming a fixed engine: the engine name, timings,
+// serving path, and the plan echo. What remains is the answer — which must
+// be byte-identical, since all engines produce the same canonical labeling.
 func normalizePlanBCC(t *testing.T, data []byte) string {
 	t.Helper()
 	return dropKeys(t, data, "elapsed_ns", "phases", "cached", "incr", "graph", "trace", "algorithm", "plan")
 }
 
-// TestPlanDifferentialAutoOnOff runs the same query and mutation workload
-// against an adaptive-planner server and a planner-off server and asserts
-// every normalized answer is byte-equal: planner choices change latency,
-// never answers. The mutation leg routes the incremental subsystem's
-// degrade-to-full path through the planner as well.
-func TestPlanDifferentialAutoOnOff(t *testing.T) {
-	_, planned := newTestServer(t, Config{PlanMode: PlanAdaptive, IncrThreshold: 0.01})
-	_, static := newTestServer(t, Config{PlanMode: PlanOff, IncrThreshold: 0.01})
-
-	for name, g := range map[string]*bicc.Graph{"small": testGraph(t), "dense": denseGraph()} {
-		upP := uploadGraph(t, planned, g, "")
-		upS := uploadGraph(t, static, g, "")
-		if upP.Fingerprint != upS.Fingerprint {
-			t.Fatalf("%s: fingerprints diverge", name)
-		}
-		// Repeats are served from either server's cache; every answer must
-		// still match the static one.
-		for i := 0; i < 20; i++ {
-			got := normalizePlanBCC(t, queryAll(t, planned, upP.Fingerprint, "auto"))
-			want := normalizePlanBCC(t, queryAll(t, static, upS.Fingerprint, "auto"))
-			if got != want {
-				t.Fatalf("%s iteration %d:\nplanned: %s\nstatic:  %s", name, i, got, want)
+// planAnswers asks ts about graph fp through /v1/bcc and the three
+// per-block endpoints, under auto and then under every fixed engine, and
+// requires every engine's normalized answer on each path to equal auto's.
+// It returns auto's answers, path by path.
+func planAnswers(t *testing.T, ts *httptest.Server, fp string) []string {
+	t.Helper()
+	var out []string
+	// Repeats are served from the cache; every answer must still match.
+	for i := 0; i < 3; i++ {
+		want := normalizePlanBCC(t, queryAll(t, ts, fp, "auto"))
+		for _, a := range bicc.Algorithms() {
+			if got := normalizePlanBCC(t, queryAll(t, ts, fp, a.String())); got != want {
+				t.Fatalf("/v1/bcc round %d, %v:\n%s\nauto:\n%s", i, a, got, want)
 			}
 		}
-		// Mutate both servers identically: intra-block absorbs and a batch
-		// past the tiny threshold, which degrades to a planned full run.
-		deltas := []mutationDelta{
-			{Op: "insert", U: 0, V: int32(g.NumVertices() - 1)},
-			{Op: "insert", U: 1, V: int32(g.NumVertices() - 2)},
-		}
-		mustMutate(t, planned, upP.Fingerprint, deltas)
-		mustMutate(t, static, upS.Fingerprint, deltas)
-		got := normalizePlanBCC(t, queryAll(t, planned, upP.Fingerprint, "auto"))
-		want := normalizePlanBCC(t, queryAll(t, static, upS.Fingerprint, "auto"))
-		if got != want {
-			t.Fatalf("%s after mutation:\nplanned: %s\nstatic:  %s", name, got, want)
-		}
-		// Per-block endpoints resolve Auto through the planner before the
-		// cache lookup, like /v1/bcc; their answers must match the static
-		// server's byte for byte.
-		for _, path := range []string{
-			"/v1/block/0?graph=", "/v1/vertex/0/blocks?graph=", "/v1/vertex/0/articulation?graph=",
-		} {
-			var gm, sm map[string]any
-			if code := getJSON(t, planned.URL+path+upP.Fingerprint, &gm); code != http.StatusOK {
-				t.Fatalf("%s %s: status %d (planned)", name, path, code)
-			}
-			if code := getJSON(t, static.URL+path+upS.Fingerprint, &sm); code != http.StatusOK {
-				t.Fatalf("%s %s: status %d (static)", name, path, code)
-			}
-			for _, k := range []string{"algorithm", "graph"} {
-				delete(gm, k)
-				delete(sm, k)
-			}
-			gb, _ := json.Marshal(gm)
-			sb, _ := json.Marshal(sm)
-			if string(gb) != string(sb) {
-				t.Fatalf("%s %s:\nplanned: %s\nstatic:  %s", name, path, gb, sb)
-			}
+		if i == 0 {
+			out = append(out, want)
 		}
 	}
+	// Per-block endpoints resolve auto through the planner before the cache
+	// lookup, like /v1/bcc.
+	block := func(path, algo string) string {
+		var m map[string]any
+		if code := getJSON(t, ts.URL+path+fp+"&algorithm="+algo, &m); code != http.StatusOK {
+			t.Fatalf("%s under %s: status %d", path, algo, code)
+		}
+		delete(m, "algorithm")
+		delete(m, "graph")
+		b, _ := json.Marshal(m)
+		return string(b)
+	}
+	for _, path := range []string{
+		"/v1/block/0?graph=", "/v1/vertex/0/blocks?graph=", "/v1/vertex/0/articulation?graph=",
+	} {
+		want := block(path, "auto")
+		for _, a := range bicc.Algorithms() {
+			if got := block(path, a.String()); got != want {
+				t.Fatalf("%s under %v:\n%s\nauto:\n%s", path, a, got, want)
+			}
+		}
+		out = append(out, want)
+	}
+	return out
 }
 
-// TestNewRejectsUnknownPlanMode checks that New fails loudly on a plan mode
-// ParsePlanMode rejects, instead of silently routing auto by the static
-// rule.
-func TestNewRejectsUnknownPlanMode(t *testing.T) {
-	for _, mode := range []string{"frozen", "adaptiv"} {
-		t.Run(mode, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if err, ok := r.(error); !ok || !strings.Contains(err.Error(), strconv.Quote(mode)) {
-					t.Fatalf("New(PlanMode %q): recovered %v, want a panic with an error naming the mode", mode, r)
-				}
-			}()
-			New(Config{PlanMode: mode})
+// TestPlanDifferentialAutoVsFixed asserts that whatever the planner picks,
+// an auto query answers byte for byte as every fixed engine does: on
+// /v1/bcc and the per-block endpoints, after upload, after a mutation, and
+// against an upload of the mutated edge list from scratch, where every
+// fixed engine runs on the final graph. The dense graph absorbs the
+// mutation batch; on the small one it passes the tiny threshold, so the
+// incremental subsystem's degrade-to-full path runs the planner's engine.
+func TestPlanDifferentialAutoVsFixed(t *testing.T) {
+	_, ts := newTestServer(t, Config{IncrThreshold: 0.01})
+	for name, g := range map[string]*bicc.Graph{"small": testGraph(t), "dense": denseGraph()} {
+		t.Run(name, func(t *testing.T) {
+			fp := uploadGraph(t, ts, g, "").Fingerprint
+			planAnswers(t, ts, fp)
+
+			n := int32(g.NumVertices())
+			deltas := []mutationDelta{
+				{Op: "insert", U: 0, V: n - 1},
+				{Op: "insert", U: 1, V: n - 2},
+			}
+			mustMutate(t, ts, fp, deltas)
+			mutated := planAnswers(t, ts, fp)
+
+			edges := append(slices.Clone(g.Edges()), bicc.Edge{U: 0, V: n - 1}, bicc.Edge{U: 1, V: n - 2})
+			final, err := bicc.NewGraph(int(n), edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch := planAnswers(t, ts, uploadGraph(t, ts, final, "").Fingerprint)
+			if !slices.Equal(mutated, scratch) {
+				t.Fatalf("mutated graph answers\n%v\nthe final graph uploaded from scratch answers\n%v", mutated, scratch)
+			}
 		})
 	}
 }
@@ -292,7 +283,7 @@ func TestNewRejectsUnknownPlanMode(t *testing.T) {
 // graph a query runs on: the explain echo's n and m follow a mutation's
 // Replace, and a delete followed by a re-upload of the original graph.
 func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{PlanMode: PlanAdaptive})
+	_, ts := newTestServer(t, Config{})
 	const n = 256
 	edges := make([]bicc.Edge, 0, n-1)
 	for v := int32(1); v < n; v++ {
@@ -349,7 +340,7 @@ func TestPlanFeaturesFollowGraphIdentity(t *testing.T) {
 // work proportional to the graph: the plan step allocates nothing, on a
 // resident G(100000, 1000000) as on a 10-edge graph.
 func TestPlanDecideAllocatesNothing(t *testing.T) {
-	s, _ := newTestServer(t, Config{PlanMode: PlanAdaptive})
+	s, _ := newTestServer(t, Config{})
 	big, err := bicc.RandomConnectedGraph(100_000, 1_000_000, 7)
 	if err != nil {
 		t.Fatal(err)

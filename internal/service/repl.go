@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -495,12 +496,13 @@ func (s *Server) Refollow(addr string) error {
 }
 
 // handleFollow serves POST /v1/admin/follow: {"addr": "host:port"}
-// re-points a standby at a new primary's replication listener.
+// re-points a standby at a new primary's replication listener. A body cut
+// short at maxAdminBody fails to decode and re-points nothing.
 func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Addr string `json:"addr"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxAdminBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding follow request: %v", err)
 		return
 	}

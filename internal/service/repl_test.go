@@ -360,6 +360,29 @@ func TestRefollowRetargetsStandby(t *testing.T) {
 	}
 }
 
+// TestFollowRefusesOversizeBody checks that POST /v1/admin/follow reads at
+// most maxAdminBody bytes: a request whose address would be valid but whose
+// body runs past the cap is refused with 400 and re-points nothing.
+func TestFollowRefusesOversizeBody(t *testing.T) {
+	pri, stb := replicaPair(t)
+	body, _ := json.Marshal(map[string]string{
+		"addr": pri.s.ReplAddr(),
+		"pad":  strings.Repeat("x", maxAdminBody),
+	})
+	resp, err := http.Post(stb.ts.URL+"/v1/admin/follow", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("follow with a %d-byte body: status %d, want 400", len(body), resp.StatusCode)
+	}
+	if n := stb.s.repls.Load().refollows.Load(); n != 0 {
+		t.Fatalf("an oversize follow request re-pointed the standby: %d refollows", n)
+	}
+}
+
 // TestStandbyWALIsRecoveryImage: the standby's own data dir must be a valid
 // PR 4 recovery image at all times — a plain (non-replicated) server opened
 // over it recovers exactly the replicated state. Doubles as the boot-replay

@@ -103,10 +103,10 @@ type Config struct {
 	// rebuild; <= 0 means incr.DefaultThreshold, >= 1 never degrades on
 	// size.
 	IncrThreshold float64
-	// PlanMode selects how Auto queries resolve: PlanOff ("" or "off", the
-	// default) keeps the static §4 rule, PlanAdaptive plans engine and
-	// parallelism per request from graph features. New panics on any other
-	// value; validate outside input with ParsePlanMode first.
+	// PlanMode is ignored: every server plans the engine and parallelism
+	// of an auto query from the graph's vertex and edge counts.
+	//
+	// Deprecated: kept so existing callers still compile.
 	PlanMode string
 	// Compute runs one BCC query. Nil means bicc.BiconnectedComponentsCtx;
 	// tests substitute instrumented engines.
@@ -164,9 +164,9 @@ type Server struct {
 	// the process-wide registry.
 	metrics *obs.Registry
 	stats   Stats
-	// breakers guard the parallel algorithms (and auto, which resolves to
-	// one of them); the sequential engine has none — it is the path of last
-	// resort.
+	// breakers guard the parallel engines; the sequential engine has none —
+	// it is the path of last resort. Auto has none either: it resolves to
+	// an engine before anything consults a breaker.
 	breakers map[string]*Breaker
 	draining atomic.Bool
 	// dur is the durable state when EnableDurability has been called, nil
@@ -179,19 +179,13 @@ type Server struct {
 	// decompositions fed by POST /v1/graphs/{fp}/edges. Always on — an
 	// unmutated server pays one nil-map lookup per query.
 	incr *incrState
-	// planner routes Auto queries when Config.PlanMode is PlanAdaptive, nil
-	// otherwise. New sets it once, before the server handles anything.
+	// planner routes Auto queries. New sets it once, before the server
+	// handles anything.
 	planner *plan.Planner
 }
 
 // New returns a Server with the given configuration.
 func New(cfg Config) *Server {
-	mode, err := ParsePlanMode(cfg.PlanMode)
-	if err != nil {
-		// Only a caller bug gets here (bccd validates -plan before calling
-		// New); silently routing auto by the static rule would hide it.
-		panic(fmt.Errorf("service.New: %w", err))
-	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
@@ -203,14 +197,11 @@ func New(cfg Config) *Server {
 	}
 	s.stats = newStats(s.metrics)
 	s.incr = newIncrState(s.metrics, cfg.IncrThreshold)
-	s.breakers[bicc.Auto.String()] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	for _, e := range engine.Parallel() {
 		s.breakers[e.Name] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
-	if mode == PlanAdaptive {
-		// After the breakers: the planner's candidate filter closes over them.
-		s.planner = s.newPlanner()
-	}
+	// After the breakers: the planner's candidate filter closes over them.
+	s.planner = s.newPlanner()
 	s.registerLiveMetrics()
 	return s
 }
@@ -250,20 +241,12 @@ func (s *Server) registerLiveMetrics() {
 	}
 }
 
-// Metrics returns the server's private obs registry, for embedders that
-// compose their own exposition handler.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // MetricsHandler serves the Prometheus text exposition of the process-wide
 // registry (engine, parallel runtime, and fault-injection metrics) merged
 // with this server's request metrics.
 func (s *Server) MetricsHandler() http.Handler {
 	return obs.Handler(obs.Default(), s.metrics)
 }
-
-// Registry exposes the graph registry (the daemon preloads graphs through
-// it).
-func (s *Server) Registry() *Registry { return s.registry }
 
 // Handler returns the HTTP routing for all bccd endpoints, wrapped in the
 // drain gate and the panic-recovery middleware.
@@ -428,6 +411,10 @@ func writeTooLarge(w http.ResponseWriter, err error, limit int64) bool {
 	return true
 }
 
+// maxAdminBody caps the JSON body of the requests that carry only a path
+// or an address: POST /v1/graphs/open and POST /v1/admin/follow.
+const maxAdminBody = 1 << 20
+
 type openRequest struct {
 	Path      string `json:"path"`
 	Format    string `json:"format"`
@@ -448,7 +435,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	clock := newStageClock()
 	var req openRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxAdminBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
@@ -691,23 +678,22 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	defer s.registry.Release(req.Graph)
 
 	// Auto queries resolve to a concrete (engine, procs) pair before the
-	// cache lookup: the planner (when enabled) decides here, exactly once
-	// per request, so the cache key, the dispatched engine, and the explain
-	// echo can never disagree — and planned queries share cache entries
-	// with explicit requests for the same engine.
+	// cache lookup: the planner decides here, exactly once per request, so
+	// the cache key, the dispatched engine, and the explain echo can never
+	// disagree — and planned queries share cache entries with explicit
+	// requests for the same engine.
 	eq := r.URL.Query().Get("explain")
 	explain := eq == "1" || eq == "true"
 	runAlgo, runProcs := algo, procs
 	var planEcho *planExplain
-	if s.planner != nil && algo == bicc.Auto {
+	if algo == bicc.Auto {
 		a, p, f, d := s.planDecide(g, procs, explain)
 		runAlgo, runProcs = a, p
 		if explain {
-			planEcho = &planExplain{Mode: PlanAdaptive, Engine: a.String(), Procs: p, Features: &f, Decision: &d}
+			planEcho = &planExplain{Engine: a.String(), Procs: p, Features: &f, Decision: &d}
 		}
 	} else if explain {
-		resolved := bicc.ResolveAlgorithm(g, algo, procs)
-		planEcho = &planExplain{Mode: PlanOff, Engine: resolved.String(), Procs: par.Procs(procs)}
+		planEcho = &planExplain{Engine: algo.String(), Procs: par.Procs(procs)}
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -744,7 +730,7 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 // exactly g.
 func (s *Server) lookup(ctx context.Context, key resultKey, g *bicc.Graph, include map[string]bool) (*queryResult, Outcome, error) {
 	res, err, outcome := s.cache.Do(ctx, key, func(cctx context.Context) (*queryResult, error) {
-		if qr, ok := s.incrServe(key.fp, g, key.algo, key.procs, include); ok {
+		if qr, ok := s.incrServe(key.fp, g, key.algo, include); ok {
 			return qr, nil
 		}
 		return s.compute(cctx, g, key.algo, key.procs, include)
@@ -874,7 +860,7 @@ func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorit
 	// incremental seeding and degrade-to-full paths — not a query, which
 	// resolves before its cache lookup. Plan it the same way, from g's
 	// counts.
-	if algo == bicc.Auto && s.planner != nil {
+	if algo == bicc.Auto {
 		algo, procs, _, _ = s.planDecide(g, procs, false)
 	}
 	_, adm := obs.StartSpan(ctx, "admission")

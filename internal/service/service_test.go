@@ -591,9 +591,10 @@ func TestQueueFullRejects(t *testing.T) {
 }
 
 // TestHealthzAndStatsz checks that /healthz reports every parallel
-// engine's breaker, that /statsz is gone, and that /metrics carries what it
-// reported: request and computation counts, resident graphs, and a latency
-// histogram per executing engine.
+// engine's breaker and none for auto, that /statsz is gone, and that
+// /metrics carries what it reported: request and computation counts,
+// resident graphs, a latency histogram per executing engine, and the
+// planner's decision counters.
 func TestHealthzAndStatsz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, hz := getHealthz(t, ts)
@@ -632,9 +633,31 @@ func TestHealthzAndStatsz(t *testing.T) {
 			t.Errorf("/metrics missing %q", series)
 		}
 	}
-	// With the planner off (the zero-value default) no plan series exist.
-	if strings.Contains(metrics, "bicc_plan_") {
-		t.Error("/metrics has plan series with the planner off")
+	// The auto query was planned: each planner family appears once, and
+	// the decision is counted once by engine and once by procs.
+	for _, family := range []string{"bicc_plan_decisions_total", "bicc_plan_procs_total", "bicc_plan_fallbacks_total"} {
+		if n := strings.Count(metrics, "# TYPE "+family+" counter\n"); n != 1 {
+			t.Errorf("/metrics has %d %s families, want 1", n, family)
+		}
+	}
+	for _, family := range []string{"bicc_plan_decisions_total{", "bicc_plan_procs_total{"} {
+		var series []string
+		for _, line := range strings.Split(metrics, "\n") {
+			if strings.HasPrefix(line, family) {
+				series = append(series, line)
+			}
+		}
+		if len(series) != 1 || !strings.HasSuffix(series[0], "} 1") {
+			t.Errorf("%s series %q, want one counting 1", family, series)
+		}
+	}
+	// Auto has no breaker: it resolves to an engine before any breaker is
+	// consulted.
+	if _, ok := breakers["auto"]; ok {
+		t.Error("/healthz reports a breaker for auto")
+	}
+	if strings.Contains(metrics, `algorithm="auto"`) {
+		t.Error("/metrics has an auto breaker series")
 	}
 }
 

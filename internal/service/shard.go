@@ -88,7 +88,7 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 		s.stats.shardLatency.Observe(time.Since(start))
 	}
 
-	if s.planner != nil && algo == bicc.Auto {
+	if algo == bicc.Auto {
 		algo, procs, _, _ = s.planDecide(g, procs, false)
 	}
 	key := resultKey{fp: fp, gen: info.Generation, algo: algo, procs: procs}

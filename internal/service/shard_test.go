@@ -197,14 +197,14 @@ func TestShardHTTPDifferential(t *testing.T) {
 // never builds a per-block index.
 func TestShardQueryReusesCachedDecomposition(t *testing.T) {
 	for _, tc := range []struct {
-		mode, algo string
-		procs      int
+		algo  string
+		procs int
 	}{
-		{PlanOff, "tv-opt", 2},
-		{PlanAdaptive, "auto", 0},
+		{"tv-opt", 2},
+		{"auto", 0},
 	} {
-		t.Run(tc.mode+"/"+tc.algo, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{PlanMode: tc.mode})
+		t.Run(tc.algo, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
 			up := uploadGraph(t, ts, testGraph(t), "")
 			for i := 0; i < 2; i++ {
 				if r, body := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: tc.algo, Procs: tc.procs}); r.StatusCode != http.StatusOK {
