@@ -45,7 +45,8 @@ verify:
 	$(GO) run ./cmd/bccverify -trials 500
 
 # Fault-isolation suite: the site × kind × algorithm injection matrix, the
-# supervisor/fallback tests, and the race-enabled service fault hammer.
+# check that every engine-side site fires, the supervisor/fallback tests,
+# and the race-enabled service fault hammer.
 test-faults:
 	$(GO) test -race -run 'Fault|Fallback|Panic|Breaker|Drain|AttemptTimeout' . ./internal/par ./internal/faults ./internal/service
 
@@ -106,8 +107,9 @@ fuzz-graph:
 
 # Connectivity kernel fuzzing. fuzz-conncomp runs conncomp.Link at p = 1,
 # 2 and 4 on arbitrary edge multisets over at most 512 vertices (self-loops,
-# duplicates, both orientations): the labels must equal UnionFind's, and the
-# hooked edges must form a spanning forest.
+# duplicates, both orientations), over every edge and under a drawn edge
+# mask: the labels must equal UnionFind's over the kept edges, and the
+# hooked edges must be kept edges that form a spanning forest of them.
 fuzz-conncomp:
 	$(GO) test ./internal/conncomp -run FuzzNothing -fuzz FuzzLink -fuzztime $(FUZZTIME)
 

@@ -1,6 +1,7 @@
 package bicc
 
 import (
+	"bicc/internal/core"
 	"bicc/internal/graph"
 	"bicc/internal/par"
 	"bicc/internal/prefix"
@@ -33,24 +34,10 @@ func SparseCertificate(g *Graph, opt *Options) (cert *Graph, edgeMap []int32, er
 	m := g.NumEdges()
 	c, _ := g.gr.CSR(p)
 	t := spantree.BFS(p, c)
-	inT := t.TreeEdgeMark(p, m)
-	nontreeIDs := prefix.Compact(p, m, func(i int) bool { return !inT[i] })
-	nontreeEdges := make([]Edge, len(nontreeIDs))
-	par.For(p, len(nontreeIDs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			nontreeEdges[i] = g.gr.Edges[nontreeIDs[i]]
-		}
-	})
-	ff := spantree.SV(p, g.gr.N, nontreeEdges)
-	keep := make([]bool, m)
-	par.For(p, m, func(lo, hi int) {
-		copy(keep[lo:hi], inT[lo:hi])
-	})
-	par.For(p, len(ff.TreeEdges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keep[nontreeIDs[ff.TreeEdges[i]]] = true
-		}
-	})
+	keep := t.TreeEdgeMark(p, m) // T, then T ∪ F
+	for _, id := range core.NontreeForest(nil, p, g.gr.N, g.gr.Edges, keep) {
+		keep[id] = true
+	}
 	edgeMap = prefix.Compact(p, m, func(i int) bool { return keep[i] })
 	edges := make([]Edge, len(edgeMap))
 	par.For(p, len(edgeMap), func(lo, hi int) {

@@ -1,9 +1,10 @@
 // Package conncomp implements connected components: one parallel kernel,
-// Link, a single pass of concurrent union-find that serves both of
-// Tarjan–Vishkin's connectivity steps (the spanning forest of step 1, via
-// spantree.SV, and the components of the auxiliary graph in step 6) and
-// FAST-BCC's skeleton, plus a sequential union-find baseline used as the
-// test oracle and for the sequential comparison runs.
+// Link, a single pass of concurrent union-find over the edges an optional
+// mask keeps. It serves both of Tarjan–Vishkin's connectivity steps (the
+// spanning forest of step 1 and TV-filter's forest of G − T, via
+// spantree.SV, and step 6, whose auxiliary graph is a mask over G's own
+// edges) and FAST-BCC's skeleton, plus a sequential union-find baseline
+// used as the test oracle and for the sequential comparison runs.
 package conncomp
 
 import (
@@ -25,35 +26,37 @@ var siteSV = faults.RegisterSite("conncomp.sv", true)
 // (TV step 6); what runs is Link: each vertex is labeled with the smallest
 // vertex id of its component.
 func ShiloachVishkin(p int, n int32, edges []graph.Edge) []int32 {
-	return ShiloachVishkinC(nil, p, n, edges)
+	return ShiloachVishkinC(nil, p, n, edges, nil)
 }
 
-// ShiloachVishkinC is ShiloachVishkin with cooperative cancellation. When c
-// trips the returned labels are incomplete — callers must check c.Err() and
-// discard them.
-func ShiloachVishkinC(c *par.Canceler, p int, n int32, edges []graph.Edge) []int32 {
+// ShiloachVishkinC is ShiloachVishkin with cooperative cancellation, over
+// the edges mask keeps (nil keeps every edge). When c trips the returned
+// labels are incomplete — callers must check c.Err() and discard them.
+func ShiloachVishkinC(c *par.Canceler, p int, n int32, edges []graph.Edge, mask []bool) []int32 {
 	faults.Inject(c, siteSV, 0, 0)
-	return Link(c, p, n, edges, nil)
+	return Link(c, p, n, edges, mask, nil)
 }
 
 // Link computes connected-component labels with one pass of concurrent
-// union-find over the edges: for each edge, find both roots (halving the
-// path on the way), and if they differ, link the larger root under the
-// smaller with a CAS, retrying the edge when the CAS loses. Every parent
-// pointer goes to a smaller id, so each root is the minimum id of its
-// component, and a last pass points every vertex at its root: the labels are
-// min-id canonical, exactly UnionFind's.
+// union-find over the edges mask keeps (every edge when mask is nil; else
+// mask has one entry per edge and edge i counts only when mask[i]): for
+// each edge, find both roots (halving the path on the way), and if they
+// differ, link the larger root under the smaller with a CAS, retrying the
+// edge when the CAS loses. Every parent pointer goes to a smaller id, so
+// each root is the minimum id of its component, and a last pass points
+// every vertex at its root: the labels are min-id canonical, exactly
+// UnionFind's over the kept edges.
 //
 // A CAS succeeds only on a root and never links a tree into itself, so
 // exactly n − #components links succeed, each merging two trees. When hook
 // is non-nil (length n) it is reset to -1 and the winner of each link writes
 // the edge id into hook[r], r being the root it linked: the recorded edges
-// form a spanning forest.
+// are kept edges and form a spanning forest of them.
 //
 // Edges may repeat, run in both orientations or be self-loops. c is polled
 // per chunk of edges; when it trips, labels and hook are incomplete and
 // callers must check c.Err() and discard them.
-func Link(c *par.Canceler, p int, n int32, edges []graph.Edge, hook []int32) []int32 {
+func Link(c *par.Canceler, p int, n int32, edges []graph.Edge, mask []bool, hook []int32) []int32 {
 	d := make([]int32, n)
 	par.For(p, int(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -67,6 +70,9 @@ func Link(c *par.Canceler, p int, n int32, edges []graph.Edge, hook []int32) []i
 	})
 	par.ForDynamicC(c, p, len(edges), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			if mask != nil && !mask[i] {
+				continue
+			}
 			u, v := edges[i].U, edges[i].V
 			for {
 				u, v = find(d, u), find(d, v)

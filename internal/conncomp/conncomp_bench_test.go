@@ -30,12 +30,12 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		g := in.g
 		b.Run(in.name+"/link/p=1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Link(nil, 1, g.N, g.Edges, nil)
+				Link(nil, 1, g.N, g.Edges, nil, nil)
 			}
 		})
 		b.Run(in.name+"/link/p=max", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Link(nil, p, g.N, g.Edges, nil)
+				Link(nil, p, g.N, g.Edges, nil, nil)
 			}
 		})
 		b.Run(in.name+"/union-find", func(b *testing.B) {
@@ -53,6 +53,6 @@ func BenchmarkLinkChain(b *testing.B) {
 	slices.Reverse(g.Edges)
 	p := runtime.GOMAXPROCS(0)
 	for i := 0; i < b.N; i++ {
-		Link(nil, p, g.N, g.Edges, nil)
+		Link(nil, p, g.N, g.Edges, nil, nil)
 	}
 }

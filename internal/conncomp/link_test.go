@@ -55,23 +55,36 @@ func labelsError(got, want []int32) error {
 	return nil
 }
 
-// linkError runs Link at p workers with and without a hook array and
-// compares both against UnionFind: the labels must be equal, not merely the
-// same partition, and the hooked edges must be a spanning forest whose edge
-// hooked at r lies in r's component.
-func linkError(p int, n int32, edges []graph.Edge) error {
-	want := conncomp.UnionFind(n, edges)
-	if err := labelsError(conncomp.Link(nil, p, n, edges, nil), want); err != nil {
+// linkError runs Link at p workers over the edges mask keeps (nil keeps
+// all), with and without a hook array, and compares both against UnionFind
+// over the kept edges: the labels must be equal, not merely the same
+// partition, and the hooked edges must be kept edges that form a spanning
+// forest of them, the edge hooked at r lying in r's component.
+func linkError(p int, n int32, edges []graph.Edge, mask []bool) error {
+	kept := edges
+	if mask != nil {
+		kept = nil
+		for i, e := range edges {
+			if mask[i] {
+				kept = append(kept, e)
+			}
+		}
+	}
+	want := conncomp.UnionFind(n, kept)
+	if err := labelsError(conncomp.Link(nil, p, n, edges, mask, nil), want); err != nil {
 		return fmt.Errorf("p=%d: %w", p, err)
 	}
 	hook := make([]int32, n)
-	if err := labelsError(conncomp.Link(nil, p, n, edges, hook), want); err != nil {
+	if err := labelsError(conncomp.Link(nil, p, n, edges, mask, hook), want); err != nil {
 		return fmt.Errorf("p=%d with hook: %w", p, err)
 	}
 	var tree []int32
 	for r, id := range hook {
 		if id == -1 {
 			continue
+		}
+		if mask != nil && !mask[id] {
+			return fmt.Errorf("p=%d: hook[%d] = edge %d, which the mask drops", p, r, id)
 		}
 		if e := edges[id]; want[e.U] != want[r] {
 			return fmt.Errorf("p=%d: hook[%d] = edge %d (%d,%d) outside %d's component", p, r, id, e.U, e.V, r)
@@ -86,16 +99,19 @@ func linkError(p int, n int32, edges []graph.Edge) error {
 
 // FuzzLink checks the kernel against its UnionFind oracle on arbitrary edge
 // multisets over n ≤ 512 vertices: self-loops, duplicates and both
-// orientations of a pair, as G′ carries them. Each edge is four bytes, two
-// little-endian endpoints taken mod n.
+// orientations of a pair. Each edge is four bytes, two little-endian
+// endpoints taken mod n. Every input runs twice: over all edges (a nil
+// mask), and under the mask drop draws, which drops edge i when bit i of
+// drop is set (edges past its last bit are kept), as Label-edge's mask and
+// the nontree mask of TV-filter's forest drop edges of G.
 func FuzzLink(f *testing.F) {
-	f.Add(uint16(0), []byte{})
-	f.Add(uint16(5), []byte{})
-	f.Add(uint16(3), []byte{0, 0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 0})      // triangle
-	f.Add(uint16(4), []byte{1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 2, 0})      // self-loop, pair both ways
-	f.Add(uint16(4), []byte{0, 0, 3, 0, 0, 0, 3, 0, 3, 0, 0, 0})      // duplicates
-	f.Add(uint16(511), []byte{255, 1, 0, 0, 254, 1, 255, 1, 7, 0, 6}) // high ids, ragged tail
-	f.Fuzz(func(t *testing.T, nn uint16, data []byte) {
+	f.Add(uint16(0), []byte{}, []byte{})
+	f.Add(uint16(5), []byte{}, []byte{})
+	f.Add(uint16(3), []byte{0, 0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 0}, []byte{0b010})           // triangle, one side dropped
+	f.Add(uint16(4), []byte{1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 2, 0}, []byte{0b100})           // self-loop, pair both ways
+	f.Add(uint16(4), []byte{0, 0, 3, 0, 0, 0, 3, 0, 3, 0, 0, 0}, []byte{0b011})           // duplicates
+	f.Add(uint16(511), []byte{255, 1, 0, 0, 254, 1, 255, 1, 7, 0, 6}, []byte{0xff, 0xff}) // high ids, ragged tail
+	f.Fuzz(func(t *testing.T, nn uint16, data, drop []byte) {
 		n := int32(nn % 513)
 		var edges []graph.Edge
 		if n > 0 {
@@ -105,9 +121,16 @@ func FuzzLink(f *testing.F) {
 				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
+		mask := make([]bool, len(edges))
+		for i := range mask {
+			mask[i] = i/8 >= len(drop) || drop[i/8]>>(i%8)&1 == 0
+		}
 		for _, p := range []int{1, 2, 4} {
-			if err := linkError(p, n, edges); err != nil {
+			if err := linkError(p, n, edges, nil); err != nil {
 				t.Fatal(err)
+			}
+			if err := linkError(p, n, edges, mask); err != nil {
+				t.Fatalf("masked: %v", err)
 			}
 		}
 	})
@@ -138,7 +161,7 @@ func TestLinkContention(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			for rep := 0; rep < 10; rep++ {
-				if err := linkError(4, g.N, g.Edges); err != nil {
+				if err := linkError(4, g.N, g.Edges, nil); err != nil {
 					t.Fatal(err)
 				}
 				f := spantree.SV(4, g.N, g.Edges)

@@ -7,144 +7,94 @@ import (
 	"bicc/internal/treecomp"
 )
 
-// auxGraph is the paper's G' = (V', E'): V' has one vertex per edge of G
-// (tree edge (u,p(u)) ↦ u; the j-th nontree edge ↦ n+j), and E' connects
-// edges of G related under R'c.
-type auxGraph struct {
-	n     int32        // |V'| = n + #nontree
-	edges []graph.Edge // E'
-	ntIdx []int32      // nontree edge i of G ↦ aux vertex n + ntIdx[i]
-	// condCount[k] is the number of R'c pairs contributed by condition k+1
-	// (the per-condition sizes the paper reports for Fig. 1).
-	condCount [3]int
-}
-
-// buildAux implements Algorithm 1, writing G' at its exact size. A first
-// pass over each worker's block of edges counts the pairs each of the
-// three R'c conditions contributes; a scan over the 3×p counts gives every
-// block its output offset per condition; a second pass over the same
-// blocks writes each pair at its final place. E' lists the condition-1
-// pairs, then condition 2, then condition 3, each in edge order. Every
-// nontree edge yields exactly one condition-1 pair, so its condition-1
-// offset is also its number among the nontree edges (the paper's N array).
+// AuxMask is TV's step 5, Label-edge (Alg. 1), with the auxiliary graph
+// G′ kept as a mask over G's own edges. Alg. 1 numbers tree edge (u, p(u))
+// as G′ vertex u, and under that numbering the three R'c conditions (§2,
+// preorder comparisons) read:
 //
-// Conditions (preorder comparisons, per §2):
-//  1. nontree g=(u,v) with pre(v) < pre(u) pairs g with tree edge (u,p(u)).
-//  2. nontree (u,v) with u,v unrelated pairs (u,p(u)) with (v,p(v)).
+//  1. nontree g=(u,v) with pre(v) < pre(u) pairs g with tree edge (u,p(u)):
+//     g is a G′ vertex of degree one, a pendant that never joins two
+//     components, so it needs no edge. EdgeBlocks gives g u's label.
+//  2. nontree (u,v) with u,v unrelated pairs (u,p(u)) with (v,p(v)): G′
+//     vertices u and v, joined by G's own edge (u,v).
 //  3. tree edge (u, v=p(u)) with v not a root pairs (u,p(u)) with (v,p(v))
-//     iff low(u) < pre(v) or high(u) >= pre(v)+size(v).
-func buildAux(p int, edges []graph.Edge, isTree []bool, td *treecomp.TreeData, low, high []int32) *auxGraph {
-	n := td.N
-	m := len(edges)
-	p = par.Procs(p)
-	// next[w][k] counts block w's condition-(k+1) pairs, then holds the
-	// offset of its next one.
-	next := make([][3]int, p)
-	par.ForWorker(p, m, func(w, lo, hi int) {
-		var c [3]int
+//     iff low(u) < pre(v) or high(u) >= pre(v)+size(v): G's own edge (u,v).
+//
+// mask[i] reports whether edge i is a condition-2 or condition-3 pair, so
+// the components of the masked edges over G's n vertices are G′'s
+// components, its pendants aside. A root needs no test: its preorder
+// interval holds its whole component, which low and high never leave.
+//
+// bfs says the tree is a BFS tree. Its nontree edges all join unrelated
+// vertices (Lemma 1), so they need no test; the mask is then FAST-BCC's
+// skeleton. forest, when non-nil, lists the only nontree edges (ids into
+// edges) that are condition-2 candidates: TV-filter runs TV on T ∪ F, and
+// the edges of G − (T ∪ F) are pendants of G′ only. c is polled per chunk;
+// when it trips the mask is incomplete and callers must check c.Err().
+func AuxMask(c *par.Canceler, p int, edges []graph.Edge, isTree []bool, td *treecomp.TreeData,
+	low, high []int32, bfs bool, forest []int32) []bool {
+	pre, size := td.Pre, td.Size
+	mask := make([]bool, len(edges))
+	par.ForC(c, p, len(edges), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := edges[i]
+			u, v := edges[i].U, edges[i].V
 			if isTree[i] {
-				if _, _, ok := cond3(td, low, high, e); ok {
-					c[2]++
+				if pre[u] < pre[v] {
+					u, v = v, u // u is the child
 				}
-				continue
-			}
-			c[0]++
-			if !td.Related(e.U, e.V) {
-				c[1]++
-			}
-		}
-		next[w] = c
-	})
-	aux := &auxGraph{}
-	total := 0
-	for k := range aux.condCount {
-		start := total
-		for w := range next {
-			c := next[w][k]
-			next[w][k] = total
-			total += c
-		}
-		aux.condCount[k] = total - start
-	}
-	out := make([]graph.Edge, total)
-	ntIdx := make([]int32, m)
-	par.ForWorker(p, m, func(w, lo, hi int) {
-		at := next[w]
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if isTree[i] {
-				if u, v, ok := cond3(td, low, high, e); ok {
-					out[at[2]] = graph.Edge{U: u, V: v}
-					at[2]++
-				}
-				continue
-			}
-			u, v := e.U, e.V
-			if td.Pre[u] < td.Pre[v] {
-				u, v = v, u
-			}
-			ntIdx[i] = int32(at[0])
-			out[at[0]] = graph.Edge{U: u, V: n + int32(at[0])}
-			at[0]++
-			if !td.Related(u, v) {
-				out[at[1]] = graph.Edge{U: u, V: v}
-				at[1]++
+				mask[i] = low[u] < pre[v] || high[u] >= pre[v]+size[v]
+			} else if forest == nil {
+				mask[i] = bfs || !td.Related(u, v)
 			}
 		}
 	})
-	aux.n, aux.edges, aux.ntIdx = n+int32(aux.condCount[0]), out, ntIdx
-	return aux
+	par.ForC(c, p, len(forest), func(lo, hi int) {
+		for _, i := range forest[lo:hi] {
+			mask[i] = bfs || !td.Related(edges[i].U, edges[i].V)
+		}
+	})
+	return mask
 }
 
-// cond3 orders tree edge e as (child u, parent v) and reports whether it
-// meets condition 3.
-func cond3(td *treecomp.TreeData, low, high []int32, e graph.Edge) (u, v int32, ok bool) {
-	u, v = e.U, e.V
-	if td.Parent[u] != v {
-		u, v = v, u
-	}
-	return u, v, !td.IsRoot(v) && (low[u] < td.Pre[v] || high[u] >= td.Pre[v]+td.Size[v])
+// EdgeBlocks is the label pass that follows the components of the masked
+// edges (labels, by vertex): edge i takes the label of its larger-preorder
+// endpoint. For a tree edge (u, p(u)) that is the child u, the edge's own
+// G′ vertex; for a nontree edge it is the tree edge it hangs off by
+// condition 1. A masked edge joins its endpoints, so either label will do
+// and it reads no preorder. Labels stay raw; FinishResult densifies them.
+// c is polled like AuxMask's.
+func EdgeBlocks(c *par.Canceler, p int, edges []graph.Edge, mask []bool, pre, labels []int32) []int32 {
+	edgeComp := make([]int32, len(edges))
+	par.ForC(c, p, len(edges), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u, v := edges[i].U, edges[i].V
+			if !mask[i] && pre[v] > pre[u] {
+				u = v
+			}
+			edgeComp[i] = labels[u]
+		}
+	})
+	return edgeComp
 }
 
-// tvTail finishes any TV variant: build G' (Label-edge step), run
-// conncomp's union-find kernel on it (Connected-components step),
-// and write raw component labels into edgeComp. sw records the two phases.
-// origID maps local edge indices to positions in edgeComp (nil means
-// identity); TV-filter uses it to overlay results computed on the reduced
-// graph onto the full edge list. Labels are raw (not densified) so callers
-// can keep translating filtered edges before calling FinishResult.
+// tvTail finishes any TV variant: the mask (Label-edge step), then
+// conncomp's union-find kernel over the masked edges of G and the label pass
+// (Connected-components step). sw records the two phases. bfs and forest
+// are AuxMask's.
 func tvTail(c *par.Canceler, p int, sw *Stopwatch, edges []graph.Edge, isTree []bool,
-	td *treecomp.TreeData, low, high []int32, edgeComp []int32, origID []int32) {
-	aux := buildAux(p, edges, isTree, td, low, high)
-	sw.Lap(PhaseLabelEdge)
-	labels := conncomp.ShiloachVishkinC(c, p, aux.n, aux.edges)
+	td *treecomp.TreeData, low, high []int32, bfs bool, forest []int32) []int32 {
+	mask := AuxMask(c, p, edges, isTree, td, low, high, bfs, forest)
 	if c.Err() != nil {
-		return
+		return nil
 	}
-	n := td.N
-	par.For(p, len(edges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var auxID int32
-			if isTree[i] {
-				e := edges[i]
-				child := e.U
-				if td.Parent[child] != e.V {
-					child = e.V
-				}
-				auxID = child
-			} else {
-				auxID = n + aux.ntIdx[i]
-			}
-			pos := int32(i)
-			if origID != nil {
-				pos = origID[i]
-			}
-			edgeComp[pos] = labels[auxID]
-		}
-	})
+	sw.Lap(PhaseLabelEdge)
+	labels := conncomp.ShiloachVishkinC(c, p, td.N, edges, mask)
+	if c.Err() != nil {
+		return nil
+	}
+	edgeComp := EdgeBlocks(c, p, edges, mask, td.Pre, labels)
 	sw.Lap(PhaseConnComp)
+	return edgeComp
 }
 
 // FinishResult densifies the raw component labels into first-occurrence

@@ -13,7 +13,8 @@ import (
 // 4, 4 and 3 pairs from conditions 1, 2 and 3 — and its auxiliary graph
 // has 10 vertices (one per edge) and 11 edges. G2, obtained by deleting the
 // non-essential nontree edges e1 and e2, has R'c of size 7 (2, 2, 3) and an
-// 8-vertex, 7-edge auxiliary graph.
+// 8-vertex, 7-edge auxiliary graph. The counts come from Label-edge's mask
+// and the nontree count.
 //
 // Reconstruction of Fig. 1 from the condition lists: the tree is a root r
 // with three chains below it — t1=(x1,r), t3=(y1,x1); t5=(x2,r),
@@ -63,21 +64,22 @@ func TestPaperFigure1(t *testing.T) {
 		}
 		isTree := f.TreeEdgeMark(1, len(g.Edges))
 		low, high := treecomp.LowHigh(1, td, g.Edges, isTree)
-		aux := buildAux(1, g.Edges, isTree, td, low, high)
+		mask := AuxMask(nil, 1, g.Edges, isTree, td, low, high, false, nil)
+		cond := maskConds(isTree, mask, nil)
 		for k := 0; k < 3; k++ {
-			if aux.condCount[k] != wantCond[k] {
+			if cond[k] != wantCond[k] {
 				t.Errorf("%s: condition %d contributes %d pairs, paper says %d",
-					name, k+1, aux.condCount[k], wantCond[k])
+					name, k+1, cond[k], wantCond[k])
 			}
 		}
-		// |V'| = one vertex per edge of G: n tree-edge slots are vertex ids
-		// of children; the paper counts only used ids (one per edge).
-		usedAux := len(tree) + len(nontree)
-		if usedAux != wantAuxV {
-			t.Errorf("%s: aux graph should have %d used vertices, got %d", name, wantAuxV, usedAux)
+		// |V'| = one vertex per edge of G. |E'| = one condition-1 pair per
+		// nontree edge (the pendants the mask leaves out) plus the masked
+		// edges.
+		if auxV := len(g.Edges); auxV != wantAuxV {
+			t.Errorf("%s: aux graph should have %d vertices, got %d", name, wantAuxV, auxV)
 		}
-		if len(aux.edges) != wantAuxE {
-			t.Errorf("%s: aux graph has %d edges, paper says %d", name, len(aux.edges), wantAuxE)
+		if auxE := cond[0] + cond[1] + cond[2]; auxE != wantAuxE {
+			t.Errorf("%s: aux graph has %d edges, paper says %d", name, auxE, wantAuxE)
 		}
 		// Both graphs are biconnected: the pipeline must report one block.
 		res, err := Custom(1, graph.Wrap(g), TVOptConfig())

@@ -8,7 +8,6 @@ import (
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
-	"bicc/internal/prefix"
 	"bicc/internal/spantree"
 	"bicc/internal/treecomp"
 )
@@ -83,16 +82,16 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 		c          *graph.CSR
 		rooted     *spantree.RootedForest
 		linkedTour *eulertour.Tour
-		mGlobal    = len(g.Edges)
+		m          = len(g.Edges)
 	)
 	switch cfg.SpanningTree {
 	case SpanSV:
-		f := spantree.SVC(cfg.Cancel, p, g.N, g.Edges)
+		f := spantree.SVC(cfg.Cancel, p, g.N, g.Edges, nil)
 		if err := cfg.Cancel.Err(); err != nil {
 			return nil, err
 		}
 		roots := rootsFromLabels(f.Labels)
-		isTree = f.Mark(p, mGlobal)
+		isTree = f.Mark(p, m)
 		sw.Lap(PhaseSpanningTree)
 		linkedTour, err = eulertour.FromForest(p, g.N, g.Edges, f.TreeEdges, roots)
 		if err != nil {
@@ -113,7 +112,7 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 		if err := cfg.Cancel.Err(); err != nil {
 			return nil, err
 		}
-		isTree = rooted.TreeEdgeMark(p, mGlobal)
+		isTree = rooted.TreeEdgeMark(p, m)
 		sw.Lap(PhaseSpanningTree)
 	default:
 		return nil, fmt.Errorf("core: unknown spanning tree kind %d", cfg.SpanningTree)
@@ -124,13 +123,10 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	}
 
 	// Optional filtering (between tree construction and the tour, as in
-	// Alg. 2).
-	edges := g.Edges
-	edgeIsTree := isTree
-	var origID []int32 // reduced -> global edge ids
-	var keep []bool
+	// Alg. 2): F, a spanning forest of G − T, by edge ids into G.
+	var forest []int32
 	if cfg.Filter {
-		edges, edgeIsTree, origID, keep = filterNonEssential(cfg.Cancel, p, g.EdgeList, rooted, isTree)
+		forest = NontreeForest(cfg.Cancel, p, g.N, g.Edges, isTree)
 		if err := cfg.Cancel.Err(); err != nil {
 			return nil, err
 		}
@@ -166,14 +162,23 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	}
 	sw.Lap(PhaseRoot)
 
-	// Step 4: low/high. A rooted, unfiltered run (TV-opt) seeds from the CSR
-	// it already holds; TV-SMP has no adjacency and TV-filter's G′ is not
-	// the CSR's graph, so both seed from their edge lists.
+	// Step 4: low/high. TV-opt seeds from the CSR it already holds. TV-SMP
+	// has no adjacency and TV-filter's T ∪ F is not the CSR's graph, so both
+	// seed from an edge list: G's nontree edges, or F's edges.
 	var low, high []int32
-	if rooted != nil && !cfg.Filter {
+	switch {
+	case cfg.Filter:
+		fe := make([]graph.Edge, len(forest))
+		par.For(p, len(forest), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				fe[i] = g.Edges[forest[i]]
+			}
+		})
+		low, high = treecomp.LowHigh(p, td, fe, make([]bool, len(fe)))
+	case rooted != nil:
 		low, high = treecomp.LowHighCSR(p, td.Pre, td.Size, td.Parent, c)
-	} else {
-		low, high = treecomp.LowHigh(p, td, edges, edgeIsTree)
+	default:
+		low, high = treecomp.LowHigh(p, td, g.Edges, isTree)
 	}
 	faults.Inject(cfg.Cancel, sitePhase, 0, 3)
 	if err := cfg.Cancel.Err(); err != nil {
@@ -181,67 +186,29 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	}
 	sw.Lap(PhaseLowHigh)
 
-	// Steps 5–6 plus the filtered-edge relabeling.
-	edgeComp := make([]int32, mGlobal)
-	tvTail(cfg.Cancel, p, sw, edges, edgeIsTree, td, low, high, edgeComp, origID)
+	// Steps 5–6 over G's own edges. TV-filter's filtered edges get their
+	// labels in the same pass as every other edge (Alg. 2's step 4 is
+	// condition 1).
+	edgeComp := tvTail(cfg.Cancel, p, sw, g.Edges, isTree, td, low, high, cfg.SpanningTree == SpanBFS, forest)
 	faults.Inject(cfg.Cancel, sitePhase, 0, 4)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.Filter {
-		par.For(p, mGlobal, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if keep[i] {
-					continue
-				}
-				e := g.Edges[i]
-				u := e.U
-				if td.Pre[e.V] > td.Pre[u] {
-					u = e.V
-				}
-				edgeComp[i] = edgeComp[rooted.ParentEdge[u]]
-			}
-		})
-		sw.Lap(PhaseFiltering)
-	}
 	return FinishResult(edgeComp, sw), nil
 }
 
-// filterNonEssential implements steps 1–2 of Alg. 2 given the BFS tree:
-// compute a spanning forest F of G−T and keep only T ∪ F. It returns the
-// reduced edge list, its tree mask, the reduced→global id map, and the
-// global keep mask.
-func filterNonEssential(c *par.Canceler, p int, g *graph.EdgeList, t *spantree.RootedForest, inT []bool) (
-	reduced []graph.Edge, reducedIsTree []bool, origID []int32, keep []bool) {
-	m := len(g.Edges)
-	nontreeIDs := prefix.Compact(p, m, func(i int) bool { return !inT[i] })
-	nontreeEdges := make([]graph.Edge, len(nontreeIDs))
-	par.For(p, len(nontreeIDs), func(lo, hi int) {
+// NontreeForest is step 2 of Alg. 2 and the F of every T ∪ F certificate:
+// a spanning forest of G − T, T being the tree whose edges inT marks. It
+// runs conncomp.Link over G's own edges under the nontree mask, so the
+// returned forest edges are ids into edges, and Link meets the nontree
+// edges in edge order. When c trips the forest is incomplete and callers
+// must check c.Err().
+func NontreeForest(c *par.Canceler, p int, n int32, edges []graph.Edge, inT []bool) []int32 {
+	nontree := make([]bool, len(edges))
+	par.For(p, len(edges), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			nontreeEdges[i] = g.Edges[nontreeIDs[i]]
+			nontree[i] = !inT[i]
 		}
 	})
-	ff := spantree.SVC(c, p, g.N, nontreeEdges)
-	if c.Err() != nil {
-		return nil, nil, nil, make([]bool, m)
-	}
-	keep = make([]bool, m)
-	par.For(p, m, func(lo, hi int) {
-		copy(keep[lo:hi], inT[lo:hi])
-	})
-	par.For(p, len(ff.TreeEdges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keep[nontreeIDs[ff.TreeEdges[i]]] = true
-		}
-	})
-	origID = prefix.Compact(p, m, func(i int) bool { return keep[i] })
-	reduced = make([]graph.Edge, len(origID))
-	reducedIsTree = make([]bool, len(origID))
-	par.For(p, len(origID), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			reduced[i] = g.Edges[origID[i]]
-			reducedIsTree[i] = inT[origID[i]]
-		}
-	})
-	return reduced, reducedIsTree, origID, keep
+	return spantree.SVC(c, p, n, edges, nontree).TreeEdges
 }

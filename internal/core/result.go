@@ -2,8 +2,9 @@
 // the sequential Hopcroft–Tarjan baseline ("Sequential" in Fig. 3), the
 // direct SMP emulation of Tarjan–Vishkin (TV-SMP, §3.1), the optimized
 // adaptation (TV-opt, §3.2), and the new edge-filtering algorithm
-// (TV-filter, §4 / Alg. 2), plus the auxiliary-graph construction of
-// Alg. 1 shared by all TV variants.
+// (TV-filter, §4 / Alg. 2), plus Alg. 1's auxiliary graph as a mask over
+// G's own edges and the label pass after it, shared by all TV variants and
+// FAST-BCC.
 package core
 
 import (

@@ -10,9 +10,12 @@ package core
 //  3. Root-tree / tree computations via Helman–JáJá list ranking on the
 //     linked tour.
 //  4. Low-high.
-//  5. Label-edge (Alg. 1).
-//  6. Connected-components of G' via conncomp.Link (one pass of concurrent
-//     union-find in place of Shiloach–Vishkin's graft-and-shortcut rounds).
+//  5. Label-edge (Alg. 1), written as a mask over G's own edges: G′'s
+//     condition-2 and condition-3 pairs are edges of G (AuxMask).
+//  6. Connected-components of G′ via conncomp.Link over the masked edges of
+//     G (one pass of concurrent union-find in place of Shiloach–Vishkin's
+//     graft-and-shortcut rounds), then one label pass (EdgeBlocks) that
+//     reads condition 1.
 //
 // It is the baseline whose parallel overheads the paper measures: the sort
 // in step 2 and the list ranking in step 3 are the costs TV-opt removes.

@@ -3,9 +3,9 @@
 // Parallel Biconnectivity" (FAST-BCC) — the fifth engine preset, sitting
 // next to the paper's TV variants.
 //
-// Where every TV variant materializes an Euler tour, ranks it, and builds
-// the auxiliary graph G' (up to 3m staged edges), FAST-BCC works directly
-// on a BFS spanning forest:
+// Where TV-SMP roots an unrooted forest through a sorted Euler tour and
+// list ranking, and TV-filter first shrinks G to T ∪ F, FAST-BCC works
+// directly on a BFS spanning forest of all of G:
 //
 //  1. BFS spanning forest (reusing internal/spantree). In a BFS tree every
 //     non-tree edge connects vertices whose levels differ by at most one,
@@ -26,12 +26,16 @@
 //     completed strictly inside subtree(u), so it must not leak
 //     connectivity upward; bridges are the degenerate fences whose
 //     subtree has no escaping edge at all.
-//  4. Skeleton connectivity: the skeleton graph keeps all non-tree (cross)
-//     edges plus the non-fence ("plain") tree edges. Connected components
-//     of the skeleton (internal/conncomp's union-find kernel), read at the
-//     child endpoint of each tree edge, are exactly the blocks.
-//  5. Labels map back onto the original edge list: tree edge (v,p(v))
-//     takes v's component, a cross edge takes either endpoint's (they are
+//  4. Skeleton connectivity: the skeleton keeps all non-tree (cross) edges
+//     plus the non-fence ("plain") tree edges. That is TV's Label-edge mask
+//     (core.AuxMask) on a BFS tree: a plain tree edge meets condition 3,
+//     and a cross edge joins unrelated vertices. Connected components of
+//     the skeleton (internal/conncomp's union-find kernel, run over g's own
+//     edges under the mask), read at the child endpoint of each tree edge,
+//     are exactly the blocks.
+//  5. Labels map back onto the original edge list by TV's label pass
+//     (core.EdgeBlocks): tree edge (v,p(v)) takes v's component, a cross
+//     edge takes its larger-preorder endpoint's (both endpoints are
 //     skeleton-connected by the edge itself). core.FinishResult densifies
 //     into the canonical first-occurrence numbering, so the result is
 //     byte-identical to every other engine regardless of which BFS tree
@@ -39,9 +43,8 @@
 //
 // Total work is O(n + m), with O(diameter) parallel rounds in the BFS, four
 // sequential O(n) passes for the labels and a constant number of rounds in
-// low/high, and no super-linear staging area — the space efficiency the
-// paper's title refers to, and the reason its constant factor beats the TV
-// stack.
+// low/high, and no staging area beyond one byte per edge for the skeleton
+// mask — the space efficiency the paper's title refers to.
 package fastbcc
 
 import (
@@ -51,7 +54,6 @@ import (
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
-	"bicc/internal/prefix"
 	"bicc/internal/spantree"
 	"bicc/internal/treecomp"
 )
@@ -109,12 +111,11 @@ func Run(p int, g *graph.Graph, cfg Config) (res *core.Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	first, size := td.Pre, td.Size
 	sw.Lap(core.PhaseRoot)
 
 	// Phase 3: low/high, seeded from each vertex's own arcs and folded over
 	// the preorder intervals (treecomp's kernel, shared with TV).
-	low, high := treecomp.LowHighCSR(p, first, size, f.Parent, c)
+	low, high := treecomp.LowHighCSR(p, td.Pre, td.Size, f.Parent, c)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
@@ -125,69 +126,29 @@ func Run(p int, g *graph.Graph, cfg Config) (res *core.Result, err error) {
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
-	inSkel := make([]bool, m)
-	par.ForC(cfg.Cancel, p, m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !isTree[i] {
-				// A BFS tree has no back edges, so every non-tree edge is a
-				// cross edge and belongs to the skeleton.
-				inSkel[i] = true
-				continue
-			}
-			v := childOf(f, g.Edges[i], int32(i))
-			u := f.Parent[v]
-			// Plain (non-fence) tree edge: some edge from subtree(v)
-			// escapes subtree(u), so (v,u) and (u,p(u)) share a block.
-			if low[v] < first[u] || high[v] > first[u]+size[u]-1 {
-				inSkel[i] = true
-			}
-		}
-	})
+	// The skeleton is TV's Label-edge mask on a BFS tree: a plain tree edge
+	// is one that meets condition 3, and every nontree edge is a cross edge.
+	inSkel := core.AuxMask(cfg.Cancel, p, g.Edges, isTree, td, low, high, true, nil)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
-	skelIDs := prefix.Compact(p, m, func(i int) bool { return inSkel[i] })
-	skel := make([]graph.Edge, len(skelIDs))
-	par.For(p, len(skelIDs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			skel[i] = g.Edges[skelIDs[i]]
-		}
-	})
 	sw.Lap(core.PhaseSkeleton)
 
-	// Phase 5: connected components of the skeleton are the blocks.
-	labels := conncomp.ShiloachVishkinC(cfg.Cancel, p, g.N, skel)
+	// Phase 5: connected components of the skeleton, linked over g's own
+	// edges under the mask, are the blocks.
+	labels := conncomp.ShiloachVishkinC(cfg.Cancel, p, g.N, g.Edges, inSkel)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
 	sw.Lap(core.PhaseConnComp)
 
-	// Phase 6: map component labels back onto the edge list. A tree edge is
-	// labeled at its child endpoint; a cross edge is itself a skeleton edge,
-	// so both endpoints carry the same label and either works.
-	edgeComp := make([]int32, m)
-	par.ForC(cfg.Cancel, p, m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := g.Edges[i]
-			if isTree[i] {
-				edgeComp[i] = labels[childOf(f, e, int32(i))]
-			} else {
-				edgeComp[i] = labels[e.U]
-			}
-		}
-	})
+	// Phase 6: map component labels back onto the edge list with TV's label
+	// pass. A tree edge is labeled at its child endpoint; a cross edge is
+	// itself a skeleton edge, so either endpoint would do.
+	edgeComp := core.EdgeBlocks(cfg.Cancel, p, g.Edges, inSkel, td.Pre, labels)
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
 	sw.Lap(core.PhaseLabelEdge)
 	return core.FinishResult(edgeComp, sw), nil
-}
-
-// childOf returns the child endpoint of tree edge e (edge id i): the
-// endpoint whose parent edge is i.
-func childOf(f *spantree.RootedForest, e graph.Edge, i int32) int32 {
-	if f.ParentEdge[e.U] == i {
-		return e.U
-	}
-	return e.V
 }

@@ -126,6 +126,73 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// unreachedSites names every registered site that no engine run reaches,
+// with the reason. Every other site must fire during an engine run.
+var unreachedSites = map[string]string{
+	"durable.wal.header":  "bccd's write-ahead log, not an engine",
+	"durable.wal.payload": "bccd's write-ahead log, not an engine",
+	"durable.wal.sync":    "bccd's write-ahead log, not an engine",
+	"durable.snap.write":  "bccd's snapshots, not an engine",
+	"durable.snap.rename": "bccd's snapshots, not an engine",
+	"wal.verify":          "the scrubber's read path, not an engine",
+	"repl.ship":           "replication, not an engine",
+	"repl.ack":            "replication, not an engine",
+	"repl.ring":           "replication, not an engine",
+	"repl.promote":        "replication failover, not an engine",
+	"incr.apply":          "incremental mutations; TestFaultMatrixIncr reaches it",
+	"incr.rebuild":        "incremental mutations; TestFaultMatrixIncr reaches it",
+	"shard.build":         "the block index; TestFaultMatrixShardBuild reaches it",
+	"listrank.wyllie":     "eulertour.Sequence always asks for Helman–JáJá; only ablations rank with Wyllie",
+	"psort.radix":         "TV-SMP's tour sorts with sample sort; only ablations radix-sort",
+	"prefix.compact":      "no engine compacts edges; the derived views (articulation points, bridges) and SparseCertificate do",
+}
+
+// TestFaultSitesReached catches a fault site that stops firing: the matrix
+// above accepts a correct answer, and a site nothing calls always yields
+// one. It runs every engine at p = 1 and 2 on matrixGraph, and on a 48×48
+// mesh whose tour is long enough for TV-SMP to sample-sort it, under one
+// KindCorrupt rule per registered site; such a rule does nothing at a plain
+// Inject site, but Fired counts it. Every site outside unreachedSites must
+// fire, and none in it may.
+func TestFaultSitesReached(t *testing.T) {
+	defer faults.Deactivate()
+	rules := map[string]*faults.Rule{}
+	plan := &faults.Plan{Seed: 1}
+	for _, site := range faults.Sites() {
+		if strings.HasPrefix(site, "test.") {
+			continue
+		}
+		r := faults.NewRule(faults.KindCorrupt, site)
+		rules[site] = r
+		plan.Rules = append(plan.Rules, r)
+	}
+	mesh, err := bicc.MeshGraph(48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Activate(plan)
+	for _, g := range []*bicc.Graph{matrixGraph(t), mesh} {
+		for _, algo := range bicc.Algorithms() {
+			for _, p := range []int{1, 2} {
+				if _, err := bicc.BiconnectedComponentsCtx(context.Background(), g,
+					&bicc.Options{Algorithm: algo, Procs: p}); err != nil {
+					t.Fatalf("%v at p=%d: %v", algo, p, err)
+				}
+			}
+		}
+	}
+	faults.Deactivate()
+	for site, r := range rules {
+		why, listed := unreachedSites[site]
+		switch {
+		case listed && r.Fired() > 0:
+			t.Errorf("%s fired %d times, but is listed as unreached (%s)", site, r.Fired(), why)
+		case !listed && r.Fired() == 0:
+			t.Errorf("%s never fired in an engine run", site)
+		}
+	}
+}
+
 // TestFaultMatrixShardBuild extends the matrix past the engines to the
 // block index's build site, shard.build: for every fault kind and every
 // algorithm's decomposition, a faulted BuildBlockIndex must return a typed

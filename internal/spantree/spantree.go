@@ -62,16 +62,17 @@ func (f *RootedForest) IsRoot(v int32) bool { return f.Parent[v] == v }
 // successful link merges two distinct trees, and the edge that caused it is
 // a forest edge. Exactly n - #components links succeed.
 func SV(p int, n int32, edges []graph.Edge) *Forest {
-	return SVC(nil, p, n, edges)
+	return SVC(nil, p, n, edges, nil)
 }
 
-// SVC is SV with cooperative cancellation, polled inside the edge scan. When
-// c trips the returned forest is incomplete — callers must check c.Err() and
-// discard it.
-func SVC(c *par.Canceler, p int, n int32, edges []graph.Edge) *Forest {
+// SVC is SV with cooperative cancellation, polled inside the edge scan,
+// over the edges mask keeps (nil keeps every edge); tree edge ids still
+// index edges. When c trips the returned forest is incomplete — callers
+// must check c.Err() and discard it.
+func SVC(c *par.Canceler, p int, n int32, edges []graph.Edge, mask []bool) *Forest {
 	faults.Inject(c, siteSV, 0, 0)
 	hook := make([]int32, n) // hook[r] = edge id whose link removed root r
-	d := conncomp.Link(c, p, n, edges, hook)
+	d := conncomp.Link(c, p, n, edges, mask, hook)
 	tree := make([]int32, 0, n)
 	for v := int32(0); v < n; v++ {
 		if hook[v] != -1 {
