@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet loc clean
+.PHONY: all build test test-benchmark race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-obs lint-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt fmt-check vet loc clean
 
 all: build test
 
@@ -60,15 +60,6 @@ bench-json:
 	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	echo "bench-json: writing BENCH_$$n.json"; \
 	bash benchmark/run.sh -workload all -o BENCH_$$n.json
-
-# FAST-BCC suite: the skeleton engine's differential families (byte-equality
-# vs the sequential oracle), its fault-containment and phase tests, the
-# cross-engine canonical-labeling check, and the engine rows it adds to the
-# fault matrix — race-enabled.
-test-fastbcc:
-	$(GO) test -race ./internal/fastbcc -count=1
-	$(GO) test -race -run 'CanonicalLabels' ./internal/core -count=1
-	$(GO) test -race -run 'ParseAlgorithm|FuzzFastBCC' . -count=1
 
 # Observability suite: the obs registry/exposition/trace tests (race-enabled,
 # including the concurrent Observe-vs-scrape check) and the service's
@@ -266,7 +257,7 @@ lint-obs:
 # bit-rot chaos harness + repl frame fuzzing), the planner suite (golden
 # decision table + differential harness + decision fuzzing), and the
 # benchmark module's tests.
-ci: fmt-check vet lint-obs race verify test-fastbcc test-faults test-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
+ci: fmt-check vet lint-obs race verify test-faults test-obs fuzz-durable fuzz-graph fuzz-conncomp fuzz-treecomp fuzz-engines test-shard fuzz-blockindex test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan test-benchmark
 
 fmt:
 	gofmt -l -w .

@@ -5,7 +5,7 @@
 // optimized adaptation (TV-opt), the paper's new edge-filtering algorithm
 // (TV-filter), and the sequential Hopcroft–Tarjan baseline — plus the
 // skeleton-based FAST-BCC engine (fast-bcc) from the follow-on literature,
-// which drops the Euler-tour/list-ranking stack entirely.
+// which runs the same pipeline on a BFS tree of all of G, unfiltered.
 //
 // A biconnected component (block) is a maximal subgraph that remains
 // connected after removing any single vertex. Every edge of a simple graph
@@ -164,11 +164,12 @@ const (
 	// then label the filtered edges by condition 1.
 	TVFilter
 	// FastBCC is the skeleton-based algorithm of Dong, Wang, Gu & Sun
-	// ("Provably Fast and Space-Efficient Parallel Biconnectivity"): a BFS
-	// forest, preorder/low/high labels from O(n) passes instead of an
-	// Euler tour, and connected components over the fence-free skeleton
-	// graph. Same canonical output as every other engine, without the
-	// tour/list-ranking constant factor.
+	// ("Provably Fast and Space-Efficient Parallel Biconnectivity"): the
+	// TV pipeline on a BFS forest of all of G, numbered by O(n) passes
+	// instead of an Euler tour, with connected components over the
+	// skeleton: the nontree edges and the tree edges that are not fences,
+	// which is Label-edge's mask on that tree. It is TV-filter without the
+	// filter.
 	FastBCC
 )
 

@@ -25,16 +25,6 @@ func parallelAlgorithms() []Algorithm {
 	return out
 }
 
-// panicSite is a fault site the given parallel engine is guaranteed to
-// cross: the TV family shares the core pipeline, fast-bcc has its own
-// skeleton phase.
-func panicSite(algo Algorithm) string {
-	if algo == FastBCC {
-		return "fastbcc.skeleton"
-	}
-	return "core.pipeline"
-}
-
 // oracleCheck runs the full scrubber oracle over a labeling: reconstruct,
 // verify, and cross-check the aggregates against a decomposition of the
 // sparse certificate.
@@ -111,8 +101,7 @@ func TestOracleAcceptsDegradedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range parallelAlgorithms() {
-		faults.Activate(&faults.Plan{Seed: 1,
-			Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, panicSite(algo))}})
+		faults.Activate(pipelinePanicPlan())
 		res, err := BiconnectedComponentsCtx(context.Background(), g,
 			&Options{Algorithm: algo, Procs: 4, Fallback: FallbackSequential})
 		faults.Deactivate()
@@ -152,8 +141,7 @@ func TestOracleRejectsTamperedLabelings(t *testing.T) {
 	}
 
 	// Degraded flavor: tamper a fallback-produced result.
-	faults.Activate(&faults.Plan{Seed: 1,
-		Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, panicSite(FastBCC))}})
+	faults.Activate(pipelinePanicPlan())
 	res, err := BiconnectedComponentsCtx(context.Background(), g,
 		&Options{Algorithm: FastBCC, Procs: 2, Fallback: FallbackSequential})
 	faults.Deactivate()

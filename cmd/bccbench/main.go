@@ -5,10 +5,10 @@
 // sequential baseline, swept over processor counts up to -maxprocs.
 //
 // -fig 4 is Figure 4: the per-step execution-time breakdown (Spanning-tree,
-// Euler-tour, root, Low-high, Label-edge, Connected-components, Filtering,
-// Skeleton) of every parallel engine at -maxprocs workers. The TV columns
-// that FAST-BCC skips (Euler-tour, Filtering) read zero for it, and vice
-// versa for Skeleton.
+// Euler-tour, root, Low-high, Label-edge, Connected-components, Filtering)
+// of every parallel engine at -maxprocs workers. All four run one
+// pipeline; only TV-filter records Filtering, and the rooted trees'
+// Euler-tour column times their level order, not a tour.
 //
 // The paper's instances are 1M-vertex graphs with 4M, 10M and 20M (n log n)
 // edges on a 12-processor Sun E4500; -scale shrinks the instances

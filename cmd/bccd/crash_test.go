@@ -386,14 +386,14 @@ func compactOnThirdUpload(t *testing.T) string {
 }
 
 // TestCrashAtEngineKillSite SIGKILLs the daemon inside the fast-bcc engine
-// (at the skeleton-construction fault site) while it serves a query. An
-// engine kill must cost only the in-flight query: every acknowledged upload
-// recovers from the WAL, and the restarted daemon answers the same fast-bcc
-// query cleanly.
+// (at the pipeline's first checkpoint, after the spanning tree) while it
+// serves a query. An engine kill must cost only the in-flight query: every
+// acknowledged upload recovers from the WAL, and the restarted daemon
+// answers the same fast-bcc query cleanly.
 func TestCrashAtEngineKillSite(t *testing.T) {
-	const site = "fastbcc.skeleton"
+	const site = "core.pipeline"
 	dir := t.TempDir()
-	p := startBccd(t, dir, "kill,site="+site+",iter=0")
+	p := startBccd(t, dir, "kill,site="+site+",iter=1")
 	acked := map[string]struct{ Vertices, Edges int }{}
 	for i := 0; i < 2; i++ {
 		g, _ := crashGraph(t, i)

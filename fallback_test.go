@@ -17,6 +17,35 @@ func pipelinePanicPlan() *faults.Plan {
 	return &faults.Plan{Seed: 1, Rules: []*faults.Rule{faults.NewRule(faults.KindPanic, "core.pipeline")}}
 }
 
+// TestEveryParallelEngineCrossesPipeline holds pipelinePanicPlan to its
+// premise: under a persistent panic at core.pipeline, every parallel engine
+// must come back degraded to sequential, with that panic as the cause.
+func TestEveryParallelEngineCrossesPipeline(t *testing.T) {
+	defer faults.Deactivate()
+	g := triangleBridge(t)
+	for _, algo := range parallelAlgorithms() {
+		t.Run(algo.String(), func(t *testing.T) {
+			faults.Activate(pipelinePanicPlan())
+			res, err := BiconnectedComponentsCtx(context.Background(), g,
+				&Options{Algorithm: algo, Procs: 2, Fallback: FallbackSequential})
+			faults.Deactivate()
+			if err != nil {
+				t.Fatalf("fallback did not absorb the fault: %v", err)
+			}
+			if !res.Degraded {
+				t.Fatal("result not degraded: the engine never crossed core.pipeline")
+			}
+			var ip *faults.InjectedPanic
+			if !errors.As(res.DegradedCause, &ip) || ip.Site != "core.pipeline" {
+				t.Errorf("DegradedCause = %v, want the panic injected at core.pipeline", res.DegradedCause)
+			}
+			if res.NumComponents != 2 {
+				t.Errorf("NumComponents = %d, want 2", res.NumComponents)
+			}
+		})
+	}
+}
+
 func TestFallbackSequentialOnPersistentPanic(t *testing.T) {
 	defer faults.Deactivate()
 	g := triangleBridge(t)

@@ -7,14 +7,14 @@ import (
 	"bicc/internal/treecomp"
 )
 
-// AuxMask is TV's step 5, Label-edge (Alg. 1), with the auxiliary graph
+// auxMask is TV's step 5, Label-edge (Alg. 1), with the auxiliary graph
 // G′ kept as a mask over G's own edges. Alg. 1 numbers tree edge (u, p(u))
 // as G′ vertex u, and under that numbering the three R'c conditions (§2,
 // preorder comparisons) read:
 //
 //  1. nontree g=(u,v) with pre(v) < pre(u) pairs g with tree edge (u,p(u)):
 //     g is a G′ vertex of degree one, a pendant that never joins two
-//     components, so it needs no edge. EdgeBlocks gives g u's label.
+//     components, so it needs no edge. edgeBlocks gives g u's label.
 //  2. nontree (u,v) with u,v unrelated pairs (u,p(u)) with (v,p(v)): G′
 //     vertices u and v, joined by G's own edge (u,v).
 //  3. tree edge (u, v=p(u)) with v not a root pairs (u,p(u)) with (v,p(v))
@@ -26,12 +26,13 @@ import (
 // interval holds its whole component, which low and high never leave.
 //
 // bfs says the tree is a BFS tree. Its nontree edges all join unrelated
-// vertices (Lemma 1), so they need no test; the mask is then FAST-BCC's
-// skeleton. forest, when non-nil, lists the only nontree edges (ids into
-// edges) that are condition-2 candidates: TV-filter runs TV on T ∪ F, and
-// the edges of G − (T ∪ F) are pendants of G′ only. c is polled per chunk;
-// when it trips the mask is incomplete and callers must check c.Err().
-func AuxMask(c *par.Canceler, p int, edges []graph.Edge, isTree []bool, td *treecomp.TreeData,
+// vertices (Lemma 1), so they need no test; on all of G the mask is then
+// FAST-BCC's skeleton. forest, when non-nil, lists the only nontree edges
+// (ids into edges) that are condition-2 candidates: TV-filter runs TV on
+// T ∪ F, and the edges of G − (T ∪ F) are pendants of G′ only. c is polled
+// per chunk; when it trips the mask is incomplete and callers must check
+// c.Err().
+func auxMask(c *par.Canceler, p int, edges []graph.Edge, isTree []bool, td *treecomp.TreeData,
 	low, high []int32, bfs bool, forest []int32) []bool {
 	pre, size := td.Pre, td.Size
 	mask := make([]bool, len(edges))
@@ -56,14 +57,14 @@ func AuxMask(c *par.Canceler, p int, edges []graph.Edge, isTree []bool, td *tree
 	return mask
 }
 
-// EdgeBlocks is the label pass that follows the components of the masked
+// edgeBlocks is the label pass that follows the components of the masked
 // edges (labels, by vertex): edge i takes the label of its larger-preorder
 // endpoint. For a tree edge (u, p(u)) that is the child u, the edge's own
 // G′ vertex; for a nontree edge it is the tree edge it hangs off by
 // condition 1. A masked edge joins its endpoints, so either label will do
-// and it reads no preorder. Labels stay raw; FinishResult densifies them.
-// c is polled like AuxMask's.
-func EdgeBlocks(c *par.Canceler, p int, edges []graph.Edge, mask []bool, pre, labels []int32) []int32 {
+// and it reads no preorder. Labels stay raw; finishResult densifies them.
+// c is polled like auxMask's.
+func edgeBlocks(c *par.Canceler, p int, edges []graph.Edge, mask []bool, pre, labels []int32) []int32 {
 	edgeComp := make([]int32, len(edges))
 	par.ForC(c, p, len(edges), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -80,10 +81,10 @@ func EdgeBlocks(c *par.Canceler, p int, edges []graph.Edge, mask []bool, pre, la
 // tvTail finishes any TV variant: the mask (Label-edge step), then
 // conncomp's union-find kernel over the masked edges of G and the label pass
 // (Connected-components step). sw records the two phases. bfs and forest
-// are AuxMask's.
+// are auxMask's.
 func tvTail(c *par.Canceler, p int, sw *Stopwatch, edges []graph.Edge, isTree []bool,
 	td *treecomp.TreeData, low, high []int32, bfs bool, forest []int32) []int32 {
-	mask := AuxMask(c, p, edges, isTree, td, low, high, bfs, forest)
+	mask := auxMask(c, p, edges, isTree, td, low, high, bfs, forest)
 	if c.Err() != nil {
 		return nil
 	}
@@ -92,17 +93,16 @@ func tvTail(c *par.Canceler, p int, sw *Stopwatch, edges []graph.Edge, isTree []
 	if c.Err() != nil {
 		return nil
 	}
-	edgeComp := EdgeBlocks(c, p, edges, mask, td.Pre, labels)
+	edgeComp := edgeBlocks(c, p, edges, mask, td.Pre, labels)
 	sw.Lap(PhaseConnComp)
 	return edgeComp
 }
 
-// FinishResult densifies the raw component labels into first-occurrence
-// order over the edge list — the canonical numbering every engine emits —
-// and wraps them with the stopwatch's phase breakdown. Exported so sibling
-// engines (internal/fastbcc) share the exact canonicalization step the
-// incremental layer's byte-equality contract depends on.
-func FinishResult(edgeComp []int32, sw *Stopwatch) *Result {
+// finishResult densifies the raw component labels into first-occurrence
+// order over the edge list — the canonical numbering every engine emits,
+// which the incremental layer's byte-equality contract depends on — and
+// wraps them with the stopwatch's phase breakdown.
+func finishResult(edgeComp []int32, sw *Stopwatch) *Result {
 	k := conncomp.Normalize(edgeComp)
 	return &Result{NumComp: k, EdgeComp: edgeComp, Phases: sw.phases}
 }

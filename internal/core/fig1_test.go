@@ -64,7 +64,7 @@ func TestPaperFigure1(t *testing.T) {
 		}
 		isTree := f.TreeEdgeMark(1, len(g.Edges))
 		low, high := treecomp.LowHigh(1, td, g.Edges, isTree)
-		mask := AuxMask(nil, 1, g.Edges, isTree, td, low, high, false, nil)
+		mask := auxMask(nil, 1, g.Edges, isTree, td, low, high, false, nil)
 		cond := maskConds(isTree, mask, nil)
 		for k := 0; k < 3; k++ {
 			if cond[k] != wantCond[k] {

@@ -13,7 +13,8 @@ import (
 )
 
 // Fault-injection points: at engine entry (iter = the SpanningTreeKind, so a
-// rule can target one TV variant) and between pipeline phases (iter = phase
+// rule can target the presets built on one kind of tree: TV-filter and
+// FAST-BCC share SpanBFS) and between pipeline phases (iter = phase
 // ordinal). Both receive the run's canceler.
 var (
 	siteEntry = faults.RegisterSite("core.entry", true)
@@ -31,14 +32,15 @@ const (
 	SpanSV SpanningTreeKind = iota
 	// SpanWorkStealing is the Bader–Cong rooted traversal (TV-opt).
 	SpanWorkStealing
-	// SpanBFS is the level-synchronous BFS tree (required by TV-filter).
+	// SpanBFS is the level-synchronous BFS tree: FAST-BCC's tree, and the
+	// one TV-filter requires.
 	SpanBFS
 )
 
 // Config assembles a TV pipeline from interchangeable engines. The presets
 // are: TV-SMP = {SpanSV, no filter}; TV-opt = {SpanWorkStealing, no
-// filter}; TV-filter = {SpanBFS, filter}. SpanSV ranks its tour with
-// Helman–JáJá.
+// filter}; TV-filter = {SpanBFS, filter}; FAST-BCC = {SpanBFS, no filter}.
+// SpanSV ranks its tour with Helman–JáJá.
 type Config struct {
 	SpanningTree SpanningTreeKind
 	// Cancel, when non-nil, is polled inside the engines' parallel loops and
@@ -133,7 +135,7 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 		sw.Lap(PhaseFiltering)
 	}
 
-	// Steps 2–3. A rooted tree (TV-opt, TV-filter) is numbered by
+	// Steps 2–3. A rooted tree (TV-opt, TV-filter, FAST-BCC) is numbered by
 	// treecomp's kernel without a tour: its children lists and level order
 	// stand in for the Euler tour, and its size and preorder passes are the
 	// root step. The SV path list-ranks its linked tour here, which is the
@@ -162,9 +164,10 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	}
 	sw.Lap(PhaseRoot)
 
-	// Step 4: low/high. TV-opt seeds from the CSR it already holds. TV-SMP
-	// has no adjacency and TV-filter's T ∪ F is not the CSR's graph, so both
-	// seed from an edge list: G's nontree edges, or F's edges.
+	// Step 4: low/high. TV-opt and FAST-BCC seed from the CSR they already
+	// hold. TV-SMP has no adjacency and TV-filter's T ∪ F is not the CSR's
+	// graph, so both seed from an edge list: G's nontree edges, or F's
+	// edges.
 	var low, high []int32
 	switch {
 	case cfg.Filter:
@@ -194,7 +197,7 @@ func Custom(p int, g *graph.Graph, cfg Config) (res *Result, err error) {
 	if err := cfg.Cancel.Err(); err != nil {
 		return nil, err
 	}
-	return FinishResult(edgeComp, sw), nil
+	return finishResult(edgeComp, sw), nil
 }
 
 // NontreeForest is step 2 of Alg. 2 and the F of every T ∪ F certificate:

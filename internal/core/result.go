@@ -2,9 +2,9 @@
 // the sequential Hopcroft–Tarjan baseline ("Sequential" in Fig. 3), the
 // direct SMP emulation of Tarjan–Vishkin (TV-SMP, §3.1), the optimized
 // adaptation (TV-opt, §3.2), and the new edge-filtering algorithm
-// (TV-filter, §4 / Alg. 2), plus Alg. 1's auxiliary graph as a mask over
-// G's own edges and the label pass after it, shared by all TV variants and
-// FAST-BCC.
+// (TV-filter, §4 / Alg. 2) and FAST-BCC as presets of one pipeline
+// (Custom), plus Alg. 1's auxiliary graph as a mask over G's own edges and
+// the label pass after it, which every preset shares.
 package core
 
 import (
@@ -37,17 +37,12 @@ const (
 	PhaseLabelEdge    = "label-edge"
 	PhaseConnComp     = "connected-components"
 	PhaseFiltering    = "filtering"
-	// PhaseSkeleton is the fence-classification + skeleton-construction step
-	// of the FAST-BCC engine; the TV variants never record it, mirroring how
-	// only TV-filter records PhaseFiltering.
-	PhaseSkeleton = "skeleton"
 )
 
 // PhaseOrder is the canonical ordering of phases for breakdown reports.
 var PhaseOrder = []string{
 	PhaseToCSR, PhaseRelabel, PhaseSpanningTree, PhaseEulerTour, PhaseRoot,
 	PhaseLowHigh, PhaseLabelEdge, PhaseConnComp, PhaseFiltering,
-	PhaseSkeleton,
 }
 
 // Phase is one timed step of an algorithm run.
@@ -90,8 +85,9 @@ func (r *Result) Total() time.Duration {
 // Stopwatch accumulates named phases. When constructed with a span it also
 // emits every lap as a completed child span, so the Result.Phases breakdown
 // and an attached obs trace are two views of the same measurements and can
-// never disagree. It is exported so sibling engines (internal/fastbcc)
-// record phases through the exact same mechanism as the TV pipelines.
+// never disagree. It is exported so the engine table (internal/engine)
+// records the laps of a graph's local view through the same mechanism as
+// the engines.
 type Stopwatch struct {
 	phases []Phase
 	last   time.Time

@@ -1,6 +1,7 @@
 // Package engine is the one definition of the biconnected components engine
-// set: the sequential Hopcroft–Tarjan baseline, the paper's three TV
-// presets (TV-SMP, TV-opt, TV-filter), and the skeleton-based FAST-BCC.
+// set: the sequential Hopcroft–Tarjan baseline and four presets of the one
+// TV pipeline (core.Custom): the paper's TV-SMP, TV-opt and TV-filter, and
+// the skeleton-based FAST-BCC.
 // Everything that names, runs, lists or guards an engine — the public
 // Algorithm type, the service's breakers and latency series, the planner,
 // the bench harness and the command-line tools — iterates All.
@@ -8,7 +9,6 @@ package engine
 
 import (
 	"bicc/internal/core"
-	"bicc/internal/fastbcc"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
 	"bicc/internal/par"
@@ -52,12 +52,10 @@ var All = []Engine{
 	tv(TVSMP, core.TVSMPConfig()),
 	tv(TVOpt, core.TVOptConfig()),
 	tv(TVFilter, core.TVFilterConfig()),
-	local(FastBCC, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
-		return fastbcc.Run(p, g, fastbcc.Config{Cancel: c, Span: sp})
-	}),
+	tv(FastBCC, core.FastBCCConfig()),
 }
 
-// tv binds a TV pipeline preset to its name.
+// tv binds a preset of the TV pipeline to its name.
 func tv(name string, cfg core.Config) Engine {
 	return local(name, true, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (*core.Result, error) {
 		cfg := cfg
@@ -68,8 +66,8 @@ func tv(name string, cfg core.Config) Engine {
 
 // local makes the table entry that runs run on g's local view. The
 // answers need no mapping back: engine results are per edge id, the view
-// keeps g's edge order, and core.FinishResult numbers blocks in edge
-// order. The sequential engine decides with one worker, as it converts.
+// keeps g's edge order, and every engine numbers blocks in edge order. The
+// sequential engine decides with one worker, as it converts.
 func local(name string, parallel bool, run Runner) Engine {
 	return Engine{name, parallel, func(c *par.Canceler, sp *obs.Span, p int, g *graph.Graph) (res *core.Result, err error) {
 		defer func() {

@@ -1,16 +1,14 @@
-// Package psort implements the parallel sorts used as substrates by the
+// Package psort implements the parallel sort used as a substrate by the
 // TV-SMP Euler-tour construction: the Helman–JáJá parallel sample sort
 // (§3.1: "We use the efficient parallel sample sorting routine designed by
-// Helman and JáJá") and a parallel LSD radix sort as an ablation
-// alternative for the integer arc keys.
+// Helman and JáJá").
 //
-// Both sorts order (uint64 key, int32 payload) records; the biconnectivity
-// code packs arcs as min(u,v)<<32 | max(u,v) and carries the arc index as
+// It orders (uint64 key, int32 payload) records; the biconnectivity code
+// packs arcs as min(u,v)<<32 | max(u,v) and carries the arc index as
 // payload.
 package psort
 
 import (
-	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -18,13 +16,10 @@ import (
 	"bicc/internal/par"
 )
 
-// Fault-injection points: per worker in the sample-sort histogram pass and
-// per (digit, worker) in the radix passes. Sorting has no cancellation
-// token, so cancel-kind rules are inert here.
-var (
-	siteSample = faults.RegisterSite("psort.sample", false)
-	siteRadix  = faults.RegisterSite("psort.radix", false)
-)
+// Fault-injection point: per worker in the sample sort's histogram pass
+// (iter 0) and bucket sorts (iter 1). Sorting has no cancellation token, so
+// cancel-kind rules are inert here.
+var siteSample = faults.RegisterSite("psort.sample", false)
 
 // Pair is a sortable (key, payload) record.
 type Pair struct {
@@ -118,66 +113,4 @@ func SampleSortPairs(p int, xs []Pair) {
 		quickSortPairs(seg)
 		copy(xs[bucketStart[w]:bucketStart[w+1]], seg)
 	})
-}
-
-// RadixSortPairs sorts items ascending by Key with p workers using a stable
-// LSD radix sort over 8-bit digits. Only the digits needed to cover maxKey
-// are processed.
-func RadixSortPairs(p int, items []Pair) {
-	n := len(items)
-	if n < 2 {
-		return
-	}
-	p = par.Procs(p)
-	var maxKey uint64
-	for _, it := range items {
-		if it.Key > maxKey {
-			maxKey = it.Key
-		}
-	}
-	digits := (bits.Len64(maxKey) + 7) / 8
-	if digits == 0 {
-		digits = 1
-	}
-	const radix = 256
-	buf := make([]Pair, n)
-	src, dst := items, buf
-	for d := 0; d < digits; d++ {
-		shift := uint(8 * d)
-		// Per-worker histograms.
-		counts := make([][]int32, p)
-		par.ForWorker(p, n, func(w, lo, hi int) {
-			faults.Inject(nil, siteRadix, w, d)
-			c := make([]int32, radix)
-			for i := lo; i < hi; i++ {
-				c[(src[i].Key>>shift)&0xFF]++
-			}
-			counts[w] = c
-		})
-		// Exclusive offsets per (digit, worker) preserving stability:
-		// all of digit b from worker 0, then worker 1, ...
-		total := 0
-		for b := 0; b < radix; b++ {
-			for w := 0; w < p; w++ {
-				if counts[w] == nil {
-					continue
-				}
-				c := int(counts[w][b])
-				counts[w][b] = int32(total)
-				total += c
-			}
-		}
-		par.ForWorker(p, n, func(w, lo, hi int) {
-			c := counts[w]
-			for i := lo; i < hi; i++ {
-				b := (src[i].Key >> shift) & 0xFF
-				dst[c[b]] = src[i]
-				c[b]++
-			}
-		})
-		src, dst = dst, src
-	}
-	if &src[0] != &items[0] {
-		copy(items, src)
-	}
 }

@@ -99,49 +99,6 @@ func TestSampleSortPairsKeepsPayload(t *testing.T) {
 	}
 }
 
-func TestRadixSortPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 2, 3, 1000, 65536} {
-		for _, p := range []int{1, 3, 8} {
-			items := make([]Pair, n)
-			for i := range items {
-				items[i] = Pair{Key: rng.Uint64() % (1 << 40), Val: int32(i)}
-			}
-			want := append([]Pair(nil), items...)
-			sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
-			RadixSortPairs(p, items)
-			for i := range want {
-				if items[i] != want[i] {
-					t.Fatalf("n=%d p=%d: items[%d]=%+v, want %+v (stability)", n, p, i, items[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestRadixSortFullWidthKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	items := make([]Pair, 10000)
-	for i := range items {
-		items[i] = Pair{Key: rng.Uint64(), Val: int32(i)}
-	}
-	RadixSortPairs(4, items)
-	if !slices.IsSortedFunc(items, byKey) {
-		t.Fatal("64-bit keys not sorted")
-	}
-}
-
-func TestRadixSortAllZeroKeys(t *testing.T) {
-	items := []Pair{{0, 3}, {0, 1}, {0, 2}}
-	RadixSortPairs(2, items)
-	// Stability: payload order must be preserved.
-	for i, want := range []int32{3, 1, 2} {
-		if items[i].Val != want {
-			t.Fatalf("stability broken: items[%d].Val=%d, want %d", i, items[i].Val, want)
-		}
-	}
-}
-
 func TestQuickSampleSortIsPermutationSorted(t *testing.T) {
 	f := func(xs []uint64, p uint8) bool {
 		pp := int(p%8) + 1
@@ -159,24 +116,6 @@ func TestQuickSampleSortIsPermutationSorted(t *testing.T) {
 		}
 		for _, c := range counts {
 			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickRadixMatchesSampleSort(t *testing.T) {
-	f := func(keys []uint64, p uint8) bool {
-		pp := int(p%8) + 1
-		a, b := keyPairs(keys), keyPairs(keys)
-		RadixSortPairs(pp, a)
-		SampleSortPairs(pp, b)
-		for i := range a {
-			if a[i].Key != b[i].Key {
 				return false
 			}
 		}
