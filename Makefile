@@ -104,15 +104,20 @@ fuzz-graph:
 fuzz-conncomp:
 	$(GO) test ./internal/conncomp -run FuzzNothing -fuzz FuzzLink -fuzztime $(FUZZTIME)
 
-# Tree kernel fuzzing, on decoded graphs, chains and cycles with chords, and
-# forests with isolated vertices of up to 2048 vertices, FUZZTIME each.
-# FuzzLowHigh runs both seedings of step 4 (from an edge list and from the
-# CSR) at p = 1, 2 and 4 under BFS, work-stealing and SV trees: low and high
-# must equal the parent-pointer oracle kept in the package's tests.
-# FuzzNumber runs the step 3 numbering kernel on BFS and work-stealing
-# forests at p = 1, 2 and 4: parents, preorder, sizes and roots must equal
-# the prefix-sum computations over the same forest's DFS-order tour.
+# Tree kernel fuzzing, on decoded graphs, chains, stars and cycles with
+# chords, and forests with isolated vertices of up to 2048 vertices,
+# FUZZTIME each. FuzzBFS runs step 1's BFS at p = 1, 2 and 4 under the
+# fitted step rule and with every step forced top-down or bottom-up: levels
+# and roots must equal a sequential queue BFS's, and each parent must sit
+# one level up over an edge that joins the two. FuzzLowHigh runs both
+# seedings of step 4 (from an edge list and from the CSR) at p = 1, 2 and 4
+# under BFS, work-stealing and SV trees: low and high must equal the
+# parent-pointer oracle kept in the package's tests. FuzzNumber runs the
+# step 3 numbering kernel on BFS and work-stealing forests at p = 1, 2 and
+# 4: parents, preorder, sizes and roots must equal the prefix-sum
+# computations over the same forest's DFS-order tour.
 fuzz-treecomp:
+	$(GO) test ./internal/spantree -run FuzzNothing -fuzz FuzzBFS -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/treecomp -run FuzzNothing -fuzz FuzzLowHigh -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/treecomp -run FuzzNothing -fuzz FuzzNumber -fuzztime $(FUZZTIME)
 
@@ -247,8 +252,9 @@ lint-obs:
 # fault-isolation suite, the observability suite, the durability suite
 # (WAL and snapshot decoder fuzzing, race-enabled service tests, crash
 # harness), the upload decoder's differential fuzzing, the connectivity
-# kernel's fuzzing against union-find, the tree kernels' fuzzing (low-high
-# against its oracle, numbering against the tour's), the engines'
+# kernel's fuzzing against union-find, the tree kernels' fuzzing (the BFS
+# against a queue BFS, low-high against its oracle, numbering against the
+# tour's), the engines'
 # byte-identity fuzzing, the per-block suite
 # (differential harness + block index fuzzing), the incremental suite
 # (mutation differential harness + delta fuzzing), the replication suite

@@ -98,7 +98,7 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkAblationTreeComp isolates the paper's §3.2 claim: tree
 // computations by list ranking (Wyllie, Helman–JáJá) versus a rooted tree's
 // numbering without list ranking, here the level-order kernel the rooted
-// engines run (treecomp.Number on a work-stealing tree).
+// engines run (treecomp.Order and LevelOrder.Number on a work-stealing tree).
 func BenchmarkAblationTreeComp(b *testing.B) {
 	p := runtime.GOMAXPROCS(0)
 	g := benchGraph(4 * benchN)
@@ -134,7 +134,11 @@ func BenchmarkAblationTreeComp(b *testing.B) {
 	})
 	b.Run("level-order-kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := treecomp.Number(nil, rooted); err != nil {
+			l, err := treecomp.Order(nil, rooted)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := l.Number(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -303,7 +307,11 @@ func BenchmarkAblationTourConstruction(b *testing.B) {
 	rooted := spantree.WorkStealing(p, graph.ToCSR(p, g))
 	b.Run("level-order-kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := treecomp.Number(nil, rooted); err != nil {
+			l, err := treecomp.Order(nil, rooted)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := l.Number(nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -128,13 +128,23 @@ func stagedLabels(edges []graph.Edge, isTree []bool, td *treecomp.TreeData, low,
 	return labels, uf, aux.condCount
 }
 
+// numberTree numbers f as core.Custom does: treecomp.Order, then
+// LevelOrder.Number.
+func numberTree(f *spantree.RootedForest) (*treecomp.TreeData, error) {
+	l, err := treecomp.Order(nil, f)
+	if err != nil {
+		return nil, err
+	}
+	return l.Number(nil)
+}
+
 // auxInputs returns what Label-edge reads for g: a BFS spanning forest's
 // tree mask, its tree computations and low/high.
 func auxInputs(t testing.TB, g *graph.EdgeList) ([]bool, *treecomp.TreeData, []int32, []int32) {
 	t.Helper()
 	f := spantree.BFS(1, graph.ToCSR(1, g))
 	isTree := f.TreeEdgeMark(1, len(g.Edges))
-	td, err := treecomp.Number(nil, f)
+	td, err := numberTree(f)
 	if err != nil {
 		t.Fatal(err)
 	}

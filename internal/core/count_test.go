@@ -161,7 +161,7 @@ func TwoBFSBlockCount(p int, g *graph.Graph) (int, error) {
 	nontrivial := countEdgeComponents(g.Edges, inT, labels)
 	// Bridges via low/high on the BFS tree: tree edge (v, p(v)) is a bridge
 	// iff no nontree edge leaves v's subtree.
-	td, err := treecomp.Number(nil, t)
+	td, err := numberTree(t)
 	if err != nil {
 		return 0, err
 	}

@@ -58,7 +58,7 @@ func TestPaperFigure1(t *testing.T) {
 			f.Parent[e.U] = e.V
 			f.ParentEdge[e.U] = int32(i)
 		}
-		td, err := treecomp.Number(nil, f)
+		td, err := numberTree(f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"bicc/internal/gen"
 	"bicc/internal/graph"
 	"bicc/internal/spantree"
-	"bicc/internal/treecomp"
 )
 
 // TestLemma1BFSNontreeEdgesUnrelated checks the paper's Lemma 1, the fact
@@ -23,7 +22,7 @@ func TestLemma1BFSNontreeEdgesUnrelated(t *testing.T) {
 		g := gen.Random(n, m, seed)
 		c := graph.ToCSR(1, g)
 		tr := spantree.BFS(1, c)
-		td, err := treecomp.Number(nil, tr)
+		td, err := numberTree(tr)
 		if err != nil {
 			return false
 		}
@@ -58,7 +57,7 @@ func TestLemma1FailsForNonBFSTrees(t *testing.T) {
 		ParentEdge: []int32{-1, 0, 1, 2, 3, 4},
 		Roots:      []int32{0},
 	}
-	td, err := treecomp.Number(nil, f)
+	td, err := numberTree(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestLemma1FailsForNonBFSTrees(t *testing.T) {
 	}
 	// The BFS tree of the same cycle keeps the nontree edge unrelated.
 	tr := spantree.BFS(1, graph.ToCSR(1, g))
-	tdB, err := treecomp.Number(nil, tr)
+	tdB, err := numberTree(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

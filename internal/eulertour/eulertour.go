@@ -11,9 +11,9 @@
 //   - DFSOrderParallel (§3.2, after Cong & Bader [6]): the tour of a rooted
 //     forest with every arc's position computed from subtree sizes, already
 //     in tour order, so tree computations reduce to prefix sums. No engine
-//     runs it: the rooted engines number their trees with
-//     treecomp.Number, which gives the same numbering without writing the
-//     arcs. The benchmark's kernel suite and the ablations time it.
+//     runs it: the rooted engines number their trees with treecomp.Order
+//     and LevelOrder.Number, which give the same numbering without writing
+//     the arcs. The benchmark's kernel suite and the ablations time it.
 //
 // Both produce an ArcSeq — arcs in tour position order — as the common
 // currency consumed by treecomp.Compute. Multi-vertex components are

@@ -24,7 +24,11 @@ func sameNumbering(t *testing.T, what string, p int, g *graph.EdgeList, f *spant
 	if err != nil {
 		t.Fatalf("%s p=%d: %v", what, p, err)
 	}
-	want, err := treecomp.Number(nil, f)
+	l, err := treecomp.Order(nil, f)
+	if err != nil {
+		t.Fatalf("%s p=%d: kernel: %v", what, p, err)
+	}
+	want, err := l.Number(nil)
 	if err != nil {
 		t.Fatalf("%s p=%d: kernel: %v", what, p, err)
 	}

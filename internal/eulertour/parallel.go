@@ -23,8 +23,9 @@ import (
 //     retreat arcs independently, in parallel.
 //
 // Children are ordered by vertex id under each parent, the sibling order of
-// treecomp.Number, so treecomp.Compute over this tour equals that kernel's
-// numbering field for field — asserted by tests.
+// the numbering kernel (treecomp.Order, then LevelOrder.Number), so
+// treecomp.Compute over this tour equals that kernel's numbering field for
+// field — asserted by tests.
 func DFSOrderParallel(p int, edges []graph.Edge, f *spantree.RootedForest) *ArcSeq {
 	n := int(f.N)
 	p = par.Procs(p)

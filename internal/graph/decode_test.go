@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -17,9 +18,10 @@ import (
 
 // refReadLenient is the text reader as it was before the byte decoder: a
 // bufio.Scanner, strings.TrimSpace and strings.Fields per line. It is the
-// reference the decoder must match, errors included. Its one change: the
+// reference the decoder must match, errors included. Its two changes: the
 // header's edge count no longer preallocates the slice, which made a huge
-// count panic or exhaust memory.
+// count panic or exhaust memory, and a vertex count above math.MaxInt32 is
+// an error, where int32(n) wrapped it.
 func refReadLenient(r io.Reader) (*EdgeList, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -39,6 +41,9 @@ func refReadLenient(r io.Reader) (*EdgeList, error) {
 			}
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative sizes in header", line)
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: header declares %d vertices, more than %d", line, n, math.MaxInt32)
 			}
 			g = &EdgeList{N: int32(n)}
 			declared = m
@@ -70,7 +75,8 @@ func refReadLenient(r io.Reader) (*EdgeList, error) {
 	return g, nil
 }
 
-// refReadDIMACS is the DIMACS reader as it was before the byte decoder.
+// refReadDIMACS is the DIMACS reader as it was before the byte decoder,
+// with refReadLenient's two changes.
 func refReadDIMACS(r io.Reader) (*EdgeList, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -98,6 +104,9 @@ func refReadDIMACS(r io.Reader) (*EdgeList, error) {
 			}
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative sizes", line)
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: problem line declares %d vertices, more than %d", line, n, math.MaxInt32)
 			}
 			g = &EdgeList{N: int32(n)}
 			declared = m
@@ -162,7 +171,7 @@ func textSeeds() [][]byte {
 		"p +3 2\n+0 -1\n1 +2\n", "p -1 0\n", "p 3 -1\n", "p 3 1\n- 1\n", "p 3 1\n+ 1\n",
 		"p 003 02\n000 0001\n01 2\n", "p 3 1\n0000000000001 2\n", "p 3 1\n2147483647 -2147483648\n",
 		"p 3 1\n2147483648 1\n", "p 3 1\n-2147483649 0\n", "p 3 1\n99999999999999999999999 1\n",
-		"p 4294967299 0\n", "p 3 2 trailing\n0 1\n1 2\n", "p 3 2x\n0 1\n1 2\n", "p 3_0 1\n0 1\n",
+		"p 4294967299 0\n", "p 4294967298 1\n0 1\n", "p 3 2 trailing\n0 1\n1 2\n", "p 3 2x\n0 1\n1 2\n", "p 3_0 1\n0 1\n",
 		"p 3 2\n0 1\n1\u00852\n", " p 3 1\u0085\n0 1\n", "p 3 1\n0　1　\n",
 		"p 3 1\n0\xc21\n", "p 3 1\n0 1\xe2\x80\n", "p 3 1\n\xa0 0 1\n", "p 3 1\n0 1\n",
 		"p 3 2\n0 1\n1 2", "p 3 1\n0 1", "p 3 1", "p 1 2000000000\n", "#p 3 1\np 3 0\n",
@@ -189,7 +198,7 @@ func dimacsSeeds() [][]byte {
 		"p edge +3 1\ne +1 -2\n", "p edge 003 01\ne 0001 02\n", "p edge 3 1\ne 2147483648 1\n",
 		"p edge 3 1\ne 1 -2147483649\n", "p edge 3 1\ne 1\u00852\n", "\u0085p edge 3 1\ne 1 2 \n",
 		"p edge 3 1\nexyz 1 2\n", "p edge 3 1\ne 1 2 3\n", "p edge 3 1\ne 1 2", "p col 3 1 extra\ne 1 2\n",
-		"p edge 1 2000000000\n", "cp edge 3 1\np edge 3 0\n", "p edge -1 0\n", "p\n", "p edge 3 1\ne 1 x\n",
+		"p edge 1 2000000000\n", "p edge 4294967298 1\ne 1 2\n", "cp edge 3 1\np edge 3 0\n", "p edge -1 0\n", "p\n", "p edge 3 1\ne 1 x\n",
 	} {
 		seeds = append(seeds, []byte(s))
 	}
@@ -281,6 +290,22 @@ func TestReadDIMACSHugeHeaderCount(t *testing.T) {
 	checkHugeCount(t, func() (*EdgeList, error) {
 		return ReadDIMACS(strings.NewReader("p edge 1 2000000000\n"))
 	}, "graph: problem line declares 2000000000 edges, found 0")
+}
+
+// TestReadLenientRejectsWrappedVertexCount: a vertex count above
+// math.MaxInt32 is refused with its line number. It used to be stored as
+// int32(n), so 2^32 + 2 vertices read as a valid 2-vertex graph.
+func TestReadLenientRejectsWrappedVertexCount(t *testing.T) {
+	checkHugeCount(t, func() (*EdgeList, error) {
+		return ReadLenient(strings.NewReader("# wrapped\np 4294967298 1\n0 1\n"))
+	}, "graph: line 2: header declares 4294967298 vertices, more than 2147483647")
+}
+
+// TestReadDIMACSRejectsWrappedVertexCount is the DIMACS counterpart.
+func TestReadDIMACSRejectsWrappedVertexCount(t *testing.T) {
+	checkHugeCount(t, func() (*EdgeList, error) {
+		return ReadDIMACS(strings.NewReader("c wrapped\np edge 4294967298 1\ne 1 2\n"))
+	}, "graph: line 2: problem line declares 4294967298 vertices, more than 2147483647")
 }
 
 func TestReadBinaryHugeHeaderCount(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -67,6 +68,9 @@ func ReadLenient(r io.Reader) (*EdgeList, error) {
 			}
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative sizes in header", d.line)
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: header declares %d vertices, more than %d", d.line, n, math.MaxInt32)
 			}
 			g = &EdgeList{N: int32(n), Edges: make([]Edge, 0, min(m, maxEdgeHint))}
 			declared = m

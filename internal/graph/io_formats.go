@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // ReadDIMACS parses the DIMACS edge format used by most public graph
@@ -41,6 +42,9 @@ func ReadDIMACS(r io.Reader) (*EdgeList, error) {
 			}
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative sizes", d.line)
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: problem line declares %d vertices, more than %d", d.line, n, math.MaxInt32)
 			}
 			g = &EdgeList{N: int32(n), Edges: make([]Edge, 0, min(m, maxEdgeHint))}
 			declared = m

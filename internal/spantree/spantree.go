@@ -11,9 +11,11 @@
 //     tree [3,6] that computes a *rooted* spanning tree directly (parent per
 //     vertex), merging the paper's Spanning-tree and Root-tree steps —
 //     the key TV-opt optimization (§3.2).
-//   - BFS: level-synchronous parallel breadth-first search producing a BFS
-//     tree with levels, required by the TV-filter algorithm (§4) whose
-//     correctness lemmas need T to be a BFS tree.
+//   - BFS: level-synchronous, direction-optimizing parallel breadth-first
+//     search producing a BFS tree with levels, required by the TV-filter
+//     algorithm (§4), whose correctness lemmas need T to be a BFS tree, and
+//     by FAST-BCC's skeleton. Heavy frontiers take bottom-up steps, tiny
+//     ones run on the calling goroutine (see BFSC).
 package spantree
 
 import (
@@ -193,6 +195,7 @@ func traverse(cn *par.Canceler, p int, c *graph.CSR, parent, parentEdge []int32,
 // breadth-first search over all components, with Level recording BFS depth.
 // The tree rooted at each root is a genuine BFS tree: Level[child] =
 // Level[parent] + 1, which is the property the TV-filter lemmas require.
+// The roots are the components' least vertex ids.
 func BFS(p int, c *graph.CSR) *RootedForest {
 	return BFSC(nil, p, c)
 }
@@ -200,62 +203,177 @@ func BFS(p int, c *graph.CSR) *RootedForest {
 // BFSC is BFS with cooperative cancellation, polled once per BFS level.
 // When cn trips the returned forest is incomplete — callers must check
 // cn.Err() and discard it.
+//
+// Each level is one step of a direction-optimizing BFS (Beamer, Asanović
+// and Patterson, SC 2012). A top-down step scans the frontier's arcs and
+// claims each unvisited endpoint with a CAS on its level. A bottom-up step
+// scans the unvisited vertices in static blocks of [0, n) instead, and each
+// takes the first arc to a vertex one level up, so the tree stays a BFS
+// tree. A step runs bottom-up when the frontier holds more than
+// n/bottomUpBeta vertices and more than 1/bottomUpAlpha as many as are
+// still unvisited; the switch reads no degrees, only counts the loop keeps.
+// A bottom-up step also scans the unvisited vertices of every later
+// component, but only a component of more than n/bottomUpBeta vertices
+// takes one, so at most bottomUpBeta components per call do. A step whose
+// range (the frontier top-down, all n vertices bottom-up) is below
+// inlineFloor runs on the calling goroutine, with no spawn and no closure;
+// every other step is one par.ForWorker.
 func BFSC(cn *par.Canceler, p int, c *graph.CSR) *RootedForest {
-	n := c.N
-	p = par.Procs(p)
-	parent := make([]int32, n)
-	parentEdge := make([]int32, n)
-	level := make([]int32, n)
-	par.For(p, int(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			parent[i] = -1
-			parentEdge[i] = -1
-			level[i] = -1
-		}
-	})
-	var roots []int32
-	frontier := make([]int32, 0, n)
-	nextBufs := make([][]int32, p)
-	for s := int32(0); s < n; s++ {
-		if parent[s] != -1 {
-			continue
-		}
-		parent[s] = s
-		level[s] = 0
-		roots = append(roots, s)
-		frontier = append(frontier[:0], s)
-		depth := int32(0)
-		for len(frontier) > 0 {
-			if cn.Err() != nil {
-				return &RootedForest{N: n, Parent: parent, ParentEdge: parentEdge, Roots: roots, Level: level}
-			}
-			faults.Inject(cn, siteBFS, 0, int(depth))
-			depth++
-			par.ForWorker(p, len(frontier), func(w, lo, hi int) {
-				buf := nextBufs[w][:0]
-				for i := lo; i < hi; i++ {
-					v := frontier[i]
-					off, end := c.Off[v], c.Off[v+1]
-					for j := off; j < end; j++ {
-						u := c.Adj[j]
-						if atomic.LoadInt32(&parent[u]) == -1 &&
-							atomic.CompareAndSwapInt32(&parent[u], -1, v) {
-							parentEdge[u] = c.EdgeID[j]
-							level[u] = depth
-							buf = append(buf, u)
-						}
-					}
-				}
-				nextBufs[w] = buf
-			})
-			frontier = frontier[:0]
-			for w := range nextBufs {
-				frontier = append(frontier, nextBufs[w]...)
-				nextBufs[w] = nextBufs[w][:0]
+	return bfs(cn, p, c, fittedSteps)
+}
+
+// The step rule's constants, fitted from interleaved timed rows of BFSC
+// alone at p = 1 and 2 on a 2-vCPU x86-64 host (EXPERIMENTS.md,
+// "Direction-optimizing BFS"), as the planner's cost table is. bottomUpAlpha
+// and bottomUpBeta were fitted on G(n, m) at five densities, where (4, 24)
+// came within 3% of each row's best on average; inlineFloor on high-diameter
+// inputs with local ids (the 512×512 torus's local view, a row-major mesh)
+// and without (the torus with permuted ids). Inline levels gain where
+// reads are local and lose where they miss the cache: from 512 up the
+// permuted torus slows, and 256 beat 128 on the mesh and the permuted
+// torus and stayed within 128's quartiles on the local view.
+const (
+	// bottomUpAlpha: a bottom-up step needs a frontier larger than
+	// 1/bottomUpAlpha of the unvisited vertices.
+	bottomUpAlpha = 4
+	// bottomUpBeta: a bottom-up step needs a frontier larger than
+	// n/bottomUpBeta, which also bounds the components that take one.
+	bottomUpBeta = 24
+	// inlineFloor is the least step range that is split across workers.
+	inlineFloor = 256
+)
+
+// stepRule picks the kind of each BFS step. BFSC uses the fitted switch;
+// the tests force one kind to check both against a queue BFS.
+type stepRule uint8
+
+const (
+	fittedSteps stepRule = iota
+	topDownSteps
+	bottomUpSteps
+)
+
+// bottomUp reports whether a step from a frontier of f vertices, with u of
+// the n vertices still unvisited, runs bottom-up.
+func (r stepRule) bottomUp(f, u, n int) bool {
+	switch r {
+	case topDownSteps:
+		return false
+	case bottomUpSteps:
+		return true
+	}
+	return f > n/bottomUpBeta && f*bottomUpAlpha > u
+}
+
+// bfsState is one BFS call: the forest being built and the current step.
+// A vertex is unvisited while its level is -1.
+type bfsState struct {
+	c                         *graph.CSR
+	parent, parentEdge, level []int32
+	frontier                  []int32   // the vertices at level depth-1
+	next                      [][]int32 // per worker, the vertices found at depth
+	depth                     int32
+}
+
+// topDown expands frontier[lo:hi]: an arc to an unvisited vertex claims it
+// with a CAS on its level, so each vertex gets exactly one parent.
+func (s *bfsState) topDown(w, lo, hi int) {
+	c, level, d := s.c, s.level, s.depth
+	buf := s.next[w]
+	for _, v := range s.frontier[lo:hi] {
+		for j, end := c.Off[v], c.Off[v+1]; j < end; j++ {
+			u := c.Adj[j]
+			if atomic.LoadInt32(&level[u]) == -1 &&
+				atomic.CompareAndSwapInt32(&level[u], -1, d) {
+				s.parent[u] = v
+				s.parentEdge[u] = c.EdgeID[j]
+				buf = append(buf, u)
 			}
 		}
 	}
-	return &RootedForest{N: n, Parent: parent, ParentEdge: parentEdge, Roots: roots, Level: level}
+	s.next[w] = buf
+}
+
+// bottomUp visits each unvisited vertex in [lo, hi) whose arcs reach the
+// frontier, through its first such arc. Only this worker writes the levels
+// of [lo, hi), but its neighbours' levels may sit in another worker's
+// block, so those are read, and its own written, atomically.
+func (s *bfsState) bottomUp(w, lo, hi int) {
+	c, level, d := s.c, s.level, s.depth
+	buf := s.next[w]
+	for v := int32(lo); v < int32(hi); v++ {
+		if level[v] != -1 {
+			continue
+		}
+		for j, end := c.Off[v], c.Off[v+1]; j < end; j++ {
+			if u := c.Adj[j]; atomic.LoadInt32(&level[u]) == d-1 {
+				s.parent[v] = u
+				s.parentEdge[v] = c.EdgeID[j]
+				atomic.StoreInt32(&level[v], d)
+				buf = append(buf, v)
+				break
+			}
+		}
+	}
+	s.next[w] = buf
+}
+
+// bfs is BFSC under the given step rule.
+func bfs(cn *par.Canceler, p int, c *graph.CSR, rule stepRule) *RootedForest {
+	n := c.N
+	p = par.Procs(p)
+	s := &bfsState{
+		c:          c,
+		parent:     make([]int32, n),
+		parentEdge: make([]int32, n),
+		level:      make([]int32, n),
+		frontier:   make([]int32, 0, n),
+		next:       make([][]int32, p),
+	}
+	par.For(p, int(n), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.level[i] = -1
+		}
+	})
+	f := &RootedForest{N: n, Parent: s.parent, ParentEdge: s.parentEdge, Level: s.level}
+	// One method value each, so that a step allocates nothing.
+	topDown, bottomUp := s.topDown, s.bottomUp
+	unvisited := int(n)
+	for r := int32(0); r < n; r++ {
+		if s.level[r] != -1 {
+			continue
+		}
+		s.parent[r], s.parentEdge[r], s.level[r] = r, -1, 0
+		f.Roots = append(f.Roots, r)
+		unvisited--
+		s.frontier = append(s.frontier[:0], r)
+		for s.depth = 0; len(s.frontier) > 0; {
+			if cn.Err() != nil {
+				return f
+			}
+			faults.Inject(cn, siteBFS, 0, int(s.depth))
+			if unvisited == 0 {
+				break // the last level of the last component finds nothing
+			}
+			s.depth++
+			step, size := topDown, len(s.frontier)
+			if rule.bottomUp(size, unvisited, int(n)) {
+				step, size = bottomUp, int(n)
+			}
+			if p == 1 || size < inlineFloor {
+				step(0, 0, size)
+			} else {
+				par.ForWorker(p, size, step)
+			}
+			s.frontier = s.frontier[:0]
+			for w, buf := range s.next {
+				s.frontier = append(s.frontier, buf...)
+				s.next[w] = buf[:0]
+			}
+			unvisited -= len(s.frontier)
+		}
+	}
+	return f
 }
 
 // TreeEdgeMark returns a boolean mask over the m edges of the originating

@@ -1,6 +1,7 @@
 package spantree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -136,31 +137,23 @@ func TestWorkStealingRootedForest(t *testing.T) {
 	}
 }
 
+// TestBFSRootedForest runs every fixture, plus a star, a dense G(n, m), 500
+// components and a permuted torus, at p = 1..4 under each step rule: the
+// forest must span, and its levels, roots and parents must be those of a
+// sequential queue BFS.
 func TestBFSRootedForest(t *testing.T) {
-	for name, g := range testGraphs() {
-		for _, p := range []int{1, 3} {
+	fixtures := testGraphs()
+	fixtures["star-4000"] = gen.Star(4000)
+	fixtures["random-dense"] = gen.Random(3000, 60000, 3)
+	fixtures["components"] = manyComponents()
+	fixtures["torus-permuted"] = permuted(gen.Torus(64, 64), 5)
+	for name, g := range fixtures {
+		for _, p := range []int{1, 2, 3, 4} {
 			c := graph.ToCSR(p, g)
-			f := BFS(p, c)
-			checkRooted(t, g, f)
-			// BFS property: levels differ by exactly 1 along tree edges and
-			// by at most 1 along every graph edge.
-			for v := int32(0); v < f.N; v++ {
-				if f.IsRoot(v) {
-					if f.Level[v] != 0 {
-						t.Fatalf("%s: root %d level=%d", name, v, f.Level[v])
-					}
-					continue
-				}
-				if f.Level[v] != f.Level[f.Parent[v]]+1 {
-					t.Fatalf("%s: vertex %d level=%d parent level=%d", name, v, f.Level[v], f.Level[f.Parent[v]])
-				}
-			}
-			for _, e := range g.Edges {
-				d := f.Level[e.U] - f.Level[e.V]
-				if d < -1 || d > 1 {
-					t.Fatalf("%s p=%d: edge (%d,%d) spans levels %d..%d — not a BFS tree",
-						name, p, e.U, e.V, f.Level[e.U], f.Level[e.V])
-				}
+			for rname, rule := range stepRules {
+				f := bfs(nil, p, c, rule)
+				checkRooted(t, g, f)
+				checkBFS(t, fmt.Sprintf("%s p=%d %s", name, p, rname), g, c, f)
 			}
 		}
 	}

@@ -63,7 +63,7 @@ func fuzzTrees(t *testing.T, g *graph.EdgeList, c *graph.CSR) []numbered {
 		name string
 		f    *spantree.RootedForest
 	}{{"bfs", spantree.BFS(2, c)}, {"work-stealing", spantree.WorkStealing(2, c)}} {
-		td, err := Number(nil, r.f)
+		td, err := number(nil, r.f)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}

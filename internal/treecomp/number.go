@@ -148,12 +148,3 @@ func (l *LevelOrder) Number(cn *par.Canceler) (*TreeData, error) {
 	}
 	return &TreeData{N: int32(len(parent)), Parent: parent, Pre: pre, Size: size, Roots: l.roots}, nil
 }
-
-// Number runs the whole kernel over f.
-func Number(cn *par.Canceler, f *spantree.RootedForest) (*TreeData, error) {
-	l, err := Order(cn, f)
-	if err != nil {
-		return nil, err
-	}
-	return l.Number(cn)
-}

@@ -12,12 +12,22 @@ import (
 	"bicc/internal/spantree"
 )
 
+// number runs the whole kernel over f: Order, then LevelOrder.Number, as
+// core.Custom runs them.
+func number(cn *par.Canceler, f *spantree.RootedForest) (*TreeData, error) {
+	l, err := Order(cn, f)
+	if err != nil {
+		return nil, err
+	}
+	return l.Number(cn)
+}
+
 // checkNumberMatchesTour holds the kernel's numbering of f to Compute over
 // f's DFS-order tour, field for field, and Size to a count along parent
 // pointers.
 func checkNumberMatchesTour(t *testing.T, what string, g *graph.EdgeList, f *spantree.RootedForest) {
 	t.Helper()
-	got, err := Number(nil, f)
+	got, err := number(nil, f)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -88,7 +98,7 @@ func TestNumberRejectsBadForests(t *testing.T) {
 		// A parent outside the vertex range, as an unfinished traversal leaves.
 		"unclaimed": {N: 3, Parent: []int32{0, -1, 0}, Roots: []int32{0}},
 	} {
-		if td, err := Number(nil, f); err == nil {
+		if td, err := number(nil, f); err == nil {
 			t.Errorf("%s: numbered %+v, want an error", name, td)
 		}
 	}
@@ -99,7 +109,7 @@ func TestNumberReturnsCancelCause(t *testing.T) {
 	cn := &par.Canceler{}
 	cn.Cancel(cause)
 	f := spantree.BFS(1, graph.ToCSR(1, gen.Chain(10)))
-	if _, err := Number(cn, f); !errors.Is(err, cause) {
+	if _, err := number(cn, f); !errors.Is(err, cause) {
 		t.Fatalf("Number on a tripped canceler: %v, want %v", err, cause)
 	}
 }

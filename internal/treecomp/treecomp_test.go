@@ -184,7 +184,7 @@ func TestLowHighAgainstOracle(t *testing.T) {
 		g := gen.Random(n, m, int64(trial+100))
 		c := graph.ToCSR(1, g)
 		f := spantree.BFS(1, c)
-		td, err := Number(nil, f)
+		td, err := number(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestLowHighCycleIsWholeRange(t *testing.T) {
 	g := gen.Cycle(10)
 	c := graph.ToCSR(1, g)
 	f := spantree.BFS(1, c)
-	td, err := Number(nil, f)
+	td, err := number(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestLinkedAndDFSToursAgreeOnStructure(t *testing.T) {
 	g := gen.Disconnected(gen.Cycle(6), gen.Mesh(3, 3))
 	c := graph.ToCSR(1, g)
 	f := spantree.WorkStealing(2, c)
-	td, err := Number(nil, f)
+	td, err := number(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
