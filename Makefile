@@ -152,8 +152,10 @@ fuzz-blockindex:
 # run), the mutation endpoint's differential harness (3 graph families ×
 # every engine, byte-equal JSON answers vs a server that uploaded the final
 # graph), and the incr rows of the fault matrix — all race-enabled.
-# fuzz-incr hammers the WAL delta-record decoder and the planner's Apply
-# with arbitrary delta sequences.
+# fuzz-incr hammers the WAL delta-record decoder, the planner's Apply with
+# arbitrary delta sequences, and graph.ApplyDeltas — the one function the
+# primary, WAL replay and the standby apply a batch with — against a naive
+# reference that applies one delta at a time by linear search.
 test-incr:
 	$(GO) test -race ./internal/incr -count=1
 	$(GO) test -race -run 'Mutation|MutatedGraph|DeleteThenReupload' ./internal/service -count=1
@@ -162,6 +164,7 @@ test-incr:
 fuzz-incr:
 	$(GO) test ./internal/durable -run FuzzNothing -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incr -run FuzzNothing -fuzz FuzzApplyDeltas -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzApplyDeltas -fuzztime $(FUZZTIME)
 
 race-service:
 	$(GO) test -race ./internal/service ./internal/durable -count=1

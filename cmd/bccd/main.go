@@ -19,9 +19,9 @@
 // The result cache keeps at most -cache results, and with -mem-budget at
 // most that many estimated bytes of results and per-block indexes; an
 // evicted result is dropped, and the next query for it recomputes.
-// -max-graph-bytes also bounds the vertex count of an upload or a mutation
-// at 4 bytes per vertex (past it: 400), and a query's procs is capped at
-// 1024.
+// -max-graph-bytes also refuses (400) an upload or a mutation that leaves a
+// graph whose resident bytes alone, 24 per edge plus 4 per vertex, exceed
+// it, and a query's procs is capped at 1024.
 //
 // With -data-dir set, the daemon is durable: every acknowledged graph
 // upload and mutation is fsync'd to a write-ahead log before the response

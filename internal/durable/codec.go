@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 
 	"bicc"
+	"bicc/internal/graph"
 )
 
 // File layout constants. Every durable file starts with the 4-byte magic,
@@ -199,10 +200,11 @@ func encodeGraph(rec GraphRecord) []byte {
 	return buf
 }
 
-// decodeGraph parses a graph record payload. The graph is rebuilt through
-// bicc.NewGraph, so endpoint ranges, self loops, and duplicates are all
-// re-validated — a corrupt payload that survives the CRC (or a hostile
-// snapshot file) cannot smuggle an invalid graph into the registry.
+// decodeGraph parses a graph record payload. The decoded edge list is
+// adopted by bicc.AdoptGraph, which re-validates endpoint ranges, self
+// loops and duplicates without copying it — a corrupt payload that survives
+// the CRC (or a hostile snapshot file) cannot smuggle an invalid graph into
+// the registry.
 func decodeGraph(b []byte) (GraphRecord, error) {
 	var rec GraphRecord
 	r := byteReader{b: b}
@@ -259,7 +261,7 @@ func decodeGraph(b []byte) (GraphRecord, error) {
 	if r.off != len(r.b) {
 		return rec, fmt.Errorf("%w: %d trailing bytes in graph payload", ErrCorrupt, len(r.b)-r.off)
 	}
-	g, err := bicc.NewGraph(int(n), edges)
+	g, err := bicc.AdoptGraph(int(n), edges)
 	if err != nil {
 		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -267,12 +269,6 @@ func decodeGraph(b []byte) (GraphRecord, error) {
 }
 
 // --- delta payload ----------------------------------------------------------
-
-// DeltaOp is one edge mutation inside a DeltaRecord.
-type DeltaOp struct {
-	Del  bool // false = insert, true = delete
-	U, V int32
-}
 
 // DeltaRecord is one persisted mutation batch: the stable graph id it
 // applies to, the generation the graph reaches once the batch is applied,
@@ -284,7 +280,7 @@ type DeltaRecord struct {
 	Gen    uint64 // generation AFTER applying this batch
 	NewN   int32  // vertex count after applying this batch
 	PostFP string // content fingerprint of the post-application edge list
-	Ops    []DeltaOp
+	Ops    []graph.Delta
 }
 
 // EncodeDelta renders a delta record payload:
@@ -360,7 +356,7 @@ func DecodeDelta(b []byte) (DeltaRecord, error) {
 	if !ok || uint64(len(r.b)-r.off) < 9*uint64(count) {
 		return rec, fmt.Errorf("%w: delta op section short for count=%d", ErrCorrupt, count)
 	}
-	ops := make([]DeltaOp, count)
+	ops := make([]graph.Delta, count)
 	for i := range ops {
 		k, _ := r.u8()
 		u, _ := r.u32()
@@ -371,7 +367,7 @@ func DecodeDelta(b []byte) (DeltaRecord, error) {
 		if int32(u) < 0 || int32(v) < 0 || u == v || u >= newN || v >= newN {
 			return rec, fmt.Errorf("%w: delta op %d endpoints (%d,%d)", ErrCorrupt, i, int32(u), int32(v))
 		}
-		ops[i] = DeltaOp{Del: k == 1, U: int32(u), V: int32(v)}
+		ops[i] = graph.Delta{Del: k == 1, U: int32(u), V: int32(v)}
 	}
 	if r.off != len(r.b) {
 		return rec, fmt.Errorf("%w: %d trailing bytes in delta payload", ErrCorrupt, len(r.b)-r.off)

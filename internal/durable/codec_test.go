@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bicc"
+	"bicc/internal/graph"
 )
 
 func testGraph(t *testing.T, seed int64) *bicc.Graph {
@@ -85,7 +86,7 @@ func TestGraphPayloadV2RoundTrip(t *testing.T) {
 func TestDeltaRecordRoundTrip(t *testing.T) {
 	in := DeltaRecord{
 		ID: "fp-xyz", Gen: 4, NewN: 12, PostFP: "cfp-123",
-		Ops: []DeltaOp{
+		Ops: []graph.Delta{
 			{Del: false, U: 0, V: 9},
 			{Del: true, U: 3, V: 4},
 			{Del: false, U: 10, V: 11},
@@ -115,14 +116,14 @@ func TestDeltaRecordRoundTrip(t *testing.T) {
 	}
 	// Hostile structure: self loop, out-of-range endpoint, bad op kind.
 	for _, bad := range []DeltaRecord{
-		{ID: "x", NewN: 5, Ops: []DeltaOp{{U: 2, V: 2}}},
-		{ID: "x", NewN: 5, Ops: []DeltaOp{{U: 1, V: 5}}},
+		{ID: "x", NewN: 5, Ops: []graph.Delta{{U: 2, V: 2}}},
+		{ID: "x", NewN: 5, Ops: []graph.Delta{{U: 1, V: 5}}},
 	} {
 		if _, err := DecodeDelta(EncodeDelta(bad)); err == nil {
 			t.Fatalf("invalid ops %+v decoded", bad.Ops)
 		}
 	}
-	kindBad := EncodeDelta(DeltaRecord{ID: "x", NewN: 5, Ops: []DeltaOp{{U: 0, V: 1}}})
+	kindBad := EncodeDelta(DeltaRecord{ID: "x", NewN: 5, Ops: []graph.Delta{{U: 0, V: 1}}})
 	kindBad[len(kindBad)-9] = 7 // op kind byte
 	if _, err := DecodeDelta(kindBad); err == nil {
 		t.Fatal("op kind 7 decoded")

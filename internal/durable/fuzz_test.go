@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bicc"
+	"bicc/internal/graph"
 )
 
 // fuzzSeedGraph builds a small deterministic graph for seed corpora.
@@ -37,7 +38,7 @@ func FuzzDecodeWAL(f *testing.F) {
 	wal = append(wal, frameHeader(recGraphRemove, rm)...)
 	wal = append(wal, rm...)
 	dl := EncodeDelta(DeltaRecord{ID: "fp-2", Gen: 3, NewN: 6, PostFP: "cfp-3",
-		Ops: []DeltaOp{{Del: false, U: 4, V: 5}, {Del: true, U: 2, V: 3}}})
+		Ops: []graph.Delta{{Del: false, U: 4, V: 5}, {Del: true, U: 2, V: 3}}})
 	wal = append(wal, frameHeader(recGraphDelta, dl)...)
 	wal = append(wal, dl...)
 	f.Add(wal)
@@ -96,7 +97,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if gr.Graph == nil {
 				t.Fatal("nil graph in scan output")
 			}
-			// The decoder revalidates through bicc.NewGraph; spot-check the
+			// The decoder revalidates through bicc.AdoptGraph; spot-check the
 			// invariant that validation is supposed to guarantee.
 			for _, e := range gr.Graph.Edges() {
 				if e.U == e.V || e.U < 0 || int(e.U) >= gr.Graph.NumVertices() {
@@ -115,7 +116,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // truncation of a valid payload is rejected rather than misparsed.
 func FuzzDecodeDelta(f *testing.F) {
 	f.Add(EncodeDelta(DeltaRecord{ID: "fp-1", Gen: 1, NewN: 8, PostFP: "cfp-1",
-		Ops: []DeltaOp{{Del: false, U: 0, V: 7}, {Del: true, U: 1, V: 2}}}))
+		Ops: []graph.Delta{{Del: false, U: 0, V: 7}, {Del: true, U: 1, V: 2}}}))
 	f.Add(EncodeDelta(DeltaRecord{ID: "fp-2", Gen: 42, NewN: 3, PostFP: "",
 		Ops: nil}))
 	f.Add([]byte{1})

@@ -3,8 +3,6 @@ package durable
 import (
 	"fmt"
 	"sort"
-
-	"bicc"
 )
 
 // Replication-facing surface of the store. A primary bccd taps the WAL at
@@ -12,7 +10,8 @@ import (
 // fsync that lets the service acknowledge the client), ships the raw frame
 // payloads to standbys, and uses View to capture a consistent baseline for
 // snapshot resync. A standby replays shipped payloads through the same
-// decode/apply code recovery uses, then re-appends them to its OWN WAL via
+// decoders recovery uses, applies delta records with graph.ApplyDeltas as
+// recovery and the primary do, then re-appends them to its OWN WAL via
 // AppendState / AppendRemove / AppendDelta — so a standby's disk state is
 // always a valid recovery image and promotion is just PR 4 recovery plus a
 // role flip.
@@ -29,13 +28,9 @@ const (
 // (v1/v2 layout chosen by generation), for snapshot-resync streams.
 func EncodeGraphRecord(rec GraphRecord) []byte { return encodeGraph(rec) }
 
-// DecodeGraphRecord parses a graph record payload, re-validating the graph
-// through bicc.NewGraph like recovery does.
+// DecodeGraphRecord parses a graph record payload, adopting and
+// re-validating its edge list like recovery does.
 func DecodeGraphRecord(b []byte) (GraphRecord, error) { return decodeGraph(b) }
-
-// ApplyDelta replays one delta batch onto a graph with recovery's semantics:
-// deletes must match a live edge, inserts must be absent, order preserved.
-func ApplyDelta(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) { return applyOps(g, rec) }
 
 // SetAppendObserver installs fn to be called with every record's (kind,
 // payload) immediately after the record is durable (post-fsync under

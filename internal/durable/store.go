@@ -305,7 +305,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 					rec.DroppedRecords++
 					continue
 				}
-				ng, err := applyOps(prev.Graph, r.delta)
+				ng, err := replayDelta(prev.Graph, r.delta)
 				if err != nil {
 					// The ops no longer match the graph — the entry has
 					// diverged from what was acknowledged. Serving a wrong
@@ -785,48 +785,20 @@ func scanWAL(b []byte) (recs []walRec, validLen int, truncated bool, dropped int
 	}
 }
 
-// applyOps mechanically replays a delta batch onto a graph: deletes remove
-// the edge preserving the order of the remainder, inserts append at the end —
-// the same semantics the service validated before acknowledging the record.
-// An op that no longer matches the edge list is an error; the caller decides
-// what to do with the diverged entry. Deletes only mark their edge and one
-// compaction at the end drops the marked ones, which leaves the same order
-// as removing each in turn.
-func applyOps(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) {
-	if g == nil {
-		return nil, fmt.Errorf("durable: delta replay onto nil graph")
+// replayDelta applies a delta record to g with graph.ApplyDeltas, the
+// rules the primary checked the batch by, and adopts the result. A record
+// whose ops no longer match g, or whose vertex count differs from the
+// result's, is an error; the caller decides what to do with the diverged
+// entry.
+func replayDelta(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) {
+	n, edges, _, err := graph.ApplyDeltas(int32(g.NumVertices()), g.Edges(), rec.Ops)
+	if err != nil {
+		return nil, err
 	}
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	dead := make([]bool, len(edges))
-	index := make(map[uint64]int, len(edges))
-	for i, e := range edges {
-		index[graph.CanonKey(e.U, e.V)] = i
+	if n != rec.NewN {
+		return nil, fmt.Errorf("durable: delta leaves %d vertices, record says %d", n, rec.NewN)
 	}
-	for i, op := range rec.Ops {
-		key := graph.CanonKey(op.U, op.V)
-		at, present := index[key]
-		if op.Del {
-			if !present {
-				return nil, fmt.Errorf("durable: delta op %d deletes absent edge (%d,%d)", i, op.U, op.V)
-			}
-			dead[at] = true
-			delete(index, key)
-		} else {
-			if present {
-				return nil, fmt.Errorf("durable: delta op %d inserts duplicate edge (%d,%d)", i, op.U, op.V)
-			}
-			index[key] = len(edges)
-			edges = append(edges, graph.Edge{U: op.U, V: op.V})
-			dead = append(dead, false)
-		}
-	}
-	live := edges[:0]
-	for i, e := range edges {
-		if !dead[i] {
-			live = append(live, e)
-		}
-	}
-	return bicc.NewGraph(int(rec.NewN), live)
+	return bicc.AdoptGraph(int(n), edges)
 }
 
 // scanSnapshot decodes a snapshot image. complete reports that the end

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/gen"
+	"bicc/internal/graph"
 )
 
 // openT opens a store in dir, failing the test on error.
@@ -156,22 +158,22 @@ func TestStoreDeltaReplayAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch 1: insert (3,5) growing the graph, delete (2,0).
-	g1, err := applyOps(g, DeltaRecord{NewN: 6, Ops: []DeltaOp{
+	g1, err := replayDelta(g, DeltaRecord{NewN: 6, Ops: []graph.Delta{
 		{Del: false, U: 3, V: 5}, {Del: true, U: 2, V: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendDelta(DeltaRecord{ID: "fp-d", Gen: 1, NewN: 6, PostFP: "cfp-1",
-		Ops: []DeltaOp{{Del: false, U: 3, V: 5}, {Del: true, U: 2, V: 0}}}, g1); err != nil {
+		Ops: []graph.Delta{{Del: false, U: 3, V: 5}, {Del: true, U: 2, V: 0}}}, g1); err != nil {
 		t.Fatal(err)
 	}
 	// Batch 2: re-insert (2,0) — lands at the end of the edge list.
-	g2, err := applyOps(g1, DeltaRecord{NewN: 6, Ops: []DeltaOp{{Del: false, U: 2, V: 0}}})
+	g2, err := replayDelta(g1, DeltaRecord{NewN: 6, Ops: []graph.Delta{{Del: false, U: 2, V: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendDelta(DeltaRecord{ID: "fp-d", Gen: 2, NewN: 6, PostFP: "cfp-2",
-		Ops: []DeltaOp{{Del: false, U: 2, V: 0}}}, g2); err != nil {
+		Ops: []graph.Delta{{Del: false, U: 2, V: 0}}}, g2); err != nil {
 		t.Fatal(err)
 	}
 	// A delta against an unregistered graph is refused.
@@ -225,56 +227,37 @@ func TestStoreDeltaReplayAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestApplyOpsDeletesAtFrontOfLargeList replays one record that deletes
-// the first 2000 edges of a 20000-edge path, interleaved with inserts, a
-// delete of an edge inserted earlier in the same record and a re-insert of
-// a deleted edge: the result is the survivors in order, then the surviving
-// inserts in op order.
-func TestApplyOpsDeletesAtFrontOfLargeList(t *testing.T) {
-	const m, k = 20000, 2000
-	edges := make([]bicc.Edge, m)
-	for i := range edges {
-		edges[i] = bicc.Edge{U: int32(i), V: int32(i + 1)}
-	}
-	g, err := bicc.NewGraph(m+1, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ops []DeltaOp
-	var inserted []bicc.Edge
-	for i := int32(0); i < k; i++ {
-		ops = append(ops, DeltaOp{Del: true, U: i + 1, V: i})
-		if i%100 == 0 {
-			ops = append(ops, DeltaOp{U: i + k, V: i + k + 2})
-			inserted = append(inserted, bicc.Edge{U: i + k, V: i + k + 2})
-		}
-	}
-	ops = append(ops,
-		DeltaOp{Del: true, U: inserted[3].V, V: inserted[3].U},
-		DeltaOp{U: 1, V: 0})
-	want := append(append([]bicc.Edge(nil), edges[k:]...), inserted[:3]...)
-	want = append(append(want, inserted[4:]...), bicc.Edge{U: 1, V: 0})
-
-	got, err := applyOps(g, DeltaRecord{NewN: m + 1, Ops: ops})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumVertices() != m+1 || got.NumEdges() != len(want) {
-		t.Fatalf("replayed n=%d m=%d, want n=%d m=%d", got.NumVertices(), got.NumEdges(), m+1, len(want))
-	}
-	for i, e := range got.Edges() {
-		if e != want[i] {
-			t.Fatalf("edge %d = %v, want %v", i, e, want[i])
-		}
-	}
-	// The errors still name the op.
-	if _, err := applyOps(g, DeltaRecord{NewN: m + 1, Ops: []DeltaOp{{Del: true, U: 0, V: 1}, {Del: true, U: 1, V: 0}}}); err == nil ||
-		err.Error() != "durable: delta op 1 deletes absent edge (1,0)" {
-		t.Fatalf("second delete of one edge: %v", err)
-	}
-	if _, err := applyOps(g, DeltaRecord{NewN: m + 1, Ops: []DeltaOp{{U: 5, V: 4}}}); err == nil ||
-		err.Error() != "durable: delta op 0 inserts duplicate edge (5,4)" {
-		t.Fatalf("insert of a present edge: %v", err)
+// BenchmarkReplayDelta replays one local 16-delta record the way boot
+// replay and the standby apply it — graph.ApplyDeltas, then AdoptGraph —
+// on block chains of 5000 and 50000 8-cliques. The record deletes 8 edges
+// of the clique in the middle of the chain and inserts 8 absent edges
+// around it.
+func BenchmarkReplayDelta(b *testing.B) {
+	for _, blocks := range []int{5000, 50000} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			el := gen.BlockChain(blocks, 8)
+			g, err := bicc.NewGraph(int(el.N), el.Edges)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mid := 28 * (blocks / 2) // the first edge of the middle clique
+			rec := DeltaRecord{ID: "chain", Gen: 1, NewN: el.N}
+			for i := 0; i < 8; i++ {
+				e := el.Edges[mid+3*i]
+				rec.Ops = append(rec.Ops, graph.Delta{Del: true, U: e.U, V: e.V})
+			}
+			lo := el.Edges[mid].U
+			for i := int32(0); i < 8; i++ {
+				rec.Ops = append(rec.Ops, graph.Delta{U: lo - 20 + i, V: lo + 20 + i})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := replayDelta(g, rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"bicc"
 	"bicc/internal/core"
 	"bicc/internal/faults"
+	"bicc/internal/graph"
 	"bicc/internal/incr"
 	"bicc/internal/par"
 )
@@ -313,9 +314,9 @@ func TestFaultMatrixIncr(t *testing.T) {
 				// A structural batch: delete the inter-ring bridge and insert
 				// a cross-ring edge — several blocks go dirty, so both sites
 				// fire.
-				batch := []incr.Delta{
-					{Op: incr.OpDelete, U: 0, V: 192},
-					{Op: incr.OpInsert, U: 5, V: 200},
+				batch := []graph.Delta{
+					{Del: true, U: 0, V: 192},
+					{U: 5, V: 200},
 				}
 
 				r := faults.NewRule(kind, site)
@@ -368,7 +369,7 @@ func TestFaultMatrixIncr(t *testing.T) {
 					}
 					// Degrade to full, exactly as the service does: recompute
 					// the final edge list from scratch and rebuild the state.
-					fg, gerr := bicc.NewGraph(int(prepared.N), prepared.Edges)
+					fg, gerr := prepared.Graph()
 					if gerr != nil {
 						t.Fatal(gerr)
 					}
@@ -384,7 +385,7 @@ func TestFaultMatrixIncr(t *testing.T) {
 
 				// Either path must now match a scratch run on the state's own
 				// edge list, label for label.
-				sg, gerr := st.Graph()
+				sg, gerr := bicc.NewGraph(st.N(), st.Edges())
 				if gerr != nil {
 					t.Fatal(gerr)
 				}

@@ -179,12 +179,17 @@ type Graph struct {
 // list, CSR) once built, and its own CSR, which a graph without a view is
 // charged for before its first solve builds it.
 func (g *Graph) Bytes() int64 {
-	b := 8*int64(len(g.Edges)) + 64
 	if l := g.local.Load(); l != nil && l != g {
-		return b + l.Bytes() + csrBytes(g.csr.Load())
+		return 8*int64(len(g.Edges)) + 64 + l.Bytes() + csrBytes(g.csr.Load())
 	}
-	return b + 16*int64(len(g.Edges)) + 4*(int64(g.N)+1)
+	return ResidentBytes(int64(g.N), int64(len(g.Edges)))
 }
+
+// ResidentBytes is what Bytes charges a graph of n vertices and m edges
+// with no local view: 8m for its edge list, 16m + 4(n+1) for its CSR and
+// 64 for headers. It allocates nothing, so a caller can refuse a graph by
+// its counts before anything is sized by them.
+func ResidentBytes(n, m int64) int64 { return 24*m + 4*(n+1) + 64 }
 
 // csrBytes is c's size, 0 for nil.
 func csrBytes(c *CSR) int64 {

@@ -32,79 +32,40 @@ type Batch struct {
 	Edges []graph.Edge
 
 	deltas  int
-	dels    []int32      // indices into the current edge list, unique
-	del     []bool       // del[i]: current edge i is deleted
-	inserts []graph.Edge // appended edges in batch order
+	dels    []int        // positions in the State's edge list, ascending
+	inserts []graph.Edge // the tail of Edges: the inserts in batch order
+	g       *bicc.Graph  // Graph's result, once built
 
 	state   *State
 	commits uint64
 }
 
-// Prepare checks every delta against the state (with earlier deltas of the
-// same batch applied, so "delete then re-insert" is legal while duplicates
-// and missing edges are rejected), resolves deletes to edge indices through
-// the slot map, and assembles the final edge list. It mutates nothing. A
+// Prepare applies deltas to the state's edge list with graph.ApplyDeltas,
+// which rejects a bad delta with a *graph.DeltaError. It mutates nothing. A
 // batch that passes Prepare can only fail Apply for runtime reasons
 // (faults, cancellation, engine errors), never validation.
-func (s *State) Prepare(deltas []Delta) (*Batch, error) {
-	b := &Batch{N: s.n, deltas: len(deltas), state: s, commits: s.commits}
-	added := make(map[uint64]struct{})
-	removed := make(map[uint64]struct{})
-	for i, d := range deltas {
-		if d.U < 0 || d.V < 0 {
-			return nil, &DeltaError{i, d, "negative vertex"}
-		}
-		if d.U == d.V {
-			return nil, &DeltaError{i, d, "self loop"}
-		}
-		key := graph.CanonKey(d.U, d.V)
-		switch d.Op {
-		case OpInsert:
-			if _, dup := added[key]; dup {
-				return nil, &DeltaError{i, d, "duplicate of an insert earlier in this batch"}
-			}
-			if _, ok := s.slot[key]; ok {
-				if _, rem := removed[key]; !rem {
-					return nil, &DeltaError{i, d, "edge already present"}
-				}
-			}
-			added[key] = struct{}{}
-			b.inserts = append(b.inserts, graph.Edge{U: d.U, V: d.V})
-			if d.U >= b.N {
-				b.N = d.U + 1
-			}
-			if d.V >= b.N {
-				b.N = d.V + 1
-			}
-		case OpDelete:
-			if _, ok := added[key]; ok {
-				return nil, &DeltaError{i, d, "edge was inserted earlier in this batch"}
-			}
-			sl, ok := s.slot[key]
-			if !ok {
-				return nil, &DeltaError{i, d, "edge not present"}
-			}
-			if _, rem := removed[key]; rem {
-				return nil, &DeltaError{i, d, "edge already deleted in this batch"}
-			}
-			removed[key] = struct{}{}
-			b.dels = append(b.dels, s.slotPos[sl])
-		default:
-			return nil, &DeltaError{i, d, "unknown op"}
-		}
+func (s *State) Prepare(deltas []graph.Delta) (*Batch, error) {
+	n, edges, dels, err := graph.ApplyDeltas(s.n, s.edges, deltas)
+	if err != nil {
+		return nil, err
 	}
-	b.del = make([]bool, len(s.edges))
-	for _, i := range b.dels {
-		b.del[i] = true
-	}
-	b.Edges = make([]graph.Edge, 0, len(s.edges)-len(b.dels)+len(b.inserts))
-	for i, e := range s.edges {
-		if !b.del[i] {
-			b.Edges = append(b.Edges, e)
+	inserts := edges[len(s.edges)-len(dels):]
+	return &Batch{N: n, Edges: edges, deltas: len(deltas), dels: dels, inserts: inserts,
+		state: s, commits: s.commits}, nil
+}
+
+// Graph returns the batch's final graph. The first call adopts Edges,
+// validated but not copied; later calls, and a full recompute in Apply,
+// share that graph.
+func (b *Batch) Graph() (*bicc.Graph, error) {
+	if b.g == nil {
+		g, err := bicc.AdoptGraph(int(b.N), b.Edges)
+		if err != nil {
+			return nil, fmt.Errorf("incr: final graph: %w", err)
 		}
+		b.g = g
 	}
-	b.Edges = append(b.Edges, b.inserts...)
-	return b, nil
+	return b.g, nil
 }
 
 // blockSet is a set of block ids, an array over the id range.
@@ -123,10 +84,9 @@ func (d *blockSet) add(b int32) {
 // Apply commits a batch from Prepare. It classifies every delta against the
 // current block-cut structure, absorbs intra-block inserts in place, and
 // recomputes the union of the dirty blocks (or, past the size threshold,
-// the whole graph) via run. Its map work is O(batch + region): the key map
-// moves by one entry per delta and the dirty set is an array by block id.
-// The block index, which doubles as the block-cut forest, is rebuilt by
-// array passes, without a sort.
+// the whole graph, b.Graph()) via run. Its map work is O(batch + region):
+// the dirty set is an array by block id. The block index, which doubles as
+// the block-cut forest, is rebuilt by array passes, without a sort.
 // On error the State is unchanged — every in-place update comes after the
 // engine run, the last step that can fail — so the caller can degrade to a
 // full recompute of b.Edges and rebuild a fresh State.
@@ -221,10 +181,12 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 		return stats, nil
 	}
 
+	// Every deleted edge's block is dirty, so the region holds the dirty
+	// blocks' edges but the deleted ones, plus the structural inserts.
 	finalCount := len(b.Edges)
-	regionEdges := structural
-	for i, c := range s.comp {
-		if !b.del[i] && dirty.in[c] {
+	regionEdges := structural - len(b.dels)
+	for _, c := range s.comp {
+		if dirty.in[c] {
 			regionEdges++
 		}
 	}
@@ -239,9 +201,9 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 		if run == nil {
 			return nil, fmt.Errorf("incr: full recompute needed but no engine provided")
 		}
-		g, err := bicc.NewGraph(int(b.N), b.Edges)
+		g, err := b.Graph()
 		if err != nil {
-			return nil, fmt.Errorf("incr: final graph: %w", err)
+			return nil, err
 		}
 		res, err := run(ctx, g)
 		if err != nil {
@@ -281,11 +243,13 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 		region = append(region, int32(len(src)))
 		src = append(src, -int32(len(region)))
 	}
-	for i := range s.edges {
-		if b.del[i] {
+	dels := b.dels
+	for i, c := range s.comp {
+		if len(dels) > 0 && dels[0] == i {
+			dels = dels[1:]
 			continue
 		}
-		if c := s.comp[i]; dirty.in[c] {
+		if dirty.in[c] {
 			toRegion()
 		} else {
 			src = append(src, c)
@@ -300,7 +264,7 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 	}
 
 	sub, _ := core.Subgraph(b.Edges, region)
-	rg, err := bicc.NewGraph(int(sub.N), sub.Edges)
+	rg, err := bicc.AdoptGraph(int(sub.N), sub.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("incr: region subgraph: %w", err)
 	}
@@ -333,38 +297,9 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 	return stats, nil
 }
 
-// commit installs the batch's edge list and labels and moves the key map by
-// one entry per delta. It is the only in-place write of Apply, so it runs
-// after every step that can fail.
+// commit installs the batch's edge list and labels. It is the only
+// in-place write of Apply, so it runs after every step that can fail.
 func (s *State) commit(b *Batch, comp []int32, numComp int) {
-	for _, i := range b.dels {
-		e := s.edges[i]
-		key := graph.CanonKey(e.U, e.V)
-		s.slotPos[s.slot[key]] = -1
-		delete(s.slot, key)
-	}
-	for j, e := range b.inserts {
-		s.slot[graph.CanonKey(e.U, e.V)] = int32(len(s.slotPos))
-		s.slotPos = append(s.slotPos, int32(len(b.Edges)-len(b.inserts)+j))
-	}
-	if len(b.dels) > 0 {
-		// Survivors moved down past the deleted edges. Slots are in edge
-		// order, so the i-th live slot holds edge i.
-		live := int32(0)
-		for sl, p := range s.slotPos {
-			if p >= 0 {
-				s.slotPos[sl] = live
-				live++
-			}
-		}
-		if dead := len(s.slotPos) - len(b.Edges); dead > len(b.Edges) {
-			s.slotPos = make([]int32, len(b.Edges))
-			for i, e := range b.Edges {
-				s.slot[graph.CanonKey(e.U, e.V)] = int32(i)
-				s.slotPos[i] = int32(i)
-			}
-		}
-	}
 	s.n, s.edges, s.comp, s.numComp = b.N, b.Edges, comp, numComp
 	s.commits++
 }

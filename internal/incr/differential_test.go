@@ -51,7 +51,7 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // apply prepares and commits one batch.
-func apply(st *State, deltas []Delta, cfg Config, run Recompute) (*ApplyStats, error) {
+func apply(st *State, deltas []graph.Delta, cfg Config, run Recompute) (*ApplyStats, error) {
 	b, err := st.Prepare(deltas)
 	if err != nil {
 		return nil, err
@@ -82,7 +82,7 @@ func newTestState(t *testing.T, fam diffFamily, algo bicc.Algorithm) (*bicc.Grap
 // then every query answer the service derives from them.
 func assertStateEqualsScratch(t *testing.T, st *State, algo bicc.Algorithm) {
 	t.Helper()
-	g, err := st.Graph()
+	g, err := bicc.NewGraph(st.N(), st.Edges())
 	if err != nil {
 		t.Fatalf("state graph invalid: %v", err)
 	}
@@ -137,12 +137,12 @@ func assertStateEqualsScratch(t *testing.T, st *State, algo bicc.Algorithm) {
 // absorbable inserts (two vertices of one block with no edge yet),
 // arbitrary inserts (possibly cross-block, cross-component, or to a brand
 // new vertex), and deletes of random existing edges.
-func randomBatch(rng *rand.Rand, st *State, nd int) []Delta {
+func randomBatch(rng *rand.Rand, st *State, nd int) []graph.Delta {
 	present := make(map[uint64]bool, len(st.Edges()))
 	for _, e := range st.Edges() {
 		present[graph.CanonKey(e.U, e.V)] = true
 	}
-	var out []Delta
+	var out []graph.Delta
 	edges := append([]graph.Edge(nil), st.Edges()...)
 	for len(out) < nd {
 		switch rng.Intn(4) {
@@ -156,7 +156,7 @@ func randomBatch(rng *rand.Rand, st *State, nd int) []Delta {
 				for _, v := range [2]int32{f.U, f.V} {
 					if u != v && st.sharedBlock(u, v) >= 0 && !present[graph.CanonKey(u, v)] {
 						present[graph.CanonKey(u, v)] = true
-						out = append(out, Delta{OpInsert, u, v})
+						out = append(out, graph.Delta{U: u, V: v})
 						goto next
 					}
 				}
@@ -168,7 +168,7 @@ func randomBatch(rng *rand.Rand, st *State, nd int) []Delta {
 				continue
 			}
 			present[graph.CanonKey(u, v)] = true
-			out = append(out, Delta{OpInsert, u, v})
+			out = append(out, graph.Delta{U: u, V: v})
 		default: // delete a random surviving edge
 			if len(edges) == 0 {
 				continue
@@ -181,7 +181,7 @@ func randomBatch(rng *rand.Rand, st *State, nd int) []Delta {
 			present[graph.CanonKey(e.U, e.V)] = false
 			edges[i] = edges[len(edges)-1]
 			edges = edges[:len(edges)-1]
-			out = append(out, Delta{OpDelete, e.U, e.V})
+			out = append(out, graph.Delta{Del: true, U: e.U, V: e.V})
 		}
 	next:
 	}
@@ -264,17 +264,17 @@ func TestDifferentialHostileBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := [][]Delta{
+	batches := [][]graph.Delta{
 		// Two cross-component bridges forming a cycle: blocks on both sides
 		// must merge (the aux-cycle case the Steiner closure exists for).
-		{{OpInsert, 0, 4}, {OpInsert, 2, 6}},
+		{{U: 0, V: 4}, {U: 2, V: 6}},
 		// Delete an edge of the merged block, then an intra-block insert
 		// whose target block just went dirty (demotion to region edge).
-		{{OpDelete, 0, 1}, {OpInsert, 1, 3}},
+		{{Del: true, U: 0, V: 1}, {U: 1, V: 3}},
 		// Chain through two brand-new vertices closing a cycle.
-		{{OpInsert, 1, 8}, {OpInsert, 8, 9}, {OpInsert, 9, 5}},
+		{{U: 1, V: 8}, {U: 8, V: 9}, {U: 9, V: 5}},
 		// Delete then re-insert the same edge in one batch.
-		{{OpDelete, 2, 3}, {OpInsert, 2, 3}},
+		{{Del: true, U: 2, V: 3}, {U: 2, V: 3}},
 	}
 	for bi, batch := range batches {
 		if _, err := apply(st, batch, Config{}, engineRun(bicc.Sequential)); err != nil {

@@ -52,19 +52,15 @@ func FuzzApplyDeltas(f *testing.F) {
 		// Split the input into batches of up to 4 deltas so one hostile
 		// delta can't shadow valid work later in the input.
 		for off := 0; off+3 <= len(data) && off < 60; {
-			var deltas []Delta
+			var deltas []graph.Delta
 			for k := 0; k < 4 && off+3 <= len(data); k++ {
-				op := OpInsert
-				if data[off]&1 == 1 {
-					op = OpDelete
-				}
 				// Map endpoints into a window slightly past the current
 				// vertex count so growth and out-of-range mix naturally.
 				span := st.N() + 3
-				deltas = append(deltas, Delta{
-					Op: op,
-					U:  int32(int(data[off+1]) % span),
-					V:  int32(int(data[off+2]) % span),
+				deltas = append(deltas, graph.Delta{
+					Del: data[off]&1 == 1,
+					U:   int32(int(data[off+1]) % span),
+					V:   int32(int(data[off+2]) % span),
 				})
 				off += 3
 			}
@@ -72,7 +68,7 @@ func FuzzApplyDeltas(f *testing.F) {
 			edgesBefore := append([]graph.Edge(nil), st.Edges()...)
 			stats, aerr := apply(st, deltas, Config{}, run)
 			if aerr != nil {
-				var de *DeltaError
+				var de *graph.DeltaError
 				if !errors.As(aerr, &de) {
 					t.Fatalf("non-client error from validation-only input: %v", aerr)
 				}
@@ -93,7 +89,7 @@ func FuzzApplyDeltas(f *testing.F) {
 			}
 			// Correctness: maintained labels == scratch labels on the same
 			// edge list.
-			sg, err := st.Graph()
+			sg, err := bicc.NewGraph(st.N(), st.Edges())
 			if err != nil {
 				t.Fatalf("committed state has invalid graph: %v", err)
 			}

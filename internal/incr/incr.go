@@ -36,11 +36,14 @@
 // retried as a full recompute. The incr.apply and incr.rebuild fault sites
 // cover the classification loop and the per-dirty-block region assembly.
 //
-// A commit's hash-map work is O(batch + region) and it sorts nothing: the
-// edge-key map keeps stable slots across commits, and the block index,
-// which doubles as the block-cut forest, is rebuilt by counting sorts.
-// What stays linear in the graph is array passes: the final edge list, the
-// label stitch and the index rebuild.
+// Prepare is a thin call of graph.ApplyDeltas, the one function that turns
+// an edge list and a batch into the post-batch edge list; WAL replay and
+// the standby call it too, so all three apply a batch by the same rules.
+// A commit's hash-map work is O(batch + region), and it sorts only the
+// batch's deleted positions: the block index, which doubles as the
+// block-cut forest, is rebuilt by counting sorts. What stays linear in the
+// graph is array passes: the scan and copy that build the final edge list,
+// the label stitch and the index rebuild.
 package incr
 
 import (
@@ -60,61 +63,6 @@ var (
 	SiteApply   = faults.RegisterSite("incr.apply", true)
 	SiteRebuild = faults.RegisterSite("incr.rebuild", true)
 )
-
-// Op is a mutation kind.
-type Op uint8
-
-const (
-	// OpInsert adds an edge, appended at the end of the edge list. Endpoints
-	// beyond the current vertex count grow the graph.
-	OpInsert Op = iota
-	// OpDelete removes an existing edge; later edges shift down one index,
-	// preserving their relative order.
-	OpDelete
-)
-
-// String returns the wire name of the op.
-func (o Op) String() string {
-	switch o {
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
-
-// ParseOp maps a wire name back to an Op.
-func ParseOp(s string) (Op, error) {
-	switch s {
-	case "insert":
-		return OpInsert, nil
-	case "delete":
-		return OpDelete, nil
-	}
-	return 0, fmt.Errorf("incr: unknown op %q", s)
-}
-
-// Delta is one edge mutation.
-type Delta struct {
-	Op   Op
-	U, V int32
-}
-
-// DeltaError reports an invalid delta — a client error, detected before
-// anything is written. It is distinct from runtime failures (injected
-// faults, engine errors, cancellation), after which the caller should
-// degrade to a full recompute instead of rejecting the batch.
-type DeltaError struct {
-	Index  int
-	Delta  Delta
-	Reason string
-}
-
-func (e *DeltaError) Error() string {
-	return fmt.Sprintf("incr: delta %d (%s %d,%d): %s",
-		e.Index, e.Delta.Op, e.Delta.U, e.Delta.V, e.Reason)
-}
 
 // Mode is the path a batch took through Apply.
 type Mode uint8
@@ -194,18 +142,10 @@ type State struct {
 	// block lists cannot change; only its block→edge lists, which nothing
 	// here reads, then miss the absorbed edges.
 	idx *core.BlockIndex
-
-	// Edge-key map with stable slots, kept across commits: slot[k] is the
-	// slot of the edge with graph.CanonKey k, and slotPos[slot] its index in
-	// edges, or -1 once deleted. Slots are in edge order. A delete
-	// tombstones its slot and an insert appends one, so a commit changes the
-	// map by one entry per delta; the slots are compacted only when dead
-	// ones outnumber live ones.
-	slot    map[uint64]int32
-	slotPos []int32
 }
 
-// NewState captures a decomposition as incremental state. The labels are
+// NewState captures a decomposition as incremental state. The State shares
+// g's edge list, which nothing in incr writes to. The labels are
 // re-canonicalized defensively (engines already emit first-occurrence
 // numbering, but reconstructed results from older on-disk state may not).
 func NewState(g *bicc.Graph, res *bicc.Result) (*State, error) {
@@ -219,18 +159,7 @@ func NewState(g *bicc.Graph, res *bicc.Result) (*State, error) {
 	}
 	comp := append([]int32(nil), res.EdgeComponent...)
 	numComp := conncomp.Normalize(comp)
-	s := &State{
-		n:       int32(g.NumVertices()),
-		edges:   append([]graph.Edge(nil), edges...),
-		comp:    comp,
-		numComp: numComp,
-		slot:    make(map[uint64]int32, len(edges)),
-		slotPos: make([]int32, len(edges)),
-	}
-	for i, e := range s.edges {
-		s.slot[graph.CanonKey(e.U, e.V)] = int32(i)
-		s.slotPos[i] = int32(i)
-	}
+	s := &State{n: int32(g.NumVertices()), edges: edges, comp: comp, numComp: numComp}
 	s.reindex()
 	return s, nil
 }
@@ -277,9 +206,4 @@ func (s *State) sharedBlock(u, v int32) int32 {
 		}
 	}
 	return -1
-}
-
-// Graph materializes the current edge list as a bicc.Graph.
-func (s *State) Graph() (*bicc.Graph, error) {
-	return bicc.NewGraph(int(s.n), s.edges)
 }

@@ -3,13 +3,14 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"bicc"
 	"bicc/internal/durable"
+	"bicc/internal/graph"
 	"bicc/internal/incr"
 	"bicc/internal/obs"
 )
@@ -201,6 +202,23 @@ type mutateRequest struct {
 	Deltas []mutationDelta `json:"deltas"`
 }
 
+// parseDeltas maps a request's deltas onto graph.Delta, the one delta type
+// from here to the WAL, refusing an op other than insert and delete.
+func parseDeltas(in []mutationDelta) ([]graph.Delta, error) {
+	out := make([]graph.Delta, len(in))
+	for i, d := range in {
+		switch d.Op {
+		case "insert":
+		case "delete":
+			out[i].Del = true
+		default:
+			return nil, fmt.Errorf("delta %d: unknown op %q", i, d.Op)
+		}
+		out[i].U, out[i].V = d.U, d.V
+	}
+	return out, nil
+}
+
 type mutateResponse struct {
 	Graph         string  `json:"graph"`
 	Generation    uint64  `json:"generation"`
@@ -272,21 +290,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty delta batch")
 		return
 	}
-	deltas := make([]incr.Delta, len(req.Deltas))
-	for i, d := range req.Deltas {
-		op, err := incr.ParseOp(d.Op)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "delta %d: %v", i, err)
-			return
-		}
-		if op == incr.OpInsert {
-			// An insert past the last vertex grows the graph to its endpoint.
-			if err := s.checkVertices(int64(max(d.U, d.V)) + 1); err != nil {
-				writeError(w, http.StatusBadRequest, "delta %d: %v", i, err)
-				return
-			}
-		}
-		deltas[i] = incr.Delta{Op: op, U: d.U, V: d.V}
+	deltas, err := parseDeltas(req.Deltas)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	// Per-graph serialization: one mutation at a time per id; the registry
@@ -331,18 +338,18 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validate before writing anything: client errors never reach the WAL.
+	// A batch that grows the graph past the budget is refused by its counts,
+	// before anything is sized by its vertex count.
 	batch, err := e.st.Prepare(deltas)
+	if err == nil {
+		err = s.checkBudget(int64(batch.N), int64(len(batch.Edges)))
+	}
 	if err != nil {
-		var de *incr.DeltaError
-		if errors.As(err, &de) {
-			writeError(w, http.StatusBadRequest, "%v", de)
-			return
-		}
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	clock.lap("validate")
-	newGraph, err := bicc.NewGraph(int(batch.N), batch.Edges)
+	newGraph, err := batch.Graph()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "resulting graph invalid: %v", err)
 		return
@@ -356,11 +363,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// on the mutation must take effect — runtime failures degrade, they do
 	// not reject.
 	if d := s.dur.Load(); d != nil {
-		ops := make([]durable.DeltaOp, len(deltas))
-		for i, dl := range deltas {
-			ops[i] = durable.DeltaOp{Del: dl.Op == incr.OpDelete, U: dl.U, V: dl.V}
-		}
-		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: batch.N, PostFP: postFP, Ops: ops}
+		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: batch.N, PostFP: postFP, Ops: deltas}
 		if err := d.store.AppendDelta(rec, newGraph); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "persisting mutation: %v", err)
 			return
@@ -396,10 +399,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		stats = &incr.ApplyStats{Deltas: len(deltas), Mode: incr.ModeFull}
 		for _, dl := range deltas {
-			if dl.Op == incr.OpInsert {
-				stats.Inserts++
-			} else {
+			if dl.Del {
 				stats.Deletes++
+			} else {
+				stats.Inserts++
 			}
 		}
 		if e.st != nil {

@@ -193,13 +193,9 @@ func randomMutationBatch(rng *rand.Rand, st *incr.State, nd int) []mutationDelta
 // server acknowledged.
 func applyShadow(t *testing.T, st *incr.State, batch []mutationDelta) {
 	t.Helper()
-	deltas := make([]incr.Delta, len(batch))
-	for i, d := range batch {
-		op, err := incr.ParseOp(d.Op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deltas[i] = incr.Delta{Op: op, U: d.U, V: d.V}
+	deltas, err := parseDeltas(batch)
+	if err != nil {
+		t.Fatal(err)
 	}
 	run := func(ctx context.Context, g *bicc.Graph) (*bicc.Result, error) {
 		return bicc.BiconnectedComponentsCtx(ctx, g, &bicc.Options{Algorithm: bicc.Sequential})

@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bicc"
 	"bicc/internal/durable"
 	"bicc/internal/faults"
+	"bicc/internal/graph"
 	"bicc/internal/repl"
 )
 
@@ -262,8 +264,19 @@ func (a *replApplier) Apply(kind byte, payload []byte) error {
 		if !ok {
 			return fmt.Errorf("service: replicated delta for unknown graph %s", rec.ID)
 		}
-		ng, err := durable.ApplyDelta(g, rec)
+		// The primary's rules, as replay runs them: a vertex count other
+		// than the record's is a divergence like an op that no longer
+		// matches.
+		n, edges, _, err := graph.ApplyDeltas(int32(g.NumVertices()), g.Edges(), rec.Ops)
 		s.registry.Release(rec.ID)
+		if err != nil {
+			return err
+		}
+		if n != rec.NewN {
+			return fmt.Errorf("service: replicated delta for %s gen %d leaves %d vertices, record says %d",
+				rec.ID, rec.Gen, n, rec.NewN)
+		}
+		ng, err := bicc.AdoptGraph(int(n), edges)
 		if err != nil {
 			return err
 		}

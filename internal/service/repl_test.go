@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"bicc"
 	"bicc/internal/engine"
 	"bicc/internal/gen"
+	"bicc/internal/graph"
 )
 
 // replica is one durable, replication-enabled server under test.
@@ -175,6 +177,86 @@ func TestReplicationDifferential(t *testing.T) {
 	if st.AppliedRecords() == 0 {
 		t.Fatal("standby applied no records after replication")
 	}
+}
+
+// TestReplicationAgreesAfterManyBatches streams 120 seeded local 16-delta
+// batches at a primary with a standby, on BlockChain(200, 8): each batch
+// deletes and re-inserts one chain edge, deletes, with probability 1/2 per
+// delta, the oldest edge an earlier batch inserted, and otherwise inserts
+// an absent edge in a 64-id window. The standby, and a server restarted
+// from the primary's data directory, must reach the primary's generation
+// and content fingerprint and answer sequential byte for byte like it.
+func TestReplicationAgreesAfterManyBatches(t *testing.T) {
+	const batches = 120
+	pri, stb := replicaPair(t)
+	el := gen.BlockChain(200, 8)
+	g, err := bicc.NewGraph(int(el.N), el.Edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := uploadGraph(t, pri.ts, g, "name=chain").Fingerprint
+
+	rng := rand.New(rand.NewSource(32))
+	present := map[uint64]bool{}
+	for _, e := range el.Edges {
+		present[graph.CanonKey(e.U, e.V)] = true
+	}
+	var own []bicc.Edge
+	for b := 0; b < batches; b++ {
+		e := el.Edges[rng.Intn(len(el.Edges))] // never deleted for good
+		batch := []mutationDelta{{Op: "delete", U: e.U, V: e.V}, {Op: "insert", U: e.V, V: e.U}}
+		older := len(own)
+		lo := rng.Int31n(el.N - 64)
+		for len(batch) < 16 {
+			if older > 0 && rng.Intn(2) == 0 {
+				e := own[0]
+				own = own[1:]
+				older--
+				delete(present, graph.CanonKey(e.U, e.V))
+				batch = append(batch, mutationDelta{Op: "delete", U: e.U, V: e.V})
+				continue
+			}
+			u, v := lo+rng.Int31n(64), lo+rng.Int31n(64)
+			if u == v || present[graph.CanonKey(u, v)] {
+				continue
+			}
+			present[graph.CanonKey(u, v)] = true
+			own = append(own, bicc.Edge{U: u, V: v})
+			batch = append(batch, mutationDelta{Op: "insert", U: u, V: v})
+		}
+		if out := mustMutate(t, pri.ts, fp, batch); out.Generation != uint64(b+1) {
+			t.Fatalf("batch %d: generation %d", b, out.Generation)
+		}
+	}
+	waitCaughtUp(t, pri, stb)
+
+	pinfo, ok := getGraphInfo(t, pri.ts, fp)
+	if !ok || pinfo.Generation != batches {
+		t.Fatalf("primary after %d batches: %+v ok=%v", batches, pinfo, ok)
+	}
+	want := normalizeBCC(t, queryAll(t, pri.ts, fp, "sequential"))
+	check := func(who string, ts *httptest.Server) {
+		t.Helper()
+		info, ok := getGraphInfo(t, ts, fp)
+		if !ok || info.Generation != pinfo.Generation || info.ContentFP != pinfo.ContentFP {
+			t.Fatalf("%s: %+v ok=%v, primary %+v", who, info, ok, pinfo)
+		}
+		if got := normalizeBCC(t, queryAll(t, ts, fp, "sequential")); got != want {
+			t.Fatalf("%s answer diverged\nprimary: %s\n%s: %s", who, want, who, got)
+		}
+	}
+	check("standby", stb.ts)
+
+	pri.ts.Close()
+	pri.s.CloseReplication()
+	if err := pri.s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rep := durableServer(t, Config{}, DurabilityConfig{Dir: pri.dir})
+	if rep.Graphs != 1 || rep.DroppedGraphs != 0 || rep.DroppedRecords != 0 {
+		t.Fatalf("restart from the primary's directory: %+v", rep)
+	}
+	check("restarted primary", newHTTPServer(t, s2))
 }
 
 // TestReplicationDeletePropagates: a durable delete on the primary removes

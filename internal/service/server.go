@@ -311,20 +311,22 @@ func parseAlgorithm(s string) (bicc.Algorithm, error) {
 	return bicc.ParseAlgorithm(s)
 }
 
-// checkVertices refuses a vertex count past MaxGraphBytes at 4 bytes per
-// vertex, the least any engine array over the vertices costs. Callers check
-// before anything is sized by n.
-func (s *Server) checkVertices(n int64) error {
-	if limit := s.cfg.MaxGraphBytes / 4; n > limit {
-		return fmt.Errorf("%d vertices exceed the %d that -max-graph-bytes %d allows at 4 bytes per vertex",
-			n, limit, s.cfg.MaxGraphBytes)
+// checkBudget refuses a graph of n vertices and m edges whose resident
+// bytes alone, what the registry charges it (graph.ResidentBytes), exceed
+// MaxGraphBytes: registering it would evict every other graph and still
+// not fit. It allocates nothing, so callers check before anything is sized
+// by n or m.
+func (s *Server) checkBudget(n, m int64) error {
+	if b := graph.ResidentBytes(n, m); b > s.cfg.MaxGraphBytes {
+		return fmt.Errorf("a graph of %d vertices and %d edges holds %d bytes, over -max-graph-bytes %d",
+			n, m, b, s.cfg.MaxGraphBytes)
 	}
 	return nil
 }
 
-// readGraph parses a graph from r and checks its vertex count before
-// validating it. With normalize set, self loops and duplicate edges are
-// dropped (and counted) instead of rejected; DIMACS input is always
+// readGraph parses a graph from r and checks its size against the budget
+// before validating it. With normalize set, self loops and duplicate edges
+// are dropped (and counted) instead of rejected; DIMACS input is always
 // normalized, uncounted unless normalize is set.
 func (s *Server) readGraph(r io.Reader, format string, normalize bool) (g *bicc.Graph, loops, dups int, err error) {
 	var el *graph.EdgeList
@@ -339,7 +341,7 @@ func (s *Server) readGraph(r io.Reader, format string, normalize bool) (g *bicc.
 		err = fmt.Errorf("unknown format %q", format)
 	}
 	if err == nil {
-		err = s.checkVertices(int64(el.N))
+		err = s.checkBudget(int64(el.N), int64(len(el.Edges)))
 	}
 	if err != nil {
 		return nil, 0, 0, err

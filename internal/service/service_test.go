@@ -291,6 +291,57 @@ func TestUploadHugeVertexCount(t *testing.T) {
 	}
 }
 
+// TestUploadOverBudgetRefused: with a 1 MiB budget, a 19-byte text upload
+// declaring 262143 vertices passed the old check at 4 bytes per vertex,
+// allocated 2 MB validating its two edges, and evicted every other graph
+// to make room for a graph that alone did not fit. The check now charges
+// what the registry charges, so the upload answers 400 before anything is
+// sized by its counts and the resident graph stays. Every upload allocates
+// the text reader's line buffer (1 MiB) before it reads the header; the
+// refused one may allocate at most 64 KiB more. A batch that would grow
+// the resident graph as far is refused the same way, within 64 KiB.
+func TestUploadOverBudgetRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxGraphBytes: 1 << 20})
+	small := uploadGraph(t, ts, testGraph(t), "")
+	// Refused requests change nothing, so each is sent three times and the
+	// least reading counts: other goroutines allocate in the window too.
+	leastAlloc := func(send func()) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			least = min(least, allocatedDuring(send))
+		}
+		return least
+	}
+	var code int
+	var msg string
+	alloc := leastAlloc(func() {
+		code, _, msg = postRawGraph(t, ts, "format=text", []byte("p 262143 2\n0 1\n1 2\n"))
+	})
+	if code != http.StatusBadRequest || !strings.Contains(msg, "262143 vertices") {
+		t.Fatalf("over-budget upload: %d %s, want 400 naming the vertex count", code, msg)
+	}
+	if alloc >= 1<<20+64<<10 {
+		t.Fatalf("the refused upload allocated %d bytes", alloc)
+	}
+	if _, ok := getGraphInfo(t, ts, small.Fingerprint); !ok {
+		t.Fatal("the refused upload evicted the resident graph")
+	}
+	var data []byte
+	mustMutate(t, ts, small.Fingerprint, []mutationDelta{{Op: "insert", U: 0, V: 4}}) // seeds the state
+	alloc = leastAlloc(func() {
+		_, code, data = postMutate(t, ts, small.Fingerprint, []mutationDelta{{Op: "insert", U: 0, V: 262142}})
+	})
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "262143 vertices") {
+		t.Fatalf("over-budget batch: %d %s, want 400 naming the vertex count", code, data)
+	}
+	if alloc >= 64<<10 {
+		t.Fatalf("the refused batch allocated %d bytes", alloc)
+	}
+	if info, ok := getGraphInfo(t, ts, small.Fingerprint); !ok || info.Generation != 1 {
+		t.Fatalf("after the refused batch: %+v ok=%v", info, ok)
+	}
+}
+
 // TestQueryProcsCapped: a query asking for two billion workers used to
 // start a goroutine per worker on the only admission worker and never
 // answer, starving every later query. /v1/bcc and the per-block endpoints
