@@ -47,6 +47,8 @@ type bccdProc struct {
 
 	mu    sync.Mutex
 	lines []string
+	// scanned is closed once stderr has been read to its end.
+	scanned chan struct{}
 }
 
 // startBccd launches the daemon on a kernel-chosen port over dir (none
@@ -68,9 +70,10 @@ func startBccd(t *testing.T, dir, faults string, extra ...string) *bccdProc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &bccdProc{t: t, cmd: cmd}
+	p := &bccdProc{t: t, cmd: cmd, scanned: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.scanned)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -107,10 +110,15 @@ func (p *bccdProc) stderr() string {
 }
 
 // waitExit blocks until the subprocess exits, failing the test on timeout.
+// It reads stderr to its end first: Wait closes the pipe, and a last line
+// still unread, such as a kill site's, would be lost.
 func (p *bccdProc) waitExit() *os.ProcessState {
 	p.t.Helper()
 	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
+	go func() {
+		<-p.scanned
+		done <- p.cmd.Wait()
+	}()
 	select {
 	case <-done:
 		return p.cmd.ProcessState
