@@ -90,11 +90,16 @@ fuzz-durable:
 # input is capped at a few runs rather than a minute. FuzzRelabel checks
 # the engines' local view on arbitrary graphs of up to 256 vertices: the
 # BFS numbering is a bijection, the view keeps the edge order under it,
-# and its gathered CSR equals ToCSR of its edges.
+# and its gathered CSR equals ToCSR of its edges. FuzzDuplicateCheck holds
+# graph.New's check (ranges, self loops, then one stamp pass over the CSR)
+# to the counting-sort duplicate check it replaced, kept in the package's
+# tests, on edge lists over at most 256 vertices at p = 1 and 2: the same
+# verdict and the same error text.
 fuzz-graph:
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadText -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzReadDIMACS -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzRelabel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run FuzzNothing -fuzz FuzzDuplicateCheck -fuzztime $(FUZZTIME)
 
 # Connectivity kernel fuzzing. fuzz-conncomp runs conncomp.Link at p = 1,
 # 2 and 4 on arbitrary edge multisets over at most 512 vertices (self-loops,

@@ -53,10 +53,13 @@ var phaseSeconds = obs.Default().HistogramVec("bicc_phase_seconds",
 type Edge = graph.Edge
 
 // Graph is an undirected simple graph on vertices [0, N). It is immutable.
-// The first call that needs adjacency (any engine but TVSMP, or
-// SparseCertificate, CountBlocks, Analyze or Diameter) builds the graph's
-// CSR, 16m + 4(n+1) bytes, and the graph keeps it for every later call,
-// whatever the engine or worker count.
+// It holds its CSR, 16m + 4(n+1) bytes, for every call that needs
+// adjacency (any engine but TVSMP, or SparseCertificate, CountBlocks,
+// Analyze or Diameter), whatever the engine or worker count. NewGraph,
+// AdoptGraph, NewGraphNormalized and the ReadGraph functions build it as
+// the step that checks the edges; a generated graph, a ComponentSubgraph,
+// a SparseCertificate and ApplyDeltas' result, simple by construction,
+// leave it to the first call that needs it.
 //
 // From 2^16 vertices up, the first engine run (TVSMP included) also
 // decides whether the engines run on a local view: the graph relabeled in
@@ -71,13 +74,13 @@ type Graph struct {
 }
 
 // ResidentBytes returns the memory g holds: its edge list, plus its CSR,
-// counted before the first call that needs adjacency builds it, or, once
-// built, the local view the engines run on and whatever CSR of its own it
-// still keeps.
+// counted also while a lazily built graph has none yet, or, once the
+// first engine run has built one, the local view the engines run on and
+// whatever CSR of its own it still keeps.
 func (g *Graph) ResidentBytes() int64 { return g.gr.Bytes() }
 
-// NewGraph builds a graph from n vertices and an edge list. It rejects
-// out-of-range endpoints, self loops, and duplicate edges; use
+// NewGraph builds a graph from n vertices and an edge list, with its CSR.
+// It rejects out-of-range endpoints, self loops, and duplicate edges; use
 // NewGraphNormalized to clean such inputs instead.
 func NewGraph(n int, edges []Edge) (*Graph, error) {
 	return AdoptGraph(n, append([]Edge(nil), edges...))
@@ -90,11 +93,17 @@ func AdoptGraph(n int, edges []Edge) (*Graph, error) {
 	if err := checkVertexCount(n); err != nil {
 		return nil, err
 	}
-	el := &graph.EdgeList{N: int32(n), Edges: edges}
-	if err := el.Validate(); err != nil {
+	return adopt(&graph.EdgeList{N: int32(n), Edges: edges})
+}
+
+// adopt checks el and builds its CSR in one step (graph.New), with
+// GOMAXPROCS workers, what an engine run with Procs <= 0 uses.
+func adopt(el *graph.EdgeList) (*Graph, error) {
+	gr, err := graph.New(el, 0)
+	if err != nil {
 		return nil, err
 	}
-	return wrap(el), nil
+	return &Graph{gr: gr}, nil
 }
 
 // checkVertexCount rejects a vertex count outside what int32 vertex ids
@@ -106,7 +115,7 @@ func checkVertexCount(n int) error {
 	return nil
 }
 
-// wrap returns el as a Graph with no CSR yet.
+// wrap returns el, simple by construction, as a Graph with no CSR yet.
 func wrap(el *graph.EdgeList) *Graph { return &Graph{gr: graph.Wrap(el)} }
 
 // NewGraphNormalized builds a graph after dropping self loops and
@@ -126,7 +135,30 @@ func NewGraphNormalized(n int, edges []Edge) (g *Graph, loops, dups int, err err
 		}
 	}
 	norm, loops, dups := el.Normalize()
-	return wrap(norm), loops, dups, nil
+	g, err = adopt(norm)
+	return g, loops, dups, err
+}
+
+// Delta is one edge mutation of a batch: the insert of the undirected edge
+// {U, V}, or its delete when Del is set.
+type Delta = graph.Delta
+
+// ApplyDeltas returns the graph that a batch of deltas leaves of g,
+// applied in order: an insert appends its edge, a delete removes its edge
+// and keeps the order of the rest, and an endpoint past the vertex count
+// grows the graph. It rejects a negative endpoint, an endpoint of
+// 2^31 − 1, a self loop, an insert of an edge present at that point of
+// the batch, a delete of an absent edge and the delete of an edge the
+// batch inserted. Those rules keep the result simple, so it is returned
+// unchecked, with no CSR until a call needs one.
+// deleted lists the positions in g.Edges() of the deleted edges,
+// ascending. g is unchanged.
+func ApplyDeltas(g *Graph, deltas []Delta) (out *Graph, deleted []int, err error) {
+	n, edges, deleted, err := graph.ApplyDeltas(g.gr.N, g.gr.Edges, deltas)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wrap(&graph.EdgeList{N: n, Edges: edges}), deleted, nil
 }
 
 // NumVertices returns the number of vertices.

@@ -35,12 +35,14 @@ func hasPhase(res *Result, name string) bool {
 	return false
 }
 
-// TestOneCSRPerGraph runs every engine at p ∈ {1, 2}, SparseCertificate,
-// CountBlocks and Analyze on one Graph. Whichever CSR-reading engine and
-// worker count goes first converts the CSR and records a to-csr phase
-// before its first pipeline phase; TV-SMP before it converts nothing, and
-// no later call converts again, records to-csr, or changes a byte of the
-// CSR. Every answer equals the sequential oracle's.
+// TestOneCSRPerGraph checks that a graph converts its CSR once. NewGraph
+// converts at construction, and then every engine at p ∈ {1, 2},
+// SparseCertificate, CountBlocks and Analyze run on it without converting,
+// recording to-csr or changing a byte of the CSR. A generated graph has no
+// CSR yet: TV-SMP converts nothing, whichever CSR-reading engine and worker
+// count goes first converts it and records a to-csr phase before its first
+// pipeline phase, and nothing converts after that. Every answer equals the
+// sequential oracle's.
 func TestOneCSRPerGraph(t *testing.T) {
 	base, err := RandomConnectedGraph(2000, 9000, 31)
 	if err != nil {
@@ -60,9 +62,62 @@ func TestOneCSRPerGraph(t *testing.T) {
 			t.Fatalf("%s: labels differ from the sequential oracle", at)
 		}
 	}
+	// reuse runs every CSR reader on g, which must hold its CSR already.
+	reuse := func(at string, g *Graph) {
+		t.Helper()
+		c, fresh := g.gr.CSR(1)
+		if fresh {
+			t.Fatalf("%s left no CSR behind", at)
+		}
+		snap := csrSnapshot(c)
+		same := func(after string) {
+			t.Helper()
+			if !sameCSR(c, &snap) {
+				t.Fatalf("%s: CSR changed after %s", at, after)
+			}
+		}
+		for _, a := range Algorithms() {
+			for _, p := range []int{1, 2} {
+				res, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: p})
+				check(fmt.Sprintf("%s, then %v p=%d", at, a, p), res, err)
+				if hasPhase(res, core.PhaseToCSR) {
+					t.Fatalf("%s, then %v p=%d: converted again: %v", at, a, p, res.Phases)
+				}
+				same(fmt.Sprintf("%v p=%d", a, p))
+			}
+		}
+		for _, p := range []int{1, 2} {
+			if _, _, err := SparseCertificate(g, &Options{Procs: p}); err != nil {
+				t.Fatal(err)
+			}
+			same("SparseCertificate")
+			if n, err := CountBlocks(g, &Options{Procs: p}); err != nil || n != wantCount {
+				t.Fatalf("%s: CountBlocks = %d, %v; want %d", at, n, err, wantCount)
+			}
+			same("CountBlocks")
+			if st := Analyze(g, p); !st.Connected {
+				t.Fatalf("%s: Analyze says a connected graph is not", at)
+			}
+			same("Analyze")
+		}
+	}
+
+	before := csrConversions()
+	g := mustGraph(t, base.NumVertices(), base.Edges())
+	if n := csrConversions() - before; n != 1 {
+		t.Fatalf("NewGraph made %d conversions, want 1", n)
+	}
+	reuse("NewGraph", g)
+	if n := csrConversions() - before; n != 1 {
+		t.Fatalf("NewGraph and every call after it made %d conversions, want 1", n)
+	}
+
 	for _, first := range []Algorithm{Sequential, TVOpt, TVFilter, FastBCC} {
 		for _, firstP := range []int{1, 2} {
-			g := mustGraph(t, base.NumVertices(), base.Edges())
+			g, err := RandomConnectedGraph(2000, 9000, 31)
+			if err != nil {
+				t.Fatal(err)
+			}
 			before := csrConversions()
 			for _, p := range []int{1, 2} {
 				res, err := BiconnectedComponents(g, &Options{Algorithm: TVSMP, Procs: p})
@@ -77,41 +132,7 @@ func TestOneCSRPerGraph(t *testing.T) {
 			if res.Phases[0].Name != core.PhaseToCSR {
 				t.Fatalf("%s: phases %v, want to-csr first", at, res.Phases)
 			}
-			c, fresh := g.gr.CSR(1)
-			if fresh {
-				t.Fatalf("%s left no CSR behind", at)
-			}
-			snap := csrSnapshot(c)
-			same := func(after string) {
-				t.Helper()
-				if !sameCSR(c, &snap) {
-					t.Fatalf("%s: CSR changed after %s", at, after)
-				}
-			}
-			for _, a := range Algorithms() {
-				for _, p := range []int{1, 2} {
-					res, err := BiconnectedComponents(g, &Options{Algorithm: a, Procs: p})
-					check(fmt.Sprintf("%s, then %v p=%d", at, a, p), res, err)
-					if hasPhase(res, core.PhaseToCSR) {
-						t.Fatalf("%s, then %v p=%d: converted again: %v", at, a, p, res.Phases)
-					}
-					same(fmt.Sprintf("%v p=%d", a, p))
-				}
-			}
-			for _, p := range []int{1, 2} {
-				if _, _, err := SparseCertificate(g, &Options{Procs: p}); err != nil {
-					t.Fatal(err)
-				}
-				same("SparseCertificate")
-				if n, err := CountBlocks(g, &Options{Procs: p}); err != nil || n != wantCount {
-					t.Fatalf("%s: CountBlocks = %d, %v; want %d", at, n, err, wantCount)
-				}
-				same("CountBlocks")
-				if st := Analyze(g, p); !st.Connected {
-					t.Fatalf("%s: Analyze says a connected graph is not", at)
-				}
-				same("Analyze")
-			}
+			reuse(at, g)
 			if n := csrConversions() - before; n != 1 {
 				t.Fatalf("%s: %d conversions on one graph, want 1", at, n)
 			}
@@ -120,8 +141,9 @@ func TestOneCSRPerGraph(t *testing.T) {
 }
 
 // TestConcurrentFirstSolvesShareOneCSR races eight solves — every engine,
-// at one and two workers — on a fresh graph: they convert its CSR once,
-// and every answer equals the sequential oracle's.
+// at one and two workers — on a fresh generated graph, which has no CSR
+// yet: they convert it once, and every answer equals the sequential
+// oracle's.
 func TestConcurrentFirstSolvesShareOneCSR(t *testing.T) {
 	base, err := RandomConnectedGraph(3000, 15000, 32)
 	if err != nil {
@@ -131,7 +153,7 @@ func TestConcurrentFirstSolvesShareOneCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := mustGraph(t, base.NumVertices(), base.Edges())
+	g := base
 	algos := Algorithms()
 	before := csrConversions()
 	start := make(chan struct{})

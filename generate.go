@@ -95,13 +95,14 @@ func DenseGraph(n int, frac float64, seed int64) (*Graph, error) {
 }
 
 // ReadGraph parses the textual edge-list format ("p <n> <m>" header then
-// one "u v" pair per line; '#' comments allowed).
+// one "u v" pair per line; '#' comments allowed) and builds the graph as
+// NewGraph does.
 func ReadGraph(r io.Reader) (*Graph, error) {
-	el, err := graph.Read(r)
+	el, err := graph.ReadLenient(r)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(el), nil
+	return adopt(el)
 }
 
 // WriteGraph serializes g in the textual edge-list format.
@@ -117,10 +118,7 @@ func ReadGraphDIMACS(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	norm, _, _ := el.Normalize()
-	if err := norm.Validate(); err != nil {
-		return nil, err
-	}
-	return wrap(norm), nil
+	return adopt(norm)
 }
 
 // WriteGraphDIMACS serializes g in the DIMACS edge format.
@@ -128,13 +126,14 @@ func WriteGraphDIMACS(w io.Writer, g *Graph) error {
 	return graph.WriteDIMACS(w, g.gr.EdgeList)
 }
 
-// ReadGraphBinary parses the compact binary edge-list format.
+// ReadGraphBinary parses the compact binary edge-list format and builds
+// the graph as NewGraph does.
 func ReadGraphBinary(r io.Reader) (*Graph, error) {
-	el, err := graph.ReadBinary(r)
+	el, err := graph.ReadBinaryLenient(r)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(el), nil
+	return adopt(el)
 }
 
 // WriteGraphBinary serializes g in the compact binary edge-list format

@@ -369,10 +369,7 @@ func TestFaultMatrixIncr(t *testing.T) {
 					}
 					// Degrade to full, exactly as the service does: recompute
 					// the final edge list from scratch and rebuild the state.
-					fg, gerr := prepared.Graph()
-					if gerr != nil {
-						t.Fatal(gerr)
-					}
+					fg := prepared.Graph()
 					fres, rerr := seqRun(context.Background(), fg)
 					if rerr != nil {
 						t.Fatalf("degraded full recompute: %v", rerr)

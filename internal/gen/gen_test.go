@@ -36,7 +36,7 @@ func connectedComponents(g *graph.EdgeList) int {
 
 func checkSimple(t *testing.T, g *graph.EdgeList) {
 	t.Helper()
-	if err := g.Validate(); err != nil {
+	if _, err := graph.New(g, 1); err != nil {
 		t.Fatalf("invalid graph: %v", err)
 	}
 	seen := map[uint64]struct{}{}

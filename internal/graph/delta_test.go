@@ -116,7 +116,27 @@ func checkApplyDeltas(t *testing.T, n int32, edges []Edge, deltas []Delta) (int3
 		t.Fatalf("deltas %v on %v:\n n=%d edges %v deleted %v\nreference n=%d edges %v deleted %v",
 			deltas, edges, gotN, got, gotDel, wantN, want, wantDel)
 	}
+	checkSimple(t, gotN, got)
 	return wantN, want, nil
+}
+
+// checkSimple fails unless edges form a simple graph on [0, n): no self
+// loop, no endpoint outside the range, no key twice. A mutation batch's
+// output is wrapped as a graph with no further check, so ApplyDeltas'
+// rules must guarantee this. It keeps a map over the edges, never an array
+// over n, which the fuzzer grows to 2^31 − 1.
+func checkSimple(t *testing.T, n int32, edges []Edge) {
+	t.Helper()
+	seen := make(map[uint64]int, len(edges))
+	for i, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
+			t.Fatalf("output edge %d (%d,%d) is a self loop or outside [0,%d)", i, e.U, e.V, n)
+		}
+		if j, ok := seen[CanonKey(e.U, e.V)]; ok {
+			t.Fatalf("output edges %d and %d are both (%d,%d)", j, i, e.U, e.V)
+		}
+		seen[CanonKey(e.U, e.V)] = i
+	}
 }
 
 // deltaBase is the fuzzer's starting graph: a triangle, a bridge and a
@@ -130,7 +150,8 @@ var deltaBase = []Edge{
 // FuzzApplyDeltas holds ApplyDeltas to the naive reference on arbitrary
 // batches: the edge list, the vertex count and the deleted positions of an
 // accepted batch, and the delta index and reason of a rejected one, must
-// equal the reference's. Input bytes decode as (op, u, v) triples, in
+// equal the reference's, and an accepted batch's output must be a simple
+// graph on its vertex count (checkSimple). Input bytes decode as (op, u, v) triples, in
 // batches of up to 8 applied in turn to the result of the last accepted
 // one: op bit 0 deletes, bit 1 negates u, bit 2 counts v down from
 // 2^31 − 1, and endpoints fall in a window slightly past the vertex count,

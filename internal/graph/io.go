@@ -15,8 +15,8 @@ import (
 //	p <n> <m>
 //	<u> <v>          (m lines, 0-based endpoints)
 //
-// Write emits it and Read parses it, validating as it goes. The header's
-// edge count is a hint for the slice, not an allocation.
+// Write emits it and ReadLenient parses it. The header's edge count is a
+// hint for the slice, not an allocation.
 
 // Write serializes g to w.
 func Write(w io.Writer, g *EdgeList) error {
@@ -37,21 +37,9 @@ func Write(w io.Writer, g *EdgeList) error {
 	return bw.Flush()
 }
 
-// Read parses the text edge-list format and validates the result.
-func Read(r io.Reader) (*EdgeList, error) {
-	g, err := ReadLenient(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// ReadLenient parses the text edge-list format without validating edges,
-// for callers that Normalize afterwards (self loops and duplicates pass
-// through; the header/shape checks still apply).
+// ReadLenient parses the text edge-list format without validating edges:
+// self loops, duplicates and out-of-range endpoints pass through for New
+// to reject or Normalize to drop; the header/shape checks still apply.
 func ReadLenient(r io.Reader) (*EdgeList, error) {
 	d := newLineDecoder(r)
 	var g *EdgeList

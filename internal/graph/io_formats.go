@@ -125,20 +125,8 @@ func WriteBinary(w io.Writer, g *EdgeList) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary format and validates the result.
-func ReadBinary(r io.Reader) (*EdgeList, error) {
-	g, err := ReadBinaryLenient(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // ReadBinaryLenient parses the binary format without validating edges, for
-// callers that Normalize afterwards.
+// New to check or Normalize to clean.
 func ReadBinaryLenient(r io.Reader) (*EdgeList, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [4]byte

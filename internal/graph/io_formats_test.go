@@ -65,7 +65,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := checked(ReadBinaryLenient, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRejects(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
+	if _, err := checked(ReadBinaryLenient, bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := checked(ReadBinaryLenient, bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Truncated edge section.
@@ -93,7 +93,7 @@ func TestBinaryRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := checked(ReadBinaryLenient, bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input accepted")
 	}
 	// Out-of-range endpoint caught by validation.
@@ -104,7 +104,7 @@ func TestBinaryRejects(t *testing.T) {
 	}
 	raw := bad.Bytes()
 	raw[len(raw)-4] = 9 // corrupt V of the only edge
-	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+	if _, err := checked(ReadBinaryLenient, bytes.NewReader(raw)); err == nil {
 		t.Error("corrupt endpoint accepted")
 	}
 }

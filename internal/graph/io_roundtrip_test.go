@@ -65,7 +65,7 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 			if err := Write(&buf, orig); err != nil {
 				t.Fatalf("write text: %v", err)
 			}
-			g1, err := Read(&buf)
+			g1, err := checked(ReadLenient, &buf)
 			if err != nil {
 				t.Fatalf("read text: %v", err)
 			}
@@ -75,7 +75,7 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 			if err := WriteBinary(&buf, g1); err != nil {
 				t.Fatalf("write binary: %v", err)
 			}
-			g2, err := ReadBinary(&buf)
+			g2, err := checked(ReadBinaryLenient, &buf)
 			if err != nil {
 				t.Fatalf("read binary: %v", err)
 			}
@@ -99,7 +99,7 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 			if err := Write(&buf, g3); err != nil {
 				t.Fatalf("write text (final): %v", err)
 			}
-			g4, err := Read(&buf)
+			g4, err := checked(ReadLenient, &buf)
 			if err != nil {
 				t.Fatalf("read text (final): %v", err)
 			}
@@ -109,8 +109,8 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 }
 
 // TestLenientReadersPreserveDirtyEdges checks the lenient entry points pass
-// self loops and duplicates through for Normalize to count, while the
-// strict readers reject the same bytes.
+// self loops and duplicates through for Normalize to count, while reading
+// and then building the graph with New rejects the same bytes.
 func TestLenientReadersPreserveDirtyEdges(t *testing.T) {
 	dirty := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 1}, {U: 1, V: 1}, {U: 1, V: 2}, {U: 1, V: 0}}}
 
@@ -118,7 +118,7 @@ func TestLenientReadersPreserveDirtyEdges(t *testing.T) {
 	if err := Write(&text, dirty); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(text.Bytes())); err == nil {
+	if _, err := checked(ReadLenient, bytes.NewReader(text.Bytes())); err == nil {
 		t.Fatal("strict text reader accepted a self loop")
 	}
 	g, err := ReadLenient(bytes.NewReader(text.Bytes()))
@@ -131,7 +131,7 @@ func TestLenientReadersPreserveDirtyEdges(t *testing.T) {
 	if err := WriteBinary(&bin, dirty); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadBinary(bytes.NewReader(bin.Bytes())); err == nil {
+	if _, err := checked(ReadBinaryLenient, bytes.NewReader(bin.Bytes())); err == nil {
 		t.Fatal("strict binary reader accepted a self loop")
 	}
 	g, err = ReadBinaryLenient(bytes.NewReader(bin.Bytes()))
@@ -154,10 +154,10 @@ func TestLenientReadersPreserveDirtyEdges(t *testing.T) {
 	if err := WriteBinary(&bin, dupOnly); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(text.Bytes())); err == nil {
+	if _, err := checked(ReadLenient, bytes.NewReader(text.Bytes())); err == nil {
 		t.Fatal("strict text reader accepted a duplicate edge")
 	}
-	if _, err := ReadBinary(bytes.NewReader(bin.Bytes())); err == nil {
+	if _, err := checked(ReadBinaryLenient, bytes.NewReader(bin.Bytes())); err == nil {
 		t.Fatal("strict binary reader accepted a duplicate edge")
 	}
 	if g, err := ReadLenient(bytes.NewReader(text.Bytes())); err != nil {

@@ -23,50 +23,35 @@ type Recompute func(ctx context.Context, g *bicc.Graph) (*bicc.Result, error)
 // the post-state fingerprint) between Prepare and Apply. A Batch is valid
 // only until its State next commits.
 type Batch struct {
-	// N and Edges are the vertex count and edge list after the batch:
-	// surviving edges in their current order, then the inserts in
-	// submission order. This is the edge order a from-scratch upload of the
-	// final graph must use for answers to compare byte-for-byte. Apply
-	// adopts Edges as the State's edge list; callers must not modify it.
-	N     int32
-	Edges []graph.Edge
-
+	g       *bicc.Graph
 	deltas  int
 	dels    []int        // positions in the State's edge list, ascending
-	inserts []graph.Edge // the tail of Edges: the inserts in batch order
-	g       *bicc.Graph  // Graph's result, once built
+	inserts []graph.Edge // the tail of g's edges: the inserts in batch order
 
 	state   *State
 	commits uint64
 }
 
-// Prepare applies deltas to the state's edge list with graph.ApplyDeltas,
-// which rejects a bad delta with a *graph.DeltaError. It mutates nothing. A
+// Prepare applies deltas to the state's graph with bicc.ApplyDeltas, which
+// rejects a bad delta with a *graph.DeltaError. It mutates nothing. A
 // batch that passes Prepare can only fail Apply for runtime reasons
 // (faults, cancellation, engine errors), never validation.
 func (s *State) Prepare(deltas []graph.Delta) (*Batch, error) {
-	n, edges, dels, err := graph.ApplyDeltas(s.n, s.edges, deltas)
+	g, dels, err := bicc.ApplyDeltas(s.g, deltas)
 	if err != nil {
 		return nil, err
 	}
-	inserts := edges[len(s.edges)-len(dels):]
-	return &Batch{N: n, Edges: edges, deltas: len(deltas), dels: dels, inserts: inserts,
+	inserts := g.Edges()[s.g.NumEdges()-len(dels):]
+	return &Batch{g: g, deltas: len(deltas), dels: dels, inserts: inserts,
 		state: s, commits: s.commits}, nil
 }
 
-// Graph returns the batch's final graph. The first call adopts Edges,
-// validated but not copied; later calls, and a full recompute in Apply,
-// share that graph.
-func (b *Batch) Graph() (*bicc.Graph, error) {
-	if b.g == nil {
-		g, err := bicc.AdoptGraph(int(b.N), b.Edges)
-		if err != nil {
-			return nil, fmt.Errorf("incr: final graph: %w", err)
-		}
-		b.g = g
-	}
-	return b.g, nil
-}
+// Graph returns the graph the batch leaves: surviving edges in their
+// current order, then the inserts in submission order. This is the edge
+// order a from-scratch upload of the final graph must use for answers to
+// compare byte-for-byte. Apply adopts it as the State's graph, and a full
+// recompute runs on it.
+func (b *Batch) Graph() *bicc.Graph { return b.g }
 
 // blockSet is a set of block ids, an array over the id range.
 type blockSet struct {
@@ -89,7 +74,7 @@ func (d *blockSet) add(b int32) {
 // the block-cut forest, is rebuilt by array passes, without a sort.
 // On error the State is unchanged — every in-place update comes after the
 // engine run, the last step that can fail — so the caller can degrade to a
-// full recompute of b.Edges and rebuild a fresh State.
+// full recompute of b.Graph() and rebuild a fresh State.
 func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) (st *ApplyStats, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -122,15 +107,16 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 	// is absorbed into, or -1.
 	absorb := make([]int32, len(b.inserts))
 	var termVerts []int32
+	n := int32(s.N())
 	for k, e := range b.inserts {
 		sb := int32(-1)
-		if e.U < s.n && e.V < s.n {
+		if e.U < n && e.V < n {
 			sb = s.sharedBlock(e.U, e.V)
 		}
 		absorb[k] = sb
 		if sb < 0 {
 			for _, v := range [2]int32{e.U, e.V} {
-				if v < s.n && len(s.BlocksOfVertex(v)) > 0 {
+				if v < n && len(s.BlocksOfVertex(v)) > 0 {
 					termVerts = append(termVerts, v)
 				}
 			}
@@ -183,7 +169,7 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 
 	// Every deleted edge's block is dirty, so the region holds the dirty
 	// blocks' edges but the deleted ones, plus the structural inserts.
-	finalCount := len(b.Edges)
+	finalCount := b.g.NumEdges()
 	regionEdges := structural - len(b.dels)
 	for _, c := range s.comp {
 		if dirty.in[c] {
@@ -201,17 +187,13 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 		if run == nil {
 			return nil, fmt.Errorf("incr: full recompute needed but no engine provided")
 		}
-		g, err := b.Graph()
-		if err != nil {
-			return nil, err
-		}
-		res, err := run(ctx, g)
+		res, err := run(ctx, b.g)
 		if err != nil {
 			return nil, err
 		}
 		comp := append([]int32(nil), res.EdgeComponent...)
-		if len(comp) != g.NumEdges() {
-			return nil, fmt.Errorf("incr: engine labeled %d of %d edges", len(comp), g.NumEdges())
+		if len(comp) != b.g.NumEdges() {
+			return nil, fmt.Errorf("incr: engine labeled %d of %d edges", len(comp), b.g.NumEdges())
 		}
 		s.commit(b, comp, conncomp.Normalize(comp))
 		s.reindex()
@@ -263,7 +245,7 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 		}
 	}
 
-	sub, _ := core.Subgraph(b.Edges, region)
+	sub, _ := core.Subgraph(b.g.Edges(), region)
 	rg, err := bicc.AdoptGraph(int(sub.N), sub.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("incr: region subgraph: %w", err)
@@ -300,7 +282,7 @@ func (s *State) Apply(ctx context.Context, b *Batch, cfg Config, run Recompute) 
 // commit installs the batch's edge list and labels. It is the only
 // in-place write of Apply, so it runs after every step that can fail.
 func (s *State) commit(b *Batch, comp []int32, numComp int) {
-	s.n, s.edges, s.comp, s.numComp = b.N, b.Edges, comp, numComp
+	s.g, s.comp, s.numComp = b.g, comp, numComp
 	s.commits++
 }
 
@@ -336,7 +318,7 @@ func (s *State) steinerClose(termVerts []int32, dirty *blockSet) {
 		}
 	}
 
-	numNodes := int(k) + int(s.n)
+	numNodes := int(k) + s.N()
 	compID := make([]int32, numNodes)
 	parent := make([]int32, numNodes)
 	for i := range compID {

@@ -128,15 +128,14 @@ type ApplyStats struct {
 // State is a maintained decomposition. It is not safe for concurrent use;
 // callers serialize Prepare and Apply against readers.
 type State struct {
-	n       int32
-	edges   []graph.Edge
+	g       *bicc.Graph
 	comp    []int32
 	numComp int
 	// commits counts applied batches; a Batch is valid only for the count
 	// it was prepared at.
 	commits uint64
 
-	// idx is the block index of edges and comp: the block-cut forest, so
+	// idx is the block index of g's edges and comp: the block-cut forest, so
 	// steinerClose can BFS the ball around a batch's terminals without a
 	// materialized forest. An absorb commit keeps it, since its vertex and
 	// block lists cannot change; only its block→edge lists, which nothing
@@ -144,8 +143,8 @@ type State struct {
 	idx *core.BlockIndex
 }
 
-// NewState captures a decomposition as incremental state. The State shares
-// g's edge list, which nothing in incr writes to. The labels are
+// NewState captures a decomposition of g as incremental state. The State
+// shares g, whose edge list nothing in incr writes to. The labels are
 // re-canonicalized defensively (engines already emit first-occurrence
 // numbering, but reconstructed results from older on-disk state may not).
 func NewState(g *bicc.Graph, res *bicc.Result) (*State, error) {
@@ -159,28 +158,32 @@ func NewState(g *bicc.Graph, res *bicc.Result) (*State, error) {
 	}
 	comp := append([]int32(nil), res.EdgeComponent...)
 	numComp := conncomp.Normalize(comp)
-	s := &State{n: int32(g.NumVertices()), edges: edges, comp: comp, numComp: numComp}
+	s := &State{g: g, comp: comp, numComp: numComp}
 	s.reindex()
 	return s, nil
 }
 
 // reindex rebuilds the block index from the current edges and labels.
 func (s *State) reindex() {
-	s.idx = core.NewBlockIndex(s.n, s.edges, s.comp, s.numComp)
+	s.idx = core.NewBlockIndex(int32(s.N()), s.Edges(), s.comp, s.numComp)
 }
 
 // N returns the current vertex count.
-func (s *State) N() int { return int(s.n) }
+func (s *State) N() int { return s.g.NumVertices() }
 
 // NumEdges returns the current edge count.
-func (s *State) NumEdges() int { return len(s.edges) }
+func (s *State) NumEdges() int { return s.g.NumEdges() }
 
 // NumComponents returns the current block count.
 func (s *State) NumComponents() int { return s.numComp }
 
 // Edges returns the current edge list. The slice is shared; callers must
 // not modify it.
-func (s *State) Edges() []graph.Edge { return s.edges }
+func (s *State) Edges() []graph.Edge { return s.g.Edges() }
+
+// Graph returns the graph the State describes: NewState's, then each
+// applied batch's.
+func (s *State) Graph() *bicc.Graph { return s.g }
 
 // Labels returns a copy of the canonical per-edge block labels.
 func (s *State) Labels() []int32 { return append([]int32(nil), s.comp...) }

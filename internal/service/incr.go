@@ -65,16 +65,14 @@ type incrGraph struct {
 	mu sync.Mutex
 	// st is the maintained decomposition, touched only under mu. It is
 	// never shared with readers — the fast path reads the published copy.
-	// stG is the exact graph pointer st describes: if the registry holds a
-	// different pointer under this id (evicted and re-added, say), the
-	// state is stale and must be reseeded.
-	st  *incr.State
-	stG *bicc.Graph
+	// If the registry holds another graph pointer under this id than
+	// st.Graph() (evicted and re-added, say), the state is stale and must
+	// be reseeded.
+	st *incr.State
 
-	pub     sync.Mutex
-	g       *bicc.Graph // the exact graph pointer labels describe
-	labels  []int32     // canonical per-edge block labels; immutable once published
-	numComp int
+	pub    sync.Mutex
+	g      *bicc.Graph // the exact graph pointer labels describe
+	labels []int32     // canonical per-edge block labels; immutable once published
 }
 
 func newIncrState(reg *obs.Registry, threshold float64) *incrState {
@@ -269,7 +267,7 @@ func (c *stageClock) elapsed() time.Duration { return c.last.Sub(c.start) }
 // delete-then-reinsert is legal (the edge moves to the end), endpoints past
 // the vertex count grow the graph. The response's phases are the stages
 // decode (including the wait for the graph's mutation lock), seed (first
-// mutation of a graph only), validate, build, fingerprint, wal and quorum
+// mutation of a graph only), validate, fingerprint, wal and quorum
 // (durable servers only), apply and publish.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectStandby(w) {
@@ -322,7 +320,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Ensure maintained state for the current edge list. First mutation on
 	// a graph (or first after recovery) pays one engine run to seed the
 	// canonical labels; errors here are still pre-ack and safe to reject.
-	if e.st == nil || e.stG != g {
+	if e.st == nil || e.st.Graph() != g {
 		res, err := run(ctx, g)
 		if err != nil {
 			s.writeRunError(w, err, "mutation")
@@ -333,28 +331,25 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "seeding incremental state: %v", serr)
 			return
 		}
-		e.st, e.stG = st, g
+		e.st = st
 		clock.lap("seed")
 	}
 
 	// Validate before writing anything: client errors never reach the WAL.
 	// A batch that grows the graph past the budget is refused by its counts,
-	// before anything is sized by its vertex count.
+	// before anything is sized by its vertex count. The batch's rules keep
+	// its graph simple, so it is not checked again.
 	batch, err := e.st.Prepare(deltas)
+	var newGraph *bicc.Graph
 	if err == nil {
-		err = s.checkBudget(int64(batch.N), int64(len(batch.Edges)))
+		newGraph = batch.Graph()
+		err = s.checkBudget(int64(newGraph.NumVertices()), int64(newGraph.NumEdges()))
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	clock.lap("validate")
-	newGraph, err := batch.Graph()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resulting graph invalid: %v", err)
-		return
-	}
-	clock.lap("build")
 	postFP := Fingerprint(newGraph)
 	newGen := info.Generation + 1
 	clock.lap("fingerprint")
@@ -363,7 +358,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// on the mutation must take effect — runtime failures degrade, they do
 	// not reject.
 	if d := s.dur.Load(); d != nil {
-		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: batch.N, PostFP: postFP, Ops: deltas}
+		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: int32(newGraph.NumVertices()), PostFP: postFP, Ops: deltas}
 		if err := d.store.AppendDelta(rec, newGraph); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "persisting mutation: %v", err)
 			return
@@ -394,7 +389,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			// Even the full recompute failed: drop the maintained labels;
 			// queries recompute on demand. The mutation itself still
 			// commits below — it was acknowledged at the WAL.
-			e.st, e.stG = nil, nil
+			e.st = nil
 			s.incr.stateDrops.Inc()
 		}
 		stats = &incr.ApplyStats{Deltas: len(deltas), Mode: incr.ModeFull}
@@ -414,16 +409,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Commit: swap the registry entry, publish the new label snapshot, then
 	// invalidate every derived result for this id.
 	s.registry.Replace(fp, newGraph, newGen, postFP)
-	if e.st != nil {
-		e.stG = newGraph
-	}
 	e.pub.Lock()
 	e.g = newGraph
+	e.labels = nil
 	if e.st != nil {
 		e.labels = e.st.Labels()
-		e.numComp = e.st.NumComponents()
-	} else {
-		e.labels, e.numComp = nil, 0
 	}
 	e.pub.Unlock()
 	dropped := s.cache.DropGraph(fp)

@@ -594,7 +594,7 @@ func TestMutationPhasesSumToElapsed(t *testing.T) {
 			if i == 0 {
 				want = append(want, "seed")
 			}
-			want = append(want, "validate", "build", "fingerprint")
+			want = append(want, "validate", "fingerprint")
 			if tc.durable {
 				want = append(want, "wal", "quorum")
 			}
@@ -655,5 +655,67 @@ func TestMutatedGraphShardQueries(t *testing.T) {
 	}
 	if s.incr.served.Load() == 0 {
 		t.Fatal("per-block query did not use maintained labels")
+	}
+}
+
+// TestCommitsConvertNothing: a batch's graph is simple by the rules that
+// accepted the batch, so it is wrapped with no duplicate check and no CSR,
+// and the only conversions left are those of the graph records that a
+// restart or a standby decodes, each checked as an upload is. (The
+// duplicate check is one pass over the CSR it builds, so a path that
+// converts nothing runs no check either.) Three paths read
+// bicc_csr_conversions_total: the primary's absorb-only commits, a restart
+// that replays them as delta records, and a standby that applies them.
+func TestCommitsConvertNothing(t *testing.T) {
+	absorbs := [][]mutationDelta{
+		{{Op: "insert", U: 3, V: 5}},
+		{{Op: "insert", U: 4, V: 6}},
+	}
+	commit := func(ts *httptest.Server, fp string) {
+		t.Helper()
+		for _, batch := range absorbs {
+			if out := mustMutate(t, ts, fp, batch); out.Mode != "absorb" {
+				t.Fatalf("batch %v applied in mode %q, want absorb", batch, out.Mode)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	ts := newHTTPServer(t, s)
+	up := uploadGraph(t, ts, testGraph(t), "")
+	before := csrConversions()
+	commit(ts, up.Fingerprint)
+	if n := csrConversions() - before; n != 0 {
+		t.Fatalf("two absorb-only commits made %d conversions, want 0", n)
+	}
+	want := normalizeBCC(t, queryAll(t, ts, up.Fingerprint, "sequential"))
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	before = csrConversions()
+	s2, rep := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	if rep.Graphs != 1 || rep.WALRecords != 3 || rep.SnapshotRecords != 0 {
+		t.Fatalf("recovery: %+v, want one graph from a graph-add and two delta records", rep)
+	}
+	if n := csrConversions() - before; n != 1 {
+		t.Fatalf("replaying a graph-add and two delta records made %d conversions, want 1", n)
+	}
+	if got := normalizeBCC(t, queryAll(t, newHTTPServer(t, s2), up.Fingerprint, "sequential")); got != want {
+		t.Fatalf("replayed answers diverge:\nbefore: %s\nafter:  %s", want, got)
+	}
+
+	pri, stb := replicaPair(t)
+	up = uploadGraph(t, pri.ts, testGraph(t), "")
+	waitCaughtUp(t, pri, stb)
+	before = csrConversions()
+	commit(pri.ts, up.Fingerprint)
+	waitCaughtUp(t, pri, stb)
+	if n := csrConversions() - before; n != 0 {
+		t.Fatalf("two commits applied by the primary and its standby made %d conversions, want 0", n)
+	}
+	if got, want := normalizeBCC(t, queryAll(t, stb.ts, up.Fingerprint, "sequential")),
+		normalizeBCC(t, queryAll(t, pri.ts, up.Fingerprint, "sequential")); got != want {
+		t.Fatalf("standby answers diverge:\nprimary: %s\nstandby: %s", want, got)
 	}
 }

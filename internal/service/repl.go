@@ -12,7 +12,6 @@ import (
 	"bicc"
 	"bicc/internal/durable"
 	"bicc/internal/faults"
-	"bicc/internal/graph"
 	"bicc/internal/repl"
 )
 
@@ -267,18 +266,14 @@ func (a *replApplier) Apply(kind byte, payload []byte) error {
 		// The primary's rules, as replay runs them: a vertex count other
 		// than the record's is a divergence like an op that no longer
 		// matches.
-		n, edges, _, err := graph.ApplyDeltas(int32(g.NumVertices()), g.Edges(), rec.Ops)
+		ng, _, err := bicc.ApplyDeltas(g, rec.Ops)
 		s.registry.Release(rec.ID)
 		if err != nil {
 			return err
 		}
-		if n != rec.NewN {
+		if n := ng.NumVertices(); n != int(rec.NewN) {
 			return fmt.Errorf("service: replicated delta for %s gen %d leaves %d vertices, record says %d",
 				rec.ID, rec.Gen, n, rec.NewN)
-		}
-		ng, err := bicc.AdoptGraph(int(n), edges)
-		if err != nil {
-			return err
 		}
 		if Fingerprint(ng) != rec.PostFP {
 			return fmt.Errorf("service: replicated delta for %s gen %d: post-fingerprint mismatch", rec.ID, rec.Gen)

@@ -68,9 +68,10 @@ type Config struct {
 	// results are dropped. <= 0 leaves only the CacheEntries bound.
 	MemBudget int64
 	// MaxGraphBytes bounds the registry's resident size; <= 0 means 1 GiB.
-	// It also bounds the vertex count of an upload or a mutation, at 4
-	// bytes per vertex: past it the request gets 400 before anything is
-	// sized by that count.
+	// It also bounds one graph, upload or mutation result, by the bytes
+	// the registry charges it (graph.ResidentBytes: 24 per edge plus 4 per
+	// vertex): past it the request gets 400 before anything is sized by
+	// its counts.
 	MaxGraphBytes int64
 	// MaxBodyBytes bounds the request body of a graph upload, a BCC query
 	// and a mutation batch; oversize requests get 413. <= 0 means 256 MiB.
@@ -325,10 +326,11 @@ func (s *Server) checkBudget(n, m int64) error {
 }
 
 // readGraph parses a graph from r and checks its size against the budget
-// before validating it. With normalize set, self loops and duplicate edges
-// are dropped (and counted) instead of rejected; DIMACS input is always
-// normalized, uncounted unless normalize is set.
-func (s *Server) readGraph(r io.Reader, format string, normalize bool) (g *bicc.Graph, loops, dups int, err error) {
+// (stage decode), then validates it and builds its CSR in one step (stage
+// to-csr, with normalization when asked). With normalize set, self loops
+// and duplicate edges are dropped (and counted) instead of rejected;
+// DIMACS input is always normalized, uncounted unless normalize is set.
+func (s *Server) readGraph(clock *stageClock, r io.Reader, format string, normalize bool) (g *bicc.Graph, loops, dups int, err error) {
 	var el *graph.EdgeList
 	switch format {
 	case "", "text":
@@ -346,15 +348,17 @@ func (s *Server) readGraph(r io.Reader, format string, normalize bool) (g *bicc.
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	clock.lap("decode")
 	switch {
 	case normalize:
-		return bicc.NewGraphNormalized(int(el.N), el.Edges)
+		g, loops, dups, err = bicc.NewGraphNormalized(int(el.N), el.Edges)
 	case format == "dimacs":
 		g, _, _, err = bicc.NewGraphNormalized(int(el.N), el.Edges)
 	default:
 		g, err = bicc.AdoptGraph(int(el.N), el.Edges)
 	}
-	return g, 0, 0, err
+	clock.lap("to-csr")
+	return g, loops, dups, err
 }
 
 // --- graph endpoints -------------------------------------------------------
@@ -373,8 +377,9 @@ type graphUploadResponse struct {
 // Query parameters: format=text|dimacs|binary (default text),
 // normalize=1 to drop self loops / duplicate edges instead of rejecting
 // them, name=<label>. The response's phases are the stages decode (body
-// read, parse and validation), fingerprint, wal and quorum (when a durable
-// server appends the graph) and register.
+// read and parse), to-csr (validation and the CSR, built in one step),
+// fingerprint, wal and quorum (when a durable server appends the graph) and
+// register.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if s.rejectStandby(w) {
 		return
@@ -382,7 +387,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	clock := newStageClock()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	q := r.URL.Query().Get("normalize")
-	g, loops, dups, err := s.readGraph(body, r.URL.Query().Get("format"), q == "1" || q == "true")
+	g, loops, dups, err := s.readGraph(clock, body, r.URL.Query().Get("format"), q == "1" || q == "true")
 	if err != nil {
 		// A body truncated at the cap mid-record surfaces as a parse error
 		// before the reader reports the cap; probing the remaining body
@@ -397,7 +402,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing graph: %v", err)
 		return
 	}
-	clock.lap("decode")
 	s.registerGraph(w, clock, g, r.URL.Query().Get("name"), loops, dups)
 }
 
@@ -458,12 +462,11 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
-	g, loops, dups, err := s.readGraph(f, format, req.Normalize)
+	g, loops, dups, err := s.readGraph(clock, f, format, req.Normalize)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parsing %s: %v", req.Path, err)
 		return
 	}
-	clock.lap("decode")
 	name := req.Name
 	if name == "" {
 		name = path.Base(req.Path)

@@ -342,6 +342,39 @@ func TestUploadOverBudgetRefused(t *testing.T) {
 	}
 }
 
+// TestSparseUploadAllocatesNoPerWorkerArrays: an upload converts its CSR
+// when it arrives, and the parallel conversion used to allocate p degree
+// histograms over the declared vertices from 4096 edges up (8 MB at p=2
+// for a million vertices) whatever the edge count. Under the default
+// budget, uploads of 2 and of 5000 edges declaring a million vertices now
+// allocate at most the graph's resident bytes, one cursor array over the
+// vertices (the duplicate check's stamps) and 256 KiB, beyond the text
+// reader's 1 MiB buffer. Each upload is sent three times and the least
+// reading counts, as in TestUploadOverBudgetRefused.
+func TestSparseUploadAllocatesNoPerWorkerArrays(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const n = 1_000_000
+	for _, m := range []int{2, 5000} {
+		var body bytes.Buffer
+		fmt.Fprintf(&body, "p %d %d\n", n, m)
+		for i := 0; i < m; i++ {
+			fmt.Fprintf(&body, "%d %d\n", 2*i, 2*i+1)
+		}
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			least = min(least, allocatedDuring(func() {
+				if code, _, msg := postRawGraph(t, ts, "format=text", body.Bytes()); code != http.StatusOK {
+					t.Fatalf("m=%d: %d %s", m, code, msg)
+				}
+			}))
+		}
+		bound := uint64(1<<20 + graph.ResidentBytes(n, int64(m)) + 4*(n+1) + 256<<10)
+		if least > bound {
+			t.Fatalf("m=%d: an upload of %d vertices allocated %d bytes, over %d", m, n, least, bound)
+		}
+	}
+}
+
 // TestQueryProcsCapped: a query asking for two billion workers used to
 // start a goroutine per worker on the only admission worker and never
 // answer, starving every later query. /v1/bcc and the per-block endpoints
@@ -381,21 +414,22 @@ func TestQueryProcsCapped(t *testing.T) {
 
 // TestUploadPhasesSumToElapsed checks the stage breakdown on upload
 // responses: back-to-back stages in order, summing exactly to elapsed_ns.
-// Only a durable server appending a new graph has the wal and quorum
-// stages; a repeated upload finds the graph registered and skips them.
+// Every upload checks its graph by building the CSR (to-csr). Only a
+// durable server appending a new graph has the wal and quorum stages; a
+// repeated upload finds the graph registered and skips them.
 func TestUploadPhasesSumToElapsed(t *testing.T) {
 	durableSrv, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
 	var text bytes.Buffer
 	if err := bicc.WriteGraph(&text, testGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	repeat := []string{"decode", "fingerprint", "register"}
+	repeat := []string{"decode", "to-csr", "fingerprint", "register"}
 	for _, tc := range []struct {
 		name  string
 		ts    *httptest.Server
 		first []string
 	}{
-		{"durable", newHTTPServer(t, durableSrv), []string{"decode", "fingerprint", "wal", "quorum", "register"}},
+		{"durable", newHTTPServer(t, durableSrv), []string{"decode", "to-csr", "fingerprint", "wal", "quorum", "register"}},
 		{"memory", newHTTPServer(t, New(Config{})), repeat},
 	} {
 		for i, want := range [][]string{tc.first, repeat} {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bicc"
 	"bicc/internal/faults"
 	"bicc/internal/obs"
 )
@@ -216,51 +217,89 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestToCSRPhase checks that the query whose engine converts a graph's CSR
-// shows the conversion as its own phase, span and bicc_phase_seconds
-// series, that later queries on the graph reuse the CSR and show none, that
-// TV-SMP never converts, and that a query's phases stay within its
-// elapsed_ns.
+// csrConversions reads the process-wide count of edge-list to CSR
+// conversions, bicc_csr_conversions_total.
+func csrConversions() int64 {
+	return obs.Default().Counter("bicc_csr_conversions_total", "").Load()
+}
+
+// TestToCSRPhase checks where a graph's conversion shows. An upload builds
+// the CSR as the step that checks the graph: its to-csr stage and one
+// conversion, after which no query on the graph converts or records a
+// to-csr phase. A graph added with no CSR yet, a generated one, shows the
+// lazy path: the query whose engine converts it has the conversion as its
+// own phase, span and bicc_phase_seconds series, later queries reuse the
+// CSR and show none, and TV-SMP never converts. A query's phases stay
+// within its elapsed_ns.
 func TestToCSRPhase(t *testing.T) {
 	old := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(old)
-	_, ts := newTestServer(t, Config{})
-	up := uploadGraph(t, ts, testGraph(t), "")
-	for _, c := range []struct {
-		algo  string
-		procs int
-		toCSR bool
-	}{
-		{"tv-smp", 2, false},
-		{"tv-opt", 2, true},
-		{"fast-bcc", 2, false},
-		{"tv-filter", 1, false},
-		{"sequential", 1, false},
-	} {
-		resp, body := postBCCQuery(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: c.algo, Procs: c.procs}, "trace=1")
+	s, ts := newTestServer(t, Config{})
+	query := func(fp, algo string, procs int, toCSR bool) {
+		t.Helper()
+		resp, body := postBCCQuery(t, ts, bccRequest{Graph: fp, Algorithm: algo, Procs: procs}, "trace=1")
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", c.algo, resp.StatusCode, body)
+			t.Fatalf("%s: status %d: %s", algo, resp.StatusCode, body)
 		}
 		var out bccResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Cached || len(out.Phases) == 0 || out.Trace == nil {
-			t.Fatalf("%s: want a fresh traced computation with phases: %s", c.algo, body)
+			t.Fatalf("%s: want a fresh traced computation with phases: %s", algo, body)
 		}
 		var sum int64
 		for _, ph := range out.Phases {
 			sum += int64(ph["ns"].(float64))
 		}
 		if sum > out.ElapsedNs {
-			t.Errorf("%s: phases sum to %d ns, past elapsed_ns %d", c.algo, sum, out.ElapsedNs)
+			t.Errorf("%s: phases sum to %d ns, past elapsed_ns %d", algo, sum, out.ElapsedNs)
 		}
 		first := out.Phases[0]["name"] == "to-csr"
 		spans := len(out.Trace.SpansNamed("to-csr"))
-		if first != c.toCSR || spans != map[bool]int{false: 0, true: 1}[c.toCSR] {
-			t.Errorf("%s: to-csr first = %v with %d spans, want %v: %s", c.algo, first, spans, c.toCSR, body)
+		if first != toCSR || spans != map[bool]int{false: 0, true: 1}[toCSR] {
+			t.Errorf("%s: to-csr first = %v with %d spans, want %v: %s", algo, first, spans, toCSR, body)
 		}
+	}
+	engines := []struct {
+		algo  string
+		procs int
+		toCSR bool // on a graph with no CSR yet
+	}{
+		{"tv-smp", 2, false},
+		{"tv-opt", 2, true},
+		{"fast-bcc", 2, false},
+		{"tv-filter", 1, false},
+		{"sequential", 1, false},
+	}
+
+	var text bytes.Buffer
+	if err := bicc.WriteGraph(&text, testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	before := csrConversions()
+	code, up, msg := postRawGraph(t, ts, "format=text", text.Bytes())
+	if code != http.StatusOK || len(up.Phases) < 2 || up.Phases[1]["name"] != "to-csr" {
+		t.Fatalf("upload: %d %s, want a to-csr stage after decode", code, msg)
+	}
+	for _, c := range engines {
+		query(up.Fingerprint, c.algo, c.procs, false)
+	}
+	if n := csrConversions() - before; n != 1 {
+		t.Fatalf("an upload and its queries made %d conversions, want 1", n)
+	}
+
+	lazy, err := bicc.RandomConnectedGraph(64, 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, err := s.AddGraph("lazy", lazy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range engines {
+		query(fp, c.algo, c.procs, c.toCSR)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
