@@ -215,12 +215,21 @@ func (s *Store) logf(format string, args ...any) {
 
 // CheckWALImage re-validates a WAL image (or a completed-append prefix of
 // the active segment): every frame must parse with a matching CRC and every
-// record body must decode. iter feeds the wal.verify injection site.
+// record body must decode, a graph-add's graph must adopt. iter feeds the
+// wal.verify injection site.
 func CheckWALImage(b []byte, iter int) error {
 	faults.InjectCorrupt(SiteWALVerify, 0, iter, b)
-	_, validLen, truncated, dropped := scanWAL(b)
+	recs, validLen, truncated, dropped := scanWAL(b)
 	if truncated || validLen != len(b) {
 		return fmt.Errorf("%w: wal frame damage at offset %d", ErrCorrupt, validLen)
+	}
+	for _, r := range recs {
+		if r.kind != recGraphAdd {
+			continue
+		}
+		if _, err := r.graph.adopt(); err != nil {
+			dropped++
+		}
 	}
 	if dropped > 0 {
 		return fmt.Errorf("%w: %d undecodable wal record bodies", ErrCorrupt, dropped)
