@@ -57,6 +57,11 @@ func TestCLIEndToEnd(t *testing.T) {
 			if !strings.Contains(s, "articulation points: 0") {
 				t.Errorf("%s/%s: mesh has no cut vertices:\n%s", format, algo, s)
 			}
+			// The read builds the CSR, so -timing shows it and no engine
+			// step converts.
+			if !strings.Contains(s, "\nread ") || strings.Contains(s, "to-csr") {
+				t.Errorf("%s/%s: -timing wants a read line and no to-csr:\n%s", format, algo, s)
+			}
 		}
 	}
 
