@@ -385,7 +385,7 @@ func compactOnThirdUpload(t *testing.T) string {
 	var size [3]int64
 	for i := range size {
 		g, fp := crashGraph(t, i)
-		if err := st.AppendAdd(fp, "", g); err != nil {
+		if err := st.AppendAdd(durable.GraphRecord{FP: fp, Graph: g}); err != nil {
 			t.Fatal(err)
 		}
 		size[i] = st.WALBytes()

@@ -1,20 +1,16 @@
 package durable
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Replication-facing surface of the store. A primary bccd taps the WAL at
 // the exact point records become durable (SetAppendObserver fires after the
 // fsync that lets the service acknowledge the client), ships the raw frame
 // payloads to standbys, and uses View to capture a consistent baseline for
 // snapshot resync. A standby replays shipped payloads through the same
-// decoders recovery uses, applies delta records with graph.ApplyDeltas as
-// recovery and the primary do, then re-appends them to its OWN WAL via
-// AppendState / AppendRemove / AppendDelta — so a standby's disk state is
-// always a valid recovery image and promotion is just PR 4 recovery plus a
-// role flip.
+// decoders recovery uses, applies delta records with ReplayDelta as
+// recovery does, then re-appends them to its OWN WAL via AppendAdd /
+// AppendRemove / AppendDelta — so a standby's disk state is always a valid
+// recovery image and promotion is just recovery plus a role flip.
 
 // Exported record kinds, as they appear on the replication stream. These are
 // the WAL's own kind bytes: the wire format IS the WAL format.
@@ -57,25 +53,4 @@ func (s *Store) View(fn func(state []GraphRecord)) {
 	}
 	sort.Slice(state, func(i, j int) bool { return state[i].FP < state[j].FP })
 	fn(state)
-}
-
-// AppendState logs a graph record preserving its generation and content
-// fingerprint — the standby-side counterpart of AppendAdd, which is
-// upload-shaped (gen 0, CFP == FP). Used when replaying a replicated add or
-// installing a resync baseline.
-func (s *Store) AppendState(rec GraphRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durable: store closed")
-	}
-	if rec.CFP == "" {
-		rec.CFP = rec.FP
-	}
-	if err := s.appendLocked(recGraphAdd, encodeGraph(rec)); err != nil {
-		return err
-	}
-	s.state[rec.FP] = rec
-	s.maybeCompactLocked()
-	return nil
 }

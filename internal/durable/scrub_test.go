@@ -68,7 +68,7 @@ func multiGenStore(t *testing.T, perGen ...int) (*Store, map[string]*bicc.Graph,
 		for i := 0; i < n; i++ {
 			g := testGraph(t, int64(200+next))
 			fp := fmt.Sprintf("fp-%04d", next)
-			if err := s.AppendAdd(fp, fp, g); err != nil {
+			if err := s.AppendAdd(GraphRecord{FP: fp, Name: fp, Graph: g}); err != nil {
 				t.Fatal(err)
 			}
 			want[fp] = g
@@ -416,7 +416,7 @@ func TestScrubRepairWaitsForBackgroundCompaction(t *testing.T) {
 		t.Fatalf("generation %d, want 2 once the threshold is crossed", s.Generation())
 	}
 	g := testGraph(t, 500)
-	if err := s.AppendAdd("fp-active", "active", g); err != nil {
+	if err := s.AppendAdd(GraphRecord{FP: "fp-active", Name: "active", Graph: g}); err != nil {
 		t.Fatal(err)
 	}
 	want["fp-active"] = g
@@ -437,7 +437,7 @@ func TestScrubRepairWaitsForBackgroundCompaction(t *testing.T) {
 		t.Fatalf("damaged segment not retired: %v", err)
 	}
 	g = testGraph(t, 501)
-	if err := s.AppendAdd("fp-after", "after", g); err != nil {
+	if err := s.AppendAdd(GraphRecord{FP: "fp-after", Name: "after", Graph: g}); err != nil {
 		t.Fatal(err)
 	}
 	want["fp-after"] = g

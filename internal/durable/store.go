@@ -329,7 +329,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 					rec.DroppedRecords++
 					continue
 				}
-				ng, err := replayDelta(prev.Graph, r.delta)
+				ng, err := ReplayDelta(prev.Graph, r.delta)
 				if err != nil {
 					// The ops no longer match the graph — the entry has
 					// diverged from what was acknowledged. Serving a wrong
@@ -415,19 +415,23 @@ func (s *Store) createWAL(gen uint64) error {
 	return nil
 }
 
-// AppendAdd logs a graph registration. Under SyncAlways it has been fsync'd
-// when the call returns — the service may acknowledge the client.
-func (s *Store) AppendAdd(fp, name string, g *bicc.Graph) error {
+// AppendAdd logs a graph record at its generation: an upload (generation
+// 0; an empty CFP means FP), or a replicated record or resync baseline on
+// a standby. Under SyncAlways it has been fsync'd when the call returns —
+// the service may acknowledge the client.
+func (s *Store) AppendAdd(rec GraphRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durable: store closed")
 	}
-	rec := GraphRecord{FP: fp, Name: name, CFP: fp, Graph: g}
+	if rec.CFP == "" {
+		rec.CFP = rec.FP
+	}
 	if err := s.appendLocked(recGraphAdd, encodeGraph(rec)); err != nil {
 		return err
 	}
-	s.state[fp] = rec
+	s.state[rec.FP] = rec
 	s.maybeCompactLocked()
 	return nil
 }
@@ -719,13 +723,6 @@ func (s *Store) Close() error {
 
 // --- introspection ----------------------------------------------------------
 
-// Len returns the number of live entries in the durable state.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.state)
-}
-
 // WALBytes returns the active WAL's size in bytes.
 func (s *Store) WALBytes() int64 {
 	s.mu.Lock()
@@ -813,12 +810,13 @@ func scanWAL(b []byte) (recs []walRec, validLen int, truncated bool, dropped int
 	}
 }
 
-// replayDelta applies a delta record to g with bicc.ApplyDeltas, the
+// ReplayDelta applies a delta record to g with bicc.ApplyDeltas, the
 // rules the primary checked the batch by, whose result needs no further
-// check. A record whose ops no longer match g, or whose vertex count
-// differs from the result's, is an error; the caller decides what to do
-// with the diverged entry.
-func replayDelta(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) {
+// check: WAL replay and a standby's delta apply both run it. A record
+// whose ops no longer match g, or whose vertex count differs from the
+// result's, is an error; the caller decides what to do with the diverged
+// entry.
+func ReplayDelta(g *bicc.Graph, rec DeltaRecord) (*bicc.Graph, error) {
 	ng, _, err := bicc.ApplyDeltas(g, rec.Ops)
 	if err != nil {
 		return nil, err

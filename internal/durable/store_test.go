@@ -31,7 +31,7 @@ func addGraphs(t *testing.T, s *Store, n int) map[string]*bicc.Graph {
 	for i := 0; i < n; i++ {
 		g := testGraph(t, int64(100+i))
 		fp := fmt.Sprintf("fp-%04d", i)
-		if err := s.AppendAdd(fp, fmt.Sprintf("g%d", i), g); err != nil {
+		if err := s.AppendAdd(GraphRecord{FP: fp, Name: fmt.Sprintf("g%d", i), Graph: g}); err != nil {
 			t.Fatal(err)
 		}
 		out[fp] = g
@@ -138,7 +138,7 @@ func TestReplayConvertsLiveAddsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(want, "fp-0000")
-	if err := s.AppendAdd("fp-0001", "again", want["fp-0001"]); err != nil {
+	if err := s.AppendAdd(GraphRecord{FP: "fp-0001", Name: "again", Graph: want["fp-0001"]}); err != nil {
 		t.Fatal(err)
 	}
 	g := want["fp-0002"]
@@ -214,7 +214,7 @@ func TestStoreRecoversFromAnyTruncation(t *testing.T) {
 			t.Fatalf("cut=%d: all graphs recovered with no truncation from a shortened WAL", cut)
 		}
 		// The store must accept appends after repair.
-		if err := s2.AppendAdd("fp-after", "after", testGraph(t, 999)); err != nil {
+		if err := s2.AppendAdd(GraphRecord{FP: "fp-after", Name: "after", Graph: testGraph(t, 999)}); err != nil {
 			t.Fatalf("cut=%d: append after repair: %v", cut, err)
 		}
 		s2.Close()
@@ -240,11 +240,11 @@ func TestStoreDeltaReplayAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, Config{Dir: dir})
 	g := fuzzSeedGraph() // 5 vertices, edges (0,1)(1,2)(2,0)(2,3)(3,4)
-	if err := s.AppendAdd("fp-d", "delta target", g); err != nil {
+	if err := s.AppendAdd(GraphRecord{FP: "fp-d", Name: "delta target", Graph: g}); err != nil {
 		t.Fatal(err)
 	}
 	// Batch 1: insert (3,5) growing the graph, delete (2,0).
-	g1, err := replayDelta(g, DeltaRecord{NewN: 6, Ops: []graph.Delta{
+	g1, err := ReplayDelta(g, DeltaRecord{NewN: 6, Ops: []graph.Delta{
 		{Del: false, U: 3, V: 5}, {Del: true, U: 2, V: 0}}})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestStoreDeltaReplayAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch 2: re-insert (2,0) — lands at the end of the edge list.
-	g2, err := replayDelta(g1, DeltaRecord{NewN: 6, Ops: []graph.Delta{{Del: false, U: 2, V: 0}}})
+	g2, err := ReplayDelta(g1, DeltaRecord{NewN: 6, Ops: []graph.Delta{{Del: false, U: 2, V: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func BenchmarkReplayDelta(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := replayDelta(g, rec); err != nil {
+				if _, err := ReplayDelta(g, rec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -373,7 +373,7 @@ func TestStoreCompactionPreservesStateAndShrinksWAL(t *testing.T) {
 	}
 	// Writes after compaction land in the new generation.
 	g := testGraph(t, 500)
-	if err := s.AppendAdd("fp-new", "new", g); err != nil {
+	if err := s.AppendAdd(GraphRecord{FP: "fp-new", Name: "new", Graph: g}); err != nil {
 		t.Fatal(err)
 	}
 	want["fp-new"] = g

@@ -87,11 +87,9 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		return nil, err
 	}
 	d.store = store
-
-	// From here on, space evictions must reach the WAL too, or recovery
-	// would resurrect graphs the registry already let go. The observer
-	// fires outside the registry lock (see Registry.Add).
-	s.registry.SetEvictObserver(func(fp string) { _ = store.AppendRemove(fp) })
+	// From here on, space evictions reach the WAL too (Server.evicted),
+	// recovery's own included.
+	s.dur.Store(d)
 
 	// Load the recovered graphs, re-checking each content address: the
 	// codec's CRC already rejects torn records, so a fingerprint mismatch
@@ -103,23 +101,12 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		SnapshotRecords: rec.SnapshotRecords,
 	}
 	for _, gr := range rec.Graphs {
-		// A mutated graph's content no longer hashes to its stable id: the
-		// current content fingerprint recorded by the last delta is what the
-		// replayed edge list must match.
-		want := gr.FP
-		if gr.Gen > 0 {
-			want = gr.CFP
-		}
-		if Fingerprint(gr.Graph) != want {
+		if intact(gr) != nil {
 			_ = store.AppendRemove(gr.FP)
 			report.DroppedGraphs++
 			continue
 		}
-		if gr.Gen > 0 {
-			s.registry.AddAt(gr.FP, gr.Name, gr.Graph, gr.Gen, gr.CFP)
-		} else {
-			s.registry.Add(gr.FP, gr.Name, gr.Graph) // content hashes to gr.FP, checked above
-		}
+		s.install(gr)
 		report.Graphs++
 	}
 	d.recoveredGraphs = int64(report.Graphs)
@@ -127,8 +114,37 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 	report.Duration = time.Since(start)
 	d.recoverySeconds = report.Duration.Seconds()
 	d.register(s)
-	s.dur.Store(d)
 	return report, nil
+}
+
+// intact checks that a graph record's edges hash to the content
+// fingerprint it names: its stable id before any mutation, the last
+// delta's post-fingerprint after. Recovery, a standby's replicated and
+// resynced records, and promotion all check through it.
+func intact(gr durable.GraphRecord) error {
+	want := gr.FP
+	if gr.Gen > 0 {
+		want = gr.CFP
+	}
+	if got := Fingerprint(gr.Graph); got != want {
+		return fmt.Errorf("service: graph %s gen %d hashes to %s, its record names %s", gr.FP, gr.Gen, got, want)
+	}
+	return nil
+}
+
+// install puts a recovered or replicated graph record into the registry in
+// place of any entry under its id, and purges what was derived from that
+// entry when the record is another incarnation of it.
+func (s *Server) install(gr durable.GraphRecord) {
+	if prev, ok := s.registry.Put(gr.FP, gr.Name, gr.Graph, gr.Gen, gr.CFP); ok && !holds(prev, gr) {
+		s.purgeDerived(gr.FP)
+	}
+}
+
+// holds reports whether a registry entry is the incarnation gr names:
+// the same generation and, past generation 0, the same content.
+func holds(info GraphInfo, gr durable.GraphRecord) bool {
+	return info.Generation == gr.Gen && (gr.Gen == 0 || info.ContentFP == gr.CFP)
 }
 
 // register exposes the durable state on the server's metrics registry.
@@ -191,6 +207,5 @@ func (s *Server) CloseDurability() error {
 	if d == nil {
 		return nil
 	}
-	s.registry.SetEvictObserver(nil)
 	return d.store.Close()
 }

@@ -66,8 +66,7 @@ type incrGraph struct {
 	// st is the maintained decomposition, touched only under mu. It is
 	// never shared with readers — the fast path reads the published copy.
 	// If the registry holds another graph pointer under this id than
-	// st.Graph() (evicted and re-added, say), the state is stale and must
-	// be reseeded.
+	// st.Graph(), the state is stale and must be reseeded.
 	st *incr.State
 
 	pub    sync.Mutex
@@ -301,12 +300,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	g, info, ok := s.registry.AcquireInfo(fp)
+	pin, ok := s.registry.Acquire(fp)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", fp)
 		return
 	}
-	defer s.registry.Release(fp)
+	defer pin.Release()
 	clock.lap("decode")
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
@@ -320,13 +319,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Ensure maintained state for the current edge list. First mutation on
 	// a graph (or first after recovery) pays one engine run to seed the
 	// canonical labels; errors here are still pre-ack and safe to reject.
-	if e.st == nil || e.st.Graph() != g {
-		res, err := run(ctx, g)
+	if e.st == nil || e.st.Graph() != pin.G {
+		res, err := run(ctx, pin.G)
 		if err != nil {
 			s.writeRunError(w, err, "mutation")
 			return
 		}
-		st, serr := incr.NewState(g, res)
+		st, serr := incr.NewState(pin.G, res)
 		if serr != nil {
 			writeError(w, http.StatusInternalServerError, "seeding incremental state: %v", serr)
 			return
@@ -351,7 +350,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	clock.lap("validate")
 	postFP := Fingerprint(newGraph)
-	newGen := info.Generation + 1
+	newGen := pin.Info.Generation + 1
 	clock.lap("fingerprint")
 
 	// Durable-first: fsync the delta record before acknowledging. From here
@@ -406,9 +405,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	clock.lap("apply")
 
-	// Commit: swap the registry entry, publish the new label snapshot, then
-	// invalidate every derived result for this id.
-	s.registry.Replace(fp, newGraph, newGen, postFP)
+	// Commit: swap the registry entry, unless a delete took it meanwhile
+	// (the delete won), publish the new label snapshot, then invalidate
+	// every derived result for this id.
+	if !pin.Replace(newGraph, newGen, postFP) {
+		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", fp)
+		return
+	}
 	e.pub.Lock()
 	e.g = newGraph
 	e.labels = nil

@@ -658,6 +658,39 @@ func TestMutatedGraphShardQueries(t *testing.T) {
 	}
 }
 
+// TestMutatedGraphEvictionPurgesDerived: a graph evicted for space takes
+// its maintained mutation state and its cached results with it, on a
+// server without durability too, as a delete does.
+func TestMutatedGraphEvictionPurgesDerived(t *testing.T) {
+	a := testGraph(t)
+	s := New(Config{MaxGraphBytes: graphBytes(a) * 3 / 2})
+	ts := newHTTPServer(t, s)
+	fpA := uploadGraph(t, ts, a, "").Fingerprint
+	mustMutate(t, ts, fpA, []mutationDelta{{Op: "insert", U: 0, V: 3}})
+	queryAll(t, ts, fpA, "sequential")
+	if s.incr.peek(fpA) == nil {
+		t.Fatal("mutated graph has no maintained state")
+	}
+	if n, _ := seriesValue(scrapeHTTP(t, ts), "bicc_cached_results"); n == 0 {
+		t.Fatal("query on the mutated graph left no cached result")
+	}
+
+	b := mkGraph(t, 7, []bicc.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
+		{U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 0}, {U: 0, V: 3},
+	})
+	uploadGraph(t, ts, b, "")
+	if _, ok := s.registry.Get(fpA); ok || s.registry.Evicted() != 1 {
+		t.Fatalf("uploading a second graph did not evict the first (evicted %d)", s.registry.Evicted())
+	}
+	if s.incr.peek(fpA) != nil {
+		t.Error("evicted graph kept its maintained mutation state")
+	}
+	if n, _ := seriesValue(scrapeHTTP(t, ts), "bicc_cached_results"); n != 0 {
+		t.Errorf("bicc_cached_results = %v after the eviction, want 0", n)
+	}
+}
+
 // TestCommitsConvertNothing: a batch's graph is simple by the rules that
 // accepted the batch, so it is wrapped with no duplicate check and no CSR,
 // and the only conversions left are those of the graph records that a

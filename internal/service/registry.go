@@ -48,13 +48,14 @@ type GraphInfo struct {
 	ContentFP   string `json:"content_fingerprint,omitempty"`
 }
 
-// regEntry is one registered graph plus its bookkeeping.
+// regEntry is one registered graph plus its bookkeeping. An entry belongs
+// to the registry while the map holds it under its fingerprint; a removed
+// or evicted entry stays charged only while pins hold it.
 type regEntry struct {
 	info    GraphInfo
 	g       *bicc.Graph
 	refs    int
 	lastUse time.Time
-	dead    bool // removed while referenced; drop on last release
 }
 
 // Registry is a concurrent, content-addressed store of loaded graphs.
@@ -70,25 +71,17 @@ type Registry struct {
 	maxBytes int64
 	bytes    int64
 	evicted  int64
-	// onEvict, when set, is told the fingerprint of every entry evicted
-	// for space, after the registry lock is released. The durability layer
-	// uses it to append a WAL remove, keeping the on-disk state in step
-	// with the resident set.
+	// onEvict is told the fingerprint of every entry evicted for space,
+	// after the registry lock is released.
 	onEvict func(fp string)
 }
 
-// SetEvictObserver installs (or, with nil, removes) the space-eviction
-// callback. The callback runs outside the registry lock.
-func (r *Registry) SetEvictObserver(fn func(fp string)) {
-	r.mu.Lock()
-	r.onEvict = fn
-	r.mu.Unlock()
-}
-
 // NewRegistry returns a registry with the given resident-size budget in
-// bytes; maxBytes <= 0 means unlimited.
-func NewRegistry(maxBytes int64) *Registry {
-	return &Registry{entries: map[string]*regEntry{}, maxBytes: maxBytes}
+// bytes; maxBytes <= 0 means unlimited. onEvict, when non-nil, is called
+// outside the registry lock with the fingerprint of each entry evicted for
+// space.
+func NewRegistry(maxBytes int64, onEvict func(fp string)) *Registry {
+	return &Registry{entries: map[string]*regEntry{}, maxBytes: maxBytes, onEvict: onEvict}
 }
 
 // graphBytes is the resident size of a graph (bicc.Graph.ResidentBytes):
@@ -103,7 +96,7 @@ func graphBytes(g *bicc.Graph) int64 { return g.ResidentBytes() }
 // client-supplied label kept for listings only.
 func (r *Registry) Add(fp, name string, g *bicc.Graph) (existed bool) {
 	r.mu.Lock()
-	if e, ok := r.entries[fp]; ok && !e.dead {
+	if e, ok := r.entries[fp]; ok {
 		e.lastUse = time.Now()
 		if name != "" {
 			e.info.Name = name
@@ -111,67 +104,39 @@ func (r *Registry) Add(fp, name string, g *bicc.Graph) (existed bool) {
 		r.mu.Unlock()
 		return true
 	}
-	e := &regEntry{
-		info: GraphInfo{
-			Fingerprint: fp,
-			Name:        name,
-			Vertices:    g.NumVertices(),
-			Edges:       g.NumEdges(),
-			Bytes:       graphBytes(g),
-		},
-		g:       g,
-		lastUse: time.Now(),
-	}
+	e := &regEntry{info: GraphInfo{Fingerprint: fp, Name: name}}
 	r.entries[fp] = e
-	r.bytes += e.info.Bytes
-	victims := r.evictLocked(e)
-	cb := r.onEvict
-	r.mu.Unlock()
-	if cb != nil {
-		for _, v := range victims {
-			cb(v)
-		}
-	}
+	r.swapLocked(e, g, 0, "")
 	return false
 }
 
-// Acquire pins the graph with the given fingerprint and returns it. The
-// caller must Release exactly once when done.
-func (r *Registry) Acquire(fp string) (*bicc.Graph, bool) {
-	g, _, ok := r.AcquireInfo(fp)
-	return g, ok
+// Put registers g under the stable id fp at generation gen with content
+// fingerprint cfp, the state a recovered or replicated graph record names;
+// a mutated graph's content no longer hashes to its id. An entry already
+// under fp is swapped in place: queries pinning it keep the graph they
+// hold. Put returns that entry's info from before the swap, if there was
+// one.
+func (r *Registry) Put(fp, name string, g *bicc.Graph, gen uint64, cfp string) (prev GraphInfo, existed bool) {
+	if gen == 0 {
+		cfp = "" // an unmutated graph's content fingerprint is its id
+	}
+	r.mu.Lock()
+	e, existed := r.entries[fp]
+	if existed {
+		prev = e.info
+	} else {
+		e = &regEntry{info: GraphInfo{Fingerprint: fp}}
+		r.entries[fp] = e
+	}
+	e.info.Name = name
+	r.swapLocked(e, g, gen, cfp)
+	return prev, existed
 }
 
-// AcquireInfo pins the graph and returns it together with its info in one
-// registry transaction. Queries that key caches by generation must use this
-// instead of Acquire+Get, or a concurrent mutation could hand them the old
-// graph pointer paired with the new generation.
-func (r *Registry) AcquireInfo(fp string) (*bicc.Graph, GraphInfo, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[fp]
-	if !ok || e.dead {
-		return nil, GraphInfo{}, false
-	}
-	e.refs++
-	e.lastUse = time.Now()
-	info := e.info
-	info.Refs = e.refs
-	return e.g, info, true
-}
-
-// Replace swaps the graph stored under an existing stable id for its
-// post-mutation edge list, advancing the generation and current content
-// fingerprint. Queries holding the old pointer via Acquire keep computing
-// against the snapshot they pinned; new acquires see the new graph. It
-// reports whether the id was present (and live).
-func (r *Registry) Replace(fp string, g *bicc.Graph, gen uint64, cfp string) bool {
-	r.mu.Lock()
-	e, ok := r.entries[fp]
-	if !ok || e.dead {
-		r.mu.Unlock()
-		return false
-	}
+// swapLocked points e, which the map holds, at g with the given generation
+// and content fingerprint, charges the difference, and evicts for space
+// with e exempt. It releases r.mu, then tells onEvict about each victim.
+func (r *Registry) swapLocked(e *regEntry, g *bicc.Graph, gen uint64, cfp string) {
 	r.bytes -= e.info.Bytes
 	e.g = g
 	e.info.Vertices = g.NumVertices()
@@ -179,89 +144,91 @@ func (r *Registry) Replace(fp string, g *bicc.Graph, gen uint64, cfp string) boo
 	e.info.Bytes = graphBytes(g)
 	e.info.Generation = gen
 	e.info.ContentFP = cfp
-	r.bytes += e.info.Bytes
 	e.lastUse = time.Now()
-	victims := r.evictLocked(e)
-	cb := r.onEvict
-	r.mu.Unlock()
-	if cb != nil {
-		for _, v := range victims {
-			cb(v)
-		}
-	}
-	return true
-}
-
-// AddAt registers g under an explicit stable id at a given generation — the
-// durable-recovery path, where a mutated graph's content no longer hashes to
-// its id. Unlike Add it never merges with an existing entry; recovery runs
-// before the server takes traffic.
-func (r *Registry) AddAt(fp, name string, g *bicc.Graph, gen uint64, cfp string) {
-	r.mu.Lock()
-	e := &regEntry{
-		info: GraphInfo{
-			Fingerprint: fp,
-			Name:        name,
-			Vertices:    g.NumVertices(),
-			Edges:       g.NumEdges(),
-			Bytes:       graphBytes(g),
-			Generation:  gen,
-			ContentFP:   cfp,
-		},
-		g:       g,
-		lastUse: time.Now(),
-	}
-	if old, ok := r.entries[fp]; ok {
-		r.bytes -= old.info.Bytes
-	}
-	r.entries[fp] = e
 	r.bytes += e.info.Bytes
 	victims := r.evictLocked(e)
-	cb := r.onEvict
 	r.mu.Unlock()
-	if cb != nil {
-		for _, v := range victims {
-			cb(v)
+	if r.onEvict != nil {
+		for _, fp := range victims {
+			r.onEvict(fp)
 		}
 	}
 }
 
-// Release unpins a graph previously Acquired and charges what it holds
-// now, since the query may have built its local view. Releasing the last
-// reference to a removed entry deletes it.
-func (r *Registry) Release(fp string) {
+// Pin is one Acquire's hold on a registry entry: the graph and the info
+// the entry had when it was pinned, read in one registry transaction, so
+// a concurrent mutation can never pair the old graph with the new
+// generation. Release it exactly once.
+type Pin struct {
+	G    *bicc.Graph
+	Info GraphInfo
+	r    *Registry
+	e    *regEntry
+}
+
+// Acquire pins the graph registered under fp.
+func (r *Registry) Acquire(fp string) (*Pin, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[fp]
 	if !ok {
-		return
+		return nil, false
 	}
-	if e.refs > 0 {
-		e.refs--
-	}
+	e.refs++
+	e.lastUse = time.Now()
+	info := e.info
+	info.Refs = e.refs
+	return &Pin{G: e.g, Info: info, r: r, e: e}, true
+}
+
+// Release unpins the entry and charges what its graph holds now, since
+// the query may have built its local view. The last release of an entry
+// that has left the registry gives its bytes back.
+func (p *Pin) Release() {
+	r, e := p.r, p.e
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e.refs--
 	b := graphBytes(e.g)
 	r.bytes += b - e.info.Bytes
 	e.info.Bytes = b
-	if e.dead && e.refs == 0 {
-		r.deleteLocked(fp, e)
+	if e.refs == 0 && r.entries[e.info.Fingerprint] != e {
+		r.bytes -= b
 	}
 }
 
-// Remove unregisters a graph. If queries still hold references, the entry is
-// hidden immediately (no new Acquires) and reclaimed when the last reference
-// is released. It reports whether the fingerprint was present.
+// Replace swaps the pinned entry's graph for its post-mutation edge list,
+// advancing the generation and current content fingerprint. Queries
+// holding the old graph keep computing against it; new acquires see the
+// new one. It reports false, changing nothing, once the entry has left the
+// registry: a mutation of a deleted graph must not overwrite a later
+// upload under the same id.
+func (p *Pin) Replace(g *bicc.Graph, gen uint64, cfp string) bool {
+	r := p.r
+	r.mu.Lock()
+	if r.entries[p.e.info.Fingerprint] != p.e {
+		r.mu.Unlock()
+		return false
+	}
+	r.swapLocked(p.e, g, gen, cfp)
+	return true
+}
+
+// Remove unregisters a graph at once: Get, List and Acquire no longer see
+// it, and a later Add registers a fresh entry. An entry still pinned stays
+// charged until its last Release. It reports whether the fingerprint was
+// present.
 func (r *Registry) Remove(fp string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[fp]
-	if !ok || e.dead {
+	if !ok {
 		return false
 	}
-	if e.refs > 0 {
-		e.dead = true
-		return true
+	delete(r.entries, fp)
+	if e.refs == 0 {
+		r.bytes -= e.info.Bytes
 	}
-	r.deleteLocked(fp, e)
 	return true
 }
 
@@ -270,7 +237,7 @@ func (r *Registry) Get(fp string) (GraphInfo, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[fp]
-	if !ok || e.dead {
+	if !ok {
 		return GraphInfo{}, false
 	}
 	info := e.info
@@ -278,15 +245,12 @@ func (r *Registry) Get(fp string) (GraphInfo, bool) {
 	return info, true
 }
 
-// List returns all live entries sorted by fingerprint.
+// List returns all entries sorted by fingerprint.
 func (r *Registry) List() []GraphInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]GraphInfo, 0, len(r.entries))
 	for _, e := range r.entries {
-		if e.dead {
-			continue
-		}
 		info := e.info
 		info.Refs = e.refs
 		out = append(out, info)
@@ -295,25 +259,19 @@ func (r *Registry) List() []GraphInfo {
 	return out
 }
 
-// Bytes returns the resident size of all entries (including dead ones not
-// yet reclaimed).
+// Bytes returns the resident size of all entries, including removed ones
+// that pins still hold.
 func (r *Registry) Bytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.bytes
 }
 
-// Len returns the number of live entries.
+// Len returns the number of registered entries.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for _, e := range r.entries {
-		if !e.dead {
-			n++
-		}
-	}
-	return n
+	return len(r.entries)
 }
 
 // Evicted returns how many entries have been evicted for space so far.
@@ -323,17 +281,12 @@ func (r *Registry) Evicted() int64 {
 	return r.evicted
 }
 
-func (r *Registry) deleteLocked(fp string, e *regEntry) {
-	delete(r.entries, fp)
-	r.bytes -= e.info.Bytes
-}
-
 // evictLocked drops unreferenced entries, least recently used first, until
 // the budget is met or only pinned entries remain, returning the victims'
 // fingerprints so the caller can notify the evict observer outside the
-// lock. keep, when non-nil, is exempt — the entry being added must survive
-// its own Add even if it alone blows the budget, or uploads would succeed
-// and immediately vanish.
+// lock. keep is exempt — the entry being added must survive its own Add
+// even if it alone blows the budget, or uploads would succeed and
+// immediately vanish.
 func (r *Registry) evictLocked(keep *regEntry) []string {
 	if r.maxBytes <= 0 {
 		return nil
@@ -343,7 +296,7 @@ func (r *Registry) evictLocked(keep *regEntry) []string {
 		var victimFP string
 		var victim *regEntry
 		for fp, e := range r.entries {
-			if e.refs > 0 || e.dead || e == keep {
+			if e.refs > 0 || e == keep {
 				continue
 			}
 			if victim == nil || e.lastUse.Before(victim.lastUse) {
@@ -353,7 +306,8 @@ func (r *Registry) evictLocked(keep *regEntry) []string {
 		if victim == nil {
 			break
 		}
-		r.deleteLocked(victimFP, victim)
+		delete(r.entries, victimFP)
+		r.bytes -= victim.info.Bytes
 		r.evicted++
 		victims = append(victims, victimFP)
 	}

@@ -73,7 +73,7 @@ func TestFingerprintGolden(t *testing.T) {
 }
 
 func TestRegistryAddAcquireRemove(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry(0, nil)
 	g := mkGraph(t, 3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	fp := Fingerprint(g)
 	if r.Add(fp, "a", g) {
@@ -82,14 +82,14 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	if !r.Add(fp, "a", g) {
 		t.Fatal("re-add not reported existing")
 	}
-	got, ok := r.Acquire(fp)
-	if !ok || got != g {
+	pin, ok := r.Acquire(fp)
+	if !ok || pin.G != g || pin.Info.Refs != 1 {
 		t.Fatal("acquire failed")
 	}
 	if info, _ := r.Get(fp); info.Refs != 1 {
 		t.Fatalf("refs = %d, want 1", info.Refs)
 	}
-	// Remove while referenced hides the entry but keeps it alive for the
+	// Remove while referenced hides the entry but keeps it charged for the
 	// holder.
 	if !r.Remove(fp) {
 		t.Fatal("remove failed")
@@ -97,15 +97,102 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	if _, ok := r.Acquire(fp); ok {
 		t.Fatal("acquire succeeded on removed entry")
 	}
-	if r.Len() != 0 {
-		t.Fatalf("Len = %d after remove", r.Len())
+	if r.Len() != 0 || r.Bytes() != graphBytes(g) {
+		t.Fatalf("after remove: Len = %d, bytes = %d, want 0 and %d", r.Len(), r.Bytes(), graphBytes(g))
 	}
-	r.Release(fp)
+	pin.Release()
 	if r.Bytes() != 0 {
 		t.Fatalf("bytes = %d after final release", r.Bytes())
 	}
 	if r.Remove(fp) {
 		t.Fatal("second remove succeeded")
+	}
+
+	// A stale pin: the graph is deleted and the same content uploaded
+	// again while a query holds the first incarnation. Its release and
+	// its Replace must leave the new incarnation alone: one graph charged,
+	// the new pin still counted, generation 0.
+	r.Add(fp, "a", g)
+	stale, _ := r.Acquire(fp)
+	r.Remove(fp)
+	if r.Add(fp, "a", g) {
+		t.Fatal("re-add after remove reported existing")
+	}
+	fresh, _ := r.Acquire(fp)
+	g2 := mkGraph(t, 3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
+	if stale.Replace(g2, 1, Fingerprint(g2)) {
+		t.Fatal("Replace through a stale pin succeeded")
+	}
+	stale.Release()
+	if info, _ := r.Get(fp); info.Refs != 1 || info.Generation != 0 || r.Bytes() != graphBytes(g) {
+		t.Fatalf("after the stale release: refs %d, gen %d, bytes %d, want 1, 0, %d",
+			info.Refs, info.Generation, r.Bytes(), graphBytes(g))
+	}
+	if !fresh.Replace(g2, 1, Fingerprint(g2)) {
+		t.Fatal("Replace through the current pin failed")
+	}
+	fresh.Release()
+	if info, _ := r.Get(fp); info.Refs != 0 || info.Generation != 1 || r.Bytes() != graphBytes(g2) || r.Len() != 1 {
+		t.Fatalf("after replace: refs %d, gen %d, bytes %d, Len %d, want 0, 1, %d, 1",
+			info.Refs, info.Generation, r.Bytes(), r.Len(), graphBytes(g2))
+	}
+}
+
+// TestRegistryChurnKeepsCharges races pins, removals, re-adds and
+// evictions of four graphs under a two-graph budget from 8 goroutines.
+// Once every pin is released, the registry charges exactly the entries it
+// lists.
+func TestRegistryChurnKeepsCharges(t *testing.T) {
+	var graphs []*bicc.Graph
+	var fps []string
+	for i := 0; i < 4; i++ {
+		g := mkGraph(t, 8, []bicc.Edge{{U: 0, V: int32(i + 1)}, {U: int32(i + 1), V: 7}})
+		graphs, fps = append(graphs, g), append(fps, Fingerprint(g))
+	}
+	r := NewRegistry(2*graphBytes(graphs[0]), nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var held []*Pin
+			for op := 0; op < 3000; op++ {
+				i := rng.Intn(len(graphs))
+				switch rng.Intn(4) {
+				case 0:
+					r.Add(fps[i], "", graphs[i])
+				case 1:
+					if p, ok := r.Acquire(fps[i]); ok {
+						held = append(held, p)
+					}
+				case 2:
+					r.Remove(fps[i])
+				}
+				if len(held) > 2 || (len(held) > 0 && rng.Intn(4) == 0) {
+					held[0].Release()
+					held = held[1:]
+				}
+			}
+			for _, p := range held {
+				p.Release()
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	var sum int64
+	list := r.List()
+	for _, info := range list {
+		if info.Refs != 0 {
+			t.Errorf("%s: refs %d after every release", info.Fingerprint, info.Refs)
+		}
+		sum += info.Bytes
+	}
+	if r.Bytes() != sum || r.Len() != len(list) {
+		t.Fatalf("charged %d bytes and %d entries, the listed entries hold %d and %d", r.Bytes(), r.Len(), sum, len(list))
+	}
+	if r.Evicted() == 0 {
+		t.Fatal("churn never evicted")
 	}
 }
 
@@ -126,18 +213,18 @@ func TestRegistryChargesTheLocalView(t *testing.T) {
 		}
 	}
 	g := mkGraph(t, n, edges)
-	reg := NewRegistry(0)
+	reg := NewRegistry(0, nil)
 	fp := Fingerprint(g)
 	reg.Add(fp, "torus", g)
 	csr := int64(16*m + 4*(n+1))
 	if info, _ := reg.Get(fp); info.Bytes != int64(8*m+64)+csr || reg.Bytes() != info.Bytes {
 		t.Fatalf("added: charged %d (registry %d), want %d", info.Bytes, reg.Bytes(), int64(8*m+64)+csr)
 	}
-	acquired, _ := reg.Acquire(fp)
-	if _, err := bicc.BiconnectedComponents(acquired, &bicc.Options{Algorithm: bicc.TVOpt, Procs: 2}); err != nil {
+	pin, _ := reg.Acquire(fp)
+	if _, err := bicc.BiconnectedComponents(pin.G, &bicc.Options{Algorithm: bicc.TVOpt, Procs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	reg.Release(fp)
+	pin.Release()
 	if info, _ := reg.Get(fp); info.Bytes != int64(16*m+128)+csr || reg.Bytes() != info.Bytes {
 		t.Fatalf("after the first query: charged %d (registry %d), want %d", info.Bytes, reg.Bytes(), int64(16*m+128)+csr)
 	}
@@ -158,7 +245,7 @@ func TestRegistryEvictionRespectsRefsAndLRU(t *testing.T) {
 		return g
 	}
 	budget := 2*graphBytes(mk(0)) + 10 // room for two graphs
-	r := NewRegistry(budget)
+	r := NewRegistry(budget, nil)
 	add := func(name string, g *bicc.Graph) string {
 		fp := Fingerprint(g)
 		r.Add(fp, name, g)

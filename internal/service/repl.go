@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bicc"
 	"bicc/internal/durable"
 	"bicc/internal/faults"
 	"bicc/internal/repl"
@@ -243,46 +242,41 @@ func (a *replApplier) Apply(kind byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := a.d.store.AppendState(gr); err != nil {
+		if err := intact(gr); err != nil {
 			return err
 		}
-		s.installReplicated(gr)
+		if err := a.d.store.AppendAdd(gr); err != nil {
+			return err
+		}
+		s.install(gr)
 	case durable.RecGraphRemove:
 		fp := string(payload)
 		if err := a.d.store.AppendRemove(fp); err != nil {
 			return err
 		}
-		s.registry.Remove(fp)
-		s.purgeDerived(fp)
+		s.drop(fp)
 	case durable.RecGraphDelta:
 		rec, err := durable.DecodeDelta(payload)
 		if err != nil {
 			return err
 		}
-		g, _, ok := s.registry.AcquireInfo(rec.ID)
+		pin, ok := s.registry.Acquire(rec.ID)
 		if !ok {
 			return fmt.Errorf("service: replicated delta for unknown graph %s", rec.ID)
 		}
-		// The primary's rules, as replay runs them: a vertex count other
-		// than the record's is a divergence like an op that no longer
-		// matches.
-		ng, _, err := bicc.ApplyDeltas(g, rec.Ops)
-		s.registry.Release(rec.ID)
+		ng, err := durable.ReplayDelta(pin.G, rec)
+		pin.Release()
 		if err != nil {
+			return fmt.Errorf("service: replicated delta for %s gen %d: %w", rec.ID, rec.Gen, err)
+		}
+		gr := durable.GraphRecord{FP: rec.ID, Name: pin.Info.Name, Gen: rec.Gen, CFP: rec.PostFP, Graph: ng}
+		if err := intact(gr); err != nil {
 			return err
-		}
-		if n := ng.NumVertices(); n != int(rec.NewN) {
-			return fmt.Errorf("service: replicated delta for %s gen %d leaves %d vertices, record says %d",
-				rec.ID, rec.Gen, n, rec.NewN)
-		}
-		if Fingerprint(ng) != rec.PostFP {
-			return fmt.Errorf("service: replicated delta for %s gen %d: post-fingerprint mismatch", rec.ID, rec.Gen)
 		}
 		if err := a.d.store.AppendDelta(rec, ng); err != nil {
 			return err
 		}
-		s.registry.Replace(rec.ID, ng, rec.Gen, rec.PostFP)
-		s.purgeDerived(rec.ID)
+		s.install(gr)
 	default:
 		return fmt.Errorf("service: replicated record kind %d unknown", kind)
 	}
@@ -301,6 +295,9 @@ func (a *replApplier) Reset(state []repl.StateRecord) error {
 			return fmt.Errorf("service: snapshot record kind %d unknown", sr.Kind)
 		}
 		gr, err := durable.DecodeGraphRecord(sr.Payload)
+		if err == nil {
+			err = intact(gr)
+		}
 		if err != nil {
 			return err
 		}
@@ -314,53 +311,18 @@ func (a *replApplier) Reset(state []repl.StateRecord) error {
 		if err := a.d.store.AppendRemove(info.Fingerprint); err != nil {
 			return err
 		}
-		s.registry.Remove(info.Fingerprint)
-		s.purgeDerived(info.Fingerprint)
+		s.drop(info.Fingerprint)
 	}
 	for _, gr := range decoded {
-		if cur, ok := s.registry.Get(gr.FP); ok && cur.Generation == gr.Gen && currentCFP(cur) == gr.CFP {
+		if cur, ok := s.registry.Get(gr.FP); ok && holds(cur, gr) {
 			continue // already byte-identical; don't churn the WAL
 		}
-		if err := a.d.store.AppendState(gr); err != nil {
+		if err := a.d.store.AppendAdd(gr); err != nil {
 			return err
 		}
-		s.installReplicated(gr)
+		s.install(gr)
 	}
 	return nil
-}
-
-// currentCFP is the content fingerprint a registry entry implies.
-func currentCFP(info GraphInfo) string {
-	if info.Generation > 0 {
-		return info.ContentFP
-	}
-	return info.Fingerprint
-}
-
-// installReplicated swaps a replicated graph record into the registry,
-// purging anything derived from a previous incarnation of the id.
-func (s *Server) installReplicated(gr durable.GraphRecord) {
-	if cur, ok := s.registry.Get(gr.FP); ok {
-		if cur.Generation == gr.Gen && currentCFP(cur) == gr.CFP {
-			return
-		}
-		s.registry.Remove(gr.FP)
-		s.purgeDerived(gr.FP)
-	}
-	if gr.Gen > 0 {
-		s.registry.AddAt(gr.FP, gr.Name, gr.Graph, gr.Gen, gr.CFP)
-	} else {
-		s.registry.Add(Fingerprint(gr.Graph), gr.Name, gr.Graph)
-	}
-}
-
-// purgeDerived drops every structure derived from fp's graph: maintained
-// incremental state and cached results (all generations, block indexes
-// included). Replication and deletes both route invalidation
-// through here so the two paths can never diverge.
-func (s *Server) purgeDerived(fp string) {
-	s.incr.drop(fp)
-	s.cache.DropGraph(fp)
 }
 
 // --- promotion ---------------------------------------------------------------
@@ -410,14 +372,9 @@ func (s *Server) Promote() (*PromoteReport, error) {
 	rep := &PromoteReport{Role: "primary"}
 	for i, gr := range state {
 		faults.Inject(nil, sitePromote, 0, i)
-		want := gr.FP
-		if gr.Gen > 0 {
-			want = gr.CFP
-		}
-		if Fingerprint(gr.Graph) != want {
+		if intact(gr) != nil {
 			_ = rs.d.store.AppendRemove(gr.FP)
-			s.registry.Remove(gr.FP)
-			s.purgeDerived(gr.FP)
+			s.drop(gr.FP)
 			rep.Dropped++
 			rs.promoteDropped.Add(1)
 			continue

@@ -13,9 +13,11 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/durable"
 	"bicc/internal/engine"
 	"bicc/internal/gen"
 	"bicc/internal/graph"
+	"bicc/internal/repl"
 )
 
 // replica is one durable, replication-enabled server under test.
@@ -599,6 +601,37 @@ func TestReplicationMetricsReplaceStatsz(t *testing.T) {
 			t.Errorf("promoted node: %s = %v (present %v), want %v", name, got, ok, want)
 		}
 	}
+}
+
+// TestReplicationRefusesForgedGraphRecords: a graph record whose edges do
+// not hash to its id, shipped as a graph-add or inside a resync baseline,
+// fails to apply, so the standby resyncs. Neither the record's id nor the
+// content's own fingerprint is registered, and the standby's store does
+// not hold the record.
+func TestReplicationRefusesForgedGraphRecords(t *testing.T) {
+	s, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
+	a := &replApplier{s: s, d: s.dur.Load()}
+	g := testGraph(t)
+	const id = "00000000deadbeef"
+	payload := durable.EncodeGraphRecord(durable.GraphRecord{FP: id, CFP: id, Name: "forged", Graph: g})
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: applied a record whose edges do not hash to its id", what)
+		}
+		for _, fp := range []string{id, Fingerprint(g)} {
+			if _, ok := s.registry.Get(fp); ok {
+				t.Errorf("%s: %s is registered", what, fp)
+			}
+		}
+		a.d.store.View(func(state []durable.GraphRecord) {
+			if len(state) != 0 {
+				t.Errorf("%s: the standby's store holds %d records, want none", what, len(state))
+			}
+		})
+	}
+	check("graph-add", a.Apply(durable.RecGraphAdd, payload))
+	check("resync", a.Reset([]repl.StateRecord{{Kind: durable.RecGraphAdd, Payload: payload}}))
 }
 
 // TestDeleteRacesMutation races DELETE /v1/graphs/{fp} against an in-flight

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/durable"
 	"bicc/internal/engine"
 	"bicc/internal/graph"
 	"bicc/internal/obs"
@@ -190,12 +191,12 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
-		registry:  NewRegistry(cfg.MaxGraphBytes),
 		cache:     NewResultCache(cfg.CacheEntries, cfg.MemBudget),
 		admission: NewAdmission(cfg.Workers, cfg.Queue),
 		metrics:   obs.NewRegistry(),
 		breakers:  map[string]*Breaker{},
 	}
+	s.registry = NewRegistry(cfg.MaxGraphBytes, s.evicted)
 	s.stats = newStats(s.metrics)
 	s.incr = newIncrState(s.metrics, cfg.IncrThreshold)
 	for _, e := range engine.Parallel() {
@@ -508,7 +509,7 @@ func (s *Server) addGraph(clock *stageClock, name string, g *bicc.Graph) (fp str
 	clock.lap("fingerprint")
 	if d := s.dur.Load(); d != nil {
 		if _, ok := s.registry.Get(fp); !ok {
-			if err := d.store.AppendAdd(fp, name, g); err != nil {
+			if err := d.store.AppendAdd(durable.GraphRecord{FP: fp, Name: name, Graph: g}); err != nil {
 				return "", false, err
 			}
 			clock.lap("wal")
@@ -558,17 +559,40 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 		}
 		s.replWaitQuorum()
 	}
-	if !s.registry.Remove(fp) {
+	if !s.drop(fp) {
 		writeError(w, http.StatusNotFound, "no graph %q", fp)
 		return
 	}
-	// Incremental state and cached results (with their per-block indexes)
-	// all die with the graph: generations restart at 0 if the same content
-	// is re-uploaded, so anything keyed under a non-zero generation of this
-	// id must not survive to be confused with the next incarnation's
-	// generations.
-	s.purgeDerived(fp)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// drop unregisters fp's graph and purges what was derived from it,
+// reporting whether fp was registered. Every removal but an eviction
+// (evicted) goes through here.
+func (s *Server) drop(fp string) bool {
+	ok := s.registry.Remove(fp)
+	s.purgeDerived(fp)
+	return ok
+}
+
+// evicted is the registry's eviction observer. It purges what was derived
+// from the graph and, when durability is on, journals the removal, so that
+// recovery does not bring back a graph the registry let go (a failed
+// append, counted in bicc_wal_errors_total, only lets it come back).
+func (s *Server) evicted(fp string) {
+	if d := s.dur.Load(); d != nil {
+		_ = d.store.AppendRemove(fp)
+	}
+	s.purgeDerived(fp)
+}
+
+// purgeDerived drops every structure derived from fp's graph: maintained
+// incremental state and cached results (all generations, block indexes
+// included). Generations restart at 0 when the same content is uploaded
+// again, so nothing keyed under the old incarnation's may survive.
+func (s *Server) purgeDerived(fp string) {
+	s.incr.drop(fp)
+	s.cache.DropGraph(fp)
 }
 
 // --- query endpoint --------------------------------------------------------
@@ -675,12 +699,12 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	// Graph pointer and generation come from one registry transaction: a
 	// concurrent mutation must never pair the old edge list with the new
 	// generation in a cache key.
-	g, info, ok := s.registry.AcquireInfo(req.Graph)
+	pin, ok := s.registry.Acquire(req.Graph)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", req.Graph)
 		return
 	}
-	defer s.registry.Release(req.Graph)
+	defer pin.Release()
 
 	// Auto queries resolve to a concrete (engine, procs) pair before the
 	// cache lookup: the planner decides here, exactly once per request, so
@@ -692,7 +716,7 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	runAlgo, runProcs := algo, procs
 	var planEcho *planExplain
 	if algo == bicc.Auto {
-		a, p, f, d := s.planDecide(g, procs, explain)
+		a, p, f, d := s.planDecide(pin.G, procs, explain)
 		runAlgo, runProcs = a, p
 		if explain {
 			planEcho = &planExplain{Engine: a.String(), Procs: p, Features: &f, Decision: &d}
@@ -708,14 +732,14 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	key := resultKey{fp: req.Graph, gen: info.Generation, algo: runAlgo, procs: runProcs}
-	res, outcome, err := s.lookup(ctx, key, g, include)
+	key := resultKey{fp: req.Graph, gen: pin.Info.Generation, algo: runAlgo, procs: runProcs}
+	res, outcome, err := s.lookup(ctx, key, pin.G, include)
 	if err != nil {
 		s.writeRunError(w, err, "query")
 		return
 	}
 	full := *res
-	if added, err := s.fillIncludes(&full, g, include); err != nil {
+	if added, err := s.fillIncludes(&full, pin.G, include); err != nil {
 		writeError(w, http.StatusInternalServerError, "deriving include views: %v", err)
 		return
 	} else if added {

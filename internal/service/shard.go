@@ -76,7 +76,7 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
-	g, info, okG := s.registry.AcquireInfo(fp)
+	pin, okG := s.registry.Acquire(fp)
 	if !okG {
 		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", fp)
 		return nil, nil, false
@@ -84,19 +84,19 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	done = func() {
 		cancel()
-		s.registry.Release(fp)
+		pin.Release()
 		s.stats.shardLatency.Observe(time.Since(start))
 	}
 
 	if algo == bicc.Auto {
-		algo, procs, _, _ = s.planDecide(g, procs, false)
+		algo, procs, _, _ = s.planDecide(pin.G, procs, false)
 	}
-	key := resultKey{fp: fp, gen: info.Generation, algo: algo, procs: procs}
-	res, _, err := s.lookup(ctx, key, g, nil)
+	key := resultKey{fp: fp, gen: pin.Info.Generation, algo: algo, procs: procs}
+	res, _, err := s.lookup(ctx, key, pin.G, nil)
 	var idx *core.BlockIndex
 	if err == nil {
 		idx, err = s.cache.BlockIndex(ctx, key, res, func(bctx context.Context) (*core.BlockIndex, error) {
-			idx, err := buildBlockIndex(bctx, g, res)
+			idx, err := buildBlockIndex(bctx, pin.G, res)
 			if err != nil {
 				s.stats.ShardBuildFailures.Add(1)
 				return nil, err
@@ -110,7 +110,7 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 		s.writeRunError(w, err, "query")
 		return nil, nil, false
 	}
-	return &blockQuery{g: g, idx: idx, meta: shardMeta{
+	return &blockQuery{g: pin.G, idx: idx, meta: shardMeta{
 		Graph:         fp,
 		Algorithm:     res.Algorithm,
 		Degraded:      res.Degraded,
