@@ -319,9 +319,8 @@ func main() {
 	// Flush and close the WAL only after the HTTP server has stopped: every
 	// acknowledged write is already on disk (or in the sync loop's hands),
 	// and closing last guarantees a clean stop leaves files the next boot
-	// recovers with zero truncations. Replication stops first: no more
-	// records will be published.
-	srv.CloseReplication()
+	// recovers with zero truncations. CloseDurability stops replication
+	// first, so no record is published after the WAL closes.
 	if derr := srv.CloseDurability(); derr != nil {
 		log.Printf("closing data dir: %v", derr)
 	}

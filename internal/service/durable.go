@@ -100,6 +100,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		WALRecords:      rec.WALRecords,
 		SnapshotRecords: rec.SnapshotRecords,
 	}
+	s.writes.Lock()
 	for _, gr := range rec.Graphs {
 		if intact(gr) != nil {
 			_ = store.AppendRemove(gr.FP)
@@ -109,6 +110,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 		s.install(gr)
 		report.Graphs++
 	}
+	s.writes.Unlock()
 	d.recoveredGraphs = int64(report.Graphs)
 
 	report.Duration = time.Since(start)
@@ -133,11 +135,12 @@ func intact(gr durable.GraphRecord) error {
 }
 
 // install puts a recovered or replicated graph record into the registry in
-// place of any entry under its id, and purges what was derived from that
-// entry when the record is another incarnation of it.
+// place of any entry under its id, and purges the results cached for that
+// entry when the record is another incarnation of it. The caller holds
+// s.writes.
 func (s *Server) install(gr durable.GraphRecord) {
 	if prev, ok := s.registry.Put(gr.FP, gr.Name, gr.Graph, gr.Gen, gr.CFP); ok && !holds(prev, gr) {
-		s.purgeDerived(gr.FP)
+		s.cache.DropGraph(gr.FP)
 	}
 }
 
@@ -199,10 +202,14 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.store.Scrub(d.scrubBudget))
 }
 
-// CloseDurability flushes and closes the WAL. Call it after the HTTP server
-// has fully stopped: a clean shutdown must leave files that the next boot
-// recovers with zero truncations.
+// CloseDurability stops replication (both roles), then flushes and closes
+// the WAL. Call it after the HTTP server has fully stopped: a clean
+// shutdown must leave files that the next boot recovers with zero
+// truncations.
 func (s *Server) CloseDurability() error {
+	if rs := s.repls.Swap(nil); rs != nil {
+		rs.close()
+	}
 	d := s.dur.Swap(nil)
 	if d == nil {
 		return nil

@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io/fs"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bicc"
@@ -368,5 +371,73 @@ func TestMaxBodyBytes413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("mutation batch over cap: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestDurableChurnRecoversLiveSet races uploads and deletes of three
+// graphs from four goroutines on a durable server whose budget holds two
+// and a half of them, so uploads evict. After every round a restart from
+// the data dir must recover exactly what the live registry held, and every
+// upload answered 200 names its graph's fingerprint.
+func TestDurableChurnRecoversLiveSet(t *testing.T) {
+	const rounds, workers, ops = 100, 4, 6
+	var bodies [][]byte
+	var fps []string
+	var size int64
+	for i := 0; i < 3; i++ {
+		// Equal sizes: an 8-cycle with one chord from vertex 0.
+		edges := []bicc.Edge{{U: 0, V: int32(i + 2)}}
+		for v := 0; v < 8; v++ {
+			edges = append(edges, bicc.Edge{U: int32(v), V: int32((v + 1) % 8)})
+		}
+		g := mkGraph(t, 8, edges)
+		var buf bytes.Buffer
+		if err := bicc.WriteGraph(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		bodies, fps, size = append(bodies, buf.Bytes()), append(fps, Fingerprint(g)), graphBytes(g)
+	}
+	cfg := Config{MaxGraphBytes: size * 5 / 2}
+	dir := t.TempDir()
+	var live []string
+	var evicted int64
+	for round := 0; round < rounds; round++ {
+		s := New(cfg)
+		if _, err := s.EnableDurability(DurabilityConfig{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		if got := registrySet(s); !reflect.DeepEqual(got, live) {
+			t.Fatalf("round %d: restart recovered %v, the live registry held %v", round, got, live)
+		}
+		h := s.Handler()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				for op := 0; op < ops; op++ {
+					i := rng.Intn(len(fps))
+					rec := httptest.NewRecorder()
+					if rng.Intn(3) == 0 {
+						h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/graphs/"+fps[i], nil))
+						continue
+					}
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs", bytes.NewReader(bodies[i])))
+					var up graphUploadResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &up); rec.Code != http.StatusOK || err != nil || up.Fingerprint != fps[i] {
+						t.Errorf("round %d: upload answered %d naming %q, want 200 naming %s", round, rec.Code, up.Fingerprint, fps[i])
+					}
+				}
+			}(rand.New(rand.NewSource(int64(round*workers + w + 1))))
+		}
+		wg.Wait()
+		live = registrySet(s)
+		evicted += s.registry.Evicted()
+		if err := s.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("the churn never evicted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"bicc"
@@ -16,9 +15,11 @@ import (
 )
 
 // This file is the service face of the incremental-BCC subsystem: the
-// mutation endpoint (POST /v1/graphs/{fp}/edges), the per-graph maintained
+// mutation endpoint (POST /v1/graphs/{fp}/edges), the maintained
 // decomposition it feeds, and the serve-from-state fast path that answers
-// queries from maintained labels without an engine run.
+// queries from maintained labels without an engine run. The decomposition
+// and its labels live on the graph's registry entry (regEntry) and go
+// with it.
 //
 // Identity model: a graph's fingerprint is its STABLE id — the content
 // fingerprint at upload time. Mutations keep the id, advance a generation
@@ -26,23 +27,22 @@ import (
 // result cache key carries the generation, so answers computed against
 // different edge lists under one id can never be confused.
 //
-// Mutation flow (fsync-before-ack, degrade-never-fail after the ack):
+// Mutation flow (nothing is written before the commit, and a commit that
+// reaches the WAL always takes effect):
 //
 //  1. validate the batch against the maintained state — client errors are
-//     rejected here, before anything is written;
-//  2. append the delta record to the WAL and fsync (when durability is on):
-//     from this point the mutation is acknowledged and MUST take effect;
-//  3. apply through the incr planner (absorb / block-scoped rebuild / full
+//     rejected here;
+//  2. apply through the incr planner (absorb / block-scoped rebuild / full
 //     by size threshold); any runtime failure — injected fault, engine
 //     error, cancellation — degrades to a full recompute of the final
 //     graph, and if even that fails the maintained labels are dropped so
-//     queries recompute on demand. The registry swap and cache
-//     invalidation happen regardless.
+//     queries recompute on demand;
+//  3. commit under Server.writes: if the pinned entry is still registered,
+//     append the delta record to the WAL and fsync (when durability is on),
+//     then swap the graph and its labels into the entry;
+//  4. wait for the standby quorum, then answer.
 type incrState struct {
 	threshold float64
-
-	mu     sync.Mutex
-	graphs map[string]*incrGraph
 
 	batches     *obs.Counter
 	deltas      *obs.Counter
@@ -57,27 +57,9 @@ type incrState struct {
 	latency     map[string]*obs.Histogram
 }
 
-// incrGraph is one graph id's incremental machinery. mu serializes
-// mutations (held across engine runs); pub guards the published label
-// snapshot read by the query fast path, held only for pointer swaps so
-// queries never wait on a mutation in progress.
-type incrGraph struct {
-	mu sync.Mutex
-	// st is the maintained decomposition, touched only under mu. It is
-	// never shared with readers — the fast path reads the published copy.
-	// If the registry holds another graph pointer under this id than
-	// st.Graph(), the state is stale and must be reseeded.
-	st *incr.State
-
-	pub    sync.Mutex
-	g      *bicc.Graph // the exact graph pointer labels describe
-	labels []int32     // canonical per-edge block labels; immutable once published
-}
-
 func newIncrState(reg *obs.Registry, threshold float64) *incrState {
 	st := &incrState{
 		threshold: threshold,
-		graphs:    map[string]*incrGraph{},
 		batches: reg.Counter("bicc_incr_batches_total",
 			"Mutation batches acknowledged."),
 		deltas: reg.Counter("bicc_incr_deltas_total",
@@ -110,76 +92,20 @@ func newIncrState(reg *obs.Registry, threshold float64) *incrState {
 	return st
 }
 
-// graph returns (creating if needed) the per-graph machinery for fp.
-func (st *incrState) graph(fp string) *incrGraph {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.graphs[fp]
-	if !ok {
-		e = &incrGraph{}
-		st.graphs[fp] = e
-	}
-	return e
-}
-
-// peek returns the per-graph machinery without creating it.
-func (st *incrState) peek(fp string) *incrGraph {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.graphs[fp]
-}
-
-// drop clears all incremental state for fp — the graph-delete path. A
-// deleted-then-reuploaded id starts clean at generation 0 with no label
-// snapshot left behind.
-func (st *incrState) drop(fp string) {
-	st.mu.Lock()
-	delete(st.graphs, fp)
-	st.mu.Unlock()
-}
-
-// publishedLabels returns the label snapshot for fp if it describes exactly
-// the graph pointer g. Pointer identity is the correctness argument: labels
-// and graph are published together under pub, so a match proves the labels
-// were computed for this exact edge list.
-func (st *incrState) publishedLabels(fp string, g *bicc.Graph) ([]int32, bool) {
-	e := st.peek(fp)
-	if e == nil {
+// incrServe is the query fast path: derive the cacheable query result from
+// the maintained labels the pin carries instead of running an engine,
+// labeled with algo, the engine its cache key names. ok=false (no labels,
+// or a reconstruction failure) means the caller must run an engine.
+func (s *Server) incrServe(pin *Pin, algo bicc.Algorithm, include map[string]bool) (*queryResult, bool) {
+	if pin.Labels == nil {
 		return nil, false
 	}
-	e.pub.Lock()
-	defer e.pub.Unlock()
-	if e.g != g || e.labels == nil {
-		return nil, false
-	}
-	return e.labels, true
-}
-
-// incrReconstruct builds a full Result from maintained labels for the exact
-// acquired graph pointer, labeled with algo, the engine its cache key names.
-// ok=false (state absent, stale, or reconstruction failure) means the
-// caller must run an engine.
-func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm) (*bicc.Result, bool) {
-	labels, ok := s.incr.publishedLabels(fp, g)
-	if !ok {
-		return nil, false
-	}
-	res, err := bicc.ReconstructResult(g, algo, labels)
+	start := time.Now()
+	res, err := bicc.ReconstructResult(pin.G, algo, pin.Labels)
 	if err != nil {
 		return nil, false
 	}
 	s.incr.served.Inc()
-	return res, true
-}
-
-// incrServe is the query fast path: derive the cacheable query result from
-// maintained labels instead of running an engine.
-func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, include map[string]bool) (*queryResult, bool) {
-	start := time.Now()
-	res, ok := s.incrReconstruct(fp, g, algo)
-	if !ok {
-		return nil, false
-	}
 	out := newQueryResult(res, include)
 	out.Incr = true
 	out.ElapsedNs = int64(time.Since(start))
@@ -266,8 +192,8 @@ func (c *stageClock) elapsed() time.Duration { return c.last.Sub(c.start) }
 // delete-then-reinsert is legal (the edge moves to the end), endpoints past
 // the vertex count grow the graph. The response's phases are the stages
 // decode (including the wait for the graph's mutation lock), seed (first
-// mutation of a graph only), validate, fingerprint, wal and quorum
-// (durable servers only), apply and publish.
+// mutation of a graph only), validate, fingerprint, apply, wal (durable
+// servers only), publish and quorum (durable servers only).
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectStandby(w) {
 		return
@@ -293,19 +219,17 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-graph serialization: one mutation at a time per id; the registry
-	// swap and state publication happen under this lock, so generations are
-	// strictly monotonic.
-	e := s.incr.graph(fp)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
 	pin, ok := s.registry.Acquire(fp)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", fp)
 		return
 	}
 	defer pin.Release()
+	// One mutation at a time per entry, so generations are strictly
+	// monotonic.
+	pin.Lock()
+	defer pin.Unlock()
+	e := pin.e
 	clock.lap("decode")
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
@@ -316,9 +240,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return res, err
 	}
 
-	// Ensure maintained state for the current edge list. First mutation on
-	// a graph (or first after recovery) pays one engine run to seed the
-	// canonical labels; errors here are still pre-ack and safe to reject.
+	// Ensure maintained state for the current edge list. The first mutation
+	// of an entry pays one engine run to seed the canonical labels, as does
+	// the first after a recovered or replicated record swapped its graph or
+	// a commit failed at the WAL.
 	if e.st == nil || e.st.Graph() != pin.G {
 		res, err := run(ctx, pin.G)
 		if err != nil {
@@ -334,7 +259,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		clock.lap("seed")
 	}
 
-	// Validate before writing anything: client errors never reach the WAL.
 	// A batch that grows the graph past the budget is refused by its counts,
 	// before anything is sized by its vertex count. The batch's rules keep
 	// its graph simple, so it is not checked again.
@@ -353,20 +277,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	newGen := pin.Info.Generation + 1
 	clock.lap("fingerprint")
 
-	// Durable-first: fsync the delta record before acknowledging. From here
-	// on the mutation must take effect — runtime failures degrade, they do
-	// not reject.
-	if d := s.dur.Load(); d != nil {
-		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: int32(newGraph.NumVertices()), PostFP: postFP, Ops: deltas}
-		if err := d.store.AppendDelta(rec, newGraph); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "persisting mutation: %v", err)
-			return
-		}
-		clock.lap("wal")
-		s.replWaitQuorum()
-		clock.lap("quorum")
-	}
-
 	stats, aerr := e.st.Apply(ctx, batch, incr.Config{Threshold: s.incr.threshold}, run)
 	degradedCause := ""
 	if aerr != nil {
@@ -381,13 +291,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			if st, serr := incr.NewState(newGraph, res); serr == nil {
 				e.st = st
 			} else {
-				e.st, ferr = nil, serr
+				ferr = serr
 			}
 		}
 		if ferr != nil {
 			// Even the full recompute failed: drop the maintained labels;
-			// queries recompute on demand. The mutation itself still
-			// commits below — it was acknowledged at the WAL.
+			// queries recompute on demand. The mutation still commits.
 			e.st = nil
 			s.incr.stateDrops.Inc()
 		}
@@ -403,22 +312,34 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			stats.NumComponents = e.st.NumComponents()
 		}
 	}
+	var labels []int32
+	if e.st != nil {
+		labels = e.st.Labels()
+	}
 	clock.lap("apply")
 
-	// Commit: swap the registry entry, unless a delete took it meanwhile
-	// (the delete won), publish the new label snapshot, then invalidate
-	// every derived result for this id.
-	if !pin.Replace(newGraph, newGen, postFP) {
+	// Commit: unless a delete took the pinned entry meanwhile (the delete
+	// won), fsync the delta record and swap the new graph and its labels
+	// in, in one Server.writes hold, so a delta in the WAL always takes
+	// effect. Then drop every derived result for this id.
+	s.writes.Lock()
+	if !pin.Registered() {
+		s.writes.Unlock()
 		writeError(w, http.StatusNotFound, "no graph %q (upload it via POST /v1/graphs first)", fp)
 		return
 	}
-	e.pub.Lock()
-	e.g = newGraph
-	e.labels = nil
-	if e.st != nil {
-		e.labels = e.st.Labels()
+	d := s.dur.Load()
+	if d != nil {
+		rec := durable.DeltaRecord{ID: fp, Gen: newGen, NewN: int32(newGraph.NumVertices()), PostFP: postFP, Ops: deltas}
+		if err := d.store.AppendDelta(rec, newGraph); err != nil {
+			s.writes.Unlock()
+			writeError(w, http.StatusServiceUnavailable, "persisting mutation: %v", err)
+			return
+		}
+		clock.lap("wal")
 	}
-	e.pub.Unlock()
+	pin.Replace(newGraph, newGen, postFP, labels)
+	s.writes.Unlock()
 	dropped := s.cache.DropGraph(fp)
 
 	st := s.incr
@@ -434,6 +355,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		c.Inc()
 	}
 	clock.lap("publish")
+	if d != nil {
+		s.replWaitQuorum()
+		clock.lap("quorum")
+	}
 	elapsed := clock.elapsed()
 	if h := st.latency[mode]; h != nil {
 		h.Observe(elapsed)

@@ -559,7 +559,8 @@ func TestMutationsSurviveRestart(t *testing.T) {
 // TestMutationPhasesSumToElapsed checks the stage breakdown on mutation
 // responses: back-to-back stages in order, summing exactly to elapsed_ns.
 // Only the first mutation of a graph seeds its state, and only a durable
-// server has the wal and quorum stages.
+// server has the wal and quorum stages: the delta reaches the WAL after
+// apply, and the standby wait comes after publish.
 func TestMutationPhasesSumToElapsed(t *testing.T) {
 	durableSrv, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
 	for _, tc := range []struct {
@@ -594,11 +595,12 @@ func TestMutationPhasesSumToElapsed(t *testing.T) {
 			if i == 0 {
 				want = append(want, "seed")
 			}
-			want = append(want, "validate", "fingerprint")
+			want = append(want, "validate", "fingerprint", "apply")
 			if tc.durable {
-				want = append(want, "wal", "quorum")
+				want = append(want, "wal", "publish", "quorum")
+			} else {
+				want = append(want, "publish")
 			}
-			want = append(want, "apply", "publish")
 			var names []string
 			var sum int64
 			for _, p := range out.Phases {
@@ -659,8 +661,9 @@ func TestMutatedGraphShardQueries(t *testing.T) {
 }
 
 // TestMutatedGraphEvictionPurgesDerived: a graph evicted for space takes
-// its maintained mutation state and its cached results with it, on a
-// server without durability too, as a delete does.
+// its maintained labels and its cached results with it, on a server
+// without durability too, as a delete does: the same content uploaded
+// again is a fresh entry at generation 0 with no labels.
 func TestMutatedGraphEvictionPurgesDerived(t *testing.T) {
 	a := testGraph(t)
 	s := New(Config{MaxGraphBytes: graphBytes(a) * 3 / 2})
@@ -668,8 +671,17 @@ func TestMutatedGraphEvictionPurgesDerived(t *testing.T) {
 	fpA := uploadGraph(t, ts, a, "").Fingerprint
 	mustMutate(t, ts, fpA, []mutationDelta{{Op: "insert", U: 0, V: 3}})
 	queryAll(t, ts, fpA, "sequential")
-	if s.incr.peek(fpA) == nil {
-		t.Fatal("mutated graph has no maintained state")
+	labels := func() []int32 {
+		t.Helper()
+		pin, ok := s.registry.Acquire(fpA)
+		if !ok {
+			t.Fatalf("%s is not registered", fpA)
+		}
+		defer pin.Release()
+		return pin.Labels
+	}
+	if labels() == nil {
+		t.Fatal("mutated graph has no maintained labels")
 	}
 	if n, _ := seriesValue(scrapeHTTP(t, ts), "bicc_cached_results"); n == 0 {
 		t.Fatal("query on the mutated graph left no cached result")
@@ -683,11 +695,14 @@ func TestMutatedGraphEvictionPurgesDerived(t *testing.T) {
 	if _, ok := s.registry.Get(fpA); ok || s.registry.Evicted() != 1 {
 		t.Fatalf("uploading a second graph did not evict the first (evicted %d)", s.registry.Evicted())
 	}
-	if s.incr.peek(fpA) != nil {
-		t.Error("evicted graph kept its maintained mutation state")
-	}
 	if n, _ := seriesValue(scrapeHTTP(t, ts), "bicc_cached_results"); n != 0 {
 		t.Errorf("bicc_cached_results = %v after the eviction, want 0", n)
+	}
+	if up := uploadGraph(t, ts, a, ""); up.Existed || up.Generation != 0 {
+		t.Fatalf("re-upload after the eviction: existed %v, generation %d", up.Existed, up.Generation)
+	}
+	if labels() != nil {
+		t.Error("evicted graph kept its maintained labels")
 	}
 }
 

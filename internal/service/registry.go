@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bicc"
+	"bicc/internal/incr"
 )
 
 // Fingerprint returns the content fingerprint of a graph: a 64-bit FNV-1a
@@ -48,14 +49,33 @@ type GraphInfo struct {
 	ContentFP   string `json:"content_fingerprint,omitempty"`
 }
 
-// regEntry is one registered graph plus its bookkeeping. An entry belongs
-// to the registry while the map holds it under its fingerprint; a removed
-// or evicted entry stays charged only while pins hold it.
+// regEntry is the one record of a registered graph: the graph, its
+// bookkeeping, and what the mutation endpoint maintains for it. An entry
+// belongs to the registry while the map holds it under its fingerprint; a
+// removed or evicted entry, its maintained state with it, stays charged
+// only while pins hold it.
 type regEntry struct {
-	info    GraphInfo
-	g       *bicc.Graph
+	info GraphInfo
+	g    *bicc.Graph
+	// labels are g's canonical per-edge block labels, published with g by
+	// the commit that maintained them; nil otherwise. Immutable once
+	// published.
+	labels  []int32
 	refs    int
 	lastUse time.Time
+
+	// mu serializes the entry's mutations, engine runs included, and
+	// guards st, the decomposition they maintain. It is never taken with
+	// the registry lock held.
+	mu sync.Mutex
+	st *incr.State
+}
+
+// infoLocked returns the entry's info with its current pin count.
+func (e *regEntry) infoLocked() GraphInfo {
+	info := e.info
+	info.Refs = e.refs
+	return info
 }
 
 // Registry is a concurrent, content-addressed store of loaded graphs.
@@ -91,31 +111,32 @@ func NewRegistry(maxBytes int64, onEvict func(fp string)) *Registry {
 func graphBytes(g *bicc.Graph) int64 { return g.ResidentBytes() }
 
 // Add registers g under fp, its content fingerprint, which the caller has
-// computed with Fingerprint. Re-adding an identical graph is an idempotent
-// no-op that refreshes the entry's recency (existed=true). Name is a
+// computed with Fingerprint, and returns the entry's info. Re-adding an
+// identical graph only refreshes the entry's recency. Name is a
 // client-supplied label kept for listings only.
-func (r *Registry) Add(fp, name string, g *bicc.Graph) (existed bool) {
+func (r *Registry) Add(fp, name string, g *bicc.Graph) GraphInfo {
 	r.mu.Lock()
-	if e, ok := r.entries[fp]; ok {
-		e.lastUse = time.Now()
-		if name != "" {
-			e.info.Name = name
-		}
-		r.mu.Unlock()
-		return true
+	e, ok := r.entries[fp]
+	if !ok {
+		e = &regEntry{info: GraphInfo{Fingerprint: fp, Name: name}}
+		r.entries[fp] = e
+		return r.swapLocked(e, g, 0, "", nil)
 	}
-	e := &regEntry{info: GraphInfo{Fingerprint: fp, Name: name}}
-	r.entries[fp] = e
-	r.swapLocked(e, g, 0, "")
-	return false
+	e.lastUse = time.Now()
+	if name != "" {
+		e.info.Name = name
+	}
+	info := e.infoLocked()
+	r.mu.Unlock()
+	return info
 }
 
 // Put registers g under the stable id fp at generation gen with content
 // fingerprint cfp, the state a recovered or replicated graph record names;
 // a mutated graph's content no longer hashes to its id. An entry already
-// under fp is swapped in place: queries pinning it keep the graph they
-// hold. Put returns that entry's info from before the swap, if there was
-// one.
+// under fp is swapped in place, with no maintained labels: queries pinning
+// it keep the graph they hold. Put returns that entry's info from before
+// the swap, if there was one.
 func (r *Registry) Put(fp, name string, g *bicc.Graph, gen uint64, cfp string) (prev GraphInfo, existed bool) {
 	if gen == 0 {
 		cfp = "" // an unmutated graph's content fingerprint is its id
@@ -129,16 +150,17 @@ func (r *Registry) Put(fp, name string, g *bicc.Graph, gen uint64, cfp string) (
 		r.entries[fp] = e
 	}
 	e.info.Name = name
-	r.swapLocked(e, g, gen, cfp)
+	r.swapLocked(e, g, gen, cfp, nil)
 	return prev, existed
 }
 
-// swapLocked points e, which the map holds, at g with the given generation
-// and content fingerprint, charges the difference, and evicts for space
-// with e exempt. It releases r.mu, then tells onEvict about each victim.
-func (r *Registry) swapLocked(e *regEntry, g *bicc.Graph, gen uint64, cfp string) {
+// swapLocked points e, which the map holds, at g and its labels with the
+// given generation and content fingerprint, charges the difference, and
+// evicts for space with e exempt. It releases r.mu, then tells onEvict
+// about each victim, and returns e's info as of the swap.
+func (r *Registry) swapLocked(e *regEntry, g *bicc.Graph, gen uint64, cfp string, labels []int32) GraphInfo {
 	r.bytes -= e.info.Bytes
-	e.g = g
+	e.g, e.labels = g, labels
 	e.info.Vertices = g.NumVertices()
 	e.info.Edges = g.NumEdges()
 	e.info.Bytes = graphBytes(g)
@@ -147,23 +169,28 @@ func (r *Registry) swapLocked(e *regEntry, g *bicc.Graph, gen uint64, cfp string
 	e.lastUse = time.Now()
 	r.bytes += e.info.Bytes
 	victims := r.evictLocked(e)
+	info := e.infoLocked()
 	r.mu.Unlock()
 	if r.onEvict != nil {
 		for _, fp := range victims {
 			r.onEvict(fp)
 		}
 	}
+	return info
 }
 
-// Pin is one Acquire's hold on a registry entry: the graph and the info
-// the entry had when it was pinned, read in one registry transaction, so
-// a concurrent mutation can never pair the old graph with the new
-// generation. Release it exactly once.
+// Pin is one Acquire's hold on a registry entry: the graph, its
+// maintained labels and the info the entry had when it was pinned, read in
+// one registry transaction, so a concurrent mutation can never pair the
+// old graph with the new generation or labels. Release it exactly once.
 type Pin struct {
-	G    *bicc.Graph
-	Info GraphInfo
-	r    *Registry
-	e    *regEntry
+	G *bicc.Graph
+	// Labels are G's maintained block labels, nil unless a mutation
+	// published them with G.
+	Labels []int32
+	Info   GraphInfo
+	r      *Registry
+	e      *regEntry
 }
 
 // Acquire pins the graph registered under fp.
@@ -176,9 +203,7 @@ func (r *Registry) Acquire(fp string) (*Pin, bool) {
 	}
 	e.refs++
 	e.lastUse = time.Now()
-	info := e.info
-	info.Refs = e.refs
-	return &Pin{G: e.g, Info: info, r: r, e: e}, true
+	return &Pin{G: e.g, Labels: e.labels, Info: e.infoLocked(), r: r, e: e}, true
 }
 
 // Release unpins the entry and charges what its graph holds now, since
@@ -197,39 +222,49 @@ func (p *Pin) Release() {
 	}
 }
 
-// Replace swaps the pinned entry's graph for its post-mutation edge list,
-// advancing the generation and current content fingerprint. Queries
-// holding the old graph keep computing against it; new acquires see the
-// new one. It reports false, changing nothing, once the entry has left the
-// registry: a mutation of a deleted graph must not overwrite a later
-// upload under the same id.
-func (p *Pin) Replace(g *bicc.Graph, gen uint64, cfp string) bool {
-	r := p.r
-	r.mu.Lock()
-	if r.entries[p.e.info.Fingerprint] != p.e {
-		r.mu.Unlock()
-		return false
-	}
-	r.swapLocked(p.e, g, gen, cfp)
-	return true
+// Lock takes the pinned entry's mutation lock and re-reads the pin: a
+// mutation that held the lock may have swapped the entry since Acquire.
+func (p *Pin) Lock() {
+	p.e.mu.Lock()
+	p.r.mu.Lock()
+	p.G, p.Labels, p.Info = p.e.g, p.e.labels, p.e.infoLocked()
+	p.r.mu.Unlock()
+}
+
+// Unlock releases the mutation lock Lock took.
+func (p *Pin) Unlock() { p.e.mu.Unlock() }
+
+// Registered reports whether the registry still holds the pinned entry
+// under its id: false once a delete or an eviction has taken it, even if
+// the id names a later upload.
+func (p *Pin) Registered() bool {
+	p.r.mu.Lock()
+	defer p.r.mu.Unlock()
+	return p.r.entries[p.e.info.Fingerprint] == p.e
+}
+
+// Replace swaps the pinned entry's graph and labels for the post-mutation
+// edge list and the labels maintained for it, advancing the generation
+// and current content fingerprint. Queries holding the old pair keep
+// computing against it; new acquires see the new one. The entry must be
+// registered, which the caller checks under the same Server.writes hold.
+func (p *Pin) Replace(g *bicc.Graph, gen uint64, cfp string, labels []int32) {
+	p.r.mu.Lock()
+	p.r.swapLocked(p.e, g, gen, cfp, labels)
 }
 
 // Remove unregisters a graph at once: Get, List and Acquire no longer see
 // it, and a later Add registers a fresh entry. An entry still pinned stays
-// charged until its last Release. It reports whether the fingerprint was
-// present.
-func (r *Registry) Remove(fp string) bool {
+// charged until its last Release.
+func (r *Registry) Remove(fp string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[fp]
-	if !ok {
-		return false
+	if e, ok := r.entries[fp]; ok {
+		delete(r.entries, fp)
+		if e.refs == 0 {
+			r.bytes -= e.info.Bytes
+		}
 	}
-	delete(r.entries, fp)
-	if e.refs == 0 {
-		r.bytes -= e.info.Bytes
-	}
-	return true
 }
 
 // Get returns the info for one fingerprint.
@@ -240,9 +275,7 @@ func (r *Registry) Get(fp string) (GraphInfo, bool) {
 	if !ok {
 		return GraphInfo{}, false
 	}
-	info := e.info
-	info.Refs = e.refs
-	return info, true
+	return e.infoLocked(), true
 }
 
 // List returns all entries sorted by fingerprint.
@@ -251,9 +284,7 @@ func (r *Registry) List() []GraphInfo {
 	defer r.mu.Unlock()
 	out := make([]GraphInfo, 0, len(r.entries))
 	for _, e := range r.entries {
-		info := e.info
-		info.Refs = e.refs
-		out = append(out, info)
+		out = append(out, e.infoLocked())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out

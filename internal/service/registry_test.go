@@ -76,11 +76,11 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	r := NewRegistry(0, nil)
 	g := mkGraph(t, 3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	fp := Fingerprint(g)
-	if r.Add(fp, "a", g) {
-		t.Fatal("fresh add reported existing")
+	if info := r.Add(fp, "a", g); info.Fingerprint != fp || info.Name != "a" || info.Bytes != graphBytes(g) {
+		t.Fatalf("add returned %+v", info)
 	}
-	if !r.Add(fp, "a", g) {
-		t.Fatal("re-add not reported existing")
+	if info := r.Add(fp, "b", g); info.Name != "b" || r.Len() != 1 || r.Bytes() != graphBytes(g) {
+		t.Fatalf("re-add returned %+v with Len %d, bytes %d: want one entry, renamed", info, r.Len(), r.Bytes())
 	}
 	pin, ok := r.Acquire(fp)
 	if !ok || pin.G != g || pin.Info.Refs != 1 {
@@ -91,9 +91,7 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	}
 	// Remove while referenced hides the entry but keeps it charged for the
 	// holder.
-	if !r.Remove(fp) {
-		t.Fatal("remove failed")
-	}
+	r.Remove(fp)
 	if _, ok := r.Acquire(fp); ok {
 		t.Fatal("acquire succeeded on removed entry")
 	}
@@ -104,37 +102,49 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	if r.Bytes() != 0 {
 		t.Fatalf("bytes = %d after final release", r.Bytes())
 	}
-	if r.Remove(fp) {
-		t.Fatal("second remove succeeded")
+	r.Remove(fp)
+	if r.Len() != 0 || r.Bytes() != 0 {
+		t.Fatalf("a second remove left Len %d, bytes %d", r.Len(), r.Bytes())
 	}
 
 	// A stale pin: the graph is deleted and the same content uploaded
-	// again while a query holds the first incarnation. Its release and
-	// its Replace must leave the new incarnation alone: one graph charged,
-	// the new pin still counted, generation 0.
+	// again while a query holds the first incarnation. It is no longer
+	// registered, and its release leaves the new incarnation alone: one
+	// graph charged, the new pin still counted, generation 0.
 	r.Add(fp, "a", g)
 	stale, _ := r.Acquire(fp)
 	r.Remove(fp)
-	if r.Add(fp, "a", g) {
-		t.Fatal("re-add after remove reported existing")
-	}
+	r.Add(fp, "a", g)
 	fresh, _ := r.Acquire(fp)
-	g2 := mkGraph(t, 3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
-	if stale.Replace(g2, 1, Fingerprint(g2)) {
-		t.Fatal("Replace through a stale pin succeeded")
+	if stale.Registered() || !fresh.Registered() {
+		t.Fatalf("registered: stale pin %v, current pin %v", stale.Registered(), fresh.Registered())
 	}
 	stale.Release()
 	if info, _ := r.Get(fp); info.Refs != 1 || info.Generation != 0 || r.Bytes() != graphBytes(g) {
 		t.Fatalf("after the stale release: refs %d, gen %d, bytes %d, want 1, 0, %d",
 			info.Refs, info.Generation, r.Bytes(), graphBytes(g))
 	}
-	if !fresh.Replace(g2, 1, Fingerprint(g2)) {
-		t.Fatal("Replace through the current pin failed")
-	}
+
+	// Replace swaps graph and labels in together; Put swaps in a graph
+	// with no labels.
+	g2 := mkGraph(t, 3, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
+	labels := []int32{0, 0, 0}
+	fresh.Replace(g2, 1, Fingerprint(g2), labels)
 	fresh.Release()
 	if info, _ := r.Get(fp); info.Refs != 0 || info.Generation != 1 || r.Bytes() != graphBytes(g2) || r.Len() != 1 {
 		t.Fatalf("after replace: refs %d, gen %d, bytes %d, Len %d, want 0, 1, %d, 1",
 			info.Refs, info.Generation, r.Bytes(), r.Len(), graphBytes(g2))
+	}
+	if p, _ := r.Acquire(fp); p.G != g2 || &p.Labels[0] != &labels[0] {
+		t.Fatal("a pin after Replace does not carry the new graph and its labels")
+	} else {
+		p.Release()
+	}
+	r.Put(fp, "a", g, 0, "")
+	if p, _ := r.Acquire(fp); p.G != g || p.Labels != nil || p.Info.Generation != 0 {
+		t.Fatalf("a pin after Put: graph swapped %v, labels %v, gen %d", p.G == g, p.Labels, p.Info.Generation)
+	} else {
+		p.Release()
 	}
 }
 

@@ -151,13 +151,9 @@ func (rs *replState) newPrimary(s *Server, epoch uint64) (*repl.Primary, error) 
 	})
 }
 
-// CloseReplication stops the replication machinery (both roles). Call after
-// the HTTP server has stopped.
-func (s *Server) CloseReplication() {
-	rs := s.repls.Swap(nil)
-	if rs == nil {
-		return
-	}
+// close stops the replication machinery of both roles: nothing is
+// published or applied after it returns.
+func (rs *replState) close() {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if stb := rs.stb.Swap(nil); stb != nil {
@@ -236,6 +232,8 @@ type replApplier struct {
 
 func (a *replApplier) Apply(kind byte, payload []byte) error {
 	s := a.s
+	s.writes.Lock()
+	defer s.writes.Unlock()
 	switch kind {
 	case durable.RecGraphAdd:
 		gr, err := durable.DecodeGraphRecord(payload)
@@ -288,6 +286,8 @@ func (a *replApplier) Apply(kind byte, payload []byte) error {
 // in the local WAL so a restart recovers the same state.
 func (a *replApplier) Reset(state []repl.StateRecord) error {
 	s := a.s
+	s.writes.Lock()
+	defer s.writes.Unlock()
 	keep := map[string]bool{}
 	decoded := make([]durable.GraphRecord, 0, len(state))
 	for _, sr := range state {
@@ -373,8 +373,10 @@ func (s *Server) Promote() (*PromoteReport, error) {
 	for i, gr := range state {
 		faults.Inject(nil, sitePromote, 0, i)
 		if intact(gr) != nil {
+			s.writes.Lock()
 			_ = rs.d.store.AppendRemove(gr.FP)
 			s.drop(gr.FP)
+			s.writes.Unlock()
 			rep.Dropped++
 			rs.promoteDropped.Add(1)
 			continue

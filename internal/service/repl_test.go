@@ -2,13 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,7 +44,6 @@ func newReplica(t *testing.T, cfg Config, dir string, rcfg ReplConfig) *replica 
 	if err := s.EnableReplication(rcfg); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.CloseReplication)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return &replica{s: s, ts: ts, dir: dir}
@@ -250,7 +253,6 @@ func TestReplicationAgreesAfterManyBatches(t *testing.T) {
 	check("standby", stb.ts)
 
 	pri.ts.Close()
-	pri.s.CloseReplication()
 	if err := pri.s.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +325,7 @@ func TestPromotionServesAckedState(t *testing.T) {
 	waitCaughtUp(t, pri, stb)
 
 	// The primary dies.
-	pri.s.CloseReplication()
+	_ = pri.s.CloseDurability()
 	pri.ts.Close()
 
 	resp, err := http.Post(stb.ts.URL+"/v1/admin/promote", "", nil)
@@ -481,7 +483,6 @@ func TestStandbyWALIsRecoveryImage(t *testing.T) {
 
 	dir := stb.dir
 	stb.ts.Close()
-	stb.s.CloseReplication()
 	if err := stb.s.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +589,7 @@ func TestReplicationMetricsReplaceStatsz(t *testing.T) {
 		t.Errorf("following standby: bicc_repl_epoch = %v, want 1", got)
 	}
 
-	pri.s.CloseReplication()
+	_ = pri.s.CloseDurability()
 	if rep, err := stb.s.Promote(); err != nil || rep.Dropped != 0 {
 		t.Fatalf("promote: %+v, %v", rep, err)
 	}
@@ -718,5 +719,74 @@ func TestDeleteRacesMutation(t *testing.T) {
 			}
 		}
 		deleteGraph()
+	}
+}
+
+// registrySet lists what a registry holds by id, generation and content
+// fingerprint: what a restart from the data dir must bring back.
+func registrySet(s *Server) []string {
+	var out []string
+	for _, info := range s.registry.List() {
+		out = append(out, fmt.Sprintf("%s gen %d cfp %q", info.Fingerprint, info.Generation, info.ContentFP))
+	}
+	return out
+}
+
+// TestDeleteRacesMutationReupload holds a mutation in its seed run while
+// its graph is deleted and the same content uploaded again. The mutation
+// must lose to the delete: it answers 404 and writes nothing, so a restart
+// recovers exactly the live registry, the re-upload at generation 0.
+func TestDeleteRacesMutationReupload(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	compute := func(ctx context.Context, g *bicc.Graph, opt *bicc.Options) (*bicc.Result, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return bicc.BiconnectedComponentsCtx(ctx, g, opt)
+	}
+	dir := t.TempDir()
+	s, _ := durableServer(t, Config{Compute: compute}, DurabilityConfig{Dir: dir})
+	ts := newHTTPServer(t, s)
+	g := testGraph(t)
+	fp := uploadGraph(t, ts, g, "name=target").Fingerprint
+
+	status := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(mutateRequest{Deltas: []mutationDelta{{Op: "insert", U: 1, V: 6}}})
+		resp, err := http.Post(ts.URL+"/v1/graphs/"+fp+"/edges", "application/json", bytes.NewReader(body))
+		if err != nil {
+			status <- -1
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-entered
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/"+fp, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete during the mutation's seed run: status %d, want 204", resp.StatusCode)
+	}
+	if re := uploadGraph(t, ts, g, "name=target"); re.Existed || re.Generation != 0 {
+		t.Fatalf("re-upload: existed %v, generation %d, want a fresh entry at 0", re.Existed, re.Generation)
+	}
+	close(release)
+	if code := <-status; code != http.StatusNotFound {
+		t.Fatalf("mutation of the deleted incarnation answered %d, want 404", code)
+	}
+
+	live := registrySet(s)
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := durableServer(t, Config{}, DurabilityConfig{Dir: dir})
+	if got := registrySet(s2); !reflect.DeepEqual(got, live) {
+		t.Fatalf("restart recovered %v, the live registry held %v", got, live)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -177,9 +178,14 @@ type Server struct {
 	// repls is the replication state when EnableReplication has been
 	// called, nil otherwise.
 	repls atomic.Pointer[replState]
-	// incr is the incremental-mutation subsystem: per-graph maintained
-	// decompositions fed by POST /v1/graphs/{fp}/edges. Always on — an
-	// unmutated server pays one nil-map lookup per query.
+	// writes orders every change to the set of graphs with the WAL. An
+	// upload, a delete, a mutation's commit, a standby's apply and the drops
+	// of promotion and recovery each hold it from the registry check that
+	// decides the change, through its WAL record, to the registry change,
+	// with the evictions that change causes. Quorum waits come after.
+	writes sync.Mutex
+	// incr holds the mutation endpoint's settings and counters; the
+	// decompositions it maintains live on the registry entries.
 	incr *incrState
 	// planner routes Auto queries. New sets it once, before the server
 	// handles anything.
@@ -379,8 +385,8 @@ type graphUploadResponse struct {
 // normalize=1 to drop self loops / duplicate edges instead of rejecting
 // them, name=<label>. The response's phases are the stages decode (body
 // read and parse), to-csr (validation and the CSR, built in one step),
-// fingerprint, wal and quorum (when a durable server appends the graph) and
-// register.
+// fingerprint, wal (when a durable server appends the graph), register and
+// quorum (with wal).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if s.rejectStandby(w) {
 		return
@@ -478,7 +484,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 // registerGraph registers g and answers with the entry's info and the
 // stages clock has timed.
 func (s *Server) registerGraph(w http.ResponseWriter, clock *stageClock, g *bicc.Graph, name string, loops, dups int) {
-	fp, existed, err := s.addGraph(clock, name, g)
+	info, existed, err := s.addGraph(clock, name, g)
 	if err != nil {
 		// Not persisted means not acknowledged: the client must not
 		// believe in a graph that a restart would forget.
@@ -486,7 +492,6 @@ func (s *Server) registerGraph(w http.ResponseWriter, clock *stageClock, g *bicc
 		return
 	}
 	s.stats.GraphUploads.Add(1)
-	info, _ := s.registry.Get(fp)
 	writeJSON(w, http.StatusOK, graphUploadResponse{
 		GraphInfo: info, Existed: existed, Loops: loops, Dups: dups,
 		ElapsedNs: int64(clock.elapsed()), Phases: clock.phases,
@@ -499,30 +504,37 @@ func (s *Server) registerGraph(w http.ResponseWriter, clock *stageClock, g *bicc
 // next boot — at-least-once, never lost-after-ack. Used by the upload
 // handlers and by the daemon's -load preloading.
 func (s *Server) AddGraph(name string, g *bicc.Graph) (fp string, existed bool, err error) {
-	return s.addGraph(newStageClock(), name, g)
+	info, existed, err := s.addGraph(newStageClock(), name, g)
+	return info.Fingerprint, existed, err
 }
 
-// addGraph is AddGraph timing its stages on clock: fingerprint, wal and
-// quorum (only when a durable server appends the graph) and register.
-func (s *Server) addGraph(clock *stageClock, name string, g *bicc.Graph) (fp string, existed bool, err error) {
-	fp = Fingerprint(g)
+// addGraph is AddGraph timing its stages on clock: fingerprint, wal (only
+// when a durable server appends the graph), register, and quorum (with
+// wal). It returns the entry's info as its add left it.
+func (s *Server) addGraph(clock *stageClock, name string, g *bicc.Graph) (info GraphInfo, existed bool, err error) {
+	fp := Fingerprint(g)
 	clock.lap("fingerprint")
-	if d := s.dur.Load(); d != nil {
-		if _, ok := s.registry.Get(fp); !ok {
-			if err := d.store.AppendAdd(durable.GraphRecord{FP: fp, Name: name, Graph: g}); err != nil {
-				return "", false, err
-			}
-			clock.lap("wal")
-			// Replication quorum: wait (bounded) for a standby to have the
-			// record before acking the client. Degrades, never fails — the
-			// record is already durable here.
-			s.replWaitQuorum()
-			clock.lap("quorum")
+	d := s.dur.Load()
+	s.writes.Lock()
+	_, existed = s.registry.Get(fp)
+	if d != nil && !existed {
+		if err := d.store.AppendAdd(durable.GraphRecord{FP: fp, Name: name, Graph: g}); err != nil {
+			s.writes.Unlock()
+			return GraphInfo{}, false, err
 		}
+		clock.lap("wal")
 	}
-	existed = s.registry.Add(fp, name, g)
+	info = s.registry.Add(fp, name, g)
+	s.writes.Unlock()
 	clock.lap("register")
-	return fp, existed, nil
+	if d != nil && !existed {
+		// Replication quorum: wait (bounded) for a standby to have the
+		// record before acking the client. Degrades, never fails — the
+		// record is already durable here.
+		s.replWaitQuorum()
+		clock.lap("quorum")
+	}
+	return info, existed, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -544,54 +556,46 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := r.PathValue("fp")
+	s.writes.Lock()
 	if _, ok := s.registry.Get(fp); !ok {
+		s.writes.Unlock()
 		writeError(w, http.StatusNotFound, "no graph %q", fp)
 		return
 	}
 	// Delete follows the same discipline as add: durable first, then the
-	// resident state, so an acknowledged delete survives a crash. A WAL
-	// remove for a fingerprint that raced away is a harmless no-op at
-	// replay.
+	// resident state, so an acknowledged delete survives a crash.
 	if d := s.dur.Load(); d != nil {
 		if err := d.store.AppendRemove(fp); err != nil {
+			s.writes.Unlock()
 			writeError(w, http.StatusServiceUnavailable, "persisting removal: %v", err)
 			return
 		}
-		s.replWaitQuorum()
 	}
-	if !s.drop(fp) {
-		writeError(w, http.StatusNotFound, "no graph %q", fp)
-		return
-	}
+	s.drop(fp)
+	s.writes.Unlock()
+	s.replWaitQuorum()
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// drop unregisters fp's graph and purges what was derived from it,
-// reporting whether fp was registered. Every removal but an eviction
+// drop unregisters fp's graph, and with its entry its maintained labels,
+// and purges its cached results (all generations, block indexes
+// included): generations restart at 0 when the same content is uploaded
+// again. The caller holds s.writes. Every removal but an eviction
 // (evicted) goes through here.
-func (s *Server) drop(fp string) bool {
-	ok := s.registry.Remove(fp)
-	s.purgeDerived(fp)
-	return ok
+func (s *Server) drop(fp string) {
+	s.registry.Remove(fp)
+	s.cache.DropGraph(fp)
 }
 
-// evicted is the registry's eviction observer. It purges what was derived
-// from the graph and, when durability is on, journals the removal, so that
-// recovery does not bring back a graph the registry let go (a failed
+// evicted is the registry's eviction observer, run inside the s.writes
+// hold of the change that caused the eviction. It purges the graph's
+// cached results and, when durability is on, journals the removal, so
+// that recovery does not bring back a graph the registry let go (a failed
 // append, counted in bicc_wal_errors_total, only lets it come back).
 func (s *Server) evicted(fp string) {
 	if d := s.dur.Load(); d != nil {
 		_ = d.store.AppendRemove(fp)
 	}
-	s.purgeDerived(fp)
-}
-
-// purgeDerived drops every structure derived from fp's graph: maintained
-// incremental state and cached results (all generations, block indexes
-// included). Generations restart at 0 when the same content is uploaded
-// again, so nothing keyed under the old incarnation's may survive.
-func (s *Server) purgeDerived(fp string) {
-	s.incr.drop(fp)
 	s.cache.DropGraph(fp)
 }
 
@@ -733,7 +737,7 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	key := resultKey{fp: req.Graph, gen: pin.Info.Generation, algo: runAlgo, procs: runProcs}
-	res, outcome, err := s.lookup(ctx, key, pin.G, include)
+	res, outcome, err := s.lookup(ctx, key, pin, include)
 	if err != nil {
 		s.writeRunError(w, err, "query")
 		return
@@ -753,16 +757,16 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// lookup returns the decomposition cached under key, computing it on a
-// miss, and counts how the cache served the call. A mutated graph's
-// maintained labels answer instead of an engine run when they describe
-// exactly g.
-func (s *Server) lookup(ctx context.Context, key resultKey, g *bicc.Graph, include map[string]bool) (*queryResult, Outcome, error) {
+// lookup returns the decomposition of pin's graph cached under key,
+// computing it on a miss, and counts how the cache served the call. A
+// mutated graph's maintained labels, which the pin carries, answer instead
+// of an engine run.
+func (s *Server) lookup(ctx context.Context, key resultKey, pin *Pin, include map[string]bool) (*queryResult, Outcome, error) {
 	res, err, outcome := s.cache.Do(ctx, key, func(cctx context.Context) (*queryResult, error) {
-		if qr, ok := s.incrServe(key.fp, g, key.algo, include); ok {
+		if qr, ok := s.incrServe(pin, key.algo, include); ok {
 			return qr, nil
 		}
-		return s.compute(cctx, g, key.algo, key.procs, include)
+		return s.compute(cctx, pin.G, key.algo, key.procs, include)
 	})
 	switch outcome {
 	case OutcomeHit:

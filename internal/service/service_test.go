@@ -415,8 +415,9 @@ func TestQueryProcsCapped(t *testing.T) {
 // TestUploadPhasesSumToElapsed checks the stage breakdown on upload
 // responses: back-to-back stages in order, summing exactly to elapsed_ns.
 // Every upload checks its graph by building the CSR (to-csr). Only a
-// durable server appending a new graph has the wal and quorum stages; a
-// repeated upload finds the graph registered and skips them.
+// durable server appending a new graph has the wal and quorum stages, the
+// standby wait after the registry change; a repeated upload finds the
+// graph registered and skips them.
 func TestUploadPhasesSumToElapsed(t *testing.T) {
 	durableSrv, _ := durableServer(t, Config{}, DurabilityConfig{Dir: t.TempDir()})
 	var text bytes.Buffer
@@ -429,7 +430,7 @@ func TestUploadPhasesSumToElapsed(t *testing.T) {
 		ts    *httptest.Server
 		first []string
 	}{
-		{"durable", newHTTPServer(t, durableSrv), []string{"decode", "to-csr", "fingerprint", "wal", "quorum", "register"}},
+		{"durable", newHTTPServer(t, durableSrv), []string{"decode", "to-csr", "fingerprint", "wal", "register", "quorum"}},
 		{"memory", newHTTPServer(t, New(Config{})), repeat},
 	} {
 		for i, want := range [][]string{tc.first, repeat} {

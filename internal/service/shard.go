@@ -92,7 +92,7 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 		algo, procs, _, _ = s.planDecide(pin.G, procs, false)
 	}
 	key := resultKey{fp: fp, gen: pin.Info.Generation, algo: algo, procs: procs}
-	res, _, err := s.lookup(ctx, key, pin.G, nil)
+	res, _, err := s.lookup(ctx, key, pin, nil)
 	var idx *core.BlockIndex
 	if err == nil {
 		idx, err = s.cache.BlockIndex(ctx, key, res, func(bctx context.Context) (*core.BlockIndex, error) {
