@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"bicc/internal/par"
 )
 
@@ -85,23 +87,17 @@ func Diameter(p int, c *CSR) int32 {
 	if n == 0 {
 		return 0
 	}
-	p = par.Procs(p)
-	if p > n {
-		p = n
-	}
-	return par.MaxInt32(p, p, 0, func(w int) int32 {
-		lo, hi := par.Block(n, p, w)
+	best := make([]int32, par.Procs(p)) // per-worker maxima
+	par.ForWorker(p, n, func(w, lo, hi int) {
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
-		best := int32(0)
 		for v := lo; v < hi; v++ {
-			ecc, _ := bfsDistances(c, int32(v), dist, queue)
-			if ecc > best {
-				best = ecc
+			if ecc, _ := bfsDistances(c, int32(v), dist, queue); ecc > best[w] {
+				best[w] = ecc
 			}
 		}
-		return best
 	})
+	return slices.Max(best)
 }
 
 // DiameterTwoSweep returns a lower bound on the diameter using the classic

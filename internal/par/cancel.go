@@ -3,6 +3,8 @@ package par
 import (
 	"context"
 	"sync/atomic"
+
+	"bicc/internal/obs"
 )
 
 // Canceler is a cooperative cancellation token shared by the parallel loops
@@ -76,28 +78,24 @@ const cancelGrain = 8192
 // already does). With a nil canceler it is exactly For.
 //
 // A panic in body does not propagate: it is recovered into c as a
-// *PanicError, which cancels the sibling workers' polls, and ForC returns
-// normally. Callers observe the failure through c.Err().
+// *PanicError carrying the worker's index, which cancels the sibling
+// workers' polls, and ForC returns normally. Callers observe the failure
+// through c.Err().
 func ForC(c *Canceler, p, n int, body func(lo, hi int)) {
 	if c == nil {
 		For(p, n, body)
 		return
 	}
-	For(p, n, func(lo, hi int) {
-		for lo < hi {
-			if c.Err() != nil {
-				return
+	if k := workers(p, n); k > 0 {
+		fork(c, k, func(w int) {
+			lo, hi := Block(n, k, w)
+			for lo < hi && c.Err() == nil {
+				end := min(lo+cancelGrain, hi)
+				body(lo, end)
+				lo = end
 			}
-			end := lo + cancelGrain
-			if end > hi {
-				end = hi
-			}
-			if !guardInto(c, -1, func() { body(lo, end) }) {
-				return
-			}
-			lo = end
-		}
-	})
+		})
+	}
 }
 
 // ForDynamicC is ForDynamic with cooperative cancellation: workers poll c
@@ -105,15 +103,51 @@ func ForC(c *Canceler, p, n int, body func(lo, hi int)) {
 // most one chunk per worker. With a nil canceler it is exactly ForDynamic.
 // Panics in body are recovered into c like ForC.
 func ForDynamicC(c *Canceler, p, n, grain int, body func(lo, hi int)) {
-	if c == nil {
-		ForDynamic(p, n, grain, body)
+	p = Procs(p)
+	if n <= 0 {
 		return
 	}
-	ForDynamic(p, n, grain, func(lo, hi int) {
-		if c.Err() != nil {
-			return
+	if grain <= 0 {
+		grain = n/(8*p) + 1
+	}
+	if p == 1 || n <= grain {
+		if obs.Enabled() {
+			mTasks.Inc()
+			mChunks.Inc()
 		}
-		guardInto(c, -1, func() { body(lo, hi) })
+		if c == nil {
+			body(0, n)
+		} else if c.Err() == nil {
+			fork(c, 1, func(int) { body(0, n) })
+		}
+		return
+	}
+	if obs.Enabled() {
+		mTasks.Add(int64(p))
+	}
+	if c != nil {
+		chunks(c, p, n, grain, body)
+		return
+	}
+	var own Canceler // ForDynamic's token: only a worker panic trips it
+	raise(chunks(&own, p, n, grain, body))
+}
+
+// chunks runs p workers that claim chunks of grain items from a shared
+// counter until [0, n) runs out or stop trips.
+func chunks(stop *Canceler, p, n, grain int, body func(lo, hi int)) *PanicError {
+	var next atomic.Int64
+	return fork(stop, p, func(int) {
+		for stop.Err() == nil {
+			lo := int(next.Add(int64(grain))) - grain
+			if lo >= n {
+				return
+			}
+			if obs.Enabled() {
+				mChunks.Inc()
+			}
+			body(lo, min(lo+grain, n))
+		}
 	})
 }
 
@@ -128,16 +162,9 @@ func RunC(c *Canceler, p int, fn func(worker int)) *PanicError {
 	if c == nil {
 		panic("par: RunC requires a non-nil Canceler")
 	}
-	var pb panicBox
-	Run(p, func(w int) {
-		defer func() {
-			if v := recover(); v != nil {
-				pe := AsPanicError(w, v)
-				pb.first.CompareAndSwap(nil, pe)
-				c.Cancel(pe)
-			}
-		}()
-		fn(w)
-	})
-	return pb.first.Load()
+	p = Procs(p)
+	if obs.Enabled() {
+		mTasks.Add(int64(p))
+	}
+	return fork(c, p, fn)
 }

@@ -13,8 +13,10 @@ var (
 		"Work chunks claimed by dynamically scheduled loops.")
 	mSteals = obs.Default().Counter("bicc_par_steals_total",
 		"Work taken from the spanning-tree traversal's shared pool (each take is half the pool).")
-	mBarrierWaits = obs.Default().Counter("bicc_par_barrier_waits_total",
-		"Arrivals at software barriers.")
+	// The runtime has no barrier, so this reads 0; it stays registered so
+	// its name is stable for the dashboards and benchmarks that read it.
+	_ = obs.Default().Counter("bicc_par_barrier_waits_total",
+		"Arrivals at software barriers (the runtime has none, so 0).")
 	mPanics = obs.Default().Counter("bicc_par_panics_total",
 		"Worker panics contained by the parallel runtime and surfaced as typed errors.")
 )

@@ -3,7 +3,6 @@ package par
 import (
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 
 	"bicc/internal/obs"
 )
@@ -17,8 +16,8 @@ import (
 type PanicError struct {
 	// Value is the value passed to panic().
 	Value any
-	// Worker is the index of the worker that panicked, or -1 when the
-	// primitive does not expose worker identities.
+	// Worker is the index of the worker that panicked, or -1 for a panic
+	// recovered outside the runtime's workers.
 	Worker int
 	// Stack is the panicking goroutine's stack trace, captured at the
 	// recovery point.
@@ -54,40 +53,4 @@ func AsPanicError(worker int, v any) *PanicError {
 		mPanics.Inc()
 	}
 	return &PanicError{Value: v, Worker: worker, Stack: debug.Stack()}
-}
-
-// panicBox collects the first panic recovered across a fork-join's workers.
-type panicBox struct {
-	first atomic.Pointer[PanicError]
-}
-
-// capture is deferred inside every spawned worker; it recovers a panic and
-// records the first one.
-func (b *panicBox) capture(worker int) {
-	if v := recover(); v != nil {
-		b.first.CompareAndSwap(nil, AsPanicError(worker, v))
-	}
-}
-
-// rethrow re-raises the first captured panic on the calling goroutine after
-// all workers have joined. The panic value is always a *PanicError carrying
-// the original worker's stack.
-func (b *panicBox) rethrow() {
-	if pe := b.first.Load(); pe != nil {
-		panic(pe)
-	}
-}
-
-// guardInto invokes fn and recovers a panic into the canceler as a
-// *PanicError, tripping sibling workers' cancellation polls. It reports
-// whether fn completed without panicking.
-func guardInto(c *Canceler, worker int, fn func()) (ok bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			c.Cancel(AsPanicError(worker, v))
-			ok = false
-		}
-	}()
-	fn()
-	return true
 }

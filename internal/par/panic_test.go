@@ -138,58 +138,81 @@ func TestNestedPanicErrorNotDoubleWrapped(t *testing.T) {
 	}
 }
 
-func TestForCRecordsPanicInCanceler(t *testing.T) {
-	c := &Canceler{}
-	ForC(c, 4, 1000, func(lo, hi int) {
-		if lo == 0 {
-			panic("chunk dies")
-		}
-	})
-	err := c.Err()
-	if err == nil {
-		t.Fatal("ForC did not cancel on worker panic")
-	}
+// trippedByPanic returns the *PanicError c was tripped with, failing the
+// test unless it names one of the call's p workers.
+func trippedByPanic(t *testing.T, c *Canceler, p int) *PanicError {
+	t.Helper()
 	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("cancellation cause is %T (%v), want *PanicError", err, err)
+	if !errors.As(c.Err(), &pe) {
+		t.Fatalf("p=%d: cancellation cause is %v, want *PanicError", p, c.Err())
 	}
-	if pe.Value != "chunk dies" {
-		t.Errorf("PanicError.Value = %v", pe.Value)
+	if pe.Worker < 0 || pe.Worker >= p {
+		t.Errorf("p=%d: PanicError.Worker = %d, want a worker index in [0, %d)", p, pe.Worker, p)
+	}
+	return pe
+}
+
+func TestForCRecordsPanicInCanceler(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		c := &Canceler{}
+		if pe := recoverPanicError(t, func() {
+			ForC(c, p, 1000, func(lo, hi int) {
+				if lo == 0 {
+					panic("chunk dies")
+				}
+			})
+		}); pe != nil {
+			t.Fatalf("p=%d: ForC re-raised %v instead of returning", p, pe)
+		}
+		if pe := trippedByPanic(t, c, p); pe.Value != "chunk dies" {
+			t.Errorf("p=%d: PanicError.Value = %v", p, pe.Value)
+		}
 	}
 }
 
 func TestForDynamicCRecordsPanicAndStops(t *testing.T) {
-	c := &Canceler{}
-	var iters atomic.Int64
-	ForDynamicC(c, 4, 1<<20, 64, panicOnFirstChunk(&iters, "chunk dies"))
-	var pe *PanicError
-	if !errors.As(c.Err(), &pe) {
-		t.Fatalf("cancellation cause is %v, want *PanicError", c.Err())
-	}
-	if got := iters.Load(); got >= 1<<20 {
-		t.Errorf("loop ran to completion (%d iterations) despite the panic", got)
+	for _, p := range []int{1, 4} {
+		c := &Canceler{}
+		var iters atomic.Int64
+		if pe := recoverPanicError(t, func() {
+			ForDynamicC(c, p, 1<<20, 64, panicOnFirstChunk(&iters, "chunk dies"))
+		}); pe != nil {
+			t.Fatalf("p=%d: ForDynamicC re-raised %v instead of returning", p, pe)
+		}
+		trippedByPanic(t, c, p)
+		// At p = 1 the whole range is one chunk on the caller.
+		if got := iters.Load(); p > 1 && got >= 1<<20 {
+			t.Errorf("p=%d: loop ran to completion (%d iterations) despite the panic", p, got)
+		}
 	}
 }
 
 func TestRunCReturnsPanicAndCancels(t *testing.T) {
-	c := &Canceler{}
-	pe := RunC(c, 4, func(worker int) {
-		if worker == 2 {
-			panic("worker 2 dies")
+	for _, p := range []int{1, 4} {
+		c := &Canceler{}
+		dying := p / 2
+		var pe *PanicError
+		if re := recoverPanicError(t, func() {
+			pe = RunC(c, p, func(worker int) {
+				if worker == dying {
+					panic("worker dies")
+				}
+				// Siblings spin until cancellation, as a work-stealing loop would.
+				for c.Err() == nil {
+				}
+			})
+		}); re != nil {
+			t.Fatalf("p=%d: RunC re-raised %v instead of returning", p, re)
 		}
-		// Siblings spin until cancellation, as a work-stealing loop would.
-		for c.Err() == nil {
+		if pe == nil {
+			t.Fatalf("p=%d: RunC returned nil for a panicking worker", p)
 		}
-	})
-	if pe == nil {
-		t.Fatal("RunC returned nil for a panicking worker")
-	}
-	if pe.Worker != 2 || pe.Value != "worker 2 dies" {
-		t.Errorf("RunC returned %+v", pe)
-	}
-	var cause *PanicError
-	if !errors.As(c.Err(), &cause) || cause != pe {
-		t.Errorf("canceler cause %v is not the returned PanicError", c.Err())
+		if pe.Worker != dying || pe.Value != "worker dies" {
+			t.Errorf("p=%d: RunC returned %+v, want worker %d", p, pe, dying)
+		}
+		if cause := trippedByPanic(t, c, p); cause != pe {
+			t.Errorf("p=%d: canceler cause %v is not the returned PanicError", p, cause)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -145,35 +144,6 @@ func TestRun(t *testing.T) {
 	}
 }
 
-func TestBarrierPhases(t *testing.T) {
-	const parties = 4
-	const rounds = 50
-	b := NewBarrier(parties)
-	var counter atomic.Int64
-	Run(parties, func(w int) {
-		for r := 0; r < rounds; r++ {
-			counter.Add(1)
-			b.Wait()
-			// After the barrier every party must observe all increments of
-			// this round.
-			if got := counter.Load(); got < int64((r+1)*parties) {
-				t.Errorf("round %d: counter=%d, want >= %d", r, got, (r+1)*parties)
-			}
-			b.Wait()
-		}
-	})
-	if got := counter.Load(); got != int64(rounds*parties) {
-		t.Errorf("counter=%d, want %d", got, rounds*parties)
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	b := NewBarrier(1)
-	for i := 0; i < 10; i++ {
-		b.Wait() // must never block
-	}
-}
-
 func TestReduceInt64Sum(t *testing.T) {
 	n := 10000
 	want := int64(n) * int64(n-1) / 2
@@ -194,39 +164,12 @@ func TestReduceInt64Empty(t *testing.T) {
 	}
 }
 
-func TestMaxInt32(t *testing.T) {
-	xs := []int32{3, -7, 42, 0, 41}
-	got := MaxInt32(3, len(xs), -1<<31, func(i int) int32 { return xs[i] })
-	if got != 42 {
-		t.Errorf("MaxInt32 = %d, want 42", got)
-	}
-}
-
 func TestCountTrue(t *testing.T) {
 	n := 1000
 	got := CountTrue(4, n, func(i int) bool { return i%3 == 0 })
 	want := (n + 2) / 3
 	if got != want {
 		t.Errorf("CountTrue = %d, want %d", got, want)
-	}
-}
-
-func TestWorkerOfInvertsBlock(t *testing.T) {
-	check := func(n, p uint8) bool {
-		nn, pp := int(n%200)+1, int(p%16)+1
-		if pp > nn {
-			pp = nn
-		}
-		for i := 0; i < pp; i++ {
-			lo, _ := Block(nn, pp, i)
-			if workerOf(nn, pp, lo) != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -471,8 +414,35 @@ func TestRunSingleWorker(t *testing.T) {
 	}
 }
 
-func TestNewBarrierClampsParties(t *testing.T) {
-	b := NewBarrier(0) // clamps to 1: Wait must not block
-	b.Wait()
-	b.Wait()
+// TestAllocsPerCall pins the objects each primitive allocates per call on a
+// 4096-item loop: at p = 1 the loop runs on the caller, at p = 2 on two
+// goroutines started by the one fork.
+func TestAllocsPerCall(t *testing.T) {
+	const n = 4096
+	c := &Canceler{}
+	loop := func(lo, hi int) {}
+	spmd := func(w int) {}
+	for _, tc := range []struct {
+		name   string
+		call   func(p int)
+		p1, p2 float64
+	}{
+		{"For", func(p int) { For(p, n, loop) }, 0, 5},
+		{"ForWorker", func(p int) { ForWorker(p, n, func(w, lo, hi int) {}) }, 0, 5},
+		{"ForDynamic", func(p int) { ForDynamic(p, n, 0, loop) }, 0, 7},
+		{"ForC", func(p int) { ForC(c, p, n, loop) }, 1, 5},
+		{"ForDynamicC", func(p int) { ForDynamicC(c, p, n, 0, loop) }, 1, 6},
+		{"Run", func(p int) { Run(p, spmd) }, 0, 4},
+		{"RunC", func(p int) { RunC(c, p, spmd) }, 0, 4},
+	} {
+		for _, p := range []int{1, 2} {
+			want := tc.p1
+			if p == 2 {
+				want = tc.p2
+			}
+			if got := testing.AllocsPerRun(100, func() { tc.call(p) }); got != want {
+				t.Errorf("%s at p=%d: %v allocations per call, want %v", tc.name, p, got, want)
+			}
+		}
+	}
 }

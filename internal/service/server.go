@@ -607,6 +607,19 @@ func (s *Server) evicted(fp string) {
 // At 1024, sample sort's procs × procs bucket counts stay at 4 MiB.
 const maxProcs = 1024
 
+// checkProcs is the procs check of every query endpoint (/v1/bcc and the
+// per-block ones): 0 leaves the choice to the server, and a negative value
+// or one above maxProcs answers 400.
+func checkProcs(procs int) error {
+	if procs < 0 {
+		return fmt.Errorf("procs %d is negative (0 leaves the choice to the server)", procs)
+	}
+	if procs > maxProcs {
+		return fmt.Errorf("procs %d exceeds the limit of %d", procs, maxProcs)
+	}
+	return nil
+}
+
 type bccRequest struct {
 	Graph     string   `json:"graph"` // fingerprint from /v1/graphs
 	Algorithm string   `json:"algorithm,omitempty"`
@@ -693,11 +706,8 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	procs := req.Procs
-	if procs < 0 {
-		procs = 0
-	}
-	if procs > maxProcs {
-		writeError(w, http.StatusBadRequest, "procs %d exceeds the limit of %d", procs, maxProcs)
+	if err := checkProcs(procs); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Graph pointer and generation come from one registry transaction: a

@@ -378,7 +378,9 @@ func TestSparseUploadAllocatesNoPerWorkerArrays(t *testing.T) {
 // TestQueryProcsCapped: a query asking for two billion workers used to
 // start a goroutine per worker on the only admission worker and never
 // answer, starving every later query. /v1/bcc and the per-block endpoints
-// now answer 400 past maxProcs, at once, and the next query is served.
+// now answer 400 past maxProcs, at once, and the next query is served. A
+// negative procs answers 400 on both as well: /v1/bcc used to read it as 0
+// and answer 200.
 func TestQueryProcsCapped(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cycle, err := bicc.NewGraph(4, []bicc.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
@@ -403,6 +405,13 @@ func TestQueryProcsCapped(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/vertex/0/blocks?graph="+fp+"&procs=2000000000", nil); code != http.StatusBadRequest {
 		t.Fatalf("per-block procs 2000000000: status %d, want 400", code)
+	}
+	code, msg = post(fmt.Sprintf(`{"graph": %q, "algorithm": "sequential", "procs": -1}`, fp))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "procs -1 is negative") {
+		t.Fatalf("procs -1: %d %s, want 400", code, msg)
+	}
+	if code := getJSON(t, ts.URL+"/v1/vertex/0/blocks?graph="+fp+"&procs=-1", nil); code != http.StatusBadRequest {
+		t.Fatalf("per-block procs -1: status %d, want 400", code)
 	}
 	if code, msg := post(fmt.Sprintf(`{"graph": %q, "algorithm": "sequential"}`, fp)); code != http.StatusOK {
 		t.Fatalf("sequential query after the refused one: %d %s", code, msg)

@@ -54,15 +54,14 @@ func (s *Server) resolveBlocks(w http.ResponseWriter, r *http.Request) (q *block
 	}
 	procs := 0
 	if ps := params.Get("procs"); ps != "" {
-		procs, err = strconv.Atoi(ps)
-		if err != nil || procs < 0 {
+		if procs, err = strconv.Atoi(ps); err != nil {
 			writeError(w, http.StatusBadRequest, "bad procs %q", ps)
 			return nil, nil, false
 		}
-		if procs > maxProcs {
-			writeError(w, http.StatusBadRequest, "procs %d exceeds the limit of %d", procs, maxProcs)
-			return nil, nil, false
-		}
+	}
+	if err := checkProcs(procs); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, false
 	}
 	// As on /v1/bcc, a timeout_ms <= 0 means the default.
 	timeout := s.cfg.DefaultTimeout
